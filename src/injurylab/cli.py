@@ -1,7 +1,8 @@
 """Command line front end: run scenarios, batch campaigns, verify traces.
 
 Exit codes: 0 when every enabled check passes, 1 when a violation is
-found, 2 on configuration or usage errors.
+found, 2 on configuration or usage errors, malformed traces included,
+and for a campaign in which any seed errors.
 """
 
 import argparse
@@ -19,34 +20,43 @@ def digest(trace: RunTrace) -> str:
     return hashlib.sha256(trace.to_text().encode()).hexdigest()[:16]
 
 
-def worst_ratio(trace: RunTrace) -> float:
+# The replay class of each construction.  The command builds one replay
+# per trace and hands it to the checks, worst_ratio and report_lines.
+REPLAYS = {
+    "nonlow-low2": nonlow_low2._Replay,
+    "low-alpha": low_alpha._LowReplay,
+    "nonlow-alpha": nonlow_alpha._CombReplay,
+}
+
+
+def replay_of(trace: RunTrace):
+    cls = REPLAYS.get(trace.construction)
+    if cls is None:
+        raise ConfigError(f"unknown construction {trace.construction!r}")
+    return cls(trace)
+
+
+def worst_ratio(trace: RunTrace, replay) -> float:
     """Largest observed injuries / closed-form ceiling over protected
     computations; 0.0 when nothing was hit or no finite ceiling applies."""
     worst = 0.0
     if trace.construction == "low-alpha":
-        r = low_alpha._LowReplay(trace)
-        for e, b in r.budgets.items():
+        for e, b in replay.budgets.items():
             if b.value is not None and b.value.is_finite() \
                     and b.value.nat_value():
-                worst = max(worst, len(r.own_injuries(e)) /
+                worst = max(worst, len(replay.own_injuries(e)) /
                             b.value.nat_value())
         return worst
-    if trace.construction == "nonlow-low2":
-        r = nonlow_low2._Replay(trace)
-        etas = r.etas()
-    else:
-        r = nonlow_alpha._CombReplay(trace)
-        etas = r.etas()
-    for eta in etas:
+    for eta in replay.etas():
         totals = {}
-        for _, s, x, node, elem in r.counted_injuries(eta):
+        for _, s, x, node, elem in replay.counted_injuries(eta):
             totals[x] = totals.get(x, 0) + 1
         for x, n in totals.items():
             worst = max(worst, n / injury_bound(x))
     return worst
 
 
-def report_lines(trace: RunTrace, checks) -> list:
+def report_lines(trace: RunTrace, checks, replay) -> list:
     lines = [c.line() for c in checks]
     if trace.construction == "low-alpha":
         for ev in trace.by_kind("phi-set"):
@@ -54,20 +64,19 @@ def report_lines(trace: RunTrace, checks) -> list:
                 lines.append(f"phi e={ev.payload['e']} "
                              f"value={ev.payload['value']}")
     elif trace.construction == "nonlow-alpha":
-        lines += nonlow_alpha.bound_table(trace)
+        lines += nonlow_alpha.bound_table(trace, replay)
     return lines
 
 
-def checks_for(trace: RunTrace, sc=None, psis=None) -> list:
+def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
     if sc is not None:
-        return sc.checks(trace, psis)
+        return sc.checks(trace, psis, replay)
     if trace.construction == "nonlow-low2":
-        return nonlow_low2.verify_main_lemma_claims(trace, psis)
+        return nonlow_low2.verify_main_lemma_claims(trace, psis,
+                                                    replay=replay)
     if trace.construction == "low-alpha":
-        return low_alpha.verify_lowness_budget(trace)
-    if trace.construction == "nonlow-alpha":
-        return nonlow_alpha.verify_combined_bounds(trace)
-    raise ConfigError(f"unknown construction {trace.construction!r}")
+        return low_alpha.verify_lowness_budget(trace, replay)
+    return nonlow_alpha.verify_combined_bounds(trace, replay)
 
 
 def _load(path: str):
@@ -90,8 +99,9 @@ def cmd_run(args, out) -> int:
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(trace.to_text())
-    checks = checks_for(trace, sc, psis)
-    lines = report_lines(trace, checks)
+    replay = replay_of(trace)
+    checks = checks_for(trace, replay, sc, psis)
+    lines = report_lines(trace, checks, replay)
     text = "\n".join(lines) + "\n"
     if args.report:
         with open(args.report, "w") as fh:
@@ -100,38 +110,53 @@ def cmd_run(args, out) -> int:
     return 0 if all(c.passed for c in checks) else 1
 
 
+def _campaign_seed(sc, seed: int, stages, out):
+    """Run, check and report one campaign seed.  Returns its digest, worst
+    ratio and failed checks, or None when the seed errors.  The trace and
+    its replay die with this call, before the next seed runs."""
+    try:
+        trace, psis = sc.execute(seed=seed, stages=stages)
+        replay = replay_of(trace)
+        checks = checks_for(trace, replay, sc, psis)
+    except ConfigError as ex:
+        out.write(f"seed {seed} error {ex}\n")
+        return None
+    d = digest(trace)
+    ratio = worst_ratio(trace, replay)
+    bad = [c for c in checks if not c.passed]
+    out.write(f"seed {seed} digest={d} "
+              f"checks={len(checks) - len(bad)}/{len(checks)} "
+              f"worst-ratio={ratio:.3g}\n")
+    for c in bad:
+        out.write(f"fail seed={seed} check={c.name} "
+                  f"witness={'-' if c.witness is None else c.witness}\n")
+    return d, ratio, bad
+
+
 def cmd_campaign(args, out) -> int:
+    """Exit 2 when any seed errors, else 1 when any check fails."""
     sc = _load(args.scenario)
     if args.seeds < 1:
         raise ConfigError("campaign wants at least one seed")
-    failures = []
-    errors = []
+    failures = 0
+    errors = 0
     digests = []
     worst = 0.0
     for seed in range(args.seed, args.seed + args.seeds):
-        try:
-            trace, psis = sc.execute(seed=seed, stages=args.stages)
-            checks = checks_for(trace, sc, psis)
-        except ConfigError as ex:
-            errors.append((seed, str(ex)))
-            out.write(f"seed {seed} error {ex}\n")
+        result = _campaign_seed(sc, seed, args.stages, out)
+        if result is None:
+            errors += 1
             continue
-        d = digest(trace)
+        d, ratio, bad = result
         digests.append(d)
-        ratio = worst_ratio(trace)
         worst = max(worst, ratio)
-        bad = [c for c in checks if not c.passed]
-        out.write(f"seed {seed} digest={d} "
-                  f"checks={len(checks) - len(bad)}/{len(checks)} "
-                  f"worst-ratio={ratio:.3g}\n")
-        for c in bad:
-            failures.append((seed, c))
-            out.write(f"fail seed={seed} check={c.name} "
-                      f"witness={'-' if c.witness is None else c.witness}\n")
+        failures += len(bad)
     out.write(f"campaign construction={sc.construction} "
-              f"seeds={args.seeds} failures={len(failures)} "
-              f"errors={len(errors)} worst-ratio={worst:.3g} "
+              f"seeds={args.seeds} failures={failures} "
+              f"errors={errors} worst-ratio={worst:.3g} "
               f"digest={hashlib.sha256(','.join(digests).encode()).hexdigest()[:16]}\n")
+    if errors:
+        return 2
     return 1 if failures else 0
 
 
@@ -144,9 +169,10 @@ def cmd_verify_trace(args, out) -> int:
     if trace.summary != reduce_summary(trace):
         out.write("check self-consistency fail witness ?\n")
         return 1
-    checks = checks_for(trace)
+    replay = replay_of(trace)
+    checks = checks_for(trace, replay)
     out.write("check self-consistency pass witness ?\n")
-    text = "\n".join(report_lines(trace, checks)) + "\n"
+    text = "\n".join(report_lines(trace, checks, replay)) + "\n"
     out.write(text)
     return 0 if all(c.passed for c in checks) else 1
 

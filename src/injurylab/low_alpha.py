@@ -15,7 +15,7 @@ from .approximation import ApproxTrace, verify_r_approximation
 from .functional import EnumerableSet, FunctionalRun
 from .nonlow_low2 import CheckResult
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import ConfigError, RunTrace
+from .trace import ConfigError, RunTrace, payload_error
 
 
 def phi(bounds, k: int) -> Cnf:
@@ -247,7 +247,10 @@ class _Budget:
 
 
 class _LowReplay:
-    """Verifier view of a trace, rebuilt from the event stream alone."""
+    """Verifier view of a trace, rebuilt from the event stream alone.
+
+    An event without a payload key the replay reads, or with a value it
+    cannot parse, raises ConfigError naming the event."""
 
     def __init__(self, trace: RunTrace):
         self.alpha = None
@@ -257,47 +260,52 @@ class _LowReplay:
         self.inits = {}  # q -> [stage]
         self.enums = {}  # stage -> (eid, q, element, marker)
         self.injuries = []  # (eid, stage, e, x, use)
-        self.declares = {}  # q -> [(eid, stage, payload)]
+        self.declares = {}  # q -> [(eid, stage, use, value)]
         self.last_f = {}  # q -> (stage, f)
-        for ev in trace.events:
-            p = ev.payload
-            if ev.kind == "qlist-set":
-                e = int(p["e"])
-                if e in self.budgets:
-                    self.extra_sets.append(ev.eid)
-                    continue
-                members = ([] if p["members"] == "-"
-                           else [int(t) for t in p["members"].split(",")])
-                gs = ([] if p["gs"] == "-"
-                      else [parse_cnf(t) for t in p["gs"].split(";")])
-                self.budgets[e] = _Budget(ev.stage, int(p["k"]), members,
-                                          dict(zip(members, gs)))
-            elif ev.kind == "qlist-remove":
-                e, q = int(p["e"]), int(p["q"])
-                b = self.budgets.get(e)
-                if b is None or q not in b.current(ev.stage - 1):
-                    self.bad_removes.append(ev.eid)
-                elif q not in b.removed:
-                    b.removed[q] = ev.stage
-            elif ev.kind == "phi-set":
-                if p["e"] == "alpha":
-                    self.alpha = parse_cnf(p["value"])
-                elif int(p["e"]) in self.budgets:
-                    self.budgets[int(p["e"])].value = parse_cnf(p["value"])
-            elif ev.kind == "init":
-                self.inits.setdefault(_level(p["node"]), []).append(ev.stage)
-            elif ev.kind == "enumerate":
-                self.enums[ev.stage] = (ev.eid, _level(p["node"]),
-                                        int(p["element"]),
-                                        parse_cnf(p["marker"]))
-            elif ev.kind == "inject-diverge":
-                self.injuries.append((ev.eid, ev.stage, int(p["e"]),
-                                      int(p["x"]), int(p["use"])))
-            elif ev.kind == "declare" and p.get("what") == "delta":
-                self.declares.setdefault(_level(p["node"]), []).append(
-                    (ev.eid, ev.stage, p))
-            elif ev.kind == "visit":
-                self.last_f[_level(p["node"])] = (ev.stage, int(p["f"]))
+        try:
+            for ev in trace.events:
+                p = ev.payload
+                if ev.kind == "qlist-set":
+                    e = int(p["e"])
+                    if e in self.budgets:
+                        self.extra_sets.append(ev.eid)
+                        continue
+                    members = ([] if p["members"] == "-" else
+                               [int(t) for t in p["members"].split(",")])
+                    gs = ([] if p["gs"] == "-"
+                          else [parse_cnf(t) for t in p["gs"].split(";")])
+                    self.budgets[e] = _Budget(ev.stage, int(p["k"]), members,
+                                              dict(zip(members, gs)))
+                elif ev.kind == "qlist-remove":
+                    e, q = int(p["e"]), int(p["q"])
+                    b = self.budgets.get(e)
+                    if b is None or q not in b.current(ev.stage - 1):
+                        self.bad_removes.append(ev.eid)
+                    elif q not in b.removed:
+                        b.removed[q] = ev.stage
+                elif ev.kind == "phi-set":
+                    value = parse_cnf(p["value"])
+                    if p["e"] == "alpha":
+                        self.alpha = value
+                    elif int(p["e"]) in self.budgets:
+                        self.budgets[int(p["e"])].value = value
+                elif ev.kind == "init":
+                    self.inits.setdefault(_level(p["node"]), []).append(
+                        ev.stage)
+                elif ev.kind == "enumerate":
+                    self.enums[ev.stage] = (ev.eid, _level(p["node"]),
+                                            int(p["element"]),
+                                            parse_cnf(p["marker"]))
+                elif ev.kind == "inject-diverge":
+                    self.injuries.append((ev.eid, ev.stage, int(p["e"]),
+                                          int(p["x"]), int(p["use"])))
+                elif ev.kind == "declare" and p.get("what") == "delta":
+                    self.declares.setdefault(_level(p["node"]), []).append(
+                        (ev.eid, ev.stage, int(p["u"]), int(p["value"])))
+                elif ev.kind == "visit":
+                    self.last_f[_level(p["node"])] = (ev.stage, int(p["f"]))
+        except (KeyError, ValueError) as ex:
+            raise payload_error(ev, ex) from None
 
     def own_injuries(self, e: int):
         """Post-activation injuries of watcher e's own computation."""
@@ -338,9 +346,18 @@ def _descent_witness(r: _LowReplay, e: int) -> ApproxTrace:
     return witness
 
 
-def verify_lowness_budget(trace: RunTrace) -> list:
-    """Re-derive every watcher's injury bound from the trace alone."""
-    r = _LowReplay(trace)
+# Names of the checks verify_lowness_budget returns, in order.
+CHECKS = ("quota-list-structure", "budget-formula", "injury-gate",
+          "mind-change-cap", "descent-witness", "redeclare",
+          "diagonalization")
+
+
+def verify_lowness_budget(trace: RunTrace,
+                          replay: "_LowReplay | None" = None) -> list:
+    """Re-derive every watcher's injury bound from the trace alone.
+
+    A caller that already replayed the trace passes that replay in."""
+    r = replay if replay is not None else _LowReplay(trace)
     checks = []
 
     bad = r.extra_sets + r.bad_removes
@@ -401,8 +418,8 @@ def verify_lowness_budget(trace: RunTrace) -> list:
 
     bad = None
     for s, (eid, q, element, _) in sorted(r.enums.items()):
-        after = [p for did, ds, p in r.declares.get(q, [])
-                 if ds == s and did > eid and int(p["u"]) > element]
+        after = [did for did, ds, u, _ in r.declares.get(q, [])
+                 if ds == s and did > eid and u > element]
         if not after:
             bad = eid
             break
@@ -414,7 +431,7 @@ def verify_lowness_budget(trace: RunTrace) -> list:
         q = _level(key.split(".", 1)[1])
         decl = r.declares.get(q, [])
         seen = r.last_f.get(q)
-        if not decl or seen is None or int(decl[-1][2]["value"]) == seen[1]:
+        if not decl or seen is None or decl[-1][3] == seen[1]:
             bad = q
             break
     checks.append(CheckResult("diagonalization", bad is None, witness=bad,

@@ -20,7 +20,7 @@ from .functional import EnumerableSet, FunctionalRun
 from .low_alpha import phi
 from .nonlow_low2 import CheckResult, injury_bound
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import ConfigError, RunTrace
+from .trace import ConfigError, RunTrace, payload_error
 from .tree import FIN, INF, StrategyTree, is_prefix, left_of, parse_node, \
     render_node
 
@@ -218,7 +218,6 @@ class NonlowAlphaRun:
         self.rho = {}  # node -> _RhoState
         self.xi = {}  # node -> _XiState
         self.eta_maxl = {}  # node -> best prior length at its stages
-        self.gamma = {}  # follower y -> [use, alive]
         self.cur_l = {}  # eta node -> length this stage
         self.qlists = {}  # eta node -> {x: _QlistEntry}
         self._xi_wants = {}  # node -> [stages]
@@ -288,7 +287,6 @@ class NonlowAlphaRun:
         if st is None or st.follower is None or st.use is None:
             return
         if self.psis[level_index(rho)].value(st.follower, s) == 0:
-            self.gamma[st.follower] = [st.use, True]
             self.trace.emit(s, "declare", node=render(rho), what="gamma",
                             y=st.follower, u=st.use, act="fin")
 
@@ -426,7 +424,6 @@ class NonlowAlphaRun:
         self.trace.emit(s, "select", node=render(rho))
         if st.wants == "pick":
             st.use = self._fresh()
-            self.gamma[st.follower] = [st.use, True]
             self.trace.emit(s, "declare", node=render(rho), what="gamma",
                             y=st.follower, u=st.use, act="pick")
         elif st.wants == "enum":
@@ -437,15 +434,9 @@ class NonlowAlphaRun:
                 self.A.add(elem, s)
                 st.use = None
                 st.acted += 1
-                self._kill_gammas(elem)
             else:
                 self.tree.initialize_at_or_right(rho, s,
                                                  init_cb=self._on_init)
-
-    def _kill_gammas(self, elem):
-        for entry in self.gamma.values():
-            if entry[1] and elem <= entry[0]:
-                entry[1] = False
 
     # -- xi permission and action -------------------------------------
 
@@ -493,7 +484,6 @@ class NonlowAlphaRun:
                             element=elem,
                             marker=format_cnf(adv.marker(st.follower, s)))
             self.A.add(elem, s)
-            self._kill_gammas(elem)
             st.use = self._fresh()
             st.decl = 0 if f else 1
             st.wants = False
@@ -596,7 +586,10 @@ ROOT_NODE = ()
 
 
 class _CombReplay:
-    """Verifier view of a combined trace, from the event stream alone."""
+    """Verifier view of a combined trace, from the event stream alone.
+
+    An event without a payload key the replay reads, or with a value it
+    cannot parse, raises ConfigError naming the event."""
 
     def __init__(self, trace: RunTrace):
         self.stages = trace.stages
@@ -620,86 +613,93 @@ class _CombReplay:
         pending = []
         cur_diverges = []
         cur_stage = -1
-        for ev in trace.events:
-            s = ev.stage
-            if s != cur_stage:
-                self._close_stage(pending, cur_diverges)
-                pending, cur_diverges, cur_stage = [], [], s
-            p = ev.payload
-            if ev.kind == "visit":
-                node = parse_node(p["node"])
-                cur = self.paths.get(s, ROOT_NODE)
-                if len(node) >= len(cur):
-                    self.paths[s] = node
-                if "l" in p:
-                    self.l[(s, node)] = int(p["l"])
-                self.visits.append((ev.eid, s, p))
-            elif ev.kind == "init":
-                node = parse_node(p["node"])
-                self.last_init[node] = s
-                uses.pop(node, None)
-                if node in has_follower:
-                    has_follower.discard(node)
-                    if is_xi(node):
-                        self.xi_inits.setdefault(node, []).append(s)
-            elif ev.kind == "declare":
-                node = parse_node(p["node"])
-                if p["what"] == "follower":
-                    has_follower.add(node)
-                elif p["what"] == "gamma" and p["act"] == "pick":
-                    y, u = int(p["y"]), int(p["u"])
-                    before = acted.get(node, 0)
-                    held = [uses[n] for n in _holders(node) if n in uses]
-                    self.picks.append((ev.eid, s, node, y, u, before, held))
-                    self.use_at_pick[(node, u)] = (s, before)
-                    uses[node] = u
-            elif ev.kind == "enumerate":
-                node, elem = parse_node(p["node"]), int(p["element"])
-                marker = parse_cnf(p["marker"]) if "marker" in p else None
-                self.enums[s] = (ev.eid, node, elem, marker)
-                pending.append((ev.eid, node, elem))
-                acted[node] = acted.get(node, 0) + 1
-                uses.pop(node, None)
-            elif ev.kind == "select" and p.get("act") == "denied":
-                self.denials.append((ev.eid, s, parse_node(p["node"]),
-                                     parse_node(p["by"]), int(p["x"])))
-            elif ev.kind == "qlist-set":
-                eta, x = parse_node(p["eta"]), int(p["x"])
-                members = ([] if p["members"] == "-" else
-                           [parse_node(t) for t in p["members"].split(",")])
-                gs = ([] if p["gs"] == "-" else
-                      [parse_cnf(t) for t in p["gs"].split(";")])
-                kps = ([] if p["kps"] == "-" else
-                       [int(t) for t in p["kps"].split(";")])
-                gen = self.entries.setdefault((eta, x), [])
-                if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
-                    self.bad_events.append(ev.eid)
-                gen.append(_Entry(ev.eid, s, int(p["k"]), members,
-                                  dict(zip(members, gs)), kps))
-            elif ev.kind == "qlist-remove":
-                eta, x = parse_node(p["eta"]), int(p["x"])
-                m = parse_node(p["xi"])
-                gen = self.entries.get((eta, x))
-                if not gen or m not in gen[-1].current(s - 1):
-                    self.bad_events.append(ev.eid)
-                elif m not in gen[-1].removed:
-                    gen[-1].removed[m] = s
-            elif ev.kind == "phi-set":
-                if p["e"] == "alpha":
-                    self.alpha = parse_cnf(p["value"])
-                elif "." in p["e"]:
-                    tag, xs = p["e"].rsplit(".", 1)
-                    gen = self.entries.get((parse_node(tag), int(xs)))
-                    if gen:
-                        gen[-1].value = parse_cnf(p["value"])
-            elif ev.kind == "inject-diverge":
-                cur_diverges.append((ev.eid, s, int(p["e"]), int(p["x"]),
-                                     int(p["use"])))
-                self.phi.setdefault((int(p["e"]), int(p["x"])), []).append(
-                    (s, None))
-            elif ev.kind == "inject-converge":
-                self.phi.setdefault((int(p["e"]), int(p["x"])), []).append(
-                    (s, int(p["use"])))
+        try:
+            for ev in trace.events:
+                s = ev.stage
+                if s != cur_stage:
+                    self._close_stage(pending, cur_diverges)
+                    pending, cur_diverges, cur_stage = [], [], s
+                p = ev.payload
+                if ev.kind == "visit":
+                    node = parse_node(p["node"])
+                    cur = self.paths.get(s, ROOT_NODE)
+                    if len(node) >= len(cur):
+                        self.paths[s] = node
+                    if "l" in p:
+                        self.l[(s, node)] = int(p["l"])
+                    self.visits.append((ev.eid, s, p))
+                elif ev.kind == "init":
+                    node = parse_node(p["node"])
+                    self.last_init[node] = s
+                    uses.pop(node, None)
+                    if node in has_follower:
+                        has_follower.discard(node)
+                        if is_xi(node):
+                            self.xi_inits.setdefault(node, []).append(s)
+                elif ev.kind == "declare":
+                    node = parse_node(p["node"])
+                    if p["what"] == "follower":
+                        has_follower.add(node)
+                    elif p["what"] == "gamma" and p["act"] == "pick":
+                        y, u = int(p["y"]), int(p["u"])
+                        before = acted.get(node, 0)
+                        held = [uses[n] for n in _holders(node)
+                                if n in uses]
+                        self.picks.append((ev.eid, s, node, y, u, before,
+                                           held))
+                        self.use_at_pick[(node, u)] = (s, before)
+                        uses[node] = u
+                elif ev.kind == "enumerate":
+                    node, elem = parse_node(p["node"]), int(p["element"])
+                    marker = (parse_cnf(p["marker"]) if "marker" in p
+                              else None)
+                    self.enums[s] = (ev.eid, node, elem, marker)
+                    pending.append((ev.eid, node, elem))
+                    acted[node] = acted.get(node, 0) + 1
+                    uses.pop(node, None)
+                elif ev.kind == "select" and p.get("act") == "denied":
+                    self.denials.append((ev.eid, s, parse_node(p["node"]),
+                                         parse_node(p["by"]), int(p["x"])))
+                elif ev.kind == "qlist-set":
+                    eta, x = parse_node(p["eta"]), int(p["x"])
+                    members = ([] if p["members"] == "-" else
+                               [parse_node(t)
+                                for t in p["members"].split(",")])
+                    gs = ([] if p["gs"] == "-" else
+                          [parse_cnf(t) for t in p["gs"].split(";")])
+                    kps = ([] if p["kps"] == "-" else
+                           [int(t) for t in p["kps"].split(";")])
+                    gen = self.entries.setdefault((eta, x), [])
+                    if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
+                        self.bad_events.append(ev.eid)
+                    gen.append(_Entry(ev.eid, s, int(p["k"]), members,
+                                      dict(zip(members, gs)), kps))
+                elif ev.kind == "qlist-remove":
+                    eta, x = parse_node(p["eta"]), int(p["x"])
+                    m = parse_node(p["xi"])
+                    gen = self.entries.get((eta, x))
+                    if not gen or m not in gen[-1].current(s - 1):
+                        self.bad_events.append(ev.eid)
+                    elif m not in gen[-1].removed:
+                        gen[-1].removed[m] = s
+                elif ev.kind == "phi-set":
+                    if p["e"] == "alpha":
+                        self.alpha = parse_cnf(p["value"])
+                    elif "." in p["e"]:
+                        tag, xs = p["e"].rsplit(".", 1)
+                        gen = self.entries.get((parse_node(tag), int(xs)))
+                        if gen:
+                            gen[-1].value = parse_cnf(p["value"])
+                elif ev.kind == "inject-diverge":
+                    cur_diverges.append((ev.eid, s, int(p["e"]),
+                                         int(p["x"]), int(p["use"])))
+                    self.phi.setdefault((int(p["e"]), int(p["x"])),
+                                        []).append((s, None))
+                elif ev.kind == "inject-converge":
+                    self.phi.setdefault((int(p["e"]), int(p["x"])),
+                                        []).append((s, int(p["use"])))
+        except (KeyError, ValueError) as ex:
+            raise payload_error(ev, ex) from None
         self._close_stage(pending, cur_diverges)
 
     def _close_stage(self, pending, diverges):
@@ -772,9 +772,18 @@ def _xi_descent_witness(r: _CombReplay, eta, x, entry, hits) -> ApproxTrace:
     return witness
 
 
-def verify_combined_bounds(trace: RunTrace) -> list:
-    """Re-derive the combined construction's bound claims from a trace."""
-    r = _CombReplay(trace)
+# Names of the checks verify_combined_bounds returns, in order.
+CHECKS = ("level-discipline", "xi-permission-scope", "qlist-structure",
+          "xi-injury-gate", "descent-witness", "rho-recursion",
+          "trigger-structure", "mind-change-cap")
+
+
+def verify_combined_bounds(trace: RunTrace,
+                           replay: "_CombReplay | None" = None) -> list:
+    """Re-derive the combined construction's bound claims from a trace.
+
+    A caller that already replayed the trace passes that replay in."""
+    r = replay if replay is not None else _CombReplay(trace)
     checks = []
     etas = r.etas()
 
@@ -988,10 +997,11 @@ def verify_combined_bounds(trace: RunTrace) -> list:
     return checks
 
 
-def bound_table(trace: RunTrace) -> list:
+def bound_table(trace: RunTrace,
+                replay: "_CombReplay | None" = None) -> list:
     """One line per (eta, x) quota list: the ordinal xi budget and the
     closed-form rho ceiling."""
-    r = _CombReplay(trace)
+    r = replay if replay is not None else _CombReplay(trace)
     lines = []
     for (eta, x), gen in sorted(r.entries.items()):
         entry = gen[-1]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .functional import EnumerableSet, FunctionalRun
-from .trace import ConfigError, RunTrace
+from .trace import ConfigError, RunTrace, payload_error
 from .tree import FIN, INF, StrategyTree, is_prefix, parse_node
 
 # -- quota combinatorics ----------------------------------------------
@@ -133,7 +133,6 @@ class NonlowLow2Run:
                      for e, fn in funs.items()}
         self.rho = {}  # node -> _RhoState
         self.eta_maxl = {}  # node -> best prior length at its stages
-        self.gamma = {}  # follower y -> [use, alive]
         self.cur_l = {}  # eta node -> length this stage
         self._uses_cache = {}
         self._uses_dirty = True
@@ -183,7 +182,6 @@ class NonlowLow2Run:
         if st is None or st.follower is None or st.use is None:
             return
         if self.psis[len(rho) // 2].value(st.follower, s) == 0:
-            self.gamma[st.follower] = [st.use, True]
             self.trace.emit(s, "declare", node=render(rho), what="gamma",
                             y=st.follower, u=st.use, act="fin")
 
@@ -248,7 +246,6 @@ class NonlowLow2Run:
         self._uses_dirty = True
         if st.wants == "pick":
             st.use = self._fresh()
-            self.gamma[st.follower] = [st.use, True]
             self.trace.emit(s, "declare", node=render(rho), what="gamma",
                             y=st.follower, u=st.use, act="pick")
         elif st.wants == "enum":
@@ -258,9 +255,6 @@ class NonlowLow2Run:
                 self.A.add(elem, s)
                 st.use = None
                 st.acted += 1
-                for entry in self.gamma.values():
-                    if entry[1] and elem <= entry[0]:
-                        entry[1] = False
             else:
                 self.tree.initialize_at_or_right(rho, s, init_cb=self._on_init)
 
@@ -332,71 +326,70 @@ class CheckResult:
 
 
 class _Replay:
-    """Everything the verifier needs, rebuilt from the event stream alone."""
+    """Everything the verifier needs, rebuilt from the event stream alone.
+
+    An event without a payload key the replay reads, or with a value it
+    cannot parse, raises ConfigError naming the event."""
 
     def __init__(self, trace: RunTrace):
         self.stages = trace.stages
         self.paths = {}        # stage -> longest visited node
         self.l = {}            # (stage, eta) -> recorded length
         self.last_init = {}    # node -> last init stage
-        self.picks = []        # (eid, stage, rho, y, u, acted_before)
+        self.picks = []        # (eid, stage, rho, y, u, acted_before, held)
         self.enums = []        # (eid, stage, rho, element)
         self.injuries = []     # (eid, stage, e, x, injurer, element)
         self.phi = {}          # (e, x) -> [(stage, use or None)] in order
-        self.acted_final = {}
-        self.gamma = {}        # y -> [u, alive]
         self.use_at_pick = {}  # (rho, u) -> (stage, acted_before)
         acted = {}
         uses = {}              # live use per node during replay
-        declared = {}          # y -> declare stage
         pending = []           # enumerate events of the current stage
         cur_diverges = []
         cur_stage = -1
-        for ev in trace.events:
-            s = ev.stage
-            if s != cur_stage:
-                self._close_stage(pending, cur_diverges)
-                pending, cur_diverges, cur_stage = [], [], s
-            p = ev.payload
-            if ev.kind == "visit":
-                node = parse_node(p["node"])
-                cur = self.paths.get(s, ROOT_NODE)
-                if len(node) >= len(cur):
-                    self.paths[s] = node
-                if "l" in p:
-                    self.l[(s, node)] = int(p["l"])
-            elif ev.kind == "init":
-                node = parse_node(p["node"])
-                self.last_init[node] = s
-                uses.pop(node, None)
-            elif ev.kind == "declare" and p["what"] == "gamma":
-                node, y, u = parse_node(p["node"]), int(p["y"]), int(p["u"])
-                self.gamma[y] = [u, True]
-                declared[y] = s
-                if p["act"] == "pick":
+        try:
+            for ev in trace.events:
+                s = ev.stage
+                if s != cur_stage:
+                    self._close_stage(pending, cur_diverges)
+                    pending, cur_diverges, cur_stage = [], [], s
+                p = ev.payload
+                if ev.kind == "visit":
+                    node = parse_node(p["node"])
+                    cur = self.paths.get(s, ROOT_NODE)
+                    if len(node) >= len(cur):
+                        self.paths[s] = node
+                    if "l" in p:
+                        self.l[(s, node)] = int(p["l"])
+                elif ev.kind == "init":
+                    node = parse_node(p["node"])
+                    self.last_init[node] = s
+                    uses.pop(node, None)
+                elif ev.kind == "declare" and p["what"] == "gamma" \
+                        and p["act"] == "pick":
+                    node, y, u = (parse_node(p["node"]), int(p["y"]),
+                                  int(p["u"]))
                     before = acted.get(node, 0)
                     held = [uses[n] for n in _relevant_holders(node)
                             if n in uses]
                     self.picks.append((ev.eid, s, node, y, u, before, held))
                     self.use_at_pick[(node, u)] = (s, before)
                     uses[node] = u
-            elif ev.kind == "enumerate":
-                node, elem = parse_node(p["node"]), int(p["element"])
-                self.enums.append((ev.eid, s, node, elem))
-                pending.append((ev.eid, node, elem))
-                acted[node] = acted.get(node, 0) + 1
-                uses.pop(node, None)
-                for y, entry in self.gamma.items():
-                    if entry[1] and elem <= entry[0]:
-                        entry[1] = False
-            elif ev.kind == "inject-diverge":
-                cur_diverges.append((ev.eid, s, int(p["e"]), int(p["x"]),
-                                     int(p["use"])))
-                self.phi.setdefault((int(p["e"]), int(p["x"])), []).append(
-                    (s, None))
-            elif ev.kind == "inject-converge":
-                self.phi.setdefault((int(p["e"]), int(p["x"])), []).append(
-                    (s, int(p["use"])))
+                elif ev.kind == "enumerate":
+                    node, elem = parse_node(p["node"]), int(p["element"])
+                    self.enums.append((ev.eid, s, node, elem))
+                    pending.append((ev.eid, node, elem))
+                    acted[node] = acted.get(node, 0) + 1
+                    uses.pop(node, None)
+                elif ev.kind == "inject-diverge":
+                    cur_diverges.append((ev.eid, s, int(p["e"]), int(p["x"]),
+                                         int(p["use"])))
+                    self.phi.setdefault((int(p["e"]), int(p["x"])),
+                                        []).append((s, None))
+                elif ev.kind == "inject-converge":
+                    self.phi.setdefault((int(p["e"]), int(p["x"])),
+                                        []).append((s, int(p["use"])))
+        except (KeyError, ValueError) as ex:
+            raise payload_error(ev, ex) from None
         self._close_stage(pending, cur_diverges)
         self.acted_final = acted
         self.live_uses = uses
@@ -419,39 +412,8 @@ class _Replay:
             use = u
         return use
 
-    def converged_below(self, e, x, s) -> bool:
-        return all(self.phi_use_at_start(e, y, s) is not None
-                   for y in range(x + 1))
-
     def path(self, s):
         return self.paths.get(s, ROOT_NODE)
-
-    def estimate(self):
-        """Leftmost node visited cofinally after its last initialization."""
-        node = ROOT_NODE
-        stages = sorted(self.paths)
-        left_last = -1
-        while True:
-            level = len(node)
-            by_outcome = {}
-            for s in stages:
-                p = self.paths[s]
-                if len(p) > level and p[:level] == node:
-                    by_outcome.setdefault(p[level], []).append(s)
-            ext = None
-            seen_left = left_last
-            for o in (INF, FIN):
-                child = node + (o,)
-                ss = by_outcome.get(o, [])
-                t0 = self.last_init.get(child, -1)
-                if seen_left <= t0 and any(s > t0 for s in ss):
-                    ext, stages, left_last = child, ss, seen_left
-                    break
-                if ss:
-                    seen_left = max(seen_left, ss[-1])
-            if ext is None:
-                return node
-            node = ext
 
     def etas(self):
         """Even nodes that head at least one expansionary visit, with their
@@ -482,6 +444,10 @@ class _Replay:
 
 
 ROOT_NODE = ()
+
+# Names of the checks verify_main_lemma_claims returns, in order.
+CHECKS = ("quota-soundness", "exhaustion-gate", "trigger-structure",
+          "recursion-bound", "global-bound", "diagonalization", "uniformity")
 
 
 def verify_main_lemma_claims(trace: RunTrace, psis: dict | None = None,

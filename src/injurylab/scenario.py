@@ -12,7 +12,10 @@ from .ordinal import Cnf, nat, parse_cnf
 from .trace import ConfigError
 from . import low_alpha, nonlow_alpha, nonlow_low2
 
-CONSTRUCTIONS = ("nonlow-low2", "low-alpha", "nonlow-alpha")
+# The constructions, each with the check names its verify lines may toggle.
+CHECK_NAMES = {"nonlow-low2": nonlow_low2.CHECKS,
+               "low-alpha": low_alpha.CHECKS,
+               "nonlow-alpha": nonlow_alpha.CHECKS}
 
 
 class ScenarioError(ConfigError):
@@ -107,14 +110,16 @@ class Scenario:
         return nonlow_alpha.run(psis, fs, funs, self.alpha, stages,
                                 seed), psis
 
-    def checks(self, trace, psis=None):
-        """Run the construction's verifier, honoring the toggles."""
+    def checks(self, trace, psis=None, replay=None):
+        """Run the construction's verifier, honoring the toggles.  A
+        caller that already replayed the trace passes that replay in."""
         if self.construction == "nonlow-low2":
-            out = nonlow_low2.verify_main_lemma_claims(trace, psis)
+            out = nonlow_low2.verify_main_lemma_claims(trace, psis,
+                                                       replay=replay)
         elif self.construction == "low-alpha":
-            out = low_alpha.verify_lowness_budget(trace)
+            out = low_alpha.verify_lowness_budget(trace, replay)
         else:
-            out = nonlow_alpha.verify_combined_bounds(trace)
+            out = nonlow_alpha.verify_combined_bounds(trace, replay)
         return [c for c in out if self.verify.get(c.name, True)]
 
 
@@ -133,6 +138,17 @@ def _nat_field(lineno, key, val):
     if n < 0:
         raise ScenarioError(lineno, f"{key} wants a natural, got {val!r}")
     return n
+
+
+def _prob_field(lineno, key, val):
+    try:
+        p = float(val)
+    except ValueError:
+        p = -1.0
+    if not 0.0 <= p <= 1.0:
+        raise ScenarioError(lineno, f"{key} wants a probability in [0, 1], "
+                                    f"got {val!r}")
+    return p
 
 
 def _parse_adv(sc, parts, lineno):
@@ -182,7 +198,7 @@ def _parse_adv(sc, parts, lineno):
             except ValueError as ex:
                 raise ScenarioError(lineno, str(ex))
         elif key in ("flip", "change"):
-            setattr(decl, key, float(val))
+            setattr(decl, key, _prob_field(lineno, key, val))
         elif key in ("stab", "period"):
             setattr(decl, key, _nat_field(lineno, key, val))
         else:
@@ -223,13 +239,14 @@ def _parse_fun(sc, parts, lineno):
 
 def load_scenario(text: str) -> Scenario:
     sc = Scenario()
+    verify_lines = {}  # check name -> line number of its last verify line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         word, *parts = line.split()
         if word == "construction":
-            if len(parts) != 1 or parts[0] not in CONSTRUCTIONS:
+            if len(parts) != 1 or parts[0] not in CHECK_NAMES:
                 raise ScenarioError(lineno, f"unknown construction "
                                             f"{' '.join(parts)!r}")
             sc.construction = parts[0]
@@ -256,12 +273,17 @@ def load_scenario(text: str) -> Scenario:
             if len(parts) != 2 or parts[1] not in ("on", "off"):
                 raise ScenarioError(lineno, "verify wants <name> on|off")
             sc.verify[parts[0]] = parts[1] == "on"
+            verify_lines[parts[0]] = lineno
         else:
             raise ScenarioError(lineno, f"unknown directive {word!r}")
     if sc.construction is None:
         raise ScenarioError(0, "no construction named")
     if sc.construction != "nonlow-low2" and sc.alpha is None:
         raise ScenarioError(0, f"{sc.construction} wants an alpha")
+    for name, lineno in verify_lines.items():
+        if name not in CHECK_NAMES[sc.construction]:
+            raise ScenarioError(lineno, f"{sc.construction} has no check "
+                                        f"{name!r}")
     for label, levels in (("psi", sc.psi_levels()),
                           ("f", sc.f_levels()),
                           ("fun", sc.funs)):

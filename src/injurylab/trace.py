@@ -72,26 +72,59 @@ class RunTrace:
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("trace "):
-            raise ValueError("missing trace header")
-        _, construction, stages_tok = lines[0].split()
-        trace = cls(construction, int(stages_tok.split("=")[1]))
-        for ln in lines[1:]:
-            if ln.startswith("summary "):
-                _, key, value = ln.split(" ", 2)
-                trace.summary[key] = value
+        """Parse the text form.  A malformed line, an unknown event kind,
+        an event id out of sequence or a stage that goes backwards raises
+        ConfigError naming the line."""
+        trace = None
+        last_stage = 0
+        for lineno, ln in enumerate(text.splitlines(), 1):
+            if not ln.strip():
                 continue
-            toks = ln.split()
-            eid, stage, kind = int(toks[0]), int(toks[1]), toks[2]
-            payload = dict(t.split("=", 1) for t in toks[3:])
+            try:
+                if trace is None:
+                    word, construction, stages_tok = ln.split()
+                    key, stages = stages_tok.split("=")
+                    if word != "trace" or key != "stages":
+                        raise ValueError
+                    trace = cls(construction, int(stages))
+                    continue
+                if ln.startswith("summary "):
+                    _, key, value = ln.split(" ", 2)
+                    trace.summary[key] = value
+                    continue
+                toks = ln.split()
+                eid, stage, kind = int(toks[0]), int(toks[1]), toks[2]
+                payload = dict(t.split("=", 1) for t in toks[3:])
+            except (ValueError, IndexError):
+                what = "trace header" if trace is None else "trace line"
+                raise ConfigError(f"line {lineno}: malformed {what} "
+                                  f"{ln!r}") from None
+            if kind not in EVENT_KINDS:
+                raise ConfigError(f"line {lineno}: unknown event kind "
+                                  f"{kind!r}")
             if eid != len(trace.events):
-                raise ValueError(f"event id gap at {eid}")
+                raise ConfigError(f"line {lineno}: event id {eid} out of "
+                                  f"sequence, expected {len(trace.events)}")
+            if stage < last_stage:
+                raise ConfigError(f"line {lineno}: stage {stage} after "
+                                  f"stage {last_stage}")
+            last_stage = stage
             trace.events.append(Event(eid, stage, kind, payload))
+        if trace is None:
+            raise ConfigError("missing trace header")
         return trace
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+
+def payload_error(ev: Event, ex: Exception) -> ConfigError:
+    """The ConfigError for a KeyError or ValueError met while reading the
+    payload of event ev."""
+    if isinstance(ex, KeyError):
+        return ConfigError(f"event {ev.eid}: {ev.kind} without payload key "
+                           f"{ex.args[0]!r}")
+    return ConfigError(f"event {ev.eid}: bad {ev.kind} payload: {ex}")
 
 
 def reduce_summary(trace: RunTrace) -> dict:
@@ -99,20 +132,23 @@ def reduce_summary(trace: RunTrace) -> dict:
     A = []
     follower = {}
     use = {}
-    for e in trace.events:
-        p = e.payload
-        if e.kind == "enumerate":
-            A.append(int(p["element"]))
-            use.pop(p["node"], None)
-        elif e.kind == "declare":
-            node = p["node"]
-            if p.get("what") == "follower":
-                follower[node] = p["y"]
-            else:
-                use[node] = p["u"]
-        elif e.kind == "init":
-            follower.pop(p["node"], None)
-            use.pop(p["node"], None)
+    try:
+        for e in trace.events:
+            p = e.payload
+            if e.kind == "enumerate":
+                A.append(int(p["element"]))
+                use.pop(p["node"], None)
+            elif e.kind == "declare":
+                node = p["node"]
+                if p.get("what") == "follower":
+                    follower[node] = p["y"]
+                else:
+                    use[node] = p["u"]
+            elif e.kind == "init":
+                follower.pop(p["node"], None)
+                use.pop(p["node"], None)
+    except (KeyError, ValueError) as ex:
+        raise payload_error(e, ex) from None
     out = {"A": ",".join(str(x) for x in sorted(A)) or "-"}
     for node in sorted(follower):
         state = follower[node]

@@ -9,6 +9,8 @@ true-path estimate.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 INF = 0  # the "infinitary" outcome, left of FIN
 FIN = 1
 
@@ -39,8 +41,13 @@ def render_node(node: tuple, alphabet_fn) -> str:
     return "".join(out) or "-"
 
 
+@lru_cache(maxsize=1024)
 def parse_node(text: str) -> tuple:
-    """Inverse of render_node: '-' is the root, i->0, f->1, q->0."""
+    """Inverse of render_node: '-' is the root, i->0, f->1, q->0.
+
+    Replays parse the same few dozen node strings over and over; the
+    cache is bounded so that a trace file full of distinct nodes cannot
+    grow it without limit."""
     if text == "-":
         return ROOT
     return tuple(0 if c in "iq" else 1 for c in text)

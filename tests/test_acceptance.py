@@ -183,9 +183,9 @@ def test_criterion_5_phi_budget():
             fn.configure(e, first=2 + e)
             funs.append(fn)
         trace = low_alpha.run(advs, funs, ALPHA_SQ, 10_000, seed)
-        checks = low_alpha.verify_lowness_budget(trace)
-        ok &= all(c.passed for c in checks)
         replay = low_alpha._LowReplay(trace)
+        checks = low_alpha.verify_lowness_budget(trace, replay=replay)
+        ok &= all(c.passed for c in checks)
         for e, budget in replay.budgets.items():
             if budget.value is None:
                 continue
@@ -225,12 +225,12 @@ def test_criterion_6_combined_bounds():
             fn.configure(x, first=2 + 4 * x)
         trace = nonlow_alpha.run(psis, fadvs, {0: fn}, ALPHA_WW,
                                  10_000, seed)
-        checks = nonlow_alpha.verify_combined_bounds(trace)
+        replay = nonlow_alpha._CombReplay(trace)
+        checks = nonlow_alpha.verify_combined_bounds(trace, replay=replay)
         for name in ("descent-witness", "rho-recursion", "xi-injury-gate",
                      "qlist-structure"):
             ok &= next(c for c in checks if c.name == name).passed
         ok &= all(c.passed for c in checks)
-        replay = nonlow_alpha._CombReplay(trace)
         for (eta, x), gen in replay.entries.items():
             for entry in gen:
                 lists += 1

@@ -138,6 +138,19 @@ class TestGrammar:
         err = self.errors("construction nonlow-low2\nverify budget maybe\n")
         assert err.lineno == 2
 
+    @pytest.mark.parametrize("name", ["no-such-check", "budget-formula"])
+    def test_verify_unknown_check(self, name):
+        err = self.errors(f"construction nonlow-low2\nverify {name} off\n")
+        assert err.lineno == 2 and name in str(err)
+
+    @pytest.mark.parametrize("field", ["flip 0.3x", "flip 1.5",
+                                       "change lots", "change nan"])
+    def test_bad_probability(self, field):
+        kind = "psi" if field.startswith("flip") else "f g w"
+        err = self.errors(f"construction nonlow-low2\n"
+                          f"adv a0 {kind} level 0 {field}\n")
+        assert err.lineno == 2 and field.split()[0] in str(err)
+
 
 class TestExecute:
     @pytest.mark.parametrize("text", [LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT])
@@ -267,6 +280,67 @@ class TestCli:
         path = self.scenario_path(tmp_path, "construction frobnicate\n")
         code, text = self.run_cli(["run", "--scenario", path])
         assert code == 2 and "line 1" in text
+
+    def test_scenario_value_error_exits_2(self, tmp_path):
+        for line in ("verify no-such-check off",
+                     "adv p9 psi level 2 flip often"):
+            path = self.scenario_path(tmp_path, LOW2_TEXT + line + "\n")
+            code, text = self.run_cli(["run", "--scenario", path])
+            assert code == 2 and text.startswith("error line 11: ")
+
+    def test_campaign_with_erroring_seeds_exits_2(self, tmp_path):
+        text = LOW2_TEXT.replace("adv p1 psi level 1 mode random seed 2 "
+                                 "flip 0.3 stab 30\n", "")
+        path = self.scenario_path(tmp_path, text)
+        code, out = self.run_cli(["campaign", "--scenario", path,
+                                  "--seeds", "2"])
+        assert code == 2
+        assert out.splitlines()[0] == ("seed 0 error no guessing adversary "
+                                       "for level 1")
+        assert " errors=2 " in out.splitlines()[-1]
+        assert self.run_cli(["run", "--scenario", path])[0] == 2
+
+    @pytest.mark.parametrize("body, where", [
+        ("0 4 bogus-kind\n1 4 visit node=- l=0\n", "line 2: unknown event"),
+        ("0 4 visit node=- l=0\n1 2 visit node=- l=0\n", "line 3: stage 2"),
+        ("0 0 visit node=- l=0\n2 0 visit node=- l=0\n", "line 3: event id"),
+        ("0 zero visit node=-\n", "line 2: malformed"),
+        ("0 0 visit node\n", "line 2: malformed"),
+        ("0 0 visit\n", "event 0: visit without payload key 'node'"),
+        ("0 0 enumerate node=i\n",
+         "event 0: enumerate without payload key 'element'"),
+        ("0 0 visit node=- l=0\n1 0 visit node=i l=two\n",
+         "event 1: bad visit payload"),
+    ])
+    def test_verify_trace_rejects_malformed_events(self, tmp_path, body,
+                                                   where):
+        tr = tmp_path / "t.trace"
+        tr.write_text("trace nonlow-low2 stages=5\n" + body + "summary A -\n")
+        code, text = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert code == 2
+        assert text.startswith("error " + where), text
+
+    @pytest.mark.parametrize("construction", ["nonlow-low2", "low-alpha",
+                                              "nonlow-alpha"])
+    def test_replay_rejects_missing_payload_key(self, tmp_path,
+                                                construction):
+        tr = tmp_path / "t.trace"
+        tr.write_text(f"trace {construction} stages=5\n"
+                      "0 0 inject-diverge e=0 x=0\nsummary A -\n")
+        code, text = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert code == 2
+        assert text == ("error event 0: inject-diverge without payload key "
+                        "'use'\n")
+
+    def test_verify_trace_rejects_bad_header(self, tmp_path):
+        tr = tmp_path / "t.trace"
+        for text, where in (("", "missing trace header"),
+                            ("\ntrace nonlow-low2\n", "line 2: malformed"),
+                            ("trace nonlow-low2 stages=x\n",
+                             "line 1: malformed")):
+            tr.write_text(text)
+            code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+            assert code == 2 and out.startswith("error " + where), out
 
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"], io.StringIO()) == 2
