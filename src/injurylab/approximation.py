@@ -41,15 +41,6 @@ class ApproxTrace:
         if stage + 1 > self.stages:
             self.stages = stage + 1
 
-    def value_at(self, x: int, s: int):
-        """Latest recorded value at stage <= s, or None before any record."""
-        val = None
-        for stage, value, _ in self.records.get(x, []):
-            if stage > s:
-                break
-            val = value
-        return val
-
     def changes(self):
         """Pairs (x, s) where the approximated value differs at s and s+1."""
         out = []

@@ -9,8 +9,7 @@ import argparse
 import hashlib
 import sys
 
-from . import low_alpha, nonlow_alpha, nonlow_low2
-from .nonlow_low2 import injury_bound
+from .constructions import CONSTRUCTIONS, construction
 from .ordinal import format_cnf, parse_cnf
 from .scenario import load_scenario
 from .trace import ConfigError, RunTrace, reduce_summary
@@ -20,63 +19,27 @@ def digest(trace: RunTrace) -> str:
     return hashlib.sha256(trace.to_text().encode()).hexdigest()[:16]
 
 
-# The replay class of each construction.  The command builds one replay
-# per trace and hands it to the checks, worst_ratio and report_lines.
-REPLAYS = {
-    "nonlow-low2": nonlow_low2._Replay,
-    "low-alpha": low_alpha._LowReplay,
-    "nonlow-alpha": nonlow_alpha._CombReplay,
-}
-
-
 def replay_of(trace: RunTrace):
-    cls = REPLAYS.get(trace.construction)
-    if cls is None:
-        raise ConfigError(f"unknown construction {trace.construction!r}")
-    return cls(trace)
+    """The trace's replay, built once and handed to the checks,
+    worst_ratio and report_lines."""
+    return construction(trace.construction).replay(trace)
 
 
 def worst_ratio(trace: RunTrace, replay) -> float:
     """Largest observed injuries / closed-form ceiling over protected
     computations; 0.0 when nothing was hit or no finite ceiling applies."""
-    worst = 0.0
-    if trace.construction == "low-alpha":
-        for e, b in replay.budgets.items():
-            if b.value is not None and b.value.is_finite() \
-                    and b.value.nat_value():
-                worst = max(worst, len(replay.own_injuries(e)) /
-                            b.value.nat_value())
-        return worst
-    for eta in replay.etas():
-        totals = {}
-        for _, s, x, node, elem in replay.counted_injuries(eta):
-            totals[x] = totals.get(x, 0) + 1
-        for x, n in totals.items():
-            worst = max(worst, n / injury_bound(x))
-    return worst
+    return construction(trace.construction).worst_ratio(replay)
 
 
 def report_lines(trace: RunTrace, checks, replay) -> list:
-    lines = [c.line() for c in checks]
-    if trace.construction == "low-alpha":
-        for ev in trace.by_kind("phi-set"):
-            if ev.payload["e"] != "alpha" and "." not in ev.payload["e"]:
-                lines.append(f"phi e={ev.payload['e']} "
-                             f"value={ev.payload['value']}")
-    elif trace.construction == "nonlow-alpha":
-        lines += nonlow_alpha.bound_table(trace, replay)
-    return lines
+    return [c.line() for c in checks] + \
+        construction(trace.construction).extras(trace, replay)
 
 
 def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
     if sc is not None:
         return sc.checks(trace, psis, replay)
-    if trace.construction == "nonlow-low2":
-        return nonlow_low2.verify_main_lemma_claims(trace, psis,
-                                                    replay=replay)
-    if trace.construction == "low-alpha":
-        return low_alpha.verify_lowness_budget(trace, replay)
-    return nonlow_alpha.verify_combined_bounds(trace, replay)
+    return construction(trace.construction).verify(trace, psis, replay)
 
 
 def _load(path: str):
@@ -92,7 +55,11 @@ def cmd_run(args, out) -> int:
     if args.construction:
         sc.construction = args.construction
     if args.alpha:
-        sc.alpha = parse_cnf(args.alpha)
+        try:
+            sc.alpha = parse_cnf(args.alpha)
+        except ValueError as ex:
+            raise ConfigError(f"--alpha: {ex}") from None
+    sc.validate()
     trace, psis = sc.execute(seed=args.seed, stages=args.stages)
     if trace.summary != reduce_summary(trace):
         raise ConfigError("trace summary does not replay")
@@ -166,10 +133,11 @@ def cmd_verify_trace(args, out) -> int:
             trace = RunTrace.from_text(fh.read())
     except OSError as ex:
         raise ConfigError(str(ex))
+    replay_cls = construction(trace.construction).replay
     if trace.summary != reduce_summary(trace):
         out.write("check self-consistency fail witness ?\n")
         return 1
-    replay = replay_of(trace)
+    replay = replay_cls(trace)
     checks = checks_for(trace, replay)
     out.write("check self-consistency pass witness ?\n")
     text = "\n".join(report_lines(trace, checks, replay)) + "\n"
@@ -213,8 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("run", help="execute one scenario")
     r.add_argument("--scenario", required=True)
-    r.add_argument("--construction", choices=("nonlow-low2", "low-alpha",
-                                              "nonlow-alpha"))
+    r.add_argument("--construction", choices=tuple(CONSTRUCTIONS))
     r.add_argument("--alpha")
     r.add_argument("--stages", type=int)
     r.add_argument("--seed", type=int)

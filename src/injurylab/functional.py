@@ -40,9 +40,6 @@ class EnumerableSet:
     def events_at(self, stage: int) -> list:
         return [e for t, e in self.events if t == stage]
 
-    def max_seen(self) -> int:
-        return max((e for _, e in self.events), default=0)
-
 
 @dataclass(frozen=True)
 class Converged:
@@ -70,6 +67,28 @@ class UseFunctional:
         if policy not in ("fresh", "low"):
             raise ValueError(f"unknown use policy {policy!r}")
         self.args[x] = ArgSchedule(first, delay, policy, offset)
+
+
+class Engine:
+    """Shared by the construction engines: fresh numbers above every use
+    handed out so far, and the stage step of the functional runs.  An
+    engine sets ``trace``, ``runs`` (index -> FunctionalRun) and ``_top``."""
+
+    def _fresh(self) -> int:
+        self._top += 1
+        return self._top
+
+    def _advance_functionals(self, s: int):
+        """Step every functional run one stage and emit what changed."""
+        for e, run in self.runs.items():
+            for x, before_use, a in run.advance(s):
+                if before_use is not None:
+                    self.trace.emit(s, "inject-diverge", e=e, x=x,
+                                    use=before_use)
+                if a is not None:
+                    self.trace.emit(s, "inject-converge", e=e, x=x,
+                                    use=a.use, value=a.value)
+                    self._top = max(self._top, a.use)
 
 
 class FunctionalRun:

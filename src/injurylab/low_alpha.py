@@ -12,10 +12,9 @@ the budget with an explicit strictly descending marker witness.
 from __future__ import annotations
 
 from .approximation import ApproxTrace, verify_r_approximation
-from .functional import EnumerableSet, FunctionalRun
-from .nonlow_low2 import CheckResult
+from .functional import Engine, EnumerableSet, FunctionalRun
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import ConfigError, RunTrace, payload_error
+from .trace import CheckResult, ConfigError, RunTrace, payload_error
 
 
 def phi(bounds, k: int) -> Cnf:
@@ -54,7 +53,7 @@ class _NState:
         self.budget = None
 
 
-class LowAlphaRun:
+class LowAlphaRun(Engine):
     """One bounded execution of the finite-injury construction."""
 
     def __init__(self, advs, funs, alpha: Cnf, stages: int, seed: int = 0,
@@ -77,17 +76,13 @@ class LowAlphaRun:
         self.trace = RunTrace("low-alpha", stages)
         self._top = 0
         self._next_x = 0
-        self.runs = [FunctionalRun(fn, self.A, large=self._fresh)
-                     for fn in funs]
+        self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
+                     for e, fn in enumerate(funs)}
         self.q = [_QState() for _ in range(self.levels)]
         self.n = [_NState() for _ in funs]
         self._wants = {e: [] for e in range(self.levels)}
         self._inits = {e: [] for e in range(self.levels)}
         self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
-
-    def _fresh(self) -> int:
-        self._top += 1
-        return self._top
 
     # -- negative side -------------------------------------------------
 
@@ -189,18 +184,6 @@ class LowAlphaRun:
             self._init_q(e, s, cause=f"denied:{denier}")
             self._assign(e, s)
         return True
-
-    def _advance_functionals(self, s: int):
-        for e, run in enumerate(self.runs):
-            for x, before_use, a in run.advance(s):
-                if before_use is not None:
-                    self.trace.emit(s, "inject-diverge", e=e, x=x,
-                                    use=before_use)
-                if a is not None:
-                    self.trace.emit(s, "inject-converge", e=e, x=x,
-                                    use=a.use, value=a.value)
-                    if a.use > self._top:
-                        self._top = a.use
 
     def execute(self) -> RunTrace:
         for s in range(self.stages):
@@ -437,3 +420,20 @@ def verify_lowness_budget(trace: RunTrace,
     checks.append(CheckResult("diagonalization", bad is None, witness=bad,
                               detail=f"{len(live)} live followers"))
     return checks
+
+
+def worst_ratio(r: _LowReplay) -> float:
+    """Largest own injuries / finite nonzero budget over the watchers."""
+    worst = 0.0
+    for e, b in r.budgets.items():
+        if b.value is not None and b.value.is_finite() \
+                and b.value.nat_value():
+            worst = max(worst, len(r.own_injuries(e)) / b.value.nat_value())
+    return worst
+
+
+def phi_lines(trace: RunTrace, replay=None) -> list:
+    """Report lines naming each watcher's ordinal budget, in trace order."""
+    return [f"phi e={ev.payload['e']} value={ev.payload['value']}"
+            for ev in trace.by_kind("phi-set")
+            if ev.payload["e"] != "alpha" and "." not in ev.payload["e"]]

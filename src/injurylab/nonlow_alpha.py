@@ -13,92 +13,20 @@ trace alone.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .approximation import ApproxTrace, verify_r_approximation
-from .functional import EnumerableSet, FunctionalRun
+from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
+                     check_triggers, injury_bound)
 from .low_alpha import phi
-from .nonlow_low2 import CheckResult, injury_bound
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import ConfigError, RunTrace, payload_error
-from .tree import FIN, INF, StrategyTree, is_prefix, left_of, parse_node, \
-    render_node
+from .trace import CheckResult, ConfigError, RunTrace
+from .tree import FIN, INF, is_prefix, left_of, parse_node
 
-# -- level geometry ----------------------------------------------------
-
-
-def _alphabet(level: int):
-    return (INF,) if level % 3 == 2 else (INF, FIN)
-
-
-@lru_cache(maxsize=None)
-def render(node: tuple) -> str:
-    return render_node(node, _alphabet)
-
-
-def is_eta(node: tuple) -> bool:
-    return len(node) % 3 == 0
-
-
-def is_rho(node: tuple) -> bool:
-    return len(node) % 3 == 1
-
-
-def is_xi(node: tuple) -> bool:
-    return len(node) % 3 == 2
-
-
-def level_index(node: tuple) -> int:
-    return len(node) // 3
-
-
-def etas_above(node: tuple) -> list:
-    """Eta prefixes whose infinitary outcome sits below node."""
-    return [node[:i] for i in range(0, len(node), 3) if node[i] == INF]
-
-
-def _holders(node: tuple) -> list:
-    """Rho prefixes (plus node itself if a rho) whose live uses decide
-    correctness as seen from node; xi nodes never count."""
-    nodes = [node] if is_rho(node) else []
-    for i in range(1, len(node), 3):
-        if node[i] == INF:
-            nodes.append(node[:i])
-    return nodes
-
-
-def eta_correct(x: int, observer: tuple, uses: dict, use) -> bool:
-    if use is None:
-        raise ValueError(f"computation at {x} diverged; correctness undefined")
-    for node in _holders(observer):
-        u = uses.get(node)
-        if u is not None and u <= use:
-            return False
-    return True
-
-
-# -- quota combinatorics over rho levels -------------------------------
-
-
-def in_quota(rho: tuple, x: int) -> bool:
-    return is_rho(rho) and len(rho) < x and x >= 2
-
-
-def quota_for(rho: tuple, x: int) -> int:
-    return x - 1 if in_quota(rho, x) else 0
-
-
-def edge_layer(rho: tuple, x: int, universe) -> int:
-    """Distance to the deepest quota node extending rho-infinity within the
-    given rho universe; 0 when nothing extends it."""
-    if not in_quota(rho, x):
-        raise ValueError(f"node of length {len(rho)} not in quota({x})")
-    best = 0
-    probe = rho + (INF,)
-    for cand in universe:
-        if len(cand) < x and is_prefix(probe, cand):
-            best = max(best, len(cand) - len(rho))
-    return best
+LEVELS = Levels(3)
+render, is_eta, is_rho, is_xi = (LEVELS.render, LEVELS.is_eta,
+                                 LEVELS.is_rho, LEVELS.is_xi)
+etas_above, level_index = LEVELS.etas_above, LEVELS.level_index
+in_quota, quota_for, edge_layer = (LEVELS.in_quota, LEVELS.quota_for,
+                                   LEVELS.edge_layer)
 
 
 # -- xi quota bookkeeping ----------------------------------------------
@@ -155,16 +83,6 @@ def qlist_update(members, k: int, inits=None, wants=(), rho_inits=(),
 # -- the construction --------------------------------------------------
 
 
-class _RhoState:
-    __slots__ = ("follower", "use", "acted", "wants")
-
-    def __init__(self):
-        self.follower = None
-        self.use = None
-        self.acted = 0  # enumerations since run start; survives initialization
-        self.wants = None  # "pick" | "enum" | None, valid for current stage
-
-
 class _XiState:
     __slots__ = ("follower", "use", "decl", "wants")
 
@@ -185,110 +103,53 @@ class _QlistEntry:
         self.checked = s_def  # last maintenance stage
 
 
-class NonlowAlphaRun:
-    """One deterministic run of the combined construction."""
+class NonlowAlphaRun(EtaRhoRun):
+    """One deterministic run of the combined construction: the eta/rho
+    engine with xi levels added through its hooks."""
+
+    levels = LEVELS
+    construction = "nonlow-alpha"
 
     def __init__(self, psis: dict, fadvs: dict, funs: dict, alpha: Cnf,
                  stages: int, seed: int = 0):
         if not alpha.is_additively_closed():
             raise ConfigError(f"bound {format_cnf(alpha)} is not a power of w")
-        depth = 3 * max(len(psis), len(fadvs), len(funs), 1)
-        for e in range(depth // 3 + 1):
-            if 3 * e + 1 < depth and e not in psis:
-                raise ConfigError(f"no guessing adversary for level {e}")
-            if 3 * e + 2 < depth and e not in fadvs:
-                raise ConfigError(f"no budgeted adversary for level {e}")
-        for e, adv in fadvs.items():
+        super().__init__(psis, funs, stages, seed, fadvs)
+        for adv in fadvs.values():
             if not adv.g < alpha:
                 raise ConfigError(
                     f"opponent budget {format_cnf(adv.g)} not below the bound")
-        self.psis = psis
-        self.fadvs = fadvs
         self.alpha = alpha
-        self.depth = depth
-        self.stages = stages
-        self.seed = seed
-        self.tree = StrategyTree(alphabet_fn=_alphabet)
-        self.A = EnumerableSet()
-        self.trace = RunTrace("nonlow-alpha", stages)
-        self._top = 0
         self._next_z = 0
-        self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
-                     for e, fn in funs.items()}
-        self.rho = {}  # node -> _RhoState
         self.xi = {}  # node -> _XiState
-        self.eta_maxl = {}  # node -> best prior length at its stages
-        self.cur_l = {}  # eta node -> length this stage
         self.qlists = {}  # eta node -> {x: _QlistEntry}
         self._xi_wants = {}  # node -> [stages]
         self._xi_inits = {}  # node -> [stages], only with a live follower
-        self._uses_cache = {}
-        self._uses_dirty = True
         self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
-
-    def _fresh(self) -> int:
-        self._top += 1
-        return self._top
 
     def _g(self, node: tuple) -> Cnf:
         return self.fadvs[level_index(node)].g
-
-    # -- lengths and correctness --------------------------------------
-
-    def _uses(self) -> dict:
-        if self._uses_dirty:
-            self._uses_cache = {node: st.use for node, st in self.rho.items()
-                                if st.use is not None}
-            self._uses_dirty = False
-        return self._uses_cache
-
-    def _length(self, eta, s) -> int:
-        run = self.runs.get(level_index(eta))
-        uses = self._uses()
-        l = 0
-        while l < s:
-            r = run.query(l) if run else None
-            if r is None or not eta_correct(l, eta, uses, r.use):
-                break
-            l += 1
-        return l
 
     def _length_of(self, eta, s) -> int:
         if eta not in self.cur_l:
             self.cur_l[eta] = self._length(eta, s)
         return self.cur_l[eta]
 
-    # -- visits and outcomes ------------------------------------------
+    # -- xi visits and initialization ---------------------------------
 
-    def _on_visit(self, node, s):
-        if is_eta(node):
-            self.cur_l[node] = l = self._length(node, s)
-            self.trace.emit(s, "visit", node=render(node), l=l)
-        elif is_rho(node):
-            self.trace.emit(s, "visit", node=render(node))
+    def _visit_xi(self, node, s):
+        if node[-1] == FIN:
+            self._play_fin(node[:-1], s)
+        st = self.xi.setdefault(node, _XiState())
+        if st.follower is None:
+            self._assign_xi(node, s)
         else:
-            if node[-1] == FIN:
-                self._play_fin(node[:-1], s)
-            st = self.xi.setdefault(node, _XiState())
-            if st.follower is None:
-                self._assign_xi(node, s)
-            else:
-                f = self.fadvs[level_index(node)].value(st.follower, s)
-                self.trace.emit(s, "visit", node=render(node),
-                                x=st.follower, f=f)
-                st.wants = st.decl == f
-                if st.wants:
-                    self._xi_wants.setdefault(node, []).append(s)
-
-    def _play_fin(self, rho, s):
-        """Refresh the marker declaration while the opponent still guesses
-        zero."""
-        st = self.rho.get(rho)
-        if st is None or st.follower is None or st.use is None:
-            return
-        if self.psis[level_index(rho)].value(st.follower, s) == 0:
-            self.trace.emit(s, "declare", node=render(rho), what="gamma",
-                            y=st.follower, u=st.use, act="fin")
+            f = self.fadvs[level_index(node)].value(st.follower, s)
+            self.trace.emit(s, "visit", node=render(node),
+                            x=st.follower, f=f)
+            st.wants = st.decl == f
+            if st.wants:
+                self._xi_wants.setdefault(node, []).append(s)
 
     def _assign_xi(self, node, s):
         st = self.xi[node]
@@ -307,49 +168,20 @@ class NonlowAlphaRun:
                         u=st.use, value=st.decl,
                         marker=format_cnf(adv.marker(st.follower, s)))
 
-    def _outcome(self, node, s):
-        if is_eta(node):
-            l = self.cur_l[node]
-            expansionary = l > self.eta_maxl.get(node, 0)
-            self.eta_maxl[node] = max(self.eta_maxl.get(node, 0), l)
-            if expansionary:
-                self._maintain_qlists(node, s)
-            return INF if expansionary else FIN
-        if is_xi(node):
-            return INF
-        st = self.rho.setdefault(node, _RhoState())
-        if st.follower is None:
-            st.follower = self._fresh()
-            self.trace.emit(s, "declare", node=render(node), what="follower",
-                            y=st.follower)
-        psi = self.psis[level_index(node)].value(st.follower, s)
-        if psi == 0 and st.use is None:
-            st.wants = "pick"
-        elif psi == 1 and st.use is not None:
-            st.wants = "enum"
-        else:
-            st.wants = None
-        return INF if st.wants else FIN
-
     def _on_init(self, node, s):
-        self.trace.emit(s, "init", node=render(node))
-        if is_rho(node):
-            st = self.rho.get(node)
-            if st is not None:
-                st.follower = st.use = st.wants = None
-                self._uses_dirty = True
-        elif is_xi(node):
+        super()._on_init(node, s)
+        if is_xi(node):
             st = self.xi.get(node)
             if st is not None and st.follower is not None:
                 self._xi_inits.setdefault(node, []).append(s)
                 st.follower = st.use = st.decl = None
                 st.wants = False
-        else:
+        elif is_eta(node):
             self.qlists.pop(node, None)
 
     # -- quota list maintenance ---------------------------------------
 
-    def _maintain_qlists(self, eta, s):
+    def _expansionary(self, eta, s):
         table = self.qlists.setdefault(eta, {})
         for x in range(self.cur_l[eta]):
             entry = table.get(x)
@@ -394,51 +226,11 @@ class NonlowAlphaRun:
                    for eta in etas_above(xi_node)}
         return k_prime(xi_node, lengths)
 
-    # -- rho permission and action ------------------------------------
-
-    def _allows_pick(self, rho, s) -> bool:
-        st = self.rho[rho]
-        for eta in etas_above(rho):
-            run = self.runs.get(level_index(eta))
-            for x in range(self.cur_l[eta]):
-                if st.acted < quota_for(rho, x):
-                    continue  # quota not exhausted from x
-                if not eta_correct(x, rho, self._uses(), run.query(x).use):
-                    return False
-        return True
-
-    def _allows_enum(self, rho, s) -> bool:
-        st = self.rho[rho]
-        for eta in etas_above(rho):
-            run = self.runs.get(level_index(eta))
-            for x in range(self.cur_l[eta]):
-                if in_quota(rho, x):
-                    continue
-                if st.use <= run.query(x).use:
-                    return False
-        return True
-
-    def _act_rho(self, rho, s):
-        st = self.rho[rho]
-        self._uses_dirty = True
-        self.trace.emit(s, "select", node=render(rho))
-        if st.wants == "pick":
-            st.use = self._fresh()
-            self.trace.emit(s, "declare", node=render(rho), what="gamma",
-                            y=st.follower, u=st.use, act="pick")
-        elif st.wants == "enum":
-            if self._allows_enum(rho, s):
-                elem = st.use
-                self.trace.emit(s, "enumerate", node=render(rho),
-                                element=elem)
-                self.A.add(elem, s)
-                st.use = None
-                st.acted += 1
-            else:
-                self.tree.initialize_at_or_right(rho, s,
-                                                 init_cb=self._on_init)
-
     # -- xi permission and action -------------------------------------
+
+    def _xi_candidates(self, path) -> list:
+        nodes = (path[:i] for i in range(2, len(path) + 1, 3))
+        return [n for n in nodes if n in self.xi and self.xi[n].wants]
 
     def _xi_denier(self, xi_node, use, s):
         """First (eta, x) refusing the action, or None."""
@@ -495,61 +287,11 @@ class NonlowAlphaRun:
             self._on_init(xi_node, s)
             self._assign_xi(xi_node, s)
 
-    # -- stage loop ----------------------------------------------------
-
-    def _advance_functionals(self, s):
-        for e, run in self.runs.items():
-            for x, before_use, a in run.advance(s):
-                if before_use is not None:
-                    self.trace.emit(s, "inject-diverge", e=e, x=x,
-                                    use=before_use)
-                if a is not None:
-                    self.trace.emit(s, "inject-converge", e=e, x=x,
-                                    use=a.use, value=a.value)
-                    if a.use > self._top:
-                        self._top = a.use
-
-    def execute(self) -> RunTrace:
-        for s in range(self.stages):
-            self.cur_l = {}
-            path = self.tree.run_stage(
-                self._outcome, s, length=min(s, self.depth),
-                init_cb=self._on_init, visit_cb=self._on_visit)
-            theta = []
-            for i in range(1, len(path) + 1):
-                node = path[:i]
-                if i % 3 == 1 and i < len(path) and path[i] == INF:
-                    st = self.rho[node]
-                    if st.wants == "enum":
-                        theta.append(node)
-                    elif st.wants == "pick" and self._allows_pick(node, s):
-                        theta.append(node)
-                elif i % 3 == 2:
-                    st = self.xi.get(node)
-                    if st is not None and st.wants:
-                        theta.append(node)
-            actor = self.tree.select_actor(theta)
-            if actor is not None:
-                if is_rho(actor):
-                    self._act_rho(actor, s)
-                else:
-                    self._act_xi(actor, s)
-            self._advance_functionals(s)
-        elems = sorted(e for _, e in self.A.events)
-        summary = {"A": ",".join(str(x) for x in elems) or "-"}
-        for node in sorted(self.rho):
-            st = self.rho[node]
-            if st.follower is not None:
-                state = str(st.follower)
-                if st.use is not None:
-                    state += f":{st.use}"
-                summary[f"node.{render(node)}"] = state
+    def _xi_summary(self, summary: dict):
         for node in sorted(self.xi):
             st = self.xi[node]
             if st.follower is not None:
                 summary[f"node.{render(node)}"] = f"{st.follower}:{st.use}"
-        self.trace.finalize(summary)
-        return self.trace
 
 
 def run(psis: dict, fadvs: dict, funs: dict, alpha: Cnf, stages: int,
@@ -582,159 +324,68 @@ class _Entry:
                 if self.removed.get(m) is None or self.removed[m] > s]
 
 
-ROOT_NODE = ()
+class _CombReplay(EtaRhoReplay):
+    """Verifier view of a combined trace, from the event stream alone: the
+    eta/rho replay plus the xi, quota-list and budget events."""
 
-
-class _CombReplay:
-    """Verifier view of a combined trace, from the event stream alone.
-
-    An event without a payload key the replay reads, or with a value it
-    cannot parse, raises ConfigError naming the event."""
+    levels = LEVELS
 
     def __init__(self, trace: RunTrace):
-        self.stages = trace.stages
         self.alpha = None
-        self.paths = {}  # stage -> longest visited node
-        self.l = {}  # (stage, eta) -> recorded length
-        self.last_init = {}  # node -> last init stage
         self.entries = {}  # (eta, x) -> [_Entry] in order
         self.bad_events = []  # structurally illegal qlist events
         self.xi_inits = {}  # node -> [stages], follower-bearing only
-        self.picks = []  # (eid, stage, rho, y, u, acted_before, held)
-        self.use_at_pick = {}  # (rho, u) -> (stage, acted_before)
         self.enums = {}  # stage -> (eid, node, element, marker or None)
-        self.injuries = []  # (eid, stage, e, x, injurer, element)
-        self.phi = {}  # (e, x) -> [(stage, use or None)] in order
-        self.visits = []  # (eid, stage, payload)
         self.denials = []  # (eid, stage, node, by, x)
-        has_follower = set()
-        acted = {}
-        uses = {}
-        pending = []
-        cur_diverges = []
-        cur_stage = -1
-        try:
-            for ev in trace.events:
-                s = ev.stage
-                if s != cur_stage:
-                    self._close_stage(pending, cur_diverges)
-                    pending, cur_diverges, cur_stage = [], [], s
-                p = ev.payload
-                if ev.kind == "visit":
-                    node = parse_node(p["node"])
-                    cur = self.paths.get(s, ROOT_NODE)
-                    if len(node) >= len(cur):
-                        self.paths[s] = node
-                    if "l" in p:
-                        self.l[(s, node)] = int(p["l"])
-                    self.visits.append((ev.eid, s, p))
-                elif ev.kind == "init":
-                    node = parse_node(p["node"])
-                    self.last_init[node] = s
-                    uses.pop(node, None)
-                    if node in has_follower:
-                        has_follower.discard(node)
-                        if is_xi(node):
-                            self.xi_inits.setdefault(node, []).append(s)
-                elif ev.kind == "declare":
-                    node = parse_node(p["node"])
-                    if p["what"] == "follower":
-                        has_follower.add(node)
-                    elif p["what"] == "gamma" and p["act"] == "pick":
-                        y, u = int(p["y"]), int(p["u"])
-                        before = acted.get(node, 0)
-                        held = [uses[n] for n in _holders(node)
-                                if n in uses]
-                        self.picks.append((ev.eid, s, node, y, u, before,
-                                           held))
-                        self.use_at_pick[(node, u)] = (s, before)
-                        uses[node] = u
-                elif ev.kind == "enumerate":
-                    node, elem = parse_node(p["node"]), int(p["element"])
-                    marker = (parse_cnf(p["marker"]) if "marker" in p
-                              else None)
-                    self.enums[s] = (ev.eid, node, elem, marker)
-                    pending.append((ev.eid, node, elem))
-                    acted[node] = acted.get(node, 0) + 1
-                    uses.pop(node, None)
-                elif ev.kind == "select" and p.get("act") == "denied":
-                    self.denials.append((ev.eid, s, parse_node(p["node"]),
-                                         parse_node(p["by"]), int(p["x"])))
-                elif ev.kind == "qlist-set":
-                    eta, x = parse_node(p["eta"]), int(p["x"])
-                    members = ([] if p["members"] == "-" else
-                               [parse_node(t)
-                                for t in p["members"].split(",")])
-                    gs = ([] if p["gs"] == "-" else
-                          [parse_cnf(t) for t in p["gs"].split(";")])
-                    kps = ([] if p["kps"] == "-" else
-                           [int(t) for t in p["kps"].split(";")])
-                    gen = self.entries.setdefault((eta, x), [])
-                    if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
-                        self.bad_events.append(ev.eid)
-                    gen.append(_Entry(ev.eid, s, int(p["k"]), members,
-                                      dict(zip(members, gs)), kps))
-                elif ev.kind == "qlist-remove":
-                    eta, x = parse_node(p["eta"]), int(p["x"])
-                    m = parse_node(p["xi"])
-                    gen = self.entries.get((eta, x))
-                    if not gen or m not in gen[-1].current(s - 1):
-                        self.bad_events.append(ev.eid)
-                    elif m not in gen[-1].removed:
-                        gen[-1].removed[m] = s
-                elif ev.kind == "phi-set":
-                    if p["e"] == "alpha":
-                        self.alpha = parse_cnf(p["value"])
-                    elif "." in p["e"]:
-                        tag, xs = p["e"].rsplit(".", 1)
-                        gen = self.entries.get((parse_node(tag), int(xs)))
-                        if gen:
-                            gen[-1].value = parse_cnf(p["value"])
-                elif ev.kind == "inject-diverge":
-                    cur_diverges.append((ev.eid, s, int(p["e"]),
-                                         int(p["x"]), int(p["use"])))
-                    self.phi.setdefault((int(p["e"]), int(p["x"])),
-                                        []).append((s, None))
-                elif ev.kind == "inject-converge":
-                    self.phi.setdefault((int(p["e"]), int(p["x"])),
-                                        []).append((s, int(p["use"])))
-        except (KeyError, ValueError) as ex:
-            raise payload_error(ev, ex) from None
-        self._close_stage(pending, cur_diverges)
+        self._followed = set()  # nodes with a live follower
+        self._read(trace)
 
-    def _close_stage(self, pending, diverges):
-        for eid, s, e, x, use in diverges:
-            for en_eid, node, elem in pending:
-                if elem < use:
-                    self.injuries.append((eid, s, e, x, node, elem))
-                    break
-
-    def path(self, s):
-        return self.paths.get(s, ROOT_NODE)
-
-    def etas(self):
-        seen = {}
-        for s, node in self.paths.items():
-            for i in range(0, len(node), 3):
-                if node[i] == INF:
-                    seen.setdefault(node[:i], []).append(s)
-        return seen
-
-    def counted_injuries(self, eta):
-        """Injuries of the protected functional at expansionary stages of
-        eta, after its last initialization, gated by the recorded length."""
-        e = level_index(eta)
-        t0 = self.last_init.get(eta, -1)
-        out = []
-        for eid, s, ie, x, node, elem in self.injuries:
-            if ie != e or s <= t0:
-                continue
-            if not is_prefix(eta + (INF,), self.path(s)):
-                continue
-            if x >= self.l.get((s, eta), 0):
-                continue
-            out.append((eid, s, x, node, elem))
-        return out
+    def _extra(self, ev, s, p):
+        if ev.kind == "init":
+            node = parse_node(p["node"])
+            if node in self._followed:
+                self._followed.discard(node)
+                if is_xi(node):
+                    self.xi_inits.setdefault(node, []).append(s)
+        elif ev.kind == "declare":
+            if p["what"] == "follower":
+                self._followed.add(parse_node(p["node"]))
+        elif ev.kind == "enumerate":
+            marker = parse_cnf(p["marker"]) if "marker" in p else None
+            self.enums[s] = (ev.eid, parse_node(p["node"]),
+                             int(p["element"]), marker)
+        elif ev.kind == "select" and p.get("act") == "denied":
+            self.denials.append((ev.eid, s, parse_node(p["node"]),
+                                 parse_node(p["by"]), int(p["x"])))
+        elif ev.kind == "qlist-set":
+            eta, x = parse_node(p["eta"]), int(p["x"])
+            members = ([] if p["members"] == "-" else
+                       [parse_node(t) for t in p["members"].split(",")])
+            gs = ([] if p["gs"] == "-" else
+                  [parse_cnf(t) for t in p["gs"].split(";")])
+            kps = ([] if p["kps"] == "-" else
+                   [int(t) for t in p["kps"].split(";")])
+            gen = self.entries.setdefault((eta, x), [])
+            if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
+                self.bad_events.append(ev.eid)
+            gen.append(_Entry(ev.eid, s, int(p["k"]), members,
+                              dict(zip(members, gs)), kps))
+        elif ev.kind == "qlist-remove":
+            eta, x = parse_node(p["eta"]), int(p["x"])
+            m = parse_node(p["xi"])
+            gen = self.entries.get((eta, x))
+            if not gen or m not in gen[-1].current(s - 1):
+                self.bad_events.append(ev.eid)
+            elif m not in gen[-1].removed:
+                gen[-1].removed[m] = s
+        elif ev.kind == "phi-set":
+            if p["e"] == "alpha":
+                self.alpha = parse_cnf(p["value"])
+            elif "." in p["e"]:
+                tag, xs = p["e"].rsplit(".", 1)
+                gen = self.entries.get((parse_node(tag), int(xs)))
+                if gen:
+                    gen[-1].value = parse_cnf(p["value"])
 
     def entry_at(self, eta, x, s):
         """The quota list generation in force at stage s, if any."""
@@ -743,6 +394,10 @@ class _CombReplay:
             if entry.s_def <= s:
                 live = entry
         return live
+
+    def listed(self, eta, x, s, node) -> bool:
+        entry = self.entry_at(eta, x, s)
+        return is_xi(node) and entry is not None and node in entry.members
 
 
 def _xi_descent_witness(r: _CombReplay, eta, x, entry, hits) -> ApproxTrace:
@@ -784,100 +439,96 @@ def verify_combined_bounds(trace: RunTrace,
 
     A caller that already replayed the trace passes that replay in."""
     r = replay if replay is not None else _CombReplay(trace)
-    checks = []
-    etas = r.etas()
+    return [_level_discipline(trace), _xi_permission_scope(r),
+            _qlist_structure(r), _xi_injury_gate(r), _descent_witness(r),
+            check_recursion(r, "rho-recursion", sorted),
+            check_triggers(r, sorted), _mind_change_cap(r)]
 
-    # level-discipline: node spelling and visit payloads match level type
-    bad = None
-    for eid, s, p in r.visits:
+
+def _level_discipline(trace: RunTrace) -> CheckResult:
+    """Node spelling and visit payloads match the level type."""
+    visits = trace.by_kind("visit")
+    for ev in visits:
+        p = ev.payload
         text = p["node"]
         node = parse_node(text)
         spelled = render(node)
         if text != spelled and text != "-":
-            bad = (eid, f"node {text} spelled unlike {spelled}")
-            break
-        if is_eta(node) and "l" not in p:
-            bad = (eid, f"eta visit {text} without length")
-            break
-        if is_rho(node) and ("l" in p or "x" in p):
-            bad = (eid, f"rho visit {text} carries foreign fields")
-            break
-        if is_xi(node) and "l" in p:
-            bad = (eid, f"xi visit {text} carries a length")
-            break
-    checks.append(CheckResult("level-discipline", bad is None,
-                              bad and bad[0], bad[1] if bad else
-                              f"{len(r.visits)} visits"))
-
-    # xi-permission-scope: denials of xi come only from eta-infinity above
-    bad = None
-    for eid, s, node, by, x in r.denials:
-        if not is_xi(node):
+            bad = f"node {text} spelled unlike {spelled}"
+        elif is_eta(node) and "l" not in p:
+            bad = f"eta visit {text} without length"
+        elif is_rho(node) and ("l" in p or "x" in p):
+            bad = f"rho visit {text} carries foreign fields"
+        elif is_xi(node) and "l" in p:
+            bad = f"xi visit {text} carries a length"
+        else:
             continue
-        if not is_eta(by) or not is_prefix(by + (INF,), node):
-            bad = (eid, f"denier {render(by)} not an eta-infinity prefix "
-                        f"of {render(node)}")
-            break
-    checks.append(CheckResult("xi-permission-scope", bad is None,
-                              bad and bad[0], bad[1] if bad else
-                              f"{len(r.denials)} denials"))
+        return CheckResult("level-discipline", False, ev.eid, bad)
+    return CheckResult("level-discipline", True, None,
+                       f"{len(visits)} visits")
 
-    # qlist-structure: legal sets and removes, budgets recomputed
-    bad = None
+
+def _xi_permission_scope(r: _CombReplay) -> CheckResult:
+    """Denials of xi come only from eta-infinity above."""
+    for eid, s, node, by, x in r.denials:
+        if is_xi(node) and (not is_eta(by)
+                            or not is_prefix(by + (INF,), node)):
+            return CheckResult("xi-permission-scope", False, eid,
+                               f"denier {render(by)} not an eta-infinity "
+                               f"prefix of {render(node)}")
+    return CheckResult("xi-permission-scope", True, None,
+                       f"{len(r.denials)} denials")
+
+
+def _qlist_structure(r: _CombReplay) -> CheckResult:
+    """Legal sets and removes, budgets recomputed."""
     if r.bad_events:
-        bad = (min(r.bad_events), "illegal quota list event")
-    else:
-        for (eta, x), gen in sorted(r.entries.items()):
-            for entry in gen:
-                expect = phi([entry.gs[m] for m in entry.members], entry.k)
-                if entry.k != k_budget(entry.kps):
-                    bad = (entry.eid, f"tolerance {entry.k} is not the "
-                                      f"member max")
-                    break
-                if entry.value != expect or (
-                        r.alpha is not None and not entry.value < r.alpha):
-                    bad = (entry.eid, "budget mismatch at "
-                                      f"{render(eta)} x={x}")
-                    break
-            if bad:
-                break
-    checks.append(CheckResult("qlist-structure", bad is None,
-                              bad and bad[0], bad[1] if bad else
-                              f"{len(r.entries)} lists"))
+        return CheckResult("qlist-structure", False, min(r.bad_events),
+                           "illegal quota list event")
+    for (eta, x), gen in sorted(r.entries.items()):
+        for entry in gen:
+            expect = phi([entry.gs[m] for m in entry.members], entry.k)
+            if entry.k != k_budget(entry.kps):
+                return CheckResult("qlist-structure", False, entry.eid,
+                                   f"tolerance {entry.k} is not the member "
+                                   f"max")
+            if entry.value != expect or (
+                    r.alpha is not None and not entry.value < r.alpha):
+                return CheckResult("qlist-structure", False, entry.eid,
+                                   f"budget mismatch at {render(eta)} x={x}")
+    return CheckResult("qlist-structure", True, None,
+                       f"{len(r.entries)} lists")
 
-    # xi-injury-gate: xi hits below eta-infinity come from current members
-    bad = None
-    for eta in sorted(etas):
+
+def _xi_injury_gate(r: _CombReplay) -> CheckResult:
+    """Xi hits below eta-infinity come from current list members."""
+    for eta in sorted(r.etas()):
         for eid, s, x, node, elem in r.counted_injuries(eta):
             if not is_xi(node) or not is_prefix(eta + (INF,), node):
                 continue
             entry = r.entry_at(eta, x, s)
             if entry is None or node not in entry.current(s):
-                bad = (eid, f"{render(node)} hit {render(eta)} x={x} "
-                            f"outside the list at stage {s}")
-                break
-        if bad:
-            break
-    checks.append(CheckResult("xi-injury-gate", bad is None,
-                              bad and bad[0], bad[1] if bad else ""))
+                return CheckResult("xi-injury-gate", False, eid,
+                                   f"{render(node)} hit {render(eta)} x={x} "
+                                   f"outside the list at stage {s}")
+    return CheckResult("xi-injury-gate", True)
 
-    # descent-witness: each list generation's xi hits descend through beta
-    bad = None
-    detail = ""
+
+def _descent_witness(r: _CombReplay) -> CheckResult:
+    """Each list generation's xi hits descend through its beta budget."""
     streams = 0
     for (eta, x), gen in sorted(r.entries.items()):
         for entry in gen:
             if entry.value is None:
-                bad = (entry.eid, "missing budget value")
-                break
+                return CheckResult("descent-witness", False, entry.eid,
+                                   "missing budget value")
             hits = []
             for eid, s, hx, node, elem in r.counted_injuries(eta):
                 if hx != x or s < entry.s_def or not is_xi(node):
                     continue
                 if not is_prefix(eta + (INF,), node):
                     continue
-                live = r.entry_at(eta, x, s)
-                if live is not entry:
+                if r.entry_at(eta, x, s) is not entry:
                     continue
                 en = r.enums.get(s)
                 hits.append((eid, s, node,
@@ -887,94 +538,16 @@ def verify_combined_bounds(trace: RunTrace,
                 _xi_descent_witness(r, eta, x, entry, hits),
                 entry.value + nat(1))
             if v is not None:
-                bad = (v.stage, str(v))
-                break
-        if bad:
-            break
-    checks.append(CheckResult("descent-witness", bad is None,
-                              bad and bad[0],
-                              bad[1] if bad else f"{streams} streams"))
+                return CheckResult("descent-witness", False, v.stage, str(v))
+    return CheckResult("descent-witness", True, None, f"{streams} streams")
 
-    # rho-recursion: per-node counts obey the layer inequality with the
-    # realized xi-hit count standing in for beta
-    bad = None
-    realized = set()
-    for p in r.paths.values():
-        for i in range(1, len(p) + 1):
-            if i % 3 == 1:
-                realized.add(p[:i])
-    for eta in sorted(etas):
-        counts = {}
-        xi_hits = {}
-        for eid, s, x, node, elem in r.counted_injuries(eta):
-            if is_rho(node):
-                counts.setdefault(x, {}).setdefault(node, [0, eid])[0] += 1
-            elif is_xi(node):
-                xi_hits[x] = xi_hits.get(x, 0) + 1
-        for x, per_node in sorted(counts.items()):
-            universe = [q for q in realized if in_quota(q, x)]
-            layers = {q: edge_layer(q, x, universe) for q in universe}
-            for rho, (n, eid) in sorted(per_node.items()):
-                if rho not in layers:
-                    continue
-                allowed = quota_for(rho, x) + xi_hits.get(x, 0) + sum(
-                    per_node.get(q, (0, 0))[0] for q, lay in layers.items()
-                    if lay < layers[rho])
-                if n > allowed:
-                    bad = (eid, f"{render(rho)} hit x={x} {n} times, "
-                                f"layer bound {allowed}")
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    checks.append(CheckResult("rho-recursion", bad is None,
-                              bad and bad[0], bad[1] if bad else ""))
 
-    # trigger-structure: post-quota rho hits are triggered from below or
-    # by a listed xi
-    bad = None
-    for eta in sorted(etas):
-        e = level_index(eta)
-        for eid, s2, x, rho, elem in r.counted_injuries(eta):
-            if not is_rho(rho) or not is_prefix(eta + (INF,), rho):
-                continue
-            pick = r.use_at_pick.get((rho, elem))
-            if pick is None:
-                continue
-            s0, before = pick
-            if before < quota_for(rho, x) or x >= r.l.get((s0, eta), 0):
-                continue
-            between = [(ie, t, nd) for ie, t, je, jx, nd, _ in r.injuries
-                       if je == e and jx == x and s0 < t < s2 and nd != rho]
-            if not between:
-                bad = (eid, f"no trigger for hit at stage {s2} by "
-                            f"{render(rho)}")
-                break
-            t_eid, t_s, t_node = min(between, key=lambda it: it[0])
-            if is_prefix(rho + (INF,), t_node):
-                continue
-            entry = r.entry_at(eta, x, t_s)
-            if is_xi(t_node) and entry is not None \
-                    and t_node in entry.members:
-                continue
-            bad = (t_eid, f"trigger {render(t_node)} neither extends "
-                          f"{render(rho)}-infinity nor sits in the list")
-            break
-        if bad:
-            break
-    checks.append(CheckResult("trigger-structure", bad is None,
-                              bad and bad[0], bad[1] if bad else ""))
-
-    # mind-change-cap: total hits per (eta, x) under the closed-form
-    # ceiling whenever the beta budget is finite
-    bad = None
+def _mind_change_cap(r: _CombReplay) -> CheckResult:
+    """Total hits per (eta, x) stay under the closed-form ceiling whenever
+    the beta budget is finite."""
     capped = 0
-    for eta in sorted(etas):
-        totals = {}
-        for eid, s, x, node, elem in r.counted_injuries(eta):
-            totals.setdefault(x, [0, eid])[0] += 1
-        for x, (n, eid) in sorted(totals.items()):
+    for eta in sorted(r.etas()):
+        for x, (n, eid) in sorted(r.injury_totals(eta).items()):
             caps = []
             for entry in r.entries.get((eta, x), []):
                 if entry.value is None or not entry.value.is_finite():
@@ -987,14 +560,9 @@ def verify_combined_bounds(trace: RunTrace,
             beta_nat = max(caps) if caps else 0
             cap = (beta_nat + x) * (x + 1) * 4 ** ((x + 1) ** 2)
             if n > cap:
-                bad = (eid, f"x={x} hit {n} > {cap} times")
-                break
-        if bad:
-            break
-    checks.append(CheckResult("mind-change-cap", bad is None,
-                              bad and bad[0],
-                              bad[1] if bad else f"{capped} finite caps"))
-    return checks
+                return CheckResult("mind-change-cap", False, eid,
+                                   f"x={x} hit {n} > {cap} times")
+    return CheckResult("mind-change-cap", True, None, f"{capped} finite caps")
 
 
 def bound_table(trace: RunTrace,

@@ -7,15 +7,10 @@ same scenario can be replayed under different seeds for campaigns.
 
 from .approximation import (BoundedCaAdversary, DeltaTwoAdversary,
                             ScriptedCaAdversary)
+from .constructions import CONSTRUCTIONS, construction
 from .functional import UseFunctional
-from .ordinal import Cnf, nat, parse_cnf
+from .ordinal import parse_cnf
 from .trace import ConfigError
-from . import low_alpha, nonlow_alpha, nonlow_low2
-
-# The constructions, each with the check names its verify lines may toggle.
-CHECK_NAMES = {"nonlow-low2": nonlow_low2.CHECKS,
-               "low-alpha": low_alpha.CHECKS,
-               "nonlow-alpha": nonlow_alpha.CHECKS}
 
 
 class ScenarioError(ConfigError):
@@ -86,6 +81,7 @@ class Scenario:
         self.advs = {}  # id -> AdvDecl
         self.funs = {}  # e -> FunDecl
         self.verify = {}  # check name -> bool
+        self.verify_lines = {}  # check name -> line of its last verify line
 
     def psi_levels(self):
         return {d.level: d for d in self.advs.values() if d.kind == "psi"}
@@ -101,26 +97,26 @@ class Scenario:
         psis = {lv: d.build(shift) for lv, d in self.psi_levels().items()}
         fs = {lv: d.build(shift) for lv, d in self.f_levels().items()}
         funs = {e: d.build() for e, d in self.funs.items()}
-        if self.construction == "nonlow-low2":
-            return nonlow_low2.run(psis, funs, stages, seed), psis
-        if self.construction == "low-alpha":
-            advs = [fs[e] for e in sorted(fs)]
-            fnl = [funs[e] for e in sorted(funs)]
-            return low_alpha.run(advs, fnl, self.alpha, stages, seed), psis
-        return nonlow_alpha.run(psis, fs, funs, self.alpha, stages,
-                                seed), psis
+        trace = construction(self.construction).run(
+            psis, fs, funs, self.alpha, stages, seed)
+        return trace, psis
 
     def checks(self, trace, psis=None, replay=None):
         """Run the construction's verifier, honoring the toggles.  A
         caller that already replayed the trace passes that replay in."""
-        if self.construction == "nonlow-low2":
-            out = nonlow_low2.verify_main_lemma_claims(trace, psis,
-                                                       replay=replay)
-        elif self.construction == "low-alpha":
-            out = low_alpha.verify_lowness_budget(trace, replay)
-        else:
-            out = nonlow_alpha.verify_combined_bounds(trace, replay)
+        out = construction(self.construction).verify(trace, psis, replay)
         return [c for c in out if self.verify.get(c.name, True)]
+
+    def validate(self):
+        """Check the alpha requirement and the verify lines against the
+        named construction; rerun after the construction is overridden."""
+        entry = construction(self.construction)
+        if entry.needs_alpha and self.alpha is None:
+            raise ScenarioError(0, f"{self.construction} wants an alpha")
+        for name, lineno in self.verify_lines.items():
+            if name not in entry.checks:
+                raise ScenarioError(lineno, f"{self.construction} has no "
+                                            f"check {name!r}")
 
 
 def _fields(parts, lineno):
@@ -239,14 +235,13 @@ def _parse_fun(sc, parts, lineno):
 
 def load_scenario(text: str) -> Scenario:
     sc = Scenario()
-    verify_lines = {}  # check name -> line number of its last verify line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         word, *parts = line.split()
         if word == "construction":
-            if len(parts) != 1 or parts[0] not in CHECK_NAMES:
+            if len(parts) != 1 or parts[0] not in CONSTRUCTIONS:
                 raise ScenarioError(lineno, f"unknown construction "
                                             f"{' '.join(parts)!r}")
             sc.construction = parts[0]
@@ -273,17 +268,12 @@ def load_scenario(text: str) -> Scenario:
             if len(parts) != 2 or parts[1] not in ("on", "off"):
                 raise ScenarioError(lineno, "verify wants <name> on|off")
             sc.verify[parts[0]] = parts[1] == "on"
-            verify_lines[parts[0]] = lineno
+            sc.verify_lines[parts[0]] = lineno
         else:
             raise ScenarioError(lineno, f"unknown directive {word!r}")
     if sc.construction is None:
         raise ScenarioError(0, "no construction named")
-    if sc.construction != "nonlow-low2" and sc.alpha is None:
-        raise ScenarioError(0, f"{sc.construction} wants an alpha")
-    for name, lineno in verify_lines.items():
-        if name not in CHECK_NAMES[sc.construction]:
-            raise ScenarioError(lineno, f"{sc.construction} has no check "
-                                        f"{name!r}")
+    sc.validate()
     for label, levels in (("psi", sc.psi_levels()),
                           ("f", sc.f_levels()),
                           ("fun", sc.funs)):

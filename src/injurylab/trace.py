@@ -11,8 +11,25 @@ from __future__ import annotations
 
 import hashlib
 
+
 class ConfigError(ValueError):
     """Bad scenario or run configuration; maps to exit code 2."""
+
+
+class CheckResult:
+    """One named verifier check: its verdict, the event id (or other
+    index) that witnesses a failure, and a detail line."""
+
+    def __init__(self, name: str, passed: bool, witness=None, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.witness = witness
+        self.detail = detail
+
+    def line(self) -> str:
+        w = self.witness if self.witness is not None else "?"
+        verdict = "pass" if self.passed else "fail"
+        return f"check {self.name} {verdict} witness {w}"
 
 
 EVENT_KINDS = frozenset({

@@ -22,6 +22,9 @@ from injurylab.nonlow_low2 import injury_bound
 from injurylab.ordinal import (OMEGA, Cnf, collapse_to_omega, nat,
                                omega_power, random_cnf_below)
 
+# The whole file is the slow gate: `pytest -m "not slow"` leaves it out.
+pytestmark = pytest.mark.slow
+
 W = OMEGA
 ALPHA_SQ = omega_power(nat(2))
 ALPHA_WW = omega_power(W)

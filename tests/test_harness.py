@@ -342,6 +342,36 @@ class TestCli:
             code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
             assert code == 2 and out.startswith("error " + where), out
 
+    def test_verify_trace_rejects_unknown_construction(self, tmp_path):
+        # the construction is looked up before the summary is replayed,
+        # so a bogus name is a usage error, not a failed check
+        tr = tmp_path / "t.trace"
+        tr.write_text("trace bogus stages=1\n0 0 visit node=-\n")
+        code, text = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, text) == (2, "error unknown construction 'bogus'\n")
+
+    @pytest.mark.parametrize("construction", ["nonlow-alpha", "low-alpha"])
+    def test_run_construction_override_wants_alpha(self, construction):
+        code, text = self.run_cli(
+            ["run", "--scenario", os.path.join(SCEN, "golden-nonlow-low2.txt"),
+             "--construction", construction])
+        assert (code, text) == (
+            2, f"error line 0: {construction} wants an alpha\n")
+
+    def test_run_construction_override_rechecks_verify_lines(self, tmp_path):
+        path = self.scenario_path(tmp_path,
+                                  LOWA_TEXT + "verify budget-formula off\n")
+        code, text = self.run_cli(["run", "--scenario", path,
+                                   "--construction", "nonlow-alpha"])
+        assert (code, text) == (
+            2, "error line 10: nonlow-alpha has no check 'budget-formula'\n")
+
+    def test_run_rejects_bad_alpha_option(self, tmp_path):
+        path = self.scenario_path(tmp_path, LOWA_TEXT)
+        code, text = self.run_cli(["run", "--scenario", path,
+                                   "--alpha", "w^^"])
+        assert code == 2 and text.startswith("error --alpha: "), text
+
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"], io.StringIO()) == 2
         capsys.readouterr()

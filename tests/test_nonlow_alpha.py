@@ -589,3 +589,81 @@ class TestStress:
             r = na._CombReplay(tr)
             counted += sum(len(r.counted_injuries(eta)) for eta in r.etas())
         assert counted >= 10
+
+
+def hit_stage(tr, s, injurer, x, l, element=3, use=5):
+    """One stage of a hand-written combined trace: the root visit with its
+    length, the rho node "i", then injurer enumerating element and
+    destroying the computation at x."""
+    tr.emit(s, "visit", node="-", l=l)
+    tr.emit(s, "visit", node="i")
+    tr.emit(s, "enumerate", node=injurer, element=element)
+    return tr.emit(s, "inject-diverge", e=0, x=x, use=use)
+
+
+def check_named(trace, name):
+    return next(c for c in na.verify_combined_bounds(trace) if c.name == name)
+
+
+class TestFaultInjection:
+    """Each named check fails, with a pinned witness, on a trace built to
+    break exactly the claim it re-derives."""
+
+    def test_rho_recursion_catches_excess(self):
+        # quota node "i" owes one act against x = 2, no xi hit adds to
+        # its allowance, and it injures twice
+        tr = RunTrace("nonlow-alpha", 4)
+        tr.emit(0, "phi-set", e="alpha", value="w^w")
+        first = hit_stage(tr, 1, "i", x=2, l=3)
+        hit_stage(tr, 2, "i", x=2, l=3, element=4)
+        tr.finalize({"A": "3,4"})
+        bad = check_named(tr, "rho-recursion")
+        assert not bad.passed
+        assert bad.witness == first.eid == 4
+
+    def pick_then_hit(self, trigger_node, listed):
+        """'i' picks use 3 at stage 1; trigger_node hits x = 0 at stage 2
+        (listed for (-, 0) when asked); 'i' hits x = 0 at stage 3."""
+        tr = RunTrace("nonlow-alpha", 4)
+        tr.emit(0, "phi-set", e="alpha", value="w^w")
+        tr.emit(1, "visit", node="-", l=1)
+        tr.emit(1, "visit", node="i")
+        tr.emit(1, "declare", node="i", what="gamma", y=1, u=3, act="pick")
+        if listed:
+            tr.emit(1, "qlist-set", eta="-", x=0, k=0, members=trigger_node,
+                    gs="w", kps="0", horizon=0)
+            tr.emit(1, "phi-set", e="-.0", value="w")
+        trigger = hit_stage(tr, 2, trigger_node, x=0, l=1, element=2)
+        hit_stage(tr, 3, "i", x=0, l=1, element=3)
+        tr.finalize({"A": "2,3", "node.i": "1"})
+        return tr, trigger
+
+    def test_trigger_structure_catches_foreign_trigger(self):
+        tr, trigger = self.pick_then_hit("f", listed=False)
+        bad = check_named(tr, "trigger-structure")
+        assert not bad.passed
+        assert bad.witness == trigger.eid == 7
+
+    def test_trigger_structure_catches_unlisted_xi_trigger(self):
+        tr, trigger = self.pick_then_hit("fq", listed=False)
+        bad = check_named(tr, "trigger-structure")
+        assert not bad.passed
+        assert bad.witness == trigger.eid == 7
+
+    def test_trigger_structure_accepts_listed_xi_trigger(self):
+        tr, _ = self.pick_then_hit("fq", listed=True)
+        assert check_named(tr, "trigger-structure").passed
+
+    def test_mind_change_cap_catches_excess(self):
+        # at x = 0 with a finite budget of 0 the closed-form cap is
+        # (0 + 0) * 1 * 4 = 0, so a single counted hit exceeds it
+        tr = RunTrace("nonlow-alpha", 2)
+        tr.emit(0, "phi-set", e="alpha", value="w^w")
+        tr.emit(0, "qlist-set", eta="-", x=0, k=0, members="-", gs="-",
+                kps="-", horizon=0)
+        tr.emit(0, "phi-set", e="-.0", value="0")
+        hit = hit_stage(tr, 1, "i", x=0, l=1)
+        tr.finalize({"A": "3"})
+        bad = check_named(tr, "mind-change-cap")
+        assert not bad.passed
+        assert bad.witness == hit.eid == 6

@@ -305,3 +305,73 @@ class TestVerifier:
             assert elem < next(
                 int(ev.payload["use"]) for ev in tr.events
                 if ev.eid == eid)
+
+
+def injury_stage(tr, s, injurer, x, l, path=("-", "i"), element=3, use=5):
+    """One stage of a hand-written trace: the path visits, the injurer
+    enumerates element and destroys the computation at x."""
+    for node in path:
+        if node == "-":
+            tr.emit(s, "visit", node=node, l=l)
+        else:
+            tr.emit(s, "visit", node=node)
+    tr.emit(s, "enumerate", node=injurer, element=element)
+    return tr.emit(s, "inject-diverge", e=0, x=x, use=use)
+
+
+def check_named(results, name):
+    return next(c for c in results if c.name == name)
+
+
+class TestFaultInjection:
+    """Each named check fails, with a pinned witness, on a trace built to
+    break exactly the claim it re-derives."""
+
+    def test_recursion_bound_catches_excess(self):
+        # quota node "i" owes x - 1 = 1 act against x = 2 and nothing
+        # below it in the layer order may lend it more; it injures twice
+        tr = RunTrace("nonlow-low2", 4)
+        first = injury_stage(tr, 1, "i", x=2, l=3)
+        injury_stage(tr, 2, "i", x=2, l=3, element=4)
+        tr.finalize({"A": "3,4"})
+        bad = check_named(nl.verify_main_lemma_claims(tr), "recursion-bound")
+        assert not bad.passed
+        assert bad.witness == first.eid == 3
+
+    def test_trigger_structure_catches_foreign_trigger(self):
+        # "i" picks use 3 after its quota from x = 0 (which is empty) is
+        # spent; the injury it then causes must be triggered by a node
+        # extending i-infinity, but the only earlier hit comes from "f"
+        tr = RunTrace("nonlow-low2", 4)
+        tr.emit(1, "visit", node="-", l=1)
+        tr.emit(1, "visit", node="i")
+        tr.emit(1, "declare", node="i", what="gamma", y=1, u=3, act="pick")
+        trigger = injury_stage(tr, 2, "f", x=0, l=1, element=2)
+        injury_stage(tr, 3, "i", x=0, l=1, element=3)
+        tr.finalize({"A": "2,3", "node.i": "1"})
+        bad = check_named(nl.verify_main_lemma_claims(tr),
+                          "trigger-structure")
+        assert not bad.passed
+        assert bad.witness == trigger.eid == 6
+
+    def test_trigger_structure_catches_missing_trigger(self):
+        tr = RunTrace("nonlow-low2", 3)
+        tr.emit(1, "visit", node="-", l=1)
+        tr.emit(1, "visit", node="i")
+        tr.emit(1, "declare", node="i", what="gamma", y=1, u=3, act="pick")
+        hit = injury_stage(tr, 2, "i", x=0, l=1, element=3)
+        tr.finalize({"A": "3", "node.i": "1"})
+        bad = check_named(nl.verify_main_lemma_claims(tr),
+                          "trigger-structure")
+        assert not bad.passed
+        assert bad.witness == hit.eid == 6
+
+    def test_global_bound_catches_excess(self):
+        # x = 0 tolerates injury_bound(0) = 4 injuries; this trace has 5
+        tr = RunTrace("nonlow-low2", 6)
+        hits = [injury_stage(tr, s, "i", x=0, l=1, element=s, use=9)
+                for s in range(1, 6)]
+        tr.finalize({"A": "1,2,3,4,5"})
+        bad = check_named(nl.verify_main_lemma_claims(tr), "global-bound")
+        assert not bad.passed
+        assert bad.witness == hits[0].eid == 3

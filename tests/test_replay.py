@@ -7,8 +7,9 @@ import os
 import pytest
 
 from injurylab import low_alpha, nonlow_alpha, nonlow_low2
-from injurylab.cli import REPLAYS, main
-from injurylab.scenario import CHECK_NAMES
+from injurylab.cli import build_parser, main
+from injurylab.constructions import CONSTRUCTIONS
+from injurylab.scenario import ScenarioError, load_scenario
 
 from test_golden import FIX, NAMES, SCEN, run_golden
 
@@ -19,7 +20,7 @@ SHIPPED = {"nonlow-low2": "nonlow-low2-random.txt",
 
 def count_builds(monkeypatch, construction):
     """List that grows by one trace per replay built for construction."""
-    cls = REPLAYS[construction]
+    cls = CONSTRUCTIONS[construction].replay
     built = []
     init = cls.__init__
 
@@ -72,7 +73,7 @@ def verdicts(checks):
 @pytest.mark.parametrize("name", NAMES)
 def test_prebuilt_replay_gives_identical_checks(name):
     _, trace, psis = run_golden(name)
-    replay = REPLAYS[trace.construction](trace)
+    replay = CONSTRUCTIONS[trace.construction].replay(trace)
     if trace.construction == "nonlow-low2":
         fresh = nonlow_low2.verify_main_lemma_claims(trace, psis)
         shared = nonlow_low2.verify_main_lemma_claims(trace, psis,
@@ -86,4 +87,23 @@ def test_prebuilt_replay_gives_identical_checks(name):
         assert nonlow_alpha.bound_table(trace, replay=replay) \
             == nonlow_alpha.bound_table(trace)
     assert verdicts(shared) == verdicts(fresh)
-    assert [c.name for c in fresh] == list(CHECK_NAMES[trace.construction])
+    assert [c.name for c in fresh] == \
+        list(CONSTRUCTIONS[trace.construction].checks)
+
+
+def run_choices():
+    """The names `run --construction` accepts."""
+    verbs = next(a for a in build_parser()._actions if a.dest == "verb")
+    return next(a for a in verbs.choices["run"]._actions
+                if a.dest == "construction").choices
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTIONS) + ["frobnicate"])
+def test_registry_names_are_the_accepted_constructions(name):
+    assert sorted(run_choices()) == sorted(CONSTRUCTIONS)
+    try:
+        load_scenario(f"construction {name}\nalpha w^2\n")
+        accepted = True
+    except ScenarioError:
+        accepted = False
+    assert accepted == (name in run_choices()) == (name in CONSTRUCTIONS)
