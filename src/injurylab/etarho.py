@@ -38,6 +38,15 @@ class Levels:
             lambda node: render_node(node, self.alphabet))
         # bounded: replays also ask about nodes read from trace files
         self.holders = lru_cache(maxsize=1024)(self._holders)
+        self.parse = lru_cache(maxsize=1024)(self._parse)
+
+    def _parse(self, text: str) -> tuple:
+        """The node that text names; ValueError unless text is that node's
+        rendering under this pattern."""
+        node = parse_node(text)
+        if render_node(node, self.alphabet) != text:
+            raise ValueError(f"{text!r} is not a node name")
+        return node
 
     def kind(self, node: tuple) -> int:
         return len(node) % self.period
@@ -140,7 +149,7 @@ class EtaRhoRun(Engine):
     levels: Levels
     construction: str
 
-    def __init__(self, psis: dict, funs: dict, stages: int, seed: int = 0,
+    def __init__(self, psis: dict, funs: dict, stages: int,
                  fadvs: dict | None = None):
         fadvs = fadvs or {}
         p = self.levels.period
@@ -153,7 +162,6 @@ class EtaRhoRun(Engine):
         self.psis = psis
         self.fadvs = fadvs
         self.stages = stages
-        self.seed = seed
         self.render = self.levels.render
         self.tree = StrategyTree(alphabet_fn=self.levels.alphabet)
         self.A = EnumerableSet()
@@ -362,9 +370,10 @@ class EtaRhoReplay:
 
     Subclasses set ``levels`` and build through ``_read``.  A subclass
     that defines ``_extra(ev, stage, payload)`` sees every event but the
-    visits after the shared handling.  An event without a payload key the
-    replay reads, or with a value it cannot parse, raises ConfigError
-    naming the event."""
+    visits before the shared handling.  Node names are parsed through
+    ``levels.parse``.  An event without a payload key the replay reads,
+    or with a value it cannot parse, a misspelt node name included,
+    raises ConfigError naming the event."""
 
     levels: Levels
     _extra = None
@@ -380,7 +389,8 @@ class EtaRhoReplay:
         self.phi = {}          # (e, x) -> [(stage, use or None)] in order
         self.use_at_pick = {}  # (rho, u) -> (stage, acted_before)
         self.live_uses = uses = {}  # node -> live use
-        holders = self.levels.holders
+        self.followers = followers = {}  # node -> live follower
+        holders, parse = self.levels.holders, self.levels.parse
         extra = self._extra
         acted = {}
         pending = []           # enumerate events of the current stage
@@ -394,19 +404,24 @@ class EtaRhoReplay:
                     pending, cur_diverges, cur_stage = [], [], s
                 p = ev.payload
                 if ev.kind == "visit":
-                    node = parse_node(p["node"])
+                    node = parse(p["node"])
                     if len(node) >= len(self.paths.get(s, ROOT)):
                         self.paths[s] = node
                     if "l" in p:
                         self.l[(s, node)] = int(p["l"])
                     continue
+                if extra is not None:
+                    extra(ev, s, p)
                 if ev.kind == "init":
-                    node = parse_node(p["node"])
+                    node = parse(p["node"])
                     self.last_init[node] = s
                     uses.pop(node, None)
+                    followers.pop(node, None)
+                elif ev.kind == "declare" and p["what"] == "follower":
+                    followers[parse(p["node"])] = int(p["y"])
                 elif ev.kind == "declare" and p["what"] == "gamma" \
                         and p["act"] == "pick":
-                    node, y, u = (parse_node(p["node"]), int(p["y"]),
+                    node, y, u = (parse(p["node"]), int(p["y"]),
                                   int(p["u"]))
                     before = acted.get(node, 0)
                     held = [uses[n] for n in holders(node) if n in uses]
@@ -414,7 +429,7 @@ class EtaRhoReplay:
                     self.use_at_pick[(node, u)] = (s, before)
                     uses[node] = u
                 elif ev.kind == "enumerate":
-                    node, elem = parse_node(p["node"]), int(p["element"])
+                    node, elem = parse(p["node"]), int(p["element"])
                     pending.append((ev.eid, node, elem))
                     acted[node] = acted.get(node, 0) + 1
                     uses.pop(node, None)
@@ -426,8 +441,6 @@ class EtaRhoReplay:
                 elif ev.kind == "inject-converge":
                     self.phi.setdefault((int(p["e"]), int(p["x"])),
                                         []).append((s, int(p["use"])))
-                if extra is not None:
-                    extra(ev, s, p)
         except (KeyError, ValueError) as ex:
             raise payload_error(ev, ex) from None
         self._close_stage(pending, cur_diverges)

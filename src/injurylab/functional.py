@@ -107,7 +107,6 @@ class FunctionalRun:
         self.large = large
         self.stage = -1
         self.state: dict = {}  # x -> [status, use, injuries, wait]
-        self.injury_log = []   # (stage, x, old_use)
         self._conv: dict = {}  # x -> Converged while status is "up"
         self._pending = set(fn.args)  # args not currently converged
 
@@ -138,7 +137,6 @@ class FunctionalRun:
             status, use, injuries, wait, used = st
             before = use if status == "up" else None
             if status == "up" and any(e < use for e in new):
-                self.injury_log.append((stage, x, use))
                 st[0], st[1], st[2] = "down", None, injuries + 1
                 st[3] = sched.delay
                 status, wait = "down", sched.delay

@@ -13,17 +13,19 @@ trace alone.
 
 from __future__ import annotations
 
-from .approximation import ApproxTrace, verify_r_approximation
+from .approximation import verify_r_approximation
+from .budgeted import (Generation, Requirement, check_bound, descent_witness,
+                       phi)
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
                      check_triggers, injury_bound)
-from .low_alpha import phi
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import CheckResult, ConfigError, RunTrace
-from .tree import FIN, INF, is_prefix, left_of, parse_node
+from .trace import CheckResult, RunTrace
+from .tree import FIN, INF, is_prefix, left_of
 
 LEVELS = Levels(3)
-render, is_eta, is_rho, is_xi = (LEVELS.render, LEVELS.is_eta,
-                                 LEVELS.is_rho, LEVELS.is_xi)
+render, parse, is_eta, is_rho, is_xi = (LEVELS.render, LEVELS.parse,
+                                        LEVELS.is_eta, LEVELS.is_rho,
+                                        LEVELS.is_xi)
 etas_above, level_index = LEVELS.etas_above, LEVELS.level_index
 in_quota, quota_for, edge_layer = (LEVELS.in_quota, LEVELS.quota_for,
                                    LEVELS.edge_layer)
@@ -44,15 +46,7 @@ def k_prime(xi: tuple, lengths: dict) -> int:
 
 def k_budget(kps) -> int:
     """Largest member tolerance; 0 for an empty list."""
-    kps = list(kps)
-    return max(kps) if kps else 0
-
-
-def beta_bound(gs, k: int, alpha: Cnf | None = None) -> Cnf:
-    """Ordinal injury budget over the listed members, priority order."""
-    if alpha is not None and not alpha.is_additively_closed():
-        raise ConfigError(f"bound {format_cnf(alpha)} is not a power of w")
-    return phi(gs, k)
+    return max(kps, default=0)
 
 
 def qlist_update(members, k: int, inits=None, wants=(), rho_inits=(),
@@ -83,16 +77,6 @@ def qlist_update(members, k: int, inits=None, wants=(), rho_inits=(),
 # -- the construction --------------------------------------------------
 
 
-class _XiState:
-    __slots__ = ("follower", "use", "decl", "wants")
-
-    def __init__(self):
-        self.follower = None
-        self.use = None
-        self.decl = None
-        self.wants = False
-
-
 class _QlistEntry:
     __slots__ = ("s_def", "k", "members", "checked")
 
@@ -111,24 +95,15 @@ class NonlowAlphaRun(EtaRhoRun):
     construction = "nonlow-alpha"
 
     def __init__(self, psis: dict, fadvs: dict, funs: dict, alpha: Cnf,
-                 stages: int, seed: int = 0):
-        if not alpha.is_additively_closed():
-            raise ConfigError(f"bound {format_cnf(alpha)} is not a power of w")
-        super().__init__(psis, funs, stages, seed, fadvs)
-        for adv in fadvs.values():
-            if not adv.g < alpha:
-                raise ConfigError(
-                    f"opponent budget {format_cnf(adv.g)} not below the bound")
-        self.alpha = alpha
+                 stages: int):
+        check_bound(alpha, fadvs.values())
+        super().__init__(psis, funs, stages, fadvs)
         self._next_z = 0
-        self.xi = {}  # node -> _XiState
+        self.xi = {}  # node -> Requirement
         self.qlists = {}  # eta node -> {x: _QlistEntry}
         self._xi_wants = {}  # node -> [stages]
         self._xi_inits = {}  # node -> [stages], only with a live follower
         self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
-
-    def _g(self, node: tuple) -> Cnf:
-        return self.fadvs[level_index(node)].g
 
     def _length_of(self, eta, s) -> int:
         if eta not in self.cur_l:
@@ -140,33 +115,15 @@ class NonlowAlphaRun(EtaRhoRun):
     def _visit_xi(self, node, s):
         if node[-1] == FIN:
             self._play_fin(node[:-1], s)
-        st = self.xi.setdefault(node, _XiState())
+        st = self.xi.get(node)
+        if st is None:
+            st = self.xi[node] = Requirement(self.fadvs[level_index(node)],
+                                             render(node))
         if st.follower is None:
-            self._assign_xi(node, s)
-        else:
-            f = self.fadvs[level_index(node)].value(st.follower, s)
-            self.trace.emit(s, "visit", node=render(node),
-                            x=st.follower, f=f)
-            st.wants = st.decl == f
-            if st.wants:
-                self._xi_wants.setdefault(node, []).append(s)
-
-    def _assign_xi(self, node, s):
-        st = self.xi[node]
-        st.follower = self._next_z
-        self._next_z += 1
-        st.use = self._fresh()
-        adv = self.fadvs[level_index(node)]
-        f = adv.value(st.follower, s)
-        st.decl = 0 if f else 1
-        st.wants = False
-        lab = render(node)
-        self.trace.emit(s, "visit", node=lab, x=st.follower, f=f)
-        self.trace.emit(s, "declare", node=lab, what="follower",
-                        y=st.follower)
-        self.trace.emit(s, "declare", node=lab, what="delta", x=st.follower,
-                        u=st.use, value=st.decl,
-                        marker=format_cnf(adv.marker(st.follower, s)))
+            st.assign(self, s, self._next_z)
+            self._next_z += 1
+        elif st.visit(self.trace, s):
+            self._xi_wants.setdefault(node, []).append(s)
 
     def _on_init(self, node, s):
         super()._on_init(node, s)
@@ -174,8 +131,7 @@ class NonlowAlphaRun(EtaRhoRun):
             st = self.xi.get(node)
             if st is not None and st.follower is not None:
                 self._xi_inits.setdefault(node, []).append(s)
-                st.follower = st.use = st.decl = None
-                st.wants = False
+                st.clear()
         elif is_eta(node):
             self.qlists.pop(node, None)
 
@@ -193,16 +149,15 @@ class NonlowAlphaRun(EtaRhoRun):
                 kps = [self._k_prime(m, s) for m in members]
                 k = k_budget(kps)
                 table[x] = _QlistEntry(s, k, members)
-                budget = phi([self._g(m) for m in members], k)
+                gs = [self.xi[m].adv.g for m in members]
                 self.trace.emit(
                     s, "qlist-set", eta=render(eta), x=x, k=k,
                     members=",".join(render(m) for m in members) or "-",
-                    gs=";".join(format_cnf(self._g(m)) for m in members)
-                    or "-",
+                    gs=";".join(map(format_cnf, gs)) or "-",
                     kps=";".join(str(v) for v in kps) or "-",
                     horizon=self._next_z)
                 self.trace.emit(s, "phi-set", e=f"{render(eta)}.{x}",
-                                value=format_cnf(budget))
+                                value=format_cnf(phi(gs, k)))
                 continue
             inits = {m: len([t for t in self._xi_inits.get(m, [])
                              if entry.s_def < t <= s])
@@ -268,60 +223,27 @@ class NonlowAlphaRun(EtaRhoRun):
             self.trace.emit(s, "select", node=render(xi_node), act="denied",
                             by=render(denier[0]), x=denier[1])
         self._init_xi_region(xi_node, s)
-        adv = self.fadvs[level_index(xi_node)]
         if denier is None:
-            f = adv.value(st.follower, s)
-            elem = st.use
-            self.trace.emit(s, "enumerate", node=render(xi_node),
-                            element=elem,
-                            marker=format_cnf(adv.marker(st.follower, s)))
-            self.A.add(elem, s)
-            st.use = self._fresh()
-            st.decl = 0 if f else 1
-            st.wants = False
-            self.trace.emit(s, "declare", node=render(xi_node), what="delta",
-                            x=st.follower, u=st.use, value=st.decl,
-                            marker=format_cnf(adv.marker(st.follower, s)))
+            st.fire(self, s)
         else:
             self.tree.log.record_init(s, xi_node)
             self._on_init(xi_node, s)
-            self._assign_xi(xi_node, s)
+            st.assign(self, s, self._next_z)
+            self._next_z += 1
 
     def _xi_summary(self, summary: dict):
         for node in sorted(self.xi):
-            st = self.xi[node]
-            if st.follower is not None:
-                summary[f"node.{render(node)}"] = f"{st.follower}:{st.use}"
+            self.xi[node].report(summary)
 
 
 def run(psis: dict, fadvs: dict, funs: dict, alpha: Cnf, stages: int,
         seed: int = 0) -> RunTrace:
-    """Execute the combined construction for the given stage budget."""
-    return NonlowAlphaRun(psis, fadvs, funs, alpha, stages, seed).execute()
+    """Execute the combined construction for the given stage budget; the
+    opponents carry their own seeds."""
+    return NonlowAlphaRun(psis, fadvs, funs, alpha, stages).execute()
 
 
 # -- trace verification ------------------------------------------------
-
-
-class _Entry:
-    """One quota list generation for an (eta, x) pair, replayed."""
-
-    __slots__ = ("eid", "s_def", "k", "members", "gs", "kps", "removed",
-                 "value")
-
-    def __init__(self, eid, s_def, k, members, gs, kps):
-        self.eid = eid
-        self.s_def = s_def
-        self.k = k
-        self.members = members
-        self.gs = gs
-        self.kps = kps
-        self.removed = {}  # node -> removal stage
-        self.value = None
-
-    def current(self, s: int) -> list:
-        return [m for m in self.members
-                if self.removed.get(m) is None or self.removed[m] > s]
 
 
 class _CombReplay(EtaRhoReplay):
@@ -332,58 +254,46 @@ class _CombReplay(EtaRhoReplay):
 
     def __init__(self, trace: RunTrace):
         self.alpha = None
-        self.entries = {}  # (eta, x) -> [_Entry] in order
+        self.entries = {}  # (eta, x) -> [Generation] in order
+        self.kps = {}  # qlist-set eid -> member tolerances
         self.bad_events = []  # structurally illegal qlist events
         self.xi_inits = {}  # node -> [stages], follower-bearing only
         self.enums = {}  # stage -> (eid, node, element, marker or None)
         self.denials = []  # (eid, stage, node, by, x)
-        self._followed = set()  # nodes with a live follower
         self._read(trace)
 
     def _extra(self, ev, s, p):
         if ev.kind == "init":
-            node = parse_node(p["node"])
-            if node in self._followed:
-                self._followed.discard(node)
-                if is_xi(node):
-                    self.xi_inits.setdefault(node, []).append(s)
-        elif ev.kind == "declare":
-            if p["what"] == "follower":
-                self._followed.add(parse_node(p["node"]))
+            node = parse(p["node"])
+            if is_xi(node) and node in self.followers:
+                self.xi_inits.setdefault(node, []).append(s)
         elif ev.kind == "enumerate":
             marker = parse_cnf(p["marker"]) if "marker" in p else None
-            self.enums[s] = (ev.eid, parse_node(p["node"]),
-                             int(p["element"]), marker)
+            self.enums[s] = (ev.eid, parse(p["node"]), int(p["element"]),
+                             marker)
         elif ev.kind == "select" and p.get("act") == "denied":
-            self.denials.append((ev.eid, s, parse_node(p["node"]),
-                                 parse_node(p["by"]), int(p["x"])))
+            self.denials.append((ev.eid, s, parse(p["node"]),
+                                 parse(p["by"]), int(p["x"])))
         elif ev.kind == "qlist-set":
-            eta, x = parse_node(p["eta"]), int(p["x"])
-            members = ([] if p["members"] == "-" else
-                       [parse_node(t) for t in p["members"].split(",")])
-            gs = ([] if p["gs"] == "-" else
-                  [parse_cnf(t) for t in p["gs"].split(";")])
-            kps = ([] if p["kps"] == "-" else
-                   [int(t) for t in p["kps"].split(";")])
+            eta, x = parse(p["eta"]), int(p["x"])
+            entry = Generation(ev, p, parse)
+            self.kps[ev.eid] = ([] if p["kps"] == "-" else
+                                [int(t) for t in p["kps"].split(";")])
             gen = self.entries.setdefault((eta, x), [])
             if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
                 self.bad_events.append(ev.eid)
-            gen.append(_Entry(ev.eid, s, int(p["k"]), members,
-                              dict(zip(members, gs)), kps))
+            gen.append(entry)
         elif ev.kind == "qlist-remove":
-            eta, x = parse_node(p["eta"]), int(p["x"])
-            m = parse_node(p["xi"])
+            eta, x, m = parse(p["eta"]), int(p["x"]), parse(p["xi"])
             gen = self.entries.get((eta, x))
-            if not gen or m not in gen[-1].current(s - 1):
+            if not gen or not gen[-1].remove(m, s):
                 self.bad_events.append(ev.eid)
-            elif m not in gen[-1].removed:
-                gen[-1].removed[m] = s
         elif ev.kind == "phi-set":
             if p["e"] == "alpha":
                 self.alpha = parse_cnf(p["value"])
             elif "." in p["e"]:
                 tag, xs = p["e"].rsplit(".", 1)
-                gen = self.entries.get((parse_node(tag), int(xs)))
+                gen = self.entries.get((parse(tag), int(xs)))
                 if gen:
                     gen[-1].value = parse_cnf(p["value"])
 
@@ -398,33 +308,6 @@ class _CombReplay(EtaRhoReplay):
     def listed(self, eta, x, s, node) -> bool:
         entry = self.entry_at(eta, x, s)
         return is_xi(node) and entry is not None and node in entry.members
-
-
-def _xi_descent_witness(r: _CombReplay, eta, x, entry, hits) -> ApproxTrace:
-    """Marker chain for one quota list generation: untouched budgets of the
-    higher priority members, the injurer's remaining scale, then the
-    opponent's own marker.  List maintenance keeps injurer priority
-    non-increasing, so each hit strictly lowers the chain."""
-    rows = [(entry.s_def, 0, entry.value)]
-    count = 0
-    for eid, s, m, adv_marker in hits:
-        count += 1
-        if m not in entry.members or adv_marker is None:
-            marker = nat(0)
-        else:
-            prefix = phi([entry.gs[n] for n in entry.members if n < m],
-                         entry.k)
-            used = len([t for t in r.xi_inits.get(m, [])
-                        if entry.s_def <= t < s])
-            left = max(entry.k - used, 0)
-            marker = prefix + entry.gs[m].times_nat(left) + adv_marker
-        if rows and rows[-1][0] == s:
-            rows.pop()
-        rows.append((s, count, marker))
-    witness = ApproxTrace()
-    for s, v, m in rows:
-        witness.record(x, s, v, m)
-    return witness
 
 
 # Names of the checks verify_combined_bounds returns, in order.
@@ -446,21 +329,18 @@ def verify_combined_bounds(trace: RunTrace,
 
 
 def _level_discipline(trace: RunTrace) -> CheckResult:
-    """Node spelling and visit payloads match the level type."""
+    """Visit payloads match the level type.  The replay has already
+    rejected every node name that is not a node's rendering."""
     visits = trace.by_kind("visit")
     for ev in visits:
         p = ev.payload
-        text = p["node"]
-        node = parse_node(text)
-        spelled = render(node)
-        if text != spelled and text != "-":
-            bad = f"node {text} spelled unlike {spelled}"
-        elif is_eta(node) and "l" not in p:
-            bad = f"eta visit {text} without length"
+        node = parse(p["node"])
+        if is_eta(node) and "l" not in p:
+            bad = f"eta visit {p['node']} without length"
         elif is_rho(node) and ("l" in p or "x" in p):
-            bad = f"rho visit {text} carries foreign fields"
+            bad = f"rho visit {p['node']} carries foreign fields"
         elif is_xi(node) and "l" in p:
-            bad = f"xi visit {text} carries a length"
+            bad = f"xi visit {p['node']} carries a length"
         else:
             continue
         return CheckResult("level-discipline", False, ev.eid, bad)
@@ -487,13 +367,11 @@ def _qlist_structure(r: _CombReplay) -> CheckResult:
                            "illegal quota list event")
     for (eta, x), gen in sorted(r.entries.items()):
         for entry in gen:
-            expect = phi([entry.gs[m] for m in entry.members], entry.k)
-            if entry.k != k_budget(entry.kps):
+            if entry.k != k_budget(r.kps[entry.eid]):
                 return CheckResult("qlist-structure", False, entry.eid,
                                    f"tolerance {entry.k} is not the member "
                                    f"max")
-            if entry.value != expect or (
-                    r.alpha is not None and not entry.value < r.alpha):
+            if not entry.budget_ok(r.alpha):
                 return CheckResult("qlist-structure", False, entry.eid,
                                    f"budget mismatch at {render(eta)} x={x}")
     return CheckResult("qlist-structure", True, None,
@@ -516,7 +394,6 @@ def _xi_injury_gate(r: _CombReplay) -> CheckResult:
 
 def _descent_witness(r: _CombReplay) -> CheckResult:
     """Each list generation's xi hits descend through its beta budget."""
-    streams = 0
     for (eta, x), gen in sorted(r.entries.items()):
         for entry in gen:
             if entry.value is None:
@@ -524,22 +401,18 @@ def _descent_witness(r: _CombReplay) -> CheckResult:
                                    "missing budget value")
             hits = []
             for eid, s, hx, node, elem in r.counted_injuries(eta):
-                if hx != x or s < entry.s_def or not is_xi(node):
-                    continue
-                if not is_prefix(eta + (INF,), node):
-                    continue
-                if r.entry_at(eta, x, s) is not entry:
-                    continue
-                en = r.enums.get(s)
-                hits.append((eid, s, node,
-                             en[3] if en and en[1] == node else None))
-            streams += 1
+                if hx == x and is_xi(node) and is_prefix(eta + (INF,), node) \
+                        and r.entry_at(eta, x, s) is entry:
+                    en = r.enums.get(s)
+                    hits.append((s, node, en[3] if en and en[1] == node
+                                 else None))
             v = verify_r_approximation(
-                _xi_descent_witness(r, eta, x, entry, hits),
+                descent_witness(entry, hits, r.xi_inits, x),
                 entry.value + nat(1))
             if v is not None:
                 return CheckResult("descent-witness", False, v.stage, str(v))
-    return CheckResult("descent-witness", True, None, f"{streams} streams")
+    return CheckResult("descent-witness", True, None,
+                       f"{sum(map(len, r.entries.values()))} streams")
 
 
 def _mind_change_cap(r: _CombReplay) -> CheckResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
                      check_triggers, injury_bound)
 from .trace import CheckResult, RunTrace
-from .tree import FIN, parse_node
+from .tree import FIN
 
 LEVELS = Levels(2)
 render, in_quota, quota_for = LEVELS.render, LEVELS.in_quota, LEVELS.quota_for
@@ -34,8 +34,9 @@ class NonlowLow2Run(EtaRhoRun):
 
 
 def run(psis: dict, funs: dict, stages: int, seed: int = 0) -> RunTrace:
-    """Execute the construction for the given stage budget."""
-    return NonlowLow2Run(psis, funs, stages, seed).execute()
+    """Execute the construction for the given stage budget; the opponents
+    carry their own seeds."""
+    return NonlowLow2Run(psis, funs, stages).execute()
 
 
 # -- trace verification ------------------------------------------------
@@ -71,7 +72,7 @@ def verify_main_lemma_claims(trace: RunTrace, psis: dict | None = None,
     return [_quota_soundness(r), _exhaustion_gate(r),
             check_triggers(r, list),
             check_recursion(r, "recursion-bound", list),
-            _global_bound(r), _diagonalization(trace, r, psis, settle_window),
+            _global_bound(r), _diagonalization(r, psis, settle_window),
             _uniformity(r)]
 
 
@@ -119,19 +120,12 @@ def _global_bound(r: _Replay) -> CheckResult:
     return CheckResult("global-bound", True, None, f"worst ratio {worst:.3g}")
 
 
-def _diagonalization(trace, r: _Replay, psis, settle_window) -> CheckResult:
+def _diagonalization(r: _Replay, psis, settle_window) -> CheckResult:
     """Settled opponents end up on the losing side."""
     checked = 0
-    if psis is not None and trace.stages > 0:
-        end = trace.stages - 1
-        followers = {}
-        for ev in trace.events:
-            p = ev.payload
-            if ev.kind == "declare" and p.get("what") == "follower":
-                followers[parse_node(p["node"])] = int(p["y"])
-            elif ev.kind == "init":
-                followers.pop(parse_node(p["node"]), None)
-        for rho, y in sorted(followers.items()):
+    if psis is not None and r.stages > 0:
+        end = r.stages - 1
+        for rho, y in sorted(r.followers.items()):
             psi = psis.get(len(rho) // 2)
             if psi is None:
                 continue

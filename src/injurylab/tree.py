@@ -3,13 +3,10 @@
 Nodes are tuples of outcomes, each outcome an index into its level's
 alphabet (listed best-to-worst, so smaller = further left).  The engine
 walks one path per stage, hands initialization to everything right of the
-path, keeps a log, and offers fair actor selection plus a finite-run
-true-path estimate.
+path, keeps a log, and offers fair actor selection.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 INF = 0  # the "infinitary" outcome, left of FIN
 FIN = 1
@@ -41,13 +38,10 @@ def render_node(node: tuple, alphabet_fn) -> str:
     return "".join(out) or "-"
 
 
-@lru_cache(maxsize=1024)
 def parse_node(text: str) -> tuple:
-    """Inverse of render_node: '-' is the root, i->0, f->1, q->0.
-
-    Replays parse the same few dozen node strings over and over; the
-    cache is bounded so that a trace file full of distinct nodes cannot
-    grow it without limit."""
+    """Inverse of render_node: '-' is the root, i->0, f->1, q->0.  Any
+    other letter reads as f; a replay that must reject misspelt names
+    checks the result against render_node."""
     if text == "-":
         return ROOT
     return tuple(0 if c in "iq" else 1 for c in text)
@@ -63,18 +57,12 @@ class PathLog:
     def __init__(self):
         self.paths = []  # stage -> node
         self.inits = []  # (stage, node)
-        self._last_init = {}  # node -> stage
 
     def append_path(self, node: tuple):
         self.paths.append(node)
 
     def record_init(self, stage: int, node: tuple):
         self.inits.append((stage, node))
-        self._last_init[node] = stage
-
-    def last_init(self, node: tuple) -> int:
-        """Stage of the node's most recent initialization, -1 if never."""
-        return self._last_init.get(node, -1)
 
 
 class StrategyTree:
@@ -165,33 +153,3 @@ class StrategyTree:
         if best is not None:
             self.selections[best] = self.selections.get(best, 0) + 1
         return best
-
-    def true_path_estimate(self) -> tuple:
-        """Longest node accessed after its last initialization with nothing
-        to its left accessed after that point."""
-        if not self.log.paths:
-            return ROOT
-        node = ROOT
-        ext_stages = range(len(self.log.paths))  # stages whose path extends node
-        left_last = -1  # last stage whose path branched left of node
-        while True:
-            level = len(node)
-            by_outcome = {}
-            for s in ext_stages:
-                p = self.log.paths[s]
-                if len(p) > level:
-                    by_outcome.setdefault(p[level], []).append(s)
-            ext = None
-            seen_left = left_last
-            for o in self.alphabet_fn(level):
-                child = node + (o,)
-                stages = by_outcome.get(o, [])
-                t0 = self.log.last_init(child)
-                if seen_left <= t0 and any(s > t0 for s in stages):
-                    ext, ext_stages, left_last = child, stages, seen_left
-                    break
-                if stages:
-                    seen_left = max(seen_left, stages[-1])
-            if ext is None:
-                return node
-            node = ext

@@ -16,6 +16,7 @@ from injurylab import low_alpha, nonlow_alpha, nonlow_low2
 from injurylab.approximation import (ApproxTrace, BoundedCaAdversary,
                                      DeltaTwoAdversary,
                                      verify_r_approximation)
+from injurylab.budgeted import descent_witness
 from injurylab.cli import main
 from injurylab.functional import UseFunctional
 from injurylab.nonlow_low2 import injury_bound
@@ -194,7 +195,8 @@ def test_criterion_5_phi_budget():
                 continue
             activated += 1
             ok &= budget.value < ALPHA_SQ
-            witness = low_alpha._descent_witness(replay, e)
+            witness = descent_witness(budget, replay.hits(e),
+                                      replay.inits, e)
             ok &= verify_r_approximation(witness,
                                          budget.value + nat(1)) is None
     elapsed = time.monotonic() - t0
@@ -240,7 +242,7 @@ def test_criterion_6_combined_bounds():
                 for i, member in enumerate(entry.members):
                     lengths = {h: _length_lookup(replay, h, entry.s_def)
                                for h in nonlow_alpha.etas_above(member)}
-                    ok &= (entry.kps[i]
+                    ok &= (replay.kps[entry.eid][i]
                            == nonlow_alpha.k_prime(member, lengths))
                     members_checked += 1
     elapsed = time.monotonic() - t0

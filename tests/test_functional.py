@@ -174,9 +174,8 @@ def test_injury_log_matches_sub_use_enumerations():
         if rng.random() < 0.5:
             A.add(pool.pop(), s)
         before = run.query(0)
-        run.advance(s)
-        for stage, x, old_use in run.injury_log:
-            if stage == s:
+        for x, old_use, _ in run.advance(s):
+            if old_use is not None:
                 assert before is not None and before.use == old_use
                 assert any(e < old_use for e in A.events_at(s))
 

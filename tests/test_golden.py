@@ -20,6 +20,48 @@ FIX = os.path.join(HERE, "fixtures")
 
 NAMES = ("golden-nonlow-low2", "golden-low-alpha", "golden-nonlow-alpha")
 
+# The full verify-trace report of each fixture: check names, order,
+# verdicts and witnesses, then the construction's report lines.
+REPORTS = {
+    "golden-nonlow-low2": (
+        "check self-consistency pass witness ?\n"
+        "check quota-soundness pass witness ?\n"
+        "check exhaustion-gate pass witness ?\n"
+        "check trigger-structure pass witness ?\n"
+        "check recursion-bound pass witness ?\n"
+        "check global-bound pass witness ?\n"
+        "check diagonalization pass witness ?\n"
+        "check uniformity pass witness ?\n"),
+    "golden-low-alpha": (
+        "check self-consistency pass witness ?\n"
+        "check quota-list-structure pass witness ?\n"
+        "check budget-formula pass witness ?\n"
+        "check injury-gate pass witness ?\n"
+        "check mind-change-cap pass witness ?\n"
+        "check descent-witness pass witness ?\n"
+        "check redeclare pass witness ?\n"
+        "check diagonalization pass witness ?\n"
+        "phi e=0 value=w*2\n"),
+    "golden-nonlow-alpha": (
+        "check self-consistency pass witness ?\n"
+        "check level-discipline pass witness ?\n"
+        "check xi-permission-scope pass witness ?\n"
+        "check qlist-structure pass witness ?\n"
+        "check xi-injury-gate pass witness ?\n"
+        "check descent-witness pass witness ?\n"
+        "check rho-recursion pass witness ?\n"
+        "check trigger-structure pass witness ?\n"
+        "check mind-change-cap pass witness ?\n"
+        "bound eta=- x=0 beta=0 rho_bound=4\n"
+        "bound eta=- x=1 beta=w*1029 rho_bound=1024\n"
+        "bound eta=- x=2 beta=w*2360325 rho_bound=2359296\n"
+        "bound eta=- x=3 beta=w*68721837061 rho_bound=68719476736\n"
+        "bound eta=- x=4 beta=w*28147566392902661 "
+        "rho_bound=28147497671065600\n"
+        "bound eta=- x=5 beta=w*170005221530873620595717 "
+        "rho_bound=170005193383307227693056\n"),
+}
+
 
 def run_golden(name):
     with open(os.path.join(SCEN, name + ".txt")) as fh:
@@ -48,6 +90,7 @@ class TestGoldenTraces:
         code = main(["verify-trace", "--trace",
                      os.path.join(FIX, name + ".trace")], out)
         assert code == 0
+        assert out.getvalue() == REPORTS[name]
 
     def test_low_alpha_fixture_reads_as_expected(self):
         _, trace, _ = run_golden("golden-low-alpha")

@@ -2,6 +2,7 @@
 
 import io
 import os
+import re
 
 import pytest
 
@@ -371,6 +372,42 @@ class TestCli:
         code, text = self.run_cli(["run", "--scenario", path,
                                    "--alpha", "w^^"])
         assert code == 2 and text.startswith("error --alpha: "), text
+
+    @pytest.mark.parametrize("name, renames, eid", [
+        ("golden-nonlow-low2", {"f": "z", "if": "iz"}, 2),
+        ("golden-low-alpha", {"q0": "z0"}, 1),
+        ("golden-nonlow-alpha", {"iiq": "iii"}, 50),
+    ])
+    def test_verify_trace_rejects_misspelt_nodes(self, tmp_path, name,
+                                                 renames, eid):
+        # every occurrence is renamed, the summary keys included, so the
+        # trace stays self-consistent; eid is the first renamed visit
+        with open(os.path.join(HERE, "fixtures", name + ".trace")) as fh:
+            text = fh.read()
+        for old, new in renames.items():
+            text = re.sub(rf"\bnode([=.]){old}(?= |$)", rf"node\g<1>{new}",
+                          text, flags=re.M)
+        tr = tmp_path / "t.trace"
+        tr.write_text(text)
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert code == 2
+        assert out.startswith(f"error event {eid}: bad visit payload: "), out
+
+    @pytest.mark.parametrize("name, line, eid", [
+        ("golden-low-alpha", "7 3 qlist-set e=0 k=1 members=0 gs=w", 7),
+        ("golden-nonlow-alpha", "39 7 qlist-set eta=- x=1 k=1028 "
+                                "members=if gs=w", 39),
+    ])
+    def test_verify_trace_rejects_members_without_budgets(self, tmp_path,
+                                                          name, line, eid):
+        with open(os.path.join(HERE, "fixtures", name + ".trace")) as fh:
+            text = fh.read()
+        assert line in text
+        tr = tmp_path / "t.trace"
+        tr.write_text(text.replace(line, line[:-len("gs=w")] + "gs=-"))
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, out) == (2, f"error event {eid}: bad qlist-set "
+                                  f"payload: 1 members but 0 budgets\n")
 
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"], io.StringIO()) == 2

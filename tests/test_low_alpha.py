@@ -1,11 +1,13 @@
 """Tests for the finite-injury low construction and its budget verifier."""
 
+import os
 import random
 
 import pytest
 
 import injurylab.low_alpha as la
 from injurylab.approximation import ScriptedCaAdversary
+from injurylab.budgeted import descent_witness, phi
 from injurylab.functional import UseFunctional
 from injurylab.ordinal import descending_chain, format_cnf, nat, omega_power, parse_cnf
 from injurylab.trace import ConfigError, RunTrace, reduce_summary
@@ -28,21 +30,21 @@ def flip_adversary(aid, g, flips, markers, args=10):
 
 class TestPhi:
     def test_empty(self):
-        assert la.phi([], 5) == nat(0)
+        assert phi([], 5) == nat(0)
 
     def test_single_omega(self):
-        assert la.phi([W], 0) == W
+        assert phi([W], 0) == W
 
     def test_two_terms_absorb(self):
-        got = la.phi([W, W.times_nat(2)], 2)
+        got = phi([W, W.times_nat(2)], 2)
         assert got == parse_cnf("w*9")
 
     def test_finite(self):
-        assert la.phi([nat(3), nat(5)], 1) == nat(16)
+        assert phi([nat(3), nat(5)], 1) == nat(16)
 
     def test_order_matters(self):
-        assert la.phi([nat(1), W], 0) == W
-        assert la.phi([W, nat(1)], 0) == W + nat(1)
+        assert phi([nat(1), W], 0) == W
+        assert phi([W, nat(1)], 0) == W + nat(1)
 
 
 class TestRunBasics:
@@ -58,11 +60,6 @@ class TestRunBasics:
     def test_opponent_budget_below_alpha(self):
         with pytest.raises(ConfigError):
             la.run([ScriptedCaAdversary("f0", W)], [], W, 5)
-
-    def test_levels_need_adversaries(self):
-        with pytest.raises(ConfigError):
-            la.run([ScriptedCaAdversary("f0", W)], [], omega_power(W), 5,
-                   levels=2)
 
     def test_constant_opponent(self):
         # Hand simulation: the follower is assigned once at stage 0 and
@@ -201,7 +198,8 @@ class TestVerifier:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 16)
-        witness = la._descent_witness(la._LowReplay(tr), 0)
+        r = la._LowReplay(tr)
+        witness = descent_witness(r.budgets[0], r.hits(0), r.inits, 0)
         rows = witness.records[0]
         assert [(s, format_cnf(m)) for s, _, m in rows] == [
             (1, "w*2"), (4, "w+9"), (8, "w+6"), (12, "w+3")]
@@ -218,7 +216,8 @@ class TestVerifier:
         assert len(tr.by_kind("enumerate")) == 6
         checks = {c.name: c for c in la.verify_lowness_budget(tr)}
         assert all(c.passed for c in checks.values())
-        witness = la._descent_witness(la._LowReplay(tr), 0)
+        r = la._LowReplay(tr)
+        witness = descent_witness(r.budgets[0], r.hits(0), r.inits, 0)
         top = W.times_nat(4)
         assert all(not top < m for _, _, m in witness.records[0])
 
@@ -300,3 +299,73 @@ class TestStress:
         total = sum(len(stress(seed).by_kind("inject-diverge"))
                     for seed in range(1, 9))
         assert total > 0
+
+
+FIX = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+def golden_trace():
+    with open(os.path.join(FIX, "golden-low-alpha.trace")) as fh:
+        return RunTrace.from_text(fh.read())
+
+
+def mutated(trace, edit):
+    """A copy of trace in which edit(ev) gives the (stage, kind, payload)
+    rows that replace each event; event ids are renumbered."""
+    out = RunTrace(trace.construction, trace.stages)
+    for ev in trace.events:
+        for stage, kind, payload in edit(ev):
+            out.emit(stage, kind, **payload)
+    out.finalize(trace.summary)
+    return out
+
+
+def insert_after(eid, stage, kind, **payload):
+    """An edit that adds one event right after event eid."""
+    def edit(ev):
+        rows = [(ev.stage, ev.kind, ev.payload)]
+        if ev.eid == eid:
+            rows.append((stage, kind, payload))
+        return rows
+    return edit
+
+
+def check_named(trace, name):
+    return next(c for c in la.verify_lowness_budget(trace) if c.name == name)
+
+
+class TestFaultInjection:
+    """Each quota-list check fails, with a pinned witness, on a mutation of
+    the golden low-alpha trace (watcher 0 lists q0 at stage 3)."""
+
+    def test_golden_passes(self):
+        for check in la.verify_lowness_budget(golden_trace()):
+            assert check.passed, check.line()
+
+    def test_quota_list_structure_catches_non_member_remove(self):
+        tr = mutated(golden_trace(),
+                     insert_after(10, 4, "qlist-remove", e=0, q=5,
+                                  cause="preempted"))
+        bad = check_named(tr, "quota-list-structure")
+        assert not bad.passed
+        assert bad.witness == 11
+
+    def test_quota_list_structure_catches_second_set(self):
+        tr = mutated(golden_trace(),
+                     insert_after(10, 4, "qlist-set", e=0, k=1, members=0,
+                                  gs="w", horizon=1))
+        bad = check_named(tr, "quota-list-structure")
+        assert not bad.passed
+        assert bad.witness == 11
+
+    def test_descent_witness_catches_raised_marker(self):
+        # the stage-9 act would put the chain at w+5, above the w+3 the
+        # stage-5 act left it at; the witness is the stage
+        def edit(ev):
+            p = dict(ev.payload)
+            if ev.eid == 25:
+                p["marker"] = "5"
+            return [(ev.stage, ev.kind, p)]
+        bad = check_named(mutated(golden_trace(), edit), "descent-witness")
+        assert not bad.passed
+        assert bad.witness == 9

@@ -6,11 +6,14 @@ trace verifier, including hand-written and corrupted traces.
 """
 
 import itertools
+import os
 
 import pytest
 
 from injurylab.approximation import (BoundedCaAdversary, DeltaTwoAdversary,
                                      ScriptedCaAdversary)
+from injurylab.budgeted import (Requirement, check_bound, descent_witness,
+                                phi)
 from injurylab.functional import UseFunctional
 from injurylab import nonlow_alpha as na
 from injurylab.nonlow_low2 import injury_bound
@@ -111,14 +114,17 @@ class TestKBudget:
 
 
 class TestBetaBound:
+    """The beta budget of a quota list: phi over the members' budgets,
+    under a bound that check_bound accepts."""
+
     def test_empty(self):
-        assert na.beta_bound([], 5) == nat(0)
+        assert phi([], 5) == nat(0)
 
     def test_single_member(self):
-        assert format_cnf(na.beta_bound([W], 1028)) == "w*1029"
+        assert format_cnf(phi([W], 1028)) == "w*1029"
 
     def test_absorption(self):
-        got = na.beta_bound([W, omega_power(nat(2))], 1)
+        got = phi([W, omega_power(nat(2))], 1)
         assert format_cnf(got) == "w^2*2"
 
     def test_matches_ordinal_arithmetic(self):
@@ -127,14 +133,15 @@ class TestBetaBound:
         total = nat(0)
         for g in gs:
             total = total + g.times_nat(k + 1)
-        assert na.beta_bound(gs, k) == total
+        assert phi(gs, k) == total
 
     def test_rejects_non_closed_alpha(self):
         with pytest.raises(ConfigError):
-            na.beta_bound([W], 1, alpha=parse_cnf("w*2"))
+            check_bound(parse_cnf("w*2"), [])
 
     def test_accepts_closed_alpha(self):
-        assert na.beta_bound([W], 1, alpha=ALPHA) == W.times_nat(2)
+        check_bound(ALPHA, [ScriptedCaAdversary("f0", W)])
+        assert phi([W], 1) == W.times_nat(2)
 
 
 class TestQlistUpdate:
@@ -461,9 +468,9 @@ class TestSyntheticDescent:
     def test_witness_descends_below_budget(self):
         r = na._CombReplay(synthetic_descent_trace())
         entry = r.entries[((), 0)][0]
-        hits = [(eid, s, node, r.enums[s][3])
+        hits = [(s, node, r.enums[s][3])
                 for eid, s, x, node, _ in r.counted_injuries(())]
-        stream = na._xi_descent_witness(r, (), 0, entry, hits)
+        stream = descent_witness(entry, hits, r.xi_inits, 0)
         vals = [m for _, _, m in stream.records[0]]
         assert vals[0] == parse_cnf("w*5")
         assert vals[1] == parse_cnf("w*4+3")
@@ -537,7 +544,7 @@ class TestDeniedPermission:
         r = self.make_run()
         conv = r.runs[0].query(0)
         assert conv is not None
-        st = na._XiState()
+        st = Requirement(r.fadvs[0], "ii")
         st.follower, st.use, st.decl, st.wants = 0, conv.use, 1, True
         r.xi[(0, 0)] = st
         r._act_xi((0, 0), 3)
@@ -562,7 +569,7 @@ class TestDeniedPermission:
     def test_higher_use_is_permitted(self):
         r = self.make_run()
         conv = r.runs[0].query(0)
-        st = na._XiState()
+        st = Requirement(r.fadvs[0], "ii")
         st.follower, st.use, st.decl, st.wants = 0, conv.use + 1, 1, True
         r.xi[(0, 0)] = st
         assert r._xi_denier((0, 0), st.use, 3) is None
@@ -645,13 +652,13 @@ class TestFaultInjection:
         assert bad.witness == trigger.eid == 7
 
     def test_trigger_structure_catches_unlisted_xi_trigger(self):
-        tr, trigger = self.pick_then_hit("fq", listed=False)
+        tr, trigger = self.pick_then_hit("fi", listed=False)
         bad = check_named(tr, "trigger-structure")
         assert not bad.passed
         assert bad.witness == trigger.eid == 7
 
     def test_trigger_structure_accepts_listed_xi_trigger(self):
-        tr, _ = self.pick_then_hit("fq", listed=True)
+        tr, _ = self.pick_then_hit("fi", listed=True)
         assert check_named(tr, "trigger-structure").passed
 
     def test_mind_change_cap_catches_excess(self):
@@ -667,3 +674,34 @@ class TestFaultInjection:
         bad = check_named(tr, "mind-change-cap")
         assert not bad.passed
         assert bad.witness == hit.eid == 6
+
+    def test_qlist_structure_catches_illegal_remove(self):
+        # the x = 0 list of the golden trace is empty from stage 3 on, so
+        # no member can leave it
+        with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                               "golden-nonlow-alpha.trace")) as fh:
+            golden = RunTrace.from_text(fh.read())
+        tr = RunTrace(golden.construction, golden.stages)
+        for ev in golden.events:
+            tr.emit(ev.stage, ev.kind, **ev.payload)
+            if ev.eid == 13:
+                tr.emit(3, "qlist-remove", eta="-", x=0, xi="ii",
+                        cause="exhausted")
+        tr.finalize(golden.summary)
+        assert check_named(golden, "qlist-structure").passed
+        bad = check_named(tr, "qlist-structure")
+        assert not bad.passed
+        assert bad.witness == 14
+
+    def test_descent_witness_catches_raised_marker(self):
+        # the stage-6 hit would put the chain at w*4+4, above the w*4+3
+        # of the stage-4 hit; the witness is the stage
+        tr = RunTrace("nonlow-alpha", 7)
+        for ev in synthetic_descent_trace().events:
+            p = dict(ev.payload)
+            if ev.kind == "enumerate" and ev.stage == 6:
+                p["marker"] = "4"
+            tr.emit(ev.stage, ev.kind, **p)
+        bad = check_named(tr, "descent-witness")
+        assert not bad.passed
+        assert bad.witness == 6

@@ -141,30 +141,6 @@ def test_select_actor_fairness_over_long_run():
         assert picked.count(n) >= 1
 
 
-def test_true_path_estimate_trivial_and_constant():
-    tree = StrategyTree()
-    tree.run_stage(lambda n, s: FIN, 0)
-    assert tree.true_path_estimate() == ROOT
-
-    tree = StrategyTree()
-    for s in range(101):
-        tree.run_stage(lambda n, s: FIN, s)
-    assert tree.true_path_estimate() == (FIN,) * 100
-
-
-def test_true_path_estimate_prefers_recurring_left_branch():
-    tree = StrategyTree()
-
-    def outcome(node, s):
-        return INF if s % 2 == 0 else FIN
-
-    for s in range(1000):
-        tree.run_stage(outcome, s)
-    est = tree.true_path_estimate()
-    assert len(est) > 100
-    assert set(est) == {INF}
-
-
 def test_run_is_deterministic():
     def run():
         tree = StrategyTree()
