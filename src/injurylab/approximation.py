@@ -10,6 +10,7 @@ freeze once their budget at an argument is spent.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -97,50 +98,45 @@ class DeltaTwoAdversary:
         self.stab = stab if mode in ("stabilizing", "random") else None
         self.period = period
         self.script: dict = {}  # x -> list of (stage, value), scripted mode
-        self._flips: dict = {}  # x -> cached flip decisions by stage
-        self._vals: dict = {}  # x -> cached values by stage
+        self._cache: dict = {}  # x -> (values by stage, change stages)
 
     def add_step(self, x: int, stage: int, value: int):
         self.script.setdefault(x, []).append((stage, value))
         self.script[x].sort()
+        self._cache.pop(x, None)
 
-    def _flip_at(self, x: int, s: int) -> bool:
-        if s == 0:
-            return False
-        if self.stab is not None and s >= self.stab:
-            return False
+    def _at(self, x: int, t: int, prev: int) -> int:
+        """The value at stage t, given prev, the value at t - 1.  In
+        scripted mode the last step at or before t decides."""
+        if self.mode == "scripted":
+            steps = self.script.get(x, ())
+            i = bisect.bisect_left(steps, (t + 1,))
+            return steps[i - 1][1] if i else 0
+        if t == 0 or self.stab is not None and t >= self.stab:
+            return prev
         if self.mode == "alternating":
-            return s % self.period == 0
-        cache = self._flips.setdefault(x, [False])
-        while len(cache) <= s:
-            rng = random.Random(f"{self.seed}:{x}:{len(cache)}")
-            cache.append(rng.random() < self.flip)
-        return cache[s]
+            return prev ^ (t % self.period == 0)
+        return prev ^ (random.Random(f"{self.seed}:{x}:{t}").random()
+                       < self.flip)
 
     def value(self, x: int, s: int) -> int:
-        if self.mode == "scripted":
-            val = 0
-            for stage, v in self.script.get(x, []):
-                if stage > s:
-                    break
-                val = v
-            return val
-        vals = self._vals.setdefault(x, [0])
+        entry = self._cache.get(x)
+        if entry is None:
+            entry = self._cache[x] = ([self._at(x, 0, 0)], [])
+        vals, changes = entry
         while len(vals) <= s:
             t = len(vals)
-            vals.append(vals[-1] ^ (1 if self._flip_at(x, t) else 0))
+            v = self._at(x, t, vals[-1])
+            if v != vals[-1]:
+                changes.append(t)
+            vals.append(v)
         return vals[s]
 
     def change_stages(self, x: int, horizon: int) -> list:
         """Stages t with value(x, t) != value(x, t - 1), t in 1..horizon."""
-        prev = self.value(x, 0)
-        out = []
-        for t in range(1, horizon + 1):
-            cur = self.value(x, t)
-            if cur != prev:
-                out.append(t)
-            prev = cur
-        return out
+        self.value(x, horizon)
+        changes = self._cache[x][1]
+        return changes[:bisect.bisect_right(changes, horizon)]
 
 
 class BoundedCaAdversary:

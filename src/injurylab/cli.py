@@ -1,8 +1,9 @@
 """Command line front end: run scenarios, batch campaigns, verify traces.
 
 Exit codes: 0 when every enabled check passes, 1 when a violation is
-found, 2 on configuration or usage errors, malformed traces included,
-and for a campaign in which any seed errors.
+found, 2 on configuration or usage errors, malformed traces and a
+negative --stages included, and for a campaign in which any seed
+errors.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from .trace import ConfigError, RunTrace, reduce_summary
 
 
 def digest(trace: RunTrace) -> str:
-    return hashlib.sha256(trace.to_text().encode()).hexdigest()[:16]
+    return trace.digest()[:16]
 
 
 def replay_of(trace: RunTrace):
@@ -216,6 +217,9 @@ def main(argv=None, out=None) -> int:
     except SystemExit as ex:
         return 2 if ex.code else 0
     try:
+        # run and campaign take --stages; the other verbs have none
+        if (getattr(args, "stages", None) or 0) < 0:
+            raise ConfigError(f"--stages wants a natural, got {args.stages}")
         return args.fn(args, out)
     except ConfigError as ex:
         out.write(f"error {ex}\n")

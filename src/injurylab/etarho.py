@@ -372,12 +372,13 @@ class EtaRhoReplay:
     that defines ``_extra(ev, stage, payload)`` sees every event but the
     visits before the shared handling.  Node names are parsed through
     ``levels.parse``.  An event without a payload key the replay reads,
-    or with a value it cannot parse, a misspelt node name included,
-    raises ConfigError naming the event."""
+    the length ``l`` of an eta visit included, or with a value it cannot
+    parse, a misspelt node name included, raises ConfigError naming the
+    event.  The replay is the one pass over the events: the checks read
+    only what it derives."""
 
     levels: Levels
     _extra = None
-    _etas = None
 
     def _read(self, trace: RunTrace):
         self.stages = trace.stages
@@ -391,11 +392,16 @@ class EtaRhoReplay:
         self.live_uses = uses = {}  # node -> live use
         self.followers = followers = {}  # node -> live follower
         holders, parse = self.levels.holders, self.levels.parse
+        period = self.levels.period
         extra = self._extra
         acted = {}
         pending = []           # enumerate events of the current stage
         cur_diverges = []
         cur_stage = -1
+        visits = 0
+        # (eid, node) of the first rho or xi visit that carries a field of
+        # another level kind
+        foreign = None
         try:
             for ev in trace.events:
                 s = ev.stage
@@ -405,10 +411,18 @@ class EtaRhoReplay:
                 p = ev.payload
                 if ev.kind == "visit":
                     node = parse(p["node"])
-                    if len(node) >= len(self.paths.get(s, ROOT)):
+                    n = len(node)
+                    if n >= len(self.paths.get(s, ROOT)):
                         self.paths[s] = node
                     if "l" in p:
                         self.l[(s, node)] = int(p["l"])
+                        if n % period != ETA and foreign is None:
+                            foreign = (ev.eid, node)
+                    elif n % period == ETA:  # an eta visit has a length
+                        raise KeyError("l")
+                    elif "x" in p and n % period == RHO and foreign is None:
+                        foreign = (ev.eid, node)
+                    visits += 1
                     continue
                 if extra is not None:
                     extra(ev, s, p)
@@ -444,6 +458,28 @@ class EtaRhoReplay:
         except (KeyError, ValueError) as ex:
             raise payload_error(ev, ex) from None
         self._close_stage(pending, cur_diverges)
+        self.visits, self.foreign = visits, foreign
+        self._etas = {}  # eta -> stages of its expansionary visits
+        for s, node in self.paths.items():
+            for i in range(0, len(node), period):
+                if node[i] == INF:
+                    self._etas.setdefault(node[:i], []).append(s)
+        # An injury of functional e at stage s can count only for the eta
+        # path(s)[:period*e], when the path takes its infinitary outcome
+        # there, the eta was not initialized since, and x is below its
+        # length; each eta's list keeps trace order.
+        self.counted = {}  # eta -> [(eid, stage, x, injurer, element)]
+        self.totals = {}  # eta -> {x: [counted injuries, first eid]}
+        for eid, s, e, x, node, elem in self.injuries:
+            path, cut = self.path(s), period * e
+            if not 0 <= cut < len(path) or path[cut] != INF:
+                continue
+            eta = path[:cut]
+            if s <= self.last_init.get(eta, -1) \
+                    or x >= self.l.get((s, eta), 0):
+                continue
+            self.counted.setdefault(eta, []).append((eid, s, x, node, elem))
+            self.totals.setdefault(eta, {}).setdefault(x, [0, eid])[0] += 1
 
     def _close_stage(self, pending, diverges):
         """Match this stage's lost computations with their destroying
@@ -468,37 +504,16 @@ class EtaRhoReplay:
 
     def etas(self) -> dict:
         """Eta nodes that head at least one expansionary visit, with the
-        stages of those visits.  Computed once; every check reads it."""
-        if self._etas is None:
-            self._etas = {}
-            for s, node in self.paths.items():
-                for i in range(0, len(node), self.levels.period):
-                    if node[i] == INF:
-                        self._etas.setdefault(node[:i], []).append(s)
+        stages of those visits."""
         return self._etas
 
-    def counted_injuries(self, eta):
-        """Injuries of the protected functional at expansionary stages of
-        eta, after its last initialization, gated by the recorded length."""
-        e = self.levels.level_index(eta)
-        t0 = self.last_init.get(eta, -1)
-        out = []
-        for eid, s, ie, x, node, elem in self.injuries:
-            if ie != e or s <= t0:
-                continue
-            if not is_prefix(eta + (INF,), self.path(s)):
-                continue
-            if x >= self.l.get((s, eta), 0):
-                continue
-            out.append((eid, s, x, node, elem))
-        return out
+    def counted_injuries(self, eta) -> list:
+        """Injuries of the protected functional that count against eta."""
+        return self.counted.get(eta, [])
 
     def injury_totals(self, eta) -> dict:
         """x -> [counted injuries at x, event id of the first]."""
-        totals = {}
-        for eid, s, x, node, elem in self.counted_injuries(eta):
-            totals.setdefault(x, [0, eid])[0] += 1
-        return totals
+        return self.totals.get(eta, {})
 
     def listed(self, eta, x, s, node) -> bool:
         """Whether node sits in the quota list of (eta, x) at stage s."""

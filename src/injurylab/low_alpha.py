@@ -178,6 +178,8 @@ class _LowReplay:
         self.injuries = []  # (eid, stage, e, x, use)
         self.declares = {}  # q -> [(eid, stage, use, value)]
         self.last_f = {}  # q -> (stage, f)
+        self.followers = {}  # node name -> q, live followers only
+        self.phis = []  # (e, value) texts of the watchers' phi-sets
         try:
             for ev in trace.events:
                 p = ev.payload
@@ -196,11 +198,15 @@ class _LowReplay:
                     value = parse_cnf(p["value"])
                     if p["e"] == "alpha":
                         self.alpha = value
-                    elif int(p["e"]) in self.budgets:
-                        self.budgets[int(p["e"])].value = value
+                    else:
+                        e = int(p["e"])
+                        self.phis.append((p["e"], p["value"]))
+                        if e in self.budgets:
+                            self.budgets[e].value = value
                 elif ev.kind == "init":
                     self.inits.setdefault(_level(p["node"]), []).append(
                         ev.stage)
+                    self.followers.pop(p["node"], None)
                 elif ev.kind == "enumerate":
                     self.enums[ev.stage] = (ev.eid, _level(p["node"]),
                                             int(p["element"]),
@@ -213,6 +219,8 @@ class _LowReplay:
                     if p.get("what") == "delta":
                         self.declares.setdefault(q, []).append(
                             (ev.eid, ev.stage, int(p["u"]), int(p["value"])))
+                    elif p.get("what") == "follower":
+                        self.followers[p["node"]] = q
                 elif ev.kind == "visit":
                     self.last_f[_level(p["node"])] = (ev.stage, int(p["f"]))
         except (KeyError, ValueError) as ex:
@@ -248,7 +256,7 @@ def verify_lowness_budget(trace: RunTrace,
     watchers = sorted(r.budgets.items())
     return [_quota_list_structure(r), _budget_formula(r, watchers),
             _injury_gate(r, watchers), _mind_change_cap(r, watchers),
-            _descent(r, watchers), _redeclare(r), _diagonalization(trace, r)]
+            _descent(r, watchers), _redeclare(r), _diagonalization(r)]
 
 
 def _quota_list_structure(r: _LowReplay) -> CheckResult:
@@ -308,19 +316,17 @@ def _redeclare(r: _LowReplay) -> CheckResult:
     return CheckResult("redeclare", True)
 
 
-def _diagonalization(trace: RunTrace, r: _LowReplay) -> CheckResult:
+def _diagonalization(r: _LowReplay) -> CheckResult:
     """Each live follower's last declaration disagrees with the last
     guess seen."""
-    live = sorted(k for k in trace.summary if k.startswith("node."))
-    for key in live:
-        q = _level(key.split(".", 1)[1])
+    for node, q in sorted(r.followers.items()):
         decl = r.declares.get(q, [])
         seen = r.last_f.get(q)
         if not decl or seen is None or decl[-1][3] == seen[1]:
             return CheckResult("diagonalization", False, q,
-                               f"{len(live)} live followers")
+                               f"{len(r.followers)} live followers")
     return CheckResult("diagonalization", True, None,
-                       f"{len(live)} live followers")
+                       f"{len(r.followers)} live followers")
 
 
 def worst_ratio(r: _LowReplay) -> float:
@@ -333,8 +339,7 @@ def worst_ratio(r: _LowReplay) -> float:
     return worst
 
 
-def phi_lines(trace: RunTrace, replay=None) -> list:
+def phi_lines(trace: RunTrace, replay: "_LowReplay | None" = None) -> list:
     """Report lines naming each watcher's ordinal budget, in trace order."""
-    return [f"phi e={ev.payload['e']} value={ev.payload['value']}"
-            for ev in trace.by_kind("phi-set")
-            if ev.payload["e"] != "alpha" and "." not in ev.payload["e"]]
+    r = replay if replay is not None else _LowReplay(trace)
+    return [f"phi e={e} value={value}" for e, value in r.phis]

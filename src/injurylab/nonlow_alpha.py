@@ -322,30 +322,22 @@ def verify_combined_bounds(trace: RunTrace,
 
     A caller that already replayed the trace passes that replay in."""
     r = replay if replay is not None else _CombReplay(trace)
-    return [_level_discipline(trace), _xi_permission_scope(r),
+    return [_level_discipline(r), _xi_permission_scope(r),
             _qlist_structure(r), _xi_injury_gate(r), _descent_witness(r),
             check_recursion(r, "rho-recursion", sorted),
             check_triggers(r, sorted), _mind_change_cap(r)]
 
 
-def _level_discipline(trace: RunTrace) -> CheckResult:
+def _level_discipline(r: _CombReplay) -> CheckResult:
     """Visit payloads match the level type.  The replay has already
-    rejected every node name that is not a node's rendering."""
-    visits = trace.by_kind("visit")
-    for ev in visits:
-        p = ev.payload
-        node = parse(p["node"])
-        if is_eta(node) and "l" not in p:
-            bad = f"eta visit {p['node']} without length"
-        elif is_rho(node) and ("l" in p or "x" in p):
-            bad = f"rho visit {p['node']} carries foreign fields"
-        elif is_xi(node) and "l" in p:
-            bad = f"xi visit {p['node']} carries a length"
-        else:
-            continue
-        return CheckResult("level-discipline", False, ev.eid, bad)
-    return CheckResult("level-discipline", True, None,
-                       f"{len(visits)} visits")
+    rejected every misspelt node name and every eta visit without its
+    length."""
+    if r.foreign is not None:
+        eid, node = r.foreign
+        bad = f"rho visit {render(node)} carries foreign fields" \
+            if is_rho(node) else f"xi visit {render(node)} carries a length"
+        return CheckResult("level-discipline", False, eid, bad)
+    return CheckResult("level-discipline", True, None, f"{r.visits} visits")
 
 
 def _xi_permission_scope(r: _CombReplay) -> CheckResult:

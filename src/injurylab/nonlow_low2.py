@@ -123,27 +123,24 @@ def _global_bound(r: _Replay) -> CheckResult:
 def _diagonalization(r: _Replay, psis, settle_window) -> CheckResult:
     """Settled opponents end up on the losing side."""
     checked = 0
-    if psis is not None and r.stages > 0:
+    if psis is not None and r.stages > 0 and r.followers:
         end = r.stages - 1
+        below = {}  # node -> (last stage whose path passes below it, outcome)
+        for s, p in sorted(r.paths.items()):
+            for i in range(len(p)):
+                below[p[:i]] = (s, p[i])
         for rho, y in sorted(r.followers.items()):
             psi = psis.get(len(rho) // 2)
             if psi is None:
                 continue
             final = psi.value(y, end)
-            settle = 0
-            for s in range(end, -1, -1):
-                if psi.value(y, s) != final:
-                    settle = s + 1
-                    break
-            if end - settle < settle_window:
-                continue
-            if r.last_init.get(rho, -1) >= settle:
-                continue
-            visits = [s for s, p in r.paths.items()
-                      if len(p) > len(rho) and p[:len(rho)] == rho]
-            if not visits or max(visits) < settle:
-                continue
-            if r.path(max(visits))[len(rho)] != FIN:
+            changes = psi.change_stages(y, end)
+            settle = changes[-1] if changes else 0
+            # checked: settled long enough, not initialized since, and
+            # passed below at fin on the last stage that passed below
+            last, outcome = below.get(rho, (-1, None))
+            if end - settle < settle_window or outcome != FIN \
+                    or last < settle or r.last_init.get(rho, -1) >= settle:
                 continue
             checked += 1
             # membership promise: a held use means the declaration is being
@@ -161,8 +158,7 @@ def _diagonalization(r: _Replay, psis, settle_window) -> CheckResult:
 def _uniformity(r: _Replay) -> CheckResult:
     """One ceiling per argument, regardless of protected node."""
     etas = r.etas()
-    xs = sorted({x for eta in etas
-                 for _, _, x, _, _ in r.counted_injuries(eta)})
+    xs = {x for eta in etas for x in r.injury_totals(eta)}
     vals = {x: {injury_bound(x) for _ in etas} or {injury_bound(x)}
             for x in xs}
     uniform = all(len(v) == 1 for v in vals.values())

@@ -72,9 +72,6 @@ class RunTrace:
         self.events.append(ev)
         return ev
 
-    def by_kind(self, kind: str):
-        return [e for e in self.events if e.kind == kind]
-
     def finalize(self, summary: dict):
         self.summary = {k: str(v) for k, v in summary.items()}
 
@@ -89,9 +86,10 @@ class RunTrace:
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
-        """Parse the text form.  A malformed line, an unknown event kind,
-        an event id out of sequence or a stage that goes backwards raises
-        ConfigError naming the line."""
+        """Parse the text form.  A malformed line, a negative stage count
+        in the header included, an unknown event kind, an event id out of
+        sequence or a stage that goes backwards raises ConfigError naming
+        the line."""
         trace = None
         last_stage = 0
         for lineno, ln in enumerate(text.splitlines(), 1):
@@ -101,7 +99,7 @@ class RunTrace:
                 if trace is None:
                     word, construction, stages_tok = ln.split()
                     key, stages = stages_tok.split("=")
-                    if word != "trace" or key != "stages":
+                    if word != "trace" or key != "stages" or int(stages) < 0:
                         raise ValueError
                     trace = cls(construction, int(stages))
                     continue

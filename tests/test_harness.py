@@ -409,6 +409,36 @@ class TestCli:
         assert (code, out) == (2, f"error event {eid}: bad qlist-set "
                                   f"payload: 1 members but 0 budgets\n")
 
+    @pytest.mark.parametrize("name, eid", [("golden-nonlow-low2", 0),
+                                           ("golden-nonlow-alpha", 1)])
+    def test_verify_trace_rejects_eta_visit_without_length(self, tmp_path,
+                                                           name, eid):
+        # with every length stripped the summary still replays; eid is
+        # the first eta visit
+        with open(os.path.join(HERE, "fixtures", name + ".trace")) as fh:
+            text = re.sub(r" l=\d+", "", fh.read())
+        tr = tmp_path / "t.trace"
+        tr.write_text(text)
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, out) == (2, f"error event {eid}: visit without "
+                                  f"payload key 'l'\n")
+
+    @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
+    def test_negative_stages_option_exits_2(self, verb):
+        code, text = self.run_cli(
+            verb[:1] + ["--scenario",
+                        os.path.join(SCEN, "golden-nonlow-low2.txt"),
+                        "--stages", "-3"] + verb[1:])
+        assert (code, text) == (2, "error --stages wants a natural, "
+                                   "got -3\n")
+
+    def test_verify_trace_rejects_negative_stages(self, tmp_path):
+        tr = tmp_path / "t.trace"
+        tr.write_text("trace nonlow-low2 stages=-3\nsummary A -\n")
+        code, text = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, text) == (2, "error line 1: malformed trace header "
+                                   "'trace nonlow-low2 stages=-3'\n")
+
     def test_bad_usage(self, capsys):
         assert main(["frobnicate"], io.StringIO()) == 2
         capsys.readouterr()

@@ -12,6 +12,8 @@ from injurylab.functional import UseFunctional
 from injurylab.ordinal import descending_chain, format_cnf, nat, omega_power, parse_cnf
 from injurylab.trace import ConfigError, RunTrace, reduce_summary
 
+from test_golden import by_kind
+
 W = omega_power(nat(1))
 
 
@@ -65,12 +67,12 @@ class TestRunBasics:
         # Hand simulation: the follower is assigned once at stage 0 and
         # the single declaration never contradicts a constant opponent.
         tr = la.run([ScriptedCaAdversary("f0", W)], [], omega_power(W), 20)
-        deltas = [e for e in tr.by_kind("declare")
+        deltas = [e for e in by_kind(tr, "declare")
                   if e.payload.get("what") == "delta"]
         assert len(deltas) == 1
         assert deltas[0].payload["value"] == "1"
-        assert not tr.by_kind("enumerate")
-        assert not tr.by_kind("select")
+        assert not by_kind(tr, "enumerate")
+        assert not by_kind(tr, "select")
         assert tr.summary == {"A": "-", "node.q0": "0:1"}
 
     def test_three_mind_changes(self):
@@ -81,17 +83,17 @@ class TestRunBasics:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 16)
-        enums = tr.by_kind("enumerate")
+        enums = by_kind(tr, "enumerate")
         assert [e.stage for e in enums] == [4, 8, 12]
-        hits = [e for e in tr.by_kind("inject-diverge")
+        hits = [e for e in by_kind(tr, "inject-diverge")
                 if e.payload["x"] == "0"]
         assert [e.stage for e in hits] == [4, 8, 12]
-        sets = tr.by_kind("qlist-set")
+        sets = by_kind(tr, "qlist-set")
         assert len(sets) == 1 and sets[0].stage == 1
         assert sets[0].payload["members"] == "0"
-        budget = [e for e in tr.by_kind("phi-set") if e.payload["e"] == "0"]
+        budget = [e for e in by_kind(tr, "phi-set") if e.payload["e"] == "0"]
         assert budget[0].payload["value"] == format_cnf(W.times_nat(2))
-        deltas = [e for e in tr.by_kind("declare")
+        deltas = [e for e in by_kind(tr, "declare")
                   if e.payload.get("what") == "delta"]
         assert deltas[-1].payload["value"] == "0"  # opponent settled on 1
         for check in la.verify_lowness_budget(tr):
@@ -129,18 +131,18 @@ def denial_setup(stages=14):
 class TestPermission:
     def test_denial_initializes(self):
         tr = denial_setup()
-        denied = [e for e in tr.by_kind("init")
+        denied = [e for e in by_kind(tr, "init")
                   if e.payload["cause"].startswith("denied")]
         assert len(denied) == 1
         assert denied[0].payload == {"node": "q1", "cause": "denied:0"}
         assert denied[0].stage == 9
-        sel = [e for e in tr.by_kind("select")
+        sel = [e for e in by_kind(tr, "select")
                if e.payload["act"] == "denied"]
         assert len(sel) == 1 and sel[0].payload["by"] == "0"
         # denied means no enumeration at that stage, and a fresh restart
-        assert all(e.stage != 9 for e in tr.by_kind("enumerate"))
+        assert all(e.stage != 9 for e in by_kind(tr, "enumerate"))
         assert tr.summary["node.q1"] == "4:24"
-        removed = tr.by_kind("qlist-remove")
+        removed = by_kind(tr, "qlist-remove")
         assert [(e.payload["q"], e.payload["cause"]) for e in removed] == [
             ("1", "preempted")]
         for check in la.verify_lowness_budget(tr):
@@ -156,15 +158,15 @@ class TestPermission:
         fun = UseFunctional(0)
         fun.configure(0, first=4)
         tr = la.run(advs, [fun], omega_power(W), 9)
-        sets = tr.by_kind("qlist-set")
+        sets = by_kind(tr, "qlist-set")
         assert sets[0].stage == 5 and sets[0].payload["members"] == "0,1,2"
-        inits = tr.by_kind("init")
+        inits = by_kind(tr, "init")
         assert {e.payload["node"] for e in inits} == {"q1", "q2"}
         assert all(e.payload["cause"] == "preempt:0" for e in inits)
-        removed = tr.by_kind("qlist-remove")
+        removed = by_kind(tr, "qlist-remove")
         assert {(e.payload["q"], e.payload["cause"]) for e in removed} == {
             ("1", "preempted"), ("2", "preempted")}
-        assert len(tr.by_kind("enumerate")) == 1
+        assert len(by_kind(tr, "enumerate")) == 1
         for check in la.verify_lowness_budget(tr):
             assert check.passed, check.line()
 
@@ -178,7 +180,7 @@ class TestPermission:
         nst.active, nst.s0, nst.k, nst.qlist = True, 1, 1, [0, 1]
         run._inits[1] = [2, 3]
         run._n_step(0, 4)
-        removed = run.trace.by_kind("qlist-remove")
+        removed = by_kind(run.trace, "qlist-remove")
         assert len(removed) == 1
         assert removed[0].payload == {"e": "0", "q": "1",
                                      "cause": "exhausted"}
@@ -213,7 +215,7 @@ class TestVerifier:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 16)
-        assert len(tr.by_kind("enumerate")) == 6
+        assert len(by_kind(tr, "enumerate")) == 6
         checks = {c.name: c for c in la.verify_lowness_budget(tr)}
         assert all(c.passed for c in checks.values())
         r = la._LowReplay(tr)
@@ -227,7 +229,7 @@ class TestVerifier:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 10)
-        assert len(tr.by_kind("enumerate")) == 3
+        assert len(by_kind(tr, "enumerate")) == 3
         checks = {c.name: c for c in la.verify_lowness_budget(tr)}
         assert checks["mind-change-cap"].passed
         assert checks["mind-change-cap"].detail == "1 finite budgets"
@@ -260,7 +262,7 @@ class TestVerifier:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 8)
-        enum = tr.by_kind("enumerate")[0]
+        enum = by_kind(tr, "enumerate")[0]
         tr.events = [e for e in tr.events
                      if not (e.kind == "declare" and e.eid > enum.eid
                              and e.payload.get("what") == "delta")]
@@ -296,7 +298,7 @@ class TestStress:
             assert check.passed, f"seed {seed}: {check.line()}"
 
     def test_scenarios_reach_injuries(self):
-        total = sum(len(stress(seed).by_kind("inject-diverge"))
+        total = sum(len(by_kind(stress(seed), "inject-diverge"))
                     for seed in range(1, 9))
         assert total > 0
 
@@ -369,3 +371,15 @@ class TestFaultInjection:
         bad = check_named(mutated(golden_trace(), edit), "descent-witness")
         assert not bad.passed
         assert bad.witness == 9
+
+    def test_diagonalization_catches_agreeing_declaration(self):
+        # q0 last declares delta = 1 (event 26) and last sees f = 0; a
+        # declaration of 0 agrees with the guess it must defeat
+        def edit(ev):
+            p = dict(ev.payload)
+            if ev.eid == 26:
+                p["value"] = "0"
+            return [(ev.stage, ev.kind, p)]
+        bad = check_named(mutated(golden_trace(), edit), "diagonalization")
+        assert not bad.passed
+        assert (bad.witness, bad.detail) == (0, "1 live followers")

@@ -19,6 +19,8 @@ from injurylab import nonlow_alpha as na
 from injurylab.nonlow_low2 import injury_bound
 from injurylab.ordinal import Cnf, format_cnf, nat, omega_power, parse_cnf
 from injurylab.trace import ConfigError, RunTrace, reduce_summary
+
+from test_golden import by_kind
 from injurylab.tree import parse_node
 
 W = omega_power(nat(1))
@@ -256,16 +258,16 @@ class TestFrozenOpponents:
         tr = na.run({0: psi}, frozen_budgeted(), {0: basic_functional()},
                     ALPHA, 30)
         for kind in ("select", "enumerate"):
-            for e in tr.by_kind(kind):
+            for e in by_kind(tr, kind):
                 assert not na.is_xi(parse_node(e.payload["node"]))
 
     def test_lists_seed_and_stay(self):
         psi = DeltaTwoAdversary("p0", "scripted")
         tr = na.run({0: psi}, frozen_budgeted(), {0: basic_functional()},
                     ALPHA, 30)
-        sets = tr.by_kind("qlist-set")
+        sets = by_kind(tr, "qlist-set")
         assert [int(e.payload["x"]) for e in sets] == list(range(7))
-        assert tr.by_kind("qlist-remove") == []
+        assert by_kind(tr, "qlist-remove") == []
         for check in na.verify_combined_bounds(tr):
             assert check.passed, check.line()
 
@@ -310,20 +312,20 @@ class TestMixedScenario:
 
     def test_first_list_payload(self):
         tr = mixed_scenario()
-        sets = tr.by_kind("qlist-set")
+        sets = by_kind(tr, "qlist-set")
         one = next(e for e in sets if e.payload["x"] == "1")
         assert one.stage == 7
         assert one.payload["k"] == "1028"
         assert one.payload["members"] == "ii"
         assert one.payload["gs"] == "w"
         assert one.payload["kps"] == "1028"
-        budget = next(e for e in tr.by_kind("phi-set")
+        budget = next(e for e in by_kind(tr, "phi-set")
                       if e.payload["e"] == "-.1")
         assert budget.payload["value"] == "w*1029"
 
     def test_later_list_gains_second_member(self):
         tr = mixed_scenario()
-        three = next(e for e in tr.by_kind("qlist-set")
+        three = next(e for e in by_kind(tr, "qlist-set")
                      if e.payload["x"] == "3")
         assert three.stage == 15
         assert three.payload["members"] == "ii,if"
@@ -331,7 +333,7 @@ class TestMixedScenario:
     def test_refused_guess_prunes_lists(self):
         tr = mixed_scenario()
         removed = [(e.stage, e.payload["x"], e.payload["xi"],
-                    e.payload["cause"]) for e in tr.by_kind("qlist-remove")]
+                    e.payload["cause"]) for e in by_kind(tr, "qlist-remove")]
         assert removed == [
             (27, "1", "ii", "rho-init"), (27, "2", "ii", "rho-init"),
             (27, "3", "ii", "rho-init"), (27, "3", "if", "rho-init"),
@@ -396,7 +398,7 @@ class TestLeftStageScenario:
     def test_left_stage_removal(self):
         tr = left_stage_scenario()
         removed = [(e.stage, e.payload["x"], e.payload["xi"],
-                    e.payload["cause"]) for e in tr.by_kind("qlist-remove")]
+                    e.payload["cause"]) for e in by_kind(tr, "qlist-remove")]
         assert removed == [(11, "1", "if", "left-stage")]
 
     def test_counted_mixture(self):
@@ -548,23 +550,23 @@ class TestDeniedPermission:
         st.follower, st.use, st.decl, st.wants = 0, conv.use, 1, True
         r.xi[(0, 0)] = st
         r._act_xi((0, 0), 3)
-        sel = [e for e in r.trace.by_kind("select")
+        sel = [e for e in by_kind(r.trace, "select")
                if e.payload.get("act") == "denied"]
         assert len(sel) == 1
         assert sel[0].payload["node"] == "ii"
         assert sel[0].payload["by"] == "-"
         assert sel[0].payload["x"] == "0"
-        inits = [e for e in r.trace.by_kind("init")
+        inits = [e for e in by_kind(r.trace, "init")
                  if e.payload["node"] == "ii"]
         assert len(inits) == 1 and inits[0].stage == 3
         # same-stage restart: fresh follower and a use above the refuser
         assert r.xi[(0, 0)].use > conv.use
         assert not r.xi[(0, 0)].wants
-        redecl = [e for e in r.trace.by_kind("declare")
+        redecl = [e for e in by_kind(r.trace, "declare")
                   if e.payload.get("what") == "delta"]
         assert int(redecl[-1].payload["u"]) == r.xi[(0, 0)].use
         assert r._xi_inits[(0, 0)] == [3]
-        assert r.trace.by_kind("enumerate") == []
+        assert by_kind(r.trace, "enumerate") == []
 
     def test_higher_use_is_permitted(self):
         r = self.make_run()
@@ -705,3 +707,23 @@ class TestFaultInjection:
         bad = check_named(tr, "descent-witness")
         assert not bad.passed
         assert bad.witness == 6
+
+    @pytest.mark.parametrize("eid, field, detail", [
+        (16, "l=1", "rho visit i carries foreign fields"),
+        (16, "x=0", "rho visit i carries foreign fields"),
+        (18, "l=0", "xi visit if carries a length"),
+    ])
+    def test_level_discipline_catches_foreign_field(self, eid, field,
+                                                    detail):
+        # events 16 and 18 are the first visits of the rho node "i" and
+        # of the xi node "if"; the witness is the edited visit
+        with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                               "golden-nonlow-alpha.trace")) as fh:
+            text = fh.read()
+        line = {16: "16 3 visit node=i\n",
+                18: "18 3 visit node=if x=1 f=0\n"}[eid]
+        assert line in text
+        tr = RunTrace.from_text(text.replace(line,
+                                             f"{line[:-1]} {field}\n"))
+        bad = check_named(tr, "level-discipline")
+        assert (bad.passed, bad.witness, bad.detail) == (False, eid, detail)

@@ -14,6 +14,8 @@ from injurylab.functional import UseFunctional
 from injurylab import nonlow_low2 as nl
 from injurylab.trace import ConfigError, RunTrace, reduce_summary
 
+from test_golden import run_golden
+
 
 def all_nodes(max_len):
     out = [()]
@@ -375,3 +377,21 @@ class TestFaultInjection:
         bad = check_named(nl.verify_main_lemma_claims(tr), "global-bound")
         assert not bad.passed
         assert bad.witness == hits[0].eid == 3
+
+    def test_diagonalization_catches_agreeing_guess(self):
+        # the golden run checks one settled follower, 4 of "i": it holds
+        # its use (membership 1) against a guess settled at 0 from stage
+        # 6; an opponent whose guess at 4 settles at 1 agrees with it
+        _, tr, psis = run_golden("golden-nonlow-low2")
+        diag = check_named(nl.verify_main_lemma_claims(tr, psis),
+                           "diagonalization")
+        assert (diag.passed, diag.detail) == (True,
+                                              "1 settled followers checked")
+        agreeing = DeltaTwoAdversary("p0", "scripted")
+        agreeing.add_step(4, 5, 1)
+        bad = check_named(
+            nl.verify_main_lemma_claims(tr, {0: agreeing, 1: psis[1]}),
+            "diagonalization")
+        assert (bad.passed, bad.witness, bad.detail) == (
+            False, None, "follower 4 of i: membership 1 equals settled "
+                         "guess 1")

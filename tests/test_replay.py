@@ -7,7 +7,8 @@ import os
 import pytest
 
 from injurylab import low_alpha, nonlow_alpha, nonlow_low2
-from injurylab.cli import build_parser, main
+from injurylab.cli import (build_parser, checks_for, main, replay_of,
+                           report_lines, worst_ratio)
 from injurylab.constructions import CONSTRUCTIONS
 from injurylab.scenario import ScenarioError, load_scenario
 
@@ -107,3 +108,26 @@ def test_registry_names_are_the_accepted_constructions(name):
     except ScenarioError:
         accepted = False
     assert accepted == (name in run_choices()) == (name in CONSTRUCTIONS)
+
+
+class CountingList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_replay_is_the_only_pass_over_the_events(name):
+    # the replay reads each event once; the checks, worst_ratio and the
+    # report lines read only what it derived
+    sc, trace, psis = run_golden(name)
+    trace.events = CountingList(trace.events)
+    replay = replay_of(trace)
+    checks = checks_for(trace, replay, sc, psis)
+    worst_ratio(trace, replay)
+    report_lines(trace, checks, replay)
+    assert trace.events.passes == 1
