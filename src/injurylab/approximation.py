@@ -196,42 +196,8 @@ class BoundedCaAdversary:
             val, mark = v, m
         return val, mark
 
-    def to_trace(self, args, horizon: int) -> ApproxTrace:
-        trace = ApproxTrace(horizon + 1)
-        for x in args:
-            self._sample(x, horizon)
-            for stage, v, m in self.script.get(x, [(0, 0, self.g)]):
-                if stage <= horizon:
-                    trace.record(x, stage, v, m)
-        return trace
-
 
 class ScriptedCaAdversary(BoundedCaAdversary):
     """A budgeted opponent driven only by explicit script steps."""
 
     _scripted = True
-
-
-def make_adversary_suite(seed: int, count: int, mode_mix=None) -> list:
-    """A deterministic list of adversaries; same arguments, same suite.
-
-    ``mode_mix`` is a list of specs cycled over: ``("delta2", mode)`` or
-    ``("bca", g)`` with g a CnfOrdinal bound.
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if mode_mix is None:
-        mode_mix = [("delta2", "stabilizing")]
-    rng = random.Random(seed)
-    out = []
-    for i in range(count):
-        kind, arg = mode_mix[i % len(mode_mix)]
-        child = rng.randrange(2 ** 31)
-        if kind == "delta2":
-            out.append(DeltaTwoAdversary(f"p{i}", mode=arg, seed=child,
-                                         stab=10 + rng.randrange(60)))
-        elif kind == "bca":
-            out.append(BoundedCaAdversary(f"q{i}", g=arg, seed=child))
-        else:
-            raise ValueError(f"unknown adversary kind {kind!r}")
-    return out

@@ -113,6 +113,8 @@ class Generation:
         self.eid = ev.eid
         self.s_def = ev.stage
         self.k = int(payload["k"])
+        if self.k < 0:
+            raise ValueError(f"negative k {self.k}")
         self.members = members
         self.gs = dict(zip(members, gs))
         self.removed = {}  # member -> removal stage

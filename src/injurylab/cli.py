@@ -13,7 +13,7 @@ import sys
 from .constructions import CONSTRUCTIONS, construction
 from .ordinal import format_cnf, parse_cnf
 from .scenario import load_scenario
-from .trace import ConfigError, RunTrace, reduce_summary
+from .trace import ConfigError, RunTrace
 
 
 def digest(trace: RunTrace) -> str:
@@ -24,6 +24,11 @@ def replay_of(trace: RunTrace):
     """The trace's replay, built once and handed to the checks,
     worst_ratio and report_lines."""
     return construction(trace.construction).replay(trace)
+
+
+def reduce_summary(replay) -> dict:
+    """The terminal summary the replay derived from the events."""
+    return replay.summary.entries()
 
 
 def worst_ratio(trace: RunTrace, replay) -> float:
@@ -62,12 +67,12 @@ def cmd_run(args, out) -> int:
             raise ConfigError(f"--alpha: {ex}") from None
     sc.validate()
     trace, psis = sc.execute(seed=args.seed, stages=args.stages)
-    if trace.summary != reduce_summary(trace):
+    replay = replay_of(trace)
+    if trace.summary != reduce_summary(replay):
         raise ConfigError("trace summary does not replay")
     if args.trace:
         with open(args.trace, "w") as fh:
             fh.write(trace.to_text())
-    replay = replay_of(trace)
     checks = checks_for(trace, replay, sc, psis)
     lines = report_lines(trace, checks, replay)
     text = "\n".join(lines) + "\n"
@@ -134,11 +139,10 @@ def cmd_verify_trace(args, out) -> int:
             trace = RunTrace.from_text(fh.read())
     except OSError as ex:
         raise ConfigError(str(ex))
-    replay_cls = construction(trace.construction).replay
-    if trace.summary != reduce_summary(trace):
+    replay = replay_of(trace)
+    if trace.summary != reduce_summary(replay):
         out.write("check self-consistency fail witness ?\n")
         return 1
-    replay = replay_cls(trace)
     checks = checks_for(trace, replay)
     out.write("check self-consistency pass witness ?\n")
     text = "\n".join(report_lines(trace, checks, replay)) + "\n"

@@ -15,7 +15,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .functional import Engine, EnumerableSet, FunctionalRun
-from .trace import CheckResult, ConfigError, RunTrace, payload_error
+from .trace import (CheckResult, ConfigError, RunTrace, Summary,
+                    payload_error)
 from .tree import (FIN, INF, ROOT, StrategyTree, is_prefix, parse_node,
                    render_node)
 
@@ -99,25 +100,15 @@ class Levels:
         """Largest k with (rho, k) in quota(x); 0 when rho is not in it."""
         return x - 1 if self.in_quota(rho, x) else 0
 
-    def rho_nodes_below(self, x: int) -> list:
-        """Every rho node shorter than x: the nodes of quota(x)."""
-        out, layer = [], [ROOT]
-        for level in range(x - 1):
-            layer = [t + (o,) for t in layer for o in self.alphabet(level)]
-            out += [t for t in layer if self.is_rho(t)]
-        return out
-
-    def edge_layer(self, rho: tuple, x: int, universe=None) -> int:
+    def edge_layer(self, rho: tuple, x: int, universe) -> int:
         """Distance to the deepest quota node extending rho-infinity.
 
         The layer of rho is the largest node count of an interval from
         rho-infinity to a quota node above it, among the rho nodes of
-        universe (default: all of them); 0 when none extends rho-infinity.
+        universe; 0 when none extends rho-infinity.
         """
         if not self.in_quota(rho, x):
             raise ValueError(f"node of length {len(rho)} not in quota({x})")
-        if universe is None:
-            universe = self.rho_nodes_below(x)
         best = 0
         probe = rho + (INF,)
         for cand in universe:
@@ -374,8 +365,8 @@ class EtaRhoReplay:
     ``levels.parse``.  An event without a payload key the replay reads,
     the length ``l`` of an eta visit included, or with a value it cannot
     parse, a misspelt node name included, raises ConfigError naming the
-    event.  The replay is the one pass over the events: the checks read
-    only what it derives."""
+    event.  The replay is the one pass over the events: the checks and
+    the terminal summary read only what it derives."""
 
     levels: Levels
     _extra = None
@@ -391,6 +382,7 @@ class EtaRhoReplay:
         self.use_at_pick = {}  # (rho, u) -> (stage, acted_before)
         self.live_uses = uses = {}  # node -> live use
         self.followers = followers = {}  # node -> live follower
+        self.summary = summary = Summary()
         holders, parse = self.levels.holders, self.levels.parse
         period = self.levels.period
         extra = self._extra
@@ -424,6 +416,7 @@ class EtaRhoReplay:
                         foreign = (ev.eid, node)
                     visits += 1
                     continue
+                summary.read(ev.kind, p)
                 if extra is not None:
                     extra(ev, s, p)
                 if ev.kind == "init":

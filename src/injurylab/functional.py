@@ -181,23 +181,3 @@ class UseFunctionalView:
         self.e = fn.e
         self.args = {x: fn.args[x]}
 
-
-def mind_changes(fn: UseFunctional, A: EnumerableSet, x: int, window) -> int:
-    """Count value changes of the computation at x over stages in window."""
-    lo, hi = window
-    if x not in fn.args or lo > hi:
-        return 0
-    run = FunctionalRun(UseFunctionalView(fn, x), A)
-    prev = None
-    count = 0
-    for t in range(hi + 1):
-        run.advance(t)
-        if t < lo:
-            continue
-        r = run.query(x)
-        if r is None:
-            continue
-        if prev is not None and r.value != prev:
-            count += 1
-        prev = r.value
-    return count

@@ -18,7 +18,7 @@ from .budgeted import (Generation, Requirement, check_bound, descent_witness,
                        phi)
 from .functional import Engine, EnumerableSet, FunctionalRun
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import CheckResult, RunTrace, payload_error
+from .trace import CheckResult, RunTrace, Summary, payload_error
 
 
 @lru_cache(maxsize=1024)  # bounded: the names come from trace files
@@ -164,9 +164,9 @@ def run(advs, funs, alpha: Cnf, stages: int, seed: int = 0) -> RunTrace:
 
 
 class _LowReplay:
-    """Verifier view of a trace, rebuilt from the event stream alone.  An
-    event without a payload key the replay reads, or with a value it
-    cannot parse, raises ConfigError naming the event."""
+    """Verifier view of a trace, its summary included, rebuilt from the
+    event stream alone.  An event without a payload key the replay reads,
+    or with a value it cannot parse, raises ConfigError naming the event."""
 
     def __init__(self, trace: RunTrace):
         self.alpha = None
@@ -178,11 +178,12 @@ class _LowReplay:
         self.injuries = []  # (eid, stage, e, x, use)
         self.declares = {}  # q -> [(eid, stage, use, value)]
         self.last_f = {}  # q -> (stage, f)
-        self.followers = {}  # node name -> q, live followers only
         self.phis = []  # (e, value) texts of the watchers' phi-sets
+        self.summary = summary = Summary()
         try:
             for ev in trace.events:
                 p = ev.payload
+                summary.read(ev.kind, p)
                 if ev.kind == "qlist-set":
                     e = int(p["e"])
                     if e in self.budgets:
@@ -206,7 +207,6 @@ class _LowReplay:
                 elif ev.kind == "init":
                     self.inits.setdefault(_level(p["node"]), []).append(
                         ev.stage)
-                    self.followers.pop(p["node"], None)
                 elif ev.kind == "enumerate":
                     self.enums[ev.stage] = (ev.eid, _level(p["node"]),
                                             int(p["element"]),
@@ -219,8 +219,6 @@ class _LowReplay:
                     if p.get("what") == "delta":
                         self.declares.setdefault(q, []).append(
                             (ev.eid, ev.stage, int(p["u"]), int(p["value"])))
-                    elif p.get("what") == "follower":
-                        self.followers[p["node"]] = q
                 elif ev.kind == "visit":
                     self.last_f[_level(p["node"])] = (ev.stage, int(p["f"]))
         except (KeyError, ValueError) as ex:
@@ -319,14 +317,13 @@ def _redeclare(r: _LowReplay) -> CheckResult:
 def _diagonalization(r: _LowReplay) -> CheckResult:
     """Each live follower's last declaration disagrees with the last
     guess seen."""
-    for node, q in sorted(r.followers.items()):
+    live = f"{len(r.summary.follower)} live followers"
+    for q in map(_level, sorted(r.summary.follower)):
         decl = r.declares.get(q, [])
         seen = r.last_f.get(q)
         if not decl or seen is None or decl[-1][3] == seen[1]:
-            return CheckResult("diagonalization", False, q,
-                               f"{len(r.followers)} live followers")
-    return CheckResult("diagonalization", True, None,
-                       f"{len(r.followers)} live followers")
+            return CheckResult("diagonalization", False, q, live)
+    return CheckResult("diagonalization", True, None, live)
 
 
 def worst_ratio(r: _LowReplay) -> float:

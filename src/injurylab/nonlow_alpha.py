@@ -27,8 +27,6 @@ render, parse, is_eta, is_rho, is_xi = (LEVELS.render, LEVELS.parse,
                                         LEVELS.is_eta, LEVELS.is_rho,
                                         LEVELS.is_xi)
 etas_above, level_index = LEVELS.etas_above, LEVELS.level_index
-in_quota, quota_for, edge_layer = (LEVELS.in_quota, LEVELS.quota_for,
-                                   LEVELS.edge_layer)
 
 
 # -- xi quota bookkeeping ----------------------------------------------
@@ -277,8 +275,10 @@ class _CombReplay(EtaRhoReplay):
         elif ev.kind == "qlist-set":
             eta, x = parse(p["eta"]), int(p["x"])
             entry = Generation(ev, p, parse)
-            self.kps[ev.eid] = ([] if p["kps"] == "-" else
-                                [int(t) for t in p["kps"].split(";")])
+            self.kps[ev.eid] = kps = ([] if p["kps"] == "-" else
+                                      [int(t) for t in p["kps"].split(";")])
+            if any(v < 0 for v in kps):
+                raise ValueError(f"negative kps entry in {p['kps']}")
             gen = self.entries.setdefault((eta, x), [])
             if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
                 self.bad_events.append(ev.eid)

@@ -18,12 +18,6 @@ from .tree import FIN
 
 LEVELS = Levels(2)
 render, in_quota, quota_for = LEVELS.render, LEVELS.in_quota, LEVELS.quota_for
-edge_layer, eta_correct = LEVELS.edge_layer, LEVELS.eta_correct
-
-
-def quota(x: int) -> set:
-    """Pairs (rho, k): rho may perform its k-th enumeration against eta(x)."""
-    return {(rho, k) for rho in LEVELS.rho_nodes_below(x) for k in range(1, x)}
 
 
 class NonlowLow2Run(EtaRhoRun):
@@ -53,13 +47,16 @@ class _Replay(EtaRhoReplay):
         self._read(trace)
 
 
+# Stages a follower's guess must stay unchanged, up to the last stage,
+# before diagonalization holds its follower to the guess.
+SETTLE_WINDOW = 10
+
 # Names of the checks verify_main_lemma_claims returns, in order.
 CHECKS = ("quota-soundness", "exhaustion-gate", "trigger-structure",
           "recursion-bound", "global-bound", "diagonalization", "uniformity")
 
 
 def verify_main_lemma_claims(trace: RunTrace, psis: dict | None = None,
-                             settle_window: int = 10,
                              replay: "_Replay | None" = None) -> list:
     """Re-derive the construction's bound claims from a trace.
 
@@ -72,7 +69,7 @@ def verify_main_lemma_claims(trace: RunTrace, psis: dict | None = None,
     return [_quota_soundness(r), _exhaustion_gate(r),
             check_triggers(r, list),
             check_recursion(r, "recursion-bound", list),
-            _global_bound(r), _diagonalization(r, psis, settle_window),
+            _global_bound(r), _diagonalization(r, psis),
             _uniformity(r)]
 
 
@@ -120,7 +117,7 @@ def _global_bound(r: _Replay) -> CheckResult:
     return CheckResult("global-bound", True, None, f"worst ratio {worst:.3g}")
 
 
-def _diagonalization(r: _Replay, psis, settle_window) -> CheckResult:
+def _diagonalization(r: _Replay, psis) -> CheckResult:
     """Settled opponents end up on the losing side."""
     checked = 0
     if psis is not None and r.stages > 0 and r.followers:
@@ -139,7 +136,7 @@ def _diagonalization(r: _Replay, psis, settle_window) -> CheckResult:
             # checked: settled long enough, not initialized since, and
             # passed below at fin on the last stage that passed below
             last, outcome = below.get(rho, (-1, None))
-            if end - settle < settle_window or outcome != FIN \
+            if end - settle < SETTLE_WINDOW or outcome != FIN \
                     or last < settle or r.last_init.get(rho, -1) >= settle:
                 continue
             checked += 1

@@ -1,4 +1,5 @@
-"""Ordinals below epsilon_0 in Cantor normal form, plus notation systems.
+"""Ordinals below epsilon_0 in Cantor normal form, plus the order-type
+omega and omega^2 well-orders built from an approximation's changes.
 
 An ordinal is represented by its list of CNF terms ``w^exponent * coefficient``
 with strictly decreasing exponents (themselves ordinals) and coefficients >= 1.
@@ -133,18 +134,6 @@ def omega_power(exp: Cnf, coeff: int = 1) -> Cnf:
 OMEGA = omega_power(ONE)
 
 
-def validate(a: Cnf) -> bool:
-    """Walk the term structure and re-check the CNF invariant everywhere."""
-    prev = None
-    for exp, coeff in a.terms:
-        if coeff < 1 or not validate(exp):
-            return False
-        if prev is not None and not exp < prev:
-            return False
-        prev = exp
-    return True
-
-
 # -- text grammar ------------------------------------------------------
 #
 #   EXPR  := '0' | TERM ('+' TERM)*
@@ -273,69 +262,6 @@ def _random_tail(exp_bound: Cnf, rng) -> Cnf:
     if rng.random() < 0.7 and (not total or total.terms[-1][0]):
         total = total + nat(rng.randrange(1, 6))
     return total
-
-
-def descending_chain(start: Cnf, length: int, rng) -> list:
-    """A strictly descending chain of ordinals starting at ``start``.
-
-    Stops early when 0 is reached; the chain includes ``start``.
-    """
-    chain = [start]
-    cur = start
-    for _ in range(length - 1):
-        if not cur:
-            break
-        cur = random_cnf_below(cur, rng)
-        chain.append(cur)
-    return chain
-
-
-# -- notation systems --------------------------------------------------
-
-
-class _Epsilon0:
-    """Ceiling marker for order types: above every Cnf, never an operand."""
-
-    def __gt__(self, other):
-        return isinstance(other, Cnf)
-
-    def __ge__(self, other):
-        return isinstance(other, (Cnf, _Epsilon0))
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Epsilon0)
-
-    def __repr__(self):
-        return "epsilon_0"
-
-
-EPSILON_0 = _Epsilon0()
-
-
-class NotationSystem:
-    """A computable well-order with a computable Cantor-normal-form map.
-
-    The canonical system for order type ``alpha`` has the CNF values below
-    ``alpha`` as its elements, compared by CNF comparison, so the normal-form
-    map is the identity.
-    """
-
-    def __init__(self, order_type: Cnf):
-        self.order_type = order_type
-
-    def contains(self, z: Cnf) -> bool:
-        return z < self.order_type
-
-    def less(self, a: Cnf, b: Cnf) -> bool:
-        return a < b
-
-    def normal_form(self, z: Cnf) -> Cnf:
-        if not self.contains(z):
-            raise ValueError(f"{z} is not below {self.order_type}")
-        return z
 
 
 def collapse_to_omega(trace) -> "ChangeOrdering":

@@ -174,6 +174,10 @@ def _parse_adv(sc, parts, lineno):
                            _nat_field(lineno, "stage", row["stage"]),
                            _nat_field(lineno, "value", row["value"]),
                            marker))
+        try:  # the opponent's add_step knows which marker schedules hold
+            decl.build()
+        except ValueError as ex:
+            raise ScenarioError(lineno, str(ex))
         return
     if kind not in ("psi", "f"):
         raise ScenarioError(lineno, f"unknown opponent kind {kind!r}")

@@ -3,8 +3,8 @@
 Events carry a strictly increasing id, a stage, one of a fixed set of
 kinds, and a flat string payload.  The text form is line-oriented and
 canonical, so a cryptographic digest of it is a stable fingerprint of a
-run.  A stateless reducer recomputes the terminal summary from the events
-alone, which gives the self-consistency check.
+run.  A replay re-derives the terminal summary from the events in its one
+pass over them, which gives the self-consistency check.
 """
 
 from __future__ import annotations
@@ -142,32 +142,37 @@ def payload_error(ev: Event, ex: Exception) -> ConfigError:
     return ConfigError(f"event {ev.eid}: bad {ev.kind} payload: {ex}")
 
 
-def reduce_summary(trace: RunTrace) -> dict:
-    """Recompute the terminal summary from the event stream alone."""
-    A = []
-    follower = {}
-    use = {}
-    try:
-        for e in trace.events:
-            p = e.payload
-            if e.kind == "enumerate":
-                A.append(int(p["element"]))
-                use.pop(p["node"], None)
-            elif e.kind == "declare":
-                node = p["node"]
-                if p.get("what") == "follower":
-                    follower[node] = p["y"]
-                else:
-                    use[node] = p["u"]
-            elif e.kind == "init":
-                follower.pop(p["node"], None)
-                use.pop(p["node"], None)
-    except (KeyError, ValueError) as ex:
-        raise payload_error(e, ex) from None
-    out = {"A": ",".join(str(x) for x in sorted(A)) or "-"}
-    for node in sorted(follower):
-        state = follower[node]
-        if node in use:
-            state += ":" + use[node]
-        out[f"node.{node}"] = state
-    return out
+class Summary:
+    """The terminal summary as a replay derives it in its one pass, from
+    the raw payload texts: A from every enumerate, a node's follower from
+    its declare what=follower and its use from any other declare; an
+    enumerate drops the node's use, an init drops both."""
+
+    def __init__(self):
+        self.A = []
+        self.follower = {}  # node text -> live follower text
+        self.use = {}  # node text -> live use text
+
+    def read(self, kind: str, p: dict):
+        if kind == "enumerate":
+            self.A.append(int(p["element"]))
+            self.use.pop(p["node"], None)
+        elif kind == "declare":
+            node = p["node"]
+            if p.get("what") == "follower":
+                self.follower[node] = p["y"]
+            else:
+                self.use[node] = p["u"]
+        elif kind == "init":
+            self.follower.pop(p["node"], None)
+            self.use.pop(p["node"], None)
+
+    def entries(self) -> dict:
+        """The summary as RunTrace.finalize stores it."""
+        out = {"A": ",".join(str(x) for x in sorted(self.A)) or "-"}
+        for node in sorted(self.follower):
+            state = self.follower[node]
+            if node in self.use:
+                state += ":" + self.use[node]
+            out[f"node.{node}"] = state
+        return out

@@ -132,12 +132,10 @@ class StrategyTree:
                 init_cb(cur, s)
             stack.extend(self.children.get(cur, {}).values())
 
-    def initialize_at_or_right(self, node: tuple, s: int, init_cb=None,
-                               include_self: bool = True):
+    def initialize_at_or_right(self, node: tuple, s: int, init_cb=None):
         """Initialize every registered delta >= node and every delta >=_L node."""
         for other in list(self.birth):
-            if left_of(node, other) or (is_prefix(node, other)
-                                        and (include_self or other != node)):
+            if left_of(node, other) or is_prefix(node, other):
                 self.log.record_init(s, other)
                 if init_cb:
                     init_cb(other, s)

@@ -127,7 +127,6 @@ def low2_campaign():
         trace, psis = _low2_seed(seed)
         replay = nonlow_low2._Replay(trace)
         checks = nonlow_low2.verify_main_lemma_claims(trace, psis,
-                                                      settle_window=50,
                                                       replay=replay)
         counts = {}
         for eta in replay.etas():

@@ -10,7 +10,6 @@ from injurylab.approximation import (
     DeltaTwoAdversary,
     ScriptedCaAdversary,
     Violation,
-    make_adversary_suite,
     verify_r_approximation,
 )
 from injurylab.ordinal import (
@@ -164,10 +163,15 @@ def test_delta2_scripted():
 
 
 def test_bca_generated_traces_verify():
+    # the seeded schedule each argument follows out to stage 60
     g = parse_cnf("w*2")
     for seed in range(1000):
         adv = BoundedCaAdversary("q0", g=g, seed=seed)
-        trace = adv.to_trace(range(3), 60)
+        trace = ApproxTrace(61)
+        for x in range(3):
+            adv.value(x, 60)
+            for stage, v, m in adv.script[x]:
+                trace.record(x, stage, v, m)
         assert verify_r_approximation(trace, g + ONE) is None
 
 
@@ -189,22 +193,3 @@ def test_bca_scripted_rejects_bad_schedules():
     with pytest.raises(ValueError):
         bad.add_step(0, 0, 0, OMEGA)  # above the bound
 
-
-def test_suite_deterministic_and_typed():
-    mix = [("delta2", "stabilizing"), ("bca", OMEGA.times_nat(2))]
-    a = make_adversary_suite(7, 3, mix)
-    b = make_adversary_suite(7, 3, mix)
-    assert [type(x).__name__ for x in a] == [
-        "DeltaTwoAdversary", "BoundedCaAdversary", "DeltaTwoAdversary"]
-    assert [x.seed for x in a] == [x.seed for x in b]
-    assert [x.aid for x in a] == ["p0", "q1", "p2"]
-    with pytest.raises(ValueError):
-        make_adversary_suite(1, 0)
-
-
-def test_suite_bca_members_verify():
-    g = OMEGA.times_nat(2)
-    suite = make_adversary_suite(9, 2, [("bca", g)])
-    for adv in suite:
-        trace = adv.to_trace(range(2), 50)
-        assert verify_r_approximation(trace, g + ONE) is None

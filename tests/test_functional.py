@@ -10,7 +10,6 @@ from injurylab.functional import (
     FunctionalRun,
     UseFunctional,
     evaluate,
-    mind_changes,
 )
 
 
@@ -178,20 +177,6 @@ def test_injury_log_matches_sub_use_enumerations():
             if old_use is not None:
                 assert before is not None and before.use == old_use
                 assert any(e < old_use for e in A.events_at(s))
-
-
-def test_mind_changes_counts_injuries():
-    fn = UseFunctional(0)
-    fn.configure(0, first=0, delay=1)
-    A = EnumerableSet()
-    r = evaluate(fn, A, 0, 0)
-    A.add(r.use - 1, 4)
-    r2 = evaluate(fn, A, 0, 10)
-    A.add(r2.use - 1, 12)
-    assert mind_changes(fn, A, 0, (0, 20)) == 2
-    assert mind_changes(fn, A, 0, (0, 3)) == 0
-    assert mind_changes(fn, A, 0, (5, 4)) == 0
-    assert mind_changes(fn, A, 0, (6, 11)) == 0  # value constant inside
 
 
 def test_enumerable_set_invariants():

@@ -10,9 +10,8 @@ import os
 
 import pytest
 
-from injurylab.cli import main
+from injurylab.cli import main, reduce_summary, replay_of
 from injurylab.scenario import load_scenario
-from injurylab.trace import reduce_summary
 
 HERE = os.path.dirname(__file__)
 SCEN = os.path.join(HERE, os.pardir, "scenarios")
@@ -87,7 +86,7 @@ class TestGoldenTraces:
         sc, trace, psis = run_golden(name)
         checks = sc.checks(trace, psis)
         assert checks and all(c.passed for c in checks)
-        assert trace.summary == reduce_summary(trace)
+        assert trace.summary == reduce_summary(replay_of(trace))
 
     @pytest.mark.parametrize("name", NAMES)
     def test_verify_trace_accepts_fixture(self, name):

@@ -5,14 +5,38 @@ import os
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from injurylab.cli import digest, main
+from injurylab.cli import digest, main, reduce_summary, replay_of
 from injurylab.ordinal import nat, omega_power
 from injurylab.scenario import ScenarioError, load_scenario
-from injurylab.trace import RunTrace, reduce_summary
 
 HERE = os.path.dirname(__file__)
 SCEN = os.path.join(HERE, os.pardir, "scenarios")
+
+
+def set_payload(line, **values):
+    """A trace line with the given payload values put in place."""
+    for key, value in values.items():
+        line = re.sub(rf"(?<= ){key}=\S*", f"{key}={value}", line)
+    return line
+
+
+def fixture_lines(name):
+    with open(os.path.join(HERE, "fixtures", name + ".trace")) as fh:
+        return fh.read().splitlines()
+
+
+GOLDEN = {name: fixture_lines(name) for name in (
+    "golden-nonlow-low2", "golden-low-alpha", "golden-nonlow-alpha")}
+
+
+def edited(name, lineno, **values):
+    """The text of a golden trace with payload values set on one line."""
+    lines = list(GOLDEN[name])
+    lines[lineno - 1] = set_payload(lines[lineno - 1], **values)
+    return "\n".join(lines) + "\n"
+
 
 LOW2_TEXT = """\
 # comments and blank lines are fine
@@ -158,7 +182,7 @@ class TestExecute:
     def test_runs_and_replays(self, text):
         sc = load_scenario(text)
         trace, psis = sc.execute()
-        assert trace.summary == reduce_summary(trace)
+        assert trace.summary == reduce_summary(replay_of(trace))
         checks = sc.checks(trace, psis)
         assert checks and all(c.passed for c in checks)
 
@@ -409,6 +433,36 @@ class TestCli:
         assert (code, out) == (2, f"error event {eid}: bad qlist-set "
                                   f"payload: 1 members but 0 budgets\n")
 
+    @pytest.mark.parametrize("name, lineno, values, why", [
+        ("golden-low-alpha", 9, {"k": -5}, "negative k -5"),
+        ("golden-nonlow-alpha", 41, {"k": -5, "kps": -5}, "negative k -5"),
+        ("golden-nonlow-alpha", 41, {"kps": -5},
+         "negative kps entry in -5"),
+    ])
+    def test_verify_trace_rejects_negative_tolerance(self, tmp_path, name,
+                                                     lineno, values, why):
+        tr = tmp_path / "t.trace"
+        tr.write_text(edited(name, lineno, **values))
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, out) == (2, f"error event {lineno - 2}: bad qlist-set "
+                                  f"payload: {why}\n")
+
+    @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
+    @pytest.mark.parametrize("old, new, where", [
+        ("stage 9 value 0 marker 2", "stage 9 value 0 marker 5",
+         "line 9: marker schedule must descend at arg 0"),
+        ("stage 0 value 0 marker w\n", "stage 0 value 0 marker w^2\n",
+         "line 7: initial marker exceeds the bound"),
+    ])
+    def test_bad_marker_schedule_exits_2(self, tmp_path, verb, old, new,
+                                         where):
+        with open(os.path.join(SCEN, "golden-low-alpha.txt")) as fh:
+            text = fh.read()
+        assert old in text
+        path = self.scenario_path(tmp_path, text.replace(old, new))
+        code, out = self.run_cli(verb[:1] + ["--scenario", path] + verb[1:])
+        assert (code, out) == (2, f"error {where}\n")
+
     @pytest.mark.parametrize("name, eid", [("golden-nonlow-low2", 0),
                                            ("golden-nonlow-alpha", 1)])
     def test_verify_trace_rejects_eta_visit_without_length(self, tmp_path,
@@ -453,3 +507,48 @@ class TestShippedScenarios:
         code = main(["run", "--scenario", os.path.join(SCEN, name)], out)
         assert code == 0
         assert " fail " not in out.getvalue()
+
+
+# -- crash property ----------------------------------------------------
+
+
+@st.composite
+def mutated_goldens(draw):
+    """A golden trace after one to three line edits: a line dropped,
+    duplicated or swapped with the next, or one payload value set to -5,
+    x or the empty string."""
+    lines = list(GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))])
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "set")))
+        if op == "set":
+            i = draw(st.sampled_from([j for j, ln in enumerate(lines)
+                                      if "=" in ln]))
+            key = draw(st.sampled_from(re.findall(r"(?<= )(\w+)=",
+                                                  lines[i])))
+            value = draw(st.sampled_from(("-5", "x", "")))
+            lines[i] = set_payload(lines[i], **{key: value})
+            continue
+        i = draw(st.integers(0, len(lines) - 2))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "t.trace"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=mutated_goldens())
+@example(text=edited("golden-low-alpha", 9, k=-5))
+@example(text=edited("golden-nonlow-alpha", 41, k=-5, kps=-5))
+def test_verify_trace_survives_mutated_goldens(trace_file, text):
+    # a verdict, a failed check or a located error; never a traceback
+    trace_file.write_text(text)
+    code = main(["verify-trace", "--trace", str(trace_file)], io.StringIO())
+    assert code in (0, 1, 2)

@@ -9,8 +9,10 @@ import injurylab.low_alpha as la
 from injurylab.approximation import ScriptedCaAdversary
 from injurylab.budgeted import descent_witness, phi
 from injurylab.functional import UseFunctional
-from injurylab.ordinal import descending_chain, format_cnf, nat, omega_power, parse_cnf
-from injurylab.trace import ConfigError, RunTrace, reduce_summary
+from injurylab.ordinal import (format_cnf, nat, omega_power, parse_cnf,
+                               random_cnf_below)
+from injurylab.cli import reduce_summary, replay_of
+from injurylab.trace import ConfigError, RunTrace
 
 from test_golden import by_kind
 
@@ -111,7 +113,7 @@ class TestRunBasics:
         assert one == two.to_text()
         back = RunTrace.from_text(one)
         assert back.to_text() == one
-        assert two.summary == reduce_summary(two)
+        assert two.summary == reduce_summary(replay_of(two))
 
 
 def denial_setup(stages=14):
@@ -270,6 +272,15 @@ class TestVerifier:
         assert not checks["redeclare"].passed
 
 
+def descending_chain(start, length, rng):
+    """A strictly descending chain of at most length ordinals from start,
+    stopping at 0."""
+    chain = [start]
+    while len(chain) < length and chain[-1]:
+        chain.append(random_cnf_below(chain[-1], rng))
+    return chain
+
+
 def stress(seed, stages=40, levels=3):
     rng = random.Random(seed)
     advs = []
@@ -371,6 +382,20 @@ class TestFaultInjection:
         bad = check_named(mutated(golden_trace(), edit), "descent-witness")
         assert not bad.passed
         assert bad.witness == 9
+
+    def test_mind_change_cap_catches_excess(self):
+        # a budget of g = 1 under k = 0 (phi-set 1) caps watcher 0 at one
+        # own injury; the golden run injures it at stages 5 and 9
+        def edit(ev):
+            p = dict(ev.payload)
+            if ev.eid == 7:
+                p.update(k="0", gs="1")
+            elif ev.eid == 8:
+                p["value"] = "1"
+            return [(ev.stage, ev.kind, p)]
+        bad = check_named(mutated(golden_trace(), edit), "mind-change-cap")
+        assert not bad.passed
+        assert (bad.witness, bad.detail) == (0, "1 finite budgets")
 
     def test_diagonalization_catches_agreeing_declaration(self):
         # q0 last declares delta = 1 (event 26) and last sees f = 0; a

@@ -18,7 +18,8 @@ from injurylab.functional import UseFunctional
 from injurylab import nonlow_alpha as na
 from injurylab.nonlow_low2 import injury_bound
 from injurylab.ordinal import Cnf, format_cnf, nat, omega_power, parse_cnf
-from injurylab.trace import ConfigError, RunTrace, reduce_summary
+from injurylab.cli import reduce_summary, replay_of
+from injurylab.trace import ConfigError, RunTrace
 
 from test_golden import by_kind
 from injurylab.tree import parse_node
@@ -58,25 +59,25 @@ class TestLevelGeometry:
     def test_in_quota(self):
         # guessing nodes sit at levels 1 mod 3 and owe x - 1 acts once
         # x reaches 2 and exceeds their depth
-        assert not na.in_quota((0,), 0)
-        assert not na.in_quota((0,), 1)
-        assert na.in_quota((0,), 2)
-        assert na.in_quota((1,), 5)
-        assert not na.in_quota((0, 0), 2)  # xi level
-        assert not na.in_quota((0, 0, 0, 0), 3)  # too deep
-        assert na.in_quota((0, 0, 0, 0), 5)
+        assert not na.LEVELS.in_quota((0,), 0)
+        assert not na.LEVELS.in_quota((0,), 1)
+        assert na.LEVELS.in_quota((0,), 2)
+        assert na.LEVELS.in_quota((1,), 5)
+        assert not na.LEVELS.in_quota((0, 0), 2)  # xi level
+        assert not na.LEVELS.in_quota((0, 0, 0, 0), 3)  # too deep
+        assert na.LEVELS.in_quota((0, 0, 0, 0), 5)
 
     def test_quota_for(self):
         for x in range(7):
             for node in all_nodes(5):
-                expected = x - 1 if na.in_quota(node, x) else 0
-                assert na.quota_for(node, x) == expected
+                expected = x - 1 if na.LEVELS.in_quota(node, x) else 0
+                assert na.LEVELS.quota_for(node, x) == expected
 
     def test_edge_layer_orders_by_depth(self):
         universe = [(0,), (1,), (0, 0, 0, 0)]
-        assert na.edge_layer((0, 0, 0, 0), 5, universe) == 0
-        assert na.edge_layer((0,), 5, universe) == 3
-        assert na.edge_layer((1,), 5, universe) == 0
+        assert na.LEVELS.edge_layer((0, 0, 0, 0), 5, universe) == 0
+        assert na.LEVELS.edge_layer((0,), 5, universe) == 3
+        assert na.LEVELS.edge_layer((1,), 5, universe) == 0
 
 
 class TestKPrime:
@@ -350,7 +351,7 @@ class TestMixedScenario:
 
     def test_summary_and_round_trip(self):
         tr = mixed_scenario()
-        assert tr.summary == reduce_summary(tr)
+        assert tr.summary == reduce_summary(replay_of(tr))
         assert tr.summary["A"] == "6,20"
         text = tr.to_text()
         assert RunTrace.from_text(text).to_text() == text
@@ -594,7 +595,7 @@ class TestStress:
                         ALPHA, 40)
             for check in na.verify_combined_bounds(tr):
                 assert check.passed, f"seed {seed}: {check.line()}"
-            assert tr.summary == reduce_summary(tr)
+            assert tr.summary == reduce_summary(replay_of(tr))
             r = na._CombReplay(tr)
             counted += sum(len(r.counted_injuries(eta)) for eta in r.etas())
         assert counted >= 10

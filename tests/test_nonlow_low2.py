@@ -12,7 +12,8 @@ import pytest
 from injurylab.approximation import DeltaTwoAdversary
 from injurylab.functional import UseFunctional
 from injurylab import nonlow_low2 as nl
-from injurylab.trace import ConfigError, RunTrace, reduce_summary
+from injurylab.cli import reduce_summary, replay_of
+from injurylab.trace import ConfigError, RunTrace
 
 from test_golden import run_golden
 
@@ -35,21 +36,6 @@ def quota_oracle(x):
 
 
 class TestQuota:
-    def test_empty_below_two(self):
-        assert nl.quota(0) == set()
-        assert nl.quota(1) == set()
-
-    def test_two(self):
-        assert nl.quota(2) == {((0,), 1), ((1,), 1)}
-
-    def test_matches_oracle(self):
-        for x in range(7):
-            assert nl.quota(x) == quota_oracle(x)
-
-    def test_monotone(self):
-        for x in range(6):
-            assert nl.quota(x) <= nl.quota(x + 1)
-
     def test_quota_for(self):
         for x in range(7):
             for node in all_nodes(6):
@@ -76,6 +62,11 @@ class TestInjuryBound:
             assert nl.injury_bound(x) == (x + 1) ** 2 * 4 ** ((x + 1) ** 2)
 
 
+def quota_nodes(x):
+    """The rho nodes of quota(x), the universe of its edge layers."""
+    return sorted({node for node, _ in quota_oracle(x)})
+
+
 def edge_layer_oracle(rho, x):
     """Count interval nodes from rho-infinity up to each quota node."""
     best = 0
@@ -90,45 +81,49 @@ def edge_layer_oracle(rho, x):
 class TestEdgeLayer:
     def test_not_in_quota(self):
         with pytest.raises(ValueError):
-            nl.edge_layer((), 4)
+            nl.LEVELS.edge_layer((), 4, quota_nodes(4))
         with pytest.raises(ValueError):
-            nl.edge_layer((0,), 1)
+            nl.LEVELS.edge_layer((0,), 1, quota_nodes(1))
 
     def test_maximal_length_is_zero(self):
-        assert nl.edge_layer((0, 1, 0), 4) == 0
+        assert nl.LEVELS.edge_layer((0, 1, 0), 4, quota_nodes(4)) == 0
 
     def test_x_four_exhaustive(self):
-        for rho, _ in quota_oracle(4):
-            assert nl.edge_layer(rho, 4) == edge_layer_oracle(rho, 4)
-        assert nl.edge_layer((0,), 4) == 2
+        universe = quota_nodes(4)
+        for rho in universe:
+            assert nl.LEVELS.edge_layer(rho, 4, universe) \
+                == edge_layer_oracle(rho, 4)
+        assert nl.LEVELS.edge_layer((0,), 4, universe) == 2
 
     def test_deeper_means_smaller(self):
         x = 6
-        for rho, _ in quota_oracle(x):
-            for ext, _ in quota_oracle(x):
+        universe = quota_nodes(x)
+        for rho in universe:
+            for ext in universe:
                 if ext[:len(rho) + 1] == rho + (0,):
-                    assert nl.edge_layer(ext, x) < nl.edge_layer(rho, x)
+                    assert nl.LEVELS.edge_layer(ext, x, universe) \
+                        < nl.LEVELS.edge_layer(rho, x, universe)
 
 
 class TestEtaCorrect:
     def test_vacuous(self):
-        assert nl.eta_correct(3, (0, 0), {}, 9)
+        assert nl.LEVELS.eta_correct(3, (0, 0), {}, 9)
 
     def test_low_use_fails(self):
-        assert not nl.eta_correct(0, (0,), {(0,): 5}, 9)
+        assert not nl.LEVELS.eta_correct(0, (0,), {(0,): 5}, 9)
 
     def test_repick_clears(self):
         uses = {(0,): 5}
-        assert not nl.eta_correct(0, (0, 0, 0), uses, 9)
+        assert not nl.LEVELS.eta_correct(0, (0, 0, 0), uses, 9)
         uses[(0,)] = 20
-        assert nl.eta_correct(0, (0, 0, 0), uses, 9)
+        assert nl.LEVELS.eta_correct(0, (0, 0, 0), uses, 9)
 
     def test_divergent_errors(self):
         with pytest.raises(ValueError):
-            nl.eta_correct(0, (0,), {}, None)
+            nl.LEVELS.eta_correct(0, (0,), {}, None)
 
     def test_fin_prefixes_irrelevant(self):
-        assert nl.eta_correct(0, (0, 1, 0, 1, 0), {(0, 1, 0): 1}, 9)
+        assert nl.LEVELS.eta_correct(0, (0, 1, 0, 1, 0), {(0, 1, 0): 1}, 9)
 
 
 def scripted(aid="p"):
@@ -189,7 +184,7 @@ class TestRunBasics:
         for x in range(5):
             fn.configure(x, first=2 * x + 1, delay=1)
         tr = nl.run({0: psi}, {0: fn}, 40)
-        assert tr.summary == reduce_summary(tr)
+        assert tr.summary == reduce_summary(replay_of(tr))
 
     def test_deterministic_and_round_trips(self):
         def make():
@@ -339,6 +334,22 @@ class TestFaultInjection:
         bad = check_named(nl.verify_main_lemma_claims(tr), "recursion-bound")
         assert not bad.passed
         assert bad.witness == first.eid == 3
+
+    def test_exhaustion_gate_catches_pick_while_holding(self):
+        # the quota of "i" from x = 0 is empty, so it may pick only while
+        # correct; at stage 2 it picks again while its use 3 sits below
+        # the use 9 of the computation at 0
+        tr = RunTrace("nonlow-low2", 3)
+        tr.emit(0, "inject-converge", e=0, x=0, use=9, value=0)
+        for s in (1, 2):
+            tr.emit(s, "visit", node="-", l=1)
+            tr.emit(s, "visit", node="i")
+            pick = tr.emit(s, "declare", node="i", what="gamma", y=1,
+                           u=2 + s, act="pick")
+        tr.finalize({"A": "-", "node.i": "1:4"})
+        bad = check_named(nl.verify_main_lemma_claims(tr), "exhaustion-gate")
+        assert not bad.passed
+        assert bad.witness == pick.eid == 6
 
     def test_trigger_structure_catches_foreign_trigger(self):
         # "i" picks use 3 after its quota from x = 0 (which is empty) is

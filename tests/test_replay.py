@@ -1,5 +1,7 @@
 """One replay per verdict: the command builds each trace's replay once and
-every consumer reads it, with the same verdicts as a fresh replay."""
+every consumer reads it, with the same verdicts as a fresh replay.  The
+replay is also the one reader of the events: it derives the terminal
+summary that the self-consistency check compares."""
 
 import io
 import os
@@ -7,10 +9,11 @@ import os
 import pytest
 
 from injurylab import low_alpha, nonlow_alpha, nonlow_low2
-from injurylab.cli import (build_parser, checks_for, main, replay_of,
-                           report_lines, worst_ratio)
+from injurylab.cli import (build_parser, checks_for, main, reduce_summary,
+                           replay_of, report_lines, worst_ratio)
 from injurylab.constructions import CONSTRUCTIONS
 from injurylab.scenario import ScenarioError, load_scenario
+from injurylab.trace import ConfigError, RunTrace, payload_error
 
 from test_golden import FIX, NAMES, SCEN, run_golden
 
@@ -131,3 +134,143 @@ def test_replay_is_the_only_pass_over_the_events(name):
     worst_ratio(trace, replay)
     report_lines(trace, checks, replay)
     assert trace.events.passes == 1
+
+
+def count_passes(monkeypatch):
+    """List that grows by each RunTrace made from now on, its events kept
+    in a CountingList."""
+    made = []
+    init = RunTrace.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.events = CountingList()
+        made.append(self)
+    monkeypatch.setattr(RunTrace, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_verify_trace_reads_the_events_once(monkeypatch, name):
+    made = count_passes(monkeypatch)
+    code, text = run_cli(["verify-trace", "--trace",
+                          os.path.join(FIX, name + ".trace")])
+    assert code == 0, text
+    assert [t.events.passes for t in made] == [1]
+
+
+@pytest.mark.parametrize("construction", sorted(SHIPPED))
+def test_run_reads_the_events_once(monkeypatch, construction):
+    made = count_passes(monkeypatch)
+    code, text = run_cli(["run", "--scenario",
+                          os.path.join(SCEN, SHIPPED[construction])])
+    assert code == 0, text
+    assert [t.events.passes for t in made] == [1]
+
+
+@pytest.mark.parametrize("construction", sorted(SHIPPED))
+def test_campaign_reads_the_events_twice_per_seed(monkeypatch,
+                                                  construction):
+    # the replay, then the text form the digest hashes
+    made = count_passes(monkeypatch)
+    code, text = run_cli(["campaign", "--scenario",
+                          os.path.join(SCEN, SHIPPED[construction]),
+                          "--seeds", "2", "--stages", "40"])
+    assert code == 0, text
+    assert [t.events.passes for t in made] == [2, 2]
+
+
+# -- the replay-derived summary against the stateless reducer ----------
+
+
+def oracle_summary(trace: RunTrace) -> dict:
+    """The terminal summary recomputed by a loop of its own over the
+    events: the reducer that verify-trace and run once called beside the
+    replay."""
+    A = []
+    follower = {}
+    use = {}
+    try:
+        for e in trace.events:
+            p = e.payload
+            if e.kind == "enumerate":
+                A.append(int(p["element"]))
+                use.pop(p["node"], None)
+            elif e.kind == "declare":
+                node = p["node"]
+                if p.get("what") == "follower":
+                    follower[node] = p["y"]
+                else:
+                    use[node] = p["u"]
+            elif e.kind == "init":
+                follower.pop(p["node"], None)
+                use.pop(p["node"], None)
+    except (KeyError, ValueError) as ex:
+        raise payload_error(e, ex) from None
+    out = {"A": ",".join(str(x) for x in sorted(A)) or "-"}
+    for node in sorted(follower):
+        state = follower[node]
+        if node in use:
+            state += ":" + use[node]
+        out[f"node.{node}"] = state
+    return out
+
+
+def summary_or_error(derive, trace):
+    try:
+        return derive(trace)
+    except ConfigError as ex:
+        return f"error {ex}"
+
+
+def assert_replay_matches_oracle(trace):
+    expected = summary_or_error(oracle_summary, trace)
+    got = summary_or_error(lambda t: reduce_summary(replay_of(t)), trace)
+    assert got == expected
+
+
+def golden(name, edit=None):
+    """The parsed golden trace; edit(lines) may change its text first."""
+    with open(os.path.join(FIX, name + ".trace")) as fh:
+        lines = fh.read().splitlines()
+    if edit is not None:
+        edit(lines)
+    return RunTrace.from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_replay_summary_matches_oracle_with_a_line_dropped(name):
+    trace = golden(name)
+    assert reduce_summary(replay_of(trace)) == oracle_summary(trace) \
+        == trace.summary
+    events = list(trace.events)
+    dropped = 0
+    for i, ev in enumerate(events):
+        if ev.kind in ("enumerate", "declare", "init"):
+            trace.events = events[:i] + events[i + 1:]
+            assert_replay_matches_oracle(trace)
+            dropped += 1
+    assert dropped
+
+
+def test_replay_summary_keeps_the_follower_text():
+    # line 93 of the low2 golden declares the live follower y=20
+    def edit(lines):
+        assert lines[92].endswith("declare node=f what=follower y=20")
+        lines[92] = lines[92].replace("y=20", "y=020")
+    trace = golden("golden-nonlow-low2", edit)
+    assert oracle_summary(trace)["node.f"] == "020:22"
+    assert_replay_matches_oracle(trace)
+
+
+@pytest.mark.parametrize("name", ["golden-nonlow-low2",
+                                  "golden-nonlow-alpha"])
+def test_replay_summary_wants_the_use_of_a_fin_declare(name):
+    def edit(lines):
+        i = next(i for i, ln in enumerate(lines) if ln.endswith(" act=fin"))
+        lines[i] = " ".join(t for t in lines[i].split()
+                            if not t.startswith("u="))
+    trace = golden(name, edit)
+    with pytest.raises(ConfigError, match="without payload key 'u'"):
+        oracle_summary(trace)
+    assert_replay_matches_oracle(trace)
