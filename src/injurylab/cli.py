@@ -39,13 +39,13 @@ def worst_ratio(trace: RunTrace, replay) -> float:
 
 def report_lines(trace: RunTrace, checks, replay) -> list:
     return [c.line() for c in checks] + \
-        construction(trace.construction).extras(trace, replay)
+        construction(trace.construction).extras(replay)
 
 
 def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
     if sc is not None:
-        return sc.checks(trace, psis, replay)
-    return construction(trace.construction).verify(trace, psis, replay)
+        return sc.checks(psis, replay)
+    return construction(trace.construction).verify(psis, replay)
 
 
 def _load(path: str):

@@ -10,11 +10,11 @@ from .trace import ConfigError
 class Construction(NamedTuple):
     run: Callable          # (psis, fs, funs, alpha, stages, seed) -> RunTrace
     replay: type           # built once per trace, shared by every consumer
-    verify: Callable       # (trace, psis, replay) -> [CheckResult]
+    verify: Callable       # (psis, replay) -> [CheckResult]
     checks: tuple          # names of the checks verify returns, in order
     needs_alpha: bool      # whether a scenario must name the bound alpha
     worst_ratio: Callable  # replay -> largest injuries / ceiling
-    extras: Callable       # (trace, replay) -> report lines after the checks
+    extras: Callable       # replay -> report lines after the checks
 
 
 # The entries call run and the verifiers through their modules at call
@@ -24,24 +24,22 @@ CONSTRUCTIONS = {
         lambda psis, fs, funs, alpha, stages, seed:
             nonlow_low2.run(psis, funs, stages, seed),
         nonlow_low2._Replay,
-        lambda trace, psis, replay:
-            nonlow_low2.verify_main_lemma_claims(trace, psis, replay=replay),
+        lambda psis, replay:
+            nonlow_low2.verify_main_lemma_claims(psis, replay),
         nonlow_low2.CHECKS, False, etarho.worst_ratio,
-        lambda trace, replay: []),
+        lambda replay: []),
     "low-alpha": Construction(
         lambda psis, fs, funs, alpha, stages, seed: low_alpha.run(
             [fs[e] for e in sorted(fs)], [funs[e] for e in sorted(funs)],
             alpha, stages, seed),
         low_alpha._LowReplay,
-        lambda trace, psis, replay:
-            low_alpha.verify_lowness_budget(trace, replay),
+        lambda psis, replay: low_alpha.verify_lowness_budget(replay),
         low_alpha.CHECKS, True, low_alpha.worst_ratio, low_alpha.phi_lines),
     "nonlow-alpha": Construction(
         lambda psis, fs, funs, alpha, stages, seed:
             nonlow_alpha.run(psis, fs, funs, alpha, stages, seed),
         nonlow_alpha._CombReplay,
-        lambda trace, psis, replay:
-            nonlow_alpha.verify_combined_bounds(trace, replay),
+        lambda psis, replay: nonlow_alpha.verify_combined_bounds(replay),
         nonlow_alpha.CHECKS, True, etarho.worst_ratio,
         nonlow_alpha.bound_table),
 }

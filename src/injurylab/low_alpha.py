@@ -245,16 +245,14 @@ CHECKS = ("quota-list-structure", "budget-formula", "injury-gate",
           "diagonalization")
 
 
-def verify_lowness_budget(trace: RunTrace,
-                          replay: "_LowReplay | None" = None) -> list:
-    """Re-derive every watcher's injury bound from the trace alone.
-
-    A caller that already replayed the trace passes that replay in."""
-    r = replay if replay is not None else _LowReplay(trace)
-    watchers = sorted(r.budgets.items())
-    return [_quota_list_structure(r), _budget_formula(r, watchers),
-            _injury_gate(r, watchers), _mind_change_cap(r, watchers),
-            _descent(r, watchers), _redeclare(r), _diagonalization(r)]
+def verify_lowness_budget(replay: _LowReplay) -> list:
+    """Re-derive every watcher's injury bound from the trace's replay."""
+    watchers = sorted(replay.budgets.items())
+    return [_quota_list_structure(replay),
+            _budget_formula(replay, watchers),
+            _injury_gate(replay, watchers),
+            _mind_change_cap(replay, watchers), _descent(replay, watchers),
+            _redeclare(replay), _diagonalization(replay)]
 
 
 def _quota_list_structure(r: _LowReplay) -> CheckResult:
@@ -336,7 +334,6 @@ def worst_ratio(r: _LowReplay) -> float:
     return worst
 
 
-def phi_lines(trace: RunTrace, replay: "_LowReplay | None" = None) -> list:
+def phi_lines(replay: _LowReplay) -> list:
     """Report lines naming each watcher's ordinal budget, in trace order."""
-    r = replay if replay is not None else _LowReplay(trace)
-    return [f"phi e={e} value={value}" for e, value in r.phis]
+    return [f"phi e={e} value={value}" for e, value in replay.phis]

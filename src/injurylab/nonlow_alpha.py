@@ -316,16 +316,14 @@ CHECKS = ("level-discipline", "xi-permission-scope", "qlist-structure",
           "trigger-structure", "mind-change-cap")
 
 
-def verify_combined_bounds(trace: RunTrace,
-                           replay: "_CombReplay | None" = None) -> list:
-    """Re-derive the combined construction's bound claims from a trace.
-
-    A caller that already replayed the trace passes that replay in."""
-    r = replay if replay is not None else _CombReplay(trace)
-    return [_level_discipline(r), _xi_permission_scope(r),
-            _qlist_structure(r), _xi_injury_gate(r), _descent_witness(r),
-            check_recursion(r, "rho-recursion", sorted),
-            check_triggers(r, sorted), _mind_change_cap(r)]
+def verify_combined_bounds(replay: _CombReplay) -> list:
+    """Re-derive the combined construction's bound claims from the
+    trace's replay."""
+    return [_level_discipline(replay), _xi_permission_scope(replay),
+            _qlist_structure(replay), _xi_injury_gate(replay),
+            _descent_witness(replay),
+            check_recursion(replay, "rho-recursion", sorted),
+            check_triggers(replay, sorted), _mind_change_cap(replay)]
 
 
 def _level_discipline(r: _CombReplay) -> CheckResult:
@@ -430,13 +428,11 @@ def _mind_change_cap(r: _CombReplay) -> CheckResult:
     return CheckResult("mind-change-cap", True, None, f"{capped} finite caps")
 
 
-def bound_table(trace: RunTrace,
-                replay: "_CombReplay | None" = None) -> list:
+def bound_table(replay: _CombReplay) -> list:
     """One line per (eta, x) quota list: the ordinal xi budget and the
     closed-form rho ceiling."""
-    r = replay if replay is not None else _CombReplay(trace)
     lines = []
-    for (eta, x), gen in sorted(r.entries.items()):
+    for (eta, x), gen in sorted(replay.entries.items()):
         entry = gen[-1]
         if entry.value is None:
             continue

@@ -56,21 +56,18 @@ CHECKS = ("quota-soundness", "exhaustion-gate", "trigger-structure",
           "recursion-bound", "global-bound", "diagonalization", "uniformity")
 
 
-def verify_main_lemma_claims(trace: RunTrace, psis: dict | None = None,
-                             replay: "_Replay | None" = None) -> list:
-    """Re-derive the construction's bound claims from a trace.
+def verify_main_lemma_claims(psis: dict | None, replay: _Replay) -> list:
+    """Re-derive the construction's bound claims from the trace's replay.
 
     Returns CheckResult entries for quota soundness, the exhaustion gate,
     trigger structure, the per-node recursion bound, the global injury
-    bound, diagonalization, and bound uniformity.  A caller that already
-    replayed the trace passes that replay in.
+    bound, diagonalization, and bound uniformity.
     """
-    r = replay if replay is not None else _Replay(trace)
-    return [_quota_soundness(r), _exhaustion_gate(r),
-            check_triggers(r, list),
-            check_recursion(r, "recursion-bound", list),
-            _global_bound(r), _diagonalization(r, psis),
-            _uniformity(r)]
+    return [_quota_soundness(replay), _exhaustion_gate(replay),
+            check_triggers(replay, list),
+            check_recursion(replay, "recursion-bound", list),
+            _global_bound(replay), _diagonalization(replay, psis),
+            _uniformity(replay)]
 
 
 def _quota_soundness(r: _Replay) -> CheckResult:

@@ -101,10 +101,10 @@ class Scenario:
             psis, fs, funs, self.alpha, stages, seed)
         return trace, psis
 
-    def checks(self, trace, psis=None, replay=None):
-        """Run the construction's verifier, honoring the toggles.  A
-        caller that already replayed the trace passes that replay in."""
-        out = construction(self.construction).verify(trace, psis, replay)
+    def checks(self, psis, replay):
+        """Run the construction's verifier on the trace's replay, honoring
+        the toggles."""
+        out = construction(self.construction).verify(psis, replay)
         return [c for c in out if self.verify.get(c.name, True)]
 
     def validate(self):

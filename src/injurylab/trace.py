@@ -1,7 +1,11 @@
 """Run traces: ordered event streams with a terminal summary.
 
 Events carry a strictly increasing id, a stage, one of a fixed set of
-kinds, and a flat string payload.  The text form is line-oriented and
+kinds, and a flat string payload.  Payloads are interned per trace: all
+events of one trace with the same kind and payload text share one
+read-only payload, which carries its rendered line tail, so emitting,
+writing and parsing a trace build and render each distinct payload once.
+No table outlives its trace.  The text form is line-oriented and
 canonical, so a cryptographic digest of it is a stable fingerprint of a
 run.  A replay re-derives the terminal summary from the events in its one
 pass over them, which gives the self-consistency check.
@@ -39,6 +43,25 @@ EVENT_KINDS = frozenset({
 })
 
 
+class Payload(dict):
+    """A read-only event payload: string keys to string values, with its
+    rendered line tail ``kind k=v ...``.  A trace shares one payload among
+    all of its events of the same kind and text, so no payload may change
+    after it is built, or its cached tail would go stale."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, kind: str, items):
+        super().__init__(items)
+        self.tail = " ".join([kind] + [f"{k}={v}" for k, v in self.items()])
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("event payloads are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+
 class Event:
     __slots__ = ("eid", "stage", "kind", "payload")
 
@@ -51,11 +74,6 @@ class Event:
     def __repr__(self):
         return f"Event({self.eid}, {self.stage}, {self.kind}, {self.payload})"
 
-    def line(self) -> str:
-        parts = [str(self.eid), str(self.stage), self.kind]
-        parts += [f"{k}={v}" for k, v in self.payload.items()]
-        return " ".join(parts)
-
 
 class RunTrace:
     def __init__(self, construction: str = "", stages: int = 0):
@@ -63,13 +81,24 @@ class RunTrace:
         self.stages = stages
         self.events = []
         self.summary = {}
+        # (kind, keys, value texts) -> the one payload of that kind and text
+        self._payloads = {}
 
     def emit(self, stage: int, kind: str, **payload) -> Event:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        ev = Event(len(self.events), stage, kind, {
-            k: str(v) for k, v in payload.items()})
-        self.events.append(ev)
+        # keyed by the value texts, not the values, so values that compare
+        # equal but render differently (True and 1, 1 and 1.0) never share
+        # a payload
+        key = (kind, *payload, *map(str, payload.values()))
+        try:
+            shared = self._payloads[key]
+        except KeyError:
+            if kind not in EVENT_KINDS:
+                raise ValueError(f"unknown event kind {kind!r}") from None
+            shared = self._payloads[key] = Payload(
+                kind, [(k, str(v)) for k, v in payload.items()])
+        events = self.events
+        ev = Event(len(events), stage, kind, shared)
+        events.append(ev)
         return ev
 
     def finalize(self, summary: dict):
@@ -79,7 +108,7 @@ class RunTrace:
 
     def to_text(self) -> str:
         lines = [f"trace {self.construction} stages={self.stages}"]
-        lines += [e.line() for e in self.events]
+        lines += [f"{e.eid} {e.stage} {e.payload.tail}" for e in self.events]
         for k in sorted(self.summary):
             lines.append(f"summary {k} {self.summary[k]}")
         return "\n".join(lines) + "\n"
@@ -88,12 +117,17 @@ class RunTrace:
     def from_text(cls, text: str) -> "RunTrace":
         """Parse the text form.  A malformed line, a negative stage count
         in the header included, an unknown event kind, an event id out of
-        sequence or a stage that goes backwards raises ConfigError naming
-        the line."""
+        sequence, a stage that goes backwards or a stage at or past the
+        header's stage count raises ConfigError naming the line.  Stage 0
+        is always in range: the alpha constructions set the bound there
+        even in a run of no stages.  Each distinct payload text of a kind
+        is parsed once, into one payload its events share."""
         trace = None
         last_stage = 0
+        payloads = {}  # "kind k=v ..." text -> (kind, its parsed payload)
         for lineno, ln in enumerate(text.splitlines(), 1):
-            if not ln.strip():
+            toks = ln.split(None, 2)
+            if not toks:
                 continue
             try:
                 if trace is None:
@@ -102,18 +136,23 @@ class RunTrace:
                     if word != "trace" or key != "stages" or int(stages) < 0:
                         raise ValueError
                     trace = cls(construction, int(stages))
+                    bound = max(trace.stages, 1)
                     continue
                 if ln.startswith("summary "):
                     _, key, value = ln.split(" ", 2)
                     trace.summary[key] = value
                     continue
-                toks = ln.split()
-                eid, stage, kind = int(toks[0]), int(toks[1]), toks[2]
-                payload = dict(t.split("=", 1) for t in toks[3:])
+                eid, stage, tail = int(toks[0]), int(toks[1]), toks[2]
+                parsed = payloads.get(tail)
+                if parsed is None:
+                    kind, *pairs = tail.split()
+                    parsed = payloads[tail] = kind, Payload(
+                        kind, [t.split("=", 1) for t in pairs])
             except (ValueError, IndexError):
                 what = "trace header" if trace is None else "trace line"
                 raise ConfigError(f"line {lineno}: malformed {what} "
                                   f"{ln!r}") from None
+            kind, payload = parsed
             if kind not in EVENT_KINDS:
                 raise ConfigError(f"line {lineno}: unknown event kind "
                                   f"{kind!r}")
@@ -123,6 +162,9 @@ class RunTrace:
             if stage < last_stage:
                 raise ConfigError(f"line {lineno}: stage {stage} after "
                                   f"stage {last_stage}")
+            if stage >= bound:
+                raise ConfigError(f"line {lineno}: stage {stage} past "
+                                  f"stages={trace.stages}")
             last_stage = stage
             trace.events.append(Event(eid, stage, kind, payload))
         if trace is None:

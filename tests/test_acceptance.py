@@ -126,8 +126,7 @@ def low2_campaign():
     for seed in range(100):
         trace, psis = _low2_seed(seed)
         replay = nonlow_low2._Replay(trace)
-        checks = nonlow_low2.verify_main_lemma_claims(trace, psis,
-                                                      replay=replay)
+        checks = nonlow_low2.verify_main_lemma_claims(psis, replay)
         counts = {}
         for eta in replay.etas():
             for _, _, x, _, _ in replay.counted_injuries(eta):
@@ -187,7 +186,7 @@ def test_criterion_5_phi_budget():
             funs.append(fn)
         trace = low_alpha.run(advs, funs, ALPHA_SQ, 10_000, seed)
         replay = low_alpha._LowReplay(trace)
-        checks = low_alpha.verify_lowness_budget(trace, replay=replay)
+        checks = low_alpha.verify_lowness_budget(replay)
         ok &= all(c.passed for c in checks)
         for e, budget in replay.budgets.items():
             if budget.value is None:
@@ -230,7 +229,7 @@ def test_criterion_6_combined_bounds():
         trace = nonlow_alpha.run(psis, fadvs, {0: fn}, ALPHA_WW,
                                  10_000, seed)
         replay = nonlow_alpha._CombReplay(trace)
-        checks = nonlow_alpha.verify_combined_bounds(trace, replay=replay)
+        checks = nonlow_alpha.verify_combined_bounds(replay)
         for name in ("descent-witness", "rho-recursion", "xi-injury-gate",
                      "qlist-structure"):
             ok &= next(c for c in checks if c.name == name).passed

@@ -84,7 +84,7 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("name", NAMES)
     def test_checks_pass(self, name):
         sc, trace, psis = run_golden(name)
-        checks = sc.checks(trace, psis)
+        checks = sc.checks(psis, replay_of(trace))
         assert checks and all(c.passed for c in checks)
         assert trace.summary == reduce_summary(replay_of(trace))
 

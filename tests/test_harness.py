@@ -183,7 +183,7 @@ class TestExecute:
         sc = load_scenario(text)
         trace, psis = sc.execute()
         assert trace.summary == reduce_summary(replay_of(trace))
-        checks = sc.checks(trace, psis)
+        checks = sc.checks(psis, replay_of(trace))
         assert checks and all(c.passed for c in checks)
 
     def test_seed_shifts_opponents(self):
@@ -201,7 +201,7 @@ class TestExecute:
     def test_toggle_filters_checks(self):
         sc = load_scenario(LOWA_TEXT + "verify budget-formula off\n")
         trace, _ = sc.execute()
-        names = {c.name for c in sc.checks(trace)}
+        names = {c.name for c in sc.checks(None, replay_of(trace))}
         assert "budget-formula" not in names and "diagonalization" in names
 
 
@@ -329,6 +329,8 @@ class TestCli:
         ("0 4 bogus-kind\n1 4 visit node=- l=0\n", "line 2: unknown event"),
         ("0 4 visit node=- l=0\n1 2 visit node=- l=0\n", "line 3: stage 2"),
         ("0 0 visit node=- l=0\n2 0 visit node=- l=0\n", "line 3: event id"),
+        ("0 0 visit node=- l=0\n1 5 visit node=- l=0\n",
+         "line 3: stage 5 past stages=5"),
         ("0 zero visit node=-\n", "line 2: malformed"),
         ("0 0 visit node\n", "line 2: malformed"),
         ("0 0 visit\n", "event 0: visit without payload key 'node'"),
@@ -486,6 +488,17 @@ class TestCli:
         assert (code, text) == (2, "error --stages wants a natural, "
                                    "got -3\n")
 
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_trace_of_no_stages_verifies(self, tmp_path, name):
+        # the alpha constructions set their bound at stage 0 even here
+        tr = tmp_path / "t.trace"
+        code, out = self.run_cli(["run", "--scenario",
+                                  os.path.join(SCEN, name + ".txt"),
+                                  "--stages", "0", "--trace", str(tr)])
+        assert code == 0, out
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert code == 0, out
+
     def test_verify_trace_rejects_negative_stages(self, tmp_path):
         tr = tmp_path / "t.trace"
         tr.write_text("trace nonlow-low2 stages=-3\nsummary A -\n")
@@ -515,21 +528,38 @@ class TestShippedScenarios:
 @st.composite
 def mutated_goldens(draw):
     """A golden trace after one to three line edits: a line dropped,
-    duplicated or swapped with the next, or one payload value set to -5,
-    x or the empty string."""
+    duplicated or swapped with the next; one payload value set to -5, x
+    or the empty string, or its key repeated with such a value; a space
+    doubled or turned into a tab; a blank put before or after a line; or
+    a token without = put at its end."""
     lines = list(GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))])
     for _ in range(draw(st.integers(1, 3))):
-        op = draw(st.sampled_from(("drop", "duplicate", "swap", "set")))
-        if op == "set":
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "set",
+                                   "repeat", "space", "tab", "lead",
+                                   "trail", "bare")))
+        if op in ("set", "repeat"):
             i = draw(st.sampled_from([j for j, ln in enumerate(lines)
                                       if "=" in ln]))
             key = draw(st.sampled_from(re.findall(r"(?<= )(\w+)=",
                                                   lines[i])))
             value = draw(st.sampled_from(("-5", "x", "")))
-            lines[i] = set_payload(lines[i], **{key: value})
+            if op == "set":
+                lines[i] = set_payload(lines[i], **{key: value})
+            else:
+                lines[i] += f" {key}={value}"
             continue
         i = draw(st.integers(0, len(lines) - 2))
-        if op == "drop":
+        if op in ("space", "tab"):
+            spaces = [j for j, c in enumerate(lines[i]) if c == " "]
+            j = draw(st.sampled_from(spaces))
+            blank = "  " if op == "space" else "\t"
+            lines[i] = lines[i][:j] + blank + lines[i][j + 1:]
+        elif op in ("lead", "trail"):
+            blank = draw(st.sampled_from((" ", "\t")))
+            lines[i] = blank + lines[i] if op == "lead" else lines[i] + blank
+        elif op == "bare":
+            lines[i] += " x"
+        elif op == "drop":
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])

@@ -98,7 +98,7 @@ class TestRunBasics:
         deltas = [e for e in by_kind(tr, "declare")
                   if e.payload.get("what") == "delta"]
         assert deltas[-1].payload["value"] == "0"  # opponent settled on 1
-        for check in la.verify_lowness_budget(tr):
+        for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
 
     def test_determinism_and_round_trip(self):
@@ -147,7 +147,7 @@ class TestPermission:
         removed = by_kind(tr, "qlist-remove")
         assert [(e.payload["q"], e.payload["cause"]) for e in removed] == [
             ("1", "preempted")]
-        for check in la.verify_lowness_budget(tr):
+        for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
 
     def test_preempt_initializes_lower(self):
@@ -169,7 +169,7 @@ class TestPermission:
         assert {(e.payload["q"], e.payload["cause"]) for e in removed} == {
             ("1", "preempted"), ("2", "preempted")}
         assert len(by_kind(tr, "enumerate")) == 1
-        for check in la.verify_lowness_budget(tr):
+        for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
 
     def test_exhaustion_prunes(self):
@@ -191,7 +191,7 @@ class TestPermission:
 
 class TestVerifier:
     def test_empty_trace_vacuous(self):
-        checks = la.verify_lowness_budget(RunTrace("low-alpha", 0))
+        checks = la.verify_lowness_budget(replay_of(RunTrace("low-alpha", 0)))
         assert all(c.passed for c in checks)
         assert len(checks) == 7
 
@@ -218,7 +218,7 @@ class TestVerifier:
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 16)
         assert len(by_kind(tr, "enumerate")) == 6
-        checks = {c.name: c for c in la.verify_lowness_budget(tr)}
+        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
         assert all(c.passed for c in checks.values())
         r = la._LowReplay(tr)
         witness = descent_witness(r.budgets[0], r.hits(0), r.inits, 0)
@@ -232,7 +232,7 @@ class TestVerifier:
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 10)
         assert len(by_kind(tr, "enumerate")) == 3
-        checks = {c.name: c for c in la.verify_lowness_budget(tr)}
+        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
         assert checks["mind-change-cap"].passed
         assert checks["mind-change-cap"].detail == "1 finite budgets"
 
@@ -241,10 +241,14 @@ class TestVerifier:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 8)
-        for e in tr.events:
-            if e.kind == "phi-set" and e.payload["e"] == "0":
-                e.payload["value"] = "w*7"
-        checks = {c.name: c for c in la.verify_lowness_budget(tr)}
+
+        def corrupt(ev):
+            p = dict(ev.payload)
+            if ev.kind == "phi-set" and p["e"] == "0":
+                p["value"] = "w*7"
+            return [(ev.stage, ev.kind, p)]
+        bad = mutated(tr, corrupt)
+        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(bad))}
         assert not checks["budget-formula"].passed
         assert checks["budget-formula"].witness == 0
 
@@ -255,7 +259,7 @@ class TestVerifier:
         tr.emit(1, "phi-set", e=0, value="0")
         tr.emit(2, "enumerate", node="q5", element=1, marker="0")
         tr.emit(2, "inject-diverge", e=0, x=0, use=9)
-        checks = {c.name: c for c in la.verify_lowness_budget(tr)}
+        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
         assert not checks["injury-gate"].passed
         assert checks["injury-gate"].witness == 4
 
@@ -268,7 +272,7 @@ class TestVerifier:
         tr.events = [e for e in tr.events
                      if not (e.kind == "declare" and e.eid > enum.eid
                              and e.payload.get("what") == "delta")]
-        checks = {c.name: c for c in la.verify_lowness_budget(tr)}
+        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
         assert not checks["redeclare"].passed
 
 
@@ -305,7 +309,7 @@ class TestStress:
     @pytest.mark.parametrize("seed", [1, 2, 3, 5, 8])
     def test_random_scenarios_verify(self, seed):
         tr = stress(seed)
-        for check in la.verify_lowness_budget(tr):
+        for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, f"seed {seed}: {check.line()}"
 
     def test_scenarios_reach_injuries(self):
@@ -344,7 +348,8 @@ def insert_after(eid, stage, kind, **payload):
 
 
 def check_named(trace, name):
-    return next(c for c in la.verify_lowness_budget(trace) if c.name == name)
+    return next(c for c in la.verify_lowness_budget(replay_of(trace))
+                if c.name == name)
 
 
 class TestFaultInjection:
@@ -352,7 +357,7 @@ class TestFaultInjection:
     the golden low-alpha trace (watcher 0 lists q0 at stage 3)."""
 
     def test_golden_passes(self):
-        for check in la.verify_lowness_budget(golden_trace()):
+        for check in la.verify_lowness_budget(replay_of(golden_trace())):
             assert check.passed, check.line()
 
     def test_quota_list_structure_catches_non_member_remove(self):

@@ -269,7 +269,7 @@ class TestFrozenOpponents:
         sets = by_kind(tr, "qlist-set")
         assert [int(e.payload["x"]) for e in sets] == list(range(7))
         assert by_kind(tr, "qlist-remove") == []
-        for check in na.verify_combined_bounds(tr):
+        for check in na.verify_combined_bounds(replay_of(tr)):
             assert check.passed, check.line()
 
 
@@ -300,7 +300,7 @@ def mixed_scenario(stages=34):
 class TestMixedScenario:
     def test_all_checks_pass(self):
         tr = mixed_scenario()
-        for check in na.verify_combined_bounds(tr):
+        for check in na.verify_combined_bounds(replay_of(tr)):
             assert check.passed, check.line()
 
     def test_counted_xi_injuries(self):
@@ -343,7 +343,7 @@ class TestMixedScenario:
 
     def test_bound_table(self):
         tr = mixed_scenario()
-        lines = na.bound_table(tr)
+        lines = na.bound_table(replay_of(tr))
         assert lines[0] == "bound eta=- x=0 beta=0 rho_bound=4"
         assert lines[1] == "bound eta=- x=1 beta=w*1029 rho_bound=1024"
         assert lines[2] == "bound eta=- x=2 beta=w*2360325 rho_bound=2359296"
@@ -393,7 +393,7 @@ def left_stage_scenario(stages=26):
 class TestLeftStageScenario:
     def test_all_checks_pass(self):
         tr = left_stage_scenario()
-        for check in na.verify_combined_bounds(tr):
+        for check in na.verify_combined_bounds(replay_of(tr)):
             assert check.passed, check.line()
 
     def test_left_stage_removal(self):
@@ -459,7 +459,8 @@ def synthetic_descent_trace():
 
 class TestSyntheticDescent:
     def test_all_checks_pass(self):
-        for check in na.verify_combined_bounds(synthetic_descent_trace()):
+        for check in na.verify_combined_bounds(
+                replay_of(synthetic_descent_trace())):
             assert check.passed, check.line()
 
     def test_two_counted_hits(self):
@@ -488,7 +489,8 @@ class TestSyntheticDescent:
             if e.kind == "qlist-set":
                 p["k"] = "5"
             bad.emit(e.stage, e.kind, **p)
-        report = {c.name: c.passed for c in na.verify_combined_bounds(bad)}
+        report = {c.name: c.passed
+                  for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["qlist-structure"]
 
     def test_unlisted_injurer_caught(self):
@@ -504,7 +506,8 @@ class TestSyntheticDescent:
             elif e.kind == "phi-set" and p.get("e") == "-.0":
                 p["value"] = "0"
             bad.emit(e.stage, e.kind, **p)
-        report = {c.name: c.passed for c in na.verify_combined_bounds(bad)}
+        report = {c.name: c.passed
+                  for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["xi-injury-gate"]
 
     def test_out_of_scope_denial_caught(self):
@@ -515,7 +518,8 @@ class TestSyntheticDescent:
             if e.kind == "select":
                 bad.emit(e.stage, "select", node="ii", act="denied",
                          by="f", x=0)
-        report = {c.name: c.passed for c in na.verify_combined_bounds(bad)}
+        report = {c.name: c.passed
+                  for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["xi-permission-scope"]
 
     def test_rho_visit_with_length_caught(self):
@@ -526,7 +530,8 @@ class TestSyntheticDescent:
             if e.kind == "visit" and p["node"] == "i":
                 p["l"] = "1"
             bad.emit(e.stage, e.kind, **p)
-        report = {c.name: c.passed for c in na.verify_combined_bounds(bad)}
+        report = {c.name: c.passed
+                  for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["level-discipline"]
 
 
@@ -593,7 +598,7 @@ class TestStress:
             f0 = BoundedCaAdversary("f0", W, seed=seed, change_prob=0.3)
             tr = na.run({0: psi}, {0: f0}, {0: basic_functional()},
                         ALPHA, 40)
-            for check in na.verify_combined_bounds(tr):
+            for check in na.verify_combined_bounds(replay_of(tr)):
                 assert check.passed, f"seed {seed}: {check.line()}"
             assert tr.summary == reduce_summary(replay_of(tr))
             r = na._CombReplay(tr)
@@ -612,7 +617,8 @@ def hit_stage(tr, s, injurer, x, l, element=3, use=5):
 
 
 def check_named(trace, name):
-    return next(c for c in na.verify_combined_bounds(trace) if c.name == name)
+    return next(c for c in na.verify_combined_bounds(replay_of(trace))
+                if c.name == name)
 
 
 class TestFaultInjection:

@@ -232,13 +232,14 @@ class TestVerifier:
     def test_empty_trace_vacuous(self):
         tr = RunTrace("nonlow-low2", 0)
         tr.finalize({"A": "-"})
-        assert all(c.passed for c in nl.verify_main_lemma_claims(tr))
+        assert all(c.passed
+                   for c in nl.verify_main_lemma_claims(None, replay_of(tr)))
 
     def test_stress_seeds_pass(self):
         for seed in range(4):
             psis, funs = stress(seed)
             tr = nl.run(psis, funs, 300, seed=seed)
-            results = nl.verify_main_lemma_claims(tr, psis=psis)
+            results = nl.verify_main_lemma_claims(psis, replay_of(tr))
             assert all(c.passed for c in results), [
                 (c.name, c.detail) for c in results if not c.passed]
 
@@ -247,8 +248,8 @@ class TestVerifier:
         for seed in range(6):
             psis, funs = stress(seed)
             tr = nl.run(psis, funs, 300, seed=seed)
-            diag = next(c for c in nl.verify_main_lemma_claims(tr, psis=psis)
-                        if c.name == "diagonalization")
+            diag = next(c for c in nl.verify_main_lemma_claims(
+                psis, replay_of(tr)) if c.name == "diagonalization")
             assert diag.passed, diag.detail
             hits += int(diag.detail.split()[0])
         assert hits > 0
@@ -266,7 +267,7 @@ class TestVerifier:
                         and x < r.l.get((pick[0], eta), 0):
                     post += 1
         assert total > 100 and post > 0
-        results = nl.verify_main_lemma_claims(tr, psis=psis)
+        results = nl.verify_main_lemma_claims(psis, replay_of(tr))
         assert all(c.passed for c in results), [
             (c.name, c.detail) for c in results if not c.passed]
 
@@ -287,7 +288,7 @@ class TestVerifier:
         tr.emit(5, "enumerate", node="i", element=3)
         tr.emit(5, "inject-diverge", e=0, x=1, use=5)
         tr.finalize({"A": "3"})
-        bad = next(c for c in nl.verify_main_lemma_claims(tr)
+        bad = next(c for c in nl.verify_main_lemma_claims(None, replay_of(tr))
                    if c.name == "quota-soundness")
         assert not bad.passed
         assert bad.witness == 3
@@ -331,7 +332,8 @@ class TestFaultInjection:
         first = injury_stage(tr, 1, "i", x=2, l=3)
         injury_stage(tr, 2, "i", x=2, l=3, element=4)
         tr.finalize({"A": "3,4"})
-        bad = check_named(nl.verify_main_lemma_claims(tr), "recursion-bound")
+        bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
+                          "recursion-bound")
         assert not bad.passed
         assert bad.witness == first.eid == 3
 
@@ -347,7 +349,8 @@ class TestFaultInjection:
             pick = tr.emit(s, "declare", node="i", what="gamma", y=1,
                            u=2 + s, act="pick")
         tr.finalize({"A": "-", "node.i": "1:4"})
-        bad = check_named(nl.verify_main_lemma_claims(tr), "exhaustion-gate")
+        bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
+                          "exhaustion-gate")
         assert not bad.passed
         assert bad.witness == pick.eid == 6
 
@@ -362,7 +365,7 @@ class TestFaultInjection:
         trigger = injury_stage(tr, 2, "f", x=0, l=1, element=2)
         injury_stage(tr, 3, "i", x=0, l=1, element=3)
         tr.finalize({"A": "2,3", "node.i": "1"})
-        bad = check_named(nl.verify_main_lemma_claims(tr),
+        bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "trigger-structure")
         assert not bad.passed
         assert bad.witness == trigger.eid == 6
@@ -374,7 +377,7 @@ class TestFaultInjection:
         tr.emit(1, "declare", node="i", what="gamma", y=1, u=3, act="pick")
         hit = injury_stage(tr, 2, "i", x=0, l=1, element=3)
         tr.finalize({"A": "3", "node.i": "1"})
-        bad = check_named(nl.verify_main_lemma_claims(tr),
+        bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "trigger-structure")
         assert not bad.passed
         assert bad.witness == hit.eid == 6
@@ -385,7 +388,8 @@ class TestFaultInjection:
         hits = [injury_stage(tr, s, "i", x=0, l=1, element=s, use=9)
                 for s in range(1, 6)]
         tr.finalize({"A": "1,2,3,4,5"})
-        bad = check_named(nl.verify_main_lemma_claims(tr), "global-bound")
+        bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
+                          "global-bound")
         assert not bad.passed
         assert bad.witness == hits[0].eid == 3
 
@@ -394,14 +398,15 @@ class TestFaultInjection:
         # its use (membership 1) against a guess settled at 0 from stage
         # 6; an opponent whose guess at 4 settles at 1 agrees with it
         _, tr, psis = run_golden("golden-nonlow-low2")
-        diag = check_named(nl.verify_main_lemma_claims(tr, psis),
+        diag = check_named(nl.verify_main_lemma_claims(psis, replay_of(tr)),
                            "diagonalization")
         assert (diag.passed, diag.detail) == (True,
                                               "1 settled followers checked")
         agreeing = DeltaTwoAdversary("p0", "scripted")
         agreeing.add_step(4, 5, 1)
         bad = check_named(
-            nl.verify_main_lemma_claims(tr, {0: agreeing, 1: psis[1]}),
+            nl.verify_main_lemma_claims({0: agreeing, 1: psis[1]},
+                                        replay_of(tr)),
             "diagonalization")
         assert (bad.passed, bad.witness, bad.detail) == (
             False, None, "follower 4 of i: membership 1 equals settled "

@@ -78,18 +78,18 @@ def verdicts(checks):
 def test_prebuilt_replay_gives_identical_checks(name):
     _, trace, psis = run_golden(name)
     replay = CONSTRUCTIONS[trace.construction].replay(trace)
+    again = replay_of(trace)
     if trace.construction == "nonlow-low2":
-        fresh = nonlow_low2.verify_main_lemma_claims(trace, psis)
-        shared = nonlow_low2.verify_main_lemma_claims(trace, psis,
-                                                      replay=replay)
+        fresh = nonlow_low2.verify_main_lemma_claims(psis, again)
+        shared = nonlow_low2.verify_main_lemma_claims(psis, replay)
     elif trace.construction == "low-alpha":
-        fresh = low_alpha.verify_lowness_budget(trace)
-        shared = low_alpha.verify_lowness_budget(trace, replay=replay)
+        fresh = low_alpha.verify_lowness_budget(again)
+        shared = low_alpha.verify_lowness_budget(replay)
     else:
-        fresh = nonlow_alpha.verify_combined_bounds(trace)
-        shared = nonlow_alpha.verify_combined_bounds(trace, replay=replay)
-        assert nonlow_alpha.bound_table(trace, replay=replay) \
-            == nonlow_alpha.bound_table(trace)
+        fresh = nonlow_alpha.verify_combined_bounds(again)
+        shared = nonlow_alpha.verify_combined_bounds(replay)
+        assert nonlow_alpha.bound_table(replay) == \
+            nonlow_alpha.bound_table(again)
     assert verdicts(shared) == verdicts(fresh)
     assert [c.name for c in fresh] == \
         list(CONSTRUCTIONS[trace.construction].checks)
