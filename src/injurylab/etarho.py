@@ -120,16 +120,6 @@ class Levels:
 # -- the engine --------------------------------------------------------
 
 
-class _RhoState:
-    __slots__ = ("follower", "use", "acted", "wants")
-
-    def __init__(self):
-        self.follower = None
-        self.use = None
-        self.acted = 0  # enumerations since run start; survives initialization
-        self.wants = None  # "pick" | "enum" | None, valid for current stage
-
-
 class EtaRhoRun(Engine):
     """One deterministic run of an eta/rho tree.
 
@@ -154,40 +144,29 @@ class EtaRhoRun(Engine):
         self.fadvs = fadvs
         self.stages = stages
         self.render = self.levels.render
-        self.tree = StrategyTree(alphabet_fn=self.levels.alphabet)
+        self.tree = StrategyTree(self.levels.alphabet)
         self.A = EnumerableSet()
         self.trace = RunTrace(self.construction, stages)
         self._top = 0
         self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
                      for e, fn in funs.items()}
-        self.rho = {}  # node -> _RhoState
+        # rho state by node, shaped as in the replay; inits keep only acted
+        self.followers = {}  # node -> live follower
+        self.uses = {}  # node -> live use
+        self.acted = {}  # node -> enumerations since run start
+        self.wants = {}  # node -> "pick" | "enum" | None, this stage
         self.eta_maxl = {}  # node -> best prior length at its stages
         self.cur_l = {}  # eta node -> length this stage
-        self._uses_cache = {}
-        self._uses_dirty = True
-
-    def _rho_state(self, node) -> _RhoState:
-        if node not in self.rho:
-            self.rho[node] = _RhoState()
-        return self.rho[node]
 
     # -- lengths and correctness --------------------------------------
 
-    def _uses(self) -> dict:
-        if self._uses_dirty:
-            self._uses_cache = {node: st.use for node, st in self.rho.items()
-                                if st.use is not None}
-            self._uses_dirty = False
-        return self._uses_cache
-
     def _length(self, eta, s) -> int:
         run = self.runs.get(self.levels.level_index(eta))
-        uses = self._uses()
         correct = self.levels.eta_correct
         l = 0
         while l < s:
             r = run.query(l) if run else None
-            if r is None or not correct(l, eta, uses, r.use):
+            if r is None or not correct(l, eta, self.uses, r.use):
                 break
             l += 1
         return l
@@ -209,13 +188,13 @@ class EtaRhoRun(Engine):
     def _play_fin(self, rho, s):
         """Refresh the marker declaration while the opponent still guesses
         zero."""
-        st = self.rho.get(rho)
-        if st is None or st.follower is None or st.use is None:
+        use = self.uses.get(rho)
+        if use is None:
             return
-        psi = self.psis[self.levels.level_index(rho)]
-        if psi.value(st.follower, s) == 0:
+        y = self.followers[rho]
+        if self.psis[self.levels.level_index(rho)].value(y, s) == 0:
             self.trace.emit(s, "declare", node=self.render(rho),
-                            what="gamma", y=st.follower, u=st.use, act="fin")
+                            what="gamma", y=y, u=use, act="fin")
 
     def _outcome(self, node, s):
         kind = self.levels.kind(node)
@@ -228,73 +207,71 @@ class EtaRhoRun(Engine):
             return INF if expansionary else FIN
         if kind == XI:
             return INF
-        st = self._rho_state(node)
-        if st.follower is None:
-            st.follower = self._fresh()
+        y = self.followers.get(node)
+        if y is None:
+            y = self.followers[node] = self._fresh()
             self.trace.emit(s, "declare", node=self.render(node),
-                            what="follower", y=st.follower)
-        psi = self.psis[self.levels.level_index(node)].value(st.follower, s)
-        if psi == 0 and st.use is None:
-            st.wants = "pick"
-        elif psi == 1 and st.use is not None:
-            st.wants = "enum"
+                            what="follower", y=y)
+        psi = self.psis[self.levels.level_index(node)].value(y, s)
+        held = node in self.uses
+        if psi == 0 and not held:
+            wants = "pick"
+        elif psi == 1 and held:
+            wants = "enum"
         else:
-            st.wants = None
-        return INF if st.wants else FIN
+            wants = None
+        self.wants[node] = wants
+        return INF if wants else FIN
 
     def _on_init(self, node, s):
         self.trace.emit(s, "init", node=self.render(node))
-        st = self.rho.get(node)
-        if st is not None:
-            st.follower = st.use = st.wants = None
-            self._uses_dirty = True
+        self.followers.pop(node, None)
+        self.uses.pop(node, None)
+        self.wants.pop(node, None)
 
     # -- rho permission and action ------------------------------------
 
-    def _allows_pick(self, rho, s) -> bool:
+    def _allows_pick(self, rho) -> bool:
         lv = self.levels
-        st = self.rho[rho]
+        acted = self.acted.get(rho, 0)
         for eta in lv.etas_above(rho):
             run = self.runs.get(lv.level_index(eta))
             for x in range(self.cur_l[eta]):
-                if st.acted < lv.quota_for(rho, x):
+                if acted < lv.quota_for(rho, x):
                     continue  # quota not exhausted from x
-                if not lv.eta_correct(x, rho, self._uses(),
-                                      run.query(x).use):
+                if not lv.eta_correct(x, rho, self.uses, run.query(x).use):
                     return False
         return True
 
-    def _allows_enum(self, rho, s) -> bool:
+    def _allows_enum(self, rho) -> bool:
         lv = self.levels
-        st = self.rho[rho]
+        use = self.uses[rho]
         for eta in lv.etas_above(rho):
             run = self.runs.get(lv.level_index(eta))
             for x in range(self.cur_l[eta]):
                 if lv.in_quota(rho, x):
                     continue
-                if st.use <= run.query(x).use:
+                if use <= run.query(x).use:
                     return False
         return True
 
     def _act_rho(self, rho, s):
-        st = self.rho[rho]
-        self._uses_dirty = True
+        wants = self.wants[rho]
         self.trace.emit(s, "select", node=self.render(rho))
-        if st.wants == "pick":
-            st.use = self._fresh()
+        if wants == "pick":
+            self.uses[rho] = use = self._fresh()
             self.trace.emit(s, "declare", node=self.render(rho),
-                            what="gamma", y=st.follower, u=st.use, act="pick")
-        elif st.wants == "enum":
-            if self._allows_enum(rho, s):
-                elem = st.use
+                            what="gamma", y=self.followers[rho], u=use,
+                            act="pick")
+        elif wants == "enum":
+            if self._allows_enum(rho):
+                elem = self.uses.pop(rho)
                 self.trace.emit(s, "enumerate", node=self.render(rho),
                                 element=elem)
                 self.A.add(elem, s)
-                st.use = None
-                st.acted += 1
+                self.acted[rho] = self.acted.get(rho, 0) + 1
             else:
-                self.tree.initialize_at_or_right(rho, s,
-                                                 init_cb=self._on_init)
+                self.tree.initialize_at_or_right(rho, s, self._on_init)
 
     # -- xi hooks: no xi levels in the eta/rho tree -------------------
 
@@ -320,18 +297,16 @@ class EtaRhoRun(Engine):
         period = self.levels.period
         for s in range(self.stages):
             self.cur_l = {}
-            path = self.tree.run_stage(
-                self._outcome, s, length=min(s, self.depth),
-                init_cb=self._on_init, visit_cb=self._on_visit)
+            path = self.tree.run_stage(self._outcome, s, min(s, self.depth),
+                                       self._on_init, self._on_visit)
             theta = []
             for i in range(1, len(path), period):
                 if path[i] != INF:
                     continue
                 rho = path[:i]
-                st = self.rho[rho]
-                if st.wants == "enum":
-                    theta.append(rho)
-                elif st.wants == "pick" and self._allows_pick(rho, s):
+                wants = self.wants[rho]
+                if wants == "enum" or (wants == "pick"
+                                       and self._allows_pick(rho)):
                     theta.append(rho)
             actor = self.tree.select_actor(theta + self._xi_candidates(path))
             if actor is not None:
@@ -341,13 +316,11 @@ class EtaRhoRun(Engine):
             self._advance_functionals(s)
         elems = sorted(e for _, e in self.A.events)
         summary = {"A": ",".join(str(x) for x in elems) or "-"}
-        for node in sorted(self.rho):
-            st = self.rho[node]
-            if st.follower is not None:
-                state = str(st.follower)
-                if st.use is not None:
-                    state += f":{st.use}"
-                summary[f"node.{self.render(node)}"] = state
+        for node in sorted(self.followers):
+            state = str(self.followers[node])
+            if node in self.uses:
+                state += f":{self.uses[node]}"
+            summary[f"node.{self.render(node)}"] = state
         self._xi_summary(summary)
         self.trace.finalize(summary)
         return self.trace

@@ -47,8 +47,7 @@ def k_budget(kps) -> int:
     return max(kps, default=0)
 
 
-def qlist_update(members, k: int, inits=None, wants=(), rho_inits=(),
-                 stage_nodes=()):
+def qlist_update(members, k: int, inits: dict, wants, rho_inits, stage_nodes):
     """One maintenance pass over a quota list.
 
     Drops members that spent their initialization tolerance, saw a higher
@@ -57,7 +56,7 @@ def qlist_update(members, k: int, inits=None, wants=(), rho_inits=(),
     """
     removed = []
     for xi in members:
-        if inits and inits.get(xi, 0) > k:
+        if inits.get(xi, 0) > k:
             cause = "exhausted"
         elif any(w != xi and is_prefix(w, xi) for w in wants):
             cause = "want-above"
@@ -99,8 +98,9 @@ class NonlowAlphaRun(EtaRhoRun):
         self._next_z = 0
         self.xi = {}  # node -> Requirement
         self.qlists = {}  # eta node -> {x: _QlistEntry}
-        self._xi_wants = {}  # node -> [stages]
+        self._xi_wants = {}  # node -> last stage it wanted to act
         self._xi_inits = {}  # node -> [stages], only with a live follower
+        self._rho_inits = {}  # node -> last init stage
         self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
 
     def _length_of(self, eta, s) -> int:
@@ -121,11 +121,13 @@ class NonlowAlphaRun(EtaRhoRun):
             st.assign(self, s, self._next_z)
             self._next_z += 1
         elif st.visit(self.trace, s):
-            self._xi_wants.setdefault(node, []).append(s)
+            self._xi_wants[node] = s
 
     def _on_init(self, node, s):
         super()._on_init(node, s)
-        if is_xi(node):
+        if is_rho(node):
+            self._rho_inits[node] = s
+        elif is_xi(node):
             st = self.xi.get(node)
             if st is not None and st.follower is not None:
                 self._xi_inits.setdefault(node, []).append(s)
@@ -160,15 +162,13 @@ class NonlowAlphaRun(EtaRhoRun):
             inits = {m: len([t for t in self._xi_inits.get(m, [])
                              if entry.s_def < t <= s])
                      for m in entry.members}
-            wants = [m for m, ts in self._xi_wants.items()
-                     if any(t >= entry.checked for t in ts)]
-            rho_inits = [node for t, node in self.tree.log.inits
-                         if t >= entry.checked and is_rho(node)]
-            stage_nodes = [self.tree.log.paths[t]
-                           for t in range(entry.checked,
-                                          len(self.tree.log.paths))]
+            wants = [m for m, t in self._xi_wants.items()
+                     if t >= entry.checked]
+            rho_inits = [node for node, t in self._rho_inits.items()
+                         if t >= entry.checked]
             entry.members, removed = qlist_update(
-                entry.members, entry.k, inits, wants, rho_inits, stage_nodes)
+                entry.members, entry.k, inits, wants, rho_inits,
+                self.tree.paths[entry.checked:])
             for m, cause in removed:
                 self.trace.emit(s, "qlist-remove", eta=render(eta), x=x,
                                 xi=render(m), cause=cause)
@@ -209,7 +209,6 @@ class NonlowAlphaRun(EtaRhoRun):
                 continue
             if left_of(xi_node, other) or (is_xi(other)
                                            and is_prefix(xi_node, other)):
-                self.tree.log.record_init(s, other)
                 self._on_init(other, s)
 
     def _act_xi(self, xi_node, s):
@@ -224,7 +223,6 @@ class NonlowAlphaRun(EtaRhoRun):
         if denier is None:
             st.fire(self, s)
         else:
-            self.tree.log.record_init(s, xi_node)
             self._on_init(xi_node, s)
             st.assign(self, s, self._next_z)
             self._next_z += 1

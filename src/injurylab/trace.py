@@ -76,7 +76,7 @@ class Event:
 
 
 class RunTrace:
-    def __init__(self, construction: str = "", stages: int = 0):
+    def __init__(self, construction: str, stages: int):
         self.construction = construction
         self.stages = stages
         self.events = []
@@ -116,9 +116,10 @@ class RunTrace:
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
         """Parse the text form.  A malformed line, a negative stage count
-        in the header included, an unknown event kind, an event id out of
-        sequence, a stage that goes backwards or a stage at or past the
-        header's stage count raises ConfigError naming the line.  Stage 0
+        in the header and a summary line of other than three tokens
+        included, an unknown event kind, an event id out of sequence, a
+        stage that goes backwards or a stage at or past the header's
+        stage count raises ConfigError naming the line.  Stage 0
         is always in range: the alpha constructions set the bound there
         even in a run of no stages.  Each distinct payload text of a kind
         is parsed once, into one payload its events share."""
@@ -138,8 +139,8 @@ class RunTrace:
                     trace = cls(construction, int(stages))
                     bound = max(trace.stages, 1)
                     continue
-                if ln.startswith("summary "):
-                    _, key, value = ln.split(" ", 2)
+                if toks[0] == "summary":
+                    _, key, value = ln.split()
                     trace.summary[key] = value
                     continue
                 eid, stage, tail = int(toks[0]), int(toks[1]), toks[2]

@@ -3,7 +3,7 @@
 Nodes are tuples of outcomes, each outcome an index into its level's
 alphabet (listed best-to-worst, so smaller = further left).  The engine
 walks one path per stage, hands initialization to everything right of the
-path, keeps a log, and offers fair actor selection.
+path, keeps each stage's path, and offers fair actor selection.
 """
 
 from __future__ import annotations
@@ -51,20 +51,6 @@ def cantor_pair(x: int, y: int) -> int:
     return (x + y) * (x + y + 1) // 2 + y
 
 
-class PathLog:
-    """Per-stage paths plus every initialization event of a run."""
-
-    def __init__(self):
-        self.paths = []  # stage -> node
-        self.inits = []  # (stage, node)
-
-    def append_path(self, node: tuple):
-        self.paths.append(node)
-
-    def record_init(self, stage: int, node: tuple):
-        self.inits.append((stage, node))
-
-
 class StrategyTree:
     """Node registry and per-stage path construction.
 
@@ -73,35 +59,31 @@ class StrategyTree:
     the hosting construction.
     """
 
-    def __init__(self, alphabet_fn=None):
-        self.alphabet_fn = alphabet_fn or (lambda level: (INF, FIN))
+    def __init__(self, alphabet_fn):
+        self.alphabet_fn = alphabet_fn
         self.birth = {ROOT: 0}  # node -> creation order
         self.children = {ROOT: {}}  # node -> outcome -> child node
-        self.log = PathLog()
+        self.paths = []  # stage -> its path
         self.selections = {}  # node -> times selected
 
-    def register(self, node: tuple) -> int:
+    def register(self, node: tuple):
         if node not in self.birth:
             self.birth[node] = len(self.birth)
             self.children[node] = {}
             if node:
                 self.children.setdefault(node[:-1], {})[node[-1]] = node
-        return self.birth[node]
 
-    def run_stage(self, outcome_cb, s: int, length: int | None = None,
-                  init_cb=None, visit_cb=None) -> tuple:
-        """Build the stage-s path of the given length (default s).
+    def run_stage(self, outcome_cb, s: int, length: int, init_cb,
+                  visit_cb) -> tuple:
+        """Build the stage-s path of the given length.
 
-        ``outcome_cb(node, s)`` names the outcome the visited node plays;
-        everything to the right of each new prefix is initialized via
-        ``init_cb(node, s)``.
+        ``outcome_cb(node, s)`` names the outcome the visited node plays,
+        after ``visit_cb(node, s)`` saw it; everything to the right of each
+        new prefix is initialized via ``init_cb(node, s)``.
         """
-        if length is None:
-            length = s
         node = ROOT
         self.register(node)
-        if visit_cb:
-            visit_cb(node, s)
+        visit_cb(node, s)
         for level in range(length):
             alphabet = self.alphabet_fn(level)
             o = outcome_cb(node, s)
@@ -111,9 +93,8 @@ class StrategyTree:
             node = node + (o,)
             self.register(node)
             self._initialize_right_of(node, s, init_cb)
-            if visit_cb:
-                visit_cb(node, s)
-        self.log.append_path(node)
+            visit_cb(node, s)
+        self.paths.append(node)
         return node
 
     def _initialize_right_of(self, node: tuple, s: int, init_cb):
@@ -127,18 +108,14 @@ class StrategyTree:
         stack = [node]
         while stack:
             cur = stack.pop()
-            self.log.record_init(s, cur)
-            if init_cb:
-                init_cb(cur, s)
+            init_cb(cur, s)
             stack.extend(self.children.get(cur, {}).values())
 
-    def initialize_at_or_right(self, node: tuple, s: int, init_cb=None):
+    def initialize_at_or_right(self, node: tuple, s: int, init_cb):
         """Initialize every registered delta >= node and every delta >=_L node."""
         for other in list(self.birth):
             if left_of(node, other) or is_prefix(node, other):
-                self.log.record_init(s, other)
-                if init_cb:
-                    init_cb(other, s)
+                init_cb(other, s)
 
     def select_actor(self, theta):
         """Fair argmin of cantor_pair(birth, prior selections); None if empty."""

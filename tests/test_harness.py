@@ -7,9 +7,13 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from injurylab import nonlow_low2
 from injurylab.cli import digest, main, reduce_summary, replay_of
 from injurylab.ordinal import nat, omega_power
 from injurylab.scenario import ScenarioError, load_scenario
+from injurylab.trace import CheckResult
+
+from test_golden import REPORTS
 
 HERE = os.path.dirname(__file__)
 SCEN = os.path.join(HERE, os.pardir, "scenarios")
@@ -313,6 +317,75 @@ class TestCli:
             code, text = self.run_cli(["run", "--scenario", path])
             assert code == 2 and text.startswith("error line 11: ")
 
+    @pytest.mark.parametrize("body, where", [
+        ("adv p0\n", "line 2: adv wants an id and a kind"),
+        ("adv p0 psi\nadv p0 step arg 0 stage 1 value 0 when 3\n",
+         "line 3: unknown step field 'when'"),
+        ("adv p0 psi\nadv p0 step arg 0 stage 1\n",
+         "line 3: step misses value"),
+        ("adv f0 f g w\nadv f0 step arg 0 stage 1 value 1 marker w^^\n",
+         "line 3: bad exponent '^'"),
+        ("adv p0 zeta\n", "line 2: unknown opponent kind 'zeta'"),
+        ("adv f0 f g w+\n", "line 2: expected a term"),
+        ("adv p0 psi colour red\n",
+         "line 2: unknown opponent field 'colour'"),
+        ("adv f0 f g w mode stabilizing\n",
+         "line 2: unknown f mode 'stabilizing'"),
+        ("fun\n", "line 2: fun wants an index"),
+        ("fun 0 arg 0 first 2 colour red\n",
+         "line 2: unknown fun field 'colour'"),
+        ("fun 0 arg 0\n", "line 2: fun wants arg and first"),
+        ("fun 0 arg 0 first 2 policy lazy\n",
+         "line 2: unknown policy 'lazy'"),
+        ("alpha w w\n", "line 2: alpha wants one CNF value"),
+        ("stages 10 20\n", "line 2: stages wants one natural"),
+        ("seed\n", "line 2: seed wants one natural"),
+    ])
+    def test_run_rejects_scenario_lines(self, tmp_path, body, where):
+        path = self.scenario_path(tmp_path,
+                                  "construction nonlow-low2\n" + body)
+        assert self.run_cli(["run", "--scenario", path]) == \
+            (2, f"error {where}\n")
+
+    def test_run_rejects_scenario_without_construction(self, tmp_path):
+        path = self.scenario_path(tmp_path, "stages 10\n")
+        assert self.run_cli(["run", "--scenario", path]) == \
+            (2, "error line 0: no construction named\n")
+
+    def test_campaign_of_no_seeds_exits_2(self, tmp_path):
+        path = self.scenario_path(tmp_path, LOW2_TEXT)
+        assert self.run_cli(["campaign", "--scenario", path,
+                             "--seeds", "0"]) == \
+            (2, "error campaign wants at least one seed\n")
+
+    def test_verify_trace_of_missing_file_exits_2(self, tmp_path):
+        missing = str(tmp_path / "nope.trace")
+        code, text = self.run_cli(["verify-trace", "--trace", missing])
+        assert code == 2
+        assert text.startswith("error ") and missing in text, text
+
+    def test_campaign_reports_failing_checks(self, tmp_path, monkeypatch):
+        # the registry looks the verifier up at call time
+        def failing(psis, replay):
+            return [CheckResult("quota-soundness", True),
+                    CheckResult("global-bound", False, 7),
+                    CheckResult("diagonalization", False)]
+        monkeypatch.setattr(nonlow_low2, "verify_main_lemma_claims",
+                            failing)
+        path = self.scenario_path(tmp_path, LOW2_TEXT)
+        code, out = self.run_cli(["campaign", "--scenario", path,
+                                  "--seeds", "2", "--stages", "10"])
+        assert code == 1
+        assert re.sub(r"digest=\w+", "digest=D", out) == (
+            "seed 0 digest=D checks=1/3 worst-ratio=0\n"
+            "fail seed=0 check=global-bound witness=7\n"
+            "fail seed=0 check=diagonalization witness=-\n"
+            "seed 1 digest=D checks=1/3 worst-ratio=0\n"
+            "fail seed=1 check=global-bound witness=7\n"
+            "fail seed=1 check=diagonalization witness=-\n"
+            "campaign construction=nonlow-low2 seeds=2 failures=4 errors=0 "
+            "worst-ratio=0 digest=D\n")
+
     def test_campaign_with_erroring_seeds_exits_2(self, tmp_path):
         text = LOW2_TEXT.replace("adv p1 psi level 1 mode random seed 2 "
                                  "flip 0.3 stab 30\n", "")
@@ -368,6 +441,24 @@ class TestCli:
             tr.write_text(text)
             code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
             assert code == 2 and out.startswith("error " + where), out
+
+    @pytest.mark.parametrize("line, code", [
+        ("summary  A 1,4", 0), ("summary\tA  1,4 ", 0), (" summary A 1,4", 0),
+        ("summary A ", 2), ("summary  A", 2), ("summary A 1,4 5", 2),
+    ])
+    def test_verify_trace_reads_summary_as_three_tokens(self, tmp_path, line,
+                                                        code):
+        # runs of blanks between and around the tokens are read as on
+        # event lines; any other token count is a malformed line
+        lines = list(GOLDEN["golden-low-alpha"])
+        assert lines[36] == "summary A 1,4"
+        lines[36] = line
+        tr = tmp_path / "t.trace"
+        tr.write_text("\n".join(lines) + "\n")
+        expected = REPORTS["golden-low-alpha"] if code == 0 else \
+            f"error line 37: malformed trace line {line!r}\n"
+        assert self.run_cli(["verify-trace", "--trace", str(tr)]) == \
+            (code, expected)
 
     def test_verify_trace_rejects_unknown_construction(self, tmp_path):
         # the construction is looked up before the summary is replayed,

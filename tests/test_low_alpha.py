@@ -388,6 +388,14 @@ class TestFaultInjection:
         assert not bad.passed
         assert bad.witness == 9
 
+    def test_descent_witness_catches_missing_budget(self):
+        # without its phi-set (event 8) watcher 0 has no budget to descend
+        # through; the witness is the watcher
+        bad = check_named(mutated(golden_trace(), lambda ev: [] if ev.eid == 8
+                                  else [(ev.stage, ev.kind, ev.payload)]),
+                          "descent-witness")
+        assert (bad.passed, bad.witness) == (False, 0)
+
     def test_mind_change_cap_catches_excess(self):
         # a budget of g = 1 under k = 0 (phi-set 1) caps watcher 0 at one
         # own injury; the golden run injures it at stages 5 and 9

@@ -151,50 +151,49 @@ class TestQlistUpdate:
     members = [(0, 0), (0, 1), (0, 0, 0, 0, 1)]
 
     def test_no_events_unchanged(self):
-        kept, removed = na.qlist_update(self.members, 4)
+        kept, removed = na.qlist_update(self.members, 4, {}, [], [], [])
         assert kept == self.members and removed == []
 
     def test_exhausted(self):
-        kept, removed = na.qlist_update(self.members, 2,
-                                        inits={(0, 1): 3})
+        kept, removed = na.qlist_update(self.members, 2, {(0, 1): 3},
+                                        [], [], [])
         assert kept == [(0, 0), (0, 0, 0, 0, 1)]
         assert removed == [((0, 1), "exhausted")]
 
     def test_exhausted_needs_strictly_more_than_k(self):
-        kept, removed = na.qlist_update(self.members, 2,
-                                        inits={(0, 1): 2})
+        kept, removed = na.qlist_update(self.members, 2, {(0, 1): 2},
+                                        [], [], [])
         assert removed == []
 
     def test_want_above(self):
-        kept, removed = na.qlist_update(self.members, 4,
-                                        wants=[(0, 0)])
+        kept, removed = na.qlist_update(self.members, 4, {}, [(0, 0)],
+                                        [], [])
         assert kept == [(0, 0), (0, 1)]
         assert removed == [((0, 0, 0, 0, 1), "want-above")]
 
     def test_rho_init(self):
-        kept, removed = na.qlist_update(self.members, 4,
-                                        rho_inits=[(0,)])
+        kept, removed = na.qlist_update(self.members, 4, {}, [], [(0,)],
+                                        [])
         assert kept == []
         assert {c for _, c in removed} == {"rho-init"}
 
     def test_left_stage(self):
         # a stage at a prefix is not to the left; only the truly passed
         # member goes
-        kept, removed = na.qlist_update(self.members, 4,
-                                        stage_nodes=[(0, 0, 0)])
+        kept, removed = na.qlist_update(self.members, 4, {}, [], [],
+                                        [(0, 0, 0)])
         assert kept == [(0, 0), (0, 0, 0, 0, 1)]
         assert removed == [((0, 1), "left-stage")]
-        kept, removed = na.qlist_update(self.members, 4,
-                                        stage_nodes=[(0, 0, 0, 0, 0)])
+        kept, removed = na.qlist_update(self.members, 4, {}, [], [],
+                                        [(0, 0, 0, 0, 0)])
         assert kept == [(0, 0)]
         assert removed == [((0, 1), "left-stage"),
                            ((0, 0, 0, 0, 1), "left-stage")]
 
     def test_clause_precedence(self):
         # a member qualifying twice reports the earliest clause
-        kept, removed = na.qlist_update([(0, 1)], 0,
-                                        inits={(0, 1): 1},
-                                        stage_nodes=[(0, 0)])
+        kept, removed = na.qlist_update([(0, 1)], 0, {(0, 1): 1}, [], [],
+                                        [(0, 0)])
         assert removed == [((0, 1), "exhausted")]
 
 
@@ -684,21 +683,31 @@ class TestFaultInjection:
         assert not bad.passed
         assert bad.witness == hit.eid == 6
 
-    def test_qlist_structure_catches_illegal_remove(self):
-        # the x = 0 list of the golden trace is empty from stage 3 on, so
-        # no member can leave it
+    def edited_golden(self, edit):
+        """The golden combined trace with edit(ev) giving the rows of
+        (stage, kind, payload) that replace each event."""
         with open(os.path.join(os.path.dirname(__file__), "fixtures",
                                "golden-nonlow-alpha.trace")) as fh:
             golden = RunTrace.from_text(fh.read())
         tr = RunTrace(golden.construction, golden.stages)
         for ev in golden.events:
-            tr.emit(ev.stage, ev.kind, **ev.payload)
-            if ev.eid == 13:
-                tr.emit(3, "qlist-remove", eta="-", x=0, xi="ii",
-                        cause="exhausted")
+            for stage, kind, payload in edit(ev):
+                tr.emit(stage, kind, **payload)
         tr.finalize(golden.summary)
-        assert check_named(golden, "qlist-structure").passed
-        bad = check_named(tr, "qlist-structure")
+        return tr
+
+    def test_qlist_structure_catches_illegal_remove(self):
+        # the x = 0 list of the golden trace is empty from stage 3 on, so
+        # no member can leave it
+        def edit(ev):
+            rows = [(ev.stage, ev.kind, ev.payload)]
+            if ev.eid == 13:
+                rows.append((3, "qlist-remove", dict(eta="-", x=0, xi="ii",
+                                                     cause="exhausted")))
+            return rows
+        assert check_named(self.edited_golden(lambda ev: [
+            (ev.stage, ev.kind, ev.payload)]), "qlist-structure").passed
+        bad = check_named(self.edited_golden(edit), "qlist-structure")
         assert not bad.passed
         assert bad.witness == 14
 
@@ -714,6 +723,41 @@ class TestFaultInjection:
         bad = check_named(tr, "descent-witness")
         assert not bad.passed
         assert bad.witness == 6
+
+    def test_qlist_structure_catches_second_set(self):
+        # the root eta is never initialized, so a second list for x = 0
+        # at stage 7 is illegal; the witness is that qlist-set
+        def edit(ev):
+            rows = [(ev.stage, ev.kind, ev.payload)]
+            if ev.eid == 40:
+                rows += [(7, "qlist-set", dict(eta="-", x=0, k=0, members="-",
+                                              gs="-", kps="-", horizon=3)),
+                         (7, "phi-set", {"e": "-.0", "value": "0"})]
+            return rows
+        bad = check_named(self.edited_golden(edit), "qlist-structure")
+        assert (bad.passed, bad.witness, bad.detail) == (
+            False, 41, "illegal quota list event")
+
+    def test_qlist_structure_catches_budget_mismatch(self):
+        # phi over the one member w at k = 1028 is w*1029, not w*1028;
+        # the witness is the list's qlist-set
+        def edit(ev):
+            p = dict(ev.payload)
+            if ev.eid == 40:
+                p["value"] = "w*1028"
+            return [(ev.stage, ev.kind, p)]
+        bad = check_named(self.edited_golden(edit), "qlist-structure")
+        assert (bad.passed, bad.witness, bad.detail) == (
+            False, 39, "budget mismatch at - x=1")
+
+    def test_descent_witness_catches_missing_budget(self):
+        # without its phi-set the x = 0 list has no budget to descend
+        # through; the witness is its qlist-set
+        def edit(ev):
+            return [] if ev.eid == 13 else [(ev.stage, ev.kind, ev.payload)]
+        bad = check_named(self.edited_golden(edit), "descent-witness")
+        assert (bad.passed, bad.witness, bad.detail) == (
+            False, 12, "missing budget value")
 
     @pytest.mark.parametrize("eid, field, detail", [
         (16, "l=1", "rho visit i carries foreign fields"),

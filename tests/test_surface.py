@@ -1,9 +1,19 @@
-"""No library code that only tests call.
+"""No library code or parameter that only tests use.
 
 An AST scan of src/injurylab lists every module-level function and class
 and every public method, and looks for a reference to each name (a name,
 an attribute or an import) anywhere in the package.  The scan matches
 names only, so a name shared with a used definition counts as used.
+
+A second scan checks the parameters of every module-level function and
+method.  Each parameter must be read in its function's body, unless a
+subclass in the package overrides the method, whose signature it then
+serves.  A parameter with a default must be left out by at least one
+call in the package.  Calls are matched by name as above: a call of a
+class, or of a subclass without its own ``__init__``, and a
+``super().__init__`` call count for that ``__init__``.  A function that
+the package never calls by name is not judged, nor are ``*args`` and
+``**kwargs``, nor a call that passes ``*`` or ``**`` arguments.
 """
 
 import ast
@@ -24,14 +34,37 @@ ALLOWED = {
 }
 
 
+# Parameters kept for callers outside the package: the benchmark's
+# bench/test_shapes.py and the tests.
+ALLOWED_PARAMETERS = {
+    **{f"{m}.run(seed)": "unread, since the opponents carry their own "
+                         "seeds; the bench shapes and the acceptance tests "
+                         "pass one"
+       for m in ("nonlow_low2", "low_alpha", "nonlow_alpha")},
+    **{f"approximation.DeltaTwoAdversary.__init__({p})":
+       "the scenario loader passes each; the bench shapes and the "
+       "scripted-opponent tests take the defaults"
+       for p in ("mode", "seed", "flip", "stab", "period")},
+    **{f"functional.UseFunctional.configure({p})":
+       "the scenario loader passes each; the bench shapes and the "
+       "scripted-opponent tests take the defaults"
+       for p in ("delay", "policy", "offset")},
+}
+
+
+def parse_package():
+    """module -> its AST, for every module of the package."""
+    out = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname)) as fh:
+                out[fname[:-3]] = ast.parse(fh.read())
+    return out
+
+
 def definitions_and_references():
     defs, refs = [], set()
-    for fname in sorted(os.listdir(SRC)):
-        if not fname.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, fname)) as fh:
-            tree = ast.parse(fh.read())
-        module = fname[:-3]
+    for module, tree in parse_package().items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.append((f"{module}.{node.name}", node.name))
@@ -63,3 +96,118 @@ def test_allowlist_names_only_unreferenced_definitions():
     allowed = {qual for qual, name in defs
                if qual in ALLOWED and name not in refs}
     assert allowed == ALLOWED
+
+
+def callee(call):
+    """The name a call is matched by: the called name or attribute."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    return f.attr if isinstance(f, ast.Attribute) else None
+
+
+def supplies(call, index, param):
+    """Whether call passes param, the positional parameter at index (None
+    for a keyword-only one).  A * or ** argument may pass anything."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return True
+    if index is not None and index < len(call.args):
+        return True
+    return any(k.arg == param.arg for k in call.keywords)
+
+
+class Package:
+    """The functions, classes and calls of the package."""
+
+    def __init__(self):
+        self.functions = []  # (qualified name, class name or None, def)
+        self.classes = {}  # class name -> ClassDef
+        self.calls = []  # (name it is matched by, Call)
+        for module, tree in parse_package().items():
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef):
+                    self.functions.append((f"{module}.{node.name}", None,
+                                           node))
+                elif isinstance(node, ast.ClassDef):
+                    self.classes[node.name] = node
+                    self.functions += [
+                        (f"{module}.{node.name}.{item.name}", node.name, item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)]
+            self.calls += [(callee(node), node) for node in ast.walk(tree)
+                           if isinstance(node, ast.Call)]
+        # super().__init__(...) in a class calls its base's __init__
+        for name, cls in self.classes.items():
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "__init__" \
+                        and isinstance(node.func.value, ast.Call) \
+                        and callee(node.func.value) == "super":
+                    self.calls += [(base, node) for base in self.bases(name)]
+
+    def bases(self, name):
+        return [b.id for b in self.classes[name].bases
+                if isinstance(b, ast.Name) and b.id in self.classes]
+
+    def methods(self, name):
+        return {item.name for item in self.classes[name].body
+                if isinstance(item, ast.FunctionDef)}
+
+    def subclasses(self, name):
+        direct = [c for c in self.classes if name in self.bases(c)]
+        return direct + [d for c in direct for d in self.subclasses(c)]
+
+    def parameters(self, cls, fn):
+        """The positional and keyword-only parameters of fn, without a
+        method's self."""
+        positional = fn.args.posonlyargs + fn.args.args
+        if cls is not None and positional \
+                and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        return positional, fn.args.kwonlyargs
+
+    def unread(self):
+        found = []
+        for qual, cls, fn in self.functions:
+            if cls is not None and any(fn.name in self.methods(sub)
+                                       for sub in self.subclasses(cls)):
+                continue  # the signature serves the overrides
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+            positional, keyword = self.parameters(cls, fn)
+            found += [f"{qual}({p.arg})" for p in positional + keyword
+                      if p.arg not in read]
+        return found
+
+    def always_supplied(self):
+        found = []
+        for qual, cls, fn in self.functions:
+            names = {fn.name}
+            if fn.name == "__init__":
+                names = {cls} | {sub for sub in self.subclasses(cls)
+                                 if "__init__" not in self.methods(sub)}
+            calls = [c for name, c in self.calls if name in names]
+            positional, keyword = self.parameters(cls, fn)
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, p) for i, p in enumerate(positional)
+                         if i >= first]
+            defaulted += [(None, p) for p, d in zip(keyword,
+                                                    fn.args.kw_defaults)
+                          if d is not None]
+            found += [f"{qual}({p.arg})" for i, p in defaulted
+                      if calls and all(supplies(c, i, p) for c in calls)]
+        return found
+
+
+def test_every_parameter_is_read_and_every_default_is_left_out():
+    pkg = Package()
+    assert len(pkg.functions) > 200
+    found = pkg.unread() + pkg.always_supplied()
+    assert sorted(f for f in found if f not in ALLOWED_PARAMETERS) == []
+
+
+def test_parameter_allowlist_names_only_findings():
+    pkg = Package()
+    found = set(pkg.unread() + pkg.always_supplied())
+    assert set(ALLOWED_PARAMETERS) <= found

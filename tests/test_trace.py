@@ -28,11 +28,11 @@ def oracle_from_text(text: str) -> RunTrace:
                     raise ValueError
                 trace = RunTrace(construction, int(stages))
                 continue
-            if ln.startswith("summary "):
-                _, key, value = ln.split(" ", 2)
+            toks = ln.split()
+            if toks[0] == "summary":
+                _, key, value = toks
                 trace.summary[key] = value
                 continue
-            toks = ln.split()
             eid, stage, kind = int(toks[0]), int(toks[1]), toks[2]
             payload = dict(t.split("=", 1) for t in toks[3:])
         except (ValueError, IndexError):

@@ -24,6 +24,14 @@ def left_of_oracle(a, b):
     return False
 
 
+def two(level):
+    return (INF, FIN)
+
+
+def ignore(node, s):
+    pass
+
+
 def all_nodes(max_len, alphabet=(INF, FIN)):
     out = [()]
     for n in range(1, max_len + 1):
@@ -57,27 +65,29 @@ def test_left_of_is_strict_partial_order():
 
 
 def test_run_stage_zero_is_root():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     inits = []
-    node = tree.run_stage(lambda n, s: FIN, 0, init_cb=lambda n, s: inits.append(n))
+    node = tree.run_stage(lambda n, s: FIN, 0, 0,
+                          lambda n, s: inits.append(n), ignore)
     assert node == ROOT
     assert inits == []
-    assert tree.log.paths == [ROOT]
+    assert tree.paths == [ROOT]
 
 
 def test_run_stage_constant_fin():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     inits = []
     for s in range(4):
-        tree.run_stage(lambda n, s: FIN, s, init_cb=lambda n, s: inits.append(n))
-    assert tree.log.paths[3] == (FIN, FIN, FIN)
-    assert [len(p) for p in tree.log.paths] == [0, 1, 2, 3]
+        tree.run_stage(lambda n, s: FIN, s, s,
+                       lambda n, s: inits.append(n), ignore)
+    assert tree.paths[3] == (FIN, FIN, FIN)
+    assert [len(p) for p in tree.paths] == [0, 1, 2, 3]
     # nothing sits left of an all-FIN path, so nothing was initialized
     assert all(not left_of(n, (FIN, FIN, FIN)) for n in inits)
 
 
 def test_flip_to_left_initializes_right_subtree():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     inits = []
 
     def outcome(node, s):
@@ -86,35 +96,37 @@ def test_flip_to_left_initializes_right_subtree():
         return FIN
 
     for s in range(4):
-        tree.run_stage(outcome, s, init_cb=lambda n, s: inits.append((s, n)))
-    assert tree.log.paths[3][:1] == (INF,)
+        tree.run_stage(outcome, s, s, lambda n, s: inits.append((s, n)),
+                       ignore)
+    assert tree.paths[3][:1] == (INF,)
     initialized = {n for s, n in inits if s == 3}
     assert (FIN,) in initialized and (FIN, FIN) in initialized
     assert (INF,) not in initialized
 
 
 def test_no_node_left_of_path_initialized():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     inits = []
 
     def outcome(node, s):
         return INF if (s + len(node)) % 3 == 0 else FIN
 
     for s in range(30):
-        path = tree.run_stage(outcome, s, init_cb=lambda n, t: inits.append((t, n)))
+        path = tree.run_stage(outcome, s, s,
+                              lambda n, t: inits.append((t, n)), ignore)
         for t, n in inits:
             if t == s:
                 assert not left_of(n, path) and not is_prefix(n, path)
 
 
 def test_outcome_outside_alphabet_aborts():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     with pytest.raises(ValueError):
-        tree.run_stage(lambda n, s: 5, 2)
+        tree.run_stage(lambda n, s: 5, 2, 2, ignore, ignore)
 
 
 def test_select_actor_basics():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     assert tree.select_actor([]) is None
     a = (INF,)
     tree.register(a)
@@ -122,7 +134,7 @@ def test_select_actor_basics():
 
 
 def test_select_actor_pairing_favors_unserved():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     a, b = (INF,), (FIN,)
     tree.register(a)
     tree.register(b)
@@ -132,7 +144,7 @@ def test_select_actor_pairing_favors_unserved():
 
 
 def test_select_actor_fairness_over_long_run():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     nodes = [(o,) for o in (INF, FIN)] + [(INF, o) for o in (INF, FIN)]
     for n in nodes:
         tree.register(n)
@@ -143,20 +155,23 @@ def test_select_actor_fairness_over_long_run():
 
 def test_run_is_deterministic():
     def run():
-        tree = StrategyTree()
+        tree = StrategyTree(two)
+        def outcome(n, s):
+            return INF if (s * 7 + len(n)) % 4 == 0 else FIN
+
         for s in range(50):
-            tree.run_stage(lambda n, s: INF if (s * 7 + len(n)) % 4 == 0 else FIN, s)
-        return tree.log.paths
+            tree.run_stage(outcome, s, s, ignore, ignore)
+        return tree.paths
 
     assert run() == run()
 
 
 def test_initialize_at_or_right_scope():
-    tree = StrategyTree()
+    tree = StrategyTree(two)
     for node in all_nodes(2):
         tree.register(node)
     hit = []
-    tree.initialize_at_or_right((FIN,), 5, init_cb=lambda n, s: hit.append(n))
+    tree.initialize_at_or_right((FIN,), 5, lambda n, s: hit.append(n))
     assert (FIN,) in hit and (FIN, INF) in hit and (FIN, FIN) in hit
     assert (INF,) not in hit and (INF, FIN) not in hit and ROOT not in hit
 
