@@ -151,9 +151,7 @@ def cmd_verify_trace(args, out) -> int:
 
 
 def cmd_cnf_eval(args, out) -> int:
-    toks = list(args.expr)
-    if not toks:
-        raise ConfigError("empty expression")
+    toks = args.expr  # nargs="+": argparse rejects an empty expression
     try:
         acc = parse_cnf(toks[0])
         i = 1

@@ -12,9 +12,10 @@ the engine and the replay.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
-from .functional import Engine, EnumerableSet, FunctionalRun
+from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
 from .trace import (CheckResult, ConfigError, RunTrace, Summary,
                     payload_error)
 from .tree import (FIN, INF, ROOT, StrategyTree, is_prefix, parse_node,
@@ -49,9 +50,6 @@ class Levels:
             raise ValueError(f"{text!r} is not a node name")
         return node
 
-    def kind(self, node: tuple) -> int:
-        return len(node) % self.period
-
     def is_eta(self, node: tuple) -> bool:
         return len(node) % self.period == ETA
 
@@ -80,18 +78,6 @@ class Levels:
             if node[i] == INF:
                 nodes.append(node[:i])
         return tuple(nodes)
-
-    def eta_correct(self, x: int, observer: tuple, uses: dict, use) -> bool:
-        """True when no marker held on the way to observer undercuts the
-        computation at x, whose use is given."""
-        if use is None:
-            raise ValueError(
-                f"computation at {x} diverged; correctness undefined")
-        for node in self.holders(observer):
-            u = uses.get(node)
-            if u is not None and u <= use:
-                return False
-        return True
 
     def in_quota(self, rho: tuple, x: int) -> bool:
         return self.is_rho(rho) and len(rho) < x and x >= 2
@@ -147,7 +133,7 @@ class EtaRhoRun(Engine):
         self.tree = StrategyTree(self.levels.alphabet)
         self.A = EnumerableSet()
         self.trace = RunTrace(self.construction, stages)
-        self._top = 0
+        self._fresh = Fresh()
         self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
                      for e, fn in funs.items()}
         # rho state by node, shaped as in the replay; inits keep only acted
@@ -155,18 +141,31 @@ class EtaRhoRun(Engine):
         self.uses = {}  # node -> live use
         self.acted = {}  # node -> enumerations since run start
         self.wants = {}  # node -> "pick" | "enum" | None, this stage
+        self.guesses = {}  # node -> the opponent's guess, this stage
         self.eta_maxl = {}  # node -> best prior length at its stages
         self.cur_l = {}  # eta node -> length this stage
 
     # -- lengths and correctness --------------------------------------
 
+    def _least_held(self, observer):
+        """Least live use held on the way to observer; math.inf when none.
+        A computation is correct as seen from observer iff its use is
+        below it."""
+        least = math.inf
+        for u in map(self.uses.get, self.levels.holders(observer)):
+            if u is not None and u < least:
+                least = u
+        return least
+
     def _length(self, eta, s) -> int:
-        run = self.runs.get(self.levels.level_index(eta))
-        correct = self.levels.eta_correct
+        run = self.runs.get(len(eta) // self.levels.period)
+        if run is None:
+            return 0
+        least = self._least_held(eta)
         l = 0
         while l < s:
-            r = run.query(l) if run else None
-            if r is None or not correct(l, eta, self.uses, r.use):
+            r = run.query(l)
+            if r is None or least <= r.use:
                 break
             l += 1
         return l
@@ -174,7 +173,7 @@ class EtaRhoRun(Engine):
     # -- visits, outcomes and initialization --------------------------
 
     def _on_visit(self, node, s):
-        kind = self.levels.kind(node)
+        kind = len(node) % self.levels.period
         if kind == ETA:
             self.cur_l[node] = l = self._length(node, s)
             self.trace.emit(s, "visit", node=self.render(node), l=l)
@@ -189,22 +188,20 @@ class EtaRhoRun(Engine):
         """Refresh the marker declaration while the opponent still guesses
         zero."""
         use = self.uses.get(rho)
-        if use is None:
-            return
-        y = self.followers[rho]
-        if self.psis[self.levels.level_index(rho)].value(y, s) == 0:
+        if use is not None and self.guesses[rho] == 0:
             self.trace.emit(s, "declare", node=self.render(rho),
-                            what="gamma", y=y, u=use, act="fin")
+                            what="gamma", y=self.followers[rho], u=use,
+                            act="fin")
 
     def _outcome(self, node, s):
-        kind = self.levels.kind(node)
+        kind = len(node) % self.levels.period
         if kind == ETA:
             l = self.cur_l[node]
-            expansionary = l > self.eta_maxl.get(node, 0)
-            self.eta_maxl[node] = max(self.eta_maxl.get(node, 0), l)
-            if expansionary:
-                self._expansionary(node, s)
-            return INF if expansionary else FIN
+            if l <= self.eta_maxl.get(node, 0):
+                return FIN
+            self.eta_maxl[node] = l
+            self._expansionary(node, s)
+            return INF
         if kind == XI:
             return INF
         y = self.followers.get(node)
@@ -212,7 +209,8 @@ class EtaRhoRun(Engine):
             y = self.followers[node] = self._fresh()
             self.trace.emit(s, "declare", node=self.render(node),
                             what="follower", y=y)
-        psi = self.psis[self.levels.level_index(node)].value(y, s)
+        psi = self.guesses[node] = \
+            self.psis[len(node) // self.levels.period].value(y, s)
         held = node in self.uses
         if psi == 0 and not held:
             wants = "pick"
@@ -228,18 +226,20 @@ class EtaRhoRun(Engine):
         self.followers.pop(node, None)
         self.uses.pop(node, None)
         self.wants.pop(node, None)
+        self.guesses.pop(node, None)
 
     # -- rho permission and action ------------------------------------
 
     def _allows_pick(self, rho) -> bool:
         lv = self.levels
         acted = self.acted.get(rho, 0)
+        least = self._least_held(rho)
         for eta in lv.etas_above(rho):
-            run = self.runs.get(lv.level_index(eta))
+            run = self.runs.get(len(eta) // lv.period)
             for x in range(self.cur_l[eta]):
                 if acted < lv.quota_for(rho, x):
                     continue  # quota not exhausted from x
-                if not lv.eta_correct(x, rho, self.uses, run.query(x).use):
+                if least <= run.query(x).use:
                     return False
         return True
 
@@ -247,7 +247,7 @@ class EtaRhoRun(Engine):
         lv = self.levels
         use = self.uses[rho]
         for eta in lv.etas_above(rho):
-            run = self.runs.get(lv.level_index(eta))
+            run = self.runs.get(len(eta) // lv.period)
             for x in range(self.cur_l[eta]):
                 if lv.in_quota(rho, x):
                     continue

@@ -38,7 +38,16 @@ class EnumerableSet:
         return max((e for t, e in self.events if t <= s), default=0)
 
     def events_at(self, stage: int) -> list:
-        return [e for t, e in self.events if t == stage]
+        """Elements enumerated at stage, in order.  The scan runs back
+        from the newest event and stops at the first earlier stage."""
+        out = []
+        for t, e in reversed(self.events):
+            if t < stage:
+                break
+            if t == stage:
+                out.append(e)
+        out.reverse()
+        return out
 
 
 @dataclass(frozen=True)
@@ -69,17 +78,30 @@ class UseFunctional:
         self.args[x] = ArgSchedule(first, delay, policy, offset)
 
 
-class Engine:
-    """Shared by the construction engines: fresh numbers above every use
-    handed out so far, and the stage step of the functional runs.  An
-    engine sets ``trace``, ``runs`` (index -> FunctionalRun) and ``_top``."""
+class Fresh:
+    """Fresh numbers: each call returns one above every number handed out
+    or seen so far."""
 
-    def _fresh(self) -> int:
-        self._top += 1
-        return self._top
+    __slots__ = ("top",)
+
+    def __init__(self):
+        self.top = 0
+
+    def __call__(self) -> int:
+        self.top += 1
+        return self.top
+
+
+class Engine:
+    """Shared by the construction engines: the stage step of the
+    functional runs.  An engine sets ``trace``, ``runs`` (index ->
+    FunctionalRun) and ``_fresh``, a Fresh its runs share as ``large``.
+    The runs hold the Fresh, not the engine, so that no reference cycle
+    keeps a finished engine and its trace alive."""
 
     def _advance_functionals(self, s: int):
         """Step every functional run one stage and emit what changed."""
+        fresh = self._fresh
         for e, run in self.runs.items():
             for x, before_use, a in run.advance(s):
                 if before_use is not None:
@@ -88,7 +110,7 @@ class Engine:
                 if a is not None:
                     self.trace.emit(s, "inject-converge", e=e, x=x,
                                     use=a.use, value=a.value)
-                    self._top = max(self._top, a.use)
+                    fresh.top = max(fresh.top, a.use)
 
 
 class FunctionalRun:

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .approximation import verify_r_approximation
 from .budgeted import (Generation, Requirement, check_bound, descent_witness,
                        phi)
-from .functional import Engine, EnumerableSet, FunctionalRun
+from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
 from .trace import CheckResult, RunTrace, Summary, payload_error
 
@@ -48,7 +48,7 @@ class LowAlphaRun(Engine):
         self.stages = stages
         self.A = EnumerableSet()
         self.trace = RunTrace("low-alpha", stages)
-        self._top = 0
+        self._fresh = Fresh()
         self._next_x = 0
         self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
                      for e, fn in enumerate(funs)}

@@ -61,12 +61,14 @@ class StrategyTree:
 
     def __init__(self, alphabet_fn):
         self.alphabet_fn = alphabet_fn
+        self._alphabets = []  # level -> alphabet_fn(level), asked once
         self.birth = {ROOT: 0}  # node -> creation order
         self.children = {ROOT: {}}  # node -> outcome -> child node
         self.paths = []  # stage -> its path
         self.selections = {}  # node -> times selected
 
     def register(self, node: tuple):
+        """Add node, whose parent is registered, as its parent's child."""
         if node not in self.birth:
             self.birth[node] = len(self.birth)
             self.children[node] = {}
@@ -78,31 +80,33 @@ class StrategyTree:
         """Build the stage-s path of the given length.
 
         ``outcome_cb(node, s)`` names the outcome the visited node plays,
-        after ``visit_cb(node, s)`` saw it; everything to the right of each
-        new prefix is initialized via ``init_cb(node, s)``.
+        after ``visit_cb(node, s)`` saw it; the registered subtrees right
+        of each new prefix are initialized via ``init_cb(node, s)``.
         """
+        alphabets = self._alphabets
+        while len(alphabets) < length:
+            alphabets.append(self.alphabet_fn(len(alphabets)))
+        children = self.children
         node = ROOT
-        self.register(node)
         visit_cb(node, s)
         for level in range(length):
-            alphabet = self.alphabet_fn(level)
             o = outcome_cb(node, s)
-            if o not in alphabet:
+            if o not in alphabets[level]:
                 raise ValueError(
                     f"outcome {o!r} outside alphabet at level {level}")
-            node = node + (o,)
-            self.register(node)
-            self._initialize_right_of(node, s, init_cb)
+            kids = children[node]
+            child = kids.get(o)
+            if child is None:
+                child = node + (o,)
+                self.register(child)
+            if len(kids) > 1:
+                for o2, sib in kids.items():
+                    if o2 > o:
+                        self._init_subtree(sib, s, init_cb)
+            node = child
             visit_cb(node, s)
         self.paths.append(node)
         return node
-
-    def _initialize_right_of(self, node: tuple, s: int, init_cb):
-        """Initialize the registered subtrees of node's right siblings."""
-        parent, o = node[:-1], node[-1]
-        for o2, sib in self.children.get(parent, {}).items():
-            if o2 > o:
-                self._init_subtree(sib, s, init_cb)
 
     def _init_subtree(self, node: tuple, s: int, init_cb):
         stack = [node]

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injurylab.functional import (
     Converged,
@@ -205,3 +206,19 @@ def test_large_hook_supplies_uses():
     run = FunctionalRun(fn, A, large=large)
     run.advance(0)
     assert run.query(0).use == 101
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(adds=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 60)),
+                     unique_by=lambda p: p[1], max_size=30))
+def test_events_at_matches_full_filter(adds):
+    """events_at, which scans back from the newest event, gives every
+    stage's elements in order, as a filter over all events does.  Each
+    add comes a gap of 0 to 3 stages after the one before."""
+    A = EnumerableSet()
+    stage = 0
+    for gap, element in adds:
+        stage += gap
+        A.add(element, stage)
+    for s in range(-1, stage + 3):
+        assert A.events_at(s) == [e for t, e in A.events if t == s]

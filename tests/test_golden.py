@@ -5,13 +5,16 @@ produce.  Any drift in event ordering, payload formatting, or summary
 bookkeeping shows up here first.
 """
 
+import collections
 import io
 import os
 
 import pytest
 
+from injurylab.approximation import DeltaTwoAdversary
 from injurylab.cli import main, reduce_summary, replay_of
 from injurylab.scenario import load_scenario
+from injurylab.tree import StrategyTree
 
 HERE = os.path.dirname(__file__)
 SCEN = os.path.join(HERE, os.pardir, "scenarios")
@@ -110,3 +113,39 @@ class TestGoldenTraces:
         removed = [ev for ev in by_kind(trace, "qlist-remove")
                    if ev.payload["cause"] == "left-stage"]
         assert len(removed) == 1 and removed[0].stage == 11
+
+
+class TestCallCounts:
+    """The stage loop derives each fact once: one guess per opponent,
+    argument and stage, and one alphabet per tree level.  Calls are
+    counted, not timed, so the guard is deterministic."""
+
+    @pytest.mark.parametrize("name", ("golden-nonlow-low2",
+                                      "golden-nonlow-alpha"))
+    def test_each_fact_asked_once(self, name, monkeypatch):
+        guesses = collections.Counter()  # (opponent, y, s) -> calls
+        value = DeltaTwoAdversary.value
+
+        def counted_value(adv, y, s):
+            guesses[(adv, y, s)] += 1
+            return value(adv, y, s)
+
+        trees = []  # per tree: level -> alphabet_fn calls
+        init = StrategyTree.__init__
+
+        def counted_init(tree, alphabet_fn):
+            levels = collections.Counter()
+            trees.append(levels)
+
+            def counted(level):
+                levels[level] += 1
+                return alphabet_fn(level)
+
+            init(tree, counted)
+
+        monkeypatch.setattr(DeltaTwoAdversary, "value", counted_value)
+        monkeypatch.setattr(StrategyTree, "__init__", counted_init)
+        run_golden(name)
+        assert guesses and max(guesses.values()) == 1
+        assert len(trees) == 1 and trees[0]
+        assert max(trees[0].values()) == 1

@@ -1,13 +1,15 @@
 """Scenario grammar and command line front end."""
 
+import gc
 import io
 import os
 import re
+import weakref
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from injurylab import nonlow_low2
+from injurylab import cli, nonlow_low2
 from injurylab.cli import digest, main, reduce_summary, replay_of
 from injurylab.ordinal import nat, omega_power
 from injurylab.scenario import ScenarioError, load_scenario
@@ -209,6 +211,50 @@ class TestExecute:
         assert "budget-formula" not in names and "diagonalization" in names
 
 
+CONSTRUCTION_IDS = ("nonlow-low2", "low-alpha", "nonlow-alpha")
+
+
+@pytest.fixture
+def refcount_only():
+    """Cyclic collection off: only reference counting frees objects."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestLifetime:
+    """A finished run holds no reference cycle, so its engine and trace
+    are freed as soon as the caller drops them, not at some later
+    collection."""
+
+    @pytest.mark.parametrize("text", [LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT],
+                             ids=CONSTRUCTION_IDS)
+    def test_execute_trace_dies_with_its_caller(self, text, refcount_only):
+        trace, _ = load_scenario(text).execute()
+        ref = weakref.ref(trace)
+        del trace
+        assert ref() is None
+
+    @pytest.mark.parametrize("text", [LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT],
+                             ids=CONSTRUCTION_IDS)
+    def test_campaign_seed_trace_dies_with_the_seed(self, text, monkeypatch,
+                                                   refcount_only):
+        sc = load_scenario(text)
+        execute, refs = sc.execute, []
+
+        def spy(**kwargs):
+            trace, psis = execute(**kwargs)
+            refs.append(weakref.ref(trace))
+            return trace, psis
+
+        monkeypatch.setattr(sc, "execute", spy)
+        assert cli._campaign_seed(sc, 0, None, io.StringIO()) is not None
+        assert len(refs) == 1 and refs[0]() is None
+
+
 class TestCli:
     def run_cli(self, argv):
         out = io.StringIO()
@@ -299,6 +345,15 @@ class TestCli:
     def test_cnf_eval_bad_expression(self):
         code, text = self.run_cli(["cnf", "eval", "w", "+"])
         assert code == 2 and text.startswith("error ")
+
+    def test_cnf_eval_unknown_operator(self):
+        assert self.run_cli(["cnf", "eval", "w", "-", "1"]) \
+            == (2, "error unknown operator '-'\n")
+
+    def test_cnf_eval_empty_expression_is_usage_error(self, capsys):
+        assert self.run_cli(["cnf", "eval"]) == (2, "")
+        assert "the following arguments are required: expr" \
+            in capsys.readouterr().err
 
     def test_missing_scenario_file(self, tmp_path):
         code, text = self.run_cli(["run", "--scenario",

@@ -10,7 +10,7 @@ import itertools
 import pytest
 
 from injurylab.approximation import DeltaTwoAdversary
-from injurylab.functional import UseFunctional
+from injurylab.functional import Converged, UseFunctional
 from injurylab import nonlow_low2 as nl
 from injurylab.cli import reduce_summary, replay_of
 from injurylab.trace import ConfigError, RunTrace
@@ -105,25 +105,71 @@ class TestEdgeLayer:
                         < nl.LEVELS.edge_layer(rho, x, universe)
 
 
+def eta_correct(x, observer, uses, use):
+    """Reference rule for the engine's lengths: no marker held on the way
+    to observer undercuts the computation at x, whose use is given."""
+    if use is None:
+        raise ValueError(
+            f"computation at {x} diverged; correctness undefined")
+    for node in nl.LEVELS.holders(observer):
+        u = uses.get(node)
+        if u is not None and u <= use:
+            return False
+    return True
+
+
+class _OneUse:
+    """A functional run on which every argument converges with one use,
+    or diverges when the use is None."""
+
+    def __init__(self, use):
+        self.use = use
+
+    def query(self, x):
+        return None if self.use is None else Converged(self.use, 0)
+
+
+def engine_length(observer, uses, use, s):
+    """The engine's _length at stage s under uses, every argument
+    converged with use.  A rho observer is read through the eta below its
+    infinitary outcome, which has the same holders."""
+    eta = observer if nl.LEVELS.is_eta(observer) else observer + (0,)
+    assert set(nl.LEVELS.holders(eta)) == set(nl.LEVELS.holders(observer))
+    run = nl.NonlowLow2Run({0: scripted()}, {}, 0)
+    run.runs = {len(eta) // 2: _OneUse(use)}
+    run.uses = dict(uses)
+    return run._length(eta, s)
+
+
+def correct(x, observer, uses, use):
+    """eta_correct at x, after checking that _length agrees: with one use
+    at every argument, the length reaches x + 1 or stays 0."""
+    ok = eta_correct(x, observer, uses, use)
+    assert engine_length(observer, uses, use, x + 1) == (x + 1 if ok else 0)
+    return ok
+
+
 class TestEtaCorrect:
     def test_vacuous(self):
-        assert nl.LEVELS.eta_correct(3, (0, 0), {}, 9)
+        assert correct(3, (0, 0), {}, 9)
 
     def test_low_use_fails(self):
-        assert not nl.LEVELS.eta_correct(0, (0,), {(0,): 5}, 9)
+        assert not correct(0, (0,), {(0,): 5}, 9)
+        assert not correct(0, (0,), {(0,): 9}, 9)  # a marker at the use
 
     def test_repick_clears(self):
         uses = {(0,): 5}
-        assert not nl.LEVELS.eta_correct(0, (0, 0, 0), uses, 9)
+        assert not correct(0, (0, 0, 0), uses, 9)
         uses[(0,)] = 20
-        assert nl.LEVELS.eta_correct(0, (0, 0, 0), uses, 9)
+        assert correct(0, (0, 0, 0), uses, 9)
 
     def test_divergent_errors(self):
         with pytest.raises(ValueError):
-            nl.LEVELS.eta_correct(0, (0,), {}, None)
+            eta_correct(0, (0,), {}, None)
+        assert engine_length((0,), {}, None, 1) == 0
 
     def test_fin_prefixes_irrelevant(self):
-        assert nl.LEVELS.eta_correct(0, (0, 1, 0, 1, 0), {(0, 1, 0): 1}, 9)
+        assert correct(0, (0, 1, 0, 1, 0), {(0, 1, 0): 1}, 9)
 
 
 def scripted(aid="p"):

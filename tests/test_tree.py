@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injurylab.tree import (
     FIN,
@@ -182,3 +183,90 @@ def test_render_node():
     assert render_node(ROOT, two) == "-"
     mixed = lambda level: (0,) if level % 3 == 2 else (INF, FIN)
     assert render_node((INF, FIN, 0), mixed) == "ifq"
+
+
+# -- the walk against its longhand form --------------------------------
+
+
+def oracle_run_stage(tree, outcome_cb, s, length, init_cb, visit_cb):
+    """The walk written out longhand: ask the alphabet and register the
+    node at every level, and scan the siblings of every new prefix."""
+    node = ROOT
+    tree.register(node)
+    visit_cb(node, s)
+    for level in range(length):
+        alphabet = tree.alphabet_fn(level)
+        o = outcome_cb(node, s)
+        if o not in alphabet:
+            raise ValueError(
+                f"outcome {o!r} outside alphabet at level {level}")
+        node = node + (o,)
+        tree.register(node)
+        for o2, sib in tree.children.get(node[:-1], {}).items():
+            if o2 > o:
+                tree._init_subtree(sib, s, init_cb)
+        visit_cb(node, s)
+    tree.paths.append(node)
+    return node
+
+
+def walk(run_stage, period, registered, stages):
+    """Run the stages on a fresh tree and log every callback in order.
+
+    Level kinds cycle with period; a level of kind 2 has the single
+    outcome INF.  Each stage lists one choice per level: 0 to 3 pick from
+    the level's alphabet, 4 plays FIN even where it is outside it.
+    """
+    asked = []
+
+    def alphabet_fn(level):
+        asked.append(level)
+        return (INF,) if level % period == 2 else (INF, FIN)
+
+    tree = StrategyTree(alphabet_fn)
+    for node in registered:  # each after its prefixes, as a walk does
+        for i in range(1, len(node) + 1):
+            tree.register(node[:i])
+    log = []
+
+    def outcome(node, s):
+        c = stages[s][len(node)]
+        alphabet = (INF,) if len(node) % period == 2 else (INF, FIN)
+        log.append(("outcome", node, s))
+        return FIN if c == 4 else alphabet[c % len(alphabet)]
+
+    def init(node, s):
+        log.append(("init", node, s))
+
+    def visit(node, s):
+        log.append(("visit", node, s))
+
+    ends = []
+    for s, choices in enumerate(stages):
+        try:
+            ends.append(run_stage(tree, outcome, s, len(choices), init,
+                                  visit))
+        except ValueError as ex:
+            ends.append(str(ex))
+            break
+    children = [(n, list(kids.items())) for n, kids in tree.children.items()]
+    state = (ends, log, list(tree.birth.items()), children, tree.paths)
+    return state, asked
+
+
+node_lists = st.lists(st.lists(st.sampled_from((INF, FIN)), max_size=5)
+                      .map(tuple), max_size=8)
+stage_lists = st.lists(st.lists(st.integers(0, 4), max_size=6), max_size=12)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(period=st.sampled_from((2, 3)), registered=node_lists,
+       stages=stage_lists)
+def test_run_stage_matches_longhand_walk(period, registered, stages):
+    """Same paths, the same callbacks in the same order, and the same
+    birth, children and paths, on pre-registered subtrees too; and the
+    tree asks the alphabet of a level once."""
+    state, asked = walk(StrategyTree.run_stage, period, registered, stages)
+    expected, _ = walk(oracle_run_stage, period, registered, stages)
+    assert state == expected
+    assert len(asked) == len(set(asked))
