@@ -103,15 +103,15 @@ class Generation:
 
     __slots__ = ("eid", "s_def", "k", "members", "gs", "removed", "value")
 
-    def __init__(self, ev, payload: dict, parse):
+    def __init__(self, eid: int, stage: int, payload: dict, parse):
         members, gs = payload["members"], payload["gs"]
         members = [] if members == "-" else list(map(parse,
                                                      members.split(",")))
         gs = [] if gs == "-" else list(map(parse_cnf, gs.split(";")))
         if len(gs) != len(members):
             raise ValueError(f"{len(members)} members but {len(gs)} budgets")
-        self.eid = ev.eid
-        self.s_def = ev.stage
+        self.eid = eid
+        self.s_def = stage
         self.k = int(payload["k"])
         if self.k < 0:
             raise ValueError(f"negative k {self.k}")

@@ -333,7 +333,7 @@ class EtaRhoReplay:
     """Verifier view of a tree trace, rebuilt from the event stream alone.
 
     Subclasses set ``levels`` and build through ``_read``.  A subclass
-    that defines ``_extra(ev, stage, payload)`` sees every event but the
+    that defines ``_extra(eid, stage, payload)`` sees every event but the
     visits before the shared handling.  Node names are parsed through
     ``levels.parse``.  An event without a payload key the replay reads,
     the length ``l`` of an eta visit included, or with a value it cannot
@@ -368,13 +368,13 @@ class EtaRhoReplay:
         # another level kind
         foreign = None
         try:
-            for ev in trace.events:
-                s = ev.stage
+            for eid, s, p in zip(range(len(trace.events)), trace.stage_of,
+                                 trace.events):
                 if s != cur_stage:
                     self._close_stage(pending, cur_diverges)
                     pending, cur_diverges, cur_stage = [], [], s
-                p = ev.payload
-                if ev.kind == "visit":
+                kind = p.kind
+                if kind == "visit":
                     node = parse(p["node"])
                     n = len(node)
                     if n >= len(self.paths.get(s, ROOT)):
@@ -382,47 +382,47 @@ class EtaRhoReplay:
                     if "l" in p:
                         self.l[(s, node)] = int(p["l"])
                         if n % period != ETA and foreign is None:
-                            foreign = (ev.eid, node)
+                            foreign = (eid, node)
                     elif n % period == ETA:  # an eta visit has a length
                         raise KeyError("l")
                     elif "x" in p and n % period == RHO and foreign is None:
-                        foreign = (ev.eid, node)
+                        foreign = (eid, node)
                     visits += 1
                     continue
-                summary.read(ev.kind, p)
+                summary.read(kind, p)
                 if extra is not None:
-                    extra(ev, s, p)
-                if ev.kind == "init":
+                    extra(eid, s, p)
+                if kind == "init":
                     node = parse(p["node"])
                     self.last_init[node] = s
                     uses.pop(node, None)
                     followers.pop(node, None)
-                elif ev.kind == "declare" and p["what"] == "follower":
+                elif kind == "declare" and p["what"] == "follower":
                     followers[parse(p["node"])] = int(p["y"])
-                elif ev.kind == "declare" and p["what"] == "gamma" \
+                elif kind == "declare" and p["what"] == "gamma" \
                         and p["act"] == "pick":
                     node, y, u = (parse(p["node"]), int(p["y"]),
                                   int(p["u"]))
                     before = acted.get(node, 0)
                     held = [uses[n] for n in holders(node) if n in uses]
-                    self.picks.append((ev.eid, s, node, y, u, before, held))
+                    self.picks.append((eid, s, node, y, u, before, held))
                     self.use_at_pick[(node, u)] = (s, before)
                     uses[node] = u
-                elif ev.kind == "enumerate":
+                elif kind == "enumerate":
                     node, elem = parse(p["node"]), int(p["element"])
-                    pending.append((ev.eid, node, elem))
+                    pending.append((eid, node, elem))
                     acted[node] = acted.get(node, 0) + 1
                     uses.pop(node, None)
-                elif ev.kind == "inject-diverge":
-                    cur_diverges.append((ev.eid, s, int(p["e"]), int(p["x"]),
+                elif kind == "inject-diverge":
+                    cur_diverges.append((eid, s, int(p["e"]), int(p["x"]),
                                          int(p["use"])))
                     self.phi.setdefault((int(p["e"]), int(p["x"])),
                                         []).append((s, None))
-                elif ev.kind == "inject-converge":
+                elif kind == "inject-converge":
                     self.phi.setdefault((int(p["e"]), int(p["x"])),
                                         []).append((s, int(p["use"])))
         except (KeyError, ValueError) as ex:
-            raise payload_error(ev, ex) from None
+            raise payload_error(eid, kind, ex) from None
         self._close_stage(pending, cur_diverges)
         self.visits, self.foreign = visits, foreign
         self._etas = {}  # eta -> stages of its expansionary visits

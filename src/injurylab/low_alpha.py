@@ -181,21 +181,22 @@ class _LowReplay:
         self.phis = []  # (e, value) texts of the watchers' phi-sets
         self.summary = summary = Summary()
         try:
-            for ev in trace.events:
-                p = ev.payload
-                summary.read(ev.kind, p)
-                if ev.kind == "qlist-set":
+            for eid, s, p in zip(range(len(trace.events)), trace.stage_of,
+                                 trace.events):
+                kind = p.kind
+                summary.read(kind, p)
+                if kind == "qlist-set":
                     e = int(p["e"])
                     if e in self.budgets:
-                        self.extra_sets.append(ev.eid)
+                        self.extra_sets.append(eid)
                     else:
-                        self.budgets[e] = Generation(ev, p, int)
-                elif ev.kind == "qlist-remove":
+                        self.budgets[e] = Generation(eid, s, p, int)
+                elif kind == "qlist-remove":
                     e, q = int(p["e"]), int(p["q"])
                     b = self.budgets.get(e)
-                    if b is None or not b.remove(q, ev.stage):
-                        self.bad_removes.append(ev.eid)
-                elif ev.kind == "phi-set":
+                    if b is None or not b.remove(q, s):
+                        self.bad_removes.append(eid)
+                elif kind == "phi-set":
                     value = parse_cnf(p["value"])
                     if p["e"] == "alpha":
                         self.alpha = value
@@ -204,25 +205,24 @@ class _LowReplay:
                         self.phis.append((p["e"], p["value"]))
                         if e in self.budgets:
                             self.budgets[e].value = value
-                elif ev.kind == "init":
-                    self.inits.setdefault(_level(p["node"]), []).append(
-                        ev.stage)
-                elif ev.kind == "enumerate":
-                    self.enums[ev.stage] = (ev.eid, _level(p["node"]),
-                                            int(p["element"]),
-                                            parse_cnf(p["marker"]))
-                elif ev.kind == "inject-diverge":
-                    self.injuries.append((ev.eid, ev.stage, int(p["e"]),
-                                          int(p["x"]), int(p["use"])))
-                elif ev.kind == "declare":
+                elif kind == "init":
+                    self.inits.setdefault(_level(p["node"]), []).append(s)
+                elif kind == "enumerate":
+                    self.enums[s] = (eid, _level(p["node"]),
+                                     int(p["element"]),
+                                     parse_cnf(p["marker"]))
+                elif kind == "inject-diverge":
+                    self.injuries.append((eid, s, int(p["e"]), int(p["x"]),
+                                          int(p["use"])))
+                elif kind == "declare":
                     q = _level(p["node"])
                     if p.get("what") == "delta":
                         self.declares.setdefault(q, []).append(
-                            (ev.eid, ev.stage, int(p["u"]), int(p["value"])))
-                elif ev.kind == "visit":
-                    self.last_f[_level(p["node"])] = (ev.stage, int(p["f"]))
+                            (eid, s, int(p["u"]), int(p["value"])))
+                elif kind == "visit":
+                    self.last_f[_level(p["node"])] = (s, int(p["f"]))
         except (KeyError, ValueError) as ex:
-            raise payload_error(ev, ex) from None
+            raise payload_error(eid, kind, ex) from None
 
     def own_injuries(self, e: int):
         """Post-activation injuries of watcher e's own computation."""

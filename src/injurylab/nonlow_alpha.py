@@ -258,35 +258,36 @@ class _CombReplay(EtaRhoReplay):
         self.denials = []  # (eid, stage, node, by, x)
         self._read(trace)
 
-    def _extra(self, ev, s, p):
-        if ev.kind == "init":
+    def _extra(self, eid, s, p):
+        kind = p.kind
+        if kind == "init":
             node = parse(p["node"])
             if is_xi(node) and node in self.followers:
                 self.xi_inits.setdefault(node, []).append(s)
-        elif ev.kind == "enumerate":
+        elif kind == "enumerate":
             marker = parse_cnf(p["marker"]) if "marker" in p else None
-            self.enums[s] = (ev.eid, parse(p["node"]), int(p["element"]),
+            self.enums[s] = (eid, parse(p["node"]), int(p["element"]),
                              marker)
-        elif ev.kind == "select" and p.get("act") == "denied":
-            self.denials.append((ev.eid, s, parse(p["node"]),
+        elif kind == "select" and p.get("act") == "denied":
+            self.denials.append((eid, s, parse(p["node"]),
                                  parse(p["by"]), int(p["x"])))
-        elif ev.kind == "qlist-set":
+        elif kind == "qlist-set":
             eta, x = parse(p["eta"]), int(p["x"])
-            entry = Generation(ev, p, parse)
-            self.kps[ev.eid] = kps = ([] if p["kps"] == "-" else
-                                      [int(t) for t in p["kps"].split(";")])
+            entry = Generation(eid, s, p, parse)
+            self.kps[eid] = kps = ([] if p["kps"] == "-" else
+                                   [int(t) for t in p["kps"].split(";")])
             if any(v < 0 for v in kps):
                 raise ValueError(f"negative kps entry in {p['kps']}")
             gen = self.entries.setdefault((eta, x), [])
             if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
-                self.bad_events.append(ev.eid)
+                self.bad_events.append(eid)
             gen.append(entry)
-        elif ev.kind == "qlist-remove":
+        elif kind == "qlist-remove":
             eta, x, m = parse(p["eta"]), int(p["x"]), parse(p["xi"])
             gen = self.entries.get((eta, x))
             if not gen or not gen[-1].remove(m, s):
-                self.bad_events.append(ev.eid)
-        elif ev.kind == "phi-set":
+                self.bad_events.append(eid)
+        elif kind == "phi-set":
             if p["e"] == "alpha":
                 self.alpha = parse_cnf(p["value"])
             elif "." in p["e"]:

@@ -1,14 +1,16 @@
 """Run traces: ordered event streams with a terminal summary.
 
-Events carry a strictly increasing id, a stage, one of a fixed set of
-kinds, and a flat string payload.  Payloads are interned per trace: all
-events of one trace with the same kind and payload text share one
-read-only payload, which carries its rendered line tail, so emitting,
-writing and parsing a trace build and render each distinct payload once.
-No table outlives its trace.  The text form is line-oriented and
-canonical, so a cryptographic digest of it is a stable fingerprint of a
-run.  A replay re-derives the terminal summary from the events in its one
-pass over them, which gives the self-consistency check.
+A trace stores its events as two parallel columns: ``events[i]`` is
+event i's payload and ``stage_of[i]`` its stage, so the event id is the
+index.  A payload carries its kind, a flat string mapping and its
+rendered line tail.  Payloads are interned per trace: all events of one
+trace with the same kind and payload text share one read-only payload,
+so emitting, writing and parsing a trace build and render each distinct
+payload once, and no event costs an object of its own.  No table
+outlives its trace.  The text form is line-oriented and canonical, so a
+cryptographic digest of it is a stable fingerprint of a run.  A replay
+re-derives the terminal summary from the events in its one pass over
+them, which gives the self-consistency check.
 """
 
 from __future__ import annotations
@@ -45,14 +47,16 @@ EVENT_KINDS = frozenset({
 
 class Payload(dict):
     """A read-only event payload: string keys to string values, with its
-    rendered line tail ``kind k=v ...``.  A trace shares one payload among
-    all of its events of the same kind and text, so no payload may change
-    after it is built, or its cached tail would go stale."""
+    kind and its rendered line tail ``kind k=v ...``.  A trace shares one
+    payload among all of its events of the same kind and text, so no
+    payload may change after it is built, or its cached tail would go
+    stale."""
 
-    __slots__ = ("tail",)
+    __slots__ = ("kind", "tail")
 
     def __init__(self, kind: str, items):
         super().__init__(items)
+        self.kind = kind
         self.tail = " ".join([kind] + [f"{k}={v}" for k, v in self.items()])
 
     def _refuse(self, *args, **kwargs):
@@ -62,29 +66,17 @@ class Payload(dict):
     clear = pop = popitem = setdefault = update = _refuse
 
 
-class Event:
-    __slots__ = ("eid", "stage", "kind", "payload")
-
-    def __init__(self, eid, stage, kind, payload):
-        self.eid = eid
-        self.stage = stage
-        self.kind = kind
-        self.payload = payload
-
-    def __repr__(self):
-        return f"Event({self.eid}, {self.stage}, {self.kind}, {self.payload})"
-
-
 class RunTrace:
     def __init__(self, construction: str, stages: int):
         self.construction = construction
         self.stages = stages
-        self.events = []
+        self.events = []    # event id -> its shared payload
+        self.stage_of = []  # event id -> its stage
         self.summary = {}
         # (kind, keys, value texts) -> the one payload of that kind and text
         self._payloads = {}
 
-    def emit(self, stage: int, kind: str, **payload) -> Event:
+    def emit(self, stage: int, kind: str, **payload) -> None:
         # keyed by the value texts, not the values, so values that compare
         # equal but render differently (True and 1, 1 and 1.0) never share
         # a payload
@@ -96,10 +88,8 @@ class RunTrace:
                 raise ValueError(f"unknown event kind {kind!r}") from None
             shared = self._payloads[key] = Payload(
                 kind, [(k, str(v)) for k, v in payload.items()])
-        events = self.events
-        ev = Event(len(events), stage, kind, shared)
-        events.append(ev)
-        return ev
+        self.events.append(shared)
+        self.stage_of.append(stage)
 
     def finalize(self, summary: dict):
         self.summary = {k: str(v) for k, v in summary.items()}
@@ -108,7 +98,8 @@ class RunTrace:
 
     def to_text(self) -> str:
         lines = [f"trace {self.construction} stages={self.stages}"]
-        lines += [f"{e.eid} {e.stage} {e.payload.tail}" for e in self.events]
+        lines += [f"{eid} {s} {p.tail}" for eid, s, p in
+                  zip(range(len(self.events)), self.stage_of, self.events)]
         for k in sorted(self.summary):
             lines.append(f"summary {k} {self.summary[k]}")
         return "\n".join(lines) + "\n"
@@ -121,11 +112,14 @@ class RunTrace:
         stage that goes backwards or a stage at or past the header's
         stage count raises ConfigError naming the line.  Stage 0
         is always in range: the alpha constructions set the bound there
-        even in a run of no stages.  Each distinct payload text of a kind
-        is parsed once, into one payload its events share."""
+        even in a run of no stages.  Each distinct payload text is parsed
+        and its kind checked once, into one payload its events share, and
+        the events of one stage share one stage number."""
         trace = None
-        last_stage = 0
-        payloads = {}  # "kind k=v ..." text -> (kind, its parsed payload)
+        payloads = {}  # "kind k=v ..." text -> its parsed payload
+        # the last stage and its token: a stage is parsed and checked only
+        # where its token changes
+        last_stage, last_tok = 0, "0"
         for lineno, ln in enumerate(text.splitlines(), 1):
             toks = ln.split(None, 2)
             if not toks:
@@ -137,37 +131,44 @@ class RunTrace:
                     if word != "trace" or key != "stages" or int(stages) < 0:
                         raise ValueError
                     trace = cls(construction, int(stages))
+                    events, stage_of = trace.events, trace.stage_of
                     bound = max(trace.stages, 1)
                     continue
                 if toks[0] == "summary":
                     _, key, value = ln.split()
                     trace.summary[key] = value
                     continue
-                eid, stage, tail = int(toks[0]), int(toks[1]), toks[2]
-                parsed = payloads.get(tail)
-                if parsed is None:
+                eid, tok, tail = int(toks[0]), toks[1], toks[2]
+                if tok != last_tok:
+                    stage = int(tok)
+                payload = payloads.get(tail)
+                if payload is None:
                     kind, *pairs = tail.split()
-                    parsed = payloads[tail] = kind, Payload(
-                        kind, [t.split("=", 1) for t in pairs])
+                    payload = Payload(kind, [t.split("=", 1) for t in pairs])
+                    if kind in EVENT_KINDS:
+                        payloads[tail] = payload
+                    else:
+                        payload = None
             except (ValueError, IndexError):
                 what = "trace header" if trace is None else "trace line"
                 raise ConfigError(f"line {lineno}: malformed {what} "
                                   f"{ln!r}") from None
-            kind, payload = parsed
-            if kind not in EVENT_KINDS:
+            if payload is None:
                 raise ConfigError(f"line {lineno}: unknown event kind "
                                   f"{kind!r}")
-            if eid != len(trace.events):
+            if eid != len(events):
                 raise ConfigError(f"line {lineno}: event id {eid} out of "
-                                  f"sequence, expected {len(trace.events)}")
-            if stage < last_stage:
-                raise ConfigError(f"line {lineno}: stage {stage} after "
-                                  f"stage {last_stage}")
-            if stage >= bound:
-                raise ConfigError(f"line {lineno}: stage {stage} past "
-                                  f"stages={trace.stages}")
-            last_stage = stage
-            trace.events.append(Event(eid, stage, kind, payload))
+                                  f"sequence, expected {len(events)}")
+            if tok != last_tok:
+                if stage < last_stage:
+                    raise ConfigError(f"line {lineno}: stage {stage} after "
+                                      f"stage {last_stage}")
+                if stage >= bound:
+                    raise ConfigError(f"line {lineno}: stage {stage} past "
+                                      f"stages={trace.stages}")
+                last_stage, last_tok = stage, tok
+            events.append(payload)
+            stage_of.append(last_stage)
         if trace is None:
             raise ConfigError("missing trace header")
         return trace
@@ -176,13 +177,13 @@ class RunTrace:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
 
 
-def payload_error(ev: Event, ex: Exception) -> ConfigError:
+def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:
     """The ConfigError for a KeyError or ValueError met while reading the
-    payload of event ev."""
+    payload of event eid, of the given kind."""
     if isinstance(ex, KeyError):
-        return ConfigError(f"event {ev.eid}: {ev.kind} without payload key "
+        return ConfigError(f"event {eid}: {kind} without payload key "
                            f"{ex.args[0]!r}")
-    return ConfigError(f"event {ev.eid}: bad {ev.kind} payload: {ex}")
+    return ConfigError(f"event {eid}: bad {kind} payload: {ex}")
 
 
 class Summary:

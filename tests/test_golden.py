@@ -66,8 +66,8 @@ REPORTS = {
 
 
 def by_kind(trace, kind):
-    """The events of trace of one kind, in trace order."""
-    return [ev for ev in trace.events if ev.kind == kind]
+    """The ids of the events of trace of one kind, in trace order."""
+    return [eid for eid, p in enumerate(trace.events) if p.kind == kind]
 
 
 def run_golden(name):
@@ -101,18 +101,18 @@ class TestGoldenTraces:
 
     def test_low_alpha_fixture_reads_as_expected(self):
         _, trace, _ = run_golden("golden-low-alpha")
-        markers = [ev.payload["marker"] for ev in by_kind(trace, "enumerate")]
+        enums = by_kind(trace, "enumerate")
+        markers = [trace.events[eid]["marker"] for eid in enums]
         assert markers == ["3", "2"]
-        elements = [ev.payload["element"]
-                    for ev in by_kind(trace, "enumerate")]
+        elements = [trace.events[eid]["element"] for eid in enums]
         assert elements == ["1", "4"]
         assert trace.summary["A"] == "1,4"
 
     def test_nonlow_alpha_fixture_has_left_stage_removal(self):
         _, trace, _ = run_golden("golden-nonlow-alpha")
-        removed = [ev for ev in by_kind(trace, "qlist-remove")
-                   if ev.payload["cause"] == "left-stage"]
-        assert len(removed) == 1 and removed[0].stage == 11
+        removed = [eid for eid in by_kind(trace, "qlist-remove")
+                   if trace.events[eid]["cause"] == "left-stage"]
+        assert len(removed) == 1 and trace.stage_of[removed[0]] == 11
 
 
 class TestCallCounts:

@@ -55,7 +55,7 @@ class TestRunBasics:
     def test_zero_stages(self):
         tr = la.run([ScriptedCaAdversary("f0", W)], [], omega_power(W), 0)
         assert tr.summary == {"A": "-"}
-        assert [e.kind for e in tr.events] == ["phi-set"]
+        assert [p.kind for p in tr.events] == ["phi-set"]
 
     def test_alpha_must_be_power_of_omega(self):
         with pytest.raises(ConfigError):
@@ -69,10 +69,10 @@ class TestRunBasics:
         # Hand simulation: the follower is assigned once at stage 0 and
         # the single declaration never contradicts a constant opponent.
         tr = la.run([ScriptedCaAdversary("f0", W)], [], omega_power(W), 20)
-        deltas = [e for e in by_kind(tr, "declare")
-                  if e.payload.get("what") == "delta"]
+        deltas = [tr.events[eid] for eid in by_kind(tr, "declare")
+                  if tr.events[eid].get("what") == "delta"]
         assert len(deltas) == 1
-        assert deltas[0].payload["value"] == "1"
+        assert deltas[0]["value"] == "1"
         assert not by_kind(tr, "enumerate")
         assert not by_kind(tr, "select")
         assert tr.summary == {"A": "-", "node.q0": "0:1"}
@@ -86,18 +86,19 @@ class TestRunBasics:
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 16)
         enums = by_kind(tr, "enumerate")
-        assert [e.stage for e in enums] == [4, 8, 12]
-        hits = [e for e in by_kind(tr, "inject-diverge")
-                if e.payload["x"] == "0"]
-        assert [e.stage for e in hits] == [4, 8, 12]
+        assert [tr.stage_of[eid] for eid in enums] == [4, 8, 12]
+        hits = [eid for eid in by_kind(tr, "inject-diverge")
+                if tr.events[eid]["x"] == "0"]
+        assert [tr.stage_of[eid] for eid in hits] == [4, 8, 12]
         sets = by_kind(tr, "qlist-set")
-        assert len(sets) == 1 and sets[0].stage == 1
-        assert sets[0].payload["members"] == "0"
-        budget = [e for e in by_kind(tr, "phi-set") if e.payload["e"] == "0"]
-        assert budget[0].payload["value"] == format_cnf(W.times_nat(2))
-        deltas = [e for e in by_kind(tr, "declare")
-                  if e.payload.get("what") == "delta"]
-        assert deltas[-1].payload["value"] == "0"  # opponent settled on 1
+        assert len(sets) == 1 and tr.stage_of[sets[0]] == 1
+        assert tr.events[sets[0]]["members"] == "0"
+        budget = [tr.events[eid] for eid in by_kind(tr, "phi-set")
+                  if tr.events[eid]["e"] == "0"]
+        assert budget[0]["value"] == format_cnf(W.times_nat(2))
+        deltas = [tr.events[eid] for eid in by_kind(tr, "declare")
+                  if tr.events[eid].get("what") == "delta"]
+        assert deltas[-1]["value"] == "0"  # opponent settled on 1
         for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
 
@@ -133,19 +134,19 @@ def denial_setup(stages=14):
 class TestPermission:
     def test_denial_initializes(self):
         tr = denial_setup()
-        denied = [e for e in by_kind(tr, "init")
-                  if e.payload["cause"].startswith("denied")]
+        denied = [eid for eid in by_kind(tr, "init")
+                  if tr.events[eid]["cause"].startswith("denied")]
         assert len(denied) == 1
-        assert denied[0].payload == {"node": "q1", "cause": "denied:0"}
-        assert denied[0].stage == 9
-        sel = [e for e in by_kind(tr, "select")
-               if e.payload["act"] == "denied"]
-        assert len(sel) == 1 and sel[0].payload["by"] == "0"
+        assert tr.events[denied[0]] == {"node": "q1", "cause": "denied:0"}
+        assert tr.stage_of[denied[0]] == 9
+        sel = [tr.events[eid] for eid in by_kind(tr, "select")
+               if tr.events[eid]["act"] == "denied"]
+        assert len(sel) == 1 and sel[0]["by"] == "0"
         # denied means no enumeration at that stage, and a fresh restart
-        assert all(e.stage != 9 for e in by_kind(tr, "enumerate"))
+        assert all(tr.stage_of[eid] != 9 for eid in by_kind(tr, "enumerate"))
         assert tr.summary["node.q1"] == "4:24"
-        removed = by_kind(tr, "qlist-remove")
-        assert [(e.payload["q"], e.payload["cause"]) for e in removed] == [
+        removed = [tr.events[eid] for eid in by_kind(tr, "qlist-remove")]
+        assert [(p["q"], p["cause"]) for p in removed] == [
             ("1", "preempted")]
         for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
@@ -161,12 +162,13 @@ class TestPermission:
         fun.configure(0, first=4)
         tr = la.run(advs, [fun], omega_power(W), 9)
         sets = by_kind(tr, "qlist-set")
-        assert sets[0].stage == 5 and sets[0].payload["members"] == "0,1,2"
-        inits = by_kind(tr, "init")
-        assert {e.payload["node"] for e in inits} == {"q1", "q2"}
-        assert all(e.payload["cause"] == "preempt:0" for e in inits)
-        removed = by_kind(tr, "qlist-remove")
-        assert {(e.payload["q"], e.payload["cause"]) for e in removed} == {
+        assert tr.stage_of[sets[0]] == 5
+        assert tr.events[sets[0]]["members"] == "0,1,2"
+        inits = [tr.events[eid] for eid in by_kind(tr, "init")]
+        assert {p["node"] for p in inits} == {"q1", "q2"}
+        assert all(p["cause"] == "preempt:0" for p in inits)
+        removed = [tr.events[eid] for eid in by_kind(tr, "qlist-remove")]
+        assert {(p["q"], p["cause"]) for p in removed} == {
             ("1", "preempted"), ("2", "preempted")}
         assert len(by_kind(tr, "enumerate")) == 1
         for check in la.verify_lowness_budget(replay_of(tr)):
@@ -184,8 +186,8 @@ class TestPermission:
         run._n_step(0, 4)
         removed = by_kind(run.trace, "qlist-remove")
         assert len(removed) == 1
-        assert removed[0].payload == {"e": "0", "q": "1",
-                                     "cause": "exhausted"}
+        assert run.trace.events[removed[0]] == {"e": "0", "q": "1",
+                                                "cause": "exhausted"}
         assert nst.qlist == [0]
 
 
@@ -242,11 +244,11 @@ class TestVerifier:
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 8)
 
-        def corrupt(ev):
-            p = dict(ev.payload)
-            if ev.kind == "phi-set" and p["e"] == "0":
+        def corrupt(eid, stage, payload):
+            p = dict(payload)
+            if payload.kind == "phi-set" and p["e"] == "0":
                 p["value"] = "w*7"
-            return [(ev.stage, ev.kind, p)]
+            return [(stage, payload.kind, p)]
         bad = mutated(tr, corrupt)
         checks = {c.name: c for c in la.verify_lowness_budget(replay_of(bad))}
         assert not checks["budget-formula"].passed
@@ -269,10 +271,13 @@ class TestVerifier:
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 8)
         enum = by_kind(tr, "enumerate")[0]
-        tr.events = [e for e in tr.events
-                     if not (e.kind == "declare" and e.eid > enum.eid
-                             and e.payload.get("what") == "delta")]
-        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
+
+        def drop_redeclare(eid, stage, p):
+            if p.kind == "declare" and eid > enum and p.get("what") == "delta":
+                return []
+            return [(stage, p.kind, p)]
+        bad = mutated(tr, drop_redeclare)
+        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(bad))}
         assert not checks["redeclare"].passed
 
 
@@ -327,21 +332,22 @@ def golden_trace():
 
 
 def mutated(trace, edit):
-    """A copy of trace in which edit(ev) gives the (stage, kind, payload)
-    rows that replace each event; event ids are renumbered."""
+    """A copy of trace in which edit(eid, stage, payload) gives the
+    (stage, kind, payload) rows that replace each event; event ids are
+    renumbered."""
     out = RunTrace(trace.construction, trace.stages)
-    for ev in trace.events:
-        for stage, kind, payload in edit(ev):
-            out.emit(stage, kind, **payload)
+    for eid, (stage, p) in enumerate(zip(trace.stage_of, trace.events)):
+        for row_stage, kind, payload in edit(eid, stage, p):
+            out.emit(row_stage, kind, **payload)
     out.finalize(trace.summary)
     return out
 
 
 def insert_after(eid, stage, kind, **payload):
     """An edit that adds one event right after event eid."""
-    def edit(ev):
-        rows = [(ev.stage, ev.kind, ev.payload)]
-        if ev.eid == eid:
+    def edit(i, s, p):
+        rows = [(s, p.kind, p)]
+        if i == eid:
             rows.append((stage, kind, payload))
         return rows
     return edit
@@ -379,11 +385,11 @@ class TestFaultInjection:
     def test_descent_witness_catches_raised_marker(self):
         # the stage-9 act would put the chain at w+5, above the w+3 the
         # stage-5 act left it at; the witness is the stage
-        def edit(ev):
-            p = dict(ev.payload)
-            if ev.eid == 25:
+        def edit(eid, stage, payload):
+            p = dict(payload)
+            if eid == 25:
                 p["marker"] = "5"
-            return [(ev.stage, ev.kind, p)]
+            return [(stage, payload.kind, p)]
         bad = check_named(mutated(golden_trace(), edit), "descent-witness")
         assert not bad.passed
         assert bad.witness == 9
@@ -391,21 +397,21 @@ class TestFaultInjection:
     def test_descent_witness_catches_missing_budget(self):
         # without its phi-set (event 8) watcher 0 has no budget to descend
         # through; the witness is the watcher
-        bad = check_named(mutated(golden_trace(), lambda ev: [] if ev.eid == 8
-                                  else [(ev.stage, ev.kind, ev.payload)]),
+        bad = check_named(mutated(golden_trace(), lambda eid, s, p: []
+                                  if eid == 8 else [(s, p.kind, p)]),
                           "descent-witness")
         assert (bad.passed, bad.witness) == (False, 0)
 
     def test_mind_change_cap_catches_excess(self):
         # a budget of g = 1 under k = 0 (phi-set 1) caps watcher 0 at one
         # own injury; the golden run injures it at stages 5 and 9
-        def edit(ev):
-            p = dict(ev.payload)
-            if ev.eid == 7:
+        def edit(eid, stage, payload):
+            p = dict(payload)
+            if eid == 7:
                 p.update(k="0", gs="1")
-            elif ev.eid == 8:
+            elif eid == 8:
                 p["value"] = "1"
-            return [(ev.stage, ev.kind, p)]
+            return [(stage, payload.kind, p)]
         bad = check_named(mutated(golden_trace(), edit), "mind-change-cap")
         assert not bad.passed
         assert (bad.witness, bad.detail) == (0, "1 finite budgets")
@@ -413,11 +419,11 @@ class TestFaultInjection:
     def test_diagonalization_catches_agreeing_declaration(self):
         # q0 last declares delta = 1 (event 26) and last sees f = 0; a
         # declaration of 0 agrees with the guess it must defeat
-        def edit(ev):
-            p = dict(ev.payload)
-            if ev.eid == 26:
+        def edit(eid, stage, payload):
+            p = dict(payload)
+            if eid == 26:
                 p["value"] = "0"
-            return [(ev.stage, ev.kind, p)]
+            return [(stage, payload.kind, p)]
         bad = check_named(mutated(golden_trace(), edit), "diagonalization")
         assert not bad.passed
         assert (bad.witness, bad.detail) == (0, "1 live followers")

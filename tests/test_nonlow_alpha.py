@@ -246,7 +246,7 @@ class TestRunBasics:
                     frozen_budgeted(), {0: basic_functional()}, ALPHA, 3)
         first = tr.events[0]
         assert first.kind == "phi-set"
-        assert first.payload == {"e": "alpha", "value": "w^w"}
+        assert first == {"e": "alpha", "value": "w^w"}
 
 
 class TestFrozenOpponents:
@@ -258,15 +258,15 @@ class TestFrozenOpponents:
         tr = na.run({0: psi}, frozen_budgeted(), {0: basic_functional()},
                     ALPHA, 30)
         for kind in ("select", "enumerate"):
-            for e in by_kind(tr, kind):
-                assert not na.is_xi(parse_node(e.payload["node"]))
+            for eid in by_kind(tr, kind):
+                assert not na.is_xi(parse_node(tr.events[eid]["node"]))
 
     def test_lists_seed_and_stay(self):
         psi = DeltaTwoAdversary("p0", "scripted")
         tr = na.run({0: psi}, frozen_budgeted(), {0: basic_functional()},
                     ALPHA, 30)
         sets = by_kind(tr, "qlist-set")
-        assert [int(e.payload["x"]) for e in sets] == list(range(7))
+        assert [int(tr.events[eid]["x"]) for eid in sets] == list(range(7))
         assert by_kind(tr, "qlist-remove") == []
         for check in na.verify_combined_bounds(replay_of(tr)):
             assert check.passed, check.line()
@@ -313,27 +313,28 @@ class TestMixedScenario:
     def test_first_list_payload(self):
         tr = mixed_scenario()
         sets = by_kind(tr, "qlist-set")
-        one = next(e for e in sets if e.payload["x"] == "1")
-        assert one.stage == 7
-        assert one.payload["k"] == "1028"
-        assert one.payload["members"] == "ii"
-        assert one.payload["gs"] == "w"
-        assert one.payload["kps"] == "1028"
-        budget = next(e for e in by_kind(tr, "phi-set")
-                      if e.payload["e"] == "-.1")
-        assert budget.payload["value"] == "w*1029"
+        one = next(eid for eid in sets if tr.events[eid]["x"] == "1")
+        assert tr.stage_of[one] == 7
+        assert tr.events[one]["k"] == "1028"
+        assert tr.events[one]["members"] == "ii"
+        assert tr.events[one]["gs"] == "w"
+        assert tr.events[one]["kps"] == "1028"
+        budget = next(tr.events[eid] for eid in by_kind(tr, "phi-set")
+                      if tr.events[eid]["e"] == "-.1")
+        assert budget["value"] == "w*1029"
 
     def test_later_list_gains_second_member(self):
         tr = mixed_scenario()
-        three = next(e for e in by_kind(tr, "qlist-set")
-                     if e.payload["x"] == "3")
-        assert three.stage == 15
-        assert three.payload["members"] == "ii,if"
+        three = next(eid for eid in by_kind(tr, "qlist-set")
+                     if tr.events[eid]["x"] == "3")
+        assert tr.stage_of[three] == 15
+        assert tr.events[three]["members"] == "ii,if"
 
     def test_refused_guess_prunes_lists(self):
         tr = mixed_scenario()
-        removed = [(e.stage, e.payload["x"], e.payload["xi"],
-                    e.payload["cause"]) for e in by_kind(tr, "qlist-remove")]
+        removed = [(tr.stage_of[eid], tr.events[eid]["x"],
+                    tr.events[eid]["xi"], tr.events[eid]["cause"])
+                   for eid in by_kind(tr, "qlist-remove")]
         assert removed == [
             (27, "1", "ii", "rho-init"), (27, "2", "ii", "rho-init"),
             (27, "3", "ii", "rho-init"), (27, "3", "if", "rho-init"),
@@ -397,8 +398,9 @@ class TestLeftStageScenario:
 
     def test_left_stage_removal(self):
         tr = left_stage_scenario()
-        removed = [(e.stage, e.payload["x"], e.payload["xi"],
-                    e.payload["cause"]) for e in by_kind(tr, "qlist-remove")]
+        removed = [(tr.stage_of[eid], tr.events[eid]["x"],
+                    tr.events[eid]["xi"], tr.events[eid]["cause"])
+                   for eid in by_kind(tr, "qlist-remove")]
         assert removed == [(11, "1", "if", "left-stage")]
 
     def test_counted_mixture(self):
@@ -483,11 +485,11 @@ class TestSyntheticDescent:
     def test_corrupt_budget_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for e in tr.events:
-            p = dict(e.payload)
-            if e.kind == "qlist-set":
+        for s, payload in zip(tr.stage_of, tr.events):
+            p = dict(payload)
+            if payload.kind == "qlist-set":
                 p["k"] = "5"
-            bad.emit(e.stage, e.kind, **p)
+            bad.emit(s, payload.kind, **p)
         report = {c.name: c.passed
                   for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["qlist-structure"]
@@ -495,16 +497,16 @@ class TestSyntheticDescent:
     def test_unlisted_injurer_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for e in tr.events:
-            p = dict(e.payload)
-            if e.kind == "qlist-set":
+        for s, payload in zip(tr.stage_of, tr.events):
+            p = dict(payload)
+            if payload.kind == "qlist-set":
                 p["members"] = "-"
                 p["gs"] = "-"
                 p["kps"] = "-"
                 p["k"] = "0"
-            elif e.kind == "phi-set" and p.get("e") == "-.0":
+            elif payload.kind == "phi-set" and p.get("e") == "-.0":
                 p["value"] = "0"
-            bad.emit(e.stage, e.kind, **p)
+            bad.emit(s, payload.kind, **p)
         report = {c.name: c.passed
                   for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["xi-injury-gate"]
@@ -512,11 +514,10 @@ class TestSyntheticDescent:
     def test_out_of_scope_denial_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for e in tr.events:
-            bad.emit(e.stage, e.kind, **e.payload)
-            if e.kind == "select":
-                bad.emit(e.stage, "select", node="ii", act="denied",
-                         by="f", x=0)
+        for s, p in zip(tr.stage_of, tr.events):
+            bad.emit(s, p.kind, **p)
+            if p.kind == "select":
+                bad.emit(s, "select", node="ii", act="denied", by="f", x=0)
         report = {c.name: c.passed
                   for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["xi-permission-scope"]
@@ -524,11 +525,11 @@ class TestSyntheticDescent:
     def test_rho_visit_with_length_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for e in tr.events:
-            p = dict(e.payload)
-            if e.kind == "visit" and p["node"] == "i":
+        for s, payload in zip(tr.stage_of, tr.events):
+            p = dict(payload)
+            if payload.kind == "visit" and p["node"] == "i":
                 p["l"] = "1"
-            bad.emit(e.stage, e.kind, **p)
+            bad.emit(s, payload.kind, **p)
         report = {c.name: c.passed
                   for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["level-discipline"]
@@ -555,21 +556,22 @@ class TestDeniedPermission:
         st.follower, st.use, st.decl, st.wants = 0, conv.use, 1, True
         r.xi[(0, 0)] = st
         r._act_xi((0, 0), 3)
-        sel = [e for e in by_kind(r.trace, "select")
-               if e.payload.get("act") == "denied"]
+        tr = r.trace
+        sel = [tr.events[eid] for eid in by_kind(tr, "select")
+               if tr.events[eid].get("act") == "denied"]
         assert len(sel) == 1
-        assert sel[0].payload["node"] == "ii"
-        assert sel[0].payload["by"] == "-"
-        assert sel[0].payload["x"] == "0"
-        inits = [e for e in by_kind(r.trace, "init")
-                 if e.payload["node"] == "ii"]
-        assert len(inits) == 1 and inits[0].stage == 3
+        assert sel[0]["node"] == "ii"
+        assert sel[0]["by"] == "-"
+        assert sel[0]["x"] == "0"
+        inits = [eid for eid in by_kind(tr, "init")
+                 if tr.events[eid]["node"] == "ii"]
+        assert len(inits) == 1 and tr.stage_of[inits[0]] == 3
         # same-stage restart: fresh follower and a use above the refuser
         assert r.xi[(0, 0)].use > conv.use
         assert not r.xi[(0, 0)].wants
-        redecl = [e for e in by_kind(r.trace, "declare")
-                  if e.payload.get("what") == "delta"]
-        assert int(redecl[-1].payload["u"]) == r.xi[(0, 0)].use
+        redecl = [tr.events[eid] for eid in by_kind(tr, "declare")
+                  if tr.events[eid].get("what") == "delta"]
+        assert int(redecl[-1]["u"]) == r.xi[(0, 0)].use
         assert r._xi_inits[(0, 0)] == [3]
         assert by_kind(r.trace, "enumerate") == []
 
@@ -608,11 +610,12 @@ class TestStress:
 def hit_stage(tr, s, injurer, x, l, element=3, use=5):
     """One stage of a hand-written combined trace: the root visit with its
     length, the rho node "i", then injurer enumerating element and
-    destroying the computation at x."""
+    destroying the computation at x.  Returns the id of that injury."""
     tr.emit(s, "visit", node="-", l=l)
     tr.emit(s, "visit", node="i")
     tr.emit(s, "enumerate", node=injurer, element=element)
-    return tr.emit(s, "inject-diverge", e=0, x=x, use=use)
+    tr.emit(s, "inject-diverge", e=0, x=x, use=use)
+    return len(tr.events) - 1
 
 
 def check_named(trace, name):
@@ -634,7 +637,7 @@ class TestFaultInjection:
         tr.finalize({"A": "3,4"})
         bad = check_named(tr, "rho-recursion")
         assert not bad.passed
-        assert bad.witness == first.eid == 4
+        assert bad.witness == first == 4
 
     def pick_then_hit(self, trigger_node, listed):
         """'i' picks use 3 at stage 1; trigger_node hits x = 0 at stage 2
@@ -657,13 +660,13 @@ class TestFaultInjection:
         tr, trigger = self.pick_then_hit("f", listed=False)
         bad = check_named(tr, "trigger-structure")
         assert not bad.passed
-        assert bad.witness == trigger.eid == 7
+        assert bad.witness == trigger == 7
 
     def test_trigger_structure_catches_unlisted_xi_trigger(self):
         tr, trigger = self.pick_then_hit("fi", listed=False)
         bad = check_named(tr, "trigger-structure")
         assert not bad.passed
-        assert bad.witness == trigger.eid == 7
+        assert bad.witness == trigger == 7
 
     def test_trigger_structure_accepts_listed_xi_trigger(self):
         tr, _ = self.pick_then_hit("fi", listed=True)
@@ -681,17 +684,17 @@ class TestFaultInjection:
         tr.finalize({"A": "3"})
         bad = check_named(tr, "mind-change-cap")
         assert not bad.passed
-        assert bad.witness == hit.eid == 6
+        assert bad.witness == hit == 6
 
     def edited_golden(self, edit):
-        """The golden combined trace with edit(ev) giving the rows of
-        (stage, kind, payload) that replace each event."""
+        """The golden combined trace with edit(eid, stage, payload) giving
+        the rows of (stage, kind, payload) that replace each event."""
         with open(os.path.join(os.path.dirname(__file__), "fixtures",
                                "golden-nonlow-alpha.trace")) as fh:
             golden = RunTrace.from_text(fh.read())
         tr = RunTrace(golden.construction, golden.stages)
-        for ev in golden.events:
-            for stage, kind, payload in edit(ev):
+        for eid, (s, p) in enumerate(zip(golden.stage_of, golden.events)):
+            for stage, kind, payload in edit(eid, s, p):
                 tr.emit(stage, kind, **payload)
         tr.finalize(golden.summary)
         return tr
@@ -699,14 +702,14 @@ class TestFaultInjection:
     def test_qlist_structure_catches_illegal_remove(self):
         # the x = 0 list of the golden trace is empty from stage 3 on, so
         # no member can leave it
-        def edit(ev):
-            rows = [(ev.stage, ev.kind, ev.payload)]
-            if ev.eid == 13:
+        def edit(eid, s, p):
+            rows = [(s, p.kind, p)]
+            if eid == 13:
                 rows.append((3, "qlist-remove", dict(eta="-", x=0, xi="ii",
                                                      cause="exhausted")))
             return rows
-        assert check_named(self.edited_golden(lambda ev: [
-            (ev.stage, ev.kind, ev.payload)]), "qlist-structure").passed
+        assert check_named(self.edited_golden(lambda eid, s, p: [
+            (s, p.kind, p)]), "qlist-structure").passed
         bad = check_named(self.edited_golden(edit), "qlist-structure")
         assert not bad.passed
         assert bad.witness == 14
@@ -715,11 +718,12 @@ class TestFaultInjection:
         # the stage-6 hit would put the chain at w*4+4, above the w*4+3
         # of the stage-4 hit; the witness is the stage
         tr = RunTrace("nonlow-alpha", 7)
-        for ev in synthetic_descent_trace().events:
-            p = dict(ev.payload)
-            if ev.kind == "enumerate" and ev.stage == 6:
+        synthetic = synthetic_descent_trace()
+        for s, payload in zip(synthetic.stage_of, synthetic.events):
+            p = dict(payload)
+            if payload.kind == "enumerate" and s == 6:
                 p["marker"] = "4"
-            tr.emit(ev.stage, ev.kind, **p)
+            tr.emit(s, payload.kind, **p)
         bad = check_named(tr, "descent-witness")
         assert not bad.passed
         assert bad.witness == 6
@@ -727,9 +731,9 @@ class TestFaultInjection:
     def test_qlist_structure_catches_second_set(self):
         # the root eta is never initialized, so a second list for x = 0
         # at stage 7 is illegal; the witness is that qlist-set
-        def edit(ev):
-            rows = [(ev.stage, ev.kind, ev.payload)]
-            if ev.eid == 40:
+        def edit(eid, s, p):
+            rows = [(s, p.kind, p)]
+            if eid == 40:
                 rows += [(7, "qlist-set", dict(eta="-", x=0, k=0, members="-",
                                               gs="-", kps="-", horizon=3)),
                          (7, "phi-set", {"e": "-.0", "value": "0"})]
@@ -741,11 +745,11 @@ class TestFaultInjection:
     def test_qlist_structure_catches_budget_mismatch(self):
         # phi over the one member w at k = 1028 is w*1029, not w*1028;
         # the witness is the list's qlist-set
-        def edit(ev):
-            p = dict(ev.payload)
-            if ev.eid == 40:
+        def edit(eid, s, payload):
+            p = dict(payload)
+            if eid == 40:
                 p["value"] = "w*1028"
-            return [(ev.stage, ev.kind, p)]
+            return [(s, payload.kind, p)]
         bad = check_named(self.edited_golden(edit), "qlist-structure")
         assert (bad.passed, bad.witness, bad.detail) == (
             False, 39, "budget mismatch at - x=1")
@@ -753,8 +757,8 @@ class TestFaultInjection:
     def test_descent_witness_catches_missing_budget(self):
         # without its phi-set the x = 0 list has no budget to descend
         # through; the witness is its qlist-set
-        def edit(ev):
-            return [] if ev.eid == 13 else [(ev.stage, ev.kind, ev.payload)]
+        def edit(eid, s, p):
+            return [] if eid == 13 else [(s, p.kind, p)]
         bad = check_named(self.edited_golden(edit), "descent-witness")
         assert (bad.passed, bad.witness, bad.detail) == (
             False, 12, "missing budget value")

@@ -192,16 +192,16 @@ class TestRunBasics:
         # stage 2: P node gets follower 1, wants pick, is selected, picks 2
         # stages 3+: psi still 0 and use held, so fin redeclares each visit
         tr = nl.run({0: scripted()}, {}, 10)
-        picks = [e for e in tr.events
-                 if e.kind == "declare" and e.payload.get("act") == "pick"]
-        enums = [e for e in tr.events if e.kind == "enumerate"]
+        picks = [eid for eid, p in enumerate(tr.events)
+                 if p.kind == "declare" and p.get("act") == "pick"]
+        enums = [p for p in tr.events if p.kind == "enumerate"]
         assert len(picks) == 1 and not enums
-        assert picks[0].stage == 2
-        assert picks[0].payload == {"node": "f", "y": "1", "u": "2"} | {
+        assert tr.stage_of[picks[0]] == 2
+        assert tr.events[picks[0]] == {"node": "f", "y": "1", "u": "2"} | {
             "what": "gamma", "act": "pick"}
-        fins = [e for e in tr.events
-                if e.kind == "declare" and e.payload.get("act") == "fin"]
-        assert [e.stage for e in fins] == list(range(3, 10))
+        fins = [eid for eid, p in enumerate(tr.events)
+                if p.kind == "declare" and p.get("act") == "fin"]
+        assert [tr.stage_of[eid] for eid in fins] == list(range(3, 10))
         assert tr.summary == {"A": "-", "node.f": "1:2"}
 
     def test_flip_every_stage(self):
@@ -210,19 +210,19 @@ class TestRunBasics:
         for x in range(6):
             fn.configure(x, first=x + 1, delay=0)
         tr = nl.run({0: psi}, {0: fn}, 50)
-        enums = [e for e in tr.events if e.kind == "enumerate"]
+        events = list(zip(tr.stage_of, tr.events))
+        enums = [(s, p) for s, p in events if p.kind == "enumerate"]
         assert enums
         picks = {}
-        for e in tr.events:
-            if e.kind == "declare" and e.payload.get("act") == "pick":
-                picks[(e.payload["node"], e.payload["u"])] = (
-                    e.stage, int(e.payload["y"]))
-        for e in enums:
-            key = (e.payload["node"], e.payload["element"])
+        for s, p in events:
+            if p.kind == "declare" and p.get("act") == "pick":
+                picks[(p["node"], p["u"])] = (s, int(p["y"]))
+        for s, p in enums:
+            key = (p["node"], p["element"])
             assert key in picks, "enumeration without a matching declaration"
             s0, y = picks[key]
-            assert s0 < e.stage
-            assert psi.value(y, s0) == 0 and psi.value(y, e.stage) == 1
+            assert s0 < s
+            assert psi.value(y, s0) == 0 and psi.value(y, s) == 1
 
     def test_summary_matches_reducer(self):
         psi = DeltaTwoAdversary("p0", "alternating", period=2, stab=None)
@@ -343,24 +343,25 @@ class TestVerifier:
         psis, funs = dense_low()
         tr = nl.run(psis, funs, 160, seed=0)
         r = nl._Replay(tr)
-        enum_stages = {e.stage for e in tr.events if e.kind == "enumerate"}
+        enum_stages = {s for s, p in zip(tr.stage_of, tr.events)
+                       if p.kind == "enumerate"}
         for eid, s, e, x, node, elem in r.injuries:
             assert s in enum_stages
-            assert elem < next(
-                int(ev.payload["use"]) for ev in tr.events
-                if ev.eid == eid)
+            assert elem < int(tr.events[eid]["use"])
 
 
 def injury_stage(tr, s, injurer, x, l, path=("-", "i"), element=3, use=5):
     """One stage of a hand-written trace: the path visits, the injurer
-    enumerates element and destroys the computation at x."""
+    enumerates element and destroys the computation at x.  Returns the id
+    of that injury."""
     for node in path:
         if node == "-":
             tr.emit(s, "visit", node=node, l=l)
         else:
             tr.emit(s, "visit", node=node)
     tr.emit(s, "enumerate", node=injurer, element=element)
-    return tr.emit(s, "inject-diverge", e=0, x=x, use=use)
+    tr.emit(s, "inject-diverge", e=0, x=x, use=use)
+    return len(tr.events) - 1
 
 
 def check_named(results, name):
@@ -381,7 +382,7 @@ class TestFaultInjection:
         bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "recursion-bound")
         assert not bad.passed
-        assert bad.witness == first.eid == 3
+        assert bad.witness == first == 3
 
     def test_exhaustion_gate_catches_pick_while_holding(self):
         # the quota of "i" from x = 0 is empty, so it may pick only while
@@ -392,13 +393,14 @@ class TestFaultInjection:
         for s in (1, 2):
             tr.emit(s, "visit", node="-", l=1)
             tr.emit(s, "visit", node="i")
-            pick = tr.emit(s, "declare", node="i", what="gamma", y=1,
-                           u=2 + s, act="pick")
+            tr.emit(s, "declare", node="i", what="gamma", y=1, u=2 + s,
+                    act="pick")
+            pick = len(tr.events) - 1
         tr.finalize({"A": "-", "node.i": "1:4"})
         bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "exhaustion-gate")
         assert not bad.passed
-        assert bad.witness == pick.eid == 6
+        assert bad.witness == pick == 6
 
     def test_trigger_structure_catches_foreign_trigger(self):
         # "i" picks use 3 after its quota from x = 0 (which is empty) is
@@ -414,7 +416,7 @@ class TestFaultInjection:
         bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "trigger-structure")
         assert not bad.passed
-        assert bad.witness == trigger.eid == 6
+        assert bad.witness == trigger == 6
 
     def test_trigger_structure_catches_missing_trigger(self):
         tr = RunTrace("nonlow-low2", 3)
@@ -426,7 +428,7 @@ class TestFaultInjection:
         bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "trigger-structure")
         assert not bad.passed
-        assert bad.witness == hit.eid == 6
+        assert bad.witness == hit == 6
 
     def test_global_bound_catches_excess(self):
         # x = 0 tolerates injury_bound(0) = 4 injuries; this trace has 5
@@ -437,7 +439,7 @@ class TestFaultInjection:
         bad = check_named(nl.verify_main_lemma_claims(None, replay_of(tr)),
                           "global-bound")
         assert not bad.passed
-        assert bad.witness == hits[0].eid == 3
+        assert bad.witness == hits[0] == 3
 
     def test_diagonalization_catches_agreeing_guess(self):
         # the golden run checks one settled follower, 4 of "i": it holds

@@ -1,20 +1,25 @@
-"""The trace layer: payloads interned per trace and read-only, the text
-round trip, and the parser against the per-line parser it replaced."""
+"""The trace layer: payloads interned per trace and read-only, events
+kept as two columns with no object of their own, the text round trip,
+and the parser against the per-line parser it replaced."""
+
+import gc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurylab.cli import digest
 from injurylab.scenario import load_scenario
-from injurylab.trace import EVENT_KINDS, ConfigError, Event, RunTrace
+from injurylab.trace import EVENT_KINDS, ConfigError, Payload, RunTrace
 
+from test_acceptance import _low2_seed
 from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT,
                           mutated_goldens)
 
 
 def oracle_from_text(text: str) -> RunTrace:
     """The parser that split every line and built a fresh payload dict
-    for every event: the reference the interning parser must match."""
+    for every event, shared with no other: the reference the interning
+    parser must match."""
     trace = None
     last_stage = 0
     for lineno, ln in enumerate(text.splitlines(), 1):
@@ -34,7 +39,7 @@ def oracle_from_text(text: str) -> RunTrace:
                 trace.summary[key] = value
                 continue
             eid, stage, kind = int(toks[0]), int(toks[1]), toks[2]
-            payload = dict(t.split("=", 1) for t in toks[3:])
+            payload = Payload(kind, [t.split("=", 1) for t in toks[3:]])
         except (ValueError, IndexError):
             what = "trace header" if trace is None else "trace line"
             raise ConfigError(f"line {lineno}: malformed {what} "
@@ -49,7 +54,8 @@ def oracle_from_text(text: str) -> RunTrace:
             raise ConfigError(f"line {lineno}: stage {stage} after "
                               f"stage {last_stage}")
         last_stage = stage
-        trace.events.append(Event(eid, stage, kind, payload))
+        trace.events.append(payload)
+        trace.stage_of.append(stage)
     if trace is None:
         raise ConfigError("missing trace header")
     return trace
@@ -58,9 +64,9 @@ def oracle_from_text(text: str) -> RunTrace:
 def oracle_to_text(trace: RunTrace) -> str:
     """The text form rendered token by token from each event's payload."""
     lines = [f"trace {trace.construction} stages={trace.stages}"]
-    for e in trace.events:
-        lines.append(" ".join([str(e.eid), str(e.stage), e.kind]
-                              + [f"{k}={v}" for k, v in e.payload.items()]))
+    for eid, (stage, p) in enumerate(zip(trace.stage_of, trace.events)):
+        lines.append(" ".join([str(eid), str(stage), p.kind]
+                              + [f"{k}={v}" for k, v in p.items()]))
     lines += [f"summary {k} {v}" for k, v in sorted(trace.summary.items())]
     return "\n".join(lines) + "\n"
 
@@ -69,8 +75,8 @@ def contents(t):
     """The header, summary and events of a trace, payload key order
     included."""
     return (t.construction, t.stages, t.summary,
-            [(e.eid, e.stage, e.kind, list(e.payload.items()))
-             for e in t.events])
+            [(eid, stage, p.kind, list(p.items()))
+             for eid, (stage, p) in enumerate(zip(t.stage_of, t.events))])
 
 
 def parsed(parse, text):
@@ -117,7 +123,8 @@ def test_engine_traces_round_trip(scenario, seed, stages):
 ])
 def test_payloads_refuse_mutation(mutate):
     tr = RunTrace("low-alpha", 1)
-    p = tr.emit(0, "phi-set", e="alpha", value="w^2").payload
+    tr.emit(0, "phi-set", e="alpha", value="w^2")
+    p = tr.events[-1]
     with pytest.raises(TypeError, match="read-only"):
         mutate(p)
     assert p == {"e": "alpha", "value": "w^2"}
@@ -128,9 +135,9 @@ def test_payloads_refuse_mutation(mutate):
 def shared_payloads(trace):
     """The ids of the trace's payload objects, checking that the trace has
     one per distinct kind and payload text."""
-    ids = {id(e.payload) for e in trace.events}
-    assert len(ids) == len({(e.kind, tuple(e.payload.items()))
-                            for e in trace.events})
+    ids = {id(p) for p in trace.events}
+    assert len(ids) == len({(p.kind, tuple(p.items()))
+                            for p in trace.events})
     return ids
 
 
@@ -150,10 +157,10 @@ def test_emit_keys_payloads_by_their_text():
     tr = RunTrace("nonlow-low2", 1)
     for value in (1, "1", True, 1.0, 0.0, -0.0):
         tr.emit(0, "visit", node="-", x=value)
-    assert [e.payload.tail for e in tr.events] == [
+    assert [p.tail for p in tr.events] == [
         f"visit node=- x={v}" for v in ("1", "1", "True", "1.0", "0.0",
                                         "-0.0")]
-    assert tr.events[0].payload is tr.events[1].payload
+    assert tr.events[0] is tr.events[1]
     assert len(shared_payloads(tr)) == 5
 
 
@@ -161,4 +168,36 @@ def test_emit_rejects_an_unknown_kind():
     tr = RunTrace("nonlow-low2", 1)
     with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
         tr.emit(0, "bogus", node="-")
-    assert tr.events == []
+    assert tr.events == tr.stage_of == []
+
+
+def tracked_growth(build):
+    """What build() returns, and how many more objects the collector
+    tracks while it is alive than before it ran."""
+    gc.collect()
+    before = len(gc.get_objects())
+    made = build()
+    gc.collect()
+    return made, len(gc.get_objects()) - before
+
+
+def test_events_cost_no_object_of_their_own():
+    # a 10k-stage low2 seed has some 70,000 events but about 120 distinct
+    # payloads; parsing or emitting it may keep one tracked object per
+    # distinct payload, never one per event.  The slack covers the trace's
+    # own lists and dicts and interpreter objects made or freed meanwhile.
+    text = _low2_seed(0)[0].to_text()
+    trace, grown = tracked_growth(lambda: RunTrace.from_text(text))
+    distinct = len({id(p) for p in trace.events})
+    assert len(trace.events) > 60_000 and distinct < 200
+    assert grown <= distinct + 50
+
+    def emit_all():
+        copy = RunTrace(trace.construction, trace.stages)
+        for s, p in zip(trace.stage_of, trace.events):
+            copy.emit(s, p.kind, **p)
+        copy.finalize(trace.summary)
+        return copy
+    copy, grown = tracked_growth(emit_all)
+    assert copy.to_text() == text
+    assert grown <= distinct + 50
