@@ -106,13 +106,13 @@ class DeltaTwoAdversary:
         self._cache.pop(x, None)
 
     def _at(self, x: int, t: int, prev: int) -> int:
-        """The value at stage t, given prev, the value at t - 1.  In
-        scripted mode the last step at or before t decides."""
+        """The value at stage t, before stab, given prev, the value at
+        t - 1.  In scripted mode the last step at or before t decides."""
         if self.mode == "scripted":
             steps = self.script.get(x, ())
             i = bisect.bisect_left(steps, (t + 1,))
             return steps[i - 1][1] if i else 0
-        if t == 0 or self.stab is not None and t >= self.stab:
+        if t == 0:
             return prev
         if self.mode == "alternating":
             return prev ^ (t % self.period == 0)
@@ -126,6 +126,8 @@ class DeltaTwoAdversary:
         vals, changes = entry
         while len(vals) <= s:
             t = len(vals)
+            if self.stab is not None and t >= self.stab:
+                return vals[-1]  # settled: the cache ends at stab
             v = self._at(x, t, vals[-1])
             if v != vals[-1]:
                 changes.append(t)
@@ -154,6 +156,7 @@ class BoundedCaAdversary:
         self.change_prob = change_prob
         self.script: dict = {}  # x -> list of (stage, value, marker)
         self._done: dict = {}  # x -> stage the seeded schedule covers
+        self._tops: dict = {}  # x -> latest row stage so far, per row
 
     def add_step(self, x: int, stage: int, value: int, marker: Cnf):
         rows = self.script.setdefault(x, [])
@@ -169,16 +172,20 @@ class BoundedCaAdversary:
 
     def _generate(self, x: int, horizon: int):
         """Extend the seeded schedule for x out to the horizon."""
-        rows = self.script.setdefault(x, [(0, 0, self.g)])
-        start = self._done.get(x, 0) + 1
-        for s in range(start, horizon + 1):
+        rows = self.script.get(x)
+        if rows is None:
+            rows = self.script[x] = [(0, 0, self.g)]
+        done = self._done.get(x, 0)
+        if done >= horizon or not rows[-1][2]:
+            return  # covered, or frozen for good
+        for s in range(done + 1, horizon + 1):
             _, value, marker = rows[-1]
             if not marker:
                 break  # budget spent: frozen
             rng = random.Random(f"{self.seed}:{x}:{s}")
             if rng.random() < self.change_prob:
                 rows.append((s, value + 1, random_cnf_below(marker, rng)))
-        self._done[x] = max(self._done.get(x, 0), horizon)
+        self._done[x] = horizon
 
     def value(self, x: int, s: int) -> int:
         return self._sample(x, s)[0]
@@ -187,13 +194,22 @@ class BoundedCaAdversary:
         return self._sample(x, s)[1]
 
     def _sample(self, x: int, s: int):
+        """The last row before the first row past stage s, in row order;
+        (0, g) when the first row is already past s."""
         if not self._scripted:
             self._generate(x, s)
-        val, mark = 0, self.g
-        for stage, v, m in self.script.get(x, []):
-            if stage > s:
-                break
-            val, mark = v, m
+        rows = self.script.get(x, ())
+        # tops[i] is the latest stage among rows 0..i: the first row past
+        # s is the first i with tops[i] > s, even where a script lists its
+        # steps out of stage order
+        tops = self._tops.setdefault(x, [])
+        if len(tops) < len(rows):
+            for stage, _, _ in rows[len(tops):]:
+                tops.append(max(tops[-1], stage) if tops else stage)
+        i = bisect.bisect_right(tops, s)
+        if not i:
+            return 0, self.g
+        _, val, mark = rows[i - 1]
         return val, mark
 
 

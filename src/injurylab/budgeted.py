@@ -66,10 +66,10 @@ class Requirement:
              u=self.use, value=self.decl,
              marker=format_cnf(self.adv.marker(follower, s)))
 
-    def visit(self, trace, s: int) -> bool:
+    def visit(self, engine, s: int) -> bool:
         """Visit with a follower; True when the guess meets delta."""
-        f = self.adv.value(self.follower, s)
-        trace.emit(s, "visit", node=self.label, x=self.follower, f=f)
+        f = engine._ask(self.adv, self.follower, s)
+        engine.trace.emit(s, "visit", node=self.label, x=self.follower, f=f)
         self.wants = self.decl == f
         return self.wants
 

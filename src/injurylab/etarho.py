@@ -110,8 +110,9 @@ class EtaRhoRun(Engine):
     """One deterministic run of an eta/rho tree.
 
     Subclasses set ``levels`` and ``construction``.  A period-3 tree
-    overrides the xi hooks: visits, candidates and actions, quota-list
-    upkeep at expansionary eta stages, and summary entries."""
+    overrides the xi hooks (visits, candidates and actions, quota-list
+    upkeep at expansionary eta stages) and adds the xi nodes' summary
+    entries."""
 
     levels: Levels
     construction: str
@@ -209,8 +210,8 @@ class EtaRhoRun(Engine):
             y = self.followers[node] = self._fresh()
             self.trace.emit(s, "declare", node=self.render(node),
                             what="follower", y=y)
-        psi = self.guesses[node] = \
-            self.psis[len(node) // self.levels.period].value(y, s)
+        psi = self.guesses[node] = self._ask(
+            self.psis[len(node) // self.levels.period], y, s)
         held = node in self.uses
         if psi == 0 and not held:
             wants = "pick"
@@ -288,42 +289,42 @@ class EtaRhoRun(Engine):
     def _act_xi(self, node, s):
         """Act for the selected xi node."""
 
-    def _xi_summary(self, summary: dict):
-        """Add the xi nodes' terminal states to summary."""
-
     # -- stage loop ----------------------------------------------------
 
-    def execute(self) -> RunTrace:
+    def _walk(self, s) -> bool:
         period = self.levels.period
-        for s in range(self.stages):
-            self.cur_l = {}
-            path = self.tree.run_stage(self._outcome, s, min(s, self.depth),
-                                       self._on_init, self._on_visit)
-            theta = []
-            for i in range(1, len(path), period):
-                if path[i] != INF:
-                    continue
-                rho = path[:i]
-                wants = self.wants[rho]
-                if wants == "enum" or (wants == "pick"
-                                       and self._allows_pick(rho)):
-                    theta.append(rho)
-            actor = self.tree.select_actor(theta + self._xi_candidates(path))
-            if actor is not None:
-                act = self._act_rho if self.levels.is_rho(actor) \
-                    else self._act_xi
-                act(actor, s)
-            self._advance_functionals(s)
-        elems = sorted(e for _, e in self.A.events)
-        summary = {"A": ",".join(str(x) for x in elems) or "-"}
+        self.cur_l = {}
+        length = min(s, self.depth)
+        path = self.tree.run_stage(self._outcome, s, length, self._on_init,
+                                   self._on_visit)
+        theta = []
+        for i in range(1, len(path), period):
+            if path[i] != INF:
+                continue
+            rho = path[:i]
+            wants = self.wants[rho]
+            if wants == "enum" or (wants == "pick"
+                                   and self._allows_pick(rho)):
+                theta.append(rho)
+        actor = self.tree.select_actor(theta + self._xi_candidates(path))
+        if actor is not None:
+            act = self._act_rho if self.levels.is_rho(actor) \
+                else self._act_xi
+            act(actor, s)
+        # in full: at full depth, every eta at fin (none expansionary) and
+        # no length at its cap
+        return length == self.depth and INF not in path[::period] \
+            and s not in self.cur_l.values()
+
+    def _repeated(self):
+        self.tree.paths.append(self.tree.paths[-1])
+
+    def _summary(self, summary: dict):
         for node in sorted(self.followers):
             state = str(self.followers[node])
             if node in self.uses:
                 state += f":{self.uses[node]}"
             summary[f"node.{self.render(node)}"] = state
-        self._xi_summary(summary)
-        self.trace.finalize(summary)
-        return self.trace
 
 
 # -- trace replay ------------------------------------------------------

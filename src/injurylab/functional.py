@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .trace import RunTrace
+
 
 class EnumerableSet:
     """A set built by stage-stamped enumerations; membership is monotone."""
@@ -93,11 +95,83 @@ class Fresh:
 
 
 class Engine:
-    """Shared by the construction engines: the stage step of the
-    functional runs.  An engine sets ``trace``, ``runs`` (index ->
+    """The stage loop shared by the construction engines.  An engine sets
+    ``trace``, ``stages``, its set ``A``, ``runs`` (index ->
     FunctionalRun) and ``_fresh``, a Fresh its runs share as ``large``.
     The runs hold the Fresh, not the engine, so that no reference cycle
-    keeps a finished engine and its trace alive."""
+    keeps a finished engine and its trace alive.
+
+    A construction plays stage s in ``_walk(s)`` and asks its opponents
+    through ``_ask``.  The walk returns True when it played the stage in
+    full: the tree at full depth, every requirement in play, no eta
+    expansionary and no length at its cap.  Such a stage is quiet when it
+    also emitted only visits and fin re-declarations, and the functional
+    step after it emitted nothing.  Every input of the next stage is then
+    the same as the quiet stage's, except the opponents' answers: so when
+    each query of the quiet stage gets the same answer again, the next
+    stage would emit the same payloads, and it copies them instead of
+    walking (``_repeated`` keeps what else a stage leaves).  The
+    opponents answer from their argument and stage alone, so skipping a
+    walk changes no draw."""
+
+    def execute(self) -> RunTrace:
+        trace = self.trace
+        events = trace.events
+        self._answers = {}  # (opponent, x) -> answer got by a failed check
+        quiet = None  # (first event, end, queries) of the last quiet stage
+        for s in range(self.stages):
+            if quiet is not None and self._repeats(quiet[2], s):
+                trace.repeat(s, quiet[0], quiet[1])
+                self._repeated()
+            else:
+                self._asked = asked = []
+                start = len(events)
+                full = self._walk(s)
+                self._answers = {}
+                quiet = (start, len(events), asked) if full and all(
+                    p.kind == "visit" or p.get("act") == "fin"
+                    for p in events[start:]) else None
+            end = len(events)
+            self._advance_functionals(s)
+            if len(events) != end:
+                quiet = None
+        elems = sorted(e for _, e in self.A.events)
+        summary = {"A": ",".join(str(x) for x in elems) or "-"}
+        self._summary(summary)
+        trace.finalize(summary)
+        return trace
+
+    def _repeats(self, asked, s: int) -> bool:
+        """Whether every query (opponent, x, answer) of the quiet stage
+        gets the same answer at stage s.  The answers got feed the walk
+        when not, so that no opponent is asked twice in a stage."""
+        for i, (adv, x, was) in enumerate(asked):
+            now = adv.value(x, s)
+            if now != was:
+                self._answers = {(a, y): v for a, y, v in asked[:i]}
+                self._answers[(adv, x)] = now
+                return False
+        return True
+
+    def _ask(self, adv, x: int, s: int) -> int:
+        """The opponent's answer at x in stage s, kept as an input of the
+        stage."""
+        v = self._answers.get((adv, x)) if self._answers else None
+        if v is None:
+            v = adv.value(x, s)
+        self._asked.append((adv, x, v))
+        return v
+
+    def _walk(self, s: int) -> bool:
+        """Play stage s; True when it was played in full."""
+        raise NotImplementedError
+
+    def _repeated(self):
+        """Keep what a copied stage leaves besides its events."""
+
+    def _summary(self, summary: dict):
+        """Add the construction's terminal entries to summary."""
+        raise NotImplementedError
 
     def _advance_functionals(self, s: int):
         """Step every functional run one stage and emit what changed."""

@@ -119,7 +119,7 @@ class LowAlphaRun(Engine):
             st.assign(self, s, self._next_x)
             self._next_x += 1
             return True
-        if not st.visit(self.trace, s):
+        if not st.visit(self, s):
             return False
         self._wants[e].append(s)
         denier = self._denier(e, st.use)
@@ -138,20 +138,17 @@ class LowAlphaRun(Engine):
             self._next_x += 1
         return True
 
-    def execute(self) -> RunTrace:
-        for s in range(self.stages):
-            for e in range(min(s + 1, len(self.runs))):
-                self._n_step(e, s)
-            for e in range(min(s + 1, len(self.q))):
-                if self._q_step(e, s):
-                    break
-            self._advance_functionals(s)
-        elems = sorted(e for _, e in self.A.events)
-        summary = {"A": ",".join(str(x) for x in elems) or "-"}
+    def _walk(self, s) -> bool:
+        for e in range(min(s + 1, len(self.runs))):
+            self._n_step(e, s)
+        for e in range(min(s + 1, len(self.q))):
+            if self._q_step(e, s):
+                break
+        return s + 1 >= max(len(self.runs), len(self.q))
+
+    def _summary(self, summary: dict):
         for st in self.q:
             st.report(summary)
-        self.trace.finalize(summary)
-        return self.trace
 
 
 def run(advs, funs, alpha: Cnf, stages: int, seed: int = 0) -> RunTrace:

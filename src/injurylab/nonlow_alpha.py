@@ -120,7 +120,7 @@ class NonlowAlphaRun(EtaRhoRun):
         if st.follower is None:
             st.assign(self, s, self._next_z)
             self._next_z += 1
-        elif st.visit(self.trace, s):
+        elif st.visit(self, s):
             self._xi_wants[node] = s
 
     def _on_init(self, node, s):
@@ -227,7 +227,8 @@ class NonlowAlphaRun(EtaRhoRun):
             st.assign(self, s, self._next_z)
             self._next_z += 1
 
-    def _xi_summary(self, summary: dict):
+    def _summary(self, summary: dict):
+        super()._summary(summary)
         for node in sorted(self.xi):
             self.xi[node].report(summary)
 

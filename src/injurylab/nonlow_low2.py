@@ -119,10 +119,20 @@ def _diagonalization(r: _Replay, psis) -> CheckResult:
     checked = 0
     if psis is not None and r.stages > 0 and r.followers:
         end = r.stages - 1
-        below = {}  # node -> (last stage whose path passes below it, outcome)
-        for s, p in sorted(r.paths.items()):
-            for i in range(len(p)):
-                below[p[:i]] = (s, p[i])
+        wanted = {rho for rho in r.followers if len(rho) // 2 in psis}
+        below = {}  # rho -> (last stage whose path passes below it, outcome)
+        later = None  # the path of the stage after, already scanned
+        for s in sorted(r.paths, reverse=True):
+            p = r.paths[s]
+            if p == later:
+                continue
+            later = p
+            for rho in [rho for rho in wanted
+                        if len(rho) < len(p) and p[:len(rho)] == rho]:
+                below[rho] = (s, p[len(rho)])
+                wanted.discard(rho)
+            if not wanted:
+                break
         for rho, y in sorted(r.followers.items()):
             psi = psis.get(len(rho) // 2)
             if psi is None:

@@ -91,6 +91,12 @@ class RunTrace:
         self.events.append(shared)
         self.stage_of.append(stage)
 
+    def repeat(self, stage: int, start: int, end: int) -> None:
+        """Emit the payloads of events start..end-1 again, in order, at
+        stage."""
+        self.events.extend(self.events[start:end])
+        self.stage_of.extend([stage] * (end - start))
+
     def finalize(self, summary: dict):
         self.summary = {k: str(v) for k, v in summary.items()}
 

@@ -193,3 +193,112 @@ def test_bca_scripted_rejects_bad_schedules():
     with pytest.raises(ValueError):
         bad.add_step(0, 0, 0, OMEGA)  # above the bound
 
+
+
+# -- the opponents against naive per-query references -------------------
+
+
+def naive_delta2(mode, seed, flip, stab, period, script, x, horizon):
+    """The values at stages 0..horizon, from scratch: the last scripted
+    step at or before each stage, or one flip draw per stage before
+    stab."""
+    if mode == "scripted":
+        steps = sorted(script.get(x, []))
+        return [([v for t, v in steps if t <= s] or [0])[-1]
+                for s in range(horizon + 1)]
+    if mode == "alternating":
+        stab = None
+    vals = [0]
+    for t in range(1, horizon + 1):
+        v = vals[-1]
+        if stab is None or t < stab:
+            if mode == "alternating":
+                v ^= t % period == 0
+            else:
+                v ^= random.Random(f"{seed}:{x}:{t}").random() < flip
+        vals.append(v)
+    return vals
+
+
+def naive_bca(g, seed, change, script, scripted, x, s):
+    """(value, marker) at (x, s) from scratch: the rows scripted for x (or
+    the start row), one draw per stage up to s unless scripted, then a
+    scan in row order up to the first row past s."""
+    rows = list(script.get(x, [(0, 0, g)]))
+    for t in range(1, s + 1):
+        _, value, marker = rows[-1]
+        if scripted or not marker:
+            break
+        rng = random.Random(f"{seed}:{x}:{t}")
+        if rng.random() < change:
+            rows.append((t, value + 1, random_cnf_below(marker, rng)))
+    val, mark = 0, g
+    for stage, v, m in rows:
+        if stage > s:
+            break
+        val, mark = v, m
+    return val, mark
+
+
+def queries(rng, n=120):
+    """(x, s) pairs with stages that jump back and forth."""
+    return [(rng.randrange(4), rng.choice([rng.randrange(80),
+                                           rng.randrange(400)]))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("mode, stab", [("random", 25), ("random", None),
+                                        ("stabilizing", 40),
+                                        ("stabilizing", 0),
+                                        ("alternating", 40),
+                                        ("scripted", 40)])
+def test_delta2_matches_naive_reference(mode, stab):
+    for seed in range(6):
+        rng = random.Random(seed)
+        script = {}
+        adv = DeltaTwoAdversary("p0", mode, seed=seed, flip=0.3, stab=stab,
+                                period=1 + seed % 3)
+        if mode == "scripted":
+            for x in range(4):
+                for _ in range(rng.randrange(5)):
+                    t, v = rng.randrange(300), rng.randrange(2)
+                    adv.add_step(x, t, v)
+                    script.setdefault(x, []).append((t, v))
+        refs = {x: naive_delta2(mode, seed, 0.3, stab, 1 + seed % 3,
+                                script, x, 400) for x in range(4)}
+        for x, s in queries(rng):
+            ref = refs[x]
+            assert adv.value(x, s) == ref[s]
+            assert adv.change_stages(x, s) == [
+                t for t in range(1, s + 1) if ref[t] != ref[t - 1]]
+
+
+def scripted_rows(rng, g):
+    """Legal step rows for one argument, stages in any order."""
+    rows, value, marker = [], 0, g
+    for _ in range(rng.randrange(5)):
+        if rng.random() < 0.5 and marker:
+            value, marker = value + 1, random_cnf_below(marker, rng)
+        rows.append((rng.randrange(200), value, marker))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["budgeted", "budgeted-with-steps",
+                                  "scripted"])
+def test_bca_matches_naive_reference(kind):
+    g = parse_cnf("w*2")
+    for seed in range(8):
+        rng = random.Random(seed)
+        scripted = kind == "scripted"
+        cls = ScriptedCaAdversary if scripted else BoundedCaAdversary
+        adv = cls("f0", g) if scripted else cls("f0", g, seed=seed,
+                                                change_prob=0.3)
+        script = {}
+        if kind != "budgeted":
+            for x in range(3):
+                for t, v, m in scripted_rows(rng, g):
+                    adv.add_step(x, t, v, m)
+                    script.setdefault(x, []).append((t, v, m))
+        for x, s in queries(rng):
+            ref = naive_bca(g, seed, 0.3, script, scripted, x, s)
+            assert (adv.value(x, s), adv.marker(x, s)) == ref

@@ -5,8 +5,11 @@
 stages from ``trace.stages``.  A change to the trace layer that breaks
 those reads would break only the traced bench run, so each case here
 installs the unchanged tracer, runs and re-verifies a golden scenario,
-and compares the counts with the fixture.  It runs in a fresh
-interpreter so that no wrapper stays installed in the test process.
+and compares the counts with the fixture.  The engine copies a quiet
+stage's events through ``RunTrace.repeat``, not ``emit``, so the child
+also records each copy, and the copied and emitted events together must
+make up the fixture.  It runs in a fresh interpreter so that no wrapper
+stays installed in the test process.
 """
 
 import collections
@@ -28,12 +31,20 @@ from layers import Tracer
 tracer = Tracer()
 tracer.install()
 from injurylab import cli
+from injurylab.trace import RunTrace
+copies = []  # (stage, start, end) per stage the engine copied
+repeat = RunTrace.repeat
+def counted_repeat(trace, stage, start, end):
+    copies.append((stage, start, end))
+    repeat(trace, stage, start, end)
+RunTrace.repeat = counted_repeat
 scenario, fixture, out = sys.argv[1:]
 codes = [cli.main(["run", "--scenario", scenario, "--trace", out],
                   io.StringIO())]
 after_run = tracer.report()
 after_run = {"kinds": after_run["kinds"], "stages": after_run["stages"],
-             "emits": after_run["layers"]["trace.emit"][0]}
+             "emits": after_run["layers"]["trace.emit"][0],
+             "copies": copies}
 codes.append(cli.main(["verify-trace", "--trace", fixture], io.StringIO()))
 report = tracer.report()
 print(json.dumps({"codes": codes, "after_run": after_run,
@@ -43,12 +54,17 @@ print(json.dumps({"codes": codes, "after_run": after_run,
 
 
 def fixture_counts(path):
-    """The header's stage count and the event lines per kind."""
+    """The header's stage count, the event lines per kind, and each
+    stage's payload texts in order."""
     with open(path) as fh:
         header, *lines = fh.read().splitlines()
-    kinds = collections.Counter(ln.split()[2] for ln in lines
-                                if not ln.startswith("summary "))
-    return int(header.split("stages=")[1]), dict(kinds)
+    events = [ln.split(None, 2) for ln in lines
+              if not ln.startswith("summary ")]
+    kinds = collections.Counter(tail.split()[0] for _, _, tail in events)
+    by_stage = collections.defaultdict(list)
+    for _, stage, tail in events:
+        by_stage[int(stage)].append(tail)
+    return int(header.split("stages=")[1]), dict(kinds), by_stage
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -63,14 +79,25 @@ def test_traced_run_counts_match_the_fixture(name, tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
-    stages, kinds = fixture_counts(fixture)
+    stages, kinds, by_stage = fixture_counts(fixture)
     # the wrapped run writes the fixture byte for byte and verifies it
     assert got["codes"] == [0, 0]
     with open(fixture) as fh:
         assert out.read_text() == fh.read()
-    # the run counts each event once, as the wrapped emit saw it
-    assert got["after_run"] == {"kinds": kinds, "stages": stages,
-                                "emits": sum(kinds.values())}
+    # the run counts each event once, as the wrapped emit saw it or as
+    # the copy of a quiet stage
+    copies = got["after_run"].pop("copies")
+    assert copies  # each golden run goes quiet
+    copied = sum(end - start for _, start, end in copies)
+    emits = got["after_run"].pop("emits")
+    assert got["after_run"] == {"kinds": kinds, "stages": stages}
+    assert emits + copied == sum(kinds.values())
+    # a copied stage opens with the stage before it, line for line; only
+    # the functional step after the copy may add to it
+    for stage, start, end in copies:
+        assert by_stage[stage][:end - start] == by_stage[stage - 1]
+        assert all(tail.startswith("inject-")
+                   for tail in by_stage[stage][end - start:])
     # verify-trace parses the fixture once and counts it again
     assert got["from_text"] == 1
     assert got["kinds"] == {k: 2 * n for k, n in kinds.items()}

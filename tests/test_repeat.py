@@ -1,0 +1,179 @@
+"""Quiet stages repeat: a stage whose inputs did not change copies the
+stage before it instead of walking the tree.
+
+Each case runs a scenario as shipped and again on the plain loop, where
+``Engine._repeats`` is patched to refuse every stage so that every stage
+is walked, and the two traces must be byte-identical.  The late-change
+cases also check that the stage whose input changed was walked, and that
+the stage before it was a copy, so the run had gone quiet first.
+"""
+
+import collections
+import glob
+import os
+
+import pytest
+
+from injurylab.approximation import DeltaTwoAdversary
+from injurylab.functional import Engine
+from injurylab.scenario import load_scenario
+from injurylab.trace import RunTrace
+
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
+SHAPES = sorted(glob.glob(os.path.join(ROOT, "bench", "scenarios", "*.txt")))
+
+
+def load(path):
+    with open(path) as fh:
+        return load_scenario(fh.read())
+
+
+def shipped(sc, seed=None, stages=None):
+    """The trace of sc and the stages it copied."""
+    copied = []
+    repeat = RunTrace.repeat
+
+    def counted(trace, stage, start, end):
+        copied.append(stage)
+        repeat(trace, stage, start, end)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RunTrace, "repeat", counted)
+        trace, _ = sc.execute(seed=seed, stages=stages)
+    return trace, set(copied)
+
+
+def plain(sc, seed=None, stages=None):
+    """The trace of sc with every stage walked."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_repeats", lambda self, asked, s: False)
+        trace, _ = sc.execute(seed=seed, stages=stages)
+    return trace
+
+
+def assert_matches_plain(sc, seed=None, stages=None):
+    trace, copied = shipped(sc, seed, stages)
+    assert trace.digest() == plain(sc, seed, stages).digest()
+    return trace, copied
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
+def test_scenario_matches_plain_loop(path, seed):
+    assert_matches_plain(load(path), seed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", SHAPES, ids=os.path.basename)
+def test_cut_bench_shape_matches_plain_loop(path, seed):
+    _, copied = assert_matches_plain(load(path), seed, 2000)
+    assert len(copied) > 1000
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", SHAPES, ids=os.path.basename)
+def test_bench_shape_matches_plain_loop(path, seed):
+    _, copied = assert_matches_plain(load(path), seed)
+    assert len(copied) > 9000
+
+
+# -- inputs that change after the run has gone quiet --------------------
+
+
+def steps(aid, stage, value, marker=""):
+    """One scripted step per argument 0..39, at stage."""
+    return "".join(f"adv {aid} step arg {x} stage {stage} value {value}"
+                   f"{marker}\n" for x in range(40))
+
+
+LOW2 = """\
+construction nonlow-low2
+stages 900
+adv p0 psi level 0 mode scripted
+adv p1 psi level 1 mode scripted
+fun 0 arg 0 first 2
+fun 0 arg 1 first 5
+fun 1 arg 0 first 3
+"""
+
+LOW_ALPHA = """\
+construction low-alpha
+alpha w^2
+stages 900
+adv f0 f level 0 g w mode scripted
+adv f1 f level 1 g 4 mode scripted
+fun 0 arg 0 first 2
+fun 1 arg 1 first 3
+"""
+
+COMBINED = """\
+construction nonlow-alpha
+alpha w^w
+stages 900
+adv p0 psi level 0 mode scripted
+adv f0 f level 0 g w mode scripted
+fun 0 arg 0 first 2
+fun 0 arg 1 first 6
+"""
+
+# scenario text -> the stages whose inputs change late
+LATE = {
+    "delta2-flip": (LOW2 + steps("p0", 500, 1) + steps("p1", 500, 1),
+                    [500]),
+    "late-argument": (LOW2 + "fun 1 arg 1 first 700 delay 3\n", [701]),
+    "alternating": ("construction nonlow-low2\nstages 900\n"
+                    "adv p0 psi level 0 mode alternating period 37\n"
+                    "fun 0 arg 0 first 2\nfun 0 arg 1 first 5\n",
+                    list(range(74, 900, 37))),
+    "budgeted-change": (LOW_ALPHA + steps("f0", 600, 1, " marker 3")
+                        + steps("f1", 650, 1, " marker 2"), [600, 650]),
+    "xi-change": (COMBINED + steps("f0", 600, 1, " marker 3"), [600]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATE))
+def test_late_change_is_walked(name, monkeypatch):
+    text, changes = LATE[name]
+    guesses = collections.Counter()  # (opponent, y, s) -> calls
+    value = DeltaTwoAdversary.value
+
+    def counted_value(adv, y, s):
+        guesses[(adv, y, s)] += 1
+        return value(adv, y, s)
+
+    monkeypatch.setattr(DeltaTwoAdversary, "value", counted_value)
+    _, copied = assert_matches_plain(load_scenario(text))
+    for s in changes:
+        assert s - 1 in copied and s not in copied
+    # a failed check's answers feed the walk: no guess is asked twice
+    assert max(guesses.values(), default=1) == 1
+
+
+def test_length_at_its_cap_is_walked():
+    # forty arguments converge at once, so the eta's length is held back
+    # only by the stage number for a while
+    sc = load_scenario("construction nonlow-low2\nstages 200\n"
+                       "adv p0 psi level 0 mode stabilizing seed 1 stab 20\n"
+                       + "".join(f"fun 0 arg {x} first 1\n"
+                                 for x in range(40)))
+    trace, copied = assert_matches_plain(sc)
+    capped = {s for s, p in zip(trace.stage_of, trace.events)
+              if p.kind == "visit" and p.get("l") == str(s)}
+    assert len(capped) > 30
+    assert not copied & {s + 1 for s in capped}
+    assert copied  # the run goes quiet once the length passes the cap
+
+
+def test_watcher_coming_into_play_is_walked():
+    # watcher 2 sees its computation converged at stage 0 but is first
+    # stepped at stage 2, after a stage of visits alone
+    sc = load_scenario("construction low-alpha\nalpha w^2\nstages 40\n"
+                       "adv f0 f level 0 g w mode scripted\n"
+                       "fun 0 arg 0 first 9\nfun 1 arg 1 first 9\n"
+                       "fun 2 arg 2 first 0\n")
+    trace, copied = assert_matches_plain(sc)
+    activation = [s for s, p in zip(trace.stage_of, trace.events)
+                  if p.kind == "qlist-set" and p["e"] == "2"]
+    assert activation == [2] and 2 not in copied and copied
