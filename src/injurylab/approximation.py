@@ -119,7 +119,10 @@ class DeltaTwoAdversary:
         return prev ^ (random.Random(f"{self.seed}:{x}:{t}").random()
                        < self.flip)
 
-    def value(self, x: int, s: int) -> int:
+    def _grow(self, x: int, s: int, to_change: bool = False) -> tuple:
+        """x's cache entry (values by stage, change stages), grown to
+        stage s or to stab, whichever comes first; with to_change, the
+        growth also stops at the first change it meets."""
         entry = self._cache.get(x)
         if entry is None:
             entry = self._cache[x] = ([self._at(x, 0, 0)], [])
@@ -127,18 +130,34 @@ class DeltaTwoAdversary:
         while len(vals) <= s:
             t = len(vals)
             if self.stab is not None and t >= self.stab:
-                return vals[-1]  # settled: the cache ends at stab
+                break  # settled: the cache ends at stab
             v = self._at(x, t, vals[-1])
-            if v != vals[-1]:
-                changes.append(t)
             vals.append(v)
-        return vals[s]
+            if v != vals[-2]:
+                changes.append(t)
+                if to_change:
+                    break
+        return entry
+
+    def value(self, x: int, s: int) -> int:
+        vals = self._grow(x, s)[0]
+        return vals[s] if s < len(vals) else vals[-1]
 
     def change_stages(self, x: int, horizon: int) -> list:
         """Stages t with value(x, t) != value(x, t - 1), t in 1..horizon."""
-        self.value(x, horizon)
-        changes = self._cache[x][1]
+        changes = self._grow(x, horizon)[1]
         return changes[:bisect.bisect_right(changes, horizon)]
+
+    def next_change(self, x: int, s: int, horizon: int) -> int:
+        """The first stage t, s < t < horizon, with value(x, t) !=
+        value(x, s); horizon when there is none.  The cache grows only
+        as far as that stage."""
+        changes = self._grow(x, s)[1]
+        i = bisect.bisect_right(changes, s)
+        if i == len(changes):
+            self._grow(x, horizon - 1, to_change=True)
+        return changes[i] if i < len(changes) and changes[i] < horizon \
+            else horizon
 
 
 class BoundedCaAdversary:
@@ -170,8 +189,9 @@ class BoundedCaAdversary:
 
     _scripted = False
 
-    def _generate(self, x: int, horizon: int):
-        """Extend the seeded schedule for x out to the horizon."""
+    def _generate(self, x: int, horizon: int, to_row: bool = False):
+        """Extend the seeded schedule for x out to the horizon; with
+        to_row, stop early at the first row it adds."""
         rows = self.script.get(x)
         if rows is None:
             rows = self.script[x] = [(0, 0, self.g)]
@@ -185,6 +205,9 @@ class BoundedCaAdversary:
             rng = random.Random(f"{self.seed}:{x}:{s}")
             if rng.random() < self.change_prob:
                 rows.append((s, value + 1, random_cnf_below(marker, rng)))
+                if to_row:
+                    horizon = s
+                    break
         self._done[x] = horizon
 
     def value(self, x: int, s: int) -> int:
@@ -193,24 +216,42 @@ class BoundedCaAdversary:
     def marker(self, x: int, s: int) -> Cnf:
         return self._sample(x, s)[1]
 
+    def _rows(self, x: int) -> tuple:
+        """x's rows and their tops: tops[i] is the latest stage among
+        rows 0..i, so the first row past stage s is the first i with
+        tops[i] > s, even where a script lists its steps out of stage
+        order."""
+        rows = self.script.get(x, ())
+        tops = self._tops.setdefault(x, [])
+        if len(tops) < len(rows):
+            for stage, _, _ in rows[len(tops):]:
+                tops.append(max(tops[-1], stage) if tops else stage)
+        return rows, tops
+
     def _sample(self, x: int, s: int):
         """The last row before the first row past stage s, in row order;
         (0, g) when the first row is already past s."""
         if not self._scripted:
             self._generate(x, s)
-        rows = self.script.get(x, ())
-        # tops[i] is the latest stage among rows 0..i: the first row past
-        # s is the first i with tops[i] > s, even where a script lists its
-        # steps out of stage order
-        tops = self._tops.setdefault(x, [])
-        if len(tops) < len(rows):
-            for stage, _, _ in rows[len(tops):]:
-                tops.append(max(tops[-1], stage) if tops else stage)
+        rows, tops = self._rows(x)
         i = bisect.bisect_right(tops, s)
         if not i:
             return 0, self.g
         _, val, mark = rows[i - 1]
         return val, mark
+
+    def next_change(self, x: int, s: int, horizon: int) -> int:
+        """The first stage t, s < t < horizon, at which value(x, t) may
+        differ from value(x, s), horizon when there is none: the stage of
+        the first row past s, which a script may give the same value.
+        The seeded schedule grows only as far as that row."""
+        if not self._scripted:
+            self._generate(x, s)
+            if self.script[x][-1][0] <= s:
+                self._generate(x, horizon - 1, to_row=True)
+        tops = self._rows(x)[1]
+        i = bisect.bisect_right(tops, s)
+        return tops[i] if i < len(tops) and tops[i] < horizon else horizon
 
 
 class ScriptedCaAdversary(BoundedCaAdversary):

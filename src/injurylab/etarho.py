@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 
 from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
 from .trace import (CheckResult, ConfigError, RunTrace, Summary,
-                    payload_error)
+                    payload_error, stage_spans)
 from .tree import (FIN, INF, ROOT, StrategyTree, is_prefix, parse_node,
                    render_node)
 
@@ -316,8 +317,9 @@ class EtaRhoRun(Engine):
         return length == self.depth and INF not in path[::period] \
             and s not in self.cur_l.values()
 
-    def _repeated(self):
-        self.tree.paths.append(self.tree.paths[-1])
+    def _repeated(self, count: int):
+        paths = self.tree.paths
+        paths.extend(repeat(paths[-1], count))
 
     def _summary(self, summary: dict):
         for node in sorted(self.followers):
@@ -340,7 +342,9 @@ class EtaRhoReplay:
     the length ``l`` of an eta visit included, or with a value it cannot
     parse, a misspelt node name included, raises ConfigError naming the
     event.  The replay is the one pass over the events: the checks and
-    the terminal summary read only what it derives."""
+    the terminal summary read only what it derives.  It reads each
+    distinct stage once: a stage that repeats a quiet one (see
+    ``stage_spans``) gets that stage's path and lengths, unread."""
 
     levels: Levels
     _extra = None
@@ -360,77 +364,88 @@ class EtaRhoReplay:
         holders, parse = self.levels.holders, self.levels.parse
         period = self.levels.period
         extra = self._extra
+        paths, lengths = self.paths, self.l
+        distinct = {}  # each stage's path, in first-seen stage order
         acted = {}
-        pending = []           # enumerate events of the current stage
-        cur_diverges = []
-        cur_stage = -1
         visits = 0
         # (eid, node) of the first rho or xi visit that carries a field of
         # another level kind
         foreign = None
         try:
-            for eid, s, p in zip(range(len(trace.events)), trace.stage_of,
-                                 trace.events):
-                if s != cur_stage:
-                    self._close_stage(pending, cur_diverges)
-                    pending, cur_diverges, cur_stage = [], [], s
-                kind = p.kind
-                if kind == "visit":
-                    node = parse(p["node"])
-                    n = len(node)
-                    if n >= len(self.paths.get(s, ROOT)):
-                        self.paths[s] = node
-                    if "l" in p:
-                        self.l[(s, node)] = int(p["l"])
-                        if n % period != ETA and foreign is None:
+            for s, start, block, copies in stage_spans(trace):
+                pending = []  # this stage's enumerate events
+                diverges = []  # and its inject-diverge events
+                for eid, p in enumerate(block, start):
+                    kind = p.kind
+                    if kind == "visit":
+                        node = parse(p["node"])
+                        n = len(node)
+                        if n >= len(paths.get(s, ROOT)):
+                            paths[s] = node
+                        if "l" in p:
+                            lengths[(s, node)] = int(p["l"])
+                            if n % period != ETA and foreign is None:
+                                foreign = (eid, node)
+                        elif n % period == ETA:  # an eta visit has a length
+                            raise KeyError("l")
+                        elif "x" in p and n % period == RHO \
+                                and foreign is None:
                             foreign = (eid, node)
-                    elif n % period == ETA:  # an eta visit has a length
-                        raise KeyError("l")
-                    elif "x" in p and n % period == RHO and foreign is None:
-                        foreign = (eid, node)
-                    visits += 1
-                    continue
-                summary.read(kind, p)
-                if extra is not None:
-                    extra(eid, s, p)
-                if kind == "init":
-                    node = parse(p["node"])
-                    self.last_init[node] = s
-                    uses.pop(node, None)
-                    followers.pop(node, None)
-                elif kind == "declare" and p["what"] == "follower":
-                    followers[parse(p["node"])] = int(p["y"])
-                elif kind == "declare" and p["what"] == "gamma" \
-                        and p["act"] == "pick":
-                    node, y, u = (parse(p["node"]), int(p["y"]),
-                                  int(p["u"]))
-                    before = acted.get(node, 0)
-                    held = [uses[n] for n in holders(node) if n in uses]
-                    self.picks.append((eid, s, node, y, u, before, held))
-                    self.use_at_pick[(node, u)] = (s, before)
-                    uses[node] = u
-                elif kind == "enumerate":
-                    node, elem = parse(p["node"]), int(p["element"])
-                    pending.append((eid, node, elem))
-                    acted[node] = acted.get(node, 0) + 1
-                    uses.pop(node, None)
-                elif kind == "inject-diverge":
-                    cur_diverges.append((eid, s, int(p["e"]), int(p["x"]),
+                        visits += 1
+                        continue
+                    summary.read(kind, p)
+                    if extra is not None:
+                        extra(eid, s, p)
+                    if kind == "init":
+                        node = parse(p["node"])
+                        self.last_init[node] = s
+                        uses.pop(node, None)
+                        followers.pop(node, None)
+                    elif kind == "declare" and p["what"] == "follower":
+                        followers[parse(p["node"])] = int(p["y"])
+                    elif kind == "declare" and p["what"] == "gamma" \
+                            and p["act"] == "pick":
+                        node, y, u = (parse(p["node"]), int(p["y"]),
+                                      int(p["u"]))
+                        before = acted.get(node, 0)
+                        held = [uses[n] for n in holders(node) if n in uses]
+                        self.picks.append((eid, s, node, y, u, before, held))
+                        self.use_at_pick[(node, u)] = (s, before)
+                        uses[node] = u
+                    elif kind == "enumerate":
+                        node, elem = parse(p["node"]), int(p["element"])
+                        pending.append((eid, node, elem))
+                        acted[node] = acted.get(node, 0) + 1
+                        uses.pop(node, None)
+                    elif kind == "inject-diverge":
+                        diverges.append((eid, s, int(p["e"]), int(p["x"]),
                                          int(p["use"])))
-                    self.phi.setdefault((int(p["e"]), int(p["x"])),
-                                        []).append((s, None))
-                elif kind == "inject-converge":
-                    self.phi.setdefault((int(p["e"]), int(p["x"])),
-                                        []).append((s, int(p["use"])))
+                        self.phi.setdefault((int(p["e"]), int(p["x"])),
+                                            []).append((s, None))
+                    elif kind == "inject-converge":
+                        self.phi.setdefault((int(p["e"]), int(p["x"])),
+                                            []).append((s, int(p["use"])))
+                self._close_stage(pending, diverges)
+                path = paths.get(s)
+                if path is not None:
+                    distinct[path] = None
+                if copies:  # repeats of this stage: only their own entries
+                    if path is not None:
+                        paths.update(zip(copies, repeat(path)))
+                    visited = [parse(p["node"]) for p in block
+                               if p.kind == "visit"]
+                    for eta in visited:
+                        if (s, eta) in lengths:
+                            lengths.update(zip(zip(copies, repeat(eta)),
+                                               repeat(lengths[(s, eta)])))
+                    visits += len(visited) * len(copies)
         except (KeyError, ValueError) as ex:
             raise payload_error(eid, kind, ex) from None
-        self._close_stage(pending, cur_diverges)
         self.visits, self.foreign = visits, foreign
-        self._etas = {}  # eta -> stages of its expansionary visits
-        for s, node in self.paths.items():
-            for i in range(0, len(node), period):
-                if node[i] == INF:
-                    self._etas.setdefault(node[:i], []).append(s)
+        self.distinct_paths = list(distinct)  # first-seen stage order
+        self._etas = list(dict.fromkeys(
+            node[:i] for node in distinct
+            for i in range(0, len(node), period) if node[i] == INF))
         # An injury of functional e at stage s can count only for the eta
         # path(s)[:period*e], when the path takes its infinitary outcome
         # there, the eta was not initialized since, and x is below its
@@ -469,9 +484,10 @@ class EtaRhoReplay:
     def path(self, s):
         return self.paths.get(s, ROOT)
 
-    def etas(self) -> dict:
-        """Eta nodes that head at least one expansionary visit, with the
-        stages of those visits."""
+    def etas(self) -> list:
+        """Eta nodes that head at least one expansionary visit: each eta
+        on a stage's path at its infinitary outcome, in the order the
+        paths first show them."""
         return self._etas
 
     def counted_injuries(self, eta) -> list:
@@ -503,7 +519,7 @@ def check_recursion(r: EtaRhoReplay, name: str, order) -> CheckResult:
     to every rho node's allowance.  ``order`` (list or sorted) fixes the
     visiting order, and so which failure is the witness."""
     lv = r.levels
-    realized = {p[:i] for p in r.paths.values()
+    realized = {p[:i] for p in r.distinct_paths
                 for i in range(1, len(p) + 1, lv.period)}
     for eta in order(r.etas()):
         counts = {}

@@ -10,6 +10,7 @@ injury an observable mind change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .trace import RunTrace
@@ -107,22 +108,28 @@ class Engine:
     expansionary and no length at its cap.  Such a stage is quiet when it
     also emitted only visits and fin re-declarations, and the functional
     step after it emitted nothing.  Every input of the next stage is then
-    the same as the quiet stage's, except the opponents' answers: so when
-    each query of the quiet stage gets the same answer again, the next
-    stage would emit the same payloads, and it copies them instead of
-    walking (``_repeated`` keeps what else a stage leaves).  The
-    opponents answer from their argument and stage alone, so skipping a
-    walk changes no draw."""
+    the same as the quiet stage's, except the opponents' answers and the
+    functional runs' own waits: so while each query of the quiet stage
+    gets the same answer again and no run changes, every later stage
+    would emit the same payloads, and it copies them instead of walking
+    (``_repeated`` keeps what else a stage leaves).  The loop asks each
+    input when it can next change (``_quiet_until``) and copies the
+    stages before that in one step; the stage at the change is checked
+    query by query (``_repeats``) and copied or walked.  The opponents
+    answer from their argument and stage alone, so skipping a walk
+    changes no draw."""
 
     def execute(self) -> RunTrace:
         trace = self.trace
         events = trace.events
+        runs = self.runs.values()
         self._answers = {}  # (opponent, x) -> answer got by a failed check
         quiet = None  # (first event, end, queries) of the last quiet stage
-        for s in range(self.stages):
+        s = 0
+        while s < self.stages:
             if quiet is not None and self._repeats(quiet[2], s):
-                trace.repeat(s, quiet[0], quiet[1])
-                self._repeated()
+                trace.repeat(s, s + 1, quiet[0], quiet[1])
+                self._repeated(1)
             else:
                 self._asked = asked = []
                 start = len(events)
@@ -133,13 +140,34 @@ class Engine:
                     for p in events[start:]) else None
             end = len(events)
             self._advance_functionals(s)
+            s += 1
             if len(events) != end:
                 quiet = None
+            elif quiet is not None:
+                t = self._quiet_until(quiet[2], s)
+                if t > s:  # stages s..t-1 repeat the quiet stage
+                    trace.repeat(s, t, quiet[0], quiet[1])
+                    self._repeated(t - s)
+                    for run in runs:
+                        run.idle(t - 1)
+                    s = t
         elems = sorted(e for _, e in self.A.events)
         summary = {"A": ",".join(str(x) for x in elems) or "-"}
         self._summary(summary)
         trace.finalize(summary)
         return trace
+
+    def _quiet_until(self, asked, s: int) -> int:
+        """The first stage from s on at which an input of the quiet stage
+        can change, s - 1 being the last stage played: a query (opponent,
+        x, answer) gets another answer, or a functional run can change on
+        its own; the stage budget when none can."""
+        t = self.stages
+        for run in self.runs.values():
+            t = min(t, run.next_change())
+        for adv, x, _ in asked:
+            t = adv.next_change(x, s - 1, t)
+        return t
 
     def _repeats(self, asked, s: int) -> bool:
         """Whether every query (opponent, x, answer) of the quiet stage
@@ -166,8 +194,8 @@ class Engine:
         """Play stage s; True when it was played in full."""
         raise NotImplementedError
 
-    def _repeated(self):
-        """Keep what a copied stage leaves besides its events."""
+    def _repeated(self, count: int):
+        """Keep what count copied stages leave besides their events."""
 
     def _summary(self, summary: dict):
         """Add the construction's terminal entries to summary."""
@@ -191,7 +219,8 @@ class FunctionalRun:
     """Incremental evaluation of a functional against a growing set.
 
     ``advance(stage)`` must be called once per stage in increasing order,
-    after that stage's enumerations are in the set.  ``large`` optionally
+    after that stage's enumerations are in the set; ``idle`` steps over a
+    run of stages at which nothing can change.  ``large`` optionally
     supplies fresh uses (a callable returning a number exceeding everything
     seen); without it the fresh rule is 1 + max(argument, prior uses at the
     argument, elements enumerated so far).
@@ -220,10 +249,13 @@ class FunctionalRun:
         if stage != self.stage + 1:
             raise ValueError("stages must be advanced in order")
         self.stage = stage
+        if not self._pending and len(self.state) == len(self.fn.args):
+            # every computation is up: only an enumeration at this stage
+            # can change one, and there is none when the newest is earlier
+            events = self.A.events
+            if not events or events[-1][0] < stage:
+                return []
         new = self.A.events_at(stage)
-        if not new and not self._pending \
-                and len(self.state) == len(self.fn.args):
-            return []
         changed = []
         for x, sched in self.fn.args.items():
             st = self.state.get(x)
@@ -255,6 +287,31 @@ class FunctionalRun:
             if before != after:
                 changed.append((x, before, self._conv.get(x)))
         return changed
+
+    def next_change(self) -> int:
+        """The first stage after this one at which a computation can
+        change while the set does not grow: an argument reaches its first
+        stage, or a diverged one's wait runs out; math.inf when every
+        computation is up."""
+        if len(self.state) < len(self.fn.args):
+            return self.stage + 1
+        t = math.inf
+        for x in self._pending:
+            status, wait = self.state[x][0], self.state[x][3]
+            if status == "before":
+                t = min(t, self.fn.args[x].first)
+            else:
+                t = min(t, self.stage + 1 + wait)
+        return t
+
+    def idle(self, stage: int):
+        """Step to stage in one go, over stages that enumerate nothing and
+        come before next_change(): each wait just runs down."""
+        for x in self._pending:
+            st = self.state[x]
+            if st[0] == "down":
+                st[3] -= stage - self.stage
+        self.stage = stage
 
     def query(self, x: int):
         return self._conv.get(x)

@@ -18,7 +18,8 @@ from .budgeted import (Generation, Requirement, check_bound, descent_witness,
                        phi)
 from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import CheckResult, RunTrace, Summary, payload_error
+from .trace import (CheckResult, RunTrace, Summary, payload_error,
+                    stage_spans)
 
 
 @lru_cache(maxsize=1024)  # bounded: the names come from trace files
@@ -163,7 +164,9 @@ def run(advs, funs, alpha: Cnf, stages: int, seed: int = 0) -> RunTrace:
 class _LowReplay:
     """Verifier view of a trace, its summary included, rebuilt from the
     event stream alone.  An event without a payload key the replay reads,
-    or with a value it cannot parse, raises ConfigError naming the event."""
+    or with a value it cannot parse, raises ConfigError naming the event.
+    A stage that repeats a quiet one (see ``stage_spans``) is not read
+    again: it only moves each guess seen to its stage."""
 
     def __init__(self, trace: RunTrace):
         self.alpha = None
@@ -178,46 +181,51 @@ class _LowReplay:
         self.phis = []  # (e, value) texts of the watchers' phi-sets
         self.summary = summary = Summary()
         try:
-            for eid, s, p in zip(range(len(trace.events)), trace.stage_of,
-                                 trace.events):
-                kind = p.kind
-                summary.read(kind, p)
-                if kind == "qlist-set":
-                    e = int(p["e"])
-                    if e in self.budgets:
-                        self.extra_sets.append(eid)
-                    else:
-                        self.budgets[e] = Generation(eid, s, p, int)
-                elif kind == "qlist-remove":
-                    e, q = int(p["e"]), int(p["q"])
-                    b = self.budgets.get(e)
-                    if b is None or not b.remove(q, s):
-                        self.bad_removes.append(eid)
-                elif kind == "phi-set":
-                    value = parse_cnf(p["value"])
-                    if p["e"] == "alpha":
-                        self.alpha = value
-                    else:
+            for s, start, block, copies in stage_spans(trace):
+                for eid, p in enumerate(block, start):
+                    kind = p.kind
+                    summary.read(kind, p)
+                    if kind == "qlist-set":
                         e = int(p["e"])
-                        self.phis.append((p["e"], p["value"]))
                         if e in self.budgets:
-                            self.budgets[e].value = value
-                elif kind == "init":
-                    self.inits.setdefault(_level(p["node"]), []).append(s)
-                elif kind == "enumerate":
-                    self.enums[s] = (eid, _level(p["node"]),
-                                     int(p["element"]),
-                                     parse_cnf(p["marker"]))
-                elif kind == "inject-diverge":
-                    self.injuries.append((eid, s, int(p["e"]), int(p["x"]),
-                                          int(p["use"])))
-                elif kind == "declare":
-                    q = _level(p["node"])
-                    if p.get("what") == "delta":
-                        self.declares.setdefault(q, []).append(
-                            (eid, s, int(p["u"]), int(p["value"])))
-                elif kind == "visit":
-                    self.last_f[_level(p["node"])] = (s, int(p["f"]))
+                            self.extra_sets.append(eid)
+                        else:
+                            self.budgets[e] = Generation(eid, s, p, int)
+                    elif kind == "qlist-remove":
+                        e, q = int(p["e"]), int(p["q"])
+                        b = self.budgets.get(e)
+                        if b is None or not b.remove(q, s):
+                            self.bad_removes.append(eid)
+                    elif kind == "phi-set":
+                        value = parse_cnf(p["value"])
+                        if p["e"] == "alpha":
+                            self.alpha = value
+                        else:
+                            e = int(p["e"])
+                            self.phis.append((p["e"], p["value"]))
+                            if e in self.budgets:
+                                self.budgets[e].value = value
+                    elif kind == "init":
+                        self.inits.setdefault(_level(p["node"]), []).append(s)
+                    elif kind == "enumerate":
+                        self.enums[s] = (eid, _level(p["node"]),
+                                         int(p["element"]),
+                                         parse_cnf(p["marker"]))
+                    elif kind == "inject-diverge":
+                        self.injuries.append((eid, s, int(p["e"]), int(p["x"]),
+                                              int(p["use"])))
+                    elif kind == "declare":
+                        q = _level(p["node"])
+                        if p.get("what") == "delta":
+                            self.declares.setdefault(q, []).append(
+                                (eid, s, int(p["u"]), int(p["value"])))
+                    elif kind == "visit":
+                        self.last_f[_level(p["node"])] = (s, int(p["f"]))
+                if copies:  # repeats of this stage: the guesses seen last
+                    for p in block:
+                        if p.kind == "visit":
+                            self.last_f[_level(p["node"])] = (copies[-1],
+                                                              int(p["f"]))
         except (KeyError, ValueError) as ex:
             raise payload_error(eid, kind, ex) from None
 

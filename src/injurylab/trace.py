@@ -16,6 +16,9 @@ them, which gives the self-consistency check.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
+from itertools import chain, repeat
+from operator import is_
 
 
 class ConfigError(ValueError):
@@ -91,11 +94,14 @@ class RunTrace:
         self.events.append(shared)
         self.stage_of.append(stage)
 
-    def repeat(self, stage: int, start: int, end: int) -> None:
+    def repeat(self, first: int, stop: int, start: int, end: int) -> None:
         """Emit the payloads of events start..end-1 again, in order, at
-        stage."""
-        self.events.extend(self.events[start:end])
-        self.stage_of.extend([stage] * (end - start))
+        each stage first..stop-1.  The columns grow in place, with no
+        list of the whole run built first."""
+        self.events.extend(chain.from_iterable(
+            repeat(self.events[start:end], stop - first)))
+        self.stage_of.extend(chain.from_iterable(
+            map(repeat, range(first, stop), repeat(end - start))))
 
     def finalize(self, summary: dict):
         self.summary = {k: str(v) for k, v in summary.items()}
@@ -190,6 +196,51 @@ def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:
         return ConfigError(f"event {eid}: {kind} without payload key "
                            f"{ex.args[0]!r}")
     return ConfigError(f"event {eid}: bad {kind} payload: {ex}")
+
+
+def stage_spans(trace: RunTrace):
+    """Each stage of the trace that a replay must read, in order, as
+    (stage, start, payloads, copies): the stage's events are start,
+    start + 1, ... with the given payloads, and copies lists the stages
+    right after it that repeat it.  A stage repeats one that held only
+    visits and fin re-declarations when its events are the very payloads
+    of that stage, in order.  Reading such a stage again changes no
+    replay fact but the stage's own (its path, lengths and guesses seen
+    at it) and the visit count, so a replay copies those and skips the
+    events.  The test is by identity, not equality: payloads of other
+    kinds can hold equal mappings.  Each event is read once, as part of
+    the stage it belongs to.  A trace's stages never go backwards:
+    ``from_text`` refuses that and every engine emits in stage order."""
+    events, stage_of = trace.events, trace.stage_of
+    n = len(events)
+    start, block = 0, None
+    while start < n:
+        s = stage_of[start]
+        end = bisect_right(stage_of, s, start)
+        if block is None:
+            block = events[start:end]
+        copies = []
+        quiet = None  # whether block holds only visits and fin declares
+        while True:
+            # the next stage, when it has as many events as this one
+            last = end + len(block)
+            if last > n or stage_of[end] != stage_of[last - 1] \
+                    or (last < n and stage_of[last] == stage_of[end]):
+                ahead = None
+                break
+            ahead = events[end:last]
+            if not all(map(is_, block, ahead)):
+                break
+            if quiet is None:
+                quiet = all(p.kind == "visit" or (p.kind == "declare"
+                                                  and p.get("act") == "fin")
+                            for p in block)
+            if not quiet:
+                break
+            copies.append(stage_of[end])
+            end = last
+        yield s, start, block, copies
+        start, block = end, ahead
 
 
 class Summary:

@@ -265,12 +265,16 @@ def test_delta2_matches_naive_reference(mode, stab):
                     adv.add_step(x, t, v)
                     script.setdefault(x, []).append((t, v))
         refs = {x: naive_delta2(mode, seed, 0.3, stab, 1 + seed % 3,
-                                script, x, 400) for x in range(4)}
+                                script, x, 600) for x in range(4)}
         for x, s in queries(rng):
             ref = refs[x]
             assert adv.value(x, s) == ref[s]
             assert adv.change_stages(x, s) == [
                 t for t in range(1, s + 1) if ref[t] != ref[t - 1]]
+            horizon = s + 1 + rng.randrange(200)
+            assert adv.next_change(x, s, horizon) == next(
+                (t for t in range(s + 1, horizon) if ref[t] != ref[s]),
+                horizon)
 
 
 def scripted_rows(rng, g):
@@ -302,3 +306,56 @@ def test_bca_matches_naive_reference(kind):
         for x, s in queries(rng):
             ref = naive_bca(g, seed, 0.3, script, scripted, x, s)
             assert (adv.value(x, s), adv.marker(x, s)) == ref
+
+
+def naive_bca_values(g, seed, change, script, scripted, x, horizon):
+    """The values at stages 0..horizon, by naive_bca's rows drawn once out
+    to the horizon: a row drawn past a stage never decides its value."""
+    rows = list(script.get(x, [(0, 0, g)]))
+    for t in range(1, horizon + 1):
+        _, value, marker = rows[-1]
+        if scripted or not marker:
+            break
+        rng = random.Random(f"{seed}:{x}:{t}")
+        if rng.random() < change:
+            rows.append((t, value + 1, random_cnf_below(marker, rng)))
+    vals = []
+    for s in range(horizon + 1):
+        val = 0
+        for stage, v, _ in rows:
+            if stage > s:
+                break
+            val = v
+        vals.append(val)
+    return vals
+
+
+@pytest.mark.parametrize("kind", ["budgeted", "budgeted-with-steps",
+                                  "scripted"])
+def test_bca_next_change_holds_the_value(kind):
+    # the value holds from s up to the stage next_change names; a seeded
+    # schedule changes its value at every row, so there it is exact
+    g = parse_cnf("w*2")
+    for seed in range(8):
+        rng = random.Random(seed)
+        scripted = kind == "scripted"
+        cls = ScriptedCaAdversary if scripted else BoundedCaAdversary
+        adv = cls("f0", g) if scripted else cls("f0", g, seed=seed,
+                                                change_prob=0.3)
+        script = {}
+        if kind != "budgeted":
+            for x in range(3):
+                for t, v, m in scripted_rows(rng, g):
+                    adv.add_step(x, t, v, m)
+                    script.setdefault(x, []).append((t, v, m))
+        vals = {x: naive_bca_values(g, seed, 0.3, script, scripted, x, 600)
+                for x in range(4)}
+        for x, s in queries(rng):
+            horizon = s + 1 + rng.randrange(200)
+            t = adv.next_change(x, s, horizon)
+            ref = vals[x]
+            assert s < t <= horizon
+            assert ref[s:t] == [ref[s]] * (t - s)
+            if kind == "budgeted":
+                assert t == horizon or ref[t] != ref[s]
+            assert adv.value(x, s) == ref[s]

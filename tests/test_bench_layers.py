@@ -5,11 +5,12 @@
 stages from ``trace.stages``.  A change to the trace layer that breaks
 those reads would break only the traced bench run, so each case here
 installs the unchanged tracer, runs and re-verifies a golden scenario,
-and compares the counts with the fixture.  The engine copies a quiet
-stage's events through ``RunTrace.repeat``, not ``emit``, so the child
-also records each copy, and the copied and emitted events together must
-make up the fixture.  It runs in a fresh interpreter so that no wrapper
-stays installed in the test process.
+and compares the counts with the fixture.  The engine copies the
+events of a quiet stage, or of a run of such stages at once, through
+``RunTrace.repeat``, not ``emit``, so the child also records each copy,
+and the copied and emitted events together must make up the fixture.
+It runs in a fresh interpreter so that no wrapper stays installed in
+the test process.
 """
 
 import collections
@@ -32,11 +33,11 @@ tracer = Tracer()
 tracer.install()
 from injurylab import cli
 from injurylab.trace import RunTrace
-copies = []  # (stage, start, end) per stage the engine copied
+copies = []  # (first, stop, start, end) per run of stages copied
 repeat = RunTrace.repeat
-def counted_repeat(trace, stage, start, end):
-    copies.append((stage, start, end))
-    repeat(trace, stage, start, end)
+def counted_repeat(trace, first, stop, start, end):
+    copies.append((first, stop, start, end))
+    repeat(trace, first, stop, start, end)
 RunTrace.repeat = counted_repeat
 scenario, fixture, out = sys.argv[1:]
 codes = [cli.main(["run", "--scenario", scenario, "--trace", out],
@@ -88,16 +89,18 @@ def test_traced_run_counts_match_the_fixture(name, tmp_path):
     # the copy of a quiet stage
     copies = got["after_run"].pop("copies")
     assert copies  # each golden run goes quiet
-    copied = sum(end - start for _, start, end in copies)
+    copied = sum((stop - first) * (end - start)
+                 for first, stop, start, end in copies)
     emits = got["after_run"].pop("emits")
     assert got["after_run"] == {"kinds": kinds, "stages": stages}
     assert emits + copied == sum(kinds.values())
     # a copied stage opens with the stage before it, line for line; only
     # the functional step after the copy may add to it
-    for stage, start, end in copies:
-        assert by_stage[stage][:end - start] == by_stage[stage - 1]
-        assert all(tail.startswith("inject-")
-                   for tail in by_stage[stage][end - start:])
+    for first, stop, start, end in copies:
+        for stage in range(first, stop):
+            assert by_stage[stage][:end - start] == by_stage[stage - 1]
+            assert all(tail.startswith("inject-")
+                       for tail in by_stage[stage][end - start:])
     # verify-trace parses the fixture once and counts it again
     assert got["from_text"] == 1
     assert got["kinds"] == {k: 2 * n for k, n in kinds.items()}

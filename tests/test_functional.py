@@ -222,3 +222,39 @@ def test_events_at_matches_full_filter(adds):
         A.add(element, stage)
     for s in range(-1, stage + 3):
         assert A.events_at(s) == [e for t, e in A.events if t == s]
+
+
+def test_idle_matches_stepping_until_next_change():
+    # with no enumerations, a run idled over the stages before
+    # next_change() is in the state of one stepped through them, and no
+    # step in between changes a computation
+    rng = random.Random(29)
+    for trial in range(40):
+        fn = UseFunctional(0)
+        for x in range(rng.randrange(1, 4)):
+            fn.configure(x, first=rng.randrange(30), delay=rng.randrange(25),
+                         policy=rng.choice(["fresh", "low"]))
+        A = EnumerableSet()
+        pool = list(range(1, 400))
+        rng.shuffle(pool)
+        stepped, idled = FunctionalRun(fn, A), FunctionalRun(fn, A)
+        s, due = 0, False
+        while s < 200:
+            grows = rng.random() < 0.3
+            if grows:
+                A.add(pool.pop(), s)
+            changed = stepped.advance(s)
+            assert idled.advance(s) == changed
+            # next_change() names a stage at which a computation changes
+            assert changed or grows or not due
+            t = stepped.next_change()
+            due = t < 200
+            t = min(t, 200)
+            assert t > s
+            for u in range(s + 1, t):
+                assert stepped.advance(u) == []
+            if t > s + 1:
+                idled.idle(t - 1)
+            assert idled.stage == stepped.stage == t - 1
+            assert idled.state == stepped.state, (trial, s)
+            s = t

@@ -1,11 +1,14 @@
 """Quiet stages repeat: a stage whose inputs did not change copies the
-stage before it instead of walking the tree.
+stage before it instead of walking the tree, and a run of such stages,
+up to the next stage at which an input can change, is copied in one
+step.
 
 Each case runs a scenario as shipped and again on the plain loop, where
-``Engine._repeats`` is patched to refuse every stage so that every stage
-is walked, and the two traces must be byte-identical.  The late-change
-cases also check that the stage whose input changed was walked, and that
-the stage before it was a copy, so the run had gone quiet first.
+``Engine._quiet_until`` and ``Engine._repeats`` are patched so that no
+run is copied and every stage is walked, and the two traces must be
+byte-identical.  The late-change cases also check that the stage whose
+input changed was walked, and that the stage before it was a copy, so
+the run had gone quiet first.
 """
 
 import collections
@@ -29,26 +32,34 @@ def load(path):
         return load_scenario(fh.read())
 
 
-def shipped(sc, seed=None, stages=None):
-    """The trace of sc and the stages it copied."""
-    copied = []
+def copying(sc, seed=None, stages=None):
+    """The trace of sc and the (first, stop) stages of each copy."""
+    runs = []
     repeat = RunTrace.repeat
 
-    def counted(trace, stage, start, end):
-        copied.append(stage)
-        repeat(trace, stage, start, end)
+    def counted(trace, first, stop, start, end):
+        runs.append((first, stop))
+        repeat(trace, first, stop, start, end)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RunTrace, "repeat", counted)
         trace, _ = sc.execute(seed=seed, stages=stages)
-    return trace, set(copied)
+    return trace, runs
+
+
+def shipped(sc, seed=None, stages=None):
+    """The trace of sc and the stages it copied."""
+    trace, runs = copying(sc, seed, stages)
+    return trace, {s for first, stop in runs for s in range(first, stop)}
 
 
 def plain(sc, seed=None, stages=None):
     """The trace of sc with every stage walked."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_quiet_until", lambda self, asked, s: s)
         mp.setattr(Engine, "_repeats", lambda self, asked, s: False)
-        trace, _ = sc.execute(seed=seed, stages=stages)
+        trace, runs = copying(sc, seed, stages)
+    assert not runs
     return trace
 
 
@@ -177,3 +188,50 @@ def test_watcher_coming_into_play_is_walked():
     activation = [s for s, p in zip(trace.stage_of, trace.events)
                   if p.kind == "qlist-set" and p["e"] == "2"]
     assert activation == [2] and 2 not in copied and copied
+
+
+# -- where a run of copied stages ends ----------------------------------
+
+
+def test_run_ends_at_a_delayed_reconvergence():
+    # q0 fires at stage 600 and injures watcher 0's computation, which
+    # waits 40 stages before it converges again, inside a quiet run
+    sc = load_scenario(LOW_ALPHA.replace("fun 0 arg 0 first 2\n",
+                                         "fun 0 arg 0 first 2 delay 40\n")
+                       + steps("f0", 600, 1, " marker 3"))
+    trace, runs = copying(sc)
+    assert trace.digest() == plain(sc).digest()
+    back = [s for s, p in zip(trace.stage_of, trace.events)
+            if p.kind == "inject-converge" and p["e"] == "0" and s > 600]
+    assert back == [640]
+    # the run stops right before it; stage 640 is checked on its own and
+    # copied, and its new computation makes stage 641 walked
+    assert (603, 640) in runs and (640, 641) in runs
+    assert not any(first <= 641 < stop for first, stop in runs)
+
+
+@pytest.mark.parametrize("name", sorted(LATE))
+def test_run_ends_at_the_stage_budget(name):
+    trace, runs = copying(load_scenario(LATE[name][0]))
+    assert runs[-1][1] == trace.stages == 900
+    assert all(stop <= trace.stages for _, stop in runs)
+
+
+@pytest.mark.parametrize("path", SHAPES, ids=os.path.basename)
+def test_copied_stages_keep_their_paths(path, monkeypatch):
+    # a tree engine keeps each stage's path, copied stages included, as
+    # the plain loop does
+    engines = []
+    execute = Engine.execute
+
+    def kept(engine):
+        engines.append(engine)
+        return execute(engine)
+
+    monkeypatch.setattr(Engine, "execute", kept)
+    sc = load(path)
+    shipped(sc, 0, 2000)
+    plain(sc, 0, 2000)
+    paths = [getattr(e, "tree", None) and e.tree.paths for e in engines]
+    assert paths[0] == paths[1]
+    assert paths[0] is None or len(paths[0]) == 2000

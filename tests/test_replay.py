@@ -3,12 +3,13 @@ every consumer reads it, with the same verdicts as a fresh replay.  The
 replay is also the one reader of the events: it derives the terminal
 summary that the self-consistency check compares."""
 
+import collections
 import io
 import os
 
 import pytest
 
-from injurylab import low_alpha, nonlow_alpha, nonlow_low2
+from injurylab import cli, low_alpha, nonlow_alpha, nonlow_low2
 from injurylab.cli import (build_parser, checks_for, main, reduce_summary,
                            replay_of, report_lines, worst_ratio)
 from injurylab.constructions import CONSTRUCTIONS
@@ -114,13 +115,30 @@ def test_registry_names_are_the_accepted_constructions(name):
 
 
 class CountingList(list):
-    """A list that counts the passes made over it."""
+    """A list that counts the reads of each of its items, made by a pass
+    over it, a slice or an index."""
 
-    passes = 0
+    def __init__(self, items=()):
+        super().__init__(items)
+        self.reads = collections.Counter()
 
     def __iter__(self):
-        self.passes += 1
+        self.reads.update(range(len(self)))
         return super().__iter__()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.reads.update(range(*i.indices(len(self))))
+        else:
+            self.reads[range(len(self))[i]] += 1
+        return super().__getitem__(i)
+
+    @property
+    def passes(self):
+        """How often each item was read; None when not all were read
+        equally often."""
+        counts = {self.reads[i] for i in range(len(self))}
+        return counts.pop() if len(counts) == 1 else None
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -130,6 +148,7 @@ def test_replay_is_the_only_pass_over_the_events(name):
     sc, trace, psis = run_golden(name)
     trace.events = CountingList(trace.events)
     replay = replay_of(trace)
+    assert trace.events.passes == 1
     checks = checks_for(trace, replay, sc, psis)
     worst_ratio(trace, replay)
     report_lines(trace, checks, replay)
@@ -137,16 +156,17 @@ def test_replay_is_the_only_pass_over_the_events(name):
 
 
 def count_passes(monkeypatch):
-    """List that grows by each RunTrace made from now on, its events kept
-    in a CountingList."""
+    """List that grows by each trace the command builds a replay for, its
+    events kept in a CountingList from then on: the engine that wrote
+    them and the parser that read them are done."""
     made = []
-    init = RunTrace.__init__
+    build = cli.replay_of
 
-    def counting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        self.events = CountingList()
-        made.append(self)
-    monkeypatch.setattr(RunTrace, "__init__", counting)
+    def counting(trace):
+        trace.events = CountingList(trace.events)
+        made.append(trace)
+        return build(trace)
+    monkeypatch.setattr(cli, "replay_of", counting)
     return made
 
 
