@@ -48,16 +48,33 @@ def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
     return construction(trace.construction).verify(psis, replay)
 
 
-def _load(path: str):
+def _read(path: str) -> str:
+    """The text of the file at path.  A file that cannot be read, or is
+    not UTF-8, is a ConfigError naming the path."""
     try:
-        with open(path) as fh:
-            return load_scenario(fh.read())
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
     except OSError as ex:
-        raise ConfigError(str(ex))
+        raise ConfigError(f"cannot read {path}: {ex.strerror or ex}") \
+            from None
+    except UnicodeDecodeError as ex:
+        raise ConfigError(f"cannot read {path}: not UTF-8 ({ex.reason} "
+                          f"at byte {ex.start})") from None
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path; a failure is a ConfigError naming
+    the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as ex:
+        raise ConfigError(f"cannot write {path}: {ex.strerror or ex}") \
+            from None
 
 
 def cmd_run(args, out) -> int:
-    sc = _load(args.scenario)
+    sc = load_scenario(_read(args.scenario))
     if args.construction:
         sc.construction = args.construction
     if args.alpha:
@@ -71,14 +88,12 @@ def cmd_run(args, out) -> int:
     if trace.summary != reduce_summary(replay):
         raise ConfigError("trace summary does not replay")
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace.to_text())
+        _write(args.trace, trace.to_text())
     checks = checks_for(trace, replay, sc, psis)
     lines = report_lines(trace, checks, replay)
     text = "\n".join(lines) + "\n"
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text)
+        _write(args.report, text)
     out.write(text)
     return 0 if all(c.passed for c in checks) else 1
 
@@ -108,7 +123,7 @@ def _campaign_seed(sc, seed: int, stages, out):
 
 def cmd_campaign(args, out) -> int:
     """Exit 2 when any seed errors, else 1 when any check fails."""
-    sc = _load(args.scenario)
+    sc = load_scenario(_read(args.scenario))
     if args.seeds < 1:
         raise ConfigError("campaign wants at least one seed")
     failures = 0
@@ -134,11 +149,7 @@ def cmd_campaign(args, out) -> int:
 
 
 def cmd_verify_trace(args, out) -> int:
-    try:
-        with open(args.trace) as fh:
-            trace = RunTrace.from_text(fh.read())
-    except OSError as ex:
-        raise ConfigError(str(ex))
+    trace = RunTrace.from_text(_read(args.trace))
     replay = replay_of(trace)
     if trace.summary != reduce_summary(replay):
         out.write("check self-consistency fail witness ?\n")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from itertools import chain, repeat
-from operator import is_
+from itertools import chain, islice, repeat
+from operator import is_, ne
 
 
 class ConfigError(ValueError):
@@ -126,13 +126,30 @@ class RunTrace:
         is always in range: the alpha constructions set the bound there
         even in a run of no stages.  Each distinct payload text is parsed
         and its kind checked once, into one payload its events share, and
-        the events of one stage share one stage number."""
+        the events of one stage share one stage number.
+
+        Where a line opens the next stage with the payload that opened
+        the last one, the parser first asks ``_repeated_stages`` how many
+        stages from that line on repeat the last one, and appends them
+        in one step.  Such a stage holds the last stage's payload texts
+        as read, in order, at the next stage number and the next event
+        ids, each line exactly ``eid stage text``.  Every such line is
+        one the per-line path accepts with the same payload: its id is
+        the next one, its stage follows the last and is below the
+        header's count, and its text is one already read, so it gets
+        that text's shared payload.  A stage that differs in any
+        character, a blank or summary line in it included, goes through
+        the per-line path, so errors keep their text and line number.
+        The stage after a run is not tried again: the run ended there."""
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
-        # the last stage and its token: a stage is parsed and checked only
-        # where its token changes
-        last_stage, last_tok = 0, "0"
-        for lineno, ln in enumerate(text.splitlines(), 1):
+        texts = {}  # id of a payload -> the text it was parsed from
+        # the last stage, its token and its first event: a stage is parsed
+        # and checked only where its token changes
+        last_stage, last_tok, start = 0, "0", 0
+        lines = text.splitlines()
+        numbered = enumerate(lines, 1)
+        for lineno, ln in numbered:
             toks = ln.split(None, 2)
             if not toks:
                 continue
@@ -159,6 +176,7 @@ class RunTrace:
                     payload = Payload(kind, [t.split("=", 1) for t in pairs])
                     if kind in EVENT_KINDS:
                         payloads[tail] = payload
+                        texts[id(payload)] = tail
                     else:
                         payload = None
             except (ValueError, IndexError):
@@ -172,13 +190,27 @@ class RunTrace:
                 raise ConfigError(f"line {lineno}: event id {eid} out of "
                                   f"sequence, expected {len(events)}")
             if tok != last_tok:
+                if stage == last_stage + 1 and start < eid \
+                        and payload is events[start]:
+                    copies = _repeated_stages(lines, lineno - 1, events,
+                                              start, texts, stage,
+                                              bound - stage)
+                    if copies:
+                        trace.repeat(stage, stage + copies, start, eid)
+                        # the run's other lines are read; start moves past
+                        # the run, so the stage after it is not tried again
+                        skip = copies * (eid - start) - 1
+                        next(islice(numbered, skip, skip), None)
+                        last_stage += copies
+                        last_tok, start = str(last_stage), len(events)
+                        continue
                 if stage < last_stage:
                     raise ConfigError(f"line {lineno}: stage {stage} after "
                                       f"stage {last_stage}")
                 if stage >= bound:
                     raise ConfigError(f"line {lineno}: stage {stage} past "
                                       f"stages={trace.stages}")
-                last_stage, last_tok = stage, tok
+                last_stage, last_tok, start = stage, tok, len(events)
             events.append(payload)
             stage_of.append(last_stage)
         if trace is None:
@@ -187,6 +219,56 @@ class RunTrace:
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
+
+
+# the most lines _repeated_stages renders and compares in one step
+_RUN_LINES = 2048
+
+
+def _run_text(pieces, eid: int, stage: int, count: int) -> str:
+    """The text of count stages from the given stage on, with events
+    numbered on from eid.  pieces is one stage's lines as "%d \\r text",
+    joined by newlines and split at each \\r, where the stage goes."""
+    return "\n".join(map(str.join, map(str, range(stage, stage + count)),
+                         repeat(pieces, count))) % tuple(
+        range(eid, eid + count * (len(pieces) - 1)))
+
+
+def _repeated_stages(lines, at: int, events, start: int, texts,
+                     stage: int, most: int) -> int:
+    """How many of the stages that lines[at:] opens with, at most most,
+    repeat the last stage, the events from start on: each holds the texts
+    those events' payloads were read from (texts maps a payload's id to
+    its text), in order, at stage, stage + 1, ..., with the event ids
+    going on from the last.  It compares chunks of 1, 2, 4, ... stages
+    (at most _RUN_LINES lines) with their rendered text; in the first
+    chunk that differs, the run ends at the stage of the first line that
+    differs.  A stage that differs from the one before mostly differs in
+    its last line, so that line is compared first, before anything is
+    rendered."""
+    eid = len(events)
+    size = eid - start
+    last = at + size - 1
+    if last >= len(lines) or lines[last] != \
+            f"{eid + size - 1} {stage} {texts[id(events[-1])]}":
+        return 0
+    most = min(most, (len(lines) - at) // size)
+    # no text holds a \r: splitlines ends a line there
+    pieces = "\n".join(["%d \r " + texts[id(p)].replace("%", "%%")
+                        for p in events[start:]]).split("\r")
+    done, count = 0, 1
+    while done < most:
+        count = min(count, most - done)
+        first = at + done * size
+        got = lines[first:first + count * size]
+        want = _run_text(pieces, eid + done * size, stage + done, count)
+        if "\n".join(got) != want:
+            # got and want hold as many lines, so one of them differs
+            differs = map(ne, got, want.split("\n"))
+            return done + list(differs).index(True) // size
+        done += count
+        count = min(2 * count, max(1, _RUN_LINES // size))
+    return done
 
 
 def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:

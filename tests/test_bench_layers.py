@@ -7,8 +7,11 @@ those reads would break only the traced bench run, so each case here
 installs the unchanged tracer, runs and re-verifies a golden scenario,
 and compares the counts with the fixture.  The engine copies the
 events of a quiet stage, or of a run of such stages at once, through
-``RunTrace.repeat``, not ``emit``, so the child also records each copy,
-and the copied and emitted events together must make up the fixture.
+``RunTrace.repeat``, not ``emit``, so the child also records each copy
+the run makes, and the copied and emitted events together must make up
+the fixture.  (``from_text`` appends a run of repeated stages through
+``RunTrace.repeat`` too, so the run's copies are taken before
+``verify-trace`` parses.)
 It runs in a fresh interpreter so that no wrapper stays installed in
 the test process.
 """
@@ -45,7 +48,7 @@ codes = [cli.main(["run", "--scenario", scenario, "--trace", out],
 after_run = tracer.report()
 after_run = {"kinds": after_run["kinds"], "stages": after_run["stages"],
              "emits": after_run["layers"]["trace.emit"][0],
-             "copies": copies}
+             "copies": list(copies)}
 codes.append(cli.main(["verify-trace", "--trace", fixture], io.StringIO()))
 report = tracer.report()
 print(json.dumps({"codes": codes, "after_run": after_run,

@@ -419,6 +419,29 @@ class TestCli:
         assert code == 2
         assert text.startswith("error ") and missing in text, text
 
+    def test_scenario_file_not_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_bytes(LOW2_TEXT.encode() + b"seed \xff\n")
+        assert self.run_cli(["run", "--scenario", str(path)]) == \
+            (2, f"error cannot read {path}: not UTF-8 (invalid start byte "
+                f"at byte {len(LOW2_TEXT) + 5})\n")
+
+    def test_trace_file_not_utf8_exits_2(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_bytes(b"trace nonlow-low2 stages=1\n0 0 visit node=\xff\n")
+        assert self.run_cli(["verify-trace", "--trace", str(path)]) == \
+            (2, f"error cannot read {path}: not UTF-8 (invalid start byte "
+                f"at byte 42)\n")
+
+    @pytest.mark.parametrize("option", ["--trace", "--report"])
+    def test_run_output_file_it_cannot_write_exits_2(self, tmp_path,
+                                                     option):
+        target = tmp_path / "no-such-dir" / "out"
+        path = self.scenario_path(tmp_path, LOW2_TEXT)
+        assert self.run_cli(["run", "--scenario", path,
+                             option, str(target)]) == \
+            (2, f"error cannot write {target}: No such file or directory\n")
+
     def test_campaign_reports_failing_checks(self, tmp_path, monkeypatch):
         # the registry looks the verifier up at call time
         def failing(psis, replay):

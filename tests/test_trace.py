@@ -1,18 +1,24 @@
 """The trace layer: payloads interned per trace and read-only, events
 kept as two columns with no object of their own, the text round trip,
-and the parser against the per-line parser it replaced."""
+and the parser against the per-line parser it replaced, on the goldens
+and on traces with long runs of repeated stages."""
 
+import functools
 import gc
+import os
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injurylab import trace as trace_module
 from injurylab.cli import digest
 from injurylab.scenario import load_scenario
-from injurylab.trace import EVENT_KINDS, ConfigError, Payload, RunTrace
+from injurylab.trace import (EVENT_KINDS, ConfigError, Payload, RunTrace,
+                             stage_spans)
 
 from test_acceptance import _low2_seed
-from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT,
+from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
                           mutated_goldens)
 
 
@@ -53,6 +59,9 @@ def oracle_from_text(text: str) -> RunTrace:
         if stage < last_stage:
             raise ConfigError(f"line {lineno}: stage {stage} after "
                               f"stage {last_stage}")
+        if stage >= max(trace.stages, 1):
+            raise ConfigError(f"line {lineno}: stage {stage} past "
+                              f"stages={trace.stages}")
         last_stage = stage
         trace.events.append(payload)
         trace.stage_of.append(stage)
@@ -90,8 +99,6 @@ def parsed(parse, text):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(text=mutated_goldens())
 def test_parser_matches_the_reference(text):
-    # no mutation moves a stage past the header's count, the one rule the
-    # reference lacks
     expected = parsed(oracle_from_text, text)
     assert parsed(RunTrace.from_text, text) == expected
     if not isinstance(expected, str):
@@ -201,3 +208,187 @@ def test_events_cost_no_object_of_their_own():
     copy, grown = tracked_growth(emit_all)
     assert copy.to_text() == text
     assert grown <= distinct + 50
+
+
+# -- long runs of repeated stages --------------------------------------
+
+RUN_SCENARIOS = ("nonlow-low2-random", "low-alpha-two-watchers",
+                 "nonlow-alpha-mixed")
+
+
+@functools.lru_cache(maxsize=None)
+def run_trace(name):
+    """A shipped scenario run for 400 stages: each ends in a run of some
+    350 stages that repeat the one before them."""
+    with open(os.path.join(SCEN, name + ".txt")) as fh:
+        return load_scenario(fh.read()).execute(seed=0, stages=400)[0]
+
+
+def longest_run(trace):
+    """The (first, stop) line indices, in the text, of the trace's
+    longest run of stages that repeat the one before them."""
+    _, start, block, copies = max(stage_spans(trace),
+                                  key=lambda span: len(span[3]))
+    first = 1 + start + len(block)
+    return first, first + len(block) * len(copies)
+
+
+def stage_token(line):
+    """The second token of line, or None."""
+    toks = line.split(None, 2)
+    return toks[1] if len(toks) > 1 else None
+
+
+def with_stage(line, delta):
+    """line with its stage number moved by delta, its blanks kept."""
+    return re.sub(r"^(\d+\s+)(\d+)", lambda m: f"{m[1]}{int(m[2]) + delta}",
+                  line)
+
+
+@st.composite
+def edited_runs(draw):
+    """A trace of run_trace after one or two edits inside its longest run:
+    an event id one off; a stage number moved on one line or on a whole
+    stage, or every stage from a line on shifted by one; a header whose
+    stage count ends in the run; a blank line put in; a space doubled or
+    turned into a tab, or a blank put at a line's end; a payload value
+    given a %, %d or {} on every line that holds it; or the text cut
+    after a line, summary included.  The text may then get \\r\\n line
+    endings."""
+    trace = run_trace(draw(st.sampled_from(RUN_SCENARIOS)))
+    lines = trace.to_text().splitlines()
+    first, stop = longest_run(trace)
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(first, stop - 1))
+        op = draw(st.sampled_from(("eid", "line stage", "stage", "shift",
+                                   "header", "blank", "space", "tab",
+                                   "trail", "value", "cut")))
+        if i >= len(lines) or not lines[i][:1].isdigit():
+            continue  # cut off by an earlier edit, or a blank put in
+        if op == "eid":
+            eid, rest = lines[i].split(" ", 1)
+            delta = draw(st.sampled_from((-1, 1)))
+            lines[i] = f"{int(eid) + delta} {rest}"
+        elif op == "line stage":
+            lines[i] = with_stage(lines[i], draw(st.sampled_from((-2, -1,
+                                                                  1))))
+        elif op == "stage":
+            delta = draw(st.sampled_from((-2, -1, 1)))
+            stage = stage_token(lines[i])
+            lines = [with_stage(ln, delta) if stage_token(ln) == stage
+                     else ln for ln in lines]
+        elif op == "shift":
+            lines[i:] = [with_stage(ln, 1) for ln in lines[i:]]
+        elif op == "header":
+            stage = stage_token(lines[i])
+            if stage.isdigit():
+                cut = int(stage) + draw(st.sampled_from((0, 1)))
+                lines[0] = re.sub(r"=\d+", f"={cut}", lines[0])
+        elif op == "blank":
+            lines.insert(i, draw(st.sampled_from(("", " ", "\t"))))
+        elif op in ("space", "tab", "trail"):
+            if op == "trail":
+                lines[i] += draw(st.sampled_from((" ", "\t")))
+            else:
+                j = draw(st.sampled_from([j for j, c in enumerate(lines[i])
+                                          if c == " "]))
+                blank = "  " if op == "space" else "\t"
+                lines[i] = lines[i][:j] + blank + lines[i][j + 1:]
+        elif op == "value":
+            pair = draw(st.sampled_from(lines[i].split()[3:] or ["-"]))
+            mark = draw(st.sampled_from(("%", "%d", "{}", "%%s", "%(x)s")))
+            lines = [re.sub(rf"(?<= ){re.escape(pair)}(?= |$)",
+                            pair + mark, ln) for ln in lines]
+        else:
+            del lines[i + 1:]
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    return ending.join(lines) + ending
+
+
+def read_texts(text):
+    """The payload text of each event line, as the parser reads it."""
+    toks = [ln.split(None, 2) for ln in text.splitlines()]
+    return [t[2] for t in toks[1:] if t and t[0] != "summary"]
+
+
+def assert_shared_by_text(trace, text):
+    # events share a payload exactly when their payload texts as read are
+    # the same, as when every line went through the per-line path
+    texts = read_texts(text)
+    assert len(texts) == len(trace.events)
+    pairs = set(zip(texts, map(id, trace.events)))
+    assert len(pairs) == len(set(texts)) == len(set(map(id, trace.events)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=edited_runs())
+def test_parser_matches_the_reference_on_long_runs(text):
+    expected = parsed(oracle_from_text, text)
+    assert parsed(RunTrace.from_text, text) == expected
+    if not isinstance(expected, str):
+        assert_shared_by_text(RunTrace.from_text(text), text)
+
+
+@pytest.fixture(scope="module")
+def low2_trace():
+    return _low2_seed(0)[0]
+
+
+def spans(trace):
+    return [(s, start, [p.tail for p in block], copies)
+            for s, start, block, copies in stage_spans(trace)]
+
+
+@pytest.mark.parametrize("name", RUN_SCENARIOS + ("bench low2",))
+def test_parsed_trace_shares_payloads_as_emitted(name, low2_trace):
+    trace = low2_trace if name == "bench low2" else run_trace(name)
+    text = trace.to_text()
+    back = RunTrace.from_text(text)
+    assert spans(back) == spans(trace)
+    assert contents(back) == contents(trace)
+    assert_shared_by_text(back, text)
+
+
+def one_stage_of(n):
+    """A trace whose stage 0 holds n events, stage 1 the same but for its
+    last, and stage 2 a copy of stage 1."""
+    tails = ["visit node=- l=0", "visit node=f"] * (n // 2)
+    stages = [tails, tails[:-1] + ["visit node=fi"]]
+    stages.append(stages[1])
+    lines = ["trace nonlow-low2 stages=3"]
+    for s, stage in enumerate(stages):
+        lines += [f"{eid} {s} {t}" for eid, t in
+                  enumerate(stage, len(lines) - 1)]
+    return "\n".join(lines) + "\n"
+
+
+def stages_apart(n):
+    """A trace of n one-event stages of one payload, two stages apart, so
+    that each stage start tries a run and fails on its first line."""
+    lines = [f"trace nonlow-low2 stages={2 * n}"]
+    lines += [f"{i} {2 * i} visit node=- l=0" for i in range(n)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["bench low2", "one stage of 20,000",
+                                  "20,000 stages apart"])
+def test_parser_renders_at_most_twice_the_lines(name, low2_trace,
+                                                monkeypatch):
+    text = {"bench low2": low2_trace.to_text,
+            "one stage of 20,000": lambda: one_stage_of(20_000),
+            "20,000 stages apart": lambda: stages_apart(20_000)}[name]()
+    rendered = []
+    real = trace_module._run_text
+
+    def counted(*args):
+        out = real(*args)
+        rendered.append(out.count("\n") + 1)
+        return out
+    monkeypatch.setattr(trace_module, "_run_text", counted)
+    back = RunTrace.from_text(text)
+    lines = len(text.splitlines())
+    assert sum(rendered) <= 2 * lines
+    assert contents(back) == contents(oracle_from_text(text))
+    if name == "bench low2":
+        # the runs were read in one step: all but a few hundred lines
+        assert sum(rendered) >= lines - 500
