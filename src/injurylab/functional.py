@@ -106,16 +106,15 @@ class Engine:
     through ``_ask``.  The walk returns True when it played the stage in
     full: the tree at full depth, every requirement in play, no eta
     expansionary and no length at its cap.  Such a stage is quiet when it
-    also emitted only visits and fin re-declarations, and the functional
-    step after it emitted nothing.  Every input of the next stage is then
-    the same as the quiet stage's, except the opponents' answers and the
-    functional runs' own waits: so while each query of the quiet stage
-    gets the same answer again and no run changes, every later stage
-    would emit the same payloads, and it copies them instead of walking
-    (``_repeated`` keeps what else a stage leaves).  The loop asks each
-    input when it can next change (``_quiet_until``) and copies the
-    stages before that in one step; the stage at the change is checked
-    query by query (``_repeats``) and copied or walked.  The opponents
+    also emitted only quiet payloads (``Payload.quiet``), and the
+    functional step after it emitted nothing.  Every input of the next
+    stage is then the same as the quiet stage's, except the opponents'
+    answers and the functional runs' own waits: so up to the first stage
+    at which one of those can change (``_quiet_until``), every stage
+    would emit the same payloads, and the loop copies them in one step
+    instead of walking (``_repeated`` keeps what else a stage leaves).
+    The last copied stage still runs its functional step, which may
+    change a computation; the stage after it is walked.  The opponents
     answer from their argument and stage alone, so skipping a walk
     changes no draw."""
 
@@ -123,34 +122,27 @@ class Engine:
         trace = self.trace
         events = trace.events
         runs = self.runs.values()
-        self._answers = {}  # (opponent, x) -> answer got by a failed check
         quiet = None  # (first event, end, queries) of the last quiet stage
         s = 0
         while s < self.stages:
-            if quiet is not None and self._repeats(quiet[2], s):
-                trace.repeat(s, s + 1, quiet[0], quiet[1])
-                self._repeated(1)
+            t = s if quiet is None else self._quiet_until(quiet[2], s)
+            if t > s:  # stages s..t-1 repeat the quiet stage
+                trace.repeat(s, t, quiet[0], quiet[1])
+                self._repeated(t - s)
+                for run in runs:
+                    run.idle(t - 2)
+                s = t - 1
             else:
                 self._asked = asked = []
                 start = len(events)
                 full = self._walk(s)
-                self._answers = {}
                 quiet = (start, len(events), asked) if full and all(
-                    p.kind == "visit" or p.get("act") == "fin"
-                    for p in events[start:]) else None
+                    p.quiet for p in events[start:]) else None
             end = len(events)
             self._advance_functionals(s)
-            s += 1
             if len(events) != end:
                 quiet = None
-            elif quiet is not None:
-                t = self._quiet_until(quiet[2], s)
-                if t > s:  # stages s..t-1 repeat the quiet stage
-                    trace.repeat(s, t, quiet[0], quiet[1])
-                    self._repeated(t - s)
-                    for run in runs:
-                        run.idle(t - 1)
-                    s = t
+            s += 1
         elems = sorted(e for _, e in self.A.events)
         summary = {"A": ",".join(str(x) for x in elems) or "-"}
         self._summary(summary)
@@ -158,35 +150,23 @@ class Engine:
         return trace
 
     def _quiet_until(self, asked, s: int) -> int:
-        """The first stage from s on at which an input of the quiet stage
-        can change, s - 1 being the last stage played: a query (opponent,
-        x, answer) gets another answer, or a functional run can change on
-        its own; the stage budget when none can."""
+        """The first stage from s on whose walk can differ from the quiet
+        stage's, s - 1 being the last stage played: one at which a query
+        (opponent, x, answer) of the quiet stage gets another answer, or
+        the stage after a functional run's next change, since a run
+        changes in the step at the end of a stage, after its walk; the
+        stage budget when there is none."""
         t = self.stages
         for run in self.runs.values():
-            t = min(t, run.next_change())
+            t = min(t, run.next_change() + 1)
         for adv, x, _ in asked:
             t = adv.next_change(x, s - 1, t)
         return t
 
-    def _repeats(self, asked, s: int) -> bool:
-        """Whether every query (opponent, x, answer) of the quiet stage
-        gets the same answer at stage s.  The answers got feed the walk
-        when not, so that no opponent is asked twice in a stage."""
-        for i, (adv, x, was) in enumerate(asked):
-            now = adv.value(x, s)
-            if now != was:
-                self._answers = {(a, y): v for a, y, v in asked[:i]}
-                self._answers[(adv, x)] = now
-                return False
-        return True
-
     def _ask(self, adv, x: int, s: int) -> int:
         """The opponent's answer at x in stage s, kept as an input of the
         stage."""
-        v = self._answers.get((adv, x)) if self._answers else None
-        if v is None:
-            v = adv.value(x, s)
+        v = adv.value(x, s)
         self._asked.append((adv, x, v))
         return v
 
@@ -231,7 +211,8 @@ class FunctionalRun:
         self.A = A
         self.large = large
         self.stage = -1
-        self.state: dict = {}  # x -> [status, use, injuries, wait]
+        # x -> [status, use, injuries, wait, uses handed out]
+        self.state = {x: ["before", None, 0, 0, []] for x in fn.args}
         self._conv: dict = {}  # x -> Converged while status is "up"
         self._pending = set(fn.args)  # args not currently converged
 
@@ -249,19 +230,10 @@ class FunctionalRun:
         if stage != self.stage + 1:
             raise ValueError("stages must be advanced in order")
         self.stage = stage
-        if not self._pending and len(self.state) == len(self.fn.args):
-            # every computation is up: only an enumeration at this stage
-            # can change one, and there is none when the newest is earlier
-            events = self.A.events
-            if not events or events[-1][0] < stage:
-                return []
         new = self.A.events_at(stage)
         changed = []
         for x, sched in self.fn.args.items():
-            st = self.state.get(x)
-            if st is None:
-                st = self.state[x] = ["before", None, 0, 0, []]
-                self._pending.add(x)
+            st = self.state[x]
             status, use, injuries, wait, used = st
             before = use if status == "up" else None
             if status == "up" and any(e < use for e in new):
@@ -292,9 +264,8 @@ class FunctionalRun:
         """The first stage after this one at which a computation can
         change while the set does not grow: an argument reaches its first
         stage, or a diverged one's wait runs out; math.inf when every
-        computation is up."""
-        if len(self.state) < len(self.fn.args):
-            return self.stage + 1
+        computation is up.  The change comes in that stage's ``advance``,
+        after the stage is played, so only the stage after it sees it."""
         t = math.inf
         for x in self._pending:
             status, wait = self.state[x][0], self.state[x][3]
@@ -306,7 +277,8 @@ class FunctionalRun:
 
     def idle(self, stage: int):
         """Step to stage in one go, over stages that enumerate nothing and
-        come before next_change(): each wait just runs down."""
+        come before next_change(): each wait just runs down.  The stage
+        of the change itself is stepped with ``advance``."""
         for x in self._pending:
             st = self.state[x]
             if st[0] == "down":

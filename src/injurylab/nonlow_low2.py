@@ -83,10 +83,18 @@ def _quota_soundness(r: _Replay) -> CheckResult:
 
 def _exhaustion_gate(r: _Replay) -> CheckResult:
     """Post-quota picks happen only at correct moments."""
+    # e -> its arguments with a recorded computation, ascending; no other
+    # argument has a use to hold, whatever length the trace gives
+    args = {}
+    for e, x in sorted(k for k in r.phi if k[1] >= 0):
+        args.setdefault(e, []).append(x)
     for eid, s, rho, y, u, before, held in r.picks:
         for eta in LEVELS.etas_above(rho):
             e = LEVELS.level_index(eta)
-            for x in range(r.l.get((s, eta), 0)):
+            length = r.l.get((s, eta), 0)
+            for x in args.get(e, ()):
+                if x >= length:
+                    break
                 if before < quota_for(rho, x):
                     continue
                 use = r.phi_use_at_start(e, x, s)

@@ -50,17 +50,22 @@ EVENT_KINDS = frozenset({
 
 class Payload(dict):
     """A read-only event payload: string keys to string values, with its
-    kind and its rendered line tail ``kind k=v ...``.  A trace shares one
-    payload among all of its events of the same kind and text, so no
-    payload may change after it is built, or its cached tail would go
-    stale."""
+    kind, its rendered line tail ``kind k=v ...`` and whether it is
+    quiet: a visit, or a declare with ``act=fin``, which re-declares a
+    use the node already holds.  A stage of quiet payloads alone changes
+    no state that the engines or the replays keep but the stage's own.
+    A trace shares one payload among all of its events of the same kind
+    and text, so no payload may change after it is built, or its cached
+    fields would go stale."""
 
-    __slots__ = ("kind", "tail")
+    __slots__ = ("kind", "tail", "quiet")
 
     def __init__(self, kind: str, items):
         super().__init__(items)
         self.kind = kind
         self.tail = " ".join([kind] + [f"{k}={v}" for k, v in self.items()])
+        self.quiet = kind == "visit" or (kind == "declare"
+                                         and self.get("act") == "fin")
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("event payloads are read-only")
@@ -285,11 +290,11 @@ def stage_spans(trace: RunTrace):
     (stage, start, payloads, copies): the stage's events are start,
     start + 1, ... with the given payloads, and copies lists the stages
     right after it that repeat it.  A stage repeats one that held only
-    visits and fin re-declarations when its events are the very payloads
-    of that stage, in order.  Reading such a stage again changes no
-    replay fact but the stage's own (its path, lengths and guesses seen
-    at it) and the visit count, so a replay copies those and skips the
-    events.  The test is by identity, not equality: payloads of other
+    quiet payloads (``Payload.quiet``) when its events are the very
+    payloads of that stage, in order.  Reading such a stage again changes
+    no replay fact but the stage's own (its path, lengths and guesses
+    seen at it) and the visit count, so a replay copies those and skips
+    the events.  The test is by identity, not equality: payloads of other
     kinds can hold equal mappings.  Each event is read once, as part of
     the stage it belongs to.  A trace's stages never go backwards:
     ``from_text`` refuses that and every engine emits in stage order."""
@@ -302,7 +307,7 @@ def stage_spans(trace: RunTrace):
         if block is None:
             block = events[start:end]
         copies = []
-        quiet = None  # whether block holds only visits and fin declares
+        quiet = None  # whether block holds only quiet payloads
         while True:
             # the next stage, when it has as many events as this one
             last = end + len(block)
@@ -314,9 +319,7 @@ def stage_spans(trace: RunTrace):
             if not all(map(is_, block, ahead)):
                 break
             if quiet is None:
-                quiet = all(p.kind == "visit" or (p.kind == "declare"
-                                                  and p.get("act") == "fin")
-                            for p in block)
+                quiet = all(p.quiet for p in block)
             if not quiet:
                 break
             copies.append(stage_of[end])

@@ -1,6 +1,7 @@
 """Scenario grammar and command line front end."""
 
 import gc
+import glob
 import io
 import os
 import re
@@ -538,6 +539,30 @@ class TestCli:
         assert self.run_cli(["verify-trace", "--trace", str(tr)]) == \
             (code, expected)
 
+    def test_exhaustion_gate_reads_no_argument_past_the_computations(
+            self, tmp_path, monkeypatch):
+        # an eta length of 10**12 in the trace: the gate looks only at the
+        # arguments with a recorded computation, so it finishes at once
+        # with the golden's verdicts, and a gate that walks every argument
+        # below the length fails here instead of running for hours
+        lines = [set_payload(ln, l=10 ** 12) if ln[0].isdigit()
+                 and int(ln.split()[1]) >= 3 else ln
+                 for ln in GOLDEN["golden-nonlow-low2"]]
+        assert sum(" l=1000000000000" in ln for ln in lines) > 50
+        calls = iter(range(10_000))
+        quota_for = nonlow_low2.quota_for
+
+        def counted(rho, x):
+            if next(calls, None) is None:
+                raise RuntimeError("quota_for called 10,000 times")
+            return quota_for(rho, x)
+
+        monkeypatch.setattr(nonlow_low2, "quota_for", counted)
+        tr = tmp_path / "t.trace"
+        tr.write_text("\n".join(lines) + "\n")
+        assert self.run_cli(["verify-trace", "--trace", str(tr)]) == \
+            (0, REPORTS["golden-nonlow-low2"])
+
     def test_verify_trace_rejects_unknown_construction(self, tmp_path):
         # the construction is looked up before the summary is replayed,
         # so a bogus name is a usage error, not a failed check
@@ -694,28 +719,41 @@ class TestShippedScenarios:
 # -- crash property ----------------------------------------------------
 
 
+# every payload key of the goldens, and one that no event has
+KEYS = sorted({key for lines in GOLDEN.values() for ln in lines
+               for key in re.findall(r"(?<= )(\w+)=", ln)} | {"zz"})
+
+
 @st.composite
 def mutated_goldens(draw):
     """A golden trace after one to three line edits: a line dropped,
     duplicated or swapped with the next; one payload value set to -5, x
-    or the empty string, or its key repeated with such a value; a space
-    doubled or turned into a tab; a blank put before or after a line; or
-    a token without = put at its end."""
+    or the empty string, or its key repeated with such a value; one
+    k=v pair dropped, or its key renamed; a space doubled or turned
+    into a tab; a blank put before or after a line; or a token without
+    = put at its end."""
     lines = list(GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))])
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "duplicate", "swap", "set",
-                                   "repeat", "space", "tab", "lead",
-                                   "trail", "bare")))
-        if op in ("set", "repeat"):
+                                   "repeat", "unset", "rename", "space",
+                                   "tab", "lead", "trail", "bare")))
+        if op in ("set", "repeat", "unset", "rename"):
             i = draw(st.sampled_from([j for j, ln in enumerate(lines)
                                       if "=" in ln]))
             key = draw(st.sampled_from(re.findall(r"(?<= )(\w+)=",
                                                   lines[i])))
-            value = draw(st.sampled_from(("-5", "x", "")))
-            if op == "set":
-                lines[i] = set_payload(lines[i], **{key: value})
+            if op == "unset":
+                lines[i] = re.sub(rf" {key}=\S*", "", lines[i], count=1)
+            elif op == "rename":
+                lines[i] = re.sub(rf"(?<= ){key}(?==)",
+                                  draw(st.sampled_from(KEYS)), lines[i],
+                                  count=1)
             else:
-                lines[i] += f" {key}={value}"
+                value = draw(st.sampled_from(("-5", "x", "")))
+                if op == "set":
+                    lines[i] = set_payload(lines[i], **{key: value})
+                else:
+                    lines[i] += f" {key}={value}"
             continue
         i = draw(st.integers(0, len(lines) - 2))
         if op in ("space", "tab"):
@@ -750,4 +788,46 @@ def test_verify_trace_survives_mutated_goldens(trace_file, text):
     # a verdict, a failed check or a located error; never a traceback
     trace_file.write_text(text)
     code = main(["verify-trace", "--trace", str(trace_file)], io.StringIO())
+    assert code in (0, 1, 2)
+
+
+def scenario_lines(path):
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+SCENARIO_LINES = {os.path.basename(path): scenario_lines(path)
+                  for path in sorted(glob.glob(os.path.join(SCEN, "*.txt")))}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    """A shipped scenario with one token of a directive line set to -5,
+    x or the empty string, or dropped."""
+    lines = list(SCENARIO_LINES[draw(st.sampled_from(sorted(
+        SCENARIO_LINES)))])
+    i = draw(st.sampled_from([j for j, ln in enumerate(lines)
+                              if ln.split() and not ln.startswith("#")]))
+    toks = lines[i].split()
+    j = draw(st.integers(0, len(toks) - 1))
+    value = draw(st.sampled_from(("-5", "x", "", None)))
+    if value is None:
+        del toks[j]
+    else:
+        toks[j] = value
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated") / "s.txt"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(text=mutated_scenarios())
+def test_run_survives_mutated_scenarios(scenario_file, text):
+    # a verdict, a failed check or a located error; never a traceback
+    scenario_file.write_text(text)
+    code = main(["run", "--scenario", str(scenario_file)], io.StringIO())
     assert code in (0, 1, 2)

@@ -1,14 +1,15 @@
-"""Quiet stages repeat: a stage whose inputs did not change copies the
-stage before it instead of walking the tree, and a run of such stages,
-up to the next stage at which an input can change, is copied in one
-step.
+"""Quiet stages repeat: after a quiet stage, the run of stages up to the
+first one whose walk can differ is copied in one step instead of walking
+the tree.  A functional run that changes in the step after a copied
+stage ends the run there, so the stage after it is walked.
 
 Each case runs a scenario as shipped and again on the plain loop, where
-``Engine._quiet_until`` and ``Engine._repeats`` are patched so that no
-run is copied and every stage is walked, and the two traces must be
-byte-identical.  The late-change cases also check that the stage whose
-input changed was walked, and that the stage before it was a copy, so
-the run had gone quiet first.
+``Engine._quiet_until`` is patched so that no run is copied and every
+stage is walked, and the two traces must be byte-identical.  The
+late-change cases also check that the stage whose input changed was
+walked, and that the stage before it was a copy, so the run had gone
+quiet first.  No run starts where the one before it stopped: a walked
+stage comes before each run.
 """
 
 import collections
@@ -47,26 +48,22 @@ def copying(sc, seed=None, stages=None):
     return trace, runs
 
 
-def shipped(sc, seed=None, stages=None):
-    """The trace of sc and the stages it copied."""
-    trace, runs = copying(sc, seed, stages)
-    return trace, {s for first, stop in runs for s in range(first, stop)}
-
-
 def plain(sc, seed=None, stages=None):
     """The trace of sc with every stage walked."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "_quiet_until", lambda self, asked, s: s)
-        mp.setattr(Engine, "_repeats", lambda self, asked, s: False)
         trace, runs = copying(sc, seed, stages)
     assert not runs
     return trace
 
 
 def assert_matches_plain(sc, seed=None, stages=None):
-    trace, copied = shipped(sc, seed, stages)
+    trace, runs = copying(sc, seed, stages)
     assert trace.digest() == plain(sc, seed, stages).digest()
-    return trace, copied
+    # each run goes on to the first stage whose walk can differ, so the
+    # stage after it is walked and the next run starts later
+    assert all(stop < first for (_, stop), (first, _) in zip(runs, runs[1:]))
+    return trace, {s for first, stop in runs for s in range(first, stop)}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -134,6 +131,10 @@ LATE = {
     "delta2-flip": (LOW2 + steps("p0", 500, 1) + steps("p1", 500, 1),
                     [500]),
     "late-argument": (LOW2 + "fun 1 arg 1 first 700 delay 3\n", [701]),
+    "late-argument-low-alpha": (LOW_ALPHA + "fun 0 arg 1 first 700\n",
+                                [701]),
+    "late-argument-nonlow-alpha": (COMBINED + "fun 0 arg 2 first 700\n",
+                                   [701]),
     "alternating": ("construction nonlow-low2\nstages 900\n"
                     "adv p0 psi level 0 mode alternating period 37\n"
                     "fun 0 arg 0 first 2\nfun 0 arg 1 first 5\n",
@@ -158,7 +159,7 @@ def test_late_change_is_walked(name, monkeypatch):
     _, copied = assert_matches_plain(load_scenario(text))
     for s in changes:
         assert s - 1 in copied and s not in copied
-    # a failed check's answers feed the walk: no guess is asked twice
+    # finding where a run ends asks no guess: each is asked once, by a walk
     assert max(guesses.values(), default=1) == 1
 
 
@@ -204,9 +205,9 @@ def test_run_ends_at_a_delayed_reconvergence():
     back = [s for s, p in zip(trace.stage_of, trace.events)
             if p.kind == "inject-converge" and p["e"] == "0" and s > 600]
     assert back == [640]
-    # the run stops right before it; stage 640 is checked on its own and
-    # copied, and its new computation makes stage 641 walked
-    assert (603, 640) in runs and (640, 641) in runs
+    # the run takes in stage 640, whose functional step brings the new
+    # computation, so stage 641 is walked
+    assert (603, 641) in runs
     assert not any(first <= 641 < stop for first, stop in runs)
 
 
@@ -230,7 +231,7 @@ def test_copied_stages_keep_their_paths(path, monkeypatch):
 
     monkeypatch.setattr(Engine, "execute", kept)
     sc = load(path)
-    shipped(sc, 0, 2000)
+    copying(sc, 0, 2000)
     plain(sc, 0, 2000)
     paths = [getattr(e, "tree", None) and e.tree.paths for e in engines]
     assert paths[0] == paths[1]
