@@ -7,10 +7,15 @@ rendered line tail.  Payloads are interned per trace: all events of one
 trace with the same kind and payload text share one read-only payload,
 so emitting, writing and parsing a trace build and render each distinct
 payload once, and no event costs an object of its own.  No table
-outlives its trace.  The text form is line-oriented and canonical, so a
-cryptographic digest of it is a stable fingerprint of a run.  A replay
-re-derives the terminal summary from the events in its one pass over
-them, which gives the self-consistency check.
+outlives its trace.  The columns grow only through ``emit`` and
+``repeat``, and ``repeat`` records each run of stages it copies, so the
+writer knows which stages repeat: it renders a copied run from its
+template stage, in chunks, not line by line.  The text form is
+line-oriented and canonical, so a cryptographic digest of it is a
+stable fingerprint of a run; the digest hashes the chunks as they are
+rendered, never the whole text.  A replay re-derives the terminal
+summary from the events in its one pass over them, which gives the
+self-consistency check.
 """
 
 from __future__ import annotations
@@ -75,11 +80,19 @@ class Payload(dict):
 
 
 class RunTrace:
+    """A run's events in two columns, ``events`` and ``stage_of``, and
+    its terminal summary.  The columns grow only through ``emit`` and
+    ``repeat``, and ``repeats`` records every run that ``repeat``
+    copied: that is how the writer knows which stages repeat."""
+
     def __init__(self, construction: str, stages: int):
         self.construction = construction
         self.stages = stages
         self.events = []    # event id -> its shared payload
         self.stage_of = []  # event id -> its stage
+        # each copied run as (its first event id, first, stop, start, end),
+        # the arguments of the repeat call that appended it
+        self.repeats = []
         self.summary = {}
         # (kind, keys, value texts) -> the one payload of that kind and text
         self._payloads = {}
@@ -101,8 +114,12 @@ class RunTrace:
 
     def repeat(self, first: int, stop: int, start: int, end: int) -> None:
         """Emit the payloads of events start..end-1 again, in order, at
-        each stage first..stop-1.  The columns grow in place, with no
-        list of the whole run built first."""
+        each stage first..stop-1, and record the run in ``repeats``
+        unless it copies no event (a quiet stage can be empty).  The
+        columns grow in place, with no list of the whole run built
+        first."""
+        if start < end:
+            self.repeats.append((len(self.events), first, stop, start, end))
         self.events.extend(chain.from_iterable(
             repeat(self.events[start:end], stop - first)))
         self.stage_of.extend(chain.from_iterable(
@@ -114,12 +131,46 @@ class RunTrace:
     # -- text form -----------------------------------------------------
 
     def to_text(self) -> str:
-        lines = [f"trace {self.construction} stages={self.stages}"]
-        lines += [f"{eid} {s} {p.tail}" for eid, s, p in
-                  zip(range(len(self.events)), self.stage_of, self.events)]
-        for k in sorted(self.summary):
-            lines.append(f"summary {k} {self.summary[k]}")
-        return "\n".join(lines) + "\n"
+        return "".join(self._chunks())
+
+    def _chunks(self):
+        """The text form in pieces of whole lines, at most _RUN_LINES
+        event lines each.  Events outside a recorded run are rendered
+        line by line.  A run is rendered from its template stage with
+        _run_text; the template too, when it is the stage right before
+        the run and not yet written, and a run that goes on with the
+        template of the run before it reuses that rendering.  So the
+        events a run copied are never read."""
+        yield f"trace {self.construction} stages={self.stages}\n"
+        events, stage_of = self.events, self.stage_of
+        at = 0  # the first event not yet written
+        template = pieces = None
+        for eid, first, stop, start, end in self.repeats:
+            stage, size = first, end - start
+            if template != (start, end):
+                template = (start, end)
+                if at <= start and end == eid and \
+                        set(stage_of[start:end]) == {first - 1}:
+                    eid, stage = start, first - 1  # written with the run
+                pieces = _pieces([p.tail for p in events[start:end]])
+            yield from self._lines(at, eid)
+            per = max(1, _RUN_LINES // size)
+            for s in range(stage, stop, per):
+                count = min(per, stop - s)
+                yield _run_text(pieces, eid + (s - stage) * size, s,
+                                count) + "\n"
+            at = eid + (stop - stage) * size
+        yield from self._lines(at, len(events))
+        yield "".join([f"summary {k} {self.summary[k]}\n"
+                       for k in sorted(self.summary)])
+
+    def _lines(self, lo: int, hi: int):
+        """Events lo..hi-1 as lines, in chunks of _RUN_LINES."""
+        events, stage_of = self.events, self.stage_of
+        for a in range(lo, hi, _RUN_LINES):
+            b = min(a + _RUN_LINES, hi)
+            yield "".join([f"{eid} {s} {p.tail}\n" for eid, s, p in
+                           zip(range(a, b), stage_of[a:b], events[a:b])])
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
@@ -223,17 +274,29 @@ class RunTrace:
         return trace
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        """The sha256 of the text form, fed one chunk at a time."""
+        h = hashlib.sha256()
+        for chunk in self._chunks():
+            h.update(chunk.encode())
+        return h.hexdigest()
 
 
-# the most lines _repeated_stages renders and compares in one step
+# the most lines _repeated_stages renders and compares, and the writer
+# renders, in one step
 _RUN_LINES = 2048
+
+
+def _pieces(texts) -> list:
+    """One stage's lines, of the given payload texts, as _run_text takes
+    them: the text around each stage number, with "%d" where each event
+    id goes and every other % doubled."""
+    texts = [t.replace("%", "%%") for t in texts]
+    return ["%d "] + [f" {t}\n%d " for t in texts[:-1]] + [" " + texts[-1]]
 
 
 def _run_text(pieces, eid: int, stage: int, count: int) -> str:
     """The text of count stages from the given stage on, with events
-    numbered on from eid.  pieces is one stage's lines as "%d \\r text",
-    joined by newlines and split at each \\r, where the stage goes."""
+    numbered on from eid.  pieces is one stage's lines from _pieces."""
     return "\n".join(map(str.join, map(str, range(stage, stage + count)),
                          repeat(pieces, count))) % tuple(
         range(eid, eid + count * (len(pieces) - 1)))
@@ -258,9 +321,7 @@ def _repeated_stages(lines, at: int, events, start: int, texts,
             f"{eid + size - 1} {stage} {texts[id(events[-1])]}":
         return 0
     most = min(most, (len(lines) - at) // size)
-    # no text holds a \r: splitlines ends a line there
-    pieces = "\n".join(["%d \r " + texts[id(p)].replace("%", "%%")
-                        for p in events[start:]]).split("\r")
+    pieces = _pieces([texts[id(p)] for p in events[start:]])
     done, count = 0, 1
     while done < most:
         count = min(count, most - done)

@@ -188,16 +188,38 @@ def test_run_reads_the_events_once(monkeypatch, construction):
     assert [t.events.passes for t in made] == [1]
 
 
+def copied_events(trace) -> set:
+    """The ids of the events that the trace's recorded runs copied."""
+    return {eid for at, first, stop, start, end in trace.repeats
+            for eid in range(at, at + (stop - first) * (end - start))}
+
+
 @pytest.mark.parametrize("construction", sorted(SHIPPED))
-def test_campaign_reads_the_events_twice_per_seed(monkeypatch,
-                                                  construction):
-    # the replay, then the text form the digest hashes
+def test_campaign_digest_reads_no_copied_event(monkeypatch, construction):
+    # the replay and the checks read each event once; the digest renders a
+    # copied run from its template stage, so it reads no event that a
+    # recorded run copied, and every other event once
     made = count_passes(monkeypatch)
+    read = []  # each seed's digest reads
+    real = cli.digest
+
+    def counting(trace):
+        assert trace.events.passes == 1
+        trace.events.reads.clear()
+        out = real(trace)
+        read.append(dict(trace.events.reads))
+        return out
+    monkeypatch.setattr(cli, "digest", counting)
     code, text = run_cli(["campaign", "--scenario",
                           os.path.join(SCEN, SHIPPED[construction]),
-                          "--seeds", "2", "--stages", "40"])
+                          "--seeds", "2", "--stages", "60"])
     assert code == 0, text
-    assert [t.events.passes for t in made] == [2, 2]
+    assert len(made) == len(read) == 2
+    for trace, reads in zip(made, read):
+        copied = copied_events(trace)
+        assert copied, "the seed copies no run"
+        assert reads == dict.fromkeys(
+            set(range(len(trace.events))) - copied, 1)
 
 
 # -- the replay-derived summary against the stateless reducer ----------

@@ -1,10 +1,14 @@
 """The trace layer: payloads interned per trace and read-only, events
 kept as two columns with no object of their own, the text round trip,
-and the parser against the per-line parser it replaced, on the goldens
-and on traces with long runs of repeated stages."""
+the parser against the per-line parser it replaced, on the goldens and
+on traces with long runs of repeated stages, and the run-aware writer
+against the per-line renderer it replaced."""
 
 import functools
 import gc
+import glob
+import hashlib
+import io
 import os
 import re
 
@@ -12,14 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurylab import trace as trace_module
-from injurylab.cli import digest
+from injurylab.cli import digest, main
 from injurylab.scenario import load_scenario
 from injurylab.trace import (EVENT_KINDS, ConfigError, Payload, RunTrace,
                              stage_spans)
 
 from test_acceptance import _low2_seed
+from test_golden import NAMES, run_golden
 from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
-                          mutated_goldens)
+                          SCENARIO_LINES, mutated_goldens)
 
 
 def oracle_from_text(text: str) -> RunTrace:
@@ -71,7 +76,8 @@ def oracle_from_text(text: str) -> RunTrace:
 
 
 def oracle_to_text(trace: RunTrace) -> str:
-    """The text form rendered token by token from each event's payload."""
+    """The text form rendered line by line, token by token from each
+    event's payload: the reference the run-aware writer must match."""
     lines = [f"trace {trace.construction} stages={trace.stages}"]
     for eid, (stage, p) in enumerate(zip(trace.stage_of, trace.events)):
         lines.append(" ".join([str(eid), str(stage), p.kind]
@@ -392,3 +398,225 @@ def test_parser_renders_at_most_twice_the_lines(name, low2_trace,
     if name == "bench low2":
         # the runs were read in one step: all but a few hundred lines
         assert sum(rendered) >= lines - 500
+
+
+# -- the run-aware writer ----------------------------------------------
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def first_difference(got: str, want: str):
+    """None when got is want, else the first line at which they differ,
+    as (line index, got's line, want's line), with None past an end: a
+    short failure message, where a diff of two long texts takes long."""
+    if got == want:
+        return None
+    a, b = got.split("\n"), want.split("\n")
+    i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]),
+             min(len(a), len(b)))
+    return i, a[i] if i < len(a) else None, b[i] if i < len(b) else None
+
+
+def assert_writes_as_reference(trace):
+    # the trace as run, then as parsed back, whose runs the parser records
+    want = oracle_to_text(trace)
+    for t in (trace, RunTrace.from_text(want)):
+        assert first_difference(t.to_text(), want) is None
+        assert t.digest() == sha256(want)
+
+
+BENCH_SHAPES = os.path.join(SCEN, os.pardir, "bench", "scenarios")
+
+
+def scenario_trace(path, seed, stages=None):
+    with open(path) as fh:
+        return load_scenario(fh.read()).execute(seed=seed, stages=stages)[0]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_golden_traces_write_as_reference(name):
+    assert_writes_as_reference(run_golden(name)[1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SCEN,
+                                                               "*.txt"))),
+                         ids=os.path.basename)
+def test_scenario_traces_write_as_reference(path, seed):
+    assert_writes_as_reference(scenario_trace(path, seed))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    BENCH_SHAPES, "*.txt"))), ids=os.path.basename)
+def test_bench_shapes_write_as_reference(path, seed):
+    trace = scenario_trace(path, seed, stages=2000)
+    # nearly every event is in a recorded run
+    copied = sum((stop - first) * (end - start)
+                 for _, first, stop, start, end in trace.repeats)
+    assert copied > 0.9 * len(trace.events)
+    assert_writes_as_reference(trace)
+
+
+def percent_run():
+    """A run whose template holds % in its payload values."""
+    tr = RunTrace("nonlow-low2", 9)
+    tr.emit(0, "visit", node="-", l="5%d")
+    tr.emit(0, "declare", node="f", act="fin", u="%(x)s%%")
+    tr.emit(1, "visit", node="-", l="%")
+    tr.emit(1, "visit", node="f%s", l="{}")
+    tr.repeat(2, 9, 2, 4)
+    return tr
+
+
+def engine_runs():
+    """Runs as Engine.execute appends them: a run's last stage gets
+    inject-* lines after the copy, and a run that goes on with the
+    template of the run before it."""
+    tr = RunTrace("nonlow-low2", 40)
+    tr.emit(0, "init", node="-")
+    tr.emit(0, "visit", node="-", l=0)
+    tr.emit(0, "visit", node="f")
+    tr.repeat(1, 5, 1, 3)
+    tr.emit(4, "inject-converge", e=0, x=0, use=3, value=1)
+    start = len(tr.events)
+    tr.emit(5, "visit", node="-", l=1)
+    tr.emit(5, "declare", node="-", act="fin", u=3)
+    tr.repeat(6, 9, start, start + 2)
+    tr.repeat(9, 30, start, start + 2)
+    tr.emit(29, "inject-diverge", e=0, x=0, use=3)
+    tr.emit(29, "inject-converge", e=0, x=0, use=4, value=1)
+    tr.emit(30, "visit", node="-", l=1)
+    tr.repeat(31, 40, len(tr.events) - 1, len(tr.events))
+    tr.finalize({"A": "-", "node.-": "0:3"})
+    return tr
+
+
+def emitted_only():
+    """A shipped scenario's trace built again by emit alone: no runs."""
+    trace = run_trace("nonlow-low2-random")
+    copy = RunTrace(trace.construction, trace.stages)
+    for s, p in zip(trace.stage_of, trace.events):
+        copy.emit(s, p.kind, **p)
+    copy.finalize(trace.summary)
+    assert copy.repeats == []
+    return copy
+
+
+def empty_run():
+    """A run of stages of no events, which records nothing."""
+    trace = load_scenario("construction low-alpha\nalpha w^2\n"
+                          "stages 20\n").execute()[0]
+    assert trace.stage_of == [0] and trace.repeats == []
+    return trace
+
+
+@pytest.mark.parametrize("make", [percent_run, engine_runs, emitted_only,
+                                  empty_run])
+def test_built_traces_write_as_reference(make):
+    assert_writes_as_reference(make())
+
+
+@st.composite
+def built_traces(draw):
+    """A trace built by emit and repeat calls in any order: a repeat
+    copies any events already there, at stages from the current one on,
+    so its template may be anywhere, span stages, or lie in an earlier
+    run, and runs may hold a single line or more than _RUN_LINES."""
+    tr = RunTrace("nonlow-low2", 10**6)
+    stage = 0
+    for _ in range(draw(st.integers(1, 12))):
+        stage += draw(st.integers(0, 2))
+        if tr.events and draw(st.booleans()):
+            start = draw(st.integers(0, len(tr.events) - 1))
+            end = draw(st.integers(start + 1, min(len(tr.events),
+                                                  start + 5)))
+            stop = stage + draw(st.sampled_from((1, 2, 3, 700, 2100)))
+            tr.repeat(stage, stop, start, end)
+            stage = stop - 1
+        else:
+            tr.emit(stage, draw(st.sampled_from(("visit", "init"))),
+                    node=draw(st.sampled_from(("-", "f", "i%d", "%"))))
+    return tr
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(trace=built_traces())
+def test_any_built_trace_writes_as_reference(trace):
+    want = oracle_to_text(trace)
+    assert first_difference(trace.to_text(), want) is None
+    assert trace.digest() == sha256(want)
+
+
+def set_field(line: str, key: str, value: str, at: int) -> str:
+    """line with its key-value field set, its fields starting at token
+    at; a field it lacks goes at its end."""
+    toks = line.split()
+    keys = toks[at::2]
+    if key in keys:
+        toks[at + 2 * keys.index(key) + 1] = value
+    else:
+        toks += [key, value]
+    return " ".join(toks)
+
+
+@st.composite
+def valid_edits(draw):
+    """A shipped scenario after one to three edits that keep it inside
+    the grammar's ranges, so that it reaches the engines: a Delta-2
+    opponent's flip or stab; a functional argument's first, delay or
+    policy low:k; or the stage count, at most 400."""
+    lines = list(SCENARIO_LINES[draw(st.sampled_from(sorted(
+        SCENARIO_LINES)))])
+    for _ in range(draw(st.integers(1, 3))):
+        field = draw(st.sampled_from(("flip", "stab", "first", "delay",
+                                      "policy", "stages")))
+        if field == "stages":
+            n = draw(st.integers(0, 400))
+            lines = [ln for ln in lines if ln.split()[:1] != ["stages"]]
+            lines.append(f"stages {n}")
+            continue
+        if field in ("flip", "stab"):
+            at = 3
+            where = [i for i, ln in enumerate(lines)
+                     if ln.split()[:1] == ["adv"] and ln.split()[2] == "psi"]
+        else:
+            at = 2
+            where = [i for i, ln in enumerate(lines)
+                     if ln.split()[:1] == ["fun"]]
+        if not where:
+            continue
+        value = draw({
+            "flip": st.sampled_from(("0", "0.05", "0.3", "0.7", "1")),
+            "stab": st.integers(0, 500).map(str),
+            "first": st.integers(0, 400).map(str),
+            "delay": st.integers(0, 30).map(str),
+            "policy": st.integers(0, 50).map("low:{}".format),
+        }[field])
+        i = draw(st.sampled_from(where))
+        lines[i] = set_field(lines[i], field, value, at)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def run_files(tmp_path_factory):
+    where = tmp_path_factory.mktemp("edited")
+    return where / "s.txt", where / "s.trace"
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=valid_edits())
+def test_valid_scenario_edits_run_and_write_as_reference(run_files, text):
+    # a verdict and no traceback; a second run gives the same trace, and
+    # the writer the reference text
+    scenario, written = run_files
+    scenario.write_text(text)
+    out = io.StringIO()
+    code = main(["run", "--scenario", str(scenario), "--trace",
+                 str(written)], out)
+    assert code in (0, 1), out.getvalue()
+    trace = load_scenario(text).execute()[0]
+    assert hashlib.sha256(written.read_bytes()).hexdigest() == \
+        trace.digest() == sha256(oracle_to_text(trace))
