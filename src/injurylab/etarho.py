@@ -13,12 +13,12 @@ the engine and the replay.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
-from itertools import repeat
 
 from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
-from .trace import (CheckResult, ConfigError, RunTrace, Summary,
-                    payload_error, stage_spans)
+from .trace import (CheckResult, ConfigError, RunTrace, Summary, blocks,
+                    payload_error)
 from .tree import (FIN, INF, ROOT, StrategyTree, is_prefix, parse_node,
                    render_node)
 
@@ -317,10 +317,6 @@ class EtaRhoRun(Engine):
         return length == self.depth and INF not in path[::period] \
             and s not in self.cur_l.values()
 
-    def _repeated(self, count: int):
-        paths = self.tree.paths
-        paths.extend(repeat(paths[-1], count))
-
     def _summary(self, summary: dict):
         for node in sorted(self.followers):
             state = str(self.followers[node])
@@ -342,17 +338,20 @@ class EtaRhoReplay:
     the length ``l`` of an eta visit included, or with a value it cannot
     parse, a misspelt node name included, raises ConfigError naming the
     event.  The replay is the one pass over the events: the checks and
-    the terminal summary read only what it derives.  It reads each
-    distinct stage once: a stage that repeats a quiet one (see
-    ``stage_spans``) gets that stage's path and lengths, unread."""
+    the terminal summary read only what it derives.  A recorded run of
+    quiet payloads is read once (see ``trace.blocks``), and its first
+    stage's path and lengths hold for the whole run."""
 
     levels: Levels
     _extra = None
 
     def _read(self, trace: RunTrace):
         self.stages = trace.stages
-        self.paths = {}        # stage -> longest visited node
-        self.l = {}            # (stage, eta) -> recorded length
+        # [first, stop, path, lengths] per stage or quiet run, in order:
+        # the longest node visited (None for none), node -> recorded
+        # length; the first stands for a stage without events
+        facts = [-1, 0, None, {}]  # the interval being read
+        self.stage_facts = intervals = [facts]
         self.last_init = {}    # node -> last init stage
         self.picks = []        # (eid, stage, rho, y, u, acted_before, held)
         self.injuries = []     # (eid, stage, e, x, injurer, element)
@@ -364,26 +363,33 @@ class EtaRhoReplay:
         holders, parse = self.levels.holders, self.levels.parse
         period = self.levels.period
         extra = self._extra
-        paths, lengths = self.paths, self.l
-        distinct = {}  # each stage's path, in first-seen stage order
         acted = {}
         visits = 0
         # (eid, node) of the first rho or xi visit that carries a field of
         # another level kind
         foreign = None
+        pending, diverges = [], []  # this stage's enumerates, lost uses
         try:
-            for s, start, block, copies in stage_spans(trace):
-                pending = []  # this stage's enumerate events
-                diverges = []  # and its inject-diverge events
+            for s, start, block, copies in blocks(trace):
+                if s >= facts[1]:  # the stage before is read
+                    self._close_stage(pending, diverges)
+                    pending, diverges = [], []
+                    facts = [s, s + 1, None, {}]
+                    intervals.append(facts)
+                elif facts[0] < s:  # the last stage of a run goes on
+                    facts[1] = s
+                    facts = [s, s + 1, facts[2], dict(facts[3])]
+                    intervals.append(facts)
+                path, lengths, seen = facts[2], facts[3], visits
                 for eid, p in enumerate(block, start):
                     kind = p.kind
                     if kind == "visit":
                         node = parse(p["node"])
                         n = len(node)
-                        if n >= len(paths.get(s, ROOT)):
-                            paths[s] = node
+                        if path is None or n >= len(path):
+                            path = node
                         if "l" in p:
-                            lengths[(s, node)] = int(p["l"])
+                            lengths[node] = int(p["l"])
                             if n % period != ETA and foreign is None:
                                 foreign = (eid, node)
                         elif n % period == ETA:  # an eta visit has a length
@@ -425,26 +431,18 @@ class EtaRhoReplay:
                     elif kind == "inject-converge":
                         self.phi.setdefault((int(p["e"]), int(p["x"])),
                                             []).append((s, int(p["use"])))
-                self._close_stage(pending, diverges)
-                path = paths.get(s)
-                if path is not None:
-                    distinct[path] = None
-                if copies:  # repeats of this stage: only their own entries
-                    if path is not None:
-                        paths.update(zip(copies, repeat(path)))
-                    visited = [parse(p["node"]) for p in block
-                               if p.kind == "visit"]
-                    for eta in visited:
-                        if (s, eta) in lengths:
-                            lengths.update(zip(zip(copies, repeat(eta)),
-                                               repeat(lengths[(s, eta)])))
-                    visits += len(visited) * len(copies)
+                facts[2] = path
+                # a quiet run's other stages repeat this one's facts
+                facts[1] += copies
+                visits += (visits - seen) * copies
+            self._close_stage(pending, diverges)
         except (KeyError, ValueError) as ex:
             raise payload_error(eid, kind, ex) from None
         self.visits, self.foreign = visits, foreign
-        self.distinct_paths = list(distinct)  # first-seen stage order
+        self.distinct_paths = list(dict.fromkeys(  # in first-seen order
+            f[2] for f in intervals if f[2] is not None))
         self._etas = list(dict.fromkeys(
-            node[:i] for node in distinct
+            node[:i] for node in self.distinct_paths
             for i in range(0, len(node), period) if node[i] == INF))
         # An injury of functional e at stage s can count only for the eta
         # path(s)[:period*e], when the path takes its infinitary outcome
@@ -457,8 +455,7 @@ class EtaRhoReplay:
             if not 0 <= cut < len(path) or path[cut] != INF:
                 continue
             eta = path[:cut]
-            if s <= self.last_init.get(eta, -1) \
-                    or x >= self.l.get((s, eta), 0):
+            if s <= self.last_init.get(eta, -1) or x >= self.length(s, eta):
                 continue
             self.counted.setdefault(eta, []).append((eid, s, x, node, elem))
             self.totals.setdefault(eta, {}).setdefault(x, [0, eid])[0] += 1
@@ -481,8 +478,19 @@ class EtaRhoReplay:
             use = u
         return use
 
+    def _facts_at(self, s) -> list:
+        """The interval of stage_facts that holds stage s."""
+        at = bisect_right(self.stage_facts, [s, math.inf]) - 1  # first <= s
+        facts = self.stage_facts[at]
+        return facts if facts[0] <= s < facts[1] else self.stage_facts[0]
+
     def path(self, s):
-        return self.paths.get(s, ROOT)
+        """The longest node visited at stage s; the root when none is."""
+        return self._facts_at(s)[2] or ROOT
+
+    def length(self, s, node) -> int:
+        """The length recorded at node's visit in stage s; 0 without one."""
+        return self._facts_at(s)[3].get(node, 0)
 
     def etas(self) -> list:
         """Eta nodes that head at least one expansionary visit: each eta
@@ -560,7 +568,7 @@ def check_triggers(r: EtaRhoReplay, order) -> CheckResult:
             if pick is None:
                 continue
             s0, before = pick
-            if before < lv.quota_for(rho, x) or x >= r.l.get((s0, eta), 0):
+            if before < lv.quota_for(rho, x) or x >= r.length(s0, eta):
                 continue
             between = [(ie, t, nd) for ie, t, je, jx, nd, _ in r.injuries
                        if je == e and jx == x and s0 < t < s2 and nd != rho]

@@ -112,7 +112,7 @@ class Engine:
     answers and the functional runs' own waits: so up to the first stage
     at which one of those can change (``_quiet_until``), every stage
     would emit the same payloads, and the loop copies them in one step
-    instead of walking (``_repeated`` keeps what else a stage leaves).
+    instead of walking; a copied stage leaves nothing but its events.
     The last copied stage still runs its functional step, which may
     change a computation; the stage after it is walked.  The opponents
     answer from their argument and stage alone, so skipping a walk
@@ -128,7 +128,6 @@ class Engine:
             t = s if quiet is None else self._quiet_until(quiet[2], s)
             if t > s:  # stages s..t-1 repeat the quiet stage
                 trace.repeat(s, t, quiet[0], quiet[1])
-                self._repeated(t - s)
                 for run in runs:
                     run.idle(t - 2)
                 s = t - 1
@@ -173,9 +172,6 @@ class Engine:
     def _walk(self, s: int) -> bool:
         """Play stage s; True when it was played in full."""
         raise NotImplementedError
-
-    def _repeated(self, count: int):
-        """Keep what count copied stages leave besides their events."""
 
     def _summary(self, summary: dict):
         """Add the construction's terminal entries to summary."""

@@ -18,8 +18,7 @@ from .budgeted import (Generation, Requirement, check_bound, descent_witness,
                        phi)
 from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import (CheckResult, RunTrace, Summary, payload_error,
-                    stage_spans)
+from .trace import CheckResult, RunTrace, Summary, blocks, payload_error
 
 
 @lru_cache(maxsize=1024)  # bounded: the names come from trace files
@@ -165,8 +164,9 @@ class _LowReplay:
     """Verifier view of a trace, its summary included, rebuilt from the
     event stream alone.  An event without a payload key the replay reads,
     or with a value it cannot parse, raises ConfigError naming the event.
-    A stage that repeats a quiet one (see ``stage_spans``) is not read
-    again: it only moves each guess seen to its stage."""
+    A recorded run of visits is read once (see ``trace.blocks``), and
+    moves each guess seen to its last stage; a delta declaration counts
+    per stage, so any other run is read stage by stage."""
 
     def __init__(self, trace: RunTrace):
         self.alpha = None
@@ -181,7 +181,8 @@ class _LowReplay:
         self.phis = []  # (e, value) texts of the watchers' phi-sets
         self.summary = summary = Summary()
         try:
-            for s, start, block, copies in stage_spans(trace):
+            for s, start, block, copies in blocks(
+                    trace, lambda p: p.kind == "visit"):
                 for eid, p in enumerate(block, start):
                     kind = p.kind
                     summary.read(kind, p)
@@ -221,11 +222,8 @@ class _LowReplay:
                                 (eid, s, int(p["u"]), int(p["value"])))
                     elif kind == "visit":
                         self.last_f[_level(p["node"])] = (s, int(p["f"]))
-                if copies:  # repeats of this stage: the guesses seen last
-                    for p in block:
-                        if p.kind == "visit":
-                            self.last_f[_level(p["node"])] = (copies[-1],
-                                                              int(p["f"]))
+                for p in block if copies else ():  # a run's last guesses
+                    self.last_f[_level(p["node"])] = (s + copies, int(p["f"]))
         except (KeyError, ValueError) as ex:
             raise payload_error(eid, kind, ex) from None
 

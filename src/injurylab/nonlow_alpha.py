@@ -13,6 +13,8 @@ trace alone.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .approximation import verify_r_approximation
 from .budgeted import (Generation, Requirement, check_bound, descent_witness,
                        phi)
@@ -166,9 +168,11 @@ class NonlowAlphaRun(EtaRhoRun):
                      if t >= entry.checked]
             rho_inits = [node for node, t in self._rho_inits.items()
                          if t >= entry.checked]
+            # the walks since the last upkeep, itself a walked stage
+            since = bisect_left(self.tree.paths, (entry.checked,))
             entry.members, removed = qlist_update(
                 entry.members, entry.k, inits, wants, rho_inits,
-                self.tree.paths[entry.checked:])
+                {path for _, path in self.tree.paths[since:]})
             for m, cause in removed:
                 self.trace.emit(s, "qlist-remove", eta=render(eta), x=x,
                                 xi=render(m), cause=cause)

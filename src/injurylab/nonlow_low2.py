@@ -91,7 +91,7 @@ def _exhaustion_gate(r: _Replay) -> CheckResult:
     for eid, s, rho, y, u, before, held in r.picks:
         for eta in LEVELS.etas_above(rho):
             e = LEVELS.level_index(eta)
-            length = r.l.get((s, eta), 0)
+            length = r.length(s, eta)
             for x in args.get(e, ()):
                 if x >= length:
                     break
@@ -129,15 +129,14 @@ def _diagonalization(r: _Replay, psis) -> CheckResult:
         end = r.stages - 1
         wanted = {rho for rho in r.followers if len(rho) // 2 in psis}
         below = {}  # rho -> (last stage whose path passes below it, outcome)
-        later = None  # the path of the stage after, already scanned
-        for s in sorted(r.paths, reverse=True):
-            p = r.paths[s]
-            if p == later:
+        later = None  # the path of the stages after, already scanned
+        for _, stop, p, _ in reversed(r.stage_facts):
+            if p is None or p == later:
                 continue
             later = p
             for rho in [rho for rho in wanted
                         if len(rho) < len(p) and p[:len(rho)] == rho]:
-                below[rho] = (s, p[len(rho)])
+                below[rho] = (stop - 1, p[len(rho)])
                 wanted.discard(rho)
             if not wanted:
                 break

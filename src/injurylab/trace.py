@@ -9,13 +9,13 @@ so emitting, writing and parsing a trace build and render each distinct
 payload once, and no event costs an object of its own.  No table
 outlives its trace.  The columns grow only through ``emit`` and
 ``repeat``, and ``repeat`` records each run of stages it copies, so the
-writer knows which stages repeat: it renders a copied run from its
-template stage, in chunks, not line by line.  The text form is
-line-oriented and canonical, so a cryptographic digest of it is a
-stable fingerprint of a run; the digest hashes the chunks as they are
-rendered, never the whole text.  A replay re-derives the terminal
-summary from the events in its one pass over them, which gives the
-self-consistency check.
+writer and the replays know which stages repeat: both read a copied run
+from its template stage (``_chunks``, ``blocks``), never its copied
+events.  The text form is line-oriented and canonical, so a
+cryptographic digest of it is a stable fingerprint of a run; the digest
+hashes the chunks as they are rendered, never the whole text.  A replay
+re-derives the terminal summary in its one pass over the events, which
+gives the self-consistency check.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from itertools import chain, islice, repeat
-from operator import is_, ne
+from operator import attrgetter, ne
 
 
 class ConfigError(ValueError):
@@ -83,7 +83,8 @@ class RunTrace:
     """A run's events in two columns, ``events`` and ``stage_of``, and
     its terminal summary.  The columns grow only through ``emit`` and
     ``repeat``, and ``repeats`` records every run that ``repeat``
-    copied: that is how the writer knows which stages repeat."""
+    copied: that is how the writer and the replays know which stages
+    repeat."""
 
     def __init__(self, construction: str, stages: int):
         self.construction = construction
@@ -346,47 +347,41 @@ def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:
     return ConfigError(f"event {eid}: bad {kind} payload: {ex}")
 
 
-def stage_spans(trace: RunTrace):
-    """Each stage of the trace that a replay must read, in order, as
-    (stage, start, payloads, copies): the stage's events are start,
-    start + 1, ... with the given payloads, and copies lists the stages
-    right after it that repeat it.  A stage repeats one that held only
-    quiet payloads (``Payload.quiet``) when its events are the very
-    payloads of that stage, in order.  Reading such a stage again changes
-    no replay fact but the stage's own (its path, lengths and guesses
-    seen at it) and the visit count, so a replay copies those and skips
-    the events.  The test is by identity, not equality: payloads of other
-    kinds can hold equal mappings.  Each event is read once, as part of
-    the stage it belongs to.  A trace's stages never go backwards:
-    ``from_text`` refuses that and every engine emits in stage order."""
+def blocks(trace: RunTrace, quiet=attrgetter("quiet")):
+    """The events of trace as a replay reads them, in order, as (stage,
+    eid, payloads, copies): the payloads are events eid, eid + 1, ... at
+    the given stage, and each of the copies stages after it holds them
+    again, at the next event ids, and nothing else.  Events outside a
+    recorded run come a stage at a time.  A run comes from its template's
+    payloads, never its copied events: as one block when quiet(p) holds
+    for every template payload p (by default ``Payload.quiet``) and the
+    run opens its first stage, else a block per stage.  Blocks of one
+    stage can follow each other: an engine's run can end with inject-*
+    events at its last stage.  Stages never go backwards: ``from_text``
+    refuses that and every engine emits in stage order."""
     events, stage_of = trace.events, trace.stage_of
-    n = len(events)
-    start, block = 0, None
-    while start < n:
-        s = stage_of[start]
-        end = bisect_right(stage_of, s, start)
-        if block is None:
-            block = events[start:end]
-        copies = []
-        quiet = None  # whether block holds only quiet payloads
-        while True:
-            # the next stage, when it has as many events as this one
-            last = end + len(block)
-            if last > n or stage_of[end] != stage_of[last - 1] \
-                    or (last < n and stage_of[last] == stage_of[end]):
-                ahead = None
-                break
-            ahead = events[end:last]
-            if not all(map(is_, block, ahead)):
-                break
-            if quiet is None:
-                quiet = all(p.quiet for p in block)
-            if not quiet:
-                break
-            copies.append(stage_of[end])
-            end = last
-        yield s, start, block, copies
-        start, block = end, ahead
+    read = {}  # first event id of each block outside a run -> its payloads
+    at = 0  # the first event not yet read
+    # each run, and the trace's end as a run of no stage
+    for eid, first, stop, start, end in chain(
+            trace.repeats, [(len(events), 0, 0, 0, 0)]):
+        while at < eid:
+            s = stage_of[at]
+            hi = min(bisect_right(stage_of, s, at), eid)
+            read[at] = block = events[at:hi]
+            yield s, at, block, 0
+            at = hi
+        size = end - start
+        template = read.get(start)
+        if template is None or len(template) != size:
+            template = events[start:end]
+        if first < stop and (eid == 0 or stage_of[eid - 1] < first) \
+                and all(map(quiet, template)):
+            yield first, eid, template, stop - first - 1
+        else:
+            for s in range(first, stop):
+                yield s, eid + (s - first) * size, template, 0
+        at = eid + (stop - first) * size
 
 
 class Summary:

@@ -3,7 +3,7 @@
 Nodes are tuples of outcomes, each outcome an index into its level's
 alphabet (listed best-to-worst, so smaller = further left).  The engine
 walks one path per stage, hands initialization to everything right of the
-path, keeps each stage's path, and offers fair actor selection.
+path, keeps each walked stage's path, and offers fair actor selection.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class StrategyTree:
         self._alphabets = []  # level -> alphabet_fn(level), asked once
         self.birth = {ROOT: 0}  # node -> creation order
         self.children = {ROOT: {}}  # node -> outcome -> child node
-        self.paths = []  # stage -> its path
+        self.paths = []  # (stage, path) per walk; holds up to the next walk
         self.selections = {}  # node -> times selected
 
     def register(self, node: tuple):
@@ -105,7 +105,7 @@ class StrategyTree:
                         self._init_subtree(sib, s, init_cb)
             node = child
             visit_cb(node, s)
-        self.paths.append(node)
+        self.paths.append((s, node))
         return node
 
     def _init_subtree(self, node: tuple, s: int, init_cb):

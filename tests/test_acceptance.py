@@ -23,6 +23,8 @@ from injurylab.nonlow_low2 import injury_bound
 from injurylab.ordinal import (OMEGA, Cnf, collapse_to_omega, nat,
                                omega_power, random_cnf_below)
 
+from stage_maps import stage_lengths
+
 # The whole file is the slow gate: `pytest -m "not slow"` leaves it out.
 pytestmark = pytest.mark.slow
 
@@ -205,9 +207,9 @@ def test_criterion_5_phi_budget():
 
 # -- criterion 6: combined construction under w^w ----------------------
 
-def _length_lookup(replay, eta, stage):
+def _length_lookup(lengths, eta, stage):
     best = None
-    for (s, node), l in replay.l.items():
+    for (s, node), l in lengths.items():
         if node == eta and s <= stage and (best is None or s > best[0]):
             best = (s, l)
     return 0 if best is None else best[1]
@@ -234,11 +236,12 @@ def test_criterion_6_combined_bounds():
                      "qlist-structure"):
             ok &= next(c for c in checks if c.name == name).passed
         ok &= all(c.passed for c in checks)
+        recorded = stage_lengths(replay)
         for (eta, x), gen in replay.entries.items():
             for entry in gen:
                 lists += 1
                 for i, member in enumerate(entry.members):
-                    lengths = {h: _length_lookup(replay, h, entry.s_def)
+                    lengths = {h: _length_lookup(recorded, h, entry.s_def)
                                for h in nonlow_alpha.etas_above(member)}
                     ok &= (replay.kps[entry.eid][i]
                            == nonlow_alpha.k_prime(member, lengths))

@@ -23,6 +23,7 @@ from injurylab.trace import ConfigError, RunTrace
 
 from test_golden import by_kind
 from injurylab.tree import parse_node
+from stage_maps import stage_lengths
 
 W = omega_power(nat(1))
 ALPHA = omega_power(W)
@@ -362,7 +363,8 @@ class TestMixedScenario:
         # initializations of each budgeted node stay within its tolerance
         tr = mixed_scenario()
         r = na._CombReplay(tr)
-        final_l = max(v for (s, eta), v in r.l.items() if eta == ())
+        final_l = max(v for (s, eta), v in stage_lengths(r).items()
+                      if eta == ())
         for node, stages in r.xi_inits.items():
             if not na.etas_above(node):
                 continue  # never shields anything, tolerance is void

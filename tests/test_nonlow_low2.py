@@ -15,6 +15,7 @@ from injurylab import nonlow_low2 as nl
 from injurylab.cli import reduce_summary, replay_of
 from injurylab.trace import ConfigError, RunTrace
 
+from stage_maps import stage_lengths
 from test_golden import run_golden
 
 
@@ -304,13 +305,14 @@ class TestVerifier:
         psis, funs = dense_low()
         tr = nl.run(psis, funs, 160, seed=0)
         r = nl._Replay(tr)
+        lengths = stage_lengths(r)
         post = total = 0
         for eta in r.etas():
             for eid, s2, x, rho, elem in r.counted_injuries(eta):
                 total += 1
                 pick = r.use_at_pick.get((rho, elem))
                 if pick and pick[1] >= nl.quota_for(rho, x) \
-                        and x < r.l.get((pick[0], eta), 0):
+                        and x < lengths.get((pick[0], eta), 0):
                     post += 1
         assert total > 100 and post > 0
         results = nl.verify_main_lemma_claims(psis, replay_of(tr))

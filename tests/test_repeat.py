@@ -23,6 +23,8 @@ from injurylab.functional import Engine
 from injurylab.scenario import load_scenario
 from injurylab.trace import RunTrace
 
+from stage_maps import tree_paths
+
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
 SHAPES = sorted(glob.glob(os.path.join(ROOT, "bench", "scenarios", "*.txt")))
@@ -233,6 +235,7 @@ def test_copied_stages_keep_their_paths(path, monkeypatch):
     sc = load(path)
     copying(sc, 0, 2000)
     plain(sc, 0, 2000)
-    paths = [getattr(e, "tree", None) and e.tree.paths for e in engines]
+    paths = [getattr(e, "tree", None) and tree_paths(e.tree, 2000)
+             for e in engines]
     assert paths[0] == paths[1]
     assert paths[0] is None or len(paths[0]) == 2000

@@ -1,12 +1,14 @@
-"""The replays read each distinct stage once: a stage whose events are the
-very payloads of a quiet stage before it is not read again (see
-``trace.stage_spans``).
+"""The replays read each recorded run of copied stages from its template
+(``trace.blocks``): a run of quiet payloads once, at its first stage,
+whose stage facts then hold for the whole run; a run whose template acts,
+stage by stage.  No event a run copied is read.
 
-The reference here rebuilds a trace with a fresh payload per event, so
-that no stage shares a payload with another and every stage is read in
-full, event by event.  On every golden fixture, shipped scenario and cut
-bench shape, the shipped replay must derive the same facts and the same
-check results as the reference.
+The reference here rebuilds a trace with a fresh payload per event and
+no recorded run, so that every stage is read in full, event by event.
+On every golden fixture, shipped scenario and cut bench shape, and on
+the runs below that end, go on or repeat differently, the shipped
+replay must derive the same facts and the same check results as the
+reference.  The stage-keyed facts are compared stage by stage.
 """
 
 import glob
@@ -16,9 +18,12 @@ import pytest
 
 from injurylab.cli import checks_for, replay_of
 from injurylab.scenario import load_scenario
-from injurylab.trace import Payload, RunTrace, stage_spans
+from injurylab.trace import Payload, RunTrace
 
+from stage_maps import stage_lengths, stage_paths
 from test_golden import FIX, NAMES
+from test_repeat import LATE, LOW_ALPHA, steps
+from test_replay import CountingList, copied_events
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
@@ -26,7 +31,8 @@ SHAPES = sorted(glob.glob(os.path.join(ROOT, "bench", "scenarios", "*.txt")))
 
 
 def per_event(trace: RunTrace) -> RunTrace:
-    """A copy of trace with a payload of its own for each event."""
+    """A copy of trace with a payload of its own for each event, and no
+    recorded run."""
     out = RunTrace(trace.construction, trace.stages)
     out.events = [Payload(p.kind, p.items()) for p in trace.events]
     out.stage_of = list(trace.stage_of)
@@ -35,8 +41,8 @@ def per_event(trace: RunTrace) -> RunTrace:
 
 
 def copied(trace: RunTrace) -> int:
-    """The number of stages the replays do not read again."""
-    return sum(len(copies) for *_, copies in stage_spans(trace))
+    """The number of stages the trace's recorded runs copied."""
+    return sum(stop - first for _, first, stop, _, _ in trace.repeats)
 
 
 def facts(x):
@@ -54,6 +60,20 @@ def facts(x):
     return x
 
 
+def fields(replay) -> dict:
+    """The replay's fields as plain data, a tree replay's stage intervals
+    as one path and one set of lengths per stage.  The intervals must be
+    in stage order, each nonempty, and must not overlap: then ``path``
+    and ``length`` answer for each stage what its interval holds."""
+    out = dict(vars(replay))
+    if "stage_facts" in out:
+        intervals = out.pop("stage_facts")
+        assert all(first < stop for first, stop, *_ in intervals)
+        assert all(a[1] <= b[0] for a, b in zip(intervals, intervals[1:]))
+        out["paths"], out["l"] = stage_paths(replay), stage_lengths(replay)
+    return facts(out)
+
+
 def results(checks):
     return [(c.name, c.passed, c.witness, c.detail) for c in checks]
 
@@ -61,12 +81,18 @@ def results(checks):
 def assert_matches_reference(trace, sc=None, psis=None):
     """The shipped replay of trace derives what the per-event one does."""
     reference = per_event(trace)
-    assert copied(reference) == 0
     shipped, full = replay_of(trace), replay_of(reference)
-    assert facts(vars(shipped)) == facts(vars(full))
+    assert fields(shipped) == fields(full)
     assert results(checks_for(trace, shipped, sc, psis)) \
         == results(checks_for(reference, full, sc, psis))
     return shipped
+
+
+def assert_matches_reference_as_text(trace, sc=None, psis=None):
+    """As assert_matches_reference, for trace and for its parsed text,
+    whose runs the parser finds on its own; the replay of trace."""
+    assert_matches_reference(RunTrace.from_text(trace.to_text()), sc, psis)
+    return assert_matches_reference(trace, sc, psis)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -87,9 +113,7 @@ def run(path, seed, stages=None):
 @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
 def test_scenario_matches_reference(path, seed):
     sc, trace, psis = run(path, seed)
-    assert_matches_reference(trace, sc, psis)
-    # the text form shares payloads the same way
-    assert_matches_reference(RunTrace.from_text(trace.to_text()), sc, psis)
+    assert_matches_reference_as_text(trace, sc, psis)
 
 
 @pytest.mark.parametrize("seed", range(2))
@@ -102,24 +126,25 @@ def test_cut_bench_shape_matches_reference(path, seed):
 
 def test_an_init_in_a_repeated_stage_is_read():
     # a stage that repeats the one before it, but for one rho visit that
-    # becomes an init of the same node: the two payloads hold equal
-    # mappings, so only identity tells the stages apart
+    # becomes an init of the same node: the parser ends the run there
     with open(os.path.join(FIX, "golden-nonlow-low2.trace")) as fh:
-        trace = RunTrace.from_text(fh.read())
-    visit = next(p for p in trace.events if p.tail == "visit node=f")
-    stage, start, block, copies = next(
-        span for span in stage_spans(trace)
-        if span[3] and any(p is visit for p in span[2]))
-    at = start + len(block) + [p is visit for p in block].index(True)
-    init = Payload("init", visit.items())
-    assert init == visit and trace.stage_of[at] == copies[0]
-    trace.events[at] = init
+        text = fh.read()
+    trace = RunTrace.from_text(text)
+    eid, first, stop, start, end = next(
+        run for run in trace.repeats
+        if "visit node=f" in [p.tail for p in trace.events[run[3]:run[4]]])
+    lines = text.splitlines()
+    at = 1 + eid + [p.tail for p in trace.events[start:end]].index(
+        "visit node=f")
+    assert lines[at] == f"{at - 1} {first} visit node=f"
+    lines[at] = f"{at - 1} {first} init node=f"
+    trace = RunTrace.from_text("\n".join(lines) + "\n")
+    assert not any(a <= first < b for _, a, b, _, _ in trace.repeats)
     replay = assert_matches_reference(trace)
-    assert replay.last_init[(1,)] == copies[0]
-    assert [s for s, _, _, _ in stage_spans(trace)].count(copies[0]) == 1
+    assert replay.last_init[(1,)] == first
 
 
-# stage -> events of a synthetic trace whose stages 1 and 2 hold the same
+# stage -> events of a synthetic trace whose stages 1 to 3 hold the same
 # payloads, not only visits and fin re-declarations
 SAME_ACTS = {
     "low-alpha": [("visit", dict(node="q0", x=0, f=0)),
@@ -133,16 +158,118 @@ SAME_ACTS = {
 
 @pytest.mark.parametrize("construction", sorted(SAME_ACTS))
 def test_a_repeat_of_a_stage_that_acts_is_read(construction):
-    trace = RunTrace(construction, 3)
-    for s in (1, 2):
+    trace = RunTrace(construction, 4)
+    for s in (1, 2, 3):
         for kind, payload in SAME_ACTS[construction]:
             trace.emit(s, kind, **payload)
-    half = len(trace.events) // 2
-    assert all(a is b for a, b in zip(trace.events[:half],
-                                      trace.events[half:]))
-    assert copied(trace) == 0
-    replay = assert_matches_reference(trace)
-    if construction == "low-alpha":
-        assert replay.inits == {0: [1, 2]}
-    else:
-        assert [pick[1] for pick in replay.picks] == [1, 2]
+    # the parser records stages 2 and 3 as a run with an acting template
+    back = RunTrace.from_text(trace.to_text())
+    assert not trace.repeats
+    assert [run[1:3] for run in back.repeats] == [(2, 4)]
+    for replay in (assert_matches_reference(trace),
+                   assert_matches_reference(back)):
+        if construction == "low-alpha":
+            assert replay.inits == {0: [1, 2, 3]}
+        else:
+            assert [pick[1] for pick in replay.picks] == [1, 2, 3]
+
+
+def test_a_repeated_fin_declaration_of_a_watcher_is_read():
+    # a quiet payload, but low-alpha keeps each delta declaration, so a
+    # run that repeats one is read stage by stage
+    trace = RunTrace("low-alpha", 4)
+    for s in (1, 2, 3):
+        trace.emit(s, "visit", node="q0", x=0, f=0)
+        trace.emit(s, "declare", node="q0", what="delta", x=0, u=3,
+                   value=1, act="fin")
+    back = RunTrace.from_text(trace.to_text())
+    assert [run[1:3] for run in back.repeats] == [(2, 4)]
+    replay = assert_matches_reference(back)
+    assert [stage for _, stage, _, _ in replay.declares[0]] == [1, 2, 3]
+
+
+# -- runs that end, go on or repeat otherwise ---------------------------
+
+
+def ends_with_injects(trace) -> bool:
+    """Whether a recorded run's last stage goes on with inject-* events
+    after its copies."""
+    events, stage_of = trace.events, trace.stage_of
+    for eid, first, stop, start, end in trace.repeats:
+        after = eid + (stop - first) * (end - start)
+        if after < len(events) and stage_of[after] == stop - 1 \
+                and events[after].kind.startswith("inject-"):
+            return True
+    return False
+
+
+# the delayed reconvergence of tests/test_repeat.py: the run of stages
+# 603..640 copies stage 640 too, whose functional step brings the new
+# computation
+DELAYED = (LOW_ALPHA.replace("fun 0 arg 0 first 2\n",
+                             "fun 0 arg 0 first 2 delay 40\n")
+           + steps("f0", 600, 1, " marker 3"))
+RUN_ENDS = {"delayed-reconvergence": DELAYED,
+            **{name: LATE[name][0] for name in
+               ("late-argument", "late-argument-low-alpha",
+                "late-argument-nonlow-alpha")}}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_ENDS))
+def test_a_run_that_ends_with_injects_matches_reference(name):
+    sc = load_scenario(RUN_ENDS[name])
+    trace, psis = sc.execute()
+    assert ends_with_injects(trace)
+    assert_matches_reference_as_text(trace, sc, psis)
+
+
+def two_templates() -> RunTrace:
+    """A two-level trace whose second run goes on with the template of the
+    first, past a stage that enumerates the use the template re-declares;
+    the second run's last stage goes on with visits, and a third run
+    starts inside a stage."""
+    trace = RunTrace("nonlow-low2", 20)
+    quiet = [("visit", dict(node="-", l=1)), ("visit", dict(node="f")),
+             ("declare", dict(node="f", what="gamma", y=1, u=2, act="fin"))]
+    for kind, payload in quiet:
+        trace.emit(0, kind, **payload)
+    trace.repeat(1, 4, 0, 3)
+    trace.emit(4, "visit", node="-", l=2)
+    trace.emit(4, "visit", node="i")
+    trace.emit(4, "enumerate", node="f", element=2)
+    trace.repeat(5, 9, 0, 3)
+    trace.emit(8, "visit", node="-", l=3)
+    trace.emit(8, "visit", node="i")
+    trace.emit(9, "visit", node="ii", l=4)
+    trace.repeat(9, 12, 0, 3)
+    trace.finalize({"A": 2})
+    return trace
+
+
+def test_a_run_on_an_earlier_template_matches_reference():
+    trace = two_templates()
+    replay = assert_matches_reference_as_text(trace)
+    assert replay.summary.use == {"f": "2"}
+    assert replay.path(7) == (1,) and replay.path(8) == (0,)
+    assert replay.length(8, ()) == 3 and replay.length(7, ()) == 1
+    assert replay.path(9) == (0, 0) and replay.path(10) == (1,)
+
+
+# -- what a replay costs ------------------------------------------------
+
+
+def test_replay_cost_does_not_grow_with_the_stage_budget():
+    # the low2 bench shape settles well before stage 2,000, so a longer
+    # budget only lengthens its last run
+    path = os.path.join(ROOT, "bench", "scenarios", "campaign-low2.txt")
+    seen = []
+    for stages in (2_000, 20_000):
+        _, trace, _ = run(path, 0, stages)
+        trace.events = CountingList(trace.events)
+        replay = replay_of(trace)
+        reads = trace.events.reads
+        assert max(reads.values()) == 1
+        assert not copied_events(trace) & set(reads)
+        seen.append((sum(reads.values()), len(replay.stage_facts),
+                     sum(len(f[3]) for f in replay.stage_facts)))
+    assert seen[0] == seen[1]

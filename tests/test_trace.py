@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 from injurylab import trace as trace_module
 from injurylab.cli import digest, main
 from injurylab.scenario import load_scenario
-from injurylab.trace import (EVENT_KINDS, ConfigError, Payload, RunTrace,
-                             stage_spans)
+from injurylab.trace import EVENT_KINDS, ConfigError, Payload, RunTrace
 
 from test_acceptance import _low2_seed
 from test_golden import NAMES, run_golden
@@ -232,11 +231,10 @@ def run_trace(name):
 
 def longest_run(trace):
     """The (first, stop) line indices, in the text, of the trace's
-    longest run of stages that repeat the one before them."""
-    _, start, block, copies = max(stage_spans(trace),
-                                  key=lambda span: len(span[3]))
-    first = 1 + start + len(block)
-    return first, first + len(block) * len(copies)
+    longest recorded run of copied stages."""
+    eid, first, stop, start, end = max(trace.repeats,
+                                       key=lambda run: run[2] - run[1])
+    return 1 + eid, 1 + eid + (stop - first) * (end - start)
 
 
 def stage_token(line):
@@ -340,9 +338,11 @@ def low2_trace():
     return _low2_seed(0)[0]
 
 
-def spans(trace):
-    return [(s, start, [p.tail for p in block], copies)
-            for s, start, block, copies in stage_spans(trace)]
+def sharing(trace):
+    """Each event's payload as the index of the first event that has it:
+    which events share a payload."""
+    first = {}
+    return [first.setdefault(id(p), eid) for eid, p in enumerate(trace.events)]
 
 
 @pytest.mark.parametrize("name", RUN_SCENARIOS + ("bench low2",))
@@ -350,7 +350,7 @@ def test_parsed_trace_shares_payloads_as_emitted(name, low2_trace):
     trace = low2_trace if name == "bench low2" else run_trace(name)
     text = trace.to_text()
     back = RunTrace.from_text(text)
-    assert spans(back) == spans(trace)
+    assert sharing(back) == sharing(trace)
     assert contents(back) == contents(trace)
     assert_shared_by_text(back, text)
 

@@ -16,6 +16,8 @@ from injurylab.tree import (
     render_node,
 )
 
+from stage_maps import tree_paths
+
 
 def left_of_oracle(a, b):
     """Common-prefix search written out longhand."""
@@ -72,7 +74,7 @@ def test_run_stage_zero_is_root():
                           lambda n, s: inits.append(n), ignore)
     assert node == ROOT
     assert inits == []
-    assert tree.paths == [ROOT]
+    assert tree_paths(tree, 1) == [ROOT]
 
 
 def test_run_stage_constant_fin():
@@ -81,8 +83,8 @@ def test_run_stage_constant_fin():
     for s in range(4):
         tree.run_stage(lambda n, s: FIN, s, s,
                        lambda n, s: inits.append(n), ignore)
-    assert tree.paths[3] == (FIN, FIN, FIN)
-    assert [len(p) for p in tree.paths] == [0, 1, 2, 3]
+    assert tree_paths(tree, 4)[3] == (FIN, FIN, FIN)
+    assert [len(p) for p in tree_paths(tree, 4)] == [0, 1, 2, 3]
     # nothing sits left of an all-FIN path, so nothing was initialized
     assert all(not left_of(n, (FIN, FIN, FIN)) for n in inits)
 
@@ -99,7 +101,7 @@ def test_flip_to_left_initializes_right_subtree():
     for s in range(4):
         tree.run_stage(outcome, s, s, lambda n, s: inits.append((s, n)),
                        ignore)
-    assert tree.paths[3][:1] == (INF,)
+    assert tree_paths(tree, 4)[3][:1] == (INF,)
     initialized = {n for s, n in inits if s == 3}
     assert (FIN,) in initialized and (FIN, FIN) in initialized
     assert (INF,) not in initialized
@@ -206,7 +208,7 @@ def oracle_run_stage(tree, outcome_cb, s, length, init_cb, visit_cb):
             if o2 > o:
                 tree._init_subtree(sib, s, init_cb)
         visit_cb(node, s)
-    tree.paths.append(node)
+    tree.paths.append((s, node))
     return node
 
 
