@@ -111,8 +111,8 @@ class Engine:
     stage is then the same as the quiet stage's, except the opponents'
     answers and the functional runs' own waits: so up to the first stage
     at which one of those can change (``_quiet_until``), every stage
-    would emit the same payloads, and the loop copies them in one step
-    instead of walking; a copied stage leaves nothing but its events.
+    would emit the same payloads, and the loop records them as one run
+    (``RunTrace.repeat``) instead of walking, and keeps no other state.
     The last copied stage still runs its functional step, which may
     change a computation; the stage after it is walked.  The opponents
     answer from their argument and stage alone, so skipping a walk
@@ -120,9 +120,9 @@ class Engine:
 
     def execute(self) -> RunTrace:
         trace = self.trace
-        events = trace.events
+        stored = trace.stored
         runs = self.runs.values()
-        quiet = None  # (first event, end, queries) of the last quiet stage
+        quiet = None  # (first stored event, end, queries) of the quiet stage
         s = 0
         while s < self.stages:
             t = s if quiet is None else self._quiet_until(quiet[2], s)
@@ -133,13 +133,13 @@ class Engine:
                 s = t - 1
             else:
                 self._asked = asked = []
-                start = len(events)
+                start = len(stored)
                 full = self._walk(s)
-                quiet = (start, len(events), asked) if full and all(
-                    p.quiet for p in events[start:]) else None
-            end = len(events)
+                quiet = (start, len(stored), asked) if full and all(
+                    p.quiet for p in stored[start:]) else None
+            end = len(stored)
             self._advance_functionals(s)
-            if len(events) != end:
+            if len(stored) != end:
                 quiet = None
             s += 1
         elems = sorted(e for _, e in self.A.events)

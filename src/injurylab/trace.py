@@ -1,21 +1,20 @@
 """Run traces: ordered event streams with a terminal summary.
 
-A trace stores its events as two parallel columns: ``events[i]`` is
-event i's payload and ``stage_of[i]`` its stage, so the event id is the
-index.  A payload carries its kind, a flat string mapping and its
-rendered line tail.  Payloads are interned per trace: all events of one
-trace with the same kind and payload text share one read-only payload,
-so emitting, writing and parsing a trace build and render each distinct
-payload once, and no event costs an object of its own.  No table
-outlives its trace.  The columns grow only through ``emit`` and
-``repeat``, and ``repeat`` records each run of stages it copies, so the
-writer and the replays know which stages repeat: both read a copied run
-from its template stage (``_chunks``, ``blocks``), never its copied
-events.  The text form is line-oriented and canonical, so a
-cryptographic digest of it is a stable fingerprint of a run; the digest
-hashes the chunks as they are rendered, never the whole text.  A replay
-re-derives the terminal summary in its one pass over the events, which
-gives the self-consistency check.
+A trace stores each event once: the events that ``emit`` and
+``from_text`` append, in two columns of payloads and stages, and each run
+of copied stages only as its record, whose template is a span of stored
+events.  So an event id is no column index: ``blocks`` interleaves the
+stored events with the runs and numbers the ids, and the writer and the
+replays read through it, each run from its template.  A payload carries
+its kind, a flat string mapping and its rendered line tail.  Payloads are
+interned per trace: all events of one trace with the same kind and
+payload text share one read-only payload, so emitting, writing and
+parsing a trace build and render each distinct payload once, and no
+event costs an object of its own.  No table outlives its trace.  The text
+form is line-oriented and canonical, so a cryptographic digest of it is a
+stable fingerprint of a run; the digest hashes the chunks as they are
+rendered, never the whole text.  A replay re-derives the terminal summary
+in its one pass over the events, which gives the self-consistency check.
 """
 
 from __future__ import annotations
@@ -80,19 +79,19 @@ class Payload(dict):
 
 
 class RunTrace:
-    """A run's events in two columns, ``events`` and ``stage_of``, and
-    its terminal summary.  The columns grow only through ``emit`` and
-    ``repeat``, and ``repeats`` records every run that ``repeat``
-    copied: that is how the writer and the replays know which stages
-    repeat."""
+    """A run's events and its terminal summary.  Each event is stored
+    once: ``stored`` and ``stored_stage`` hold the payload and the stage
+    of each event that ``emit`` or ``from_text`` appended, and
+    ``repeats`` each run of stages that ``repeat`` copied, as its record
+    alone.  ``blocks`` reads the two in event-id order."""
 
     def __init__(self, construction: str, stages: int):
         self.construction = construction
         self.stages = stages
-        self.events = []    # event id -> its shared payload
-        self.stage_of = []  # event id -> its stage
-        # each copied run as (its first event id, first, stop, start, end),
-        # the arguments of the repeat call that appended it
+        self.stored = []        # stored event -> its shared payload
+        self.stored_stage = []  # stored event -> its stage
+        # each copied run as (the events stored before it, first, stop,
+        # start, end): stages first..stop-1 repeat stored events start..end-1
         self.repeats = []
         self.summary = {}
         # (kind, keys, value texts) -> the one payload of that kind and text
@@ -110,21 +109,23 @@ class RunTrace:
                 raise ValueError(f"unknown event kind {kind!r}") from None
             shared = self._payloads[key] = Payload(
                 kind, [(k, str(v)) for k, v in payload.items()])
-        self.events.append(shared)
-        self.stage_of.append(stage)
+        self.stored.append(shared)
+        self.stored_stage.append(stage)
 
     def repeat(self, first: int, stop: int, start: int, end: int) -> None:
-        """Emit the payloads of events start..end-1 again, in order, at
-        each stage first..stop-1, and record the run in ``repeats``
-        unless it copies no event (a quiet stage can be empty).  The
-        columns grow in place, with no list of the whole run built
-        first."""
+        """Copy the payloads of stored events start..end-1, in order, to
+        each stage first..stop-1, after the events stored so far.  The run
+        is kept as its record in ``repeats`` alone, and none if it copies
+        no event (a quiet stage can be empty)."""
         if start < end:
-            self.repeats.append((len(self.events), first, stop, start, end))
-        self.events.extend(chain.from_iterable(
-            repeat(self.events[start:end], stop - first)))
-        self.stage_of.extend(chain.from_iterable(
-            map(repeat, range(first, stop), repeat(end - start))))
+            self.repeats.append((len(self.stored), first, stop, start, end))
+
+    @property
+    def events(self) -> list:
+        """Every event's payload in id order, copies included.  Only for
+        callers outside the package: no reader in it expands a trace."""
+        return [p for _, _, block, copies in blocks(self, lambda p: True)
+                for p in block * (copies + 1)]
 
     def finalize(self, summary: dict):
         self.summary = {k: str(v) for k, v in summary.items()}
@@ -135,43 +136,31 @@ class RunTrace:
         return "".join(self._chunks())
 
     def _chunks(self):
-        """The text form in pieces of whole lines, at most _RUN_LINES
-        event lines each.  Events outside a recorded run are rendered
-        line by line.  A run is rendered from its template stage with
-        _run_text; the template too, when it is the stage right before
-        the run and not yet written, and a run that goes on with the
-        template of the run before it reuses that rendering.  So the
-        events a run copied are never read."""
+        """The text form in pieces of whole lines, read through
+        ``blocks``: stored stages line by line, yielded once _RUN_LINES
+        lines gather, and a run from its template with _run_text, at most
+        _RUN_LINES lines a piece, so no copy is ever built."""
         yield f"trace {self.construction} stages={self.stages}\n"
-        events, stage_of = self.events, self.stage_of
-        at = 0  # the first event not yet written
-        template = pieces = None
-        for eid, first, stop, start, end in self.repeats:
-            stage, size = first, end - start
-            if template != (start, end):
-                template = (start, end)
-                if at <= start and end == eid and \
-                        set(stage_of[start:end]) == {first - 1}:
-                    eid, stage = start, first - 1  # written with the run
-                pieces = _pieces([p.tail for p in events[start:end]])
-            yield from self._lines(at, eid)
+        lines = []  # the lines of the stored stages not yet yielded
+        for s, eid, block, copies in blocks(self, lambda p: True):
+            if not copies:
+                tok = f" {s} "
+                lines += [f"{i}{tok}{p.tail}\n"
+                          for i, p in enumerate(block, eid)]
+                if len(lines) >= _RUN_LINES:
+                    yield "".join(lines)
+                    lines = []
+                continue
+            yield "".join(lines)
+            lines = []
+            size, stop = len(block), s + copies + 1
+            pieces = _pieces([p.tail for p in block])
             per = max(1, _RUN_LINES // size)
-            for s in range(stage, stop, per):
-                count = min(per, stop - s)
-                yield _run_text(pieces, eid + (s - stage) * size, s,
-                                count) + "\n"
-            at = eid + (stop - stage) * size
-        yield from self._lines(at, len(events))
-        yield "".join([f"summary {k} {self.summary[k]}\n"
-                       for k in sorted(self.summary)])
-
-    def _lines(self, lo: int, hi: int):
-        """Events lo..hi-1 as lines, in chunks of _RUN_LINES."""
-        events, stage_of = self.events, self.stage_of
-        for a in range(lo, hi, _RUN_LINES):
-            b = min(a + _RUN_LINES, hi)
-            yield "".join([f"{eid} {s} {p.tail}\n" for eid, s, p in
-                           zip(range(a, b), stage_of[a:b], events[a:b])])
+            for t in range(s, stop, per):
+                yield _run_text(pieces, eid + (t - s) * size, t,
+                                min(per, stop - t)) + "\n"
+        yield "".join(lines + [f"summary {k} {self.summary[k]}\n"
+                               for k in sorted(self.summary)])
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
@@ -187,10 +176,12 @@ class RunTrace:
 
         Where a line opens the next stage with the payload that opened
         the last one, the parser first asks ``_repeated_stages`` how many
-        stages from that line on repeat the last one, and appends them
-        in one step.  Such a stage holds the last stage's payload texts
-        as read, in order, at the next stage number and the next event
-        ids, each line exactly ``eid stage text``.  Every such line is
+        stages from that line on repeat the last one, and records them
+        as one run, with the last stage's stored events as its template;
+        event ids go on past the run's copies.  Such a stage holds the
+        last stage's payload texts as read, in order, at the next stage
+        number and the next event ids, each line exactly
+        ``eid stage text``.  Every such line is
         one the per-line path accepts with the same payload: its id is
         the next one, its stage follows the last and is below the
         header's count, and its text is one already read, so it gets
@@ -204,6 +195,7 @@ class RunTrace:
         # the last stage, its token and its first event: a stage is parsed
         # and checked only where its token changes
         last_stage, last_tok, start = 0, "0", 0
+        copied = 0  # the events of the runs recorded so far
         lines = text.splitlines()
         numbered = enumerate(lines, 1)
         for lineno, ln in numbered:
@@ -217,7 +209,7 @@ class RunTrace:
                     if word != "trace" or key != "stages" or int(stages) < 0:
                         raise ValueError
                     trace = cls(construction, int(stages))
-                    events, stage_of = trace.events, trace.stage_of
+                    stored, stage_of = trace.stored, trace.stored_stage
                     bound = max(trace.stages, 1)
                     continue
                 if toks[0] == "summary":
@@ -243,23 +235,27 @@ class RunTrace:
             if payload is None:
                 raise ConfigError(f"line {lineno}: unknown event kind "
                                   f"{kind!r}")
-            if eid != len(events):
+            if eid != len(stored) + copied:
                 raise ConfigError(f"line {lineno}: event id {eid} out of "
-                                  f"sequence, expected {len(events)}")
+                                  f"sequence, expected "
+                                  f"{len(stored) + copied}")
             if tok != last_tok:
-                if stage == last_stage + 1 and start < eid \
-                        and payload is events[start]:
-                    copies = _repeated_stages(lines, lineno - 1, events,
-                                              start, texts, stage,
+                if stage == last_stage + 1 and start < len(stored) \
+                        and payload is stored[start]:
+                    copies = _repeated_stages(lines, lineno - 1, eid,
+                                              stored[start:], texts, stage,
                                               bound - stage)
                     if copies:
-                        trace.repeat(stage, stage + copies, start, eid)
+                        size = len(stored) - start
+                        trace.repeat(stage, stage + copies, start,
+                                     len(stored))
+                        copied += copies * size
                         # the run's other lines are read; start moves past
                         # the run, so the stage after it is not tried again
-                        skip = copies * (eid - start) - 1
+                        skip = copies * size - 1
                         next(islice(numbered, skip, skip), None)
                         last_stage += copies
-                        last_tok, start = str(last_stage), len(events)
+                        last_tok, start = str(last_stage), len(stored)
                         continue
                 if stage < last_stage:
                     raise ConfigError(f"line {lineno}: stage {stage} after "
@@ -267,8 +263,8 @@ class RunTrace:
                 if stage >= bound:
                     raise ConfigError(f"line {lineno}: stage {stage} past "
                                       f"stages={trace.stages}")
-                last_stage, last_tok, start = stage, tok, len(events)
-            events.append(payload)
+                last_stage, last_tok, start = stage, tok, len(stored)
+            stored.append(payload)
             stage_of.append(last_stage)
         if trace is None:
             raise ConfigError("missing trace header")
@@ -283,7 +279,7 @@ class RunTrace:
 
 
 # the most lines _repeated_stages renders and compares, and the writer
-# renders, in one step
+# renders of a run, in one step
 _RUN_LINES = 2048
 
 
@@ -303,26 +299,25 @@ def _run_text(pieces, eid: int, stage: int, count: int) -> str:
         range(eid, eid + count * (len(pieces) - 1)))
 
 
-def _repeated_stages(lines, at: int, events, start: int, texts,
+def _repeated_stages(lines, at: int, eid: int, template, texts,
                      stage: int, most: int) -> int:
     """How many of the stages that lines[at:] opens with, at most most,
-    repeat the last stage, the events from start on: each holds the texts
-    those events' payloads were read from (texts maps a payload's id to
-    its text), in order, at stage, stage + 1, ..., with the event ids
-    going on from the last.  It compares chunks of 1, 2, 4, ... stages
+    repeat the last stage, whose payloads are template: each holds the
+    texts those payloads were read from (texts maps a payload's id to its
+    text), in order, at stage, stage + 1, ..., with the event ids going
+    on from eid.  It compares chunks of 1, 2, 4, ... stages
     (at most _RUN_LINES lines) with their rendered text; in the first
     chunk that differs, the run ends at the stage of the first line that
     differs.  A stage that differs from the one before mostly differs in
     its last line, so that line is compared first, before anything is
     rendered."""
-    eid = len(events)
-    size = eid - start
+    size = len(template)
     last = at + size - 1
     if last >= len(lines) or lines[last] != \
-            f"{eid + size - 1} {stage} {texts[id(events[-1])]}":
+            f"{eid + size - 1} {stage} {texts[id(template[-1])]}":
         return 0
     most = min(most, (len(lines) - at) // size)
-    pieces = _pieces([texts[id(p)] for p in events[start:]])
+    pieces = _pieces([texts[id(p)] for p in template])
     done, count = 0, 1
     while done < most:
         count = min(count, most - done)
@@ -348,40 +343,42 @@ def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:
 
 
 def blocks(trace: RunTrace, quiet=attrgetter("quiet")):
-    """The events of trace as a replay reads them, in order, as (stage,
-    eid, payloads, copies): the payloads are events eid, eid + 1, ... at
-    the given stage, and each of the copies stages after it holds them
-    again, at the next event ids, and nothing else.  Events outside a
-    recorded run come a stage at a time.  A run comes from its template's
-    payloads, never its copied events: as one block when quiet(p) holds
-    for every template payload p (by default ``Payload.quiet``) and the
-    run opens its first stage, else a block per stage.  Blocks of one
-    stage can follow each other: an engine's run can end with inject-*
-    events at its last stage.  Stages never go backwards: ``from_text``
-    refuses that and every engine emits in stage order."""
-    events, stage_of = trace.events, trace.stage_of
-    read = {}  # first event id of each block outside a run -> its payloads
-    at = 0  # the first event not yet read
+    """The events of trace in id order, as (stage, eid, payloads, copies):
+    the payloads are events eid, eid + 1, ... at the given stage, and each
+    of the copies stages after it holds them again, at the next ids, and
+    nothing else.  The one reader that interleaves the stored events with
+    the runs; it numbers ids by counting the runs' copies.  Stored events
+    come a stage at a time, a run from its template's payloads: as one
+    block when quiet(p) holds for every one (by default ``Payload.quiet``)
+    and no block before reached its first stage, else a block per stage.
+    A template that is the last block's span reuses its payloads, so no
+    stored event is read twice.  Blocks of one stage can follow each
+    other: an engine's run can end with inject-* events at its last
+    stage, and a built run can start there.  Stages never go backwards:
+    ``from_text`` refuses that and every engine emits in stage order."""
+    stored, stage_of = trace.stored, trace.stored_stage
+    at = copied = 0  # the first stored event not yet read, the copies before
+    last = -1  # the last stage yielded
+    span = block = None  # the stored span of the last block, its payloads
     # each run, and the trace's end as a run of no stage
-    for eid, first, stop, start, end in chain(
-            trace.repeats, [(len(events), 0, 0, 0, 0)]):
-        while at < eid:
-            s = stage_of[at]
-            hi = min(bisect_right(stage_of, s, at), eid)
-            read[at] = block = events[at:hi]
-            yield s, at, block, 0
+    for pos, first, stop, start, end in chain(
+            trace.repeats, [(len(stored), 0, 0, 0, 0)]):
+        while at < pos:
+            last = stage_of[at]
+            hi = bisect_right(stage_of, last, at, pos)
+            span, block = (at, hi), stored[at:hi]
+            yield last, at + copied, block, 0
             at = hi
-        size = end - start
-        template = read.get(start)
-        if template is None or len(template) != size:
-            template = events[start:end]
-        if first < stop and (eid == 0 or stage_of[eid - 1] < first) \
-                and all(map(quiet, template)):
-            yield first, eid, template, stop - first - 1
+        if span != (start, end):
+            span, block = (start, end), stored[start:end]
+        eid, size = at + copied, end - start
+        if first < stop and last < first and all(map(quiet, block)):
+            yield first, eid, block, stop - first - 1
         else:
             for s in range(first, stop):
-                yield s, eid + (s - first) * size, template, 0
-        at = eid + (stop - first) * size
+                yield s, eid + (s - first) * size, block, 0
+        last = max(last, stop - 1)
+        copied += (stop - first) * size
 
 
 class Summary:

@@ -16,6 +16,8 @@ from injurylab.cli import main, reduce_summary, replay_of
 from injurylab.scenario import load_scenario
 from injurylab.tree import StrategyTree
 
+from stage_maps import stage_of
+
 HERE = os.path.dirname(__file__)
 SCEN = os.path.join(HERE, os.pardir, "scenarios")
 FIX = os.path.join(HERE, "fixtures")
@@ -101,18 +103,19 @@ class TestGoldenTraces:
 
     def test_low_alpha_fixture_reads_as_expected(self):
         _, trace, _ = run_golden("golden-low-alpha")
-        enums = by_kind(trace, "enumerate")
-        markers = [trace.events[eid]["marker"] for eid in enums]
+        events, enums = trace.events, by_kind(trace, "enumerate")
+        markers = [events[eid]["marker"] for eid in enums]
         assert markers == ["3", "2"]
-        elements = [trace.events[eid]["element"] for eid in enums]
+        elements = [events[eid]["element"] for eid in enums]
         assert elements == ["1", "4"]
         assert trace.summary["A"] == "1,4"
 
     def test_nonlow_alpha_fixture_has_left_stage_removal(self):
         _, trace, _ = run_golden("golden-nonlow-alpha")
+        events = trace.events
         removed = [eid for eid in by_kind(trace, "qlist-remove")
-                   if trace.events[eid]["cause"] == "left-stage"]
-        assert len(removed) == 1 and trace.stage_of[removed[0]] == 11
+                   if events[eid]["cause"] == "left-stage"]
+        assert len(removed) == 1 and stage_of(trace)[removed[0]] == 11
 
 
 class TestCallCounts:

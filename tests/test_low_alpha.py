@@ -14,6 +14,7 @@ from injurylab.ordinal import (format_cnf, nat, omega_power, parse_cnf,
 from injurylab.cli import reduce_summary, replay_of
 from injurylab.trace import ConfigError, RunTrace
 
+from stage_maps import stage_of
 from test_golden import by_kind
 
 W = omega_power(nat(1))
@@ -69,8 +70,9 @@ class TestRunBasics:
         # Hand simulation: the follower is assigned once at stage 0 and
         # the single declaration never contradicts a constant opponent.
         tr = la.run([ScriptedCaAdversary("f0", W)], [], omega_power(W), 20)
-        deltas = [tr.events[eid] for eid in by_kind(tr, "declare")
-                  if tr.events[eid].get("what") == "delta"]
+        events = tr.events
+        deltas = [events[eid] for eid in by_kind(tr, "declare")
+                  if events[eid].get("what") == "delta"]
         assert len(deltas) == 1
         assert deltas[0]["value"] == "1"
         assert not by_kind(tr, "enumerate")
@@ -85,19 +87,20 @@ class TestRunBasics:
         fun = UseFunctional(0)
         fun.configure(0, first=0)
         tr = la.run([adv], [fun], omega_power(W), 16)
+        events, stages = tr.events, stage_of(tr)
         enums = by_kind(tr, "enumerate")
-        assert [tr.stage_of[eid] for eid in enums] == [4, 8, 12]
+        assert [stages[eid] for eid in enums] == [4, 8, 12]
         hits = [eid for eid in by_kind(tr, "inject-diverge")
-                if tr.events[eid]["x"] == "0"]
-        assert [tr.stage_of[eid] for eid in hits] == [4, 8, 12]
+                if events[eid]["x"] == "0"]
+        assert [stages[eid] for eid in hits] == [4, 8, 12]
         sets = by_kind(tr, "qlist-set")
-        assert len(sets) == 1 and tr.stage_of[sets[0]] == 1
-        assert tr.events[sets[0]]["members"] == "0"
-        budget = [tr.events[eid] for eid in by_kind(tr, "phi-set")
-                  if tr.events[eid]["e"] == "0"]
+        assert len(sets) == 1 and stages[sets[0]] == 1
+        assert events[sets[0]]["members"] == "0"
+        budget = [events[eid] for eid in by_kind(tr, "phi-set")
+                  if events[eid]["e"] == "0"]
         assert budget[0]["value"] == format_cnf(W.times_nat(2))
-        deltas = [tr.events[eid] for eid in by_kind(tr, "declare")
-                  if tr.events[eid].get("what") == "delta"]
+        deltas = [events[eid] for eid in by_kind(tr, "declare")
+                  if events[eid].get("what") == "delta"]
         assert deltas[-1]["value"] == "0"  # opponent settled on 1
         for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
@@ -134,18 +137,19 @@ def denial_setup(stages=14):
 class TestPermission:
     def test_denial_initializes(self):
         tr = denial_setup()
+        events, stages = tr.events, stage_of(tr)
         denied = [eid for eid in by_kind(tr, "init")
-                  if tr.events[eid]["cause"].startswith("denied")]
+                  if events[eid]["cause"].startswith("denied")]
         assert len(denied) == 1
-        assert tr.events[denied[0]] == {"node": "q1", "cause": "denied:0"}
-        assert tr.stage_of[denied[0]] == 9
-        sel = [tr.events[eid] for eid in by_kind(tr, "select")
-               if tr.events[eid]["act"] == "denied"]
+        assert events[denied[0]] == {"node": "q1", "cause": "denied:0"}
+        assert stages[denied[0]] == 9
+        sel = [events[eid] for eid in by_kind(tr, "select")
+               if events[eid]["act"] == "denied"]
         assert len(sel) == 1 and sel[0]["by"] == "0"
         # denied means no enumeration at that stage, and a fresh restart
-        assert all(tr.stage_of[eid] != 9 for eid in by_kind(tr, "enumerate"))
+        assert all(stages[eid] != 9 for eid in by_kind(tr, "enumerate"))
         assert tr.summary["node.q1"] == "4:24"
-        removed = [tr.events[eid] for eid in by_kind(tr, "qlist-remove")]
+        removed = [events[eid] for eid in by_kind(tr, "qlist-remove")]
         assert [(p["q"], p["cause"]) for p in removed] == [
             ("1", "preempted")]
         for check in la.verify_lowness_budget(replay_of(tr)):
@@ -161,13 +165,14 @@ class TestPermission:
         fun = UseFunctional(0)
         fun.configure(0, first=4)
         tr = la.run(advs, [fun], omega_power(W), 9)
+        events = tr.events
         sets = by_kind(tr, "qlist-set")
-        assert tr.stage_of[sets[0]] == 5
-        assert tr.events[sets[0]]["members"] == "0,1,2"
-        inits = [tr.events[eid] for eid in by_kind(tr, "init")]
+        assert stage_of(tr)[sets[0]] == 5
+        assert events[sets[0]]["members"] == "0,1,2"
+        inits = [events[eid] for eid in by_kind(tr, "init")]
         assert {p["node"] for p in inits} == {"q1", "q2"}
         assert all(p["cause"] == "preempt:0" for p in inits)
-        removed = [tr.events[eid] for eid in by_kind(tr, "qlist-remove")]
+        removed = [events[eid] for eid in by_kind(tr, "qlist-remove")]
         assert {(p["q"], p["cause"]) for p in removed} == {
             ("1", "preempted"), ("2", "preempted")}
         assert len(by_kind(tr, "enumerate")) == 1
@@ -336,7 +341,7 @@ def mutated(trace, edit):
     (stage, kind, payload) rows that replace each event; event ids are
     renumbered."""
     out = RunTrace(trace.construction, trace.stages)
-    for eid, (stage, p) in enumerate(zip(trace.stage_of, trace.events)):
+    for eid, (stage, p) in enumerate(zip(stage_of(trace), trace.events)):
         for row_stage, kind, payload in edit(eid, stage, p):
             out.emit(row_stage, kind, **payload)
     out.finalize(trace.summary)

@@ -21,6 +21,7 @@ from injurylab.ordinal import Cnf, format_cnf, nat, omega_power, parse_cnf
 from injurylab.cli import reduce_summary, replay_of
 from injurylab.trace import ConfigError, RunTrace
 
+from stage_maps import stage_of
 from test_golden import by_kind
 from injurylab.tree import parse_node
 from stage_maps import stage_lengths
@@ -258,16 +259,17 @@ class TestFrozenOpponents:
         psi = DeltaTwoAdversary("p0", "scripted")
         tr = na.run({0: psi}, frozen_budgeted(), {0: basic_functional()},
                     ALPHA, 30)
+        events = tr.events
         for kind in ("select", "enumerate"):
             for eid in by_kind(tr, kind):
-                assert not na.is_xi(parse_node(tr.events[eid]["node"]))
+                assert not na.is_xi(parse_node(events[eid]["node"]))
 
     def test_lists_seed_and_stay(self):
         psi = DeltaTwoAdversary("p0", "scripted")
         tr = na.run({0: psi}, frozen_budgeted(), {0: basic_functional()},
                     ALPHA, 30)
-        sets = by_kind(tr, "qlist-set")
-        assert [int(tr.events[eid]["x"]) for eid in sets] == list(range(7))
+        events, sets = tr.events, by_kind(tr, "qlist-set")
+        assert [int(events[eid]["x"]) for eid in sets] == list(range(7))
         assert by_kind(tr, "qlist-remove") == []
         for check in na.verify_combined_bounds(replay_of(tr)):
             assert check.passed, check.line()
@@ -313,28 +315,30 @@ class TestMixedScenario:
 
     def test_first_list_payload(self):
         tr = mixed_scenario()
-        sets = by_kind(tr, "qlist-set")
-        one = next(eid for eid in sets if tr.events[eid]["x"] == "1")
-        assert tr.stage_of[one] == 7
-        assert tr.events[one]["k"] == "1028"
-        assert tr.events[one]["members"] == "ii"
-        assert tr.events[one]["gs"] == "w"
-        assert tr.events[one]["kps"] == "1028"
-        budget = next(tr.events[eid] for eid in by_kind(tr, "phi-set")
-                      if tr.events[eid]["e"] == "-.1")
+        events, sets = tr.events, by_kind(tr, "qlist-set")
+        one = next(eid for eid in sets if events[eid]["x"] == "1")
+        assert stage_of(tr)[one] == 7
+        assert events[one]["k"] == "1028"
+        assert events[one]["members"] == "ii"
+        assert events[one]["gs"] == "w"
+        assert events[one]["kps"] == "1028"
+        budget = next(events[eid] for eid in by_kind(tr, "phi-set")
+                      if events[eid]["e"] == "-.1")
         assert budget["value"] == "w*1029"
 
     def test_later_list_gains_second_member(self):
         tr = mixed_scenario()
+        events = tr.events
         three = next(eid for eid in by_kind(tr, "qlist-set")
-                     if tr.events[eid]["x"] == "3")
-        assert tr.stage_of[three] == 15
-        assert tr.events[three]["members"] == "ii,if"
+                     if events[eid]["x"] == "3")
+        assert stage_of(tr)[three] == 15
+        assert events[three]["members"] == "ii,if"
 
     def test_refused_guess_prunes_lists(self):
         tr = mixed_scenario()
-        removed = [(tr.stage_of[eid], tr.events[eid]["x"],
-                    tr.events[eid]["xi"], tr.events[eid]["cause"])
+        events, stages = tr.events, stage_of(tr)
+        removed = [(stages[eid], events[eid]["x"], events[eid]["xi"],
+                    events[eid]["cause"])
                    for eid in by_kind(tr, "qlist-remove")]
         assert removed == [
             (27, "1", "ii", "rho-init"), (27, "2", "ii", "rho-init"),
@@ -400,8 +404,9 @@ class TestLeftStageScenario:
 
     def test_left_stage_removal(self):
         tr = left_stage_scenario()
-        removed = [(tr.stage_of[eid], tr.events[eid]["x"],
-                    tr.events[eid]["xi"], tr.events[eid]["cause"])
+        events, stages = tr.events, stage_of(tr)
+        removed = [(stages[eid], events[eid]["x"], events[eid]["xi"],
+                    events[eid]["cause"])
                    for eid in by_kind(tr, "qlist-remove")]
         assert removed == [(11, "1", "if", "left-stage")]
 
@@ -487,7 +492,7 @@ class TestSyntheticDescent:
     def test_corrupt_budget_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for s, payload in zip(tr.stage_of, tr.events):
+        for s, payload in zip(stage_of(tr), tr.events):
             p = dict(payload)
             if payload.kind == "qlist-set":
                 p["k"] = "5"
@@ -499,7 +504,7 @@ class TestSyntheticDescent:
     def test_unlisted_injurer_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for s, payload in zip(tr.stage_of, tr.events):
+        for s, payload in zip(stage_of(tr), tr.events):
             p = dict(payload)
             if payload.kind == "qlist-set":
                 p["members"] = "-"
@@ -516,7 +521,7 @@ class TestSyntheticDescent:
     def test_out_of_scope_denial_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for s, p in zip(tr.stage_of, tr.events):
+        for s, p in zip(stage_of(tr), tr.events):
             bad.emit(s, p.kind, **p)
             if p.kind == "select":
                 bad.emit(s, "select", node="ii", act="denied", by="f", x=0)
@@ -527,7 +532,7 @@ class TestSyntheticDescent:
     def test_rho_visit_with_length_caught(self):
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
-        for s, payload in zip(tr.stage_of, tr.events):
+        for s, payload in zip(stage_of(tr), tr.events):
             p = dict(payload)
             if payload.kind == "visit" and p["node"] == "i":
                 p["l"] = "1"
@@ -559,20 +564,21 @@ class TestDeniedPermission:
         r.xi[(0, 0)] = st
         r._act_xi((0, 0), 3)
         tr = r.trace
-        sel = [tr.events[eid] for eid in by_kind(tr, "select")
-               if tr.events[eid].get("act") == "denied"]
+        events = tr.events
+        sel = [events[eid] for eid in by_kind(tr, "select")
+               if events[eid].get("act") == "denied"]
         assert len(sel) == 1
         assert sel[0]["node"] == "ii"
         assert sel[0]["by"] == "-"
         assert sel[0]["x"] == "0"
         inits = [eid for eid in by_kind(tr, "init")
-                 if tr.events[eid]["node"] == "ii"]
-        assert len(inits) == 1 and tr.stage_of[inits[0]] == 3
+                 if events[eid]["node"] == "ii"]
+        assert len(inits) == 1 and stage_of(tr)[inits[0]] == 3
         # same-stage restart: fresh follower and a use above the refuser
         assert r.xi[(0, 0)].use > conv.use
         assert not r.xi[(0, 0)].wants
-        redecl = [tr.events[eid] for eid in by_kind(tr, "declare")
-                  if tr.events[eid].get("what") == "delta"]
+        redecl = [events[eid] for eid in by_kind(tr, "declare")
+                  if events[eid].get("what") == "delta"]
         assert int(redecl[-1]["u"]) == r.xi[(0, 0)].use
         assert r._xi_inits[(0, 0)] == [3]
         assert by_kind(r.trace, "enumerate") == []
@@ -695,7 +701,7 @@ class TestFaultInjection:
                                "golden-nonlow-alpha.trace")) as fh:
             golden = RunTrace.from_text(fh.read())
         tr = RunTrace(golden.construction, golden.stages)
-        for eid, (s, p) in enumerate(zip(golden.stage_of, golden.events)):
+        for eid, (s, p) in enumerate(zip(stage_of(golden), golden.events)):
             for stage, kind, payload in edit(eid, s, p):
                 tr.emit(stage, kind, **payload)
         tr.finalize(golden.summary)
@@ -721,7 +727,7 @@ class TestFaultInjection:
         # of the stage-4 hit; the witness is the stage
         tr = RunTrace("nonlow-alpha", 7)
         synthetic = synthetic_descent_trace()
-        for s, payload in zip(synthetic.stage_of, synthetic.events):
+        for s, payload in zip(stage_of(synthetic), synthetic.events):
             p = dict(payload)
             if payload.kind == "enumerate" and s == 6:
                 p["marker"] = "4"

@@ -15,7 +15,7 @@ from injurylab import nonlow_low2 as nl
 from injurylab.cli import reduce_summary, replay_of
 from injurylab.trace import ConfigError, RunTrace
 
-from stage_maps import stage_lengths
+from stage_maps import stage_lengths, stage_of
 from test_golden import run_golden
 
 
@@ -193,16 +193,17 @@ class TestRunBasics:
         # stage 2: P node gets follower 1, wants pick, is selected, picks 2
         # stages 3+: psi still 0 and use held, so fin redeclares each visit
         tr = nl.run({0: scripted()}, {}, 10)
-        picks = [eid for eid, p in enumerate(tr.events)
+        events, stages = tr.events, stage_of(tr)
+        picks = [eid for eid, p in enumerate(events)
                  if p.kind == "declare" and p.get("act") == "pick"]
-        enums = [p for p in tr.events if p.kind == "enumerate"]
+        enums = [p for p in events if p.kind == "enumerate"]
         assert len(picks) == 1 and not enums
-        assert tr.stage_of[picks[0]] == 2
-        assert tr.events[picks[0]] == {"node": "f", "y": "1", "u": "2"} | {
+        assert stages[picks[0]] == 2
+        assert events[picks[0]] == {"node": "f", "y": "1", "u": "2"} | {
             "what": "gamma", "act": "pick"}
-        fins = [eid for eid, p in enumerate(tr.events)
+        fins = [eid for eid, p in enumerate(events)
                 if p.kind == "declare" and p.get("act") == "fin"]
-        assert [tr.stage_of[eid] for eid in fins] == list(range(3, 10))
+        assert [stages[eid] for eid in fins] == list(range(3, 10))
         assert tr.summary == {"A": "-", "node.f": "1:2"}
 
     def test_flip_every_stage(self):
@@ -211,7 +212,7 @@ class TestRunBasics:
         for x in range(6):
             fn.configure(x, first=x + 1, delay=0)
         tr = nl.run({0: psi}, {0: fn}, 50)
-        events = list(zip(tr.stage_of, tr.events))
+        events = list(zip(stage_of(tr), tr.events))
         enums = [(s, p) for s, p in events if p.kind == "enumerate"]
         assert enums
         picks = {}
@@ -345,11 +346,12 @@ class TestVerifier:
         psis, funs = dense_low()
         tr = nl.run(psis, funs, 160, seed=0)
         r = nl._Replay(tr)
-        enum_stages = {s for s, p in zip(tr.stage_of, tr.events)
+        events = tr.events
+        enum_stages = {s for s, p in zip(stage_of(tr), events)
                        if p.kind == "enumerate"}
         for eid, s, e, x, node, elem in r.injuries:
             assert s in enum_stages
-            assert elem < int(tr.events[eid]["use"])
+            assert elem < int(events[eid]["use"])
 
 
 def injury_stage(tr, s, injurer, x, l, path=("-", "i"), element=3, use=5):

@@ -23,7 +23,7 @@ from injurylab.functional import Engine
 from injurylab.scenario import load_scenario
 from injurylab.trace import RunTrace
 
-from stage_maps import tree_paths
+from stage_maps import stage_of, tree_paths
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
@@ -173,7 +173,7 @@ def test_length_at_its_cap_is_walked():
                        + "".join(f"fun 0 arg {x} first 1\n"
                                  for x in range(40)))
     trace, copied = assert_matches_plain(sc)
-    capped = {s for s, p in zip(trace.stage_of, trace.events)
+    capped = {s for s, p in zip(stage_of(trace), trace.events)
               if p.kind == "visit" and p.get("l") == str(s)}
     assert len(capped) > 30
     assert not copied & {s + 1 for s in capped}
@@ -188,7 +188,7 @@ def test_watcher_coming_into_play_is_walked():
                        "fun 0 arg 0 first 9\nfun 1 arg 1 first 9\n"
                        "fun 2 arg 2 first 0\n")
     trace, copied = assert_matches_plain(sc)
-    activation = [s for s, p in zip(trace.stage_of, trace.events)
+    activation = [s for s, p in zip(stage_of(trace), trace.events)
                   if p.kind == "qlist-set" and p["e"] == "2"]
     assert activation == [2] and 2 not in copied and copied
 
@@ -204,7 +204,7 @@ def test_run_ends_at_a_delayed_reconvergence():
                        + steps("f0", 600, 1, " marker 3"))
     trace, runs = copying(sc)
     assert trace.digest() == plain(sc).digest()
-    back = [s for s, p in zip(trace.stage_of, trace.events)
+    back = [s for s, p in zip(stage_of(trace), trace.events)
             if p.kind == "inject-converge" and p["e"] == "0" and s > 600]
     assert back == [640]
     # the run takes in stage 640, whose functional step brings the new

@@ -1,9 +1,11 @@
 """One replay per verdict: the command builds each trace's replay once and
 every consumer reads it, with the same verdicts as a fresh replay.  The
-replay is also the one reader of the events: it derives the terminal
-summary that the self-consistency check compares."""
+replay is also the one reader of the events: it reads each stored event
+once and derives the terminal summary that the self-consistency check
+compares."""
 
 import collections
+import glob
 import io
 import os
 
@@ -16,6 +18,7 @@ from injurylab.constructions import CONSTRUCTIONS
 from injurylab.scenario import ScenarioError, load_scenario
 from injurylab.trace import ConfigError, RunTrace, payload_error
 
+from stage_maps import stage_of
 from test_golden import FIX, NAMES, SCEN, run_golden
 
 SHIPPED = {"nonlow-low2": "nonlow-low2-random.txt",
@@ -134,26 +137,19 @@ class CountingList(list):
         return super().__getitem__(i)
 
 
-def copied_events(trace) -> set:
-    """The ids of the events that the trace's recorded runs copied."""
-    return {eid for at, first, stop, start, end in trace.repeats
-            for eid in range(at, at + (stop - first) * (end - start))}
-
-
 def read_once(trace) -> bool:
-    """Whether the events, a CountingList, were read as a replay reads
-    them: each event outside a recorded run once, and no event that a
-    run copied."""
-    return trace.events.reads == dict.fromkeys(
-        set(range(len(trace.events))) - copied_events(trace), 1)
+    """Whether the stored events, a CountingList, were read as a replay
+    reads them: every stored event exactly once.  A recorded run is read
+    from its template, whose stored events are read once with it."""
+    return trace.stored.reads == dict.fromkeys(range(len(trace.stored)), 1)
 
 
 @pytest.mark.parametrize("name", NAMES)
 def test_replay_is_the_only_pass_over_the_events(name):
-    # the replay reads each event outside a recorded run once; the checks,
-    # worst_ratio and the report lines read only what it derived
+    # the replay reads each stored event once; the checks, worst_ratio and
+    # the report lines read only what it derived
     sc, trace, psis = run_golden(name)
-    trace.events = CountingList(trace.events)
+    trace.stored = CountingList(trace.stored)
     replay = replay_of(trace)
     assert read_once(trace)
     checks = checks_for(trace, replay, sc, psis)
@@ -164,13 +160,13 @@ def test_replay_is_the_only_pass_over_the_events(name):
 
 def count_passes(monkeypatch):
     """List that grows by each trace the command builds a replay for, its
-    events kept in a CountingList from then on: the engine that wrote
-    them and the parser that read them are done."""
+    stored events kept in a CountingList from then on: the engine that
+    wrote them and the parser that read them are done."""
     made = []
     build = cli.replay_of
 
     def counting(trace):
-        trace.events = CountingList(trace.events)
+        trace.stored = CountingList(trace.stored)
         made.append(trace)
         return build(trace)
     monkeypatch.setattr(cli, "replay_of", counting)
@@ -198,17 +194,16 @@ def test_run_reads_the_events_once(monkeypatch, construction):
 @pytest.mark.parametrize("construction", sorted(SHIPPED))
 def test_campaign_digest_reads_no_copied_event(monkeypatch, construction):
     # the replay and the checks, and then the digest, which renders a
-    # copied run from its template stage, each read no event that a
-    # recorded run copied, and every other event once
+    # copied run from its template, each read every stored event once
     made = count_passes(monkeypatch)
     read = []  # each seed's digest reads
     real = cli.digest
 
     def counting(trace):
         assert read_once(trace)
-        trace.events.reads.clear()
+        trace.stored.reads.clear()
         out = real(trace)
-        read.append(dict(trace.events.reads))
+        read.append(dict(trace.stored.reads))
         return out
     monkeypatch.setattr(cli, "digest", counting)
     code, text = run_cli(["campaign", "--scenario",
@@ -217,10 +212,30 @@ def test_campaign_digest_reads_no_copied_event(monkeypatch, construction):
     assert code == 0, text
     assert len(made) == len(read) == 2
     for trace, reads in zip(made, read):
-        copied = copied_events(trace)
-        assert copied, "the seed copies no run"
-        assert reads == dict.fromkeys(
-            set(range(len(trace.events))) - copied, 1)
+        assert trace.repeats, "the seed copies no run"
+        assert reads == dict.fromkeys(range(len(trace.stored)), 1)
+
+
+SHAPES = sorted(glob.glob(os.path.join(SCEN, os.pardir, "bench",
+                                       "scenarios", "*.txt")))
+
+
+@pytest.mark.parametrize("path", [os.path.join(SCEN, name + ".txt")
+                                  for name in NAMES] + SHAPES,
+                         ids=os.path.basename)
+def test_no_command_expands_a_trace(monkeypatch, tmp_path, path):
+    # RunTrace.events lists every copied event; run, campaign and
+    # verify-trace read a trace only as stored events and recorded runs
+    def refuse(trace):
+        raise AssertionError("a trace was expanded")
+    monkeypatch.setattr(RunTrace, "events", property(refuse))
+    stages = [] if path not in SHAPES else ["--stages", "2000"]
+    written = str(tmp_path / "run.trace")
+    for argv in (["run", "--scenario", path, "--trace", written] + stages,
+                 ["campaign", "--scenario", path, "--seeds", "2"] + stages,
+                 ["verify-trace", "--trace", written]):
+        code, text = run_cli(argv)
+        assert code == 0, text
 
 
 # -- the replay-derived summary against the stateless reducer ----------
@@ -285,13 +300,14 @@ def test_replay_summary_matches_oracle_with_a_line_dropped(name):
     trace = golden(name)
     assert reduce_summary(replay_of(trace)) == oracle_summary(trace) \
         == trace.summary
-    events, stages = list(trace.events), list(trace.stage_of)
-    trace.repeats = []  # the runs it records would not fit the columns
+    # every event stored, with no recorded run, so that any one can go
+    events, stages = trace.events, stage_of(trace)
+    trace.repeats = []
     dropped = 0
     for i, p in enumerate(events):
         if p.kind in ("enumerate", "declare", "init"):
-            trace.events = events[:i] + events[i + 1:]
-            trace.stage_of = stages[:i] + stages[i + 1:]
+            trace.stored = events[:i] + events[i + 1:]
+            trace.stored_stage = stages[:i] + stages[i + 1:]
             assert_replay_matches_oracle(trace)
             dropped += 1
     assert dropped

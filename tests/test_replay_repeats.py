@@ -1,7 +1,9 @@
 """The replays read each recorded run of copied stages from its template
 (``trace.blocks``): a run of quiet payloads once, at its first stage,
 whose stage facts then hold for the whole run; a run whose template acts,
-stage by stage.  No event a run copied is read.
+or that starts at a stage a block before it reached, stage by stage.  A
+trace stores no copied event, and the replays read each stored event
+once.
 
 The reference here rebuilds a trace with a fresh payload per event and
 no recorded run, so that every stage is read in full, event by event.
@@ -12,6 +14,7 @@ reference.  The stage-keyed facts are compared stage by stage.
 """
 
 import glob
+import hashlib
 import os
 
 import pytest
@@ -20,10 +23,11 @@ from injurylab.cli import checks_for, replay_of
 from injurylab.scenario import load_scenario
 from injurylab.trace import Payload, RunTrace
 
-from stage_maps import stage_lengths, stage_paths
+from stage_maps import runs, stage_lengths, stage_of, stage_paths
 from test_golden import FIX, NAMES
 from test_repeat import LATE, LOW_ALPHA, steps
-from test_replay import CountingList, copied_events
+from test_replay import CountingList
+from test_trace import contents, oracle_from_text, oracle_to_text
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
@@ -31,11 +35,11 @@ SHAPES = sorted(glob.glob(os.path.join(ROOT, "bench", "scenarios", "*.txt")))
 
 
 def per_event(trace: RunTrace) -> RunTrace:
-    """A copy of trace with a payload of its own for each event, and no
-    recorded run."""
+    """A copy of trace with a payload of its own for each event, each
+    event stored, and no recorded run."""
     out = RunTrace(trace.construction, trace.stages)
-    out.events = [Payload(p.kind, p.items()) for p in trace.events]
-    out.stage_of = list(trace.stage_of)
+    out.stored = [Payload(p.kind, p.items()) for p in trace.events]
+    out.stored_stage = stage_of(trace)
     out.summary = dict(trace.summary)
     return out
 
@@ -131,10 +135,10 @@ def test_an_init_in_a_repeated_stage_is_read():
         text = fh.read()
     trace = RunTrace.from_text(text)
     eid, first, stop, start, end = next(
-        run for run in trace.repeats
-        if "visit node=f" in [p.tail for p in trace.events[run[3]:run[4]]])
+        run for run in runs(trace)
+        if "visit node=f" in [p.tail for p in trace.stored[run[3]:run[4]]])
     lines = text.splitlines()
-    at = 1 + eid + [p.tail for p in trace.events[start:end]].index(
+    at = 1 + eid + [p.tail for p in trace.stored[start:end]].index(
         "visit node=f")
     assert lines[at] == f"{at - 1} {first} visit node=f"
     lines[at] = f"{at - 1} {first} init node=f"
@@ -194,10 +198,10 @@ def test_a_repeated_fin_declaration_of_a_watcher_is_read():
 def ends_with_injects(trace) -> bool:
     """Whether a recorded run's last stage goes on with inject-* events
     after its copies."""
-    events, stage_of = trace.events, trace.stage_of
-    for eid, first, stop, start, end in trace.repeats:
+    events, stages = trace.events, stage_of(trace)
+    for eid, first, stop, start, end in runs(trace):
         after = eid + (stop - first) * (end - start)
-        if after < len(events) and stage_of[after] == stop - 1 \
+        if after < len(events) and stages[after] == stop - 1 \
                 and events[after].kind.startswith("inject-"):
             return True
     return False
@@ -255,21 +259,71 @@ def test_a_run_on_an_earlier_template_matches_reference():
     assert replay.path(9) == (0, 0) and replay.path(10) == (1,)
 
 
+# the trace that run_at_the_last_stage builds: its second run starts at
+# stage 3, the last stage of its first run, on another template
+LAST_STAGE_TEXT = """trace nonlow-low2 stages=6
+0 0 visit node=- l=2
+1 1 visit node=- l=1
+2 1 visit node=f
+3 2 visit node=- l=1
+4 2 visit node=f
+5 3 visit node=- l=1
+6 3 visit node=f
+7 3 visit node=- l=2
+8 4 visit node=- l=2
+9 5 visit node=- l=2
+summary A -
+"""
+
+
+def run_at_the_last_stage() -> RunTrace:
+    """A two-level trace whose second run starts at the last stage of the
+    first, on the template of stage 0: stage 3 holds both templates, and
+    stages 4 and 5 the second alone."""
+    trace = RunTrace("nonlow-low2", 6)
+    trace.emit(0, "visit", node="-", l=2)
+    trace.emit(1, "visit", node="-", l=1)
+    trace.emit(1, "visit", node="f")
+    trace.repeat(2, 4, 1, 3)
+    trace.repeat(3, 6, 0, 1)
+    trace.finalize({"A": "-"})
+    return trace
+
+
+@pytest.mark.parametrize("source", ["repeat", "text"])
+def test_a_run_at_the_last_stage_of_the_one_before(source):
+    # blocks must read stage 3 of the second run as a stage that goes on,
+    # not one the run opens, though the stored event before the run is at
+    # stage 1
+    trace = (run_at_the_last_stage() if source == "repeat"
+             else RunTrace.from_text(LAST_STAGE_TEXT))
+    reference = oracle_from_text(LAST_STAGE_TEXT)
+    assert contents(trace) == contents(reference)
+    assert trace.to_text() == oracle_to_text(reference) == LAST_STAGE_TEXT
+    assert trace.digest() == \
+        hashlib.sha256(LAST_STAGE_TEXT.encode()).hexdigest()
+    replay = assert_matches_reference(trace)
+    assert [replay.path(s) for s in range(6)] == [(), (1,), (1,), (1,), (),
+                                                   ()]
+    assert [replay.length(s, ()) for s in range(6)] == [2, 1, 1, 2, 2, 2]
+
+
 # -- what a replay costs ------------------------------------------------
 
 
 def test_replay_cost_does_not_grow_with_the_stage_budget():
     # the low2 bench shape settles well before stage 2,000, so a longer
-    # budget only lengthens its last run
+    # budget only lengthens its last run: the trace stores as many events,
+    # and the replay reads each of them once
     path = os.path.join(ROOT, "bench", "scenarios", "campaign-low2.txt")
     seen = []
     for stages in (2_000, 20_000):
         _, trace, _ = run(path, 0, stages)
-        trace.events = CountingList(trace.events)
+        trace.stored = CountingList(trace.stored)
         replay = replay_of(trace)
-        reads = trace.events.reads
-        assert max(reads.values()) == 1
-        assert not copied_events(trace) & set(reads)
-        seen.append((sum(reads.values()), len(replay.stage_facts),
+        reads = trace.stored.reads
+        assert reads == dict.fromkeys(range(len(trace.stored)), 1)
+        seen.append((len(trace.stored), len(trace.stored_stage),
+                     len(trace.repeats), len(replay.stage_facts),
                      sum(len(f[3]) for f in replay.stage_facts)))
     assert seen[0] == seen[1]

@@ -1,8 +1,8 @@
-"""The trace layer: payloads interned per trace and read-only, events
-kept as two columns with no object of their own, the text round trip,
-the parser against the per-line parser it replaced, on the goldens and
-on traces with long runs of repeated stages, and the run-aware writer
-against the per-line renderer it replaced."""
+"""The trace layer: payloads interned per trace and read-only, each event
+stored once with no object of its own and a run of copied stages kept as
+its record, the text round trip, the parser against the per-line parser
+it replaced, on the goldens and on traces with long runs of repeated
+stages, and the writer against the per-line renderer it replaced."""
 
 import functools
 import gc
@@ -20,6 +20,7 @@ from injurylab.cli import digest, main
 from injurylab.scenario import load_scenario
 from injurylab.trace import EVENT_KINDS, ConfigError, Payload, RunTrace
 
+from stage_maps import runs, stage_of
 from test_acceptance import _low2_seed
 from test_golden import NAMES, run_golden
 from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
@@ -28,8 +29,8 @@ from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
 
 def oracle_from_text(text: str) -> RunTrace:
     """The parser that split every line and built a fresh payload dict
-    for every event, shared with no other: the reference the interning
-    parser must match."""
+    for every event, shared with no other, and stored every event, with
+    no recorded run: the reference the interning parser must match."""
     trace = None
     last_stage = 0
     for lineno, ln in enumerate(text.splitlines(), 1):
@@ -57,9 +58,9 @@ def oracle_from_text(text: str) -> RunTrace:
         if kind not in EVENT_KINDS:
             raise ConfigError(f"line {lineno}: unknown event kind "
                               f"{kind!r}")
-        if eid != len(trace.events):
+        if eid != len(trace.stored):
             raise ConfigError(f"line {lineno}: event id {eid} out of "
-                              f"sequence, expected {len(trace.events)}")
+                              f"sequence, expected {len(trace.stored)}")
         if stage < last_stage:
             raise ConfigError(f"line {lineno}: stage {stage} after "
                               f"stage {last_stage}")
@@ -67,8 +68,8 @@ def oracle_from_text(text: str) -> RunTrace:
             raise ConfigError(f"line {lineno}: stage {stage} past "
                               f"stages={trace.stages}")
         last_stage = stage
-        trace.events.append(payload)
-        trace.stage_of.append(stage)
+        trace.stored.append(payload)
+        trace.stored_stage.append(stage)
     if trace is None:
         raise ConfigError("missing trace header")
     return trace
@@ -78,7 +79,7 @@ def oracle_to_text(trace: RunTrace) -> str:
     """The text form rendered line by line, token by token from each
     event's payload: the reference the run-aware writer must match."""
     lines = [f"trace {trace.construction} stages={trace.stages}"]
-    for eid, (stage, p) in enumerate(zip(trace.stage_of, trace.events)):
+    for eid, (stage, p) in enumerate(zip(stage_of(trace), trace.events)):
         lines.append(" ".join([str(eid), str(stage), p.kind]
                               + [f"{k}={v}" for k, v in p.items()]))
     lines += [f"summary {k} {v}" for k, v in sorted(trace.summary.items())]
@@ -90,7 +91,7 @@ def contents(t):
     included."""
     return (t.construction, t.stages, t.summary,
             [(eid, stage, p.kind, list(p.items()))
-             for eid, (stage, p) in enumerate(zip(t.stage_of, t.events))])
+             for eid, (stage, p) in enumerate(zip(stage_of(t), t.events))])
 
 
 def parsed(parse, text):
@@ -147,9 +148,9 @@ def test_payloads_refuse_mutation(mutate):
 def shared_payloads(trace):
     """The ids of the trace's payload objects, checking that the trace has
     one per distinct kind and payload text."""
-    ids = {id(p) for p in trace.events}
-    assert len(ids) == len({(p.kind, tuple(p.items()))
-                            for p in trace.events})
+    events = trace.events
+    ids = {id(p) for p in events}
+    assert len(ids) == len({(p.kind, tuple(p.items())) for p in events})
     return ids
 
 
@@ -169,10 +170,11 @@ def test_emit_keys_payloads_by_their_text():
     tr = RunTrace("nonlow-low2", 1)
     for value in (1, "1", True, 1.0, 0.0, -0.0):
         tr.emit(0, "visit", node="-", x=value)
-    assert [p.tail for p in tr.events] == [
+    events = tr.events
+    assert [p.tail for p in events] == [
         f"visit node=- x={v}" for v in ("1", "1", "True", "1.0", "0.0",
                                         "-0.0")]
-    assert tr.events[0] is tr.events[1]
+    assert events[0] is events[1]
     assert len(shared_payloads(tr)) == 5
 
 
@@ -180,7 +182,7 @@ def test_emit_rejects_an_unknown_kind():
     tr = RunTrace("nonlow-low2", 1)
     with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
         tr.emit(0, "bogus", node="-")
-    assert tr.events == tr.stage_of == []
+    assert tr.stored == tr.stored_stage == [] == tr.events
 
 
 def tracked_growth(build):
@@ -200,13 +202,14 @@ def test_events_cost_no_object_of_their_own():
     # own lists and dicts and interpreter objects made or freed meanwhile.
     text = _low2_seed(0)[0].to_text()
     trace, grown = tracked_growth(lambda: RunTrace.from_text(text))
-    distinct = len({id(p) for p in trace.events})
-    assert len(trace.events) > 60_000 and distinct < 200
+    events = trace.events
+    distinct = len({id(p) for p in events})
+    assert len(events) > 60_000 and distinct < 200
     assert grown <= distinct + 50
 
     def emit_all():
         copy = RunTrace(trace.construction, trace.stages)
-        for s, p in zip(trace.stage_of, trace.events):
+        for s, p in zip(stage_of(trace), events):
             copy.emit(s, p.kind, **p)
         copy.finalize(trace.summary)
         return copy
@@ -232,7 +235,7 @@ def run_trace(name):
 def longest_run(trace):
     """The (first, stop) line indices, in the text, of the trace's
     longest recorded run of copied stages."""
-    eid, first, stop, start, end = max(trace.repeats,
+    eid, first, stop, start, end = max(runs(trace),
                                        key=lambda run: run[2] - run[1])
     return 1 + eid, 1 + eid + (stop - first) * (end - start)
 
@@ -318,10 +321,10 @@ def read_texts(text):
 def assert_shared_by_text(trace, text):
     # events share a payload exactly when their payload texts as read are
     # the same, as when every line went through the per-line path
-    texts = read_texts(text)
-    assert len(texts) == len(trace.events)
-    pairs = set(zip(texts, map(id, trace.events)))
-    assert len(pairs) == len(set(texts)) == len(set(map(id, trace.events)))
+    texts, events = read_texts(text), trace.events
+    assert len(texts) == len(events)
+    pairs = set(zip(texts, map(id, events)))
+    assert len(pairs) == len(set(texts)) == len(set(map(id, events)))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -481,7 +484,7 @@ def engine_runs():
     tr.emit(0, "visit", node="f")
     tr.repeat(1, 5, 1, 3)
     tr.emit(4, "inject-converge", e=0, x=0, use=3, value=1)
-    start = len(tr.events)
+    start = len(tr.stored)
     tr.emit(5, "visit", node="-", l=1)
     tr.emit(5, "declare", node="-", act="fin", u=3)
     tr.repeat(6, 9, start, start + 2)
@@ -489,7 +492,7 @@ def engine_runs():
     tr.emit(29, "inject-diverge", e=0, x=0, use=3)
     tr.emit(29, "inject-converge", e=0, x=0, use=4, value=1)
     tr.emit(30, "visit", node="-", l=1)
-    tr.repeat(31, 40, len(tr.events) - 1, len(tr.events))
+    tr.repeat(31, 40, len(tr.stored) - 1, len(tr.stored))
     tr.finalize({"A": "-", "node.-": "0:3"})
     return tr
 
@@ -498,7 +501,7 @@ def emitted_only():
     """A shipped scenario's trace built again by emit alone: no runs."""
     trace = run_trace("nonlow-low2-random")
     copy = RunTrace(trace.construction, trace.stages)
-    for s, p in zip(trace.stage_of, trace.events):
+    for s, p in zip(stage_of(trace), trace.events):
         copy.emit(s, p.kind, **p)
     copy.finalize(trace.summary)
     assert copy.repeats == []
@@ -509,7 +512,7 @@ def empty_run():
     """A run of stages of no events, which records nothing."""
     trace = load_scenario("construction low-alpha\nalpha w^2\n"
                           "stages 20\n").execute()[0]
-    assert trace.stage_of == [0] and trace.repeats == []
+    assert trace.stored_stage == [0] and trace.repeats == []
     return trace
 
 
@@ -522,16 +525,17 @@ def test_built_traces_write_as_reference(make):
 @st.composite
 def built_traces(draw):
     """A trace built by emit and repeat calls in any order: a repeat
-    copies any events already there, at stages from the current one on,
-    so its template may be anywhere, span stages, or lie in an earlier
-    run, and runs may hold a single line or more than _RUN_LINES."""
+    copies any stored events, at stages from the current one on, so its
+    template may be anywhere and span stages, a run may start at the last
+    stage of the run before it, and runs may hold a single line or more
+    than _RUN_LINES."""
     tr = RunTrace("nonlow-low2", 10**6)
     stage = 0
     for _ in range(draw(st.integers(1, 12))):
         stage += draw(st.integers(0, 2))
-        if tr.events and draw(st.booleans()):
-            start = draw(st.integers(0, len(tr.events) - 1))
-            end = draw(st.integers(start + 1, min(len(tr.events),
+        if tr.stored and draw(st.booleans()):
+            start = draw(st.integers(0, len(tr.stored) - 1))
+            end = draw(st.integers(start + 1, min(len(tr.stored),
                                                   start + 5)))
             stop = stage + draw(st.sampled_from((1, 2, 3, 700, 2100)))
             tr.repeat(stage, stop, start, end)
