@@ -338,9 +338,10 @@ class EtaRhoReplay:
     the length ``l`` of an eta visit included, or with a value it cannot
     parse, a misspelt node name included, raises ConfigError naming the
     event.  The replay is the one pass over the events: the checks and
-    the terminal summary read only what it derives.  A recorded run of
-    quiet payloads is read once (see ``trace.blocks``), and its first
-    stage's path and lengths hold for the whole run."""
+    the terminal summary read only what it derives.  A stage that a
+    recorded run copies, and that holds only quiet payloads, is read once
+    with its copies (see ``trace.blocks``), and its path and lengths hold
+    for the whole run."""
 
     levels: Levels
     _extra = None
@@ -350,8 +351,7 @@ class EtaRhoReplay:
         # [first, stop, path, lengths] per stage or quiet run, in order:
         # the longest node visited (None for none), node -> recorded
         # length; the first stands for a stage without events
-        facts = [-1, 0, None, {}]  # the interval being read
-        self.stage_facts = intervals = [facts]
+        self.stage_facts = intervals = [[-1, 0, None, {}]]
         self.last_init = {}    # node -> last init stage
         self.picks = []        # (eid, stage, rho, y, u, acted_before, held)
         self.injuries = []     # (eid, stage, e, x, injurer, element)
@@ -371,16 +371,9 @@ class EtaRhoReplay:
         pending, diverges = [], []  # this stage's enumerates, lost uses
         try:
             for s, start, block, copies in blocks(trace):
-                if s >= facts[1]:  # the stage before is read
-                    self._close_stage(pending, diverges)
-                    pending, diverges = [], []
-                    facts = [s, s + 1, None, {}]
-                    intervals.append(facts)
-                elif facts[0] < s:  # the last stage of a run goes on
-                    facts[1] = s
-                    facts = [s, s + 1, facts[2], dict(facts[3])]
-                    intervals.append(facts)
-                path, lengths, seen = facts[2], facts[3], visits
+                self._close_stage(pending, diverges)  # the stage before
+                pending, diverges = [], []
+                path, lengths, seen = None, {}, visits
                 for eid, p in enumerate(block, start):
                     kind = p.kind
                     if kind == "visit":
@@ -431,9 +424,8 @@ class EtaRhoReplay:
                     elif kind == "inject-converge":
                         self.phi.setdefault((int(p["e"]), int(p["x"])),
                                             []).append((s, int(p["use"])))
-                facts[2] = path
-                # a quiet run's other stages repeat this one's facts
-                facts[1] += copies
+                # a quiet run's copies repeat this stage's facts
+                intervals.append([s, s + copies + 1, path, lengths])
                 visits += (visits - seen) * copies
             self._close_stage(pending, diverges)
         except (KeyError, ValueError) as ex:

@@ -106,15 +106,14 @@ class Engine:
     through ``_ask``.  The walk returns True when it played the stage in
     full: the tree at full depth, every requirement in play, no eta
     expansionary and no length at its cap.  Such a stage is quiet when it
-    also emitted only quiet payloads (``Payload.quiet``), and the
-    functional step after it emitted nothing.  Every input of the next
-    stage is then the same as the quiet stage's, except the opponents'
-    answers and the functional runs' own waits: so up to the first stage
-    at which one of those can change (``_quiet_until``), every stage
-    would emit the same payloads, and the loop records them as one run
-    (``RunTrace.repeat``) instead of walking, and keeps no other state.
-    The last copied stage still runs its functional step, which may
-    change a computation; the stage after it is walked.  The opponents
+    and the functional step after it emitted at least one event, and only
+    quiet payloads (``Payload.quiet``).  Every input of the next stage is
+    then the same as the quiet stage's, except the opponents' answers and
+    the functional runs' own waits: so up to the first stage at which one
+    of those can change (``_quiet_until``), every stage would emit the
+    same payloads, and the loop records them as one run of the quiet
+    stage (``RunTrace.repeat``) instead of walking, and keeps no other
+    state.  The stage where the change can land is walked.  The opponents
     answer from their argument and stage alone, so skipping a walk
     changes no draw."""
 
@@ -122,26 +121,21 @@ class Engine:
         trace = self.trace
         stored = trace.stored
         runs = self.runs.values()
-        quiet = None  # (first stored event, end, queries) of the quiet stage
         s = 0
         while s < self.stages:
-            t = s if quiet is None else self._quiet_until(quiet[2], s)
-            if t > s:  # stages s..t-1 repeat the quiet stage
-                trace.repeat(s, t, quiet[0], quiet[1])
-                for run in runs:
-                    run.idle(t - 2)
-                s = t - 1
-            else:
-                self._asked = asked = []
-                start = len(stored)
-                full = self._walk(s)
-                quiet = (start, len(stored), asked) if full and all(
-                    p.quiet for p in stored[start:]) else None
-            end = len(stored)
+            self._asked = asked = []
+            start = len(stored)
+            full = self._walk(s)
             self._advance_functionals(s)
-            if len(stored) != end:
-                quiet = None
             s += 1
+            if full and start < len(stored) and all(
+                    p.quiet for p in stored[start:]):
+                t = self._quiet_until(asked, s)
+                if t > s:  # stages s..t-1 repeat the quiet stage
+                    trace.repeat(t)
+                    for run in runs:
+                        run.idle(t - 1)
+                    s = t
         elems = sorted(e for _, e in self.A.events)
         summary = {"A": ",".join(str(x) for x in elems) or "-"}
         self._summary(summary)
@@ -149,15 +143,14 @@ class Engine:
         return trace
 
     def _quiet_until(self, asked, s: int) -> int:
-        """The first stage from s on whose walk can differ from the quiet
-        stage's, s - 1 being the last stage played: one at which a query
+        """The first stage from s on whose walk or functional step can
+        differ from the quiet stage s - 1's: one at which a query
         (opponent, x, answer) of the quiet stage gets another answer, or
-        the stage after a functional run's next change, since a run
-        changes in the step at the end of a stage, after its walk; the
-        stage budget when there is none."""
+        a functional run's next change; the stage budget when there is
+        none."""
         t = self.stages
         for run in self.runs.values():
-            t = min(t, run.next_change() + 1)
+            t = min(t, run.next_change())
         for adv, x, _ in asked:
             t = adv.next_change(x, s - 1, t)
         return t

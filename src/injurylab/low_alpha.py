@@ -164,9 +164,10 @@ class _LowReplay:
     """Verifier view of a trace, its summary included, rebuilt from the
     event stream alone.  An event without a payload key the replay reads,
     or with a value it cannot parse, raises ConfigError naming the event.
-    A recorded run of visits is read once (see ``trace.blocks``), and
-    moves each guess seen to its last stage; a delta declaration counts
-    per stage, so any other run is read stage by stage."""
+    A stage of visits alone that a recorded run copies is read once with
+    its copies (see ``trace.blocks``), and moves each guess seen to the
+    run's last stage; a delta declaration counts per stage, so any other
+    run is read stage by stage."""
 
     def __init__(self, trace: RunTrace):
         self.alpha = None

@@ -2,26 +2,27 @@
 
 A trace stores each event once: the events that ``emit`` and
 ``from_text`` append, in two columns of payloads and stages, and each run
-of copied stages only as its record, whose template is a span of stored
-events.  So an event id is no column index: ``blocks`` interleaves the
-stored events with the runs and numbers the ids, and the writer and the
-replays read through it, each run from its template.  A payload carries
-its kind, a flat string mapping and its rendered line tail.  Payloads are
-interned per trace: all events of one trace with the same kind and
-payload text share one read-only payload, so emitting, writing and
-parsing a trace build and render each distinct payload once, and no
-event costs an object of its own.  No table outlives its trace.  The text
-form is line-oriented and canonical, so a cryptographic digest of it is a
-stable fingerprint of a run; the digest hashes the chunks as they are
-rendered, never the whole text.  A replay re-derives the terminal summary
-in its one pass over the events, which gives the self-consistency check.
+of copied stages only as its record.  A run copies the last stored stage
+whole to each stage after it up to its stop, so a stage is either stored
+or copied, never both.  An event id is no column index: ``blocks`` reads
+each stored stage with its copies and numbers the ids, and the writer
+and the replays read through it.  A payload carries its kind, a flat
+string mapping and its rendered line tail.  Payloads are interned per
+trace: all events of one trace with the same kind and payload text share
+one read-only payload, so emitting, writing and parsing a trace build
+and render each distinct payload once, and no event costs an object of
+its own.  No table outlives its trace.  The text form is line-oriented
+and canonical, so a cryptographic digest of it is a stable fingerprint
+of a run; the digest hashes the chunks as they are rendered, never the
+whole text.  A replay re-derives the terminal summary in its one pass
+over the events, which gives the self-consistency check.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import attrgetter, ne
 
 
@@ -82,17 +83,17 @@ class RunTrace:
     """A run's events and its terminal summary.  Each event is stored
     once: ``stored`` and ``stored_stage`` hold the payload and the stage
     of each event that ``emit`` or ``from_text`` appended, and
-    ``repeats`` each run of stages that ``repeat`` copied, as its record
-    alone.  ``blocks`` reads the two in event-id order."""
+    ``repeats`` each run that ``repeat`` copied, as its record alone.
+    ``blocks`` reads the two in event-id order."""
 
     def __init__(self, construction: str, stages: int):
         self.construction = construction
         self.stages = stages
         self.stored = []        # stored event -> its shared payload
         self.stored_stage = []  # stored event -> its stage
-        # each copied run as (the events stored before it, first, stop,
-        # start, end): stages first..stop-1 repeat stored events start..end-1
-        self.repeats = []
+        # the events stored before each run -> its stop: the last stored
+        # stage is copied to each stage after it up to stop - 1
+        self.repeats = {}
         self.summary = {}
         # (kind, keys, value texts) -> the one payload of that kind and text
         self._payloads = {}
@@ -112,13 +113,11 @@ class RunTrace:
         self.stored.append(shared)
         self.stored_stage.append(stage)
 
-    def repeat(self, first: int, stop: int, start: int, end: int) -> None:
-        """Copy the payloads of stored events start..end-1, in order, to
-        each stage first..stop-1, after the events stored so far.  The run
-        is kept as its record in ``repeats`` alone, and none if it copies
-        no event (a quiet stage can be empty)."""
-        if start < end:
-            self.repeats.append((len(self.stored), first, stop, start, end))
+    def repeat(self, stop: int) -> None:
+        """Copy the last stored stage whole to each stage after it up to
+        stop - 1, at least one, kept as the run's record in ``repeats``
+        alone.  The next event goes at stop or later."""
+        self.repeats[len(self.stored)] = stop
 
     @property
     def events(self) -> list:
@@ -137,9 +136,10 @@ class RunTrace:
 
     def _chunks(self):
         """The text form in pieces of whole lines, read through
-        ``blocks``: stored stages line by line, yielded once _RUN_LINES
-        lines gather, and a run from its template with _run_text, at most
-        _RUN_LINES lines a piece, so no copy is ever built."""
+        ``blocks``: a stage without copies line by line, yielded once
+        _RUN_LINES lines gather, and a stage with its copies with
+        _run_text, at most _RUN_LINES lines a piece, so no copy is ever
+        built."""
         yield f"trace {self.construction} stages={self.stages}\n"
         lines = []  # the lines of the stored stages not yet yielded
         for s, eid, block, copies in blocks(self, lambda p: True):
@@ -177,18 +177,18 @@ class RunTrace:
         Where a line opens the next stage with the payload that opened
         the last one, the parser first asks ``_repeated_stages`` how many
         stages from that line on repeat the last one, and records them
-        as one run, with the last stage's stored events as its template;
-        event ids go on past the run's copies.  Such a stage holds the
-        last stage's payload texts as read, in order, at the next stage
-        number and the next event ids, each line exactly
-        ``eid stage text``.  Every such line is
-        one the per-line path accepts with the same payload: its id is
-        the next one, its stage follows the last and is below the
-        header's count, and its text is one already read, so it gets
-        that text's shared payload.  A stage that differs in any
-        character, a blank or summary line in it included, goes through
-        the per-line path, so errors keep their text and line number.
-        The stage after a run is not tried again: the run ended there."""
+        as one run of it; event ids go on past the run's copies.  Such a
+        stage holds the last stage's payload texts as read, in order, at
+        the next stage number and the next event ids, each line exactly
+        ``eid stage text``.  Every such line is one the per-line path
+        accepts with the same payload: its id is the next one, its stage
+        follows the last and is below the header's count, and its text is
+        one already read, so it gets that text's shared payload.  A run
+        holds whole stages: where the next line that is not blank goes on
+        at its last stage, that stage leaves the run.  A stage that
+        differs in any character, a blank or summary line in it included,
+        goes through the per-line path, so errors keep their text and line
+        number.  The stage after a run is not tried again: it ended there."""
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
         texts = {}  # id of a payload -> the text it was parsed from
@@ -247,8 +247,7 @@ class RunTrace:
                                               bound - stage)
                     if copies:
                         size = len(stored) - start
-                        trace.repeat(stage, stage + copies, start,
-                                     len(stored))
+                        trace.repeat(stage + copies)
                         copied += copies * size
                         # the run's other lines are read; start moves past
                         # the run, so the stage after it is not tried again
@@ -302,15 +301,16 @@ def _run_text(pieces, eid: int, stage: int, count: int) -> str:
 def _repeated_stages(lines, at: int, eid: int, template, texts,
                      stage: int, most: int) -> int:
     """How many of the stages that lines[at:] opens with, at most most,
-    repeat the last stage, whose payloads are template: each holds the
-    texts those payloads were read from (texts maps a payload's id to its
-    text), in order, at stage, stage + 1, ..., with the event ids going
-    on from eid.  It compares chunks of 1, 2, 4, ... stages
-    (at most _RUN_LINES lines) with their rendered text; in the first
-    chunk that differs, the run ends at the stage of the first line that
-    differs.  A stage that differs from the one before mostly differs in
-    its last line, so that line is compared first, before anything is
-    rendered."""
+    repeat the last stage whole, whose payloads are template: each holds
+    the texts those payloads were read from (texts maps a payload's id to
+    its text), in order, at stage, stage + 1, ..., with the event ids
+    going on from eid, and nothing else.  It compares chunks of 1, 2, 4,
+    ... stages (at most _RUN_LINES lines) with their rendered text; in
+    the first chunk that differs, the run ends at the stage of the first
+    line that differs.  The run's last stage leaves it where the next
+    line that is not blank goes on at that stage.  A stage that differs
+    from the one before mostly differs in its last line, so that line is
+    compared first, before anything is rendered."""
     size = len(template)
     last = at + size - 1
     if last >= len(lines) or lines[last] != \
@@ -327,9 +327,19 @@ def _repeated_stages(lines, at: int, eid: int, template, texts,
         if "\n".join(got) != want:
             # got and want hold as many lines, so one of them differs
             differs = map(ne, got, want.split("\n"))
-            return done + list(differs).index(True) // size
+            done += list(differs).index(True) // size
+            break
         done += count
         count = min(2 * count, max(1, _RUN_LINES // size))
+    at += done * size
+    while at < len(lines) and not lines[at].split():
+        at += 1
+    try:
+        word, tok, _ = lines[at].split(None, 2)
+        if word != "summary" and int(tok) == stage + done - 1:
+            return done - 1
+    except (IndexError, ValueError):  # the text's end, or no event line
+        pass
     return done
 
 
@@ -346,39 +356,25 @@ def blocks(trace: RunTrace, quiet=attrgetter("quiet")):
     """The events of trace in id order, as (stage, eid, payloads, copies):
     the payloads are events eid, eid + 1, ... at the given stage, and each
     of the copies stages after it holds them again, at the next ids, and
-    nothing else.  The one reader that interleaves the stored events with
-    the runs; it numbers ids by counting the runs' copies.  Stored events
-    come a stage at a time, a run from its template's payloads: as one
-    block when quiet(p) holds for every one (by default ``Payload.quiet``)
-    and no block before reached its first stage, else a block per stage.
-    A template that is the last block's span reuses its payloads, so no
-    stored event is read twice.  Blocks of one stage can follow each
-    other: an engine's run can end with inject-* events at its last
-    stage, and a built run can start there.  Stages never go backwards:
-    ``from_text`` refuses that and every engine emits in stage order."""
-    stored, stage_of = trace.stored, trace.stored_stage
+    nothing else.  The one reader that numbers event ids, by counting the
+    runs' copies.  Each stored stage comes with the run that copies it, if
+    any: as one block when quiet(p) holds for every payload (by default
+    ``Payload.quiet``), else a block per stage.  Each stored event is read
+    once, and stages go up from block to block."""
+    stored, stage_of, repeats = trace.stored, trace.stored_stage, trace.repeats
     at = copied = 0  # the first stored event not yet read, the copies before
-    last = -1  # the last stage yielded
-    span = block = None  # the stored span of the last block, its payloads
-    # each run, and the trace's end as a run of no stage
-    for pos, first, stop, start, end in chain(
-            trace.repeats, [(len(stored), 0, 0, 0, 0)]):
-        while at < pos:
-            last = stage_of[at]
-            hi = bisect_right(stage_of, last, at, pos)
-            span, block = (at, hi), stored[at:hi]
-            yield last, at + copied, block, 0
-            at = hi
-        if span != (start, end):
-            span, block = (start, end), stored[start:end]
-        eid, size = at + copied, end - start
-        if first < stop and last < first and all(map(quiet, block)):
-            yield first, eid, block, stop - first - 1
+    while at < len(stored):
+        s = stage_of[at]
+        end = bisect_right(stage_of, s, at)
+        block, size, eid = stored[at:end], end - at, at + copied
+        stop = repeats.get(end, s + 1)
+        if stop > s + 1 and all(map(quiet, block)):
+            yield s, eid, block, stop - s - 1
         else:
-            for s in range(first, stop):
-                yield s, eid + (s - first) * size, block, 0
-        last = max(last, stop - 1)
-        copied += (stop - first) * size
+            for t in range(s, stop):
+                yield t, eid + (t - s) * size, block, 0
+        copied += (stop - s - 1) * size
+        at = end
 
 
 class Summary:

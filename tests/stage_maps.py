@@ -7,9 +7,10 @@ each walked stage (``StrategyTree.paths``), which holds up to the next
 walk.  These helpers expand both into the per-stage maps the replays and
 the tree once kept, so tests can state what they state of single stages.
 A trace stores each event once and a run of copied stages as its record
-(``RunTrace.repeats``); ``stage_of`` and ``runs`` give the stage of each
-event id and the event id of each run, as the trace's columns once held
-them.
+(``RunTrace.repeats``), which copies the last stored stage whole;
+``stage_of`` and ``runs`` give the stage of each event id and the event
+ids and stages of each run, and ``assert_whole_stages`` that no stored
+event shares a stage with a copy.
 """
 
 from injurylab.trace import blocks
@@ -45,10 +46,23 @@ def stage_of(trace) -> list:
 
 def runs(trace) -> list:
     """The trace's recorded runs as (the event id of its first copied
-    event, first, stop, start, end), start..end being its template's span
-    in the stored columns."""
-    out, copied = [], 0
-    for pos, first, stop, start, end in trace.repeats:
-        out.append((pos + copied, first, stop, start, end))
+    event, first, stop, start, end): stages first..stop-1 copy the stored
+    stage first - 1, whose events are start..end-1 in the stored
+    columns."""
+    out, copied, stages = [], 0, trace.stored_stage
+    for end, stop in trace.repeats.items():
+        first = stages[end - 1] + 1
+        start = stages.index(first - 1)
+        out.append((end + copied, first, stop, start, end))
         copied += (stop - first) * (end - start)
     return out
+
+
+def assert_whole_stages(trace):
+    """No stored event shares a stage with a copy: each run copies a
+    stored stage at least once, and the next stored event comes after
+    its last copy."""
+    stages = trace.stored_stage
+    for end, stop in trace.repeats.items():
+        assert 0 < end and stages[end - 1] + 1 < stop
+        assert end == len(stages) or stages[end] >= stop

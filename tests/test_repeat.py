@@ -1,7 +1,7 @@
 """Quiet stages repeat: after a quiet stage, the run of stages up to the
-first one whose walk can differ is copied in one step instead of walking
-the tree.  A functional run that changes in the step after a copied
-stage ends the run there, so the stage after it is walked.
+first one whose walk or functional step can differ is copied in one step
+instead of walking the tree.  The stage where a functional run changes
+is walked, and its change lands in that stage's functional step.
 
 Each case runs a scenario as shipped and again on the plain loop, where
 ``Engine._quiet_until`` is patched so that no run is copied and every
@@ -23,7 +23,7 @@ from injurylab.functional import Engine
 from injurylab.scenario import load_scenario
 from injurylab.trace import RunTrace
 
-from stage_maps import stage_of, tree_paths
+from stage_maps import assert_whole_stages, stage_of, tree_paths
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
@@ -40,9 +40,9 @@ def copying(sc, seed=None, stages=None):
     runs = []
     repeat = RunTrace.repeat
 
-    def counted(trace, first, stop, start, end):
-        runs.append((first, stop))
-        repeat(trace, first, stop, start, end)
+    def counted(trace, stop):
+        runs.append((trace.stored_stage[-1] + 1, stop))
+        repeat(trace, stop)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RunTrace, "repeat", counted)
@@ -62,6 +62,7 @@ def plain(sc, seed=None, stages=None):
 def assert_matches_plain(sc, seed=None, stages=None):
     trace, runs = copying(sc, seed, stages)
     assert trace.digest() == plain(sc, seed, stages).digest()
+    assert_whole_stages(trace)
     # each run goes on to the first stage whose walk can differ, so the
     # stage after it is walked and the next run starts later
     assert all(stop < first for (_, stop), (first, _) in zip(runs, runs[1:]))
@@ -128,15 +129,16 @@ fun 0 arg 0 first 2
 fun 0 arg 1 first 6
 """
 
-# scenario text -> the stages whose inputs change late
+# scenario text -> the stages whose inputs change late: an opponent's
+# answer, or a functional's computation in the stage's own step
 LATE = {
     "delta2-flip": (LOW2 + steps("p0", 500, 1) + steps("p1", 500, 1),
                     [500]),
-    "late-argument": (LOW2 + "fun 1 arg 1 first 700 delay 3\n", [701]),
+    "late-argument": (LOW2 + "fun 1 arg 1 first 700 delay 3\n", [700]),
     "late-argument-low-alpha": (LOW_ALPHA + "fun 0 arg 1 first 700\n",
-                                [701]),
+                                [700]),
     "late-argument-nonlow-alpha": (COMBINED + "fun 0 arg 2 first 700\n",
-                                   [701]),
+                                   [700]),
     "alternating": ("construction nonlow-low2\nstages 900\n"
                     "adv p0 psi level 0 mode alternating period 37\n"
                     "fun 0 arg 0 first 2\nfun 0 arg 1 first 5\n",
@@ -207,10 +209,10 @@ def test_run_ends_at_a_delayed_reconvergence():
     back = [s for s, p in zip(stage_of(trace), trace.events)
             if p.kind == "inject-converge" and p["e"] == "0" and s > 600]
     assert back == [640]
-    # the run takes in stage 640, whose functional step brings the new
-    # computation, so stage 641 is walked
-    assert (603, 641) in runs
-    assert not any(first <= 641 < stop for first, stop in runs)
+    # the run stops before stage 640, whose functional step brings the
+    # new computation, so stage 640 is walked
+    assert (603, 640) in runs
+    assert not any(first <= 640 < stop for first, stop in runs)
 
 
 @pytest.mark.parametrize("name", sorted(LATE))
@@ -239,3 +241,15 @@ def test_copied_stages_keep_their_paths(path, monkeypatch):
              for e in engines]
     assert paths[0] == paths[1]
     assert paths[0] is None or len(paths[0]) == 2000
+
+
+@pytest.mark.parametrize("text", [
+    "construction low-alpha\nalpha w^2\nstages 40\n",
+    "construction low-alpha\nalpha w^2\nstages 40\nfun 0 arg 0 first 0\n",
+], ids=["no requirement", "a lone watcher"])
+def test_an_empty_walk_starts_no_run(text):
+    # every walk after the phi-sets is played in full and emits nothing;
+    # a run would copy the last stored stage, its phi-sets, so none starts
+    trace, copied = assert_matches_plain(load_scenario(text))
+    assert not copied and not trace.repeats
+    assert trace.events == trace.stored  # no phi-set is copied

@@ -139,8 +139,8 @@ class CountingList(list):
 
 def read_once(trace) -> bool:
     """Whether the stored events, a CountingList, were read as a replay
-    reads them: every stored event exactly once.  A recorded run is read
-    from its template, whose stored events are read once with it."""
+    reads them: every stored event exactly once, a copied stage with the
+    run that copies it."""
     return trace.stored.reads == dict.fromkeys(range(len(trace.stored)), 1)
 
 
@@ -194,7 +194,7 @@ def test_run_reads_the_events_once(monkeypatch, construction):
 @pytest.mark.parametrize("construction", sorted(SHIPPED))
 def test_campaign_digest_reads_no_copied_event(monkeypatch, construction):
     # the replay and the checks, and then the digest, which renders a
-    # copied run from its template, each read every stored event once
+    # copied stage with its run, each read every stored event once
     made = count_passes(monkeypatch)
     read = []  # each seed's digest reads
     real = cli.digest
@@ -302,7 +302,7 @@ def test_replay_summary_matches_oracle_with_a_line_dropped(name):
         == trace.summary
     # every event stored, with no recorded run, so that any one can go
     events, stages = trace.events, stage_of(trace)
-    trace.repeats = []
+    trace.repeats = {}
     dropped = 0
     for i, p in enumerate(events):
         if p.kind in ("enumerate", "declare", "init"):

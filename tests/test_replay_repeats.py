@@ -1,21 +1,22 @@
-"""The replays read each recorded run of copied stages from its template
-(``trace.blocks``): a run of quiet payloads once, at its first stage,
-whose stage facts then hold for the whole run; a run whose template acts,
-or that starts at a stage a block before it reached, stage by stage.  A
-trace stores no copied event, and the replays read each stored event
-once.
+"""The replays read each stored stage with the recorded run that copies
+it (``trace.blocks``): a stage of quiet payloads once with its copies,
+whose stage facts then hold for the whole run; a stage that acts stage
+by stage.  A trace stores no copied event, and the replays read each
+stored event once.
 
 The reference here rebuilds a trace with a fresh payload per event and
 no recorded run, so that every stage is read in full, event by event.
 On every golden fixture, shipped scenario and cut bench shape, and on
-the runs below that end, go on or repeat differently, the shipped
-replay must derive the same facts and the same check results as the
-reference.  The stage-keyed facts are compared stage by stage.
+the texts below whose stages repeat and then go on, or repeat an
+earlier stage, the shipped replay must derive the same facts and the
+same check results as the reference.  The stage-keyed facts are
+compared stage by stage.
 """
 
 import glob
 import hashlib
 import os
+from bisect import bisect_right
 
 import pytest
 
@@ -23,7 +24,8 @@ from injurylab.cli import checks_for, replay_of
 from injurylab.scenario import load_scenario
 from injurylab.trace import Payload, RunTrace
 
-from stage_maps import runs, stage_lengths, stage_of, stage_paths
+from stage_maps import (assert_whole_stages, runs, stage_lengths, stage_of,
+                        stage_paths)
 from test_golden import FIX, NAMES
 from test_repeat import LATE, LOW_ALPHA, steps
 from test_replay import CountingList
@@ -46,7 +48,7 @@ def per_event(trace: RunTrace) -> RunTrace:
 
 def copied(trace: RunTrace) -> int:
     """The number of stages the trace's recorded runs copied."""
-    return sum(stop - first for _, first, stop, _, _ in trace.repeats)
+    return sum(stop - first for _, first, stop, _, _ in runs(trace))
 
 
 def facts(x):
@@ -95,7 +97,9 @@ def assert_matches_reference(trace, sc=None, psis=None):
 def assert_matches_reference_as_text(trace, sc=None, psis=None):
     """As assert_matches_reference, for trace and for its parsed text,
     whose runs the parser finds on its own; the replay of trace."""
-    assert_matches_reference(RunTrace.from_text(trace.to_text()), sc, psis)
+    back = RunTrace.from_text(trace.to_text())
+    assert_whole_stages(back)
+    assert_matches_reference(back, sc, psis)
     return assert_matches_reference(trace, sc, psis)
 
 
@@ -143,7 +147,7 @@ def test_an_init_in_a_repeated_stage_is_read():
     assert lines[at] == f"{at - 1} {first} visit node=f"
     lines[at] = f"{at - 1} {first} init node=f"
     trace = RunTrace.from_text("\n".join(lines) + "\n")
-    assert not any(a <= first < b for _, a, b, _, _ in trace.repeats)
+    assert not any(a <= first < b for _, a, b, _, _ in runs(trace))
     replay = assert_matches_reference(trace)
     assert replay.last_init[(1,)] == first
 
@@ -166,10 +170,10 @@ def test_a_repeat_of_a_stage_that_acts_is_read(construction):
     for s in (1, 2, 3):
         for kind, payload in SAME_ACTS[construction]:
             trace.emit(s, kind, **payload)
-    # the parser records stages 2 and 3 as a run with an acting template
+    # the parser records stages 2 and 3 as a run of an acting stage
     back = RunTrace.from_text(trace.to_text())
     assert not trace.repeats
-    assert [run[1:3] for run in back.repeats] == [(2, 4)]
+    assert [run[1:3] for run in runs(back)] == [(2, 4)]
     for replay in (assert_matches_reference(trace),
                    assert_matches_reference(back)):
         if construction == "low-alpha":
@@ -187,29 +191,30 @@ def test_a_repeated_fin_declaration_of_a_watcher_is_read():
         trace.emit(s, "declare", node="q0", what="delta", x=0, u=3,
                    value=1, act="fin")
     back = RunTrace.from_text(trace.to_text())
-    assert [run[1:3] for run in back.repeats] == [(2, 4)]
+    assert [run[1:3] for run in runs(back)] == [(2, 4)]
     replay = assert_matches_reference(back)
     assert [stage for _, stage, _, _ in replay.declares[0]] == [1, 2, 3]
 
 
-# -- runs that end, go on or repeat otherwise ---------------------------
+# -- stages that repeat and then go on, or repeat an earlier stage ------
 
 
-def ends_with_injects(trace) -> bool:
-    """Whether a recorded run's last stage goes on with inject-* events
-    after its copies."""
-    events, stages = trace.events, stage_of(trace)
-    for eid, first, stop, start, end in runs(trace):
-        after = eid + (stop - first) * (end - start)
-        if after < len(events) and stages[after] == stop - 1 \
-                and events[after].kind.startswith("inject-"):
+def stops_at_injects(trace) -> bool:
+    """Whether the stage that a recorded run stops before repeats the
+    run's stage and then goes on with inject-* events."""
+    stored, stages = trace.stored, trace.stored_stage
+    for _, first, stop, start, end in runs(trace):
+        size = end - start
+        after = stored[end:bisect_right(stages, stop, end)]
+        if stages[end:end + 1] == [stop] and after[:size] == \
+                stored[start:end] and after[size:] and all(
+                    p.kind.startswith("inject-") for p in after[size:]):
             return True
     return False
 
 
-# the delayed reconvergence of tests/test_repeat.py: the run of stages
-# 603..640 copies stage 640 too, whose functional step brings the new
-# computation
+# the delayed reconvergence of tests/test_repeat.py: stage 640, whose
+# functional step brings the new computation, is walked
 DELAYED = (LOW_ALPHA.replace("fun 0 arg 0 first 2\n",
                              "fun 0 arg 0 first 2 delay 40\n")
            + steps("f0", 600, 1, " marker 3"))
@@ -221,46 +226,89 @@ RUN_ENDS = {"delayed-reconvergence": DELAYED,
 
 @pytest.mark.parametrize("name", sorted(RUN_ENDS))
 def test_a_run_that_ends_with_injects_matches_reference(name):
+    # the stage where a computation changes repeats the quiet stage and
+    # goes on with inject-* lines; a run stops before it, in the engine
+    # and in the parser, so it is stored whole
     sc = load_scenario(RUN_ENDS[name])
     trace, psis = sc.execute()
-    assert ends_with_injects(trace)
+    for t in (trace, RunTrace.from_text(trace.to_text())):
+        assert stops_at_injects(t)
+        assert_whole_stages(t)
     assert_matches_reference_as_text(trace, sc, psis)
 
 
-def two_templates() -> RunTrace:
-    """A two-level trace whose second run goes on with the template of the
-    first, past a stage that enumerates the use the template re-declares;
-    the second run's last stage goes on with visits, and a third run
-    starts inside a stage."""
-    trace = RunTrace("nonlow-low2", 20)
+def goes_on_text(edge: str) -> str:
+    """A two-level text whose stages 1 to 5 repeat stage 0 and whose stage
+    5 then goes on with an inject-converge line; stage 6 follows, or the
+    summary does.  edge puts a blank line before the inject, writes its
+    stage as 05 or ends the lines with \\r\\n."""
+    lines = ["trace nonlow-low2 stages=9"]
+    for s in range(6):
+        lines += [f"{2 * s} {s} visit node=- l=1", f"{2 * s + 1} {s} visit "
+                  f"node=f"]
+    lines += [""] if edge == "blank" else []
+    lines.append(f"12 {'05' if edge == '05' else 5} inject-converge e=0 x=0 "
+                 f"use=3 value=0")
+    if edge != "summary":
+        lines += ["13 6 visit node=- l=1", "14 6 visit node=f"]
+    lines.append("summary A -")
+    ending = "\r\n" if edge == "crlf" else "\n"
+    return ending.join(lines) + ending
+
+
+@pytest.mark.parametrize("edge", ["mid-text", "summary", "blank", "05",
+                                  "crlf"])
+def test_a_stage_that_goes_on_is_read_line_by_line(edge):
+    # the run the parser records stops before stage 5, which it reads line
+    # by line, so no stored event shares a stage with a copy
+    text = goes_on_text(edge)
+    trace = RunTrace.from_text(text)
+    assert contents(trace) == contents(oracle_from_text(text))
+    assert_whole_stages(trace)
+    assert [run[1:3] for run in runs(trace)] == [(1, 5)]
+    assert trace.stored_stage.count(5) == 3
+    replay = assert_matches_reference(trace)
+    assert replay.phi == {(0, 0): [(5, 3)]}
+
+
+def earlier_stage_text() -> str:
+    """The text of a two-level trace whose stages 1 to 3 and 5 to 7 repeat
+    stage 0, past a stage 4 that enumerates the use stage 0 re-declares;
+    stage 8 repeats stage 0 and goes on with visits, stage 9 opens with a
+    visit and then repeats stage 0, and stages 10 and 11 repeat stage 0."""
     quiet = [("visit", dict(node="-", l=1)), ("visit", dict(node="f")),
              ("declare", dict(node="f", what="gamma", y=1, u=2, act="fin"))]
-    for kind, payload in quiet:
-        trace.emit(0, kind, **payload)
-    trace.repeat(1, 4, 0, 3)
-    trace.emit(4, "visit", node="-", l=2)
-    trace.emit(4, "visit", node="i")
-    trace.emit(4, "enumerate", node="f", element=2)
-    trace.repeat(5, 9, 0, 3)
-    trace.emit(8, "visit", node="-", l=3)
-    trace.emit(8, "visit", node="i")
-    trace.emit(9, "visit", node="ii", l=4)
-    trace.repeat(9, 12, 0, 3)
+    stages = {4: [("visit", dict(node="-", l=2)), ("visit", dict(node="i")),
+                  ("enumerate", dict(node="f", element=2))],
+              8: quiet + [("visit", dict(node="-", l=3)),
+                          ("visit", dict(node="i"))],
+              9: [("visit", dict(node="ii", l=4))] + quiet}
+    trace = RunTrace("nonlow-low2", 20)
+    for s in range(12):
+        for kind, payload in stages.get(s, quiet):
+            trace.emit(s, kind, **payload)
     trace.finalize({"A": 2})
-    return trace
+    return trace.to_text()
 
 
 def test_a_run_on_an_earlier_template_matches_reference():
-    trace = two_templates()
-    replay = assert_matches_reference_as_text(trace)
+    text = earlier_stage_text()
+    trace = RunTrace.from_text(text)
+    assert contents(trace) == contents(oracle_from_text(text))
+    assert_whole_stages(trace)
+    # runs copy stages 0, 5 and 10, each the last stored stage before it:
+    # stage 8 goes on, so it leaves the second run, and stage 9 opens with
+    # another payload
+    assert [run[1:3] for run in runs(trace)] == [(1, 4), (6, 8), (11, 12)]
+    replay = assert_matches_reference(trace)
     assert replay.summary.use == {"f": "2"}
     assert replay.path(7) == (1,) and replay.path(8) == (0,)
     assert replay.length(8, ()) == 3 and replay.length(7, ()) == 1
     assert replay.path(9) == (0, 0) and replay.path(10) == (1,)
 
 
-# the trace that run_at_the_last_stage builds: its second run starts at
-# stage 3, the last stage of its first run, on another template
+# a text whose stage 3 repeats stages 1 and 2 and then goes on with the
+# payload of stage 0, which stages 4 and 5 repeat
 LAST_STAGE_TEXT = """trace nonlow-low2 stages=6
 0 0 visit node=- l=2
 1 1 visit node=- l=1
@@ -276,29 +324,15 @@ summary A -
 """
 
 
-def run_at_the_last_stage() -> RunTrace:
-    """A two-level trace whose second run starts at the last stage of the
-    first, on the template of stage 0: stage 3 holds both templates, and
-    stages 4 and 5 the second alone."""
-    trace = RunTrace("nonlow-low2", 6)
-    trace.emit(0, "visit", node="-", l=2)
-    trace.emit(1, "visit", node="-", l=1)
-    trace.emit(1, "visit", node="f")
-    trace.repeat(2, 4, 1, 3)
-    trace.repeat(3, 6, 0, 1)
-    trace.finalize({"A": "-"})
-    return trace
-
-
-@pytest.mark.parametrize("source", ["repeat", "text"])
-def test_a_run_at_the_last_stage_of_the_one_before(source):
-    # blocks must read stage 3 of the second run as a stage that goes on,
-    # not one the run opens, though the stored event before the run is at
-    # stage 1
-    trace = (run_at_the_last_stage() if source == "repeat"
-             else RunTrace.from_text(LAST_STAGE_TEXT))
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["text", "crlf"])
+def test_a_run_at_the_last_stage_of_the_one_before(ending):
+    # stage 3 leaves the run of stage 1 and is read line by line; stage 5
+    # is a run of stage 4
+    trace = RunTrace.from_text(LAST_STAGE_TEXT.replace("\n", ending))
     reference = oracle_from_text(LAST_STAGE_TEXT)
     assert contents(trace) == contents(reference)
+    assert_whole_stages(trace)
+    assert [run[1:3] for run in runs(trace)] == [(2, 3), (5, 6)]
     assert trace.to_text() == oracle_to_text(reference) == LAST_STAGE_TEXT
     assert trace.digest() == \
         hashlib.sha256(LAST_STAGE_TEXT.encode()).hexdigest()
@@ -314,16 +348,19 @@ def test_a_run_at_the_last_stage_of_the_one_before(source):
 def test_replay_cost_does_not_grow_with_the_stage_budget():
     # the low2 bench shape settles well before stage 2,000, so a longer
     # budget only lengthens its last run: the trace stores as many events,
-    # and the replay reads each of them once
+    # the parser records as many runs, and the replay reads each stored
+    # event once
     path = os.path.join(ROOT, "bench", "scenarios", "campaign-low2.txt")
     seen = []
     for stages in (2_000, 20_000):
         _, trace, _ = run(path, 0, stages)
+        parsed = RunTrace.from_text(trace.to_text())
         trace.stored = CountingList(trace.stored)
         replay = replay_of(trace)
         reads = trace.stored.reads
         assert reads == dict.fromkeys(range(len(trace.stored)), 1)
         seen.append((len(trace.stored), len(trace.stored_stage),
-                     len(trace.repeats), len(replay.stage_facts),
+                     len(trace.repeats), len(parsed.repeats),
+                     len(replay.stage_facts),
                      sum(len(f[3]) for f in replay.stage_facts)))
     assert seen[0] == seen[1]

@@ -20,7 +20,7 @@ from injurylab.cli import digest, main
 from injurylab.scenario import load_scenario
 from injurylab.trace import EVENT_KINDS, ConfigError, Payload, RunTrace
 
-from stage_maps import runs, stage_of
+from stage_maps import assert_whole_stages, runs, stage_of
 from test_acceptance import _low2_seed
 from test_golden import NAMES, run_golden
 from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
@@ -333,7 +333,9 @@ def test_parser_matches_the_reference_on_long_runs(text):
     expected = parsed(oracle_from_text, text)
     assert parsed(RunTrace.from_text, text) == expected
     if not isinstance(expected, str):
-        assert_shared_by_text(RunTrace.from_text(text), text)
+        back = RunTrace.from_text(text)
+        assert_shared_by_text(back, text)
+        assert_whole_stages(back)
 
 
 @pytest.fixture(scope="module")
@@ -453,46 +455,68 @@ def test_scenario_traces_write_as_reference(path, seed):
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
+    SCEN, "*.txt"))) + sorted(glob.glob(os.path.join(BENCH_SHAPES, "*.txt"))),
+    ids=os.path.basename)
+def test_parser_recovers_the_engine_runs(path, seed):
+    # the parser records the runs the engine copied, and stores the
+    # stages it walked: a bench shape cut at 2,000 stages, a scenario as
+    # shipped
+    stages = 2000 if path.startswith(BENCH_SHAPES) else None
+    trace = scenario_trace(path, seed, stages)
+    back = RunTrace.from_text(trace.to_text())
+    assert back.stored_stage == trace.stored_stage
+    assert [p.tail for p in back.stored] == [p.tail for p in trace.stored]
+    assert back.repeats == trace.repeats
+    assert_whole_stages(trace)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(
     BENCH_SHAPES, "*.txt"))), ids=os.path.basename)
 def test_bench_shapes_write_as_reference(path, seed):
     trace = scenario_trace(path, seed, stages=2000)
     # nearly every event is in a recorded run
     copied = sum((stop - first) * (end - start)
-                 for _, first, stop, start, end in trace.repeats)
+                 for _, first, stop, start, end in runs(trace))
     assert copied > 0.9 * len(trace.events)
     assert_writes_as_reference(trace)
 
 
 def percent_run():
-    """A run whose template holds % in its payload values."""
+    """A run of a stage that holds % in its payload values."""
     tr = RunTrace("nonlow-low2", 9)
     tr.emit(0, "visit", node="-", l="5%d")
     tr.emit(0, "declare", node="f", act="fin", u="%(x)s%%")
     tr.emit(1, "visit", node="-", l="%")
     tr.emit(1, "visit", node="f%s", l="{}")
-    tr.repeat(2, 9, 2, 4)
+    tr.repeat(9)
     return tr
 
 
 def engine_runs():
-    """Runs as Engine.execute appends them: a run's last stage gets
-    inject-* lines after the copy, and a run that goes on with the
-    template of the run before it."""
+    """Runs as Engine.execute appends them: the stage a run stops before
+    is walked, and may repeat the copied stage and go on with inject-*
+    lines, or start the next run; the last run stops at the budget."""
     tr = RunTrace("nonlow-low2", 40)
     tr.emit(0, "init", node="-")
     tr.emit(0, "visit", node="-", l=0)
     tr.emit(0, "visit", node="f")
-    tr.repeat(1, 5, 1, 3)
+    tr.emit(1, "visit", node="-", l=0)
+    tr.emit(1, "visit", node="f")
+    tr.repeat(4)
+    tr.emit(4, "visit", node="-", l=0)
+    tr.emit(4, "visit", node="f")
     tr.emit(4, "inject-converge", e=0, x=0, use=3, value=1)
-    start = len(tr.stored)
-    tr.emit(5, "visit", node="-", l=1)
-    tr.emit(5, "declare", node="-", act="fin", u=3)
-    tr.repeat(6, 9, start, start + 2)
-    tr.repeat(9, 30, start, start + 2)
+    for first, stop in ((5, 9), (9, 29)):
+        tr.emit(first, "visit", node="-", l=1)
+        tr.emit(first, "declare", node="-", act="fin", u=3)
+        tr.repeat(stop)
+    tr.emit(29, "visit", node="-", l=1)
+    tr.emit(29, "declare", node="-", act="fin", u=3)
     tr.emit(29, "inject-diverge", e=0, x=0, use=3)
     tr.emit(29, "inject-converge", e=0, x=0, use=4, value=1)
     tr.emit(30, "visit", node="-", l=1)
-    tr.repeat(31, 40, len(tr.stored) - 1, len(tr.stored))
+    tr.repeat(40)
     tr.finalize({"A": "-", "node.-": "0:3"})
     return tr
 
@@ -504,15 +528,15 @@ def emitted_only():
     for s, p in zip(stage_of(trace), trace.events):
         copy.emit(s, p.kind, **p)
     copy.finalize(trace.summary)
-    assert copy.repeats == []
+    assert not copy.repeats
     return copy
 
 
 def empty_run():
-    """A run of stages of no events, which records nothing."""
+    """Stages of no events after the first, which start no run."""
     trace = load_scenario("construction low-alpha\nalpha w^2\n"
                           "stages 20\n").execute()[0]
-    assert trace.stored_stage == [0] and trace.repeats == []
+    assert trace.stored_stage == [0] and not trace.repeats
     return trace
 
 
@@ -524,23 +548,19 @@ def test_built_traces_write_as_reference(make):
 
 @st.composite
 def built_traces(draw):
-    """A trace built by emit and repeat calls in any order: a repeat
-    copies any stored events, at stages from the current one on, so its
-    template may be anywhere and span stages, a run may start at the last
-    stage of the run before it, and runs may hold a single line or more
-    than _RUN_LINES."""
+    """A trace built by emit and repeat calls: a repeat after an emit
+    copies the last stored stage to the next 1, 2, 3, 699 or 2,099
+    stages, so runs may hold a single line or more than _RUN_LINES, and
+    the next emit goes at the run's stop or later."""
     tr = RunTrace("nonlow-low2", 10**6)
     stage = 0
     for _ in range(draw(st.integers(1, 12))):
-        stage += draw(st.integers(0, 2))
-        if tr.stored and draw(st.booleans()):
-            start = draw(st.integers(0, len(tr.stored) - 1))
-            end = draw(st.integers(start + 1, min(len(tr.stored),
-                                                  start + 5)))
-            stop = stage + draw(st.sampled_from((1, 2, 3, 700, 2100)))
-            tr.repeat(stage, stop, start, end)
-            stage = stop - 1
+        if tr.stored and len(tr.stored) not in tr.repeats \
+                and draw(st.booleans()):
+            stage += draw(st.sampled_from((2, 3, 4, 700, 2100)))
+            tr.repeat(stage)
         else:
+            stage += draw(st.integers(0, 2))
             tr.emit(stage, draw(st.sampled_from(("visit", "init"))),
                     node=draw(st.sampled_from(("-", "f", "i%d", "%"))))
     return tr
