@@ -31,6 +31,14 @@ def reduce_summary(replay) -> dict:
     return replay.summary.entries()
 
 
+def run_replay(trace: RunTrace):
+    """The run's replay; ConfigError when it derives another summary."""
+    replay = replay_of(trace)
+    if trace.summary != reduce_summary(replay):
+        raise ConfigError("trace summary does not replay")
+    return replay
+
+
 def worst_ratio(trace: RunTrace, replay) -> float:
     """Largest observed injuries / closed-form ceiling over protected
     computations; 0.0 when nothing was hit or no finite ceiling applies."""
@@ -84,9 +92,7 @@ def cmd_run(args, out) -> int:
             raise ConfigError(f"--alpha: {ex}") from None
     sc.validate()
     trace, psis = sc.execute(seed=args.seed, stages=args.stages)
-    replay = replay_of(trace)
-    if trace.summary != reduce_summary(replay):
-        raise ConfigError("trace summary does not replay")
+    replay = run_replay(trace)
     if args.trace:
         _write(args.trace, trace.to_text())
     checks = checks_for(trace, replay, sc, psis)
@@ -104,7 +110,7 @@ def _campaign_seed(sc, seed: int, stages, out):
     its replay die with this call, before the next seed runs."""
     try:
         trace, psis = sc.execute(seed=seed, stages=stages)
-        replay = replay_of(trace)
+        replay = run_replay(trace)
         checks = checks_for(trace, replay, sc, psis)
     except ConfigError as ex:
         out.write(f"seed {seed} error {ex}\n")

@@ -339,9 +339,8 @@ class EtaRhoReplay:
     parse, a misspelt node name included, raises ConfigError naming the
     event.  The replay is the one pass over the events: the checks and
     the terminal summary read only what it derives.  A stage that a
-    recorded run copies, and that holds only quiet payloads, is read once
-    with its copies (see ``trace.blocks``), and its path and lengths hold
-    for the whole run."""
+    recorded run copies is read once with its copies (see
+    ``trace.blocks``), and its path and lengths hold for the whole run."""
 
     levels: Levels
     _extra = None
@@ -424,7 +423,7 @@ class EtaRhoReplay:
                     elif kind == "inject-converge":
                         self.phi.setdefault((int(p["e"]), int(p["x"])),
                                             []).append((s, int(p["use"])))
-                # a quiet run's copies repeat this stage's facts
+                # a run's copies repeat this stage's facts
                 intervals.append([s, s + copies + 1, path, lengths])
                 visits += (visits - seen) * copies
             self._close_stage(pending, diverges)

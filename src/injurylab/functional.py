@@ -107,15 +107,15 @@ class Engine:
     full: the tree at full depth, every requirement in play, no eta
     expansionary and no length at its cap.  Such a stage is quiet when it
     and the functional step after it emitted at least one event, and only
-    quiet payloads (``Payload.quiet``).  Every input of the next stage is
-    then the same as the quiet stage's, except the opponents' answers and
-    the functional runs' own waits: so up to the first stage at which one
-    of those can change (``_quiet_until``), every stage would emit the
-    same payloads, and the loop records them as one run of the quiet
-    stage (``RunTrace.repeat``) instead of walking, and keeps no other
-    state.  The stage where the change can land is walked.  The opponents
-    answer from their argument and stage alone, so skipping a walk
-    changes no draw."""
+    quiet payloads (``Payload.quiet``, the one rule for what a run may
+    copy).  Every input of the next stage is then the same as the quiet
+    stage's, except the opponents' answers and the functional runs' own
+    waits: so up to the first stage at which one of those can change
+    (``_quiet_until``), every stage would emit the same payloads, and the
+    loop records them as one run of the quiet stage (``RunTrace.repeat``)
+    instead of walking, and keeps no other state.  The stage where the
+    change can land is walked.  The opponents answer from their argument
+    and stage alone, so skipping a walk changes no draw."""
 
     def execute(self) -> RunTrace:
         trace = self.trace

@@ -164,10 +164,9 @@ class _LowReplay:
     """Verifier view of a trace, its summary included, rebuilt from the
     event stream alone.  An event without a payload key the replay reads,
     or with a value it cannot parse, raises ConfigError naming the event.
-    A stage of visits alone that a recorded run copies is read once with
-    its copies (see ``trace.blocks``), and moves each guess seen to the
-    run's last stage; a delta declaration counts per stage, so any other
-    run is read stage by stage."""
+    A stage that a recorded run copies is read once with its copies (see
+    ``trace.blocks``), and its visits' guesses hold up to the run's last
+    stage."""
 
     def __init__(self, trace: RunTrace):
         self.alpha = None
@@ -182,8 +181,7 @@ class _LowReplay:
         self.phis = []  # (e, value) texts of the watchers' phi-sets
         self.summary = summary = Summary()
         try:
-            for s, start, block, copies in blocks(
-                    trace, lambda p: p.kind == "visit"):
+            for s, start, block, copies in blocks(trace):
                 for eid, p in enumerate(block, start):
                     kind = p.kind
                     summary.read(kind, p)
@@ -221,10 +219,9 @@ class _LowReplay:
                         if p.get("what") == "delta":
                             self.declares.setdefault(q, []).append(
                                 (eid, s, int(p["u"]), int(p["value"])))
-                    elif kind == "visit":
-                        self.last_f[_level(p["node"])] = (s, int(p["f"]))
-                for p in block if copies else ():  # a run's last guesses
-                    self.last_f[_level(p["node"])] = (s + copies, int(p["f"]))
+                    elif kind == "visit":  # a run's copies repeat the guess
+                        self.last_f[_level(p["node"])] = (s + copies,
+                                                          int(p["f"]))
         except (KeyError, ValueError) as ex:
             raise payload_error(eid, kind, ex) from None
 

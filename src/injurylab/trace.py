@@ -1,21 +1,22 @@
 """Run traces: ordered event streams with a terminal summary.
 
 A trace stores each event once: the events that ``emit`` and
-``from_text`` append, in two columns of payloads and stages, and each run
-of copied stages only as its record.  A run copies the last stored stage
-whole to each stage after it up to its stop, so a stage is either stored
-or copied, never both.  An event id is no column index: ``blocks`` reads
-each stored stage with its copies and numbers the ids, and the writer
-and the replays read through it.  A payload carries its kind, a flat
-string mapping and its rendered line tail.  Payloads are interned per
-trace: all events of one trace with the same kind and payload text share
-one read-only payload, so emitting, writing and parsing a trace build
-and render each distinct payload once, and no event costs an object of
-its own.  No table outlives its trace.  The text form is line-oriented
-and canonical, so a cryptographic digest of it is a stable fingerprint
-of a run; the digest hashes the chunks as they are rendered, never the
-whole text.  A replay re-derives the terminal summary in its one pass
-over the events, which gives the self-consistency check.
+``from_text`` append, in two columns of payloads and stages, and each
+run of copied stages only as its record.  A run copies the last stored
+stage, which is quiet (``Payload.quiet``), whole to each stage after it
+up to its stop, so a stage is either stored or copied, never both.  An
+event id is no column index: ``blocks`` reads each stored stage once
+with its copies and numbers the ids, and the writer and the replays read
+through it.  A payload carries its kind, a flat string mapping and its
+rendered line tail.  Payloads are interned per trace: all events of one
+trace with the same kind and payload text share one read-only payload,
+so emitting, writing and parsing a trace build and render each distinct
+payload once, and no event costs an object of its own.  No table
+outlives its trace.  The text form is line-oriented and canonical, so a
+cryptographic digest of it is a stable fingerprint of a run; the digest
+hashes the chunks as they are rendered, never the whole text.  A replay
+re-derives the terminal summary in its one pass over the events, which
+gives the self-consistency check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 from itertools import islice, repeat
-from operator import attrgetter, ne
+from operator import ne
 
 
 class ConfigError(ValueError):
@@ -56,12 +57,13 @@ EVENT_KINDS = frozenset({
 class Payload(dict):
     """A read-only event payload: string keys to string values, with its
     kind, its rendered line tail ``kind k=v ...`` and whether it is
-    quiet: a visit, or a declare with ``act=fin``, which re-declares a
-    use the node already holds.  A stage of quiet payloads alone changes
-    no state that the engines or the replays keep but the stage's own.
-    A trace shares one payload among all of its events of the same kind
-    and text, so no payload may change after it is built, or its cached
-    fields would go stale."""
+    quiet: a visit, or a ``declare what=gamma act=fin``, which
+    re-declares a use the node already holds.  A stage of quiet payloads
+    alone changes no state that the engines or the replays keep but the
+    stage's own, so it is the one stage a run may copy, in the engine,
+    the parser and the replays alike.  A trace shares one payload among
+    all of its events of the same kind and text, so no payload may
+    change after it is built, or its cached fields would go stale."""
 
     __slots__ = ("kind", "tail", "quiet")
 
@@ -69,8 +71,8 @@ class Payload(dict):
         super().__init__(items)
         self.kind = kind
         self.tail = " ".join([kind] + [f"{k}={v}" for k, v in self.items()])
-        self.quiet = kind == "visit" or (kind == "declare"
-                                         and self.get("act") == "fin")
+        self.quiet = kind == "visit" or kind == "declare" and (
+            self.get("what"), self.get("act")) == ("gamma", "fin")
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("event payloads are read-only")
@@ -114,16 +116,16 @@ class RunTrace:
         self.stored_stage.append(stage)
 
     def repeat(self, stop: int) -> None:
-        """Copy the last stored stage whole to each stage after it up to
-        stop - 1, at least one, kept as the run's record in ``repeats``
-        alone.  The next event goes at stop or later."""
+        """Copy the last stored stage, which must be quiet, whole to each
+        stage after it up to stop - 1, at least one, as the run's record
+        in ``repeats`` alone.  The next event goes at stop or later."""
         self.repeats[len(self.stored)] = stop
 
     @property
     def events(self) -> list:
         """Every event's payload in id order, copies included.  Only for
         callers outside the package: no reader in it expands a trace."""
-        return [p for _, _, block, copies in blocks(self, lambda p: True)
+        return [p for _, _, block, copies in blocks(self)
                 for p in block * (copies + 1)]
 
     def finalize(self, summary: dict):
@@ -142,7 +144,7 @@ class RunTrace:
         built."""
         yield f"trace {self.construction} stages={self.stages}\n"
         lines = []  # the lines of the stored stages not yet yielded
-        for s, eid, block, copies in blocks(self, lambda p: True):
+        for s, eid, block, copies in blocks(self):
             if not copies:
                 tok = f" {s} "
                 lines += [f"{i}{tok}{p.tail}\n"
@@ -175,19 +177,20 @@ class RunTrace:
         the events of one stage share one stage number.
 
         Where a line opens the next stage with the payload that opened
-        the last one, the parser first asks ``_repeated_stages`` how many
-        stages from that line on repeat the last one, and records them
-        as one run of it; event ids go on past the run's copies.  Such a
-        stage holds the last stage's payload texts as read, in order, at
-        the next stage number and the next event ids, each line exactly
-        ``eid stage text``.  Every such line is one the per-line path
-        accepts with the same payload: its id is the next one, its stage
-        follows the last and is below the header's count, and its text is
-        one already read, so it gets that text's shared payload.  A run
-        holds whole stages: where the next line that is not blank goes on
-        at its last stage, that stage leaves the run.  A stage that
-        differs in any character, a blank or summary line in it included,
-        goes through the per-line path, so errors keep their text and line
+        the last one, and the last stage is quiet, the parser first asks
+        ``_repeated_stages`` how many stages from that line on repeat the
+        last one, and records them as one run of it; event ids go on past
+        the run's copies.  Such a stage holds the last stage's payload
+        texts as read, in order, at the next stage number and the next
+        event ids, each line exactly ``eid stage text``.  Every such line
+        is one the per-line path accepts with the same payload: its id is
+        the next one, its stage follows the last and is below the header's
+        count, and its text is one already read, so it gets that text's
+        shared payload.  A run holds whole stages: where the next line
+        that is not blank goes on at its last stage, that stage leaves the
+        run.  A stage that differs in any character, a blank or summary
+        line in it included, and a repeat of a stage that is not quiet go
+        through the per-line path, so errors keep their text and line
         number.  The stage after a run is not tried again: it ended there."""
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
@@ -241,7 +244,8 @@ class RunTrace:
                                   f"{len(stored) + copied}")
             if tok != last_tok:
                 if stage == last_stage + 1 and start < len(stored) \
-                        and payload is stored[start]:
+                        and payload is stored[start] and all(
+                            p.quiet for p in stored[start:]):
                     copies = _repeated_stages(lines, lineno - 1, eid,
                                               stored[start:], texts, stage,
                                               bound - stage)
@@ -352,28 +356,21 @@ def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:
     return ConfigError(f"event {eid}: bad {kind} payload: {ex}")
 
 
-def blocks(trace: RunTrace, quiet=attrgetter("quiet")):
+def blocks(trace: RunTrace):
     """The events of trace in id order, as (stage, eid, payloads, copies):
     the payloads are events eid, eid + 1, ... at the given stage, and each
     of the copies stages after it holds them again, at the next ids, and
     nothing else.  The one reader that numbers event ids, by counting the
-    runs' copies.  Each stored stage comes with the run that copies it, if
-    any: as one block when quiet(p) holds for every payload (by default
-    ``Payload.quiet``), else a block per stage.  Each stored event is read
-    once, and stages go up from block to block."""
+    runs' copies.  Each stored stage comes once, with its run if any, and
+    stages go up from block to block."""
     stored, stage_of, repeats = trace.stored, trace.stored_stage, trace.repeats
     at = copied = 0  # the first stored event not yet read, the copies before
     while at < len(stored):
         s = stage_of[at]
         end = bisect_right(stage_of, s, at)
-        block, size, eid = stored[at:end], end - at, at + copied
-        stop = repeats.get(end, s + 1)
-        if stop > s + 1 and all(map(quiet, block)):
-            yield s, eid, block, stop - s - 1
-        else:
-            for t in range(s, stop):
-                yield t, eid + (t - s) * size, block, 0
-        copied += (stop - s - 1) * size
+        copies = repeats.get(end, s + 1) - s - 1
+        yield s, at + copied, stored[at:end], copies
+        copied += copies * (end - at)
         at = end
 
 

@@ -9,8 +9,9 @@ the tree once kept, so tests can state what they state of single stages.
 A trace stores each event once and a run of copied stages as its record
 (``RunTrace.repeats``), which copies the last stored stage whole;
 ``stage_of`` and ``runs`` give the stage of each event id and the event
-ids and stages of each run, and ``assert_whole_stages`` that no stored
-event shares a stage with a copy.
+ids and stages of each run, ``assert_whole_stages`` that no stored event
+shares a stage with a copy, and ``assert_quiet_runs`` that each run
+copies a quiet stage.
 """
 
 from injurylab.trace import blocks
@@ -40,7 +41,7 @@ def tree_paths(tree, stages: int) -> list:
 
 def stage_of(trace) -> list:
     """The stage of each event, in event-id order, copies included."""
-    return [t for s, _, block, copies in blocks(trace, lambda p: True)
+    return [t for s, _, block, copies in blocks(trace)
             for t in range(s, s + copies + 1) for _ in block]
 
 
@@ -66,3 +67,10 @@ def assert_whole_stages(trace):
     for end, stop in trace.repeats.items():
         assert 0 < end and stages[end - 1] + 1 < stop
         assert end == len(stages) or stages[end] >= stop
+
+
+def assert_quiet_runs(trace):
+    """Each run copies a stage of quiet payloads alone
+    (``Payload.quiet``)."""
+    for _, _, _, start, end in runs(trace):
+        assert all(p.quiet for p in trace.stored[start:end])

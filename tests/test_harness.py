@@ -14,7 +14,7 @@ from injurylab import cli, nonlow_low2
 from injurylab.cli import digest, main, reduce_summary, replay_of
 from injurylab.ordinal import nat, omega_power
 from injurylab.scenario import ScenarioError, load_scenario
-from injurylab.trace import CheckResult
+from injurylab.trace import CheckResult, RunTrace
 
 from test_golden import REPORTS
 
@@ -476,6 +476,25 @@ class TestCli:
                                        "for level 1")
         assert " errors=2 " in out.splitlines()[-1]
         assert self.run_cli(["run", "--scenario", path])[0] == 2
+
+    @pytest.mark.parametrize("text", [LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT],
+                             ids=CONSTRUCTION_IDS)
+    def test_summary_that_does_not_replay_exits_2(self, tmp_path, text,
+                                                  monkeypatch):
+        # an engine whose summary holds an entry its events do not derive:
+        # run and each campaign seed make the same self-consistency check
+        finalize = RunTrace.finalize
+        monkeypatch.setattr(RunTrace, "finalize", lambda trace, summary:
+                            finalize(trace, {**summary, "node.bogus": "1"}))
+        path = self.scenario_path(tmp_path, text)
+        assert self.run_cli(["run", "--scenario", path]) == \
+            (2, "error trace summary does not replay\n")
+        code, out = self.run_cli(["campaign", "--scenario", path,
+                                  "--seeds", "2"])
+        assert code == 2
+        assert out.splitlines()[:2] == [
+            f"seed {s} error trace summary does not replay" for s in (0, 1)]
+        assert " failures=0 errors=2 " in out.splitlines()[-1]
 
     @pytest.mark.parametrize("body, where", [
         ("0 4 bogus-kind\n1 4 visit node=- l=0\n", "line 2: unknown event"),

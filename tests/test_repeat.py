@@ -23,7 +23,8 @@ from injurylab.functional import Engine
 from injurylab.scenario import load_scenario
 from injurylab.trace import RunTrace
 
-from stage_maps import assert_whole_stages, stage_of, tree_paths
+from stage_maps import (assert_quiet_runs, assert_whole_stages, stage_of,
+                        tree_paths)
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
@@ -63,6 +64,7 @@ def assert_matches_plain(sc, seed=None, stages=None):
     trace, runs = copying(sc, seed, stages)
     assert trace.digest() == plain(sc, seed, stages).digest()
     assert_whole_stages(trace)
+    assert_quiet_runs(trace)
     # each run goes on to the first stage whose walk can differ, so the
     # stage after it is walked and the next run starts later
     assert all(stop < first for (_, stop), (first, _) in zip(runs, runs[1:]))

@@ -1,8 +1,9 @@
-"""The replays read each stored stage with the recorded run that copies
-it (``trace.blocks``): a stage of quiet payloads once with its copies,
-whose stage facts then hold for the whole run; a stage that acts stage
-by stage.  A trace stores no copied event, and the replays read each
-stored event once.
+"""The replays read each stored stage once with the recorded run that
+copies it (``trace.blocks``), and its stage facts then hold for the
+whole run.  A run copies a stage of quiet payloads alone
+(``Payload.quiet``), in the engine and in the parser, so a repeat of a
+stage that acts is stored and read stage by stage.  A trace stores no
+copied event, and the replays read each stored event once.
 
 The reference here rebuilds a trace with a fresh payload per event and
 no recorded run, so that every stage is read in full, event by event.
@@ -24,8 +25,8 @@ from injurylab.cli import checks_for, replay_of
 from injurylab.scenario import load_scenario
 from injurylab.trace import Payload, RunTrace
 
-from stage_maps import (assert_whole_stages, runs, stage_lengths, stage_of,
-                        stage_paths)
+from stage_maps import (assert_quiet_runs, assert_whole_stages, runs,
+                        stage_lengths, stage_of, stage_paths)
 from test_golden import FIX, NAMES
 from test_repeat import LATE, LOW_ALPHA, steps
 from test_replay import CountingList
@@ -99,6 +100,7 @@ def assert_matches_reference_as_text(trace, sc=None, psis=None):
     whose runs the parser finds on its own; the replay of trace."""
     back = RunTrace.from_text(trace.to_text())
     assert_whole_stages(back)
+    assert_quiet_runs(back)
     assert_matches_reference(back, sc, psis)
     return assert_matches_reference(trace, sc, psis)
 
@@ -152,8 +154,8 @@ def test_an_init_in_a_repeated_stage_is_read():
     assert replay.last_init[(1,)] == first
 
 
-# stage -> events of a synthetic trace whose stages 1 to 3 hold the same
-# payloads, not only visits and fin re-declarations
+# the events of each of stages 1 to 3 of a synthetic trace: the same
+# payloads, not only visits and gamma fin re-declarations
 SAME_ACTS = {
     "low-alpha": [("visit", dict(node="q0", x=0, f=0)),
                   ("init", dict(node="q0", cause="preempt:0"))],
@@ -170,10 +172,11 @@ def test_a_repeat_of_a_stage_that_acts_is_read(construction):
     for s in (1, 2, 3):
         for kind, payload in SAME_ACTS[construction]:
             trace.emit(s, kind, **payload)
-    # the parser records stages 2 and 3 as a run of an acting stage
+    # the repeated stage acts, so the parser records no run of it and
+    # stores stages 2 and 3 line by line
     back = RunTrace.from_text(trace.to_text())
-    assert not trace.repeats
-    assert [run[1:3] for run in runs(back)] == [(2, 4)]
+    assert not trace.repeats and not back.repeats
+    assert back.stored_stage == trace.stored_stage
     for replay in (assert_matches_reference(trace),
                    assert_matches_reference(back)):
         if construction == "low-alpha":
@@ -183,17 +186,36 @@ def test_a_repeat_of_a_stage_that_acts_is_read(construction):
 
 
 def test_a_repeated_fin_declaration_of_a_watcher_is_read():
-    # a quiet payload, but low-alpha keeps each delta declaration, so a
-    # run that repeats one is read stage by stage
+    # a fin re-declaration of a watcher's delta is not quiet: low-alpha
+    # keeps each delta declaration, so the parser records no run of it
     trace = RunTrace("low-alpha", 4)
     for s in (1, 2, 3):
         trace.emit(s, "visit", node="q0", x=0, f=0)
         trace.emit(s, "declare", node="q0", what="delta", x=0, u=3,
                    value=1, act="fin")
     back = RunTrace.from_text(trace.to_text())
-    assert [run[1:3] for run in runs(back)] == [(2, 4)]
+    assert not back.repeats
     replay = assert_matches_reference(back)
     assert [stage for _, stage, _, _ in replay.declares[0]] == [1, 2, 3]
+
+
+def test_a_run_of_a_visit_and_a_gamma_fin_declaration_is_read():
+    # both payloads are quiet, so the parser records a run; low-alpha
+    # reads the declaration once and moves the visit's guess to the run's
+    # last stage
+    trace = RunTrace("low-alpha", 6)
+    for s in (1, 2, 3, 4):
+        trace.emit(s, "visit", node="q0", x=0, f=1)
+        trace.emit(s, "declare", node="q0", what="gamma", y=0, u=3,
+                   act="fin")
+    trace.emit(5, "visit", node="q1", x=2, f=0)
+    back = RunTrace.from_text(trace.to_text())
+    assert_whole_stages(back)
+    assert_quiet_runs(back)
+    assert [run[1:3] for run in runs(back)] == [(2, 5)]
+    replay = assert_matches_reference(back)
+    assert replay.last_f == {0: (4, 1), 1: (5, 0)}
+    assert replay.summary.use == {"q0": "3"}
 
 
 # -- stages that repeat and then go on, or repeat an earlier stage ------
@@ -234,6 +256,7 @@ def test_a_run_that_ends_with_injects_matches_reference(name):
     for t in (trace, RunTrace.from_text(trace.to_text())):
         assert stops_at_injects(t)
         assert_whole_stages(t)
+        assert_quiet_runs(t)
     assert_matches_reference_as_text(trace, sc, psis)
 
 
@@ -265,6 +288,7 @@ def test_a_stage_that_goes_on_is_read_line_by_line(edge):
     trace = RunTrace.from_text(text)
     assert contents(trace) == contents(oracle_from_text(text))
     assert_whole_stages(trace)
+    assert_quiet_runs(trace)
     assert [run[1:3] for run in runs(trace)] == [(1, 5)]
     assert trace.stored_stage.count(5) == 3
     replay = assert_matches_reference(trace)
@@ -296,6 +320,7 @@ def test_a_run_on_an_earlier_template_matches_reference():
     trace = RunTrace.from_text(text)
     assert contents(trace) == contents(oracle_from_text(text))
     assert_whole_stages(trace)
+    assert_quiet_runs(trace)
     # runs copy stages 0, 5 and 10, each the last stored stage before it:
     # stage 8 goes on, so it leaves the second run, and stage 9 opens with
     # another payload
@@ -332,6 +357,7 @@ def test_a_run_at_the_last_stage_of_the_one_before(ending):
     reference = oracle_from_text(LAST_STAGE_TEXT)
     assert contents(trace) == contents(reference)
     assert_whole_stages(trace)
+    assert_quiet_runs(trace)
     assert [run[1:3] for run in runs(trace)] == [(2, 3), (5, 6)]
     assert trace.to_text() == oracle_to_text(reference) == LAST_STAGE_TEXT
     assert trace.digest() == \

@@ -20,7 +20,8 @@ from injurylab.cli import digest, main
 from injurylab.scenario import load_scenario
 from injurylab.trace import EVENT_KINDS, ConfigError, Payload, RunTrace
 
-from stage_maps import assert_whole_stages, runs, stage_of
+from stage_maps import (assert_quiet_runs, assert_whole_stages, runs,
+                        stage_of)
 from test_acceptance import _low2_seed
 from test_golden import NAMES, run_golden
 from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
@@ -259,7 +260,8 @@ def edited_runs(draw):
     stage, or every stage from a line on shifted by one; a header whose
     stage count ends in the run; a blank line put in; a space doubled or
     turned into a tab, or a blank put at a line's end; a payload value
-    given a %, %d or {} on every line that holds it; or the text cut
+    given a %, %d or {} on every line that holds it; a payload made a
+    select, which acts, on every line that holds it; or the text cut
     after a line, summary included.  The text may then get \\r\\n line
     endings."""
     trace = run_trace(draw(st.sampled_from(RUN_SCENARIOS)))
@@ -269,7 +271,7 @@ def edited_runs(draw):
         i = draw(st.integers(first, stop - 1))
         op = draw(st.sampled_from(("eid", "line stage", "stage", "shift",
                                    "header", "blank", "space", "tab",
-                                   "trail", "value", "cut")))
+                                   "trail", "value", "acts", "cut")))
         if i >= len(lines) or not lines[i][:1].isdigit():
             continue  # cut off by an earlier edit, or a blank put in
         if op == "eid":
@@ -306,6 +308,11 @@ def edited_runs(draw):
             mark = draw(st.sampled_from(("%", "%d", "{}", "%%s", "%(x)s")))
             lines = [re.sub(rf"(?<= ){re.escape(pair)}(?= |$)",
                             pair + mark, ln) for ln in lines]
+        elif op == "acts":
+            tail = lines[i].split(None, 2)[2]
+            acting = re.sub(r"^\S+", "select", tail)
+            lines = [re.sub(rf"(?<=\s){re.escape(tail)}$", lambda m: acting,
+                            ln) for ln in lines]
         else:
             del lines[i + 1:]
     ending = draw(st.sampled_from(("\n", "\r\n")))
@@ -336,6 +343,7 @@ def test_parser_matches_the_reference_on_long_runs(text):
         back = RunTrace.from_text(text)
         assert_shared_by_text(back, text)
         assert_whole_stages(back)
+        assert_quiet_runs(back)
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +476,7 @@ def test_parser_recovers_the_engine_runs(path, seed):
     assert [p.tail for p in back.stored] == [p.tail for p in trace.stored]
     assert back.repeats == trace.repeats
     assert_whole_stages(trace)
+    assert_quiet_runs(trace)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -509,10 +518,10 @@ def engine_runs():
     tr.emit(4, "inject-converge", e=0, x=0, use=3, value=1)
     for first, stop in ((5, 9), (9, 29)):
         tr.emit(first, "visit", node="-", l=1)
-        tr.emit(first, "declare", node="-", act="fin", u=3)
+        tr.emit(first, "declare", node="-", what="gamma", act="fin", u=3)
         tr.repeat(stop)
     tr.emit(29, "visit", node="-", l=1)
-    tr.emit(29, "declare", node="-", act="fin", u=3)
+    tr.emit(29, "declare", node="-", what="gamma", act="fin", u=3)
     tr.emit(29, "inject-diverge", e=0, x=0, use=3)
     tr.emit(29, "inject-converge", e=0, x=0, use=4, value=1)
     tr.emit(30, "visit", node="-", l=1)
