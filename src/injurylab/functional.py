@@ -106,30 +106,28 @@ class Engine:
     through ``_ask``.  The walk returns True when it played the stage in
     full: the tree at full depth, every requirement in play, no eta
     expansionary and no length at its cap.  Such a stage is quiet when it
-    and the functional step after it emitted at least one event, and only
-    quiet payloads (``Payload.quiet``, the one rule for what a run may
-    copy).  Every input of the next stage is then the same as the quiet
-    stage's, except the opponents' answers and the functional runs' own
-    waits: so up to the first stage at which one of those can change
-    (``_quiet_until``), every stage would emit the same payloads, and the
-    loop records them as one run of the quiet stage (``RunTrace.repeat``)
-    instead of walking, and keeps no other state.  The stage where the
-    change can land is walked.  The opponents answer from their argument
-    and stage alone, so skipping a walk changes no draw."""
+    and the functional step after it stored at least one event, and only
+    quiet payloads (``RunTrace.quiet``, the one place the rule for what a
+    run may copy is applied).  Every input of the next stage is then the
+    same as the quiet stage's, except the opponents' answers and the
+    functional runs' own waits: so up to the first stage at which one of
+    those can change (``_quiet_until``), every stage would emit the same
+    payloads, and the loop records them as one run of the quiet stage
+    (``RunTrace.repeat``) instead of walking, and keeps no other state.
+    The stage where the change can land is walked.  The opponents answer
+    from their argument and stage alone, so skipping a walk changes no
+    draw."""
 
     def execute(self) -> RunTrace:
         trace = self.trace
-        stored = trace.stored
         runs = self.runs.values()
         s = 0
         while s < self.stages:
             self._asked = asked = []
-            start = len(stored)
             full = self._walk(s)
             self._advance_functionals(s)
             s += 1
-            if full and start < len(stored) and all(
-                    p.quiet for p in stored[start:]):
+            if full and trace.quiet(s - 1):
                 t = self._quiet_until(asked, s)
                 if t > s:  # stages s..t-1 repeat the quiet stage
                     trace.repeat(t)

@@ -1,28 +1,25 @@
 """Run traces: ordered event streams with a terminal summary.
 
-A trace stores each event once: the events that ``emit`` and
-``from_text`` append, in two columns of payloads and stages, and each
-run of copied stages only as its record.  A run copies the last stored
-stage, which is quiet (``Payload.quiet``), whole to each stage after it
-up to its stop, so a stage is either stored or copied, never both.  An
-event id is no column index: ``blocks`` reads each stored stage once
-with its copies and numbers the ids, and the writer and the replays read
-through it.  A payload carries its kind, a flat string mapping and its
-rendered line tail.  Payloads are interned per trace: all events of one
-trace with the same kind and payload text share one read-only payload,
-so emitting, writing and parsing a trace build and render each distinct
-payload once, and no event costs an object of its own.  No table
-outlives its trace.  The text form is line-oriented and canonical, so a
-cryptographic digest of it is a stable fingerprint of a run; the digest
-hashes the chunks as they are rendered, never the whole text.  A replay
-re-derives the terminal summary in its one pass over the events, which
-gives the self-consistency check.
+A trace stores its stages in the shape its readers take: one entry
+``[stage, payloads, copies]`` per stored stage, whose payloads each of
+the ``copies`` stages after it holds again.  Only a quiet stage
+(``RunTrace.quiet``) is copied, so a stage is either stored or copied,
+never both.  ``blocks`` numbers the event ids, and the writer and the
+replays read through it.  A payload carries its kind, a flat string
+mapping and its rendered line tail.  Payloads are interned per trace:
+all events of one trace with the same kind and payload text share one
+read-only payload, so emitting, writing and parsing a trace build and
+render each distinct payload once, and no event costs an object of its
+own.  No table outlives its trace.  The text form is line-oriented and
+canonical, so a cryptographic digest of it is a stable fingerprint of a
+run; the digest hashes the chunks as they are rendered, never the whole
+text.  A replay re-derives the terminal summary in its one pass over the
+events, which gives the self-consistency check.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from itertools import islice, repeat
 from operator import ne
 
@@ -60,10 +57,10 @@ class Payload(dict):
     quiet: a visit, or a ``declare what=gamma act=fin``, which
     re-declares a use the node already holds.  A stage of quiet payloads
     alone changes no state that the engines or the replays keep but the
-    stage's own, so it is the one stage a run may copy, in the engine,
-    the parser and the replays alike.  A trace shares one payload among
-    all of its events of the same kind and text, so no payload may
-    change after it is built, or its cached fields would go stale."""
+    stage's own, so it is the one stage a run may copy
+    (``RunTrace.quiet``).  A trace shares one payload among all of its
+    events of the same kind and text, so no payload may change after it
+    is built, or its cached fields would go stale."""
 
     __slots__ = ("kind", "tail", "quiet")
 
@@ -82,25 +79,20 @@ class Payload(dict):
 
 
 class RunTrace:
-    """A run's events and its terminal summary.  Each event is stored
-    once: ``stored`` and ``stored_stage`` hold the payload and the stage
-    of each event that ``emit`` or ``from_text`` appended, and
-    ``repeats`` each run that ``repeat`` copied, as its record alone.
-    ``blocks`` reads the two in event-id order."""
+    """A run's events, as one ``[stage, payloads, copies]`` entry per
+    stored stage in stage order, and its terminal summary."""
 
     def __init__(self, construction: str, stages: int):
         self.construction = construction
         self.stages = stages
-        self.stored = []        # stored event -> its shared payload
-        self.stored_stage = []  # stored event -> its stage
-        # the events stored before each run -> its stop: the last stored
-        # stage is copied to each stage after it up to stop - 1
-        self.repeats = {}
+        self.stored = []  # [stage, its payloads, the stages copying it]
         self.summary = {}
         # (kind, keys, value texts) -> the one payload of that kind and text
         self._payloads = {}
 
     def emit(self, stage: int, kind: str, **payload) -> None:
+        """Append an event at stage, which is the last stored stage or
+        one past its copies."""
         # keyed by the value texts, not the values, so values that compare
         # equal but render differently (True and 1, 1 and 1.0) never share
         # a payload
@@ -112,14 +104,28 @@ class RunTrace:
                 raise ValueError(f"unknown event kind {kind!r}") from None
             shared = self._payloads[key] = Payload(
                 kind, [(k, str(v)) for k, v in payload.items()])
-        self.stored.append(shared)
-        self.stored_stage.append(stage)
+        stored = self.stored
+        if stored and stored[-1][0] == stage:
+            stored[-1][1].append(shared)
+        else:
+            stored.append([stage, [shared], 0])
+
+    def quiet(self, stage: int) -> bool:
+        """Whether the last stored stage is stage and holds quiet payloads
+        alone (``Payload.quiet``): the one stage a run may copy."""
+        return bool(self.stored) and self.stored[-1][0] == stage and all(
+            p.quiet for p in self.stored[-1][1])
 
     def repeat(self, stop: int) -> None:
-        """Copy the last stored stage, which must be quiet, whole to each
-        stage after it up to stop - 1, at least one, as the run's record
-        in ``repeats`` alone.  The next event goes at stop or later."""
-        self.repeats[len(self.stored)] = stop
+        """Copy the last stored stage whole to each stage after it up to
+        stop - 1, as its entry's copies.  ValueError unless that stage is
+        quiet and stop leaves at least one copy.  The next event goes at
+        stop or later."""
+        stage = self.stored[-1][0] if self.stored else -1
+        if not self.quiet(stage) or stop <= stage + 1:
+            raise ValueError(f"no run of stage {stage} up to {stop}: a run "
+                             f"copies the quiet last stored stage")
+        self.stored[-1][2] = stop - stage - 1
 
     @property
     def events(self) -> list:
@@ -174,31 +180,30 @@ class RunTrace:
         is always in range: the alpha constructions set the bound there
         even in a run of no stages.  Each distinct payload text is parsed
         and its kind checked once, into one payload its events share, and
-        the events of one stage share one stage number.
+        the events of one stage, however its number is spelled, go into
+        one entry.
 
         Where a line opens the next stage with the payload that opened
-        the last one, and the last stage is quiet, the parser first asks
-        ``_repeated_stages`` how many stages from that line on repeat the
-        last one, and records them as one run of it; event ids go on past
-        the run's copies.  Such a stage holds the last stage's payload
-        texts as read, in order, at the next stage number and the next
-        event ids, each line exactly ``eid stage text``.  Every such line
-        is one the per-line path accepts with the same payload: its id is
-        the next one, its stage follows the last and is below the header's
-        count, and its text is one already read, so it gets that text's
-        shared payload.  A run holds whole stages: where the next line
-        that is not blank goes on at its last stage, that stage leaves the
-        run.  A stage that differs in any character, a blank or summary
-        line in it included, and a repeat of a stage that is not quiet go
-        through the per-line path, so errors keep their text and line
-        number.  The stage after a run is not tried again: it ended there."""
+        the last one, and the last stage is stored and quiet
+        (``RunTrace.quiet``), ``_repeated_stages`` says how many stages
+        from that line on repeat it whole, and they become its copies;
+        event ids go on past them.  Such a stage holds the last stage's
+        payload texts as read, in order, at the next stage number and
+        event ids, each line exactly ``eid stage text``: a line the
+        per-line path accepts with the same payload.  A run holds whole
+        stages: where the next line that is not blank goes on at its last
+        stage, that stage leaves the run.  A stage that differs in any
+        character, a blank or summary line in it included, goes through
+        the per-line path, so errors keep their text and line number.
+        The stage after a run is not tried again: the stage before it is
+        copied, not stored."""
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
         texts = {}  # id of a payload -> the text it was parsed from
-        # the last stage, its token and its first event: a stage is parsed
-        # and checked only where its token changes
-        last_stage, last_tok, start = 0, "0", 0
-        copied = 0  # the events of the runs recorded so far
+        # the last stage and its token: a stage is parsed and checked only
+        # where its token changes
+        last_stage, last_tok = 0, None
+        count = 0  # the events read, copies included
         lines = text.splitlines()
         numbered = enumerate(lines, 1)
         for lineno, ln in numbered:
@@ -212,7 +217,7 @@ class RunTrace:
                     if word != "trace" or key != "stages" or int(stages) < 0:
                         raise ValueError
                     trace = cls(construction, int(stages))
-                    stored, stage_of = trace.stored, trace.stored_stage
+                    stored = trace.stored
                     bound = max(trace.stages, 1)
                     continue
                 if toks[0] == "summary":
@@ -238,27 +243,23 @@ class RunTrace:
             if payload is None:
                 raise ConfigError(f"line {lineno}: unknown event kind "
                                   f"{kind!r}")
-            if eid != len(stored) + copied:
+            if eid != count:
                 raise ConfigError(f"line {lineno}: event id {eid} out of "
-                                  f"sequence, expected "
-                                  f"{len(stored) + copied}")
+                                  f"sequence, expected {count}")
             if tok != last_tok:
-                if stage == last_stage + 1 and start < len(stored) \
-                        and payload is stored[start] and all(
-                            p.quiet for p in stored[start:]):
+                if stage == last_stage + 1 and trace.quiet(last_stage) \
+                        and payload is current[0]:
                     copies = _repeated_stages(lines, lineno - 1, eid,
-                                              stored[start:], texts, stage,
+                                              current, texts, stage,
                                               bound - stage)
                     if copies:
-                        size = len(stored) - start
                         trace.repeat(stage + copies)
-                        copied += copies * size
-                        # the run's other lines are read; start moves past
-                        # the run, so the stage after it is not tried again
-                        skip = copies * size - 1
-                        next(islice(numbered, skip, skip), None)
+                        size = copies * len(current)  # the run's events
+                        count += size
+                        # the run's other lines are read
+                        next(islice(numbered, size - 1, size - 1), None)
                         last_stage += copies
-                        last_tok, start = str(last_stage), len(stored)
+                        last_tok = str(last_stage)
                         continue
                 if stage < last_stage:
                     raise ConfigError(f"line {lineno}: stage {stage} after "
@@ -266,9 +267,12 @@ class RunTrace:
                 if stage >= bound:
                     raise ConfigError(f"line {lineno}: stage {stage} past "
                                       f"stages={trace.stages}")
-                last_stage, last_tok, start = stage, tok, len(stored)
-            stored.append(payload)
-            stage_of.append(last_stage)
+                if not stored or stored[-1][0] != stage:
+                    current = []
+                    stored.append([stage, current, 0])
+                last_stage, last_tok = stage, tok
+            current.append(payload)
+            count += 1
         if trace is None:
             raise ConfigError("missing trace header")
         return trace
@@ -360,18 +364,14 @@ def blocks(trace: RunTrace):
     """The events of trace in id order, as (stage, eid, payloads, copies):
     the payloads are events eid, eid + 1, ... at the given stage, and each
     of the copies stages after it holds them again, at the next ids, and
-    nothing else.  The one reader that numbers event ids, by counting the
-    runs' copies.  Each stored stage comes once, with its run if any, and
-    stages go up from block to block."""
-    stored, stage_of, repeats = trace.stored, trace.stored_stage, trace.repeats
-    at = copied = 0  # the first stored event not yet read, the copies before
-    while at < len(stored):
-        s = stage_of[at]
-        end = bisect_right(stage_of, s, at)
-        copies = repeats.get(end, s + 1) - s - 1
-        yield s, at + copied, stored[at:end], copies
-        copied += copies * (end - at)
-        at = end
+    nothing else.  The one reader that numbers event ids.  Each stored
+    stage comes once, with its copies, and stages go up from block to
+    block.  payloads is the trace's own list, which no reader may
+    change."""
+    eid = 0
+    for s, payloads, copies in trace.stored:
+        yield s, eid, payloads, copies
+        eid += len(payloads) * (copies + 1)
 
 
 class Summary:

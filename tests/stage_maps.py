@@ -6,12 +6,13 @@ A tree replay keeps each stage's path and lengths as intervals of stages
 each walked stage (``StrategyTree.paths``), which holds up to the next
 walk.  These helpers expand both into the per-stage maps the replays and
 the tree once kept, so tests can state what they state of single stages.
-A trace stores each event once and a run of copied stages as its record
-(``RunTrace.repeats``), which copies the last stored stage whole;
-``stage_of`` and ``runs`` give the stage of each event id and the event
-ids and stages of each run, ``assert_whole_stages`` that no stored event
-shares a stage with a copy, and ``assert_quiet_runs`` that each run
-copies a quiet stage.
+A trace stores each stored stage once, as a ``[stage, payloads,
+copies]`` entry of ``RunTrace.stored``, and a run of copied stages as
+the entry's copies: the stage copied whole to each of that many stages
+after it.  ``stage_of`` and ``runs`` give the stage of each event id and
+the event ids, stages and payloads of each run, ``assert_whole_stages``
+that each entry's stage is past the stages the entry before it covers,
+and ``assert_quiet_runs`` that each run copies a quiet stage.
 """
 
 from injurylab.trace import blocks
@@ -47,30 +48,24 @@ def stage_of(trace) -> list:
 
 def runs(trace) -> list:
     """The trace's recorded runs as (the event id of its first copied
-    event, first, stop, start, end): stages first..stop-1 copy the stored
-    stage first - 1, whose events are start..end-1 in the stored
-    columns."""
-    out, copied, stages = [], 0, trace.stored_stage
-    for end, stop in trace.repeats.items():
-        first = stages[end - 1] + 1
-        start = stages.index(first - 1)
-        out.append((end + copied, first, stop, start, end))
-        copied += (stop - first) * (end - start)
-    return out
+    event, first, stop, payloads): stages first..stop-1 copy the stored
+    stage first - 1, whose payloads are payloads."""
+    return [(eid + len(block), s + 1, s + copies + 1, block)
+            for s, eid, block, copies in blocks(trace) if copies]
 
 
 def assert_whole_stages(trace):
-    """No stored event shares a stage with a copy: each run copies a
-    stored stage at least once, and the next stored event comes after
-    its last copy."""
-    stages = trace.stored_stage
-    for end, stop in trace.repeats.items():
-        assert 0 < end and stages[end - 1] + 1 < stop
-        assert end == len(stages) or stages[end] >= stop
+    """No stored event shares a stage with a copy: each entry stores at
+    least one event at a stage past the previous entry's stage and its
+    copies."""
+    last = -1  # the last stage the entries so far cover
+    for s, payloads, copies in trace.stored:
+        assert payloads and copies >= 0 and s > last
+        last = s + copies
 
 
 def assert_quiet_runs(trace):
     """Each run copies a stage of quiet payloads alone
     (``Payload.quiet``)."""
-    for _, _, _, start, end in runs(trace):
-        assert all(p.quiet for p in trace.stored[start:end])
+    for _, _, _, payloads in runs(trace):
+        assert all(p.quiet for p in payloads)

@@ -37,8 +37,8 @@ from injurylab.trace import RunTrace
 copies = []  # (first, stop, events per stage) per run of stages copied
 repeat = RunTrace.repeat
 def counted_repeat(trace, stop):
-    stages = trace.stored_stage
-    copies.append((stages[-1] + 1, stop, stages.count(stages[-1])))
+    stage, payloads, _ = trace.stored[-1]
+    copies.append((stage + 1, stop, len(payloads)))
     repeat(trace, stop)
 RunTrace.repeat = counted_repeat
 scenario, fixture, out = sys.argv[1:]

@@ -1,7 +1,9 @@
 """Tests for the finite-injury low construction and its budget verifier."""
 
+import io
 import os
 import random
+import re
 
 import pytest
 
@@ -11,7 +13,8 @@ from injurylab.budgeted import descent_witness, phi
 from injurylab.functional import UseFunctional
 from injurylab.ordinal import (format_cnf, nat, omega_power, parse_cnf,
                                random_cnf_below)
-from injurylab.cli import reduce_summary, replay_of
+from injurylab.cli import main, reduce_summary, replay_of
+from injurylab.scenario import load_scenario
 from injurylab.trace import ConfigError, RunTrace
 
 from stage_maps import stage_of
@@ -196,6 +199,15 @@ class TestPermission:
         assert nst.qlist == [0]
 
 
+# a watcher under w: its budget phi is finite
+FINITE_BUDGET = """construction low-alpha
+alpha w
+stages 200
+adv f0 f level 0 g 4 mode random seed 3 change 0.3
+fun 0 arg 0 first 2
+"""
+
+
 class TestVerifier:
     def test_empty_trace_vacuous(self):
         checks = la.verify_lowness_budget(replay_of(RunTrace("low-alpha", 0)))
@@ -242,6 +254,21 @@ class TestVerifier:
         checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
         assert checks["mind-change-cap"].passed
         assert checks["mind-change-cap"].detail == "1 finite budgets"
+
+    def test_worst_ratio_under_a_finite_budget(self, tmp_path):
+        # a watcher under w gets a finite budget, and seed 1 injures its
+        # own computation: the campaign prints own injuries / phi
+        path = tmp_path / "s.txt"
+        path.write_text(FINITE_BUDGET)
+        out = io.StringIO()
+        assert main(["campaign", "--scenario", str(path), "--seeds", "2"],
+                    out) == 0
+        printed = re.search(r"^seed 1 .* worst-ratio=(\S+)$",
+                            out.getvalue(), re.M)[1]
+        r = replay_of(load_scenario(FINITE_BUDGET).execute(seed=1)[0])
+        own, budget = len(r.own_injuries(0)), r.budgets[0].value.nat_value()
+        assert own > 0 and budget > 0
+        assert printed == f"{own / budget:.3g}"
 
     def test_corrupt_budget_fails(self):
         adv = flip_adversary("f0", W, [4], [nat(1)])

@@ -518,16 +518,35 @@ class TestSyntheticDescent:
                   for c in na.verify_combined_bounds(replay_of(bad))}
         assert not report["xi-injury-gate"]
 
-    def test_out_of_scope_denial_caught(self):
+    @staticmethod
+    def denied(node, by):
+        """xi-permission-scope on the synthetic trace with a denial of node
+        by by after its first select, and the denial's event id."""
         tr = synthetic_descent_trace()
         bad = RunTrace("nonlow-alpha", 7)
+        denial = None
         for s, p in zip(stage_of(tr), tr.events):
             bad.emit(s, p.kind, **p)
-            if p.kind == "select":
-                bad.emit(s, "select", node="ii", act="denied", by="f", x=0)
-        report = {c.name: c.passed
+            if p.kind == "select" and denial is None:
+                denial = len(bad.events)
+                bad.emit(s, "select", node=node, act="denied", by=by, x=0)
+        report = {c.name: c
                   for c in na.verify_combined_bounds(replay_of(bad))}
-        assert not report["xi-permission-scope"]
+        check = report["xi-permission-scope"]
+        return (check.passed, check.witness, check.detail), denial
+
+    def test_out_of_scope_denial_caught(self):
+        # a denial of a xi by a node that is not an eta
+        got, denial = self.denied("ii", "f")
+        assert got == (False, denial,
+                       "denier f not an eta-infinity prefix of ii")
+
+    def test_denial_by_an_eta_not_above_the_xi_caught(self):
+        # a denial of a xi by an eta whose infinite outcome is not on its
+        # path
+        got, denial = self.denied("fi", "-")
+        assert got == (False, denial,
+                       "denier - not an eta-infinity prefix of fi")
 
     def test_rho_visit_with_length_caught(self):
         tr = synthetic_descent_trace()

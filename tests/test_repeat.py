@@ -42,7 +42,7 @@ def copying(sc, seed=None, stages=None):
     repeat = RunTrace.repeat
 
     def counted(trace, stop):
-        runs.append((trace.stored_stage[-1] + 1, stop))
+        runs.append((trace.stored[-1][0] + 1, stop))
         repeat(trace, stop)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -253,5 +253,6 @@ def test_an_empty_walk_starts_no_run(text):
     # every walk after the phi-sets is played in full and emits nothing;
     # a run would copy the last stored stage, its phi-sets, so none starts
     trace, copied = assert_matches_plain(load_scenario(text))
-    assert not copied and not trace.repeats
-    assert trace.events == trace.stored  # no phi-set is copied
+    assert not copied and not any(c for _, _, c in trace.stored)
+    # no phi-set is copied
+    assert trace.events == [p for _, ps, _ in trace.stored for p in ps]

@@ -7,7 +7,9 @@ compares."""
 import collections
 import glob
 import io
+import itertools
 import os
+from operator import itemgetter
 
 import pytest
 
@@ -18,7 +20,7 @@ from injurylab.constructions import CONSTRUCTIONS
 from injurylab.scenario import ScenarioError, load_scenario
 from injurylab.trace import ConfigError, RunTrace, payload_error
 
-from stage_maps import stage_of
+from stage_maps import runs, stage_of
 from test_golden import FIX, NAMES, SCEN, run_golden
 
 SHIPPED = {"nonlow-low2": "nonlow-low2-random.txt",
@@ -137,11 +139,18 @@ class CountingList(list):
         return super().__getitem__(i)
 
 
+def count_reads(trace):
+    """Wrap the payloads of each stored stage in a CountingList."""
+    for entry in trace.stored:
+        entry[1] = CountingList(entry[1])
+
+
 def read_once(trace) -> bool:
-    """Whether the stored events, a CountingList, were read as a replay
-    reads them: every stored event exactly once, a copied stage with the
-    run that copies it."""
-    return trace.stored.reads == dict.fromkeys(range(len(trace.stored)), 1)
+    """Whether the stored events, counted since count_reads, were read as
+    a replay reads them: every stored event exactly once, a copied stage
+    with the run that copies it."""
+    return all(ps.reads == dict.fromkeys(range(len(ps)), 1)
+               for _, ps, _ in trace.stored)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -149,7 +158,7 @@ def test_replay_is_the_only_pass_over_the_events(name):
     # the replay reads each stored event once; the checks, worst_ratio and
     # the report lines read only what it derived
     sc, trace, psis = run_golden(name)
-    trace.stored = CountingList(trace.stored)
+    count_reads(trace)
     replay = replay_of(trace)
     assert read_once(trace)
     checks = checks_for(trace, replay, sc, psis)
@@ -166,7 +175,7 @@ def count_passes(monkeypatch):
     build = cli.replay_of
 
     def counting(trace):
-        trace.stored = CountingList(trace.stored)
+        count_reads(trace)
         made.append(trace)
         return build(trace)
     monkeypatch.setattr(cli, "replay_of", counting)
@@ -196,14 +205,14 @@ def test_campaign_digest_reads_no_copied_event(monkeypatch, construction):
     # the replay and the checks, and then the digest, which renders a
     # copied stage with its run, each read every stored event once
     made = count_passes(monkeypatch)
-    read = []  # each seed's digest reads
+    read = []  # whether each seed's digest read every stored event once
     real = cli.digest
 
     def counting(trace):
         assert read_once(trace)
-        trace.stored.reads.clear()
+        count_reads(trace)
         out = real(trace)
-        read.append(dict(trace.stored.reads))
+        read.append(read_once(trace))
         return out
     monkeypatch.setattr(cli, "digest", counting)
     code, text = run_cli(["campaign", "--scenario",
@@ -211,9 +220,9 @@ def test_campaign_digest_reads_no_copied_event(monkeypatch, construction):
                           "--seeds", "2", "--stages", "60"])
     assert code == 0, text
     assert len(made) == len(read) == 2
-    for trace, reads in zip(made, read):
-        assert trace.repeats, "the seed copies no run"
-        assert reads == dict.fromkeys(range(len(trace.stored)), 1)
+    for trace in made:
+        assert runs(trace), "the seed copies no run"
+    assert read == [True, True]
 
 
 SHAPES = sorted(glob.glob(os.path.join(SCEN, os.pardir, "bench",
@@ -301,13 +310,13 @@ def test_replay_summary_matches_oracle_with_a_line_dropped(name):
     assert reduce_summary(replay_of(trace)) == oracle_summary(trace) \
         == trace.summary
     # every event stored, with no recorded run, so that any one can go
-    events, stages = trace.events, stage_of(trace)
-    trace.repeats = {}
+    events = list(zip(stage_of(trace), trace.events))
     dropped = 0
-    for i, p in enumerate(events):
+    for i, (_, p) in enumerate(events):
         if p.kind in ("enumerate", "declare", "init"):
-            trace.stored = events[:i] + events[i + 1:]
-            trace.stored_stage = stages[:i] + stages[i + 1:]
+            kept = events[:i] + events[i + 1:]
+            trace.stored = [[s, [q for _, q in group], 0] for s, group in
+                            itertools.groupby(kept, key=itemgetter(0))]
             assert_replay_matches_oracle(trace)
             dropped += 1
     assert dropped

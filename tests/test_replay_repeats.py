@@ -17,20 +17,19 @@ compared stage by stage.
 import glob
 import hashlib
 import os
-from bisect import bisect_right
 
 import pytest
 
 from injurylab.cli import checks_for, replay_of
 from injurylab.scenario import load_scenario
-from injurylab.trace import Payload, RunTrace
+from injurylab.trace import Payload, RunTrace, blocks
 
 from stage_maps import (assert_quiet_runs, assert_whole_stages, runs,
                         stage_lengths, stage_of, stage_paths)
 from test_golden import FIX, NAMES
 from test_repeat import LATE, LOW_ALPHA, steps
-from test_replay import CountingList
-from test_trace import contents, oracle_from_text, oracle_to_text
+from test_replay import count_reads, read_once
+from test_trace import contents, entries, oracle_from_text, oracle_to_text
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SCENARIOS = sorted(glob.glob(os.path.join(ROOT, "scenarios", "*.txt")))
@@ -41,15 +40,16 @@ def per_event(trace: RunTrace) -> RunTrace:
     """A copy of trace with a payload of its own for each event, each
     event stored, and no recorded run."""
     out = RunTrace(trace.construction, trace.stages)
-    out.stored = [Payload(p.kind, p.items()) for p in trace.events]
-    out.stored_stage = stage_of(trace)
+    out.stored = [[t, [Payload(p.kind, p.items()) for p in block], 0]
+                  for s, _, block, copies in blocks(trace)
+                  for t in range(s, s + copies + 1)]
     out.summary = dict(trace.summary)
     return out
 
 
 def copied(trace: RunTrace) -> int:
     """The number of stages the trace's recorded runs copied."""
-    return sum(stop - first for _, first, stop, _, _ in runs(trace))
+    return sum(stop - first for _, first, stop, _ in runs(trace))
 
 
 def facts(x):
@@ -140,16 +140,15 @@ def test_an_init_in_a_repeated_stage_is_read():
     with open(os.path.join(FIX, "golden-nonlow-low2.trace")) as fh:
         text = fh.read()
     trace = RunTrace.from_text(text)
-    eid, first, stop, start, end = next(
+    eid, first, stop, payloads = next(
         run for run in runs(trace)
-        if "visit node=f" in [p.tail for p in trace.stored[run[3]:run[4]]])
+        if "visit node=f" in [p.tail for p in run[3]])
     lines = text.splitlines()
-    at = 1 + eid + [p.tail for p in trace.stored[start:end]].index(
-        "visit node=f")
+    at = 1 + eid + [p.tail for p in payloads].index("visit node=f")
     assert lines[at] == f"{at - 1} {first} visit node=f"
     lines[at] = f"{at - 1} {first} init node=f"
     trace = RunTrace.from_text("\n".join(lines) + "\n")
-    assert not any(a <= first < b for _, a, b, _, _ in runs(trace))
+    assert not any(a <= first < b for _, a, b, _ in runs(trace))
     replay = assert_matches_reference(trace)
     assert replay.last_init[(1,)] == first
 
@@ -175,8 +174,8 @@ def test_a_repeat_of_a_stage_that_acts_is_read(construction):
     # the repeated stage acts, so the parser records no run of it and
     # stores stages 2 and 3 line by line
     back = RunTrace.from_text(trace.to_text())
-    assert not trace.repeats and not back.repeats
-    assert back.stored_stage == trace.stored_stage
+    assert not runs(trace) and not runs(back)
+    assert entries(back) == entries(trace)
     for replay in (assert_matches_reference(trace),
                    assert_matches_reference(back)):
         if construction == "low-alpha":
@@ -194,7 +193,7 @@ def test_a_repeated_fin_declaration_of_a_watcher_is_read():
         trace.emit(s, "declare", node="q0", what="delta", x=0, u=3,
                    value=1, act="fin")
     back = RunTrace.from_text(trace.to_text())
-    assert not back.repeats
+    assert not runs(back)
     replay = assert_matches_reference(back)
     assert [stage for _, stage, _, _ in replay.declares[0]] == [1, 2, 3]
 
@@ -224,13 +223,12 @@ def test_a_run_of_a_visit_and_a_gamma_fin_declaration_is_read():
 def stops_at_injects(trace) -> bool:
     """Whether the stage that a recorded run stops before repeats the
     run's stage and then goes on with inject-* events."""
-    stored, stages = trace.stored, trace.stored_stage
-    for _, first, stop, start, end in runs(trace):
-        size = end - start
-        after = stored[end:bisect_right(stages, stop, end)]
-        if stages[end:end + 1] == [stop] and after[:size] == \
-                stored[start:end] and after[size:] and all(
-                    p.kind.startswith("inject-") for p in after[size:]):
+    for (s, run, copies), (after_s, after, _) in zip(trace.stored,
+                                                     trace.stored[1:]):
+        size = len(run)
+        if copies and after_s == s + copies + 1 and after[:size] == run \
+                and after[size:] and all(p.kind.startswith("inject-")
+                                         for p in after[size:]):
             return True
     return False
 
@@ -290,9 +288,31 @@ def test_a_stage_that_goes_on_is_read_line_by_line(edge):
     assert_whole_stages(trace)
     assert_quiet_runs(trace)
     assert [run[1:3] for run in runs(trace)] == [(1, 5)]
-    assert trace.stored_stage.count(5) == 3
+    assert [len(ps) for s, ps, _ in trace.stored if s == 5] == [3]
     replay = assert_matches_reference(trace)
     assert replay.phi == {(0, 0): [(5, 3)]}
+
+
+# stage 5 spelled 05 on its second line, and a stage 6 that holds that
+# line's payload alone: stage 6 repeats no whole stage
+RESPELLED_TEXT = """trace nonlow-low2 stages=10
+0 5 visit node=- l=0
+1 05 visit node=i
+2 6 visit node=i
+"""
+
+
+def test_a_respelled_stage_is_read_whole():
+    # the events of stage 5 are one stored stage, however its token is
+    # spelled, so stage 6 starts no run and stays as read
+    trace = RunTrace.from_text(RESPELLED_TEXT)
+    reference = oracle_from_text(RESPELLED_TEXT)
+    assert contents(trace) == contents(reference)
+    assert not runs(trace)
+    assert entries(trace) == [(5, ["visit node=- l=0", "visit node=i"], 0),
+                              (6, ["visit node=i"], 0)]
+    assert trace.to_text() == oracle_to_text(reference)
+    assert_matches_reference(trace)
 
 
 def earlier_stage_text() -> str:
@@ -373,20 +393,20 @@ def test_a_run_at_the_last_stage_of_the_one_before(ending):
 
 def test_replay_cost_does_not_grow_with_the_stage_budget():
     # the low2 bench shape settles well before stage 2,000, so a longer
-    # budget only lengthens its last run: the trace stores as many events,
-    # the parser records as many runs, and the replay reads each stored
-    # event once
+    # budget only lengthens its last run: the trace stores as many stages
+    # and events and copies as many of its stages, the parser records as
+    # many runs, and the replay reads each stored event once
     path = os.path.join(ROOT, "bench", "scenarios", "campaign-low2.txt")
     seen = []
     for stages in (2_000, 20_000):
         _, trace, _ = run(path, 0, stages)
         parsed = RunTrace.from_text(trace.to_text())
-        trace.stored = CountingList(trace.stored)
+        count_reads(trace)
         replay = replay_of(trace)
-        reads = trace.stored.reads
-        assert reads == dict.fromkeys(range(len(trace.stored)), 1)
-        seen.append((len(trace.stored), len(trace.stored_stage),
-                     len(trace.repeats), len(parsed.repeats),
+        assert read_once(trace)
+        seen.append((len(trace.stored),
+                     sum(len(ps) for _, ps, _ in trace.stored),
+                     len(runs(trace)), len(runs(parsed)),
                      len(replay.stage_facts),
                      sum(len(f[3]) for f in replay.stage_facts)))
     assert seen[0] == seen[1]

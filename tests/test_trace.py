@@ -1,6 +1,7 @@
-"""The trace layer: payloads interned per trace and read-only, each event
-stored once with no object of its own and a run of copied stages kept as
-its record, the text round trip, the parser against the per-line parser
+"""The trace layer: payloads interned per trace and read-only, each
+stored stage kept once as its entry with no object per event and a run
+of copied stages as the entry's copies, which only a quiet stage may
+have, the text round trip, the parser against the per-line parser
 it replaced, on the goldens and on traces with long runs of repeated
 stages, and the writer against the per-line renderer it replaced."""
 
@@ -33,7 +34,7 @@ def oracle_from_text(text: str) -> RunTrace:
     for every event, shared with no other, and stored every event, with
     no recorded run: the reference the interning parser must match."""
     trace = None
-    last_stage = 0
+    last_stage = count = 0
     for lineno, ln in enumerate(text.splitlines(), 1):
         if not ln.strip():
             continue
@@ -59,9 +60,9 @@ def oracle_from_text(text: str) -> RunTrace:
         if kind not in EVENT_KINDS:
             raise ConfigError(f"line {lineno}: unknown event kind "
                               f"{kind!r}")
-        if eid != len(trace.stored):
+        if eid != count:
             raise ConfigError(f"line {lineno}: event id {eid} out of "
-                              f"sequence, expected {len(trace.stored)}")
+                              f"sequence, expected {count}")
         if stage < last_stage:
             raise ConfigError(f"line {lineno}: stage {stage} after "
                               f"stage {last_stage}")
@@ -69,8 +70,11 @@ def oracle_from_text(text: str) -> RunTrace:
             raise ConfigError(f"line {lineno}: stage {stage} past "
                               f"stages={trace.stages}")
         last_stage = stage
-        trace.stored.append(payload)
-        trace.stored_stage.append(stage)
+        count += 1
+        if trace.stored and trace.stored[-1][0] == stage:
+            trace.stored[-1][1].append(payload)
+        else:
+            trace.stored.append([stage, [payload], 0])
     if trace is None:
         raise ConfigError("missing trace header")
     return trace
@@ -93,6 +97,12 @@ def contents(t):
     return (t.construction, t.stages, t.summary,
             [(eid, stage, p.kind, list(p.items()))
              for eid, (stage, p) in enumerate(zip(stage_of(t), t.events))])
+
+
+def entries(t):
+    """Each stored stage of a trace as (stage, payload texts, copies)."""
+    return [(s, [p.tail for p in payloads], copies)
+            for s, payloads, copies in t.stored]
 
 
 def parsed(parse, text):
@@ -183,7 +193,40 @@ def test_emit_rejects_an_unknown_kind():
     tr = RunTrace("nonlow-low2", 1)
     with pytest.raises(ValueError, match="unknown event kind 'bogus'"):
         tr.emit(0, "bogus", node="-")
-    assert tr.stored == tr.stored_stage == [] == tr.events
+    assert tr.stored == [] == tr.events
+
+
+def quiet_low_alpha(tr):
+    tr.emit(0, "visit", node="q0", x=0, f=0)
+    tr.emit(0, "declare", node="q0", what="gamma", y=0, u=3, act="fin")
+
+
+@pytest.mark.parametrize("build, stop", [
+    (lambda tr: None, 3),
+    (lambda tr: (tr.emit(0, "visit", node="q0", x=0, f=0),
+                 tr.emit(0, "init", node="q0", cause="preempt:0")), 3),
+    (lambda tr: (tr.emit(0, "visit", node="q0", x=0, f=0),
+                 tr.emit(0, "declare", node="q0", what="delta", x=0, u=3,
+                         value=1, act="fin")), 3),
+    (quiet_low_alpha, 1),
+], ids=["empty", "init", "delta fin", "no copy"])
+def test_repeat_refuses_a_run_it_may_not_record(build, stop):
+    # a run copies the last stored stage, quiet, to at least one stage
+    tr = RunTrace("low-alpha", 10)
+    build(tr)
+    before = entries(tr)
+    with pytest.raises(ValueError, match="no run of stage"):
+        tr.repeat(stop)
+    assert entries(tr) == before
+
+
+def test_repeat_copies_a_quiet_stage():
+    tr = RunTrace("low-alpha", 10)
+    quiet_low_alpha(tr)
+    assert tr.quiet(0) and not tr.quiet(1)
+    tr.repeat(2)
+    assert [c for _, _, c in tr.stored] == [1]
+    assert not tr.quiet(1)  # the stage after a run is no stored stage
 
 
 def tracked_growth(build):
@@ -198,15 +241,18 @@ def tracked_growth(build):
 
 def test_events_cost_no_object_of_their_own():
     # a 10k-stage low2 seed has some 70,000 events but about 120 distinct
-    # payloads; parsing or emitting it may keep one tracked object per
-    # distinct payload, never one per event.  The slack covers the trace's
-    # own lists and dicts and interpreter objects made or freed meanwhile.
+    # payloads in some 40 stored stages; parsing or emitting it may keep
+    # one tracked object per distinct payload and two (its entry and its
+    # payload list) per stored stage, never one per event.  The slack
+    # covers the trace's own lists and dicts and interpreter objects made
+    # or freed meanwhile.
     text = _low2_seed(0)[0].to_text()
     trace, grown = tracked_growth(lambda: RunTrace.from_text(text))
     events = trace.events
     distinct = len({id(p) for p in events})
-    assert len(events) > 60_000 and distinct < 200
-    assert grown <= distinct + 50
+    kept = distinct + 2 * len(trace.stored)
+    assert len(events) > 60_000 and distinct < 200 and len(trace.stored) < 60
+    assert grown <= kept + 50
 
     def emit_all():
         copy = RunTrace(trace.construction, trace.stages)
@@ -216,7 +262,7 @@ def test_events_cost_no_object_of_their_own():
         return copy
     copy, grown = tracked_growth(emit_all)
     assert copy.to_text() == text
-    assert grown <= distinct + 50
+    assert grown <= distinct + 2 * len(copy.stored) + 50
 
 
 # -- long runs of repeated stages --------------------------------------
@@ -236,9 +282,9 @@ def run_trace(name):
 def longest_run(trace):
     """The (first, stop) line indices, in the text, of the trace's
     longest recorded run of copied stages."""
-    eid, first, stop, start, end = max(runs(trace),
-                                       key=lambda run: run[2] - run[1])
-    return 1 + eid, 1 + eid + (stop - first) * (end - start)
+    eid, first, stop, payloads = max(runs(trace),
+                                     key=lambda run: run[2] - run[1])
+    return 1 + eid, 1 + eid + (stop - first) * len(payloads)
 
 
 def stage_token(line):
@@ -257,7 +303,9 @@ def with_stage(line, delta):
 def edited_runs(draw):
     """A trace of run_trace after one or two edits inside its longest run:
     an event id one off; a stage number moved on one line or on a whole
-    stage, or every stage from a line on shifted by one; a header whose
+    stage, or every stage from a line on shifted by one; a stage number
+    respelled with a leading 0 on a line that does not open its stage,
+    or on the line after one that does; a header whose
     stage count ends in the run; a blank line put in; a space doubled or
     turned into a tab, or a blank put at a line's end; a payload value
     given a %, %d or {} on every line that holds it; a payload made a
@@ -270,8 +318,8 @@ def edited_runs(draw):
     for _ in range(draw(st.integers(1, 2))):
         i = draw(st.integers(first, stop - 1))
         op = draw(st.sampled_from(("eid", "line stage", "stage", "shift",
-                                   "header", "blank", "space", "tab",
-                                   "trail", "value", "acts", "cut")))
+                                   "respell", "header", "blank", "space",
+                                   "tab", "trail", "value", "acts", "cut")))
         if i >= len(lines) or not lines[i][:1].isdigit():
             continue  # cut off by an earlier edit, or a blank put in
         if op == "eid":
@@ -288,6 +336,12 @@ def edited_runs(draw):
                      else ln for ln in lines]
         elif op == "shift":
             lines[i:] = [with_stage(ln, 1) for ln in lines[i:]]
+        elif op == "respell":
+            if stage_token(lines[i - 1]) != stage_token(lines[i]):
+                i += 1
+            if i < len(lines) and lines[i][:1].isdigit() and \
+                    stage_token(lines[i - 1]) == stage_token(lines[i]):
+                lines[i] = re.sub(r"^(\d+\s+)", r"\g<1>0", lines[i])
         elif op == "header":
             stage = stage_token(lines[i])
             if stage.isdigit():
@@ -472,9 +526,7 @@ def test_parser_recovers_the_engine_runs(path, seed):
     stages = 2000 if path.startswith(BENCH_SHAPES) else None
     trace = scenario_trace(path, seed, stages)
     back = RunTrace.from_text(trace.to_text())
-    assert back.stored_stage == trace.stored_stage
-    assert [p.tail for p in back.stored] == [p.tail for p in trace.stored]
-    assert back.repeats == trace.repeats
+    assert entries(back) == entries(trace)
     assert_whole_stages(trace)
     assert_quiet_runs(trace)
 
@@ -485,8 +537,8 @@ def test_parser_recovers_the_engine_runs(path, seed):
 def test_bench_shapes_write_as_reference(path, seed):
     trace = scenario_trace(path, seed, stages=2000)
     # nearly every event is in a recorded run
-    copied = sum((stop - first) * (end - start)
-                 for _, first, stop, start, end in runs(trace))
+    copied = sum((stop - first) * len(payloads)
+                 for _, first, stop, payloads in runs(trace))
     assert copied > 0.9 * len(trace.events)
     assert_writes_as_reference(trace)
 
@@ -537,7 +589,7 @@ def emitted_only():
     for s, p in zip(stage_of(trace), trace.events):
         copy.emit(s, p.kind, **p)
     copy.finalize(trace.summary)
-    assert not copy.repeats
+    assert not runs(copy)
     return copy
 
 
@@ -545,7 +597,7 @@ def empty_run():
     """Stages of no events after the first, which start no run."""
     trace = load_scenario("construction low-alpha\nalpha w^2\n"
                           "stages 20\n").execute()[0]
-    assert trace.stored_stage == [0] and not trace.repeats
+    assert [s for s, _, _ in trace.stored] == [0] and not runs(trace)
     return trace
 
 
@@ -557,15 +609,14 @@ def test_built_traces_write_as_reference(make):
 
 @st.composite
 def built_traces(draw):
-    """A trace built by emit and repeat calls: a repeat after an emit
-    copies the last stored stage to the next 1, 2, 3, 699 or 2,099
-    stages, so runs may hold a single line or more than _RUN_LINES, and
-    the next emit goes at the run's stop or later."""
+    """A trace built by emit and repeat calls: a repeat after an emit,
+    where the last stored stage is quiet, copies it to the next 1, 2, 3,
+    699 or 2,099 stages, so runs may hold a single line or more than
+    _RUN_LINES, and the next emit goes at the run's stop or later."""
     tr = RunTrace("nonlow-low2", 10**6)
     stage = 0
     for _ in range(draw(st.integers(1, 12))):
-        if tr.stored and len(tr.stored) not in tr.repeats \
-                and draw(st.booleans()):
+        if tr.quiet(stage) and draw(st.booleans()):
             stage += draw(st.sampled_from((2, 3, 4, 700, 2100)))
             tr.repeat(stage)
         else:
