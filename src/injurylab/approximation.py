@@ -83,14 +83,19 @@ def verify_r_approximation(trace: ApproxTrace, bound) -> Violation | None:
 class DeltaTwoAdversary:
     """A 0/1 limit-guessing opponent given by a deterministic flip schedule.
 
-    Modes: ``stabilizing`` (random flips until a stabilization stage, then
-    constant), ``alternating`` (flips forever at a fixed period), ``random``
-    (flip with given probability each stage, constant from ``stab`` on; a
-    ``stab`` of None never settles), or ``scripted`` via explicit steps.
+    Modes: ``stabilizing`` and ``random`` run one rule: flip with
+    probability ``flip`` each stage, constant from ``stab`` on (a ``stab``
+    of None never settles).  ``alternating`` flips forever every
+    ``period`` stages, and ``scripted`` follows explicit steps.  Any other
+    mode, or a period below 1, is a ValueError.
     """
 
     def __init__(self, aid: str, mode: str = "stabilizing", seed: int = 0,
                  flip: float = 0.3, stab: int | None = 40, period: int = 1):
+        if mode not in ("stabilizing", "random", "alternating", "scripted"):
+            raise ValueError(f"unknown psi mode {mode!r}")
+        if period < 1:
+            raise ValueError(f"period wants at least 1, got {period}")
         self.aid = aid
         self.mode = mode
         self.seed = seed

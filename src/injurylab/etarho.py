@@ -512,15 +512,16 @@ def worst_ratio(replay: EtaRhoReplay) -> float:
 # -- checks shared by the tree constructions ---------------------------
 
 
-def check_recursion(r: EtaRhoReplay, name: str, order) -> CheckResult:
+def check_recursion(r: EtaRhoReplay, name: str) -> CheckResult:
     """Per-node injury counts obey the edge-layer inequality, with layers
     computed over the rho nodes realized in the trace; xi hits at x add
-    to every rho node's allowance.  ``order`` (list or sorted) fixes the
-    visiting order, and so which failure is the witness."""
+    to every rho node's allowance.  A rho injuring x from outside
+    quota(x) fails at its first such injury.  Etas, arguments and nodes
+    are visited in trace order, which fixes the witness."""
     lv = r.levels
     realized = {p[:i] for p in r.distinct_paths
                 for i in range(1, len(p) + 1, lv.period)}
-    for eta in order(r.etas()):
+    for eta in r.etas():
         counts = {}
         xi_hits = {}
         for eid, s, x, node, elem in r.counted_injuries(eta):
@@ -528,12 +529,14 @@ def check_recursion(r: EtaRhoReplay, name: str, order) -> CheckResult:
                 counts.setdefault(x, {}).setdefault(node, [0, eid])[0] += 1
             elif lv.is_xi(node):
                 xi_hits[x] = xi_hits.get(x, 0) + 1
-        for x, per_node in order(counts.items()):
+        for x, per_node in counts.items():
             universe = [q for q in realized if lv.in_quota(q, x)]
             layers = {q: lv.edge_layer(q, x, universe) for q in universe}
-            for rho, (n, eid) in order(per_node.items()):
+            for rho, (n, eid) in per_node.items():
                 if rho not in layers:
-                    continue
+                    return CheckResult(
+                        name, False, eid, f"{lv.render(rho)} injured x={x} "
+                                          f"outside quota({x})")
                 allowed = lv.quota_for(rho, x) + xi_hits.get(x, 0) + sum(
                     per_node.get(q, (0, 0))[0] for q, lay in layers.items()
                     if lay < layers[rho])
@@ -544,13 +547,13 @@ def check_recursion(r: EtaRhoReplay, name: str, order) -> CheckResult:
     return CheckResult(name, True)
 
 
-def check_triggers(r: EtaRhoReplay, order) -> CheckResult:
+def check_triggers(r: EtaRhoReplay) -> CheckResult:
     """Post-exhaustion rho injuries have a trigger: the first injury of
     the same computation between the pick and the hit comes from a node
     extending the injurer's infinitary outcome, or from a quota list
-    member.  ``order`` is as for check_recursion."""
+    member.  Etas are visited in trace order."""
     lv = r.levels
-    for eta in order(r.etas()):
+    for eta in r.etas():
         e = lv.level_index(eta)
         for eid, s2, x, rho, elem in r.counted_injuries(eta):
             if not lv.is_rho(rho) or not is_prefix(eta + (INF,), rho):

@@ -77,7 +77,7 @@ class UseFunctional:
     def configure(self, x: int, first: int, delay: int = 0,
                   policy: str = "fresh", offset: int = 1):
         if policy not in ("fresh", "low"):
-            raise ValueError(f"unknown use policy {policy!r}")
+            raise ValueError(f"unknown policy {policy!r}")
         self.args[x] = ArgSchedule(first, delay, policy, offset)
 
 

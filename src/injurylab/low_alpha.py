@@ -54,7 +54,7 @@ class LowAlphaRun(Engine):
                      for e, fn in enumerate(funs)}
         self.q = [Requirement(adv, f"q{e}") for e, adv in enumerate(advs)]
         self.n = [_NState() for _ in funs]
-        self._wants = {e: [] for e in range(len(self.q))}
+        self._wants = [-1] * len(self.q)  # last stage each q wanted to act
         self._inits = {e: [] for e in range(len(self.q))}
         self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
 
@@ -82,7 +82,7 @@ class LowAlphaRun(Engine):
                             value=format_cnf(phi(gs, nst.k)))
             return
         for q in list(nst.qlist):
-            if any(t >= nst.s0 for q2 in range(q) for t in self._wants[q2]):
+            if any(self._wants[q2] >= nst.s0 for q2 in range(q)):
                 cause = "preempted"
             elif len([t for t in self._inits[q] if t >= nst.s0]) > nst.k:
                 cause = "exhausted"
@@ -121,7 +121,7 @@ class LowAlphaRun(Engine):
             return True
         if not st.visit(self, s):
             return False
-        self._wants[e].append(s)
+        self._wants[e] = s
         denier = self._denier(e, st.use)
         if denier is None:
             self.trace.emit(s, "select", node=st.label, act="act")

@@ -326,8 +326,8 @@ def verify_combined_bounds(replay: _CombReplay) -> list:
     return [_level_discipline(replay), _xi_permission_scope(replay),
             _qlist_structure(replay), _xi_injury_gate(replay),
             _descent_witness(replay),
-            check_recursion(replay, "rho-recursion", sorted),
-            check_triggers(replay, sorted), _mind_change_cap(replay)]
+            check_recursion(replay, "rho-recursion"),
+            check_triggers(replay), _mind_change_cap(replay)]
 
 
 def _level_discipline(r: _CombReplay) -> CheckResult:

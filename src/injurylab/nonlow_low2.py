@@ -64,8 +64,8 @@ def verify_main_lemma_claims(psis: dict | None, replay: _Replay) -> list:
     bound, diagonalization, and bound uniformity.
     """
     return [_quota_soundness(replay), _exhaustion_gate(replay),
-            check_triggers(replay, list),
-            check_recursion(replay, "recursion-bound", list),
+            check_triggers(replay),
+            check_recursion(replay, "recursion-bound"),
             _global_bound(replay), _diagonalization(replay, psis),
             _uniformity(replay)]
 

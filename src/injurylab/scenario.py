@@ -5,6 +5,8 @@ the opponents and the functionals, plus optional verifier toggles.  The
 same scenario can be replayed under different seeds for campaigns.
 """
 
+from typing import NamedTuple
+
 from .approximation import (BoundedCaAdversary, DeltaTwoAdversary,
                             ScriptedCaAdversary)
 from .constructions import CONSTRUCTIONS, construction
@@ -22,54 +24,24 @@ class ScenarioError(ConfigError):
 
 
 class AdvDecl:
-    """One opponent: its kind, level, generation mode, and script."""
+    """One opponent: its id, kind, level and class, the class keywords
+    its line set, and its script steps (add_step arguments)."""
 
-    def __init__(self, aid, kind, level, mode, g=None, seed=0,
-                 flip=0.3, stab=40, period=1, change=0.25):
+    def __init__(self, aid, kind, level, cls, kw):
         self.aid = aid
-        self.kind = kind  # "psi" | "f"
+        self.kind = kind  # a key of OPPONENTS
         self.level = level
-        self.mode = mode
-        self.g = g
-        self.seed = seed
-        self.flip = flip
-        self.stab = stab
-        self.period = period
-        self.change = change
-        self.steps = []  # (arg, stage, value, marker or None)
+        self.cls = cls
+        self.kw = kw  # class keyword -> value, for the fields the line gave
+        self.steps = []
 
-    def build(self, seed_shift=0):
-        seed = self.seed + seed_shift
-        if self.kind == "psi":
-            adv = DeltaTwoAdversary(self.aid, self.mode, seed=seed,
-                                    flip=self.flip, stab=self.stab,
-                                    period=self.period)
-            for x, s, v, _ in self.steps:
-                adv.add_step(x, s, v)
-            return adv
-        if self.mode == "scripted":
-            adv = ScriptedCaAdversary(self.aid, self.g)
-        else:
-            adv = BoundedCaAdversary(self.aid, self.g, seed=seed,
-                                     change_prob=self.change)
-        for x, s, v, m in self.steps:
-            adv.add_step(x, s, v, m if m is not None else self.g)
+    def build(self, seed_shift):
+        """A fresh opponent, its seed shifted by seed_shift."""
+        adv = self.cls(self.aid, **{**self.kw, "seed":
+                                    self.kw.get("seed", 0) + seed_shift})
+        for step in self.steps:
+            adv.add_step(*step)
         return adv
-
-
-class FunDecl:
-    """One functional argument schedule line."""
-
-    def __init__(self, e):
-        self.e = e
-        self.args = []  # (x, first, delay, policy, offset)
-
-    def build(self):
-        fn = UseFunctional(self.e)
-        for x, first, delay, policy, offset in self.args:
-            fn.configure(x, first=first, delay=delay, policy=policy,
-                         offset=offset)
-        return fn
 
 
 class Scenario:
@@ -79,26 +51,23 @@ class Scenario:
         self.stages = 0
         self.seed = 0
         self.advs = {}  # id -> AdvDecl
-        self.funs = {}  # e -> FunDecl
+        self.funs = {}  # e -> UseFunctional, which no run changes
         self.verify = {}  # check name -> bool
         self.verify_lines = {}  # check name -> line of its last verify line
 
-    def psi_levels(self):
-        return {d.level: d for d in self.advs.values() if d.kind == "psi"}
-
-    def f_levels(self):
-        return {d.level: d for d in self.advs.values() if d.kind == "f"}
+    def levels(self, kind):
+        """level -> declaration, for the opponents of kind."""
+        return {d.level: d for d in self.advs.values() if d.kind == kind}
 
     def execute(self, seed=None, stages=None):
         """Build fresh opponents and run the named construction."""
         seed = self.seed if seed is None else seed
         stages = self.stages if stages is None else stages
         shift = 1000 * seed
-        psis = {lv: d.build(shift) for lv, d in self.psi_levels().items()}
-        fs = {lv: d.build(shift) for lv, d in self.f_levels().items()}
-        funs = {e: d.build() for e, d in self.funs.items()}
+        psis = {lv: d.build(shift) for lv, d in self.levels("psi").items()}
+        fs = {lv: d.build(shift) for lv, d in self.levels("f").items()}
         trace = construction(self.construction).run(
-            psis, fs, funs, self.alpha, stages, seed)
+            psis, fs, self.funs, self.alpha, stages, seed)
         return trace, psis
 
     def checks(self, psis, replay):
@@ -147,94 +116,128 @@ def _prob_field(lineno, key, val):
     return p
 
 
+def _cnf_field(lineno, key, val):
+    try:
+        return parse_cnf(val)
+    except ValueError as ex:
+        raise ScenarioError(lineno, f"{key}: {ex}")
+
+
+class Kind(NamedTuple):
+    classes: dict  # mode -> the class it builds; None: the line names none
+    fields: dict   # field -> (class keyword, parser)
+    budget: str    # the keyword a line must set and a step marker's default
+
+
+# The opponents a scenario declares.  A psi opponent reads its mode
+# itself; an f opponent's mode picks its class.  Every default lives in
+# the class signatures alone.
+OPPONENTS = {
+    "psi": Kind({None: DeltaTwoAdversary},
+                {"mode": ("mode", lambda lineno, key, val: val),
+                 "seed": ("seed", _nat_field),
+                 "flip": ("flip", _prob_field),
+                 "stab": ("stab", _nat_field),
+                 "period": ("period", _nat_field)}, ""),
+    "f": Kind({None: ScriptedCaAdversary, "scripted": ScriptedCaAdversary,
+               "random": BoundedCaAdversary},
+              {"seed": ("seed", _nat_field),
+               "g": ("g", _cnf_field),
+               "change": ("change_prob", _prob_field)}, "g"),
+}
+
+
+def _check_build(decl, lineno, steps=()):
+    """Build decl's class with steps: the class rejects what it cannot
+    run (a mode, a period, a marker schedule) with a ValueError."""
+    try:
+        adv = decl.cls(decl.aid, **decl.kw)
+        for step in steps:
+            adv.add_step(*step)
+    except ValueError as ex:
+        raise ScenarioError(lineno, str(ex))
+
+
+def _parse_step(sc, aid, parts, lineno):
+    decl = sc.advs.get(aid)
+    if decl is None:
+        raise ScenarioError(lineno, f"step for undeclared opponent {aid!r}")
+    budget = OPPONENTS[decl.kind].budget
+    row = dict.fromkeys(("arg", "stage", "value") + ("marker",) * bool(budget))
+    for key, val in _fields(parts, lineno):
+        if key not in row:
+            raise ScenarioError(lineno, f"unknown step field {key!r}")
+        row[key] = val
+    step = []
+    for key in ("arg", "stage", "value"):
+        if row[key] is None:
+            raise ScenarioError(lineno, f"step misses {key}")
+        step.append(_nat_field(lineno, key, row[key]))
+    if budget:
+        step.append(decl.kw[budget] if row["marker"] is None
+                    else _cnf_field(lineno, "marker", row["marker"]))
+    decl.steps.append(step)
+    # a script holds or fails argument by argument
+    _check_build(decl, lineno, [st for st in decl.steps if st[0] == step[0]])
+
+
 def _parse_adv(sc, parts, lineno):
     if len(parts) < 2:
         raise ScenarioError(lineno, "adv wants an id and a kind")
     aid, kind = parts[0], parts[1]
     if kind == "step":
-        decl = sc.advs.get(aid)
-        if decl is None:
-            raise ScenarioError(lineno, f"step for undeclared opponent "
-                                        f"{aid!r}")
-        row = {"arg": None, "stage": None, "value": None, "marker": None}
-        for key, val in _fields(parts[2:], lineno):
-            if key not in row:
-                raise ScenarioError(lineno, f"unknown step field {key!r}")
-            row[key] = val
-        for key in ("arg", "stage", "value"):
-            if row[key] is None:
-                raise ScenarioError(lineno, f"step misses {key}")
-        marker = None
-        if row["marker"] is not None:
-            try:
-                marker = parse_cnf(row["marker"])
-            except ValueError as ex:
-                raise ScenarioError(lineno, str(ex))
-        decl.steps.append((_nat_field(lineno, "arg", row["arg"]),
-                           _nat_field(lineno, "stage", row["stage"]),
-                           _nat_field(lineno, "value", row["value"]),
-                           marker))
-        try:  # the opponent's add_step knows which marker schedules hold
-            decl.build()
-        except ValueError as ex:
-            raise ScenarioError(lineno, str(ex))
-        return
-    if kind not in ("psi", "f"):
+        return _parse_step(sc, aid, parts[2:], lineno)
+    spec = OPPONENTS.get(kind)
+    if spec is None:
         raise ScenarioError(lineno, f"unknown opponent kind {kind!r}")
     if aid in sc.advs:
         raise ScenarioError(lineno, f"opponent {aid!r} declared twice")
-    decl = AdvDecl(aid, kind, level=0,
-                   mode="scripted" if kind == "f" else "stabilizing")
+    level, mode, kw = 0, None, {}
     for key, val in _fields(parts[2:], lineno):
         if key == "level":
-            decl.level = _nat_field(lineno, key, val)
+            level = _nat_field(lineno, key, val)
+        elif key in spec.fields:
+            name, parse = spec.fields[key]
+            kw[name] = parse(lineno, key, val)
         elif key == "mode":
-            decl.mode = val
-        elif key == "seed":
-            decl.seed = _nat_field(lineno, key, val)
-        elif key == "g" and kind == "f":
-            try:
-                decl.g = parse_cnf(val)
-            except ValueError as ex:
-                raise ScenarioError(lineno, str(ex))
-        elif key in ("flip", "change"):
-            setattr(decl, key, _prob_field(lineno, key, val))
-        elif key in ("stab", "period"):
-            setattr(decl, key, _nat_field(lineno, key, val))
+            mode = val
         else:
             raise ScenarioError(lineno, f"unknown opponent field {key!r}")
-    if kind == "psi" and decl.mode not in ("stabilizing", "alternating",
-                                           "random", "scripted"):
-        raise ScenarioError(lineno, f"unknown psi mode {decl.mode!r}")
-    if kind == "f":
-        if decl.g is None:
-            raise ScenarioError(lineno, f"opponent {aid!r} wants a budget g")
-        if decl.mode not in ("scripted", "random"):
-            raise ScenarioError(lineno, f"unknown f mode {decl.mode!r}")
-    sc.advs[aid] = decl
+    cls = spec.classes.get(mode)
+    if cls is None:
+        raise ScenarioError(lineno, f"unknown {kind} mode {mode!r}")
+    if spec.budget and spec.budget not in kw:
+        raise ScenarioError(lineno, f"opponent {aid!r} wants a budget "
+                                    f"{spec.budget}")
+    sc.advs[aid] = decl = AdvDecl(aid, kind, level, cls, kw)
+    _check_build(decl, lineno)
 
 
 def _parse_fun(sc, parts, lineno):
     if not parts:
         raise ScenarioError(lineno, "fun wants an index")
     e = _nat_field(lineno, "e", parts[0])
-    decl = sc.funs.setdefault(e, FunDecl(e))
-    row = {"arg": None, "first": None, "delay": "0", "policy": "fresh"}
+    row = {}
     for key, val in _fields(parts[1:], lineno):
-        if key not in row:
+        if key not in ("arg", "first", "delay", "policy"):
             raise ScenarioError(lineno, f"unknown fun field {key!r}")
         row[key] = val
-    if row["arg"] is None or row["first"] is None:
+    if "arg" not in row or "first" not in row:
         raise ScenarioError(lineno, "fun wants arg and first")
-    policy, offset = row["policy"], 1
+    kw, policy = {}, row.get("policy", "")
+    if "delay" in row:
+        kw["delay"] = _nat_field(lineno, "delay", row["delay"])
     if policy.startswith("low:"):
-        policy, offset = "low", _nat_field(lineno, "policy", policy[4:])
-    elif policy not in ("fresh", "low"):
-        raise ScenarioError(lineno, f"unknown policy {row['policy']!r}")
-    decl.args.append((_nat_field(lineno, "arg", row["arg"]),
-                      _nat_field(lineno, "first", row["first"]),
-                      _nat_field(lineno, "delay", row["delay"]),
-                      policy, offset))
+        kw["policy"], kw["offset"] = "low", _nat_field(lineno, "policy",
+                                                         policy[4:])
+    elif policy:
+        kw["policy"] = policy
+    fn = sc.funs.setdefault(e, UseFunctional(e))
+    try:  # the functional knows its use policies
+        fn.configure(_nat_field(lineno, "arg", row["arg"]),
+                     _nat_field(lineno, "first", row["first"]), **kw)
+    except ValueError as ex:
+        raise ScenarioError(lineno, str(ex))
 
 
 def load_scenario(text: str) -> Scenario:
@@ -252,10 +255,7 @@ def load_scenario(text: str) -> Scenario:
         elif word == "alpha":
             if len(parts) != 1:
                 raise ScenarioError(lineno, "alpha wants one CNF value")
-            try:
-                sc.alpha = parse_cnf(parts[0])
-            except ValueError as ex:
-                raise ScenarioError(lineno, str(ex))
+            sc.alpha = _cnf_field(lineno, "alpha", parts[0])
         elif word == "stages":
             if len(parts) != 1:
                 raise ScenarioError(lineno, "stages wants one natural")
@@ -278,9 +278,8 @@ def load_scenario(text: str) -> Scenario:
     if sc.construction is None:
         raise ScenarioError(0, "no construction named")
     sc.validate()
-    for label, levels in (("psi", sc.psi_levels()),
-                          ("f", sc.f_levels()),
-                          ("fun", sc.funs)):
+    for label, levels in [(kind, sc.levels(kind)) for kind in OPPONENTS] \
+            + [("fun", sc.funs)]:
         if levels and sorted(levels) != list(range(len(levels))):
             raise ScenarioError(0, f"{label} levels not contiguous from 0")
     return sc

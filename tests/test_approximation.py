@@ -153,6 +153,11 @@ def test_delta2_deterministic_given_seed():
         assert [a.value(x, s) for s in range(50)] == [b.value(x, s) for s in range(50)]
 
 
+def test_delta2_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown psi mode 'chaotic'"):
+        DeltaTwoAdversary("p0", mode="chaotic")
+
+
 def test_delta2_scripted():
     adv = DeltaTwoAdversary("p0", mode="scripted")
     adv.add_step(4, 10, 1)

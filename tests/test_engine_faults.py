@@ -1,0 +1,80 @@
+"""Engine faults reach a check.
+
+Each ENGINE_FAULTS entry breaks one permission rule of an engine with a
+test-local monkeypatch, names a shipped scenario whose trace the fault
+changes, and pins the checks that must fail under it, with their witness
+event at seeds 0-3.  Nothing in the library switches a rule off.
+"""
+
+import os
+
+import pytest
+
+from injurylab.cli import replay_of
+from injurylab.etarho import EtaRhoRun
+from injurylab.scenario import load_scenario
+
+SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SEEDS = range(4)
+
+
+def allow_every_enumeration(monkeypatch):
+    """A rho enumerates its use even where a protected computation
+    outside its quota would be injured."""
+    monkeypatch.setattr(EtaRhoRun, "_allows_enum", lambda self, rho: True)
+
+
+# (construction, rule) -> (fault, scenario, check -> witness per seed)
+ENGINE_FAULTS = {
+    ("nonlow-alpha", "EtaRhoRun._allows_enum"): (
+        allow_every_enumeration, "nonlow-alpha-mixed",
+        {"rho-recursion": [228, 228, 228, 228]}),
+    ("nonlow-low2", "EtaRhoRun._allows_enum"): (
+        allow_every_enumeration, "nonlow-low2-random",
+        {"quota-soundness": [52, 52, 158, 53],
+         "recursion-bound": [52, 52, 158, 53]}),
+}
+
+KEYS = sorted(ENGINE_FAULTS)
+IDS = [f"{c}:{rule}" for c, rule in KEYS]
+
+
+def scenario(key):
+    with open(os.path.join(SCEN, ENGINE_FAULTS[key][1] + ".txt")) as fh:
+        sc = load_scenario(fh.read())
+    assert sc.construction == key[0]
+    return sc
+
+
+def failures(sc, seed):
+    """The trace of seed and its failing checks, name -> witness."""
+    trace, psis = sc.execute(seed=seed)
+    return trace, {c.name: c.witness
+                   for c in sc.checks(psis, replay_of(trace))
+                   if not c.passed}
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_fault_fails_its_checks_at_their_witnesses(key, monkeypatch):
+    fault, _, witnesses = ENGINE_FAULTS[key]
+    sc = scenario(key)
+    fault(monkeypatch)
+    for seed in SEEDS:
+        assert failures(sc, seed)[1] == \
+            {name: by_seed[seed] for name, by_seed in witnesses.items()}
+
+
+@pytest.mark.parametrize("key", KEYS, ids=IDS)
+def test_fault_changes_a_trace_that_passes_unfaulted(key, monkeypatch):
+    # the scenario exercises the rule: without the fault every check
+    # passes, and the fault changes each seed's trace
+    fault, _, _ = ENGINE_FAULTS[key]
+    sc = scenario(key)
+    clean = []
+    for seed in SEEDS:
+        trace, failed = failures(sc, seed)
+        assert failed == {}
+        clean.append(trace.digest())
+    fault(monkeypatch)
+    assert all(failures(sc, seed)[0].digest() != digest
+               for seed, digest in zip(SEEDS, clean))

@@ -2,6 +2,7 @@
 
 import gc
 import glob
+import inspect
 import io
 import os
 import re
@@ -12,8 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from injurylab import cli, nonlow_low2
 from injurylab.cli import digest, main, reduce_summary, replay_of
+from injurylab.functional import ArgSchedule
 from injurylab.ordinal import nat, omega_power
-from injurylab.scenario import ScenarioError, load_scenario
+from injurylab.scenario import OPPONENTS, ScenarioError, load_scenario
 from injurylab.trace import CheckResult, RunTrace
 
 from test_golden import REPORTS
@@ -88,22 +90,34 @@ class TestGrammar:
         sc = load_scenario(LOW2_TEXT)
         assert sc.construction == "nonlow-low2"
         assert sc.stages == 40 and sc.seed == 0
-        assert sorted(sc.psi_levels()) == [0, 1]
-        assert sc.advs["p0"].flip == 0.3 and sc.advs["p0"].stab == 30
+        assert sorted(sc.levels("psi")) == [0, 1]
+        p0 = sc.advs["p0"].build(0)
+        assert p0.flip == 0.3 and p0.stab == 30
         assert sorted(sc.funs) == [0, 1]
-        assert sc.funs[0].args[1] == (1, 5, 1, "low", 5)
+        assert sc.funs[0].args[1] == ArgSchedule(5, 1, "low", 5)
 
     def test_alpha_and_budget(self):
         sc = load_scenario(LOWA_TEXT)
         assert sc.alpha == omega_power(nat(2))
-        assert sc.advs["f0"].g == omega_power(nat(1))
-        assert sc.advs["f1"].g == nat(4)
-        assert sc.advs["f1"].steps == [(0, 5, 1, nat(3)), (0, 9, 0, nat(2))]
+        assert sc.advs["f0"].build(0).g == omega_power(nat(1))
+        f1 = sc.advs["f1"].build(0)
+        assert f1.g == nat(4)
+        assert f1.script == {0: [(5, 1, nat(3)), (9, 0, nat(2))]}
+
+    def test_table_fields_are_class_keywords(self):
+        # each field sets a keyword its classes' __init__ takes, and a
+        # kind's budget is one of its fields' keywords
+        for spec in OPPONENTS.values():
+            keywords = {name for name, _ in spec.fields.values()}
+            assert not spec.budget or spec.budget in keywords
+            for cls in spec.classes.values():
+                params = inspect.signature(cls.__init__).parameters
+                assert keywords <= set(params), cls
 
     def test_step_without_marker_defaults_to_budget(self):
         sc = load_scenario(LOWA_TEXT +
                            "adv f1 step arg 1 stage 3 value 1\n")
-        adv = sc.advs["f1"].build()
+        adv = sc.advs["f1"].build(0)
         assert adv.script[1][-1] == (3, 1, nat(4))
 
     def test_verify_toggle(self):
@@ -165,6 +179,19 @@ class TestGrammar:
         err = self.errors("construction nonlow-low2\n"
                           "adv p0 psi level 0 mode chaotic\n")
         assert "mode" in str(err)
+
+    @pytest.mark.parametrize("body, field", [
+        ("adv p0 psi level 0 change 0.3\n", "opponent field 'change'"),
+        ("adv f0 f level 0 g w flip 0.3\n", "opponent field 'flip'"),
+        ("adv f0 f level 0 g w stab 40\n", "opponent field 'stab'"),
+        ("adv f0 f level 0 g w period 2\n", "opponent field 'period'"),
+        ("adv p0 psi level 0\nadv p0 step arg 0 stage 1 value 1 marker 3\n",
+         "step field 'marker'"),
+    ])
+    def test_field_no_class_of_the_kind_reads(self, body, field):
+        err = self.errors("construction nonlow-alpha\nalpha w\n" + body)
+        assert err.lineno == body.count("\n") + 2
+        assert str(err) == f"line {err.lineno}: unknown {field}"
 
     def test_verify_wants_on_off(self):
         err = self.errors("construction nonlow-low2\nverify budget maybe\n")
@@ -380,13 +407,16 @@ class TestCli:
         ("adv p0 psi\nadv p0 step arg 0 stage 1\n",
          "line 3: step misses value"),
         ("adv f0 f g w\nadv f0 step arg 0 stage 1 value 1 marker w^^\n",
-         "line 3: bad exponent '^'"),
+         "line 3: marker: bad exponent '^'"),
         ("adv p0 zeta\n", "line 2: unknown opponent kind 'zeta'"),
-        ("adv f0 f g w+\n", "line 2: expected a term"),
+        ("adv f0 f g w+\n", "line 2: g: expected a term"),
         ("adv p0 psi colour red\n",
          "line 2: unknown opponent field 'colour'"),
         ("adv f0 f g w mode stabilizing\n",
          "line 2: unknown f mode 'stabilizing'"),
+        ("adv p0 psi mode chaotic\n", "line 2: unknown psi mode 'chaotic'"),
+        ("adv p0 psi mode alternating period 0\n",
+         "line 2: period wants at least 1, got 0"),
         ("fun\n", "line 2: fun wants an index"),
         ("fun 0 arg 0 first 2 colour red\n",
          "line 2: unknown fun field 'colour'"),

@@ -41,13 +41,9 @@ ALLOWED_PARAMETERS = {
                          "seeds; the bench shapes and the acceptance tests "
                          "pass one"
        for m in ("nonlow_low2", "low_alpha", "nonlow_alpha")},
-    **{f"approximation.DeltaTwoAdversary.__init__({p})":
-       "the scenario loader passes each; the bench shapes and the "
-       "scripted-opponent tests take the defaults"
-       for p in ("mode", "seed", "flip", "stab", "period")},
     **{f"functional.UseFunctional.configure({p})":
-       "the scenario loader passes each; the bench shapes and the "
-       "scripted-opponent tests take the defaults"
+       "the scenario loader passes those a fun line gives, through **; "
+       "the bench shapes and the scripted-opponent tests take the defaults"
        for p in ("delay", "policy", "offset")},
 }
 
