@@ -13,15 +13,17 @@ render each distinct payload once, and no event costs an object of its
 own.  No table outlives its trace.  The text form is line-oriented and
 canonical, so a cryptographic digest of it is a stable fingerprint of a
 run; the digest hashes the chunks as they are rendered, never the whole
-text.  A replay re-derives the terminal summary in its one pass over the
-events, which gives the self-consistency check.
+text, and the parser reads the text by offset, matching each run's
+rendered chunks in place, never through a list of its lines.  A replay
+re-derives the terminal summary in its one pass over the events, which
+gives the self-consistency check.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import islice, repeat
-from operator import ne
+from itertools import repeat
+from operator import eq
 
 
 class ConfigError(ValueError):
@@ -183,20 +185,26 @@ class RunTrace:
         the events of one stage, however its number is spelled, go into
         one entry.
 
-        Where a line opens the next stage with the payload that opened
-        the last one, and the last stage is stored and quiet
+        The text is read by offset, one piece up to the next "\\n" at a
+        time, and never split whole: a piece gives the lines
+        ``text.splitlines()`` gives there, so line numbers are the same.
+        A "\\r\\n" ending is read as "\\n", so a CRLF text records the
+        same runs.  Where a line opens the next stage with the payload
+        that opened the last one, and the last stage is stored and quiet
         (``RunTrace.quiet``), ``_repeated_stages`` says how many stages
-        from that line on repeat it whole, and they become its copies;
-        event ids go on past them.  Such a stage holds the last stage's
-        payload texts as read, in order, at the next stage number and
-        event ids, each line exactly ``eid stage text``: a line the
-        per-line path accepts with the same payload.  A run holds whole
-        stages: where the next line that is not blank goes on at its last
-        stage, that stage leaves the run.  A stage that differs in any
-        character, a blank or summary line in it included, goes through
-        the per-line path, so errors keep their text and line number.
-        The stage after a run is not tried again: the stage before it is
-        copied, not stored."""
+        from that line on repeat it whole, and where they end; they
+        become its copies, and event ids and line numbers go on past
+        them.  Such a stage holds the last stage's payload texts as read,
+        in order, at the next stage number and event ids, each line
+        exactly ``eid stage text``: a line the per-line path accepts with
+        the same payload.  A run holds whole stages: where the next line
+        that is not blank goes on at its last stage, that stage leaves
+        the run.  A stage that differs in any character, a blank or
+        summary line in it included, goes through the per-line path, so
+        errors keep their text and line number.  The stage after a run is
+        not tried again: the stage before it is copied, not stored."""
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
         texts = {}  # id of a payload -> the text it was parsed from
@@ -204,75 +212,82 @@ class RunTrace:
         # where its token changes
         last_stage, last_tok = 0, None
         count = 0  # the events read, copies included
-        lines = text.splitlines()
-        numbered = enumerate(lines, 1)
-        for lineno, ln in numbered:
-            toks = ln.split(None, 2)
-            if not toks:
-                continue
-            try:
-                if trace is None:
-                    word, construction, stages_tok = ln.split()
-                    key, stages = stages_tok.split("=")
-                    if word != "trace" or key != "stages" or int(stages) < 0:
-                        raise ValueError
-                    trace = cls(construction, int(stages))
-                    stored = trace.stored
-                    bound = max(trace.stages, 1)
+        pos = lineno = 0  # the offset of the next piece, the lines read
+        while pos < len(text):
+            lines, after = _piece(text, pos)
+            for ln in lines:
+                lineno += 1
+                toks = ln.split(None, 2)
+                if not toks:
                     continue
-                if toks[0] == "summary":
-                    _, key, value = ln.split()
-                    trace.summary[key] = value
-                    continue
-                eid, tok, tail = int(toks[0]), toks[1], toks[2]
-                if tok != last_tok:
-                    stage = int(tok)
-                payload = payloads.get(tail)
-                if payload is None:
-                    kind, *pairs = tail.split()
-                    payload = Payload(kind, [t.split("=", 1) for t in pairs])
-                    if kind in EVENT_KINDS:
-                        payloads[tail] = payload
-                        texts[id(payload)] = tail
-                    else:
-                        payload = None
-            except (ValueError, IndexError):
-                what = "trace header" if trace is None else "trace line"
-                raise ConfigError(f"line {lineno}: malformed {what} "
-                                  f"{ln!r}") from None
-            if payload is None:
-                raise ConfigError(f"line {lineno}: unknown event kind "
-                                  f"{kind!r}")
-            if eid != count:
-                raise ConfigError(f"line {lineno}: event id {eid} out of "
-                                  f"sequence, expected {count}")
-            if tok != last_tok:
-                if stage == last_stage + 1 and trace.quiet(last_stage) \
-                        and payload is current[0]:
-                    copies = _repeated_stages(lines, lineno - 1, eid,
-                                              current, texts, stage,
-                                              bound - stage)
-                    if copies:
-                        trace.repeat(stage + copies)
-                        size = copies * len(current)  # the run's events
-                        count += size
-                        # the run's other lines are read
-                        next(islice(numbered, size - 1, size - 1), None)
-                        last_stage += copies
-                        last_tok = str(last_stage)
+                try:
+                    if trace is None:
+                        word, construction, stages_tok = ln.split()
+                        key, stages = stages_tok.split("=")
+                        if word != "trace" or key != "stages" or \
+                                int(stages) < 0:
+                            raise ValueError
+                        trace = cls(construction, int(stages))
+                        stored = trace.stored
+                        bound = max(trace.stages, 1)
                         continue
-                if stage < last_stage:
-                    raise ConfigError(f"line {lineno}: stage {stage} after "
-                                      f"stage {last_stage}")
-                if stage >= bound:
-                    raise ConfigError(f"line {lineno}: stage {stage} past "
-                                      f"stages={trace.stages}")
-                if not stored or stored[-1][0] != stage:
-                    current = []
-                    stored.append([stage, current, 0])
-                last_stage, last_tok = stage, tok
-            current.append(payload)
-            count += 1
+                    if toks[0] == "summary":
+                        _, key, value = ln.split()
+                        trace.summary[key] = value
+                        continue
+                    eid, tok, tail = int(toks[0]), toks[1], toks[2]
+                    if tok != last_tok:
+                        stage = int(tok)
+                    payload = payloads.get(tail)
+                    if payload is None:
+                        kind, *pairs = tail.split()
+                        payload = Payload(kind,
+                                          [t.split("=", 1) for t in pairs])
+                        if kind in EVENT_KINDS:
+                            payloads[tail] = payload
+                            texts[id(payload)] = tail
+                        else:
+                            payload = None
+                except (ValueError, IndexError):
+                    what = "trace header" if trace is None else "trace line"
+                    raise ConfigError(f"line {lineno}: malformed {what} "
+                                      f"{ln!r}") from None
+                if payload is None:
+                    raise ConfigError(f"line {lineno}: unknown event kind "
+                                      f"{kind!r}")
+                if eid != count:
+                    raise ConfigError(f"line {lineno}: event id {eid} out "
+                                      f"of sequence, expected {count}")
+                if tok != last_tok:
+                    if stage == last_stage + 1 and \
+                            trace.quiet(last_stage) and payload is current[0]:
+                        # a line that shares its piece never matches: the
+                        # run's text has a "\n" where the piece breaks
+                        copies, at = _repeated_stages(
+                            text, pos, eid, current, texts, stage,
+                            bound - stage)
+                        if copies:
+                            trace.repeat(stage + copies)
+                            size = copies * len(current)  # the run's events
+                            count += size
+                            lineno += size - 1
+                            last_stage += copies
+                            last_tok = str(last_stage)
+                            after = at
+                            break
+                    if stage < last_stage:
+                        raise ConfigError(f"line {lineno}: stage {stage} "
+                                          f"after stage {last_stage}")
+                    if stage >= bound:
+                        raise ConfigError(f"line {lineno}: stage {stage} "
+                                          f"past stages={trace.stages}")
+                    if not stored or stored[-1][0] != stage:
+                        current = []
+                        stored.append([stage, current, 0])
+                    last_stage, last_tok = stage, tok
+                current.append(payload)
+                count += 1
+            pos = after
         if trace is None:
             raise ConfigError("missing trace header")
         return trace
@@ -306,49 +321,73 @@ def _run_text(pieces, eid: int, stage: int, count: int) -> str:
         range(eid, eid + count * (len(pieces) - 1)))
 
 
-def _repeated_stages(lines, at: int, eid: int, template, texts,
-                     stage: int, most: int) -> int:
-    """How many of the stages that lines[at:] opens with, at most most,
-    repeat the last stage whole, whose payloads are template: each holds
-    the texts those payloads were read from (texts maps a payload's id to
-    its text), in order, at stage, stage + 1, ..., with the event ids
-    going on from eid, and nothing else.  It compares chunks of 1, 2, 4,
-    ... stages (at most _RUN_LINES lines) with their rendered text; in
-    the first chunk that differs, the run ends at the stage of the first
-    line that differs.  The run's last stage leaves it where the next
-    line that is not blank goes on at that stage.  A stage that differs
-    from the one before mostly differs in its last line, so that line is
-    compared first, before anything is rendered."""
+def _piece(text: str, pos: int):
+    """The lines of text from offset pos, a line's start, up to its next
+    "\\n" or its end, as ``text.splitlines()`` gives them there, and the
+    offset past that "\\n".  A "\\n" ends a line of its own: the text
+    read holds no "\\r\\n"."""
+    end = text.find("\n", pos)
+    if end < 0:
+        end = len(text)
+    # "\r" ends the last line as the "\n" cut off did, never joins a "\r"
+    # before it, and makes a line of an empty piece
+    return (text[pos:end] + "\r").splitlines(), end + 1
+
+
+def _repeated_stages(text: str, pos: int, eid: int, template, texts,
+                     stage: int, most: int):
+    """How many of the stages that text opens with at offset pos, at most
+    most, repeat the last stage whole, whose payloads are template, and
+    the offset past them: each holds the texts those payloads were read
+    from (texts maps a payload's id to its text), in order, at stage,
+    stage + 1, ..., with the event ids going on from eid, and nothing
+    else.  A stage that differs from the one before mostly differs in its
+    last line, so that line is matched first, before anything is
+    rendered.  Then chunks of 1, 2, 4, ... stages (at most _RUN_LINES
+    lines) are rendered and matched against the text in place, each with
+    the "\\n" after it; only a chunk that differs is sliced out, and the
+    run ends at the stage of its first line that differs.  The run's last
+    stage leaves it where the next line that is not blank goes on at
+    that stage."""
     size = len(template)
-    last = at + size - 1
-    if last >= len(lines) or lines[last] != \
-            f"{eid + size - 1} {stage} {texts[id(template[-1])]}":
-        return 0
-    most = min(most, (len(lines) - at) // size)
+    last = pos
+    for _ in range(size - 1):
+        last = text.find("\n", last) + 1 or len(text)
+    if not text.startswith(
+            f"{eid + size - 1} {stage} {texts[id(template[-1])]}", last):
+        return 0, pos
     pieces = _pieces([texts[id(p)] for p in template])
     done, count = 0, 1
     while done < most:
         count = min(count, most - done)
-        first = at + done * size
-        got = lines[first:first + count * size]
         want = _run_text(pieces, eid + done * size, stage + done, count)
-        if "\n".join(got) != want:
-            # got and want hold as many lines, so one of them differs
-            differs = map(ne, got, want.split("\n"))
-            done += list(differs).index(True) // size
+        end = pos + len(want)  # where the chunk's last "\n" goes
+        if not (text.startswith(want, pos) and text.startswith("\n", end)):
+            # the whole stages before the first line that differs, or
+            # before the text's end
+            got = text[pos:end + 1].split("\n")
+            same = [*map(eq, got, want.split("\n")), False].index(False)
+            whole = same // size
+            done += whole
+            pos += sum(map(len, got[:whole * size])) + whole * size
             break
+        pos = end + 1
         done += count
         count = min(2 * count, max(1, _RUN_LINES // size))
-    at += done * size
-    while at < len(lines) and not lines[at].split():
-        at += 1
-    try:
-        word, tok, _ = lines[at].split(None, 2)
-        if word != "summary" and int(tok) == stage + done - 1:
-            return done - 1
-    except (IndexError, ValueError):  # the text's end, or no event line
-        pass
-    return done
+    if done:
+        at, toks = pos, []  # the next line that is not blank
+        while not toks and at < len(text):
+            lines, at = _piece(text, at)
+            toks = next(filter(None, map(str.split, lines)), [])
+        try:
+            if len(toks) > 2 and toks[0] != "summary" and \
+                    int(toks[1]) == stage + done - 1:
+                for _ in range(size):  # back to the last stage's start
+                    pos = text.rfind("\n", 0, pos - 1) + 1
+                return done - 1, pos
+        except ValueError:  # no stage number
+            pass
+    return done, pos
 
 
 def payload_error(eid: int, kind: str, ex: Exception) -> ConfigError:

@@ -17,11 +17,12 @@ from injurylab.approximation import (ApproxTrace, BoundedCaAdversary,
                                      DeltaTwoAdversary,
                                      verify_r_approximation)
 from injurylab.budgeted import descent_witness
-from injurylab.cli import main
+from injurylab.cli import digest, main
 from injurylab.functional import UseFunctional
 from injurylab.nonlow_low2 import injury_bound
 from injurylab.ordinal import (OMEGA, Cnf, collapse_to_omega, nat,
                                omega_power, random_cnf_below)
+from injurylab.trace import RunTrace
 
 from stage_maps import stage_lengths
 
@@ -167,6 +168,28 @@ def test_criterion_4_diagonalization(low2_campaign):
     ok &= settled > 0
     report(4, "diagonalization", ok, f"{settled} settled followers, "
                                      f"all disagree")
+
+
+def test_parser_keeps_pace_with_the_digest():
+    # the parse and the digest both render every run through
+    # trace._run_text, the parse to match it against the text and the
+    # digest to hash it, so they are timed against each other (CPU time,
+    # interleaved, best of 9).  The digest's extra is its sha256, whose
+    # share varies by host: on a shared 2-core x86 VM the parse reads 0.94
+    # to 1.04 of the digest, and a parse that splits the whole text into
+    # lines 1.59 to 1.67, so the bound sits between them.
+    trace = _low2_seed(0)[0]
+    text = trace.to_text()
+    parse = write = float("inf")
+    for _ in range(9):
+        t0 = time.process_time()
+        RunTrace.from_text(text)
+        t1 = time.process_time()
+        digest(trace)
+        t2 = time.process_time()
+        parse, write = min(parse, t1 - t0), min(write, t2 - t1)
+    assert parse <= 1.25 * write, \
+        f"from_text {parse * 1e3:.1f} ms, digest {write * 1e3:.1f} ms"
 
 
 # -- criterion 5: watcher budgets under w^2 ----------------------------

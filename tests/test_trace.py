@@ -12,6 +12,7 @@ import hashlib
 import io
 import os
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,6 +466,88 @@ def test_parser_renders_at_most_twice_the_lines(name, low2_trace,
     if name == "bench low2":
         # the runs were read in one step: all but a few hundred lines
         assert sum(rendered) >= lines - 500
+
+
+@pytest.mark.parametrize("name", ("bench low2",) + NAMES)
+def test_crlf_traces_record_the_same_runs(name):
+    text = bench_low2().to_text() if name == "bench low2" else \
+        "\n".join(GOLDEN[name]) + "\n"
+    crlf = RunTrace.from_text(text.replace("\n", "\r\n"))
+    assert entries(crlf) == entries(RunTrace.from_text(text))
+
+
+def test_parser_holds_no_list_of_lines(low2_trace):
+    # the text is read by offset, so at its peak a parse holds a small part
+    # of the text's size: 70k lines and their list would take more
+    text = low2_trace.to_text()
+    tracemalloc.start()
+    try:
+        RunTrace.from_text(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) // 4
+
+
+@functools.lru_cache(maxsize=None)
+def bench_low2():
+    """The bench low2 shape's seed-0 trace cut at 2,000 stages: its first
+    run is followed by event lines, its last and longest by the
+    summary."""
+    return scenario_trace(os.path.join(BENCH_SHAPES, "campaign-low2.txt"),
+                          0, 2000)
+
+
+def renumbered(lines, delta):
+    """lines with the event id of each event line moved by delta."""
+    return [re.sub(r"^\d+", lambda m: str(int(m[0]) + delta), ln)
+            for ln in lines]
+
+
+def edited_low2(which, edit):
+    """The text of bench_low2 after one edit about one of its runs, whose
+    copied lines are lines[first:stop]."""
+    eid, start, end, payloads = runs(bench_low2())[which]
+    lines = bench_low2().to_text().splitlines()
+    first, stop = 1 + eid, 1 + eid + (end - start) * len(payloads)
+    ending = "\n"
+    if edit == "malformed after":
+        lines[stop] = "x" + lines[stop]
+    elif edit == "malformed inside":
+        lines[(first + stop) // 2] = "x" + lines[(first + stop) // 2]
+    elif edit == "blank, then the last stage goes on":
+        last_eid, stage, tail = lines[stop - 1].split(None, 2)
+        lines[stop:] = ["", f"{int(last_eid) + 1} {stage} {tail}"] + \
+            renumbered(lines[stop:], 1)
+    elif edit == "cut after a line":
+        del lines[(first + stop) // 2:]
+        ending = ""
+    elif edit == "cut inside a line":
+        del lines[(first + stop) // 2 + 1:]
+        lines[-1] = lines[-1][:-3]
+        ending = ""
+    else:  # a line break other than "\n", mid-line or at the line's end
+        mark, where = edit.split(" ")
+        ln = lines[first - 1]  # in the stored stage the run copies
+        at = len(ln) // 2 if where == "mid" else len(ln)
+        lines[first - 1] = ln[:at] + mark + ln[at:]
+        lines[stop] = "x" + lines[stop]  # an error whose line number shows
+    return "\n".join(lines) + ending
+
+
+@pytest.mark.parametrize("edit", [
+    "malformed after", "malformed inside",
+    "blank, then the last stage goes on", "cut after a line",
+    "cut inside a line"] + [f"{mark} {where}" for mark in ("\r", "\x0b",
+                                                            "\u2028")
+                            for where in ("mid", "end")])
+@pytest.mark.parametrize("which", (0, -1), ids=("first run", "last run"))
+def test_parser_numbers_lines_as_the_reference(which, edit):
+    text = edited_low2(which, edit)
+    expected = parsed(oracle_from_text, text)
+    assert parsed(RunTrace.from_text, text) == expected
+    if not isinstance(expected, str):
+        assert_whole_stages(RunTrace.from_text(text))
 
 
 # -- the run-aware writer ----------------------------------------------
