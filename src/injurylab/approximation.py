@@ -12,16 +12,34 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import dataclass
 
 from .ordinal import Cnf, random_cnf_below
 
 
-@dataclass(frozen=True)
 class Violation:
-    stage: int
-    argument: int
-    reason: str
+    """Where an approximation trace breaks its marker rules, and how."""
+
+    __slots__ = ("stage", "argument", "reason")
+
+    def __init__(self, stage: int, argument: int, reason: str):
+        self.stage = stage
+        self.argument = argument
+        self.reason = reason
+
+    def _fields(self):
+        return self.stage, self.argument, self.reason
+
+    def __eq__(self, other):
+        if type(other) is not Violation:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Violation(stage={!r}, argument={!r}, reason={!r})".format(
+            *self._fields())
 
     def __str__(self):
         return f"stage {self.stage} arg {self.argument}: {self.reason}"
@@ -86,8 +104,10 @@ class DeltaTwoAdversary:
     Modes: ``stabilizing`` and ``random`` run one rule: flip with
     probability ``flip`` each stage, constant from ``stab`` on (a ``stab``
     of None never settles).  ``alternating`` flips forever every
-    ``period`` stages, and ``scripted`` follows explicit steps.  Any other
-    mode, or a period below 1, is a ValueError.
+    ``period`` stages, in closed form: its value at t is ``(t // period)
+    % 2`` and it changes at the multiples of ``period``, so it draws
+    nothing and keeps no cache.  ``scripted`` follows explicit steps.
+    Any other mode, or a period below 1, is a ValueError.
     """
 
     def __init__(self, aid: str, mode: str = "stabilizing", seed: int = 0,
@@ -119,8 +139,6 @@ class DeltaTwoAdversary:
             return steps[i - 1][1] if i else 0
         if t == 0:
             return prev
-        if self.mode == "alternating":
-            return prev ^ (t % self.period == 0)
         return prev ^ (random.Random(f"{self.seed}:{x}:{t}").random()
                        < self.flip)
 
@@ -145,11 +163,15 @@ class DeltaTwoAdversary:
         return entry
 
     def value(self, x: int, s: int) -> int:
+        if self.mode == "alternating":
+            return s // self.period % 2
         vals = self._grow(x, s)[0]
         return vals[s] if s < len(vals) else vals[-1]
 
     def change_stages(self, x: int, horizon: int) -> list:
         """Stages t with value(x, t) != value(x, t - 1), t in 1..horizon."""
+        if self.mode == "alternating":
+            return list(range(self.period, horizon + 1, self.period))
         changes = self._grow(x, horizon)[1]
         return changes[:bisect.bisect_right(changes, horizon)]
 
@@ -157,6 +179,8 @@ class DeltaTwoAdversary:
         """The first stage t, s < t < horizon, with value(x, t) !=
         value(x, s); horizon when there is none.  The cache grows only
         as far as that stage."""
+        if self.mode == "alternating":
+            return min((s // self.period + 1) * self.period, horizon)
         changes = self._grow(x, s)[1]
         i = bisect.bisect_right(changes, s)
         if i == len(changes):

@@ -11,7 +11,6 @@ injury an observable mind change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .trace import RunTrace
 
@@ -53,18 +52,54 @@ class EnumerableSet:
         return out
 
 
-@dataclass(frozen=True)
 class Converged:
-    use: int
-    value: int
+    """A converged computation's use and value."""
+
+    __slots__ = ("use", "value")
+
+    def __init__(self, use: int, value: int):
+        self.use = use
+        self.value = value
+
+    def _fields(self):
+        return self.use, self.value
+
+    def __eq__(self, other):
+        if type(other) is not Converged:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Converged(use={!r}, value={!r})".format(*self._fields())
 
 
-@dataclass
 class ArgSchedule:
-    first: int          # stage of first convergence
-    delay: int = 0      # uninjured stages to wait before reconverging
-    policy: str = "fresh"  # "fresh" or "low"
-    offset: int = 1     # use = max(A) + offset under the "low" policy
+    """One argument's convergence schedule."""
+
+    __slots__ = ("first", "delay", "policy", "offset")
+
+    def __init__(self, first: int, delay: int, policy: str, offset: int):
+        self.first = first    # stage of first convergence
+        self.delay = delay    # uninjured stages to wait before reconverging
+        self.policy = policy  # "fresh" or "low"
+        self.offset = offset  # use = max(A) + offset under the "low" policy
+
+    def _fields(self):
+        return self.first, self.delay, self.policy, self.offset
+
+    def __eq__(self, other):
+        if type(other) is not ArgSchedule:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # its fields may change
+
+    def __repr__(self):
+        return ("ArgSchedule(first={!r}, delay={!r}, policy={!r}, "
+                "offset={!r})".format(*self._fields()))
 
 
 class UseFunctional:

@@ -9,20 +9,19 @@ The empty term list is 0.  Values are immutable and totally ordered.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 
 
 @total_ordering
-@dataclass(frozen=True)
 class Cnf:
-    """An ordinal below epsilon_0 in Cantor normal form."""
+    """An ordinal below epsilon_0 in Cantor normal form, immutable."""
 
-    terms: tuple  # tuple of (Cnf exponent, int coefficient)
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
+    def __init__(self, terms: tuple):
+        """terms is a tuple of (Cnf exponent, int coefficient)."""
         prev = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if not isinstance(exp, Cnf):
                 raise TypeError("exponent must be a Cnf")
             if not isinstance(coeff, int) or coeff < 1:
@@ -30,6 +29,12 @@ class Cnf:
             if prev is not None and not exp < prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
+        object.__setattr__(self, "terms", terms)
+
+    def _refuse(self, *args):
+        raise AttributeError("Cnf values are immutable")
+
+    __setattr__ = __delattr__ = _refuse
 
     # -- ordering ------------------------------------------------------
 

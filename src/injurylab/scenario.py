@@ -5,6 +5,7 @@ the opponents and the functionals, plus optional verifier toggles.  The
 same scenario can be replayed under different seeds for campaigns.
 """
 
+from functools import partial
 from typing import NamedTuple
 
 from .approximation import (BoundedCaAdversary, DeltaTwoAdversary,
@@ -24,8 +25,9 @@ class ScenarioError(ConfigError):
 
 
 class AdvDecl:
-    """One opponent: its id, kind, level and class, the class keywords
-    its line set, and its script steps (add_step arguments)."""
+    """One opponent: its id, kind, level and class (or the class bound to
+    its mode), the class keywords its line set, and its script steps
+    (add_step arguments)."""
 
     def __init__(self, aid, kind, level, cls, kw):
         self.aid = aid
@@ -124,23 +126,36 @@ def _cnf_field(lineno, key, val):
 
 
 class Kind(NamedTuple):
-    classes: dict  # mode -> the class it builds; None: the line names none
-    fields: dict   # field -> (class keyword, parser)
-    budget: str    # the keyword a line must set and a step marker's default
+    # mode -> (what it builds, the fields it reads); None: the line names
+    # no mode
+    modes: dict
+    fields: dict  # field -> (class keyword, parser)
+    budget: str   # the keyword a line must set and a step marker's default
 
 
-# The opponents a scenario declares.  A psi opponent reads its mode
-# itself; an f opponent's mode picks its class.  Every default lives in
-# the class signatures alone.
+def _psi(mode):
+    return partial(DeltaTwoAdversary, mode=mode)
+
+
+_FLIPS = ("seed", "flip", "stab")  # what a psi that draws its flips reads
+
+# The opponents a scenario declares.  A mode picks what a line builds and
+# the fields it reads; a field that its mode does not read is an error,
+# since it would change nothing.  Every default lives in the class
+# signatures alone.
 OPPONENTS = {
-    "psi": Kind({None: DeltaTwoAdversary},
-                {"mode": ("mode", lambda lineno, key, val: val),
-                 "seed": ("seed", _nat_field),
+    "psi": Kind({None: (DeltaTwoAdversary, _FLIPS),
+                 "stabilizing": (_psi("stabilizing"), _FLIPS),
+                 "random": (_psi("random"), _FLIPS),
+                 "alternating": (_psi("alternating"), ("period",)),
+                 "scripted": (_psi("scripted"), ())},
+                {"seed": ("seed", _nat_field),
                  "flip": ("flip", _prob_field),
                  "stab": ("stab", _nat_field),
                  "period": ("period", _nat_field)}, ""),
-    "f": Kind({None: ScriptedCaAdversary, "scripted": ScriptedCaAdversary,
-               "random": BoundedCaAdversary},
+    "f": Kind({None: (ScriptedCaAdversary, ("g",)),
+               "scripted": (ScriptedCaAdversary, ("g",)),
+               "random": (BoundedCaAdversary, ("seed", "g", "change"))},
               {"seed": ("seed", _nat_field),
                "g": ("g", _cnf_field),
                "change": ("change_prob", _prob_field)}, "g"),
@@ -192,20 +207,25 @@ def _parse_adv(sc, parts, lineno):
         raise ScenarioError(lineno, f"unknown opponent kind {kind!r}")
     if aid in sc.advs:
         raise ScenarioError(lineno, f"opponent {aid!r} declared twice")
-    level, mode, kw = 0, None, {}
+    level, mode, kw, given = 0, None, {}, []
     for key, val in _fields(parts[2:], lineno):
         if key == "level":
             level = _nat_field(lineno, key, val)
         elif key in spec.fields:
             name, parse = spec.fields[key]
             kw[name] = parse(lineno, key, val)
+            given.append(key)
         elif key == "mode":
             mode = val
         else:
             raise ScenarioError(lineno, f"unknown opponent field {key!r}")
-    cls = spec.classes.get(mode)
-    if cls is None:
+    if mode not in spec.modes:
         raise ScenarioError(lineno, f"unknown {kind} mode {mode!r}")
+    cls, reads = spec.modes[mode]
+    for key in given:
+        if key not in reads:
+            which = f"mode {mode}" if mode else "without a mode"
+            raise ScenarioError(lineno, f"{kind} {which} reads no {key}")
     if spec.budget and spec.budget not in kw:
         raise ScenarioError(lineno, f"opponent {aid!r} wants a budget "
                                     f"{spec.budget}")

@@ -14,7 +14,10 @@ own.  No table outlives its trace.  The text form is line-oriented and
 canonical, so a cryptographic digest of it is a stable fingerprint of a
 run; the digest hashes the chunks as they are rendered, never the whole
 text, and the parser reads the text by offset, matching each run's
-rendered chunks in place, never through a list of its lines.  A replay
+rendered chunks in place, never through a list of its lines.  A run's
+chunk is rendered as bytes by digit columns: one stage's text repeated,
+with each digit of the ids and stage numbers that varies written in
+column by column, so no number is formatted line by line.  A replay
 re-derives the terminal summary in its one pass over the events, which
 gives the self-consistency check.
 """
@@ -22,7 +25,6 @@ gives the self-consistency check.
 from __future__ import annotations
 
 import hashlib
-from itertools import repeat
 from operator import eq
 
 
@@ -142,15 +144,15 @@ class RunTrace:
     # -- text form -----------------------------------------------------
 
     def to_text(self) -> str:
-        return "".join(self._chunks())
+        return b"".join(self._chunks()).decode()
 
     def _chunks(self):
-        """The text form in pieces of whole lines, read through
+        """The text form as UTF-8, in pieces of whole lines, read through
         ``blocks``: a stage without copies line by line, yielded once
         _RUN_LINES lines gather, and a stage with its copies with
-        _run_text, at most _RUN_LINES lines a piece, so no copy is ever
+        _run_bytes, at most _RUN_LINES lines a piece, so no copy is ever
         built."""
-        yield f"trace {self.construction} stages={self.stages}\n"
+        yield f"trace {self.construction} stages={self.stages}\n".encode()
         lines = []  # the lines of the stored stages not yet yielded
         for s, eid, block, copies in blocks(self):
             if not copies:
@@ -158,19 +160,19 @@ class RunTrace:
                 lines += [f"{i}{tok}{p.tail}\n"
                           for i, p in enumerate(block, eid)]
                 if len(lines) >= _RUN_LINES:
-                    yield "".join(lines)
+                    yield "".join(lines).encode()
                     lines = []
                 continue
-            yield "".join(lines)
+            yield "".join(lines).encode()
             lines = []
             size, stop = len(block), s + copies + 1
-            pieces = _pieces([p.tail for p in block])
+            tails = [p.tail.encode() for p in block]
             per = max(1, _RUN_LINES // size)
             for t in range(s, stop, per):
-                yield _run_text(pieces, eid + (t - s) * size, t,
-                                min(per, stop - t)) + "\n"
+                yield _run_bytes(tails, eid + (t - s) * size, t,
+                                 min(per, stop - t))
         yield "".join(lines + [f"summary {k} {self.summary[k]}\n"
-                               for k in sorted(self.summary)])
+                               for k in sorted(self.summary)]).encode()
 
     @classmethod
     def from_text(cls, text: str) -> "RunTrace":
@@ -296,7 +298,7 @@ class RunTrace:
         """The sha256 of the text form, fed one chunk at a time."""
         h = hashlib.sha256()
         for chunk in self._chunks():
-            h.update(chunk.encode())
+            h.update(chunk)
         return h.hexdigest()
 
 
@@ -305,20 +307,75 @@ class RunTrace:
 _RUN_LINES = 2048
 
 
-def _pieces(texts) -> list:
-    """One stage's lines, of the given payload texts, as _run_text takes
-    them: the text around each stage number, with "%d" where each event
-    id goes and every other % doubled."""
-    texts = [t.replace("%", "%%") for t in texts]
-    return ["%d "] + [f" {t}\n%d " for t in texts[:-1]] + [" " + texts[-1]]
+# digit k of the ints 0, 1, 2, ...: one cycle of 10 ** (k + 1) of them,
+# for each digit that cycles within a chunk of _RUN_LINES ids; a higher
+# digit is a few runs of one digit there
+_CYCLES = [b"".join(bytes([d]) * 10 ** k for d in b"0123456789")
+           for k in range(4)]
 
 
-def _run_text(pieces, eid: int, stage: int, count: int) -> str:
-    """The text of count stages from the given stage on, with events
-    numbered on from eid.  pieces is one stage's lines from _pieces."""
-    return "\n".join(map(str.join, map(str, range(stage, stage + count)),
-                         repeat(pieces, count))) % tuple(
-        range(eid, eid + count * (len(pieces) - 1)))
+def _digits(first: int, count: int, k: int):
+    """Digit k, 0 the units, of each of the count ints from first on, as
+    ASCII bytes."""
+    unit = 10 ** k
+    if k < len(_CYCLES) and 10 * unit <= count:
+        # a slice of the digit's cycle, repeated
+        start = first % (10 * unit)
+        reps = (start + count) // (10 * unit) + 1
+        return (_CYCLES[k] * reps)[start:start + count]
+    out = bytearray()  # a few runs of one digit
+    x, end = first, first + count
+    while x < end:
+        step = min(end, x - x % unit + unit) - x
+        out += (b"%d" % (x // unit % 10)) * step
+        x += step
+    return out
+
+
+def _run_bytes(tails, eid: int, stage: int, count: int) -> bytearray:
+    """The text of count stages from the given stage on, each line with
+    its "\\n", with events numbered on from eid: one stage's payload texts
+    are tails, as UTF-8 bytes.  No number is formatted line by line.  The
+    stages are cut into segments in which every event id and every stage
+    number keeps its digit count; a segment is its first stage's text
+    repeated, and each digit column that varies in it is written in with
+    one extended-slice assignment per line.  A stage whose ids cross a
+    power of ten is a segment of its own, rendered line by line."""
+    size = len(tails)
+    out = bytearray()
+    done = 0
+    while done < count:
+        t, e = stage + done, eid + done * size
+        first = b"".join([b"%d %d %s\n" % (i, t, tail)
+                          for i, tail in enumerate(tails, e)])
+        id_w, stage_w = len(str(e)), len(str(t))
+        n = 1 if len(str(e + size - 1)) > id_w else min(
+            count - done, 10 ** stage_w - t, (10 ** id_w - e) // size)
+        done += n
+        if n == 1:
+            out += first
+            continue
+        width = len(first)
+        seg = bytearray(first * n)
+        starts, at = [], 0  # where each line of a stage starts
+        for tail in tails:
+            starts.append(at)
+            at += id_w + stage_w + 3 + len(tail)
+        # the ids of line i are every size-th one of the segment's ids
+        k, last = 0, e + n * size - 1
+        while e // 10 ** k != last // 10 ** k:
+            column = _digits(e, n * size, k)
+            for i, at in enumerate(starts):
+                seg[at + id_w - 1 - k::width] = column[i::size]
+            k += 1
+        k, last = 0, t + n - 1
+        while t // 10 ** k != last // 10 ** k:
+            column = _digits(t, n, k)
+            for at in starts:
+                seg[at + id_w + stage_w - k::width] = column
+            k += 1
+        out += seg
+    return out
 
 
 def _piece(text: str, pos: int):
@@ -356,22 +413,22 @@ def _repeated_stages(text: str, pos: int, eid: int, template, texts,
     if not text.startswith(
             f"{eid + size - 1} {stage} {texts[id(template[-1])]}", last):
         return 0, pos
-    pieces = _pieces([texts[id(p)] for p in template])
+    tails = [texts[id(p)].encode() for p in template]
     done, count = 0, 1
     while done < most:
         count = min(count, most - done)
-        want = _run_text(pieces, eid + done * size, stage + done, count)
-        end = pos + len(want)  # where the chunk's last "\n" goes
-        if not (text.startswith(want, pos) and text.startswith("\n", end)):
+        want = _run_bytes(tails, eid + done * size, stage + done,
+                          count).decode()
+        if not text.startswith(want, pos):
             # the whole stages before the first line that differs, or
             # before the text's end
-            got = text[pos:end + 1].split("\n")
+            got = text[pos:pos + len(want)].split("\n")
             same = [*map(eq, got, want.split("\n")), False].index(False)
             whole = same // size
             done += whole
             pos += sum(map(len, got[:whole * size])) + whole * size
             break
-        pos = end + 1
+        pos += len(want)
         done += count
         count = min(2 * count, max(1, _RUN_LINES // size))
     if done:

@@ -78,6 +78,15 @@ def test_verifier_examples():
     assert v == Violation(1, 0, "strict-descent")
 
 
+def test_violations_compare_by_value():
+    v = Violation(4, 1, "marker-increase")
+    assert v == Violation(4, 1, "marker-increase") != Violation(4, 2, "x")
+    assert v != (4, 1, "marker-increase")
+    assert hash(v) == hash(Violation(4, 1, "marker-increase"))
+    assert repr(v) == ("Violation(stage=4, argument=1, "
+                       "reason='marker-increase')")
+
+
 def test_verifier_empty_trace_is_valid():
     assert verify_r_approximation(ApproxTrace(), OMEGA) is None
 
@@ -243,6 +252,25 @@ def naive_bca(g, seed, change, script, scripted, x, s):
             break
         val, mark = v, m
     return val, mark
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 7, 40])
+def test_delta2_alternating_matches_the_flip_oracle(period):
+    # the closed form against one flip per multiple of period
+    ref = naive_delta2("alternating", 0, 0.3, None, period, {}, 0, 700)
+    adv = DeltaTwoAdversary("p0", "alternating", period=period)
+    assert [adv.value(x, s) for x in range(2) for s in range(701)] == ref * 2
+    for horizon in range(0, 701, 13):
+        assert adv.change_stages(3, horizon) == [
+            t for t in range(1, horizon + 1) if ref[t] != ref[t - 1]]
+    for s in range(0, 600, 11):
+        for horizon in (s, s + 1, s + 2, s + period, s + period + 1, 700):
+            assert adv.next_change(5, s, horizon) == next(
+                (t for t in range(s + 1, horizon) if ref[t] != ref[s]),
+                horizon)
+    far = 10 ** 12  # no cache grows to reach it
+    assert adv.value(0, far) == far // period % 2
+    assert adv.next_change(0, far, 2 * far) == (far // period + 1) * period
 
 
 def queries(rng, n=120):

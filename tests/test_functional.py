@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurylab.functional import (
+    ArgSchedule,
     Converged,
     EnumerableSet,
     FunctionalRun,
@@ -258,3 +259,15 @@ def test_idle_matches_stepping_until_next_change():
             assert idled.stage == stepped.stage == t - 1
             assert idled.state == stepped.state, (trial, s)
             s = t
+
+
+def test_value_classes_compare_by_value():
+    c = Converged(3, 1)
+    assert c == Converged(3, 1) != Converged(3, 2)
+    assert c != (3, 1) and hash(c) == hash(Converged(3, 1))
+    assert repr(c) == "Converged(use=3, value=1)"
+    a = ArgSchedule(5, 1, "low", 5)
+    assert a == ArgSchedule(5, 1, "low", 5) != ArgSchedule(5, 1, "low", 6)
+    assert repr(a) == "ArgSchedule(first=5, delay=1, policy='low', offset=5)"
+    with pytest.raises(TypeError):
+        hash(a)  # a schedule may change, so it has no hash

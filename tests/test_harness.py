@@ -105,14 +105,17 @@ class TestGrammar:
         assert f1.script == {0: [(5, 1, nat(3)), (9, 0, nat(2))]}
 
     def test_table_fields_are_class_keywords(self):
-        # each field sets a keyword its classes' __init__ takes, and a
-        # kind's budget is one of its fields' keywords
+        # each field a mode reads sets a keyword of what the mode builds,
+        # every field is read by some mode, and every mode reads its
+        # kind's budget
         for spec in OPPONENTS.values():
-            keywords = {name for name, _ in spec.fields.values()}
-            assert not spec.budget or spec.budget in keywords
-            for cls in spec.classes.values():
-                params = inspect.signature(cls.__init__).parameters
-                assert keywords <= set(params), cls
+            read = set()
+            for build, reads in spec.modes.values():
+                params = inspect.signature(build).parameters
+                assert {spec.fields[f][0] for f in reads} <= set(params)
+                assert not spec.budget or spec.budget in reads
+                read |= set(reads)
+            assert read == set(spec.fields)
 
     def test_step_without_marker_defaults_to_budget(self):
         sc = load_scenario(LOWA_TEXT +
@@ -417,6 +420,22 @@ class TestCli:
         ("adv p0 psi mode chaotic\n", "line 2: unknown psi mode 'chaotic'"),
         ("adv p0 psi mode alternating period 0\n",
          "line 2: period wants at least 1, got 0"),
+        # a field its mode does not read would change nothing
+        *[(f"adv p0 psi mode {mode} {field} 1\n",
+           f"line 2: psi mode {mode} reads no {field}")
+          for mode, fields in (("alternating", ("flip", "stab", "seed")),
+                               ("scripted", ("flip", "stab", "seed",
+                                             "period")),
+                               ("random", ("period",)),
+                               ("stabilizing", ("period",)))
+          for field in fields],
+        ("adv p0 psi flip 0.2 period 2\n",
+         "line 2: psi without a mode reads no period"),
+        *[(f"adv f0 f g w{mode} {field} 1\n",
+           f"line 2: f {which} reads no {field}")
+          for mode, which in (("", "without a mode"),
+                              (" mode scripted", "mode scripted"))
+          for field in ("seed", "change")],
         ("fun\n", "line 2: fun wants an index"),
         ("fun 0 arg 0 first 2 colour red\n",
          "line 2: unknown fun field 'colour'"),

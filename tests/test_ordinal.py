@@ -217,6 +217,8 @@ def test_cnf_invariant_enforced_at_construction():
         Cnf(((ZERO, 1), (ONE, 1)))  # increasing exponents
     with pytest.raises(TypeError):
         Cnf(((1, 1),))
+    with pytest.raises(AttributeError):
+        ONE.terms = ()
 
 
 def test_big_coefficients():

@@ -3,7 +3,8 @@ stored stage kept once as its entry with no object per event and a run
 of copied stages as the entry's copies, which only a quiet stage may
 have, the text round trip, the parser against the per-line parser
 it replaced, on the goldens and on traces with long runs of repeated
-stages, and the writer against the per-line renderer it replaced."""
+stages, the writer against the per-line renderer it replaced, and the
+run renderer against one f-string per line."""
 
 import functools
 import gc
@@ -452,13 +453,13 @@ def test_parser_renders_at_most_twice_the_lines(name, low2_trace,
             "one stage of 20,000": lambda: one_stage_of(20_000),
             "20,000 stages apart": lambda: stages_apart(20_000)}[name]()
     rendered = []
-    real = trace_module._run_text
+    real = trace_module._run_bytes
 
     def counted(*args):
         out = real(*args)
-        rendered.append(out.count("\n") + 1)
+        rendered.append(out.count(b"\n"))
         return out
-    monkeypatch.setattr(trace_module, "_run_text", counted)
+    monkeypatch.setattr(trace_module, "_run_bytes", counted)
     back = RunTrace.from_text(text)
     lines = len(text.splitlines())
     assert sum(rendered) <= 2 * lines
@@ -717,6 +718,42 @@ def test_any_built_trace_writes_as_reference(trace):
     assert trace.digest() == sha256(want)
 
 
+def reference_run(tails, eid, stage, count):
+    """The text of count copied stages from the given stage on, with
+    events numbered on from eid, one f-string per line: the reference
+    that _run_bytes must match."""
+    size = len(tails)
+    return "".join(f"{eid + j * size + i} {stage + j} {tail}\n"
+                   for j in range(count)
+                   for i, tail in enumerate(tails)).encode()
+
+
+def below_a_power(most):
+    """An int at, or at most most below, a power of ten up to 10**6, so
+    that the ids or stages from it cross that power."""
+    return st.builds(lambda k, d: max(0, 10 ** k - d),
+                     st.integers(0, 6), st.integers(0, most))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(tails=st.lists(st.one_of(
+           st.sampled_from(("visit node=- l=0", "visit node=f%d l=%s",
+                            "declare node={} u={0}", "visit node=\u00fc\u2192",
+                            "%", "%%", "{}")),
+           st.text(st.characters(blacklist_categories=("Cs",)),
+                   max_size=6)),
+           min_size=1, max_size=12),
+       eid=below_a_power(40), stage=below_a_power(40),
+       count=st.one_of(st.integers(1, 12),
+                       st.integers(1, 3 * trace_module._RUN_LINES)))
+def test_run_bytes_renders_as_the_reference(tails, eid, stage, count):
+    # ids that cross a power of ten inside a stage, stages that cross one,
+    # and counts past _RUN_LINES
+    got = trace_module._run_bytes([t.encode() for t in tails], eid, stage,
+                                  count)
+    assert got == reference_run(tails, eid, stage, count)
+
+
 def set_field(line: str, key: str, value: str, at: int) -> str:
     """line with its key-value field set, its fields starting at token
     at; a field it lacks goes at its end."""
@@ -732,9 +769,10 @@ def set_field(line: str, key: str, value: str, at: int) -> str:
 @st.composite
 def valid_edits(draw):
     """A shipped scenario after one to three edits that keep it inside
-    the grammar's ranges, so that it reaches the engines: a Delta-2
-    opponent's flip or stab; a functional argument's first, delay or
-    policy low:k; or the stage count, at most 400."""
+    the grammar's ranges, so that it reaches the engines: the flip or
+    stab of a Delta-2 opponent whose mode reads them (not ``scripted``);
+    a functional argument's first, delay or policy low:k; or the stage
+    count, at most 400."""
     lines = list(SCENARIO_LINES[draw(st.sampled_from(sorted(
         SCENARIO_LINES)))])
     for _ in range(draw(st.integers(1, 3))):
@@ -748,7 +786,8 @@ def valid_edits(draw):
         if field in ("flip", "stab"):
             at = 3
             where = [i for i, ln in enumerate(lines)
-                     if ln.split()[:1] == ["adv"] and ln.split()[2] == "psi"]
+                     if ln.split()[:1] == ["adv"] and ln.split()[2] == "psi"
+                     and "scripted" not in ln.split()]
         else:
             at = 2
             where = [i for i, ln in enumerate(lines)
