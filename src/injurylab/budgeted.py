@@ -36,11 +36,11 @@ def check_bound(alpha: Cnf, advs):
 
 class Requirement:
     """A positive requirement: its opponent and node label, follower, held
-    use, the value delta declares at the follower, and whether it wants
-    to act this stage.  Acting methods take the engine for its trace, its
-    set A and its fresh numbers."""
+    use and the value delta declares at the follower.  Acting methods take
+    the engine for its trace, its set A, its fresh numbers and its
+    follower counter ``horizon``."""
 
-    __slots__ = ("adv", "label", "follower", "use", "decl", "wants")
+    __slots__ = ("adv", "label", "follower", "use", "decl")
 
     def __init__(self, adv, label: str):
         self.adv = adv
@@ -50,15 +50,15 @@ class Requirement:
     def clear(self):
         """Drop the follower and the use, as an initialization does."""
         self.follower = self.use = self.decl = None
-        self.wants = False
 
-    def assign(self, engine, s: int, follower: int):
-        """Take follower and a fresh use; declare delta against the guess."""
-        self.follower = follower
+    def assign(self, engine, s: int):
+        """Take the engine's next follower and a fresh use; declare delta
+        against the guess."""
+        self.follower = follower = engine.horizon
+        engine.horizon = follower + 1
         self.use = engine._fresh()
         f = self.adv.value(follower, s)
         self.decl = 0 if f else 1
-        self.wants = False
         emit = engine.trace.emit
         emit(s, "visit", node=self.label, x=follower, f=f)
         emit(s, "declare", node=self.label, what="follower", y=follower)
@@ -70,8 +70,7 @@ class Requirement:
         """Visit with a follower; True when the guess meets delta."""
         f = engine._ask(self.adv, self.follower, s)
         engine.trace.emit(s, "visit", node=self.label, x=self.follower, f=f)
-        self.wants = self.decl == f
-        return self.wants
+        return self.decl == f
 
     def fire(self, engine, s: int):
         """Enumerate the use, take a fresh one, declare delta anew."""
@@ -82,7 +81,6 @@ class Requirement:
         engine.A.add(self.use, s)
         self.use = engine._fresh()
         self.decl = 0 if f else 1
-        self.wants = False
         engine.trace.emit(s, "declare", node=self.label, what="delta",
                           x=self.follower, u=self.use, value=self.decl,
                           marker=marker)

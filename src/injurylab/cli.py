@@ -51,9 +51,12 @@ def report_lines(trace: RunTrace, checks, replay) -> list:
 
 
 def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
-    if sc is not None:
-        return sc.checks(psis, replay)
-    return construction(trace.construction).verify(psis, replay)
+    """The construction's checks on the trace's replay, less those the
+    scenario sc turns off."""
+    checks = construction(trace.construction).verify(psis, replay)
+    if sc is None:
+        return checks
+    return [c for c in checks if sc.verify.get(c.name, True)]
 
 
 def _read(path: str) -> str:

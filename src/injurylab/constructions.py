@@ -8,7 +8,7 @@ from .trace import ConfigError
 
 
 class Construction(NamedTuple):
-    run: Callable          # (psis, fs, funs, alpha, stages, seed) -> RunTrace
+    run: Callable          # (psis, fs, funs, alpha, stages) -> RunTrace
     replay: type           # built once per trace, shared by every consumer
     verify: Callable       # (psis, replay) -> [CheckResult]
     checks: tuple          # names of the checks verify returns, in order
@@ -21,23 +21,23 @@ class Construction(NamedTuple):
 # time, so a wrapper installed on a module attribute after import is used.
 CONSTRUCTIONS = {
     "nonlow-low2": Construction(
-        lambda psis, fs, funs, alpha, stages, seed:
-            nonlow_low2.run(psis, funs, stages, seed),
+        lambda psis, fs, funs, alpha, stages:
+            nonlow_low2.run(psis, funs, stages),
         nonlow_low2._Replay,
         lambda psis, replay:
             nonlow_low2.verify_main_lemma_claims(psis, replay),
         nonlow_low2.CHECKS, False, etarho.worst_ratio,
         lambda replay: []),
     "low-alpha": Construction(
-        lambda psis, fs, funs, alpha, stages, seed: low_alpha.run(
+        lambda psis, fs, funs, alpha, stages: low_alpha.run(
             [fs[e] for e in sorted(fs)], [funs[e] for e in sorted(funs)],
-            alpha, stages, seed),
+            alpha, stages),
         low_alpha._LowReplay,
         lambda psis, replay: low_alpha.verify_lowness_budget(replay),
         low_alpha.CHECKS, True, low_alpha.worst_ratio, low_alpha.phi_lines),
     "nonlow-alpha": Construction(
-        lambda psis, fs, funs, alpha, stages, seed:
-            nonlow_alpha.run(psis, fs, funs, alpha, stages, seed),
+        lambda psis, fs, funs, alpha, stages:
+            nonlow_alpha.run(psis, fs, funs, alpha, stages),
         nonlow_alpha._CombReplay,
         lambda psis, replay: nonlow_alpha.verify_combined_bounds(replay),
         nonlow_alpha.CHECKS, True, etarho.worst_ratio,

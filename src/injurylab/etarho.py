@@ -16,7 +16,7 @@ import math
 from bisect import bisect_right
 from functools import lru_cache
 
-from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
+from .functional import Engine
 from .trace import (CheckResult, ConfigError, RunTrace, Summary, blocks,
                     payload_error)
 from .tree import (FIN, INF, ROOT, StrategyTree, is_prefix, parse_node,
@@ -116,7 +116,6 @@ class EtaRhoRun(Engine):
     entries."""
 
     levels: Levels
-    construction: str
 
     def __init__(self, psis: dict, funs: dict, stages: int,
                  fadvs: dict | None = None):
@@ -128,16 +127,11 @@ class EtaRhoRun(Engine):
             advs, what = opponents.get(d % p, (None, None))
             if advs is not None and d // p not in advs:
                 raise ConfigError(f"no {what} adversary for level {d // p}")
+        super().__init__(stages, funs)
         self.psis = psis
         self.fadvs = fadvs
-        self.stages = stages
         self.render = self.levels.render
         self.tree = StrategyTree(self.levels.alphabet)
-        self.A = EnumerableSet()
-        self.trace = RunTrace(self.construction, stages)
-        self._fresh = Fresh()
-        self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
-                     for e, fn in funs.items()}
         # rho state by node, shaped as in the replay; inits keep only acted
         self.followers = {}  # node -> live follower
         self.uses = {}  # node -> live use
@@ -283,8 +277,8 @@ class EtaRhoRun(Engine):
     def _expansionary(self, eta, s):
         """Upkeep at an expansionary stage of eta."""
 
-    def _xi_candidates(self, path) -> list:
-        """Xi nodes on the path that want to act."""
+    def _xi_candidates(self, path, s) -> list:
+        """Xi nodes on the path that want to act at stage s."""
         return []
 
     def _act_xi(self, node, s):
@@ -307,7 +301,7 @@ class EtaRhoRun(Engine):
             if wants == "enum" or (wants == "pick"
                                    and self._allows_pick(rho)):
                 theta.append(rho)
-        actor = self.tree.select_actor(theta + self._xi_candidates(path))
+        actor = self.tree.select_actor(theta + self._xi_candidates(path, s))
         if actor is not None:
             act = self._act_rho if self.levels.is_rho(actor) \
                 else self._act_xi

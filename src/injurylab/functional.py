@@ -131,11 +131,8 @@ class Fresh:
 
 
 class Engine:
-    """The stage loop shared by the construction engines.  An engine sets
-    ``trace``, ``stages``, its set ``A``, ``runs`` (index ->
-    FunctionalRun) and ``_fresh``, a Fresh its runs share as ``large``.
-    The runs hold the Fresh, not the engine, so that no reference cycle
-    keeps a finished engine and its trace alive.
+    """The stage loop shared by the construction engines, each named by
+    its class's ``construction``.
 
     A construction plays stage s in ``_walk(s)`` and asks its opponents
     through ``_ask``.  The walk returns True when it played the stage in
@@ -152,6 +149,22 @@ class Engine:
     The stage where the change can land is walked.  The opponents answer
     from their argument and stage alone, so skipping a walk changes no
     draw."""
+
+    construction: str
+
+    def __init__(self, stages: int, funs: dict):
+        """The trace, the set A, the fresh numbers and one run per
+        functional (index -> UseFunctional), each run with the Fresh as
+        ``large``: the runs hold the Fresh, not the engine, so that no
+        reference cycle keeps a finished engine and its trace alive.
+        ``horizon`` is the follower the next budgeted requirement takes."""
+        self.stages = stages
+        self.trace = RunTrace(self.construction, stages)
+        self.A = EnumerableSet()
+        self._fresh = fresh = Fresh()
+        self.runs = {e: FunctionalRun(fn, self.A, large=fresh)
+                     for e, fn in funs.items()}
+        self.horizon = 0
 
     def execute(self) -> RunTrace:
         trace = self.trace
@@ -315,16 +328,10 @@ def evaluate(fn: UseFunctional, A: EnumerableSet, x: int, s: int):
     """Replay the run from stage 0 and report the computation at stage s."""
     if x not in fn.args:
         return None
-    run = FunctionalRun(UseFunctionalView(fn, x), A)
+    one = UseFunctional(fn.e)
+    one.args = {x: fn.args[x]}
+    run = FunctionalRun(one, A)
     for t in range(s + 1):
         run.advance(t)
     return run.query(x)
-
-
-class UseFunctionalView:
-    """A one-argument view of a functional, for isolated replay."""
-
-    def __init__(self, fn: UseFunctional, x: int):
-        self.e = fn.e
-        self.args = {x: fn.args[x]}
 

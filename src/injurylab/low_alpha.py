@@ -16,7 +16,7 @@ from functools import lru_cache
 from .approximation import verify_r_approximation
 from .budgeted import (Generation, Requirement, check_bound, descent_witness,
                        phi)
-from .functional import Engine, EnumerableSet, Fresh, FunctionalRun
+from .functional import Engine
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
 from .trace import CheckResult, RunTrace, Summary, blocks, payload_error
 
@@ -43,15 +43,11 @@ class _NState:
 class LowAlphaRun(Engine):
     """One bounded execution of the finite-injury construction."""
 
+    construction = "low-alpha"
+
     def __init__(self, advs, funs, alpha: Cnf, stages: int):
         check_bound(alpha, advs)
-        self.stages = stages
-        self.A = EnumerableSet()
-        self.trace = RunTrace("low-alpha", stages)
-        self._fresh = Fresh()
-        self._next_x = 0
-        self.runs = {e: FunctionalRun(fn, self.A, large=self._fresh)
-                     for e, fn in enumerate(funs)}
+        super().__init__(stages, dict(enumerate(funs)))
         self.q = [Requirement(adv, f"q{e}") for e, adv in enumerate(advs)]
         self.n = [_NState() for _ in funs]
         self._wants = [-1] * len(self.q)  # last stage each q wanted to act
@@ -77,7 +73,7 @@ class LowAlphaRun(Engine):
                 s, "qlist-set", e=e, k=nst.k,
                 members=",".join(map(str, members)) or "-",
                 gs=";".join(map(format_cnf, gs)) or "-",
-                horizon=self._next_x)
+                horizon=self.horizon)
             self.trace.emit(s, "phi-set", e=e,
                             value=format_cnf(phi(gs, nst.k)))
             return
@@ -116,8 +112,7 @@ class LowAlphaRun(Engine):
         """Play one positive strategy; True cuts the stage short."""
         st = self.q[e]
         if st.follower is None:
-            st.assign(self, s, self._next_x)
-            self._next_x += 1
+            st.assign(self, s)
             return True
         if not st.visit(self, s):
             return False
@@ -134,8 +129,7 @@ class LowAlphaRun(Engine):
             st.fire(self, s)
         else:
             self._init_q(e, s, cause=f"denied:{denier}")
-            st.assign(self, s, self._next_x)
-            self._next_x += 1
+            st.assign(self, s)
         return True
 
     def _walk(self, s) -> bool:

@@ -97,7 +97,6 @@ class NonlowAlphaRun(EtaRhoRun):
                  stages: int):
         check_bound(alpha, fadvs.values())
         super().__init__(psis, funs, stages, fadvs)
-        self._next_z = 0
         self.xi = {}  # node -> Requirement
         self.qlists = {}  # eta node -> {x: _QlistEntry}
         self._xi_wants = {}  # node -> last stage it wanted to act
@@ -120,8 +119,7 @@ class NonlowAlphaRun(EtaRhoRun):
             st = self.xi[node] = Requirement(self.fadvs[level_index(node)],
                                              render(node))
         if st.follower is None:
-            st.assign(self, s, self._next_z)
-            self._next_z += 1
+            st.assign(self, s)
         elif st.visit(self, s):
             self._xi_wants[node] = s
 
@@ -157,7 +155,7 @@ class NonlowAlphaRun(EtaRhoRun):
                     members=",".join(render(m) for m in members) or "-",
                     gs=";".join(map(format_cnf, gs)) or "-",
                     kps=";".join(str(v) for v in kps) or "-",
-                    horizon=self._next_z)
+                    horizon=self.horizon)
                 self.trace.emit(s, "phi-set", e=f"{render(eta)}.{x}",
                                 value=format_cnf(phi(gs, k)))
                 continue
@@ -185,9 +183,9 @@ class NonlowAlphaRun(EtaRhoRun):
 
     # -- xi permission and action -------------------------------------
 
-    def _xi_candidates(self, path) -> list:
+    def _xi_candidates(self, path, s) -> list:
         nodes = (path[:i] for i in range(2, len(path) + 1, 3))
-        return [n for n in nodes if n in self.xi and self.xi[n].wants]
+        return [n for n in nodes if self._xi_wants.get(n) == s]
 
     def _xi_denier(self, xi_node, use, s):
         """First (eta, x) refusing the action, or None."""
@@ -228,8 +226,7 @@ class NonlowAlphaRun(EtaRhoRun):
             st.fire(self, s)
         else:
             self._on_init(xi_node, s)
-            st.assign(self, s, self._next_z)
-            self._next_z += 1
+            st.assign(self, s)
 
     def _summary(self, summary: dict):
         super()._summary(summary)

@@ -12,7 +12,7 @@ claim from the emitted trace alone.
 from __future__ import annotations
 
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
-                     check_triggers, injury_bound)
+                     check_triggers, injury_bound, worst_ratio)
 from .trace import CheckResult, RunTrace
 from .tree import FIN
 
@@ -111,15 +111,14 @@ def _exhaustion_gate(r: _Replay) -> CheckResult:
 
 def _global_bound(r: _Replay) -> CheckResult:
     """Total injuries per argument stay under the computed ceiling."""
-    worst = 0.0
     for eta in r.etas():
         for x, (n, eid) in r.injury_totals(eta).items():
-            worst = max(worst, n / injury_bound(x))
             if n > injury_bound(x):
                 return CheckResult("global-bound", False, eid,
                                    f"x={x} injured {n} > {injury_bound(x)} "
                                    f"times")
-    return CheckResult("global-bound", True, None, f"worst ratio {worst:.3g}")
+    return CheckResult("global-bound", True, None,
+                       f"worst ratio {worst_ratio(r):.3g}")
 
 
 def _diagonalization(r: _Replay, psis) -> CheckResult:
@@ -127,7 +126,8 @@ def _diagonalization(r: _Replay, psis) -> CheckResult:
     checked = 0
     if psis is not None and r.stages > 0 and r.followers:
         end = r.stages - 1
-        wanted = {rho for rho in r.followers if len(rho) // 2 in psis}
+        wanted = {rho for rho in r.followers
+                  if LEVELS.level_index(rho) in psis}
         below = {}  # rho -> (last stage whose path passes below it, outcome)
         later = None  # the path of the stages after, already scanned
         for _, stop, p, _ in reversed(r.stage_facts):
@@ -141,7 +141,7 @@ def _diagonalization(r: _Replay, psis) -> CheckResult:
             if not wanted:
                 break
         for rho, y in sorted(r.followers.items()):
-            psi = psis.get(len(rho) // 2)
+            psi = psis.get(LEVELS.level_index(rho))
             if psi is None:
                 continue
             final = psi.value(y, end)

@@ -69,14 +69,8 @@ class Scenario:
         psis = {lv: d.build(shift) for lv, d in self.levels("psi").items()}
         fs = {lv: d.build(shift) for lv, d in self.levels("f").items()}
         trace = construction(self.construction).run(
-            psis, fs, self.funs, self.alpha, stages, seed)
+            psis, fs, self.funs, self.alpha, stages)
         return trace, psis
-
-    def checks(self, psis, replay):
-        """Run the construction's verifier on the trace's replay, honoring
-        the toggles."""
-        out = construction(self.construction).verify(psis, replay)
-        return [c for c in out if self.verify.get(c.name, True)]
 
     def validate(self):
         """Check the alpha requirement and the verify lines against the

@@ -172,7 +172,7 @@ def test_criterion_4_diagonalization(low2_campaign):
 
 def test_parser_keeps_pace_with_the_digest():
     # the parse and the digest both render every run through
-    # trace._run_text, the parse to match it against the text and the
+    # trace._run_bytes, the parse to match it against the text and the
     # digest to hash it, so they are timed against each other (CPU time,
     # interleaved, best of 9).  The digest's extra is its sha256, whose
     # share varies by host: on a shared 2-core x86 VM the parse reads 0.94

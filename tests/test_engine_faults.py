@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from injurylab.cli import replay_of
+from injurylab.cli import checks_for, replay_of
 from injurylab.etarho import EtaRhoRun
 from injurylab.scenario import load_scenario
 
@@ -50,7 +50,7 @@ def failures(sc, seed):
     """The trace of seed and its failing checks, name -> witness."""
     trace, psis = sc.execute(seed=seed)
     return trace, {c.name: c.witness
-                   for c in sc.checks(psis, replay_of(trace))
+                   for c in checks_for(trace, replay_of(trace), sc, psis)
                    if not c.passed}
 
 

@@ -12,7 +12,7 @@ import os
 import pytest
 
 from injurylab.approximation import DeltaTwoAdversary
-from injurylab.cli import main, reduce_summary, replay_of
+from injurylab.cli import checks_for, main, reduce_summary, replay_of
 from injurylab.scenario import load_scenario
 from injurylab.tree import StrategyTree
 
@@ -89,7 +89,7 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("name", NAMES)
     def test_checks_pass(self, name):
         sc, trace, psis = run_golden(name)
-        checks = sc.checks(psis, replay_of(trace))
+        checks = checks_for(trace, replay_of(trace), sc, psis)
         assert checks and all(c.passed for c in checks)
         assert trace.summary == reduce_summary(replay_of(trace))
 

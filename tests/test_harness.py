@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from injurylab import cli, nonlow_low2
-from injurylab.cli import digest, main, reduce_summary, replay_of
+from injurylab.cli import (checks_for, digest, main, reduce_summary,
+                           replay_of)
 from injurylab.functional import ArgSchedule
 from injurylab.ordinal import nat, omega_power
 from injurylab.scenario import OPPONENTS, ScenarioError, load_scenario
@@ -220,7 +221,7 @@ class TestExecute:
         sc = load_scenario(text)
         trace, psis = sc.execute()
         assert trace.summary == reduce_summary(replay_of(trace))
-        checks = sc.checks(psis, replay_of(trace))
+        checks = checks_for(trace, replay_of(trace), sc, psis)
         assert checks and all(c.passed for c in checks)
 
     def test_seed_shifts_opponents(self):
@@ -238,7 +239,7 @@ class TestExecute:
     def test_toggle_filters_checks(self):
         sc = load_scenario(LOWA_TEXT + "verify budget-formula off\n")
         trace, _ = sc.execute()
-        names = {c.name for c in sc.checks(None, replay_of(trace))}
+        names = {c.name for c in checks_for(trace, replay_of(trace), sc)}
         assert "budget-formula" not in names and "diagonalization" in names
 
 

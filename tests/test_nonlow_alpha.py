@@ -579,8 +579,10 @@ class TestDeniedPermission:
         conv = r.runs[0].query(0)
         assert conv is not None
         st = Requirement(r.fadvs[0], "ii")
-        st.follower, st.use, st.decl, st.wants = 0, conv.use, 1, True
+        st.follower, st.use, st.decl = 0, conv.use, 1
         r.xi[(0, 0)] = st
+        r._xi_wants[(0, 0)] = 3
+        assert r._xi_candidates((0, 0), 3) == [(0, 0)]
         r._act_xi((0, 0), 3)
         tr = r.trace
         events = tr.events
@@ -595,7 +597,7 @@ class TestDeniedPermission:
         assert len(inits) == 1 and stage_of(tr)[inits[0]] == 3
         # same-stage restart: fresh follower and a use above the refuser
         assert r.xi[(0, 0)].use > conv.use
-        assert not r.xi[(0, 0)].wants
+        assert r._xi_candidates((0, 0), 4) == []
         redecl = [events[eid] for eid in by_kind(tr, "declare")
                   if events[eid].get("what") == "delta"]
         assert int(redecl[-1]["u"]) == r.xi[(0, 0)].use
@@ -606,7 +608,7 @@ class TestDeniedPermission:
         r = self.make_run()
         conv = r.runs[0].query(0)
         st = Requirement(r.fadvs[0], "ii")
-        st.follower, st.use, st.decl, st.wants = 0, conv.use + 1, 1, True
+        st.follower, st.use, st.decl = 0, conv.use + 1, 1
         r.xi[(0, 0)] = st
         assert r._xi_denier((0, 0), st.use, 3) is None
 
