@@ -1,9 +1,10 @@
 """The requirement against an opponent whose mind changes are budgeted
 by an ordinal below the bound alpha, shared by both alpha constructions:
 the low one plays it alone, the combined one at each xi node.  The
-engine side diagonalizes; the replay side reads the quota lists that
-protected computations freeze over these requirements and certifies
-their ordinal budgets with a descending marker chain.
+engine side diagonalizes and writes the quota lists that protected
+computations freeze over these requirements; the replay side alone reads
+those events back and certifies each list's ordinal budget with a
+descending marker chain.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 from .approximation import ApproxTrace
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
 from .trace import ConfigError
+
+LIST_KINDS = frozenset({"phi-set", "qlist-set", "qlist-remove"})
 
 
 def phi(bounds, k: int) -> Cnf:
@@ -31,25 +34,33 @@ def check_bound(alpha: Cnf, advs):
                 f"opponent budget {format_cnf(adv.g)} not below the bound")
 
 
+def set_bound(engine, alpha: Cnf):
+    """Emit the stage-0 phi-set that names the bound alpha."""
+    engine.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
+
+
 # -- engine side -------------------------------------------------------
 
 
 class Requirement:
     """A positive requirement: its opponent and node label, follower, held
-    use and the value delta declares at the follower.  Acting methods take
-    the engine for its trace, its set A, its fresh numbers and its
-    follower counter ``horizon``."""
+    use, the value delta declares at the follower, and the stages it lost
+    a follower at.  Acting methods take the engine for its trace, its set
+    A, its fresh numbers and its follower counter ``horizon``."""
 
-    __slots__ = ("adv", "label", "follower", "use", "decl")
+    __slots__ = ("adv", "label", "follower", "use", "decl", "inits")
 
     def __init__(self, adv, label: str):
         self.adv = adv
         self.label = label
-        self.clear()
-
-    def clear(self):
-        """Drop the follower and the use, as an initialization does."""
         self.follower = self.use = self.decl = None
+        self.inits = []
+
+    def initialize(self, s: int):
+        """Drop the follower and use; s is an init stage if one was held."""
+        if self.follower is not None:
+            self.inits.append(s)
+            self.follower = self.use = self.decl = None
 
     def assign(self, engine, s: int):
         """Take the engine's next follower and a fresh use; declare delta
@@ -72,6 +83,19 @@ class Requirement:
         engine.trace.emit(s, "visit", node=self.label, x=self.follower, f=f)
         return self.decl == f
 
+    def act(self, engine, s: int, member):
+        """Act as member, its key in the quota lists: select the act or its
+        denial (``engine._denier`` names the refuser), let ``engine._preempt``
+        initialize, then enumerate, or after a denial take a new follower."""
+        denial = engine._denier(member, self.use)
+        act = {"act": "act"} if denial is None else {"act": "denied", **denial}
+        engine.trace.emit(s, "select", node=self.label, **act)
+        engine._preempt(member, s, denial)
+        if denial is None:
+            self.fire(engine, s)
+        else:
+            self.assign(engine, s)
+
     def fire(self, engine, s: int):
         """Enumerate the use, take a fresh one, declare delta anew."""
         f = self.adv.value(self.follower, s)
@@ -91,28 +115,74 @@ class Requirement:
             summary[f"node.{self.label}"] = f"{self.follower}:{self.use}"
 
 
+class QuotaList:
+    """A quota list frozen at stage s_def over reqs (key -> Requirement, in
+    priority order) with tolerance k; ``members`` maps each current key to
+    its spelling by name.  Opening it emits its qlist-set, head fields first
+    and fields before the horizon, and its budget's phi-set, tagged by the
+    head values joined by '.'; ``checked`` is the last upkeep stage."""
+
+    __slots__ = ("head", "key", "s_def", "k", "members", "checked")
+
+    def __init__(self, engine, s: int, head: dict, key: str, reqs: dict,
+                 name, k: int, **fields):
+        self.head = head
+        self.key = key
+        self.s_def = self.checked = s
+        self.k = k
+        self.members = {m: name(m) for m in reqs}
+        gs = [req.adv.g for req in reqs.values()]
+        engine.trace.emit(s, "qlist-set", **head, k=k,
+                          members=",".join(self.members.values()) or "-",
+                          gs=";".join(map(format_cnf, gs)) or "-", **fields,
+                          horizon=engine.horizon)
+        engine.trace.emit(s, "phi-set", e=".".join(map(str, head.values())),
+                          value=format_cnf(phi(gs, k)))
+
+    def remove(self, engine, s: int, member, cause: str):
+        """Drop member, naming it under ``key`` in its qlist-remove."""
+        engine.trace.emit(s, "qlist-remove", **self.head,
+                          **{self.key: self.members.pop(member)},
+                          cause=cause)
+
+
 # -- replay side -------------------------------------------------------
+
+
+def _items(text: str, sep: str, parse) -> list:
+    """The parsed entries of a list field; '-' is the empty list."""
+    return [] if text == "-" else list(map(parse, text.split(sep)))
 
 
 class Generation:
     """One quota-list generation read from its qlist-set (parse reads a
     member name): the stage, the tolerance k, the members in priority
-    order with budgets gs, the removals since, and the phi-set value."""
+    order with budgets gs and any tolerances kps, the removals since, and
+    the phi-set value."""
 
-    __slots__ = ("eid", "s_def", "k", "members", "gs", "removed", "value")
+    __slots__ = ("eid", "s_def", "k", "members", "gs", "kps", "removed",
+                 "value")
 
     def __init__(self, eid: int, stage: int, payload: dict, parse):
-        members, gs = payload["members"], payload["gs"]
-        members = [] if members == "-" else list(map(parse,
-                                                     members.split(",")))
-        gs = [] if gs == "-" else list(map(parse_cnf, gs.split(";")))
+        members = _items(payload["members"], ",", parse)
+        gs = _items(payload["gs"], ";", parse_cnf)
         if len(gs) != len(members):
             raise ValueError(f"{len(members)} members but {len(gs)} budgets")
+        if len(set(members)) != len(members):
+            raise ValueError(f"repeated member in {payload['members']}")
         self.eid = eid
         self.s_def = stage
         self.k = int(payload["k"])
         if self.k < 0:
             raise ValueError(f"negative k {self.k}")
+        self.kps = kps = payload.get("kps")
+        if kps is not None:
+            self.kps = _items(kps, ";", int)
+            if len(self.kps) != len(members):
+                raise ValueError(f"{len(members)} members but "
+                                 f"{len(self.kps)} tolerances")
+            if min(self.kps, default=0) < 0:
+                raise ValueError(f"negative kps entry in {kps}")
         self.members = members
         self.gs = dict(zip(members, gs))
         self.removed = {}  # member -> removal stage
@@ -134,6 +204,49 @@ class Generation:
         """The value is phi over the members, below alpha if one is named."""
         return (self.value == phi([self.gs[m] for m in self.members], self.k)
                 and (alpha is None or self.value < alpha))
+
+
+class QuotaLists:
+    """The bound alpha and per head the list generations in trace order,
+    read from LIST_KINDS events.  head and key give the payload fields,
+    each with its parser, that name a list and a removed member.  ``bad``
+    holds the ids of removes of no current member, and of sets of a listed
+    head whose owner, its first field, was not initialized since."""
+
+    def __init__(self, head: tuple, key: tuple):
+        self.head = head
+        self.key = key
+        self.alpha = None
+        self.lists = {}  # head -> [Generation] in trace order
+        self.bad = []
+
+    def read(self, eid: int, s: int, p, inits: dict):
+        """Read list event eid at stage s; inits: owner -> last init stage."""
+        if p.kind == "phi-set":
+            value = parse_cnf(p["value"])
+            if p["e"] == "alpha":
+                self.alpha = value
+                return
+            texts = p["e"].split(".")
+            if len(texts) != len(self.head):
+                raise ValueError(f"{p['e']!r} names no quota list")
+            gens = self.lists.get(tuple(
+                parse(t) for (_, parse), t in zip(self.head, texts)))
+            if gens:
+                gens[-1].value = value
+            return
+        head = tuple(parse(p[field]) for field, parse in self.head)
+        if p.kind == "qlist-set":
+            gen = Generation(eid, s, p, self.key[1])
+            gens = self.lists.setdefault(head, [])
+            if gens and inits.get(head[0], -1) < gens[-1].s_def:
+                self.bad.append(eid)
+            gens.append(gen)
+        else:
+            m = self.key[1](p[self.key[0]])
+            gens = self.lists.get(head)
+            if not gens or not gens[-1].remove(m, s):
+                self.bad.append(eid)
 
 
 def descent_witness(gen: Generation, hits, inits: dict,

@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .approximation import verify_r_approximation
-from .budgeted import (Generation, Requirement, check_bound, descent_witness,
-                       phi)
+from .budgeted import (LIST_KINDS, QuotaList, QuotaLists, Requirement,
+                       check_bound, descent_witness, set_bound)
 from .functional import Engine
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
 from .trace import CheckResult, RunTrace, Summary, blocks, payload_error
@@ -30,16 +30,6 @@ def _level(node: str) -> int:
     return e
 
 
-class _NState:
-    __slots__ = ("active", "s0", "k", "qlist")
-
-    def __init__(self):
-        self.active = False
-        self.s0 = None
-        self.k = 0
-        self.qlist = []
-
-
 class LowAlphaRun(Engine):
     """One bounded execution of the finite-injury construction."""
 
@@ -49,64 +39,55 @@ class LowAlphaRun(Engine):
         check_bound(alpha, advs)
         super().__init__(stages, dict(enumerate(funs)))
         self.q = [Requirement(adv, f"q{e}") for e, adv in enumerate(advs)]
-        self.n = [_NState() for _ in funs]
+        self.lists = [None] * len(funs)  # a watcher's QuotaList once active
         self._wants = [-1] * len(self.q)  # last stage each q wanted to act
-        self._inits = {e: [] for e in range(len(self.q))}
-        self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
+        set_bound(self, alpha)
 
     # -- negative side -------------------------------------------------
 
     def _n_step(self, e: int, s: int):
-        nst = self.n[e]
-        conv = self.runs[e].query(e)
-        if not nst.active:
-            if conv is None:
+        qlist = self.lists[e]
+        if qlist is None:
+            if self.runs[e].query(e) is None:
                 return
-            nst.active = True
-            nst.s0 = s
-            nst.k = sum(1 for other in self.n if other.active)
-            members = [q for q, st in enumerate(self.q)
-                       if st.follower is not None]
-            nst.qlist = members
-            gs = [self.q[q].adv.g for q in members]
-            self.trace.emit(
-                s, "qlist-set", e=e, k=nst.k,
-                members=",".join(map(str, members)) or "-",
-                gs=";".join(map(format_cnf, gs)) or "-",
-                horizon=self.horizon)
-            self.trace.emit(s, "phi-set", e=e,
-                            value=format_cnf(phi(gs, nst.k)))
+            held = {q: st for q, st in enumerate(self.q)
+                    if st.follower is not None}
+            k = 1 + sum(other is not None for other in self.lists)
+            self.lists[e] = QuotaList(self, s, {"e": e}, "q", held, str, k)
             return
-        for q in list(nst.qlist):
-            if any(self._wants[q2] >= nst.s0 for q2 in range(q)):
+        for q in list(qlist.members):
+            if any(self._wants[q2] >= qlist.s_def for q2 in range(q)):
                 cause = "preempted"
-            elif len([t for t in self._inits[q] if t >= nst.s0]) > nst.k:
+            elif len([t for t in self.q[q].inits
+                      if t >= qlist.s_def]) > qlist.k:
                 cause = "exhausted"
             else:
                 continue
-            nst.qlist.remove(q)
-            self.trace.emit(s, "qlist-remove", e=e, q=q, cause=cause)
+            qlist.remove(self, s, q, cause)
 
     def _denier(self, q: int, use: int):
-        """Index of the first active watcher refusing the action, if any."""
-        for e, nst in enumerate(self.n):
-            if not nst.active:
+        """The select field naming the first watcher refusing, if any."""
+        for e, qlist in enumerate(self.lists):
+            if qlist is None:
                 continue
             conv = self.runs[e].query(e)
-            if conv is None or q in nst.qlist or use > conv.use:
+            if conv is None or q in qlist.members or use > conv.use:
                 continue
-            return e
+            return {"by": e}
         return None
 
     # -- positive side -------------------------------------------------
 
-    def _init_q(self, e: int, s: int, cause: str):
-        st = self.q[e]
-        if st.follower is None:
-            return
-        self.trace.emit(s, "init", node=st.label, cause=cause)
-        self._inits[e].append(s)
-        st.clear()
+    def _preempt(self, e: int, s: int, denial):
+        """Initialize the requirements below e, and e itself when denied."""
+        causes = [(j, f"preempt:{e}") for j in range(e + 1, len(self.q))]
+        if denial is not None:
+            causes.append((e, f"denied:{denial['by']}"))
+        for j, cause in causes:
+            st = self.q[j]
+            if st.follower is not None:
+                self.trace.emit(s, "init", node=st.label, cause=cause)
+                st.initialize(s)
 
     def _q_step(self, e: int, s: int) -> bool:
         """Play one positive strategy; True cuts the stage short."""
@@ -117,19 +98,7 @@ class LowAlphaRun(Engine):
         if not st.visit(self, s):
             return False
         self._wants[e] = s
-        denier = self._denier(e, st.use)
-        if denier is None:
-            self.trace.emit(s, "select", node=st.label, act="act")
-        else:
-            self.trace.emit(s, "select", node=st.label, act="denied",
-                            by=denier)
-        for j in range(e + 1, len(self.q)):
-            self._init_q(j, s, cause=f"preempt:{e}")
-        if denier is None:
-            st.fire(self, s)
-        else:
-            self._init_q(e, s, cause=f"denied:{denier}")
-            st.assign(self, s)
+        st.act(self, s, e)
         return True
 
     def _walk(self, s) -> bool:
@@ -163,42 +132,20 @@ class _LowReplay:
     stage."""
 
     def __init__(self, trace: RunTrace):
-        self.alpha = None
-        self.budgets = {}  # e -> Generation
-        self.bad_removes = []
-        self.extra_sets = []
+        self.quota = quota = QuotaLists((("e", int),), ("q", int))
         self.inits = {}  # q -> [stage]
         self.enums = {}  # stage -> (eid, q, element, marker)
         self.injuries = []  # (eid, stage, e, x, use)
         self.declares = {}  # q -> [(eid, stage, use, value)]
         self.last_f = {}  # q -> (stage, f)
-        self.phis = []  # (e, value) texts of the watchers' phi-sets
         self.summary = summary = Summary()
         try:
             for s, start, block, copies in blocks(trace):
                 for eid, p in enumerate(block, start):
                     kind = p.kind
                     summary.read(kind, p)
-                    if kind == "qlist-set":
-                        e = int(p["e"])
-                        if e in self.budgets:
-                            self.extra_sets.append(eid)
-                        else:
-                            self.budgets[e] = Generation(eid, s, p, int)
-                    elif kind == "qlist-remove":
-                        e, q = int(p["e"]), int(p["q"])
-                        b = self.budgets.get(e)
-                        if b is None or not b.remove(q, s):
-                            self.bad_removes.append(eid)
-                    elif kind == "phi-set":
-                        value = parse_cnf(p["value"])
-                        if p["e"] == "alpha":
-                            self.alpha = value
-                        else:
-                            e = int(p["e"])
-                            self.phis.append((p["e"], p["value"]))
-                            if e in self.budgets:
-                                self.budgets[e].value = value
+                    if kind in LIST_KINDS:  # no watcher is initialized
+                        quota.read(eid, s, p, {})
                     elif kind == "init":
                         self.inits.setdefault(_level(p["node"]), []).append(s)
                     elif kind == "enumerate":
@@ -218,6 +165,8 @@ class _LowReplay:
                                                           int(p["f"]))
         except (KeyError, ValueError) as ex:
             raise payload_error(eid, kind, ex) from None
+        # a watcher's list is its first: a second one fails the structure
+        self.budgets = {e: gens[0] for (e,), gens in quota.lists.items()}
 
     def own_injuries(self, e: int):
         """Post-activation injuries of watcher e's own computation."""
@@ -252,7 +201,7 @@ def verify_lowness_budget(replay: _LowReplay) -> list:
 
 def _quota_list_structure(r: _LowReplay) -> CheckResult:
     """One qlist-set per watcher; removes only of current members."""
-    bad = r.extra_sets + r.bad_removes
+    bad = r.quota.bad
     return CheckResult("quota-list-structure", not bad,
                        min(bad) if bad else None,
                        f"{len(r.budgets)} activations")
@@ -260,10 +209,10 @@ def _quota_list_structure(r: _LowReplay) -> CheckResult:
 
 def _budget_formula(r: _LowReplay, watchers) -> CheckResult:
     """Each budget is phi over the watcher's list, below alpha."""
-    bad = next((e for e, b in watchers if not b.budget_ok(r.alpha)), None)
+    alpha = r.quota.alpha
+    bad = next((e for e, b in watchers if not b.budget_ok(alpha)), None)
     return CheckResult("budget-formula", bad is None, bad,
-                       "" if r.alpha is None
-                       else f"bound {format_cnf(r.alpha)}")
+                       "" if alpha is None else f"bound {format_cnf(alpha)}")
 
 
 def _injury_gate(r: _LowReplay, watchers) -> CheckResult:
@@ -331,4 +280,5 @@ def worst_ratio(r: _LowReplay) -> float:
 
 def phi_lines(replay: _LowReplay) -> list:
     """Report lines naming each watcher's ordinal budget, in trace order."""
-    return [f"phi e={e} value={value}" for e, value in replay.phis]
+    return [f"phi e={e} value={format_cnf(b.value)}"
+            for e, b in replay.budgets.items() if b.value is not None]

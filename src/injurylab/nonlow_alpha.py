@@ -16,8 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left
 
 from .approximation import verify_r_approximation
-from .budgeted import (Generation, Requirement, check_bound, descent_witness,
-                       phi)
+from .budgeted import (LIST_KINDS, QuotaList, QuotaLists, Requirement,
+                       check_bound, descent_witness, set_bound)
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
                      check_triggers, injury_bound)
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
@@ -54,7 +54,7 @@ def qlist_update(members, k: int, inits: dict, wants, rho_inits, stage_nodes):
 
     Drops members that spent their initialization tolerance, saw a higher
     priority xi want to act, lost a rho above them, or were passed on the
-    left.  Returns (kept, removed-with-cause).
+    left.  Returns the dropped members with their causes, in list order.
     """
     removed = []
     for xi in members:
@@ -69,21 +69,10 @@ def qlist_update(members, k: int, inits: dict, wants, rho_inits, stage_nodes):
         else:
             continue
         removed.append((xi, cause))
-    dropped = {xi for xi, _ in removed}
-    return [m for m in members if m not in dropped], removed
+    return removed
 
 
 # -- the construction --------------------------------------------------
-
-
-class _QlistEntry:
-    __slots__ = ("s_def", "k", "members", "checked")
-
-    def __init__(self, s_def, k, members):
-        self.s_def = s_def
-        self.k = k
-        self.members = members
-        self.checked = s_def  # last maintenance stage
 
 
 class NonlowAlphaRun(EtaRhoRun):
@@ -98,16 +87,10 @@ class NonlowAlphaRun(EtaRhoRun):
         check_bound(alpha, fadvs.values())
         super().__init__(psis, funs, stages, fadvs)
         self.xi = {}  # node -> Requirement
-        self.qlists = {}  # eta node -> {x: _QlistEntry}
+        self.qlists = {}  # eta node -> {x: QuotaList}
         self._xi_wants = {}  # node -> last stage it wanted to act
-        self._xi_inits = {}  # node -> [stages], only with a live follower
         self._rho_inits = {}  # node -> last init stage
-        self.trace.emit(0, "phi-set", e="alpha", value=format_cnf(alpha))
-
-    def _length_of(self, eta, s) -> int:
-        if eta not in self.cur_l:
-            self.cur_l[eta] = self._length(eta, s)
-        return self.cur_l[eta]
+        set_bound(self, alpha)
 
     # -- xi visits and initialization ---------------------------------
 
@@ -127,11 +110,8 @@ class NonlowAlphaRun(EtaRhoRun):
         super()._on_init(node, s)
         if is_rho(node):
             self._rho_inits[node] = s
-        elif is_xi(node):
-            st = self.xi.get(node)
-            if st is not None and st.follower is not None:
-                self._xi_inits.setdefault(node, []).append(s)
-                st.clear()
+        elif is_xi(node) and node in self.xi:
+            self.xi[node].initialize(s)
         elif is_eta(node):
             self.qlists.pop(node, None)
 
@@ -142,24 +122,15 @@ class NonlowAlphaRun(EtaRhoRun):
         for x in range(self.cur_l[eta]):
             entry = table.get(x)
             if entry is None:
-                members = sorted(
-                    node for node, st in self.xi.items()
-                    if st.follower is not None
-                    and is_prefix(eta + (INF,), node))
-                kps = [self._k_prime(m, s) for m in members]
-                k = k_budget(kps)
-                table[x] = _QlistEntry(s, k, members)
-                gs = [self.xi[m].adv.g for m in members]
-                self.trace.emit(
-                    s, "qlist-set", eta=render(eta), x=x, k=k,
-                    members=",".join(render(m) for m in members) or "-",
-                    gs=";".join(map(format_cnf, gs)) or "-",
-                    kps=";".join(str(v) for v in kps) or "-",
-                    horizon=self.horizon)
-                self.trace.emit(s, "phi-set", e=f"{render(eta)}.{x}",
-                                value=format_cnf(phi(gs, k)))
+                held = {node: st for node, st in sorted(self.xi.items())
+                        if st.follower is not None
+                        and is_prefix(eta + (INF,), node)}
+                kps = [self._k_prime(m, s) for m in held]
+                table[x] = QuotaList(
+                    self, s, {"eta": render(eta), "x": x}, "xi", held, render,
+                    k_budget(kps), kps=";".join(map(str, kps)) or "-")
                 continue
-            inits = {m: len([t for t in self._xi_inits.get(m, [])
+            inits = {m: len([t for t in self.xi[m].inits
                              if entry.s_def < t <= s])
                      for m in entry.members}
             wants = [m for m, t in self._xi_wants.items()
@@ -168,18 +139,17 @@ class NonlowAlphaRun(EtaRhoRun):
                          if t >= entry.checked]
             # the walks since the last upkeep, itself a walked stage
             since = bisect_left(self.tree.paths, (entry.checked,))
-            entry.members, removed = qlist_update(
-                entry.members, entry.k, inits, wants, rho_inits,
-                {path for _, path in self.tree.paths[since:]})
-            for m, cause in removed:
-                self.trace.emit(s, "qlist-remove", eta=render(eta), x=x,
-                                xi=render(m), cause=cause)
+            for m, cause in qlist_update(
+                    list(entry.members), entry.k, inits, wants, rho_inits,
+                    {path for _, path in self.tree.paths[since:]}):
+                entry.remove(self, s, m, cause)
             entry.checked = s
 
     def _k_prime(self, xi_node, s) -> int:
-        lengths = {eta: self._length_of(eta, s)
-                   for eta in etas_above(xi_node)}
-        return k_prime(xi_node, lengths)
+        for eta in etas_above(xi_node):  # the lengths its visit would set
+            if eta not in self.cur_l:
+                self.cur_l[eta] = self._length(eta, s)
+        return k_prime(xi_node, self.cur_l)
 
     # -- xi permission and action -------------------------------------
 
@@ -187,46 +157,37 @@ class NonlowAlphaRun(EtaRhoRun):
         nodes = (path[:i] for i in range(2, len(path) + 1, 3))
         return [n for n in nodes if self._xi_wants.get(n) == s]
 
-    def _xi_denier(self, xi_node, use, s):
-        """First (eta, x) refusing the action, or None."""
+    def _denier(self, xi_node, use):
+        """The select fields naming the first (eta, x) refusing, if any."""
         for eta in etas_above(xi_node):
             run = self.runs.get(level_index(eta))
             if run is None:
                 continue
             table = self.qlists.get(eta, {})
-            for x in range(self._length_of(eta, s)):
+            for x in range(self.cur_l[eta]):
                 conv = run.query(x)
                 if conv is None or use > conv.use:
                     continue
                 entry = table.get(x)
                 if entry is not None and xi_node in entry.members:
                     continue
-                return eta, x
+                return {"by": render(eta), "x": x}
         return None
 
-    def _init_xi_region(self, xi_node, s):
-        """Initialize every xi extension and everything to the right."""
+    def _preempt(self, xi_node, s, denial):
+        """Initialize every xi extension and everything to the right, and
+        xi_node itself when denied."""
         for other in sorted(self.tree.birth):
             if other == xi_node:
                 continue
             if left_of(xi_node, other) or (is_xi(other)
                                            and is_prefix(xi_node, other)):
                 self._on_init(other, s)
+        if denial is not None:
+            self._on_init(xi_node, s)
 
     def _act_xi(self, xi_node, s):
-        st = self.xi[xi_node]
-        denier = self._xi_denier(xi_node, st.use, s)
-        if denier is None:
-            self.trace.emit(s, "select", node=render(xi_node), act="act")
-        else:
-            self.trace.emit(s, "select", node=render(xi_node), act="denied",
-                            by=render(denier[0]), x=denier[1])
-        self._init_xi_region(xi_node, s)
-        if denier is None:
-            st.fire(self, s)
-        else:
-            self._on_init(xi_node, s)
-            st.assign(self, s)
+        self.xi[xi_node].act(self, s, xi_node)
 
     def _summary(self, summary: dict):
         super()._summary(summary)
@@ -251,10 +212,7 @@ class _CombReplay(EtaRhoReplay):
     levels = LEVELS
 
     def __init__(self, trace: RunTrace):
-        self.alpha = None
-        self.entries = {}  # (eta, x) -> [Generation] in order
-        self.kps = {}  # qlist-set eid -> member tolerances
-        self.bad_events = []  # structurally illegal qlist events
+        self.quota = QuotaLists((("eta", parse), ("x", int)), ("xi", parse))
         self.xi_inits = {}  # node -> [stages], follower-bearing only
         self.enums = {}  # stage -> (eid, node, element, marker or None)
         self.denials = []  # (eid, stage, node, by, x)
@@ -273,35 +231,13 @@ class _CombReplay(EtaRhoReplay):
         elif kind == "select" and p.get("act") == "denied":
             self.denials.append((eid, s, parse(p["node"]),
                                  parse(p["by"]), int(p["x"])))
-        elif kind == "qlist-set":
-            eta, x = parse(p["eta"]), int(p["x"])
-            entry = Generation(eid, s, p, parse)
-            self.kps[eid] = kps = ([] if p["kps"] == "-" else
-                                   [int(t) for t in p["kps"].split(";")])
-            if any(v < 0 for v in kps):
-                raise ValueError(f"negative kps entry in {p['kps']}")
-            gen = self.entries.setdefault((eta, x), [])
-            if gen and self.last_init.get(eta, -1) < gen[-1].s_def:
-                self.bad_events.append(eid)
-            gen.append(entry)
-        elif kind == "qlist-remove":
-            eta, x, m = parse(p["eta"]), int(p["x"]), parse(p["xi"])
-            gen = self.entries.get((eta, x))
-            if not gen or not gen[-1].remove(m, s):
-                self.bad_events.append(eid)
-        elif kind == "phi-set":
-            if p["e"] == "alpha":
-                self.alpha = parse_cnf(p["value"])
-            elif "." in p["e"]:
-                tag, xs = p["e"].rsplit(".", 1)
-                gen = self.entries.get((parse(tag), int(xs)))
-                if gen:
-                    gen[-1].value = parse_cnf(p["value"])
+        elif kind in LIST_KINDS:  # an eta's init lets it list anew
+            self.quota.read(eid, s, p, self.last_init)
 
     def entry_at(self, eta, x, s):
         """The quota list generation in force at stage s, if any."""
         live = None
-        for entry in self.entries.get((eta, x), []):
+        for entry in self.quota.lists.get((eta, x), []):
             if entry.s_def <= s:
                 live = entry
         return live
@@ -353,20 +289,20 @@ def _xi_permission_scope(r: _CombReplay) -> CheckResult:
 
 def _qlist_structure(r: _CombReplay) -> CheckResult:
     """Legal sets and removes, budgets recomputed."""
-    if r.bad_events:
-        return CheckResult("qlist-structure", False, min(r.bad_events),
+    if r.quota.bad:
+        return CheckResult("qlist-structure", False, min(r.quota.bad),
                            "illegal quota list event")
-    for (eta, x), gen in sorted(r.entries.items()):
+    for (eta, x), gen in sorted(r.quota.lists.items()):
         for entry in gen:
-            if entry.k != k_budget(r.kps[entry.eid]):
+            if entry.kps is None or entry.k != k_budget(entry.kps):
                 return CheckResult("qlist-structure", False, entry.eid,
                                    f"tolerance {entry.k} is not the member "
                                    f"max")
-            if not entry.budget_ok(r.alpha):
+            if not entry.budget_ok(r.quota.alpha):
                 return CheckResult("qlist-structure", False, entry.eid,
                                    f"budget mismatch at {render(eta)} x={x}")
     return CheckResult("qlist-structure", True, None,
-                       f"{len(r.entries)} lists")
+                       f"{len(r.quota.lists)} lists")
 
 
 def _xi_injury_gate(r: _CombReplay) -> CheckResult:
@@ -385,7 +321,7 @@ def _xi_injury_gate(r: _CombReplay) -> CheckResult:
 
 def _descent_witness(r: _CombReplay) -> CheckResult:
     """Each list generation's xi hits descend through its beta budget."""
-    for (eta, x), gen in sorted(r.entries.items()):
+    for (eta, x), gen in sorted(r.quota.lists.items()):
         for entry in gen:
             if entry.value is None:
                 return CheckResult("descent-witness", False, entry.eid,
@@ -403,7 +339,7 @@ def _descent_witness(r: _CombReplay) -> CheckResult:
             if v is not None:
                 return CheckResult("descent-witness", False, v.stage, str(v))
     return CheckResult("descent-witness", True, None,
-                       f"{sum(map(len, r.entries.values()))} streams")
+                       f"{sum(map(len, r.quota.lists.values()))} streams")
 
 
 def _mind_change_cap(r: _CombReplay) -> CheckResult:
@@ -413,7 +349,7 @@ def _mind_change_cap(r: _CombReplay) -> CheckResult:
     for eta in sorted(r.etas()):
         for x, (n, eid) in sorted(r.injury_totals(eta).items()):
             caps = []
-            for entry in r.entries.get((eta, x), []):
+            for entry in r.quota.lists.get((eta, x), []):
                 if entry.value is None or not entry.value.is_finite():
                     caps = None
                     break
@@ -433,7 +369,7 @@ def bound_table(replay: _CombReplay) -> list:
     """One line per (eta, x) quota list: the ordinal xi budget and the
     closed-form rho ceiling."""
     lines = []
-    for (eta, x), gen in sorted(replay.entries.items()):
+    for (eta, x), gen in sorted(replay.quota.lists.items()):
         entry = gen[-1]
         if entry.value is None:
             continue

@@ -260,13 +260,13 @@ def test_criterion_6_combined_bounds():
             ok &= next(c for c in checks if c.name == name).passed
         ok &= all(c.passed for c in checks)
         recorded = stage_lengths(replay)
-        for (eta, x), gen in replay.entries.items():
+        for (eta, x), gen in replay.quota.lists.items():
             for entry in gen:
                 lists += 1
                 for i, member in enumerate(entry.members):
                     lengths = {h: _length_lookup(recorded, h, entry.s_def)
                                for h in nonlow_alpha.etas_above(member)}
-                    ok &= (replay.kps[entry.eid][i]
+                    ok &= (entry.kps[i]
                            == nonlow_alpha.k_prime(member, lengths))
                     members_checked += 1
     elapsed = time.monotonic() - t0

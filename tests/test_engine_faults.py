@@ -12,6 +12,7 @@ import pytest
 
 from injurylab.cli import checks_for, replay_of
 from injurylab.etarho import EtaRhoRun
+from injurylab.low_alpha import LowAlphaRun
 from injurylab.scenario import load_scenario
 
 SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -24,8 +25,21 @@ def allow_every_enumeration(monkeypatch):
     monkeypatch.setattr(EtaRhoRun, "_allows_enum", lambda self, rho: True)
 
 
+def deny_nothing(monkeypatch):
+    """No watcher refuses an act, even one that injures its computation
+    from outside its quota list."""
+    monkeypatch.setattr(LowAlphaRun, "_denier", lambda self, q, use: None)
+
+
 # (construction, rule) -> (fault, scenario, check -> witness per seed)
 ENGINE_FAULTS = {
+    # q1 acts at stage 9 although it has left watcher 0's list, and its
+    # enumeration injures the watcher (event 43); descent-witness names
+    # the stage
+    ("low-alpha", "LowAlphaRun._denier"): (
+        deny_nothing, "fault-low-alpha-denial",
+        {"injury-gate": [43, 43, 43, 43],
+         "descent-witness": [9, 9, 9, 9]}),
     ("nonlow-alpha", "EtaRhoRun._allows_enum"): (
         allow_every_enumeration, "nonlow-alpha-mixed",
         {"rho-recursion": [228, 228, 228, 228]}),

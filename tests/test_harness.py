@@ -703,6 +703,15 @@ class TestCli:
         ("golden-nonlow-alpha", 41, {"k": -5, "kps": -5}, "negative k -5"),
         ("golden-nonlow-alpha", 41, {"kps": -5},
          "negative kps entry in -5"),
+        # a repeated member counts its budget twice
+        ("golden-low-alpha", 9, {"members": "0,0", "gs": "w;w"},
+         "repeated member in 0,0"),
+        ("golden-nonlow-alpha", 41,
+         {"members": "if,if", "gs": "w;w", "kps": "1028;1028"},
+         "repeated member in if,if"),
+        # a tolerance for no member
+        ("golden-nonlow-alpha", 41, {"kps": "1028;7"},
+         "1 members but 2 tolerances"),
     ])
     def test_verify_trace_rejects_negative_tolerance(self, tmp_path, name,
                                                      lineno, values, why):
@@ -853,6 +862,12 @@ def trace_file(tmp_path_factory):
 @given(text=mutated_goldens())
 @example(text=edited("golden-low-alpha", 9, k=-5))
 @example(text=edited("golden-nonlow-alpha", 41, k=-5, kps=-5))
+@example(text=edited("golden-low-alpha", 9, members="0,0", gs="w;w").replace(
+    "phi-set e=0 value=w*2", "phi-set e=0 value=w*4"))
+@example(text=edited("golden-nonlow-alpha", 41, members="if,if", gs="w;w",
+                     kps="1028;1028").replace("value=w*1029",
+                                              "value=w*2058"))
+@example(text=edited("golden-nonlow-alpha", 41, kps="1028;7"))
 def test_verify_trace_survives_mutated_goldens(trace_file, text):
     # a verdict, a failed check or a located error; never a traceback
     trace_file.write_text(text)

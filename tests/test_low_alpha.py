@@ -9,7 +9,7 @@ import pytest
 
 import injurylab.low_alpha as la
 from injurylab.approximation import ScriptedCaAdversary
-from injurylab.budgeted import descent_witness, phi
+from injurylab.budgeted import QuotaList, descent_witness, phi
 from injurylab.functional import UseFunctional
 from injurylab.ordinal import (format_cnf, nat, omega_power, parse_cnf,
                                random_cnf_below)
@@ -158,6 +158,17 @@ class TestPermission:
         for check in la.verify_lowness_budget(replay_of(tr)):
             assert check.passed, check.line()
 
+    def test_fault_scenario_refuses_q1_at_stage_9(self):
+        # the shipped input that takes the denied branch of the act path
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "scenarios", "fault-low-alpha-denial.txt")
+        with open(path) as fh:
+            tr = load_scenario(fh.read()).execute()[0]
+        stages = stage_of(tr)
+        assert [(stages[eid], tr.events[eid]) for eid in by_kind(tr, "select")
+                if tr.events[eid]["act"] == "denied"] == [
+            (9, {"node": "q1", "act": "denied", "by": "0"})]
+
     def test_preempt_initializes_lower(self):
         # q0 wants at stage 5, exactly when the watcher activates with
         # all three requirements in quota; q1 and q2 are reset and then
@@ -188,15 +199,15 @@ class TestPermission:
         run = la.LowAlphaRun([ScriptedCaAdversary("f0", W),
                               ScriptedCaAdversary("f1", W)],
                              [UseFunctional(0)], omega_power(W), 0)
-        nst = run.n[0]
-        nst.active, nst.s0, nst.k, nst.qlist = True, 1, 1, [0, 1]
-        run._inits[1] = [2, 3]
+        qlist = run.lists[0] = QuotaList(run, 1, {"e": 0}, "q",
+                                         dict(enumerate(run.q)), str, 1)
+        run.q[1].inits[:] = [2, 3]
         run._n_step(0, 4)
         removed = by_kind(run.trace, "qlist-remove")
         assert len(removed) == 1
         assert run.trace.events[removed[0]] == {"e": "0", "q": "1",
                                                 "cause": "exhausted"}
-        assert nst.qlist == [0]
+        assert list(qlist.members) == [0]
 
 
 # a watcher under w: its budget phi is finite

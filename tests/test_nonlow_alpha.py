@@ -12,8 +12,8 @@ import pytest
 
 from injurylab.approximation import (BoundedCaAdversary, DeltaTwoAdversary,
                                      ScriptedCaAdversary)
-from injurylab.budgeted import (Requirement, check_bound, descent_witness,
-                                phi)
+from injurylab.budgeted import (QuotaList, Requirement, check_bound,
+                                descent_witness, phi)
 from injurylab.functional import UseFunctional
 from injurylab import nonlow_alpha as na
 from injurylab.nonlow_low2 import injury_bound
@@ -152,50 +152,56 @@ class TestBetaBound:
 class TestQlistUpdate:
     members = [(0, 0), (0, 1), (0, 0, 0, 0, 1)]
 
+    def update(self, members, *args):
+        """The members kept and the (member, cause) pairs dropped."""
+        removed = na.qlist_update(members, *args)
+        gone = {m for m, _ in removed}
+        return [m for m in members if m not in gone], removed
+
     def test_no_events_unchanged(self):
-        kept, removed = na.qlist_update(self.members, 4, {}, [], [], [])
+        kept, removed = self.update(self.members, 4, {}, [], [], [])
         assert kept == self.members and removed == []
 
     def test_exhausted(self):
-        kept, removed = na.qlist_update(self.members, 2, {(0, 1): 3},
-                                        [], [], [])
+        kept, removed = self.update(self.members, 2, {(0, 1): 3},
+                                    [], [], [])
         assert kept == [(0, 0), (0, 0, 0, 0, 1)]
         assert removed == [((0, 1), "exhausted")]
 
     def test_exhausted_needs_strictly_more_than_k(self):
-        kept, removed = na.qlist_update(self.members, 2, {(0, 1): 2},
-                                        [], [], [])
+        kept, removed = self.update(self.members, 2, {(0, 1): 2},
+                                    [], [], [])
         assert removed == []
 
     def test_want_above(self):
-        kept, removed = na.qlist_update(self.members, 4, {}, [(0, 0)],
-                                        [], [])
+        kept, removed = self.update(self.members, 4, {}, [(0, 0)],
+                                    [], [])
         assert kept == [(0, 0), (0, 1)]
         assert removed == [((0, 0, 0, 0, 1), "want-above")]
 
     def test_rho_init(self):
-        kept, removed = na.qlist_update(self.members, 4, {}, [], [(0,)],
-                                        [])
+        kept, removed = self.update(self.members, 4, {}, [], [(0,)],
+                                    [])
         assert kept == []
         assert {c for _, c in removed} == {"rho-init"}
 
     def test_left_stage(self):
         # a stage at a prefix is not to the left; only the truly passed
         # member goes
-        kept, removed = na.qlist_update(self.members, 4, {}, [], [],
-                                        [(0, 0, 0)])
+        kept, removed = self.update(self.members, 4, {}, [], [],
+                                    [(0, 0, 0)])
         assert kept == [(0, 0), (0, 0, 0, 0, 1)]
         assert removed == [((0, 1), "left-stage")]
-        kept, removed = na.qlist_update(self.members, 4, {}, [], [],
-                                        [(0, 0, 0, 0, 0)])
+        kept, removed = self.update(self.members, 4, {}, [], [],
+                                    [(0, 0, 0, 0, 0)])
         assert kept == [(0, 0)]
         assert removed == [((0, 1), "left-stage"),
                            ((0, 0, 0, 0, 1), "left-stage")]
 
     def test_clause_precedence(self):
         # a member qualifying twice reports the earliest clause
-        kept, removed = na.qlist_update([(0, 1)], 0, {(0, 1): 1}, [], [],
-                                        [(0, 0)])
+        kept, removed = self.update([(0, 1)], 0, {(0, 1): 1}, [], [],
+                                    [(0, 0)])
         assert removed == [((0, 1), "exhausted")]
 
 
@@ -479,7 +485,7 @@ class TestSyntheticDescent:
 
     def test_witness_descends_below_budget(self):
         r = na._CombReplay(synthetic_descent_trace())
-        entry = r.entries[((), 0)][0]
+        entry = r.quota.lists[((), 0)][0]
         hits = [(s, node, r.enums[s][3])
                 for eid, s, x, node, _ in r.counted_injuries(())]
         stream = descent_witness(entry, hits, r.xi_inits, 0)
@@ -572,6 +578,7 @@ class TestDeniedPermission:
                               {0: basic_functional((1,))}, ALPHA, 0)
         r._advance_functionals(0)
         r._advance_functionals(1)
+        r.cur_l[()] = r._length((), 3)  # the stage-3 walk visits the root
         return r
 
     def test_denied_want_reassigns(self):
@@ -601,7 +608,7 @@ class TestDeniedPermission:
         redecl = [events[eid] for eid in by_kind(tr, "declare")
                   if events[eid].get("what") == "delta"]
         assert int(redecl[-1]["u"]) == r.xi[(0, 0)].use
-        assert r._xi_inits[(0, 0)] == [3]
+        assert r.xi[(0, 0)].inits == [3]
         assert by_kind(r.trace, "enumerate") == []
 
     def test_higher_use_is_permitted(self):
@@ -610,13 +617,15 @@ class TestDeniedPermission:
         st = Requirement(r.fadvs[0], "ii")
         st.follower, st.use, st.decl = 0, conv.use + 1, 1
         r.xi[(0, 0)] = st
-        assert r._xi_denier((0, 0), st.use, 3) is None
+        assert r._denier((0, 0), st.use) is None
 
     def test_membership_overrides_height(self):
         r = self.make_run()
         conv = r.runs[0].query(0)
-        r.qlists[()] = {0: na._QlistEntry(2, 4, [(0, 0)])}
-        assert r._xi_denier((0, 0), conv.use, 3) is None
+        st = Requirement(r.fadvs[0], "ii")
+        r.qlists[()] = {0: QuotaList(r, 2, {"eta": "-", "x": 0}, "xi",
+                                     {(0, 0): st}, na.render, 4)}
+        assert r._denier((0, 0), conv.use) is None
 
 
 class TestStress:

@@ -14,6 +14,10 @@ class, or of a subclass without its own ``__init__``, and a
 ``super().__init__`` call count for that ``__init__``.  A function that
 the package never calls by name is not judged, nor are ``*args`` and
 ``**kwargs``, nor a call that passes ``*`` or ``**`` arguments.
+
+A third scan keeps the quota-list protocol in one module: the kinds of
+its events are named only in budgeted.py and in trace.py's table of
+event kinds.
 """
 
 import ast
@@ -201,6 +205,29 @@ def test_every_parameter_is_read_and_every_default_is_left_out():
     assert len(pkg.functions) > 200
     found = pkg.unread() + pkg.always_supplied()
     assert sorted(f for f in found if f not in ALLOWED_PARAMETERS) == []
+
+
+# The kinds of the quota-list protocol's events.
+LIST_EVENTS = {"qlist-set", "qlist-remove", "phi-set"}
+
+
+def test_only_budgeted_writes_or_reads_the_list_events():
+    # budgeted.py owns the protocol; trace.py lists the kinds in its table
+    # of event kinds, and no other module names them
+    where = {}
+    for module, tree in parse_package().items():
+        table = set()
+        if module == "trace":
+            table = {id(n) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets]
+                     == ["EVENT_KINDS"]
+                     for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in LIST_EVENTS \
+                    and id(node) not in table:
+                where.setdefault(module, set()).add(node.value)
+    assert where == {"budgeted": LIST_EVENTS}
 
 
 def test_parameter_allowlist_names_only_findings():
