@@ -60,15 +60,6 @@ class ApproxTrace:
         if stage + 1 > self.stages:
             self.stages = stage + 1
 
-    def changes(self):
-        """Pairs (x, s) where the approximated value differs at s and s+1."""
-        out = []
-        for x, rows in sorted(self.records.items()):
-            for (s0, v0, _), (s1, v1, _) in zip(rows, rows[1:]):
-                if v1 != v0:
-                    out.append((x, s1 - 1))
-        return out
-
 
 def verify_r_approximation(trace: ApproxTrace, bound) -> Violation | None:
     """Check the mind-change contract; None when valid, else first violation.

@@ -1,13 +1,22 @@
 """Command line front end: run scenarios, batch campaigns, verify traces.
 
+The verbs and their flags are one table, VERBS, read by read_argv.  A
+flag takes its value as the next argument or after '=' (``--seed=3``).
+An argument that starts with '-' and is not '-' alone or a negative
+number is a flag, so a flag followed by one wants a value.  The last
+repeat of a flag wins, and flags are never abbreviated.  ``cnf eval``
+takes the remaining arguments as its expression.  ``-h`` or ``--help``
+anywhere prints USAGE and exits 0.
+
 Exit codes: 0 when every enabled check passes, 1 when a violation is
 found, 2 on configuration or usage errors, malformed traces and a
 negative --stages included, and for a campaign in which any seed
-errors.
+errors.  A usage error, like any other exit 2 before a run, is one
+``error ...`` line on the output stream.
 """
 
-import argparse
 import hashlib
+import re
 import sys
 
 from .constructions import CONSTRUCTIONS, construction
@@ -84,25 +93,26 @@ def _write(path: str, text: str) -> None:
             from None
 
 
-def cmd_run(args, out) -> int:
-    sc = load_scenario(_read(args.scenario))
-    if args.construction:
-        sc.construction = args.construction
-    if args.alpha:
+def cmd_run(out, scenario, construction, alpha, stages, seed, trace,
+            report) -> int:
+    sc = load_scenario(_read(scenario))
+    if construction:
+        sc.construction = construction
+    if alpha:
         try:
-            sc.alpha = parse_cnf(args.alpha)
+            sc.alpha = parse_cnf(alpha)
         except ValueError as ex:
             raise ConfigError(f"--alpha: {ex}") from None
     sc.validate()
-    trace, psis = sc.execute(seed=args.seed, stages=args.stages)
-    replay = run_replay(trace)
-    if args.trace:
-        _write(args.trace, trace.to_text())
-    checks = checks_for(trace, replay, sc, psis)
-    lines = report_lines(trace, checks, replay)
+    tr, psis = sc.execute(seed=seed, stages=stages)
+    replay = run_replay(tr)
+    if trace:
+        _write(trace, tr.to_text())
+    checks = checks_for(tr, replay, sc, psis)
+    lines = report_lines(tr, checks, replay)
     text = "\n".join(lines) + "\n"
-    if args.report:
-        _write(args.report, text)
+    if report:
+        _write(report, text)
     out.write(text)
     return 0 if all(c.passed for c in checks) else 1
 
@@ -130,17 +140,17 @@ def _campaign_seed(sc, seed: int, stages, out):
     return d, ratio, bad
 
 
-def cmd_campaign(args, out) -> int:
+def cmd_campaign(out, scenario, seeds, seed, stages) -> int:
     """Exit 2 when any seed errors, else 1 when any check fails."""
-    sc = load_scenario(_read(args.scenario))
-    if args.seeds < 1:
+    sc = load_scenario(_read(scenario))
+    if seeds < 1:
         raise ConfigError("campaign wants at least one seed")
     failures = 0
     errors = 0
     digests = []
     worst = 0.0
-    for seed in range(args.seed, args.seed + args.seeds):
-        result = _campaign_seed(sc, seed, args.stages, out)
+    for n in range(seed, seed + seeds):
+        result = _campaign_seed(sc, n, stages, out)
         if result is None:
             errors += 1
             continue
@@ -149,7 +159,7 @@ def cmd_campaign(args, out) -> int:
         worst = max(worst, ratio)
         failures += len(bad)
     out.write(f"campaign construction={sc.construction} "
-              f"seeds={args.seeds} failures={failures} "
+              f"seeds={seeds} failures={failures} "
               f"errors={errors} worst-ratio={worst:.3g} "
               f"digest={hashlib.sha256(','.join(digests).encode()).hexdigest()[:16]}\n")
     if errors:
@@ -157,26 +167,25 @@ def cmd_campaign(args, out) -> int:
     return 1 if failures else 0
 
 
-def cmd_verify_trace(args, out) -> int:
-    trace = RunTrace.from_text(_read(args.trace))
-    replay = replay_of(trace)
-    if trace.summary != reduce_summary(replay):
+def cmd_verify_trace(out, trace) -> int:
+    tr = RunTrace.from_text(_read(trace))
+    replay = replay_of(tr)
+    if tr.summary != reduce_summary(replay):
         out.write("check self-consistency fail witness ?\n")
         return 1
-    checks = checks_for(trace, replay)
+    checks = checks_for(tr, replay)
     out.write("check self-consistency pass witness ?\n")
-    text = "\n".join(report_lines(trace, checks, replay)) + "\n"
+    text = "\n".join(report_lines(tr, checks, replay)) + "\n"
     out.write(text)
     return 0 if all(c.passed for c in checks) else 1
 
 
-def cmd_cnf_eval(args, out) -> int:
-    toks = args.expr  # nargs="+": argparse rejects an empty expression
+def cmd_cnf_eval(out, expr) -> int:
     try:
-        acc = parse_cnf(toks[0])
+        acc = parse_cnf(expr[0])  # read_argv rejects an empty expression
         i = 1
-        while i < len(toks):
-            op, val = toks[i], toks[i + 1] if i + 1 < len(toks) else None
+        while i < len(expr):
+            op, val = expr[i], expr[i + 1] if i + 1 < len(expr) else None
             if val is None:
                 raise ConfigError(f"operator {op!r} wants an operand")
             if op == "+":
@@ -198,51 +207,121 @@ def cmd_cnf_eval(args, out) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="injury-lab")
-    sub = p.add_subparsers(dest="verb", required=True)
+USAGE = """\
+usage: injury-lab run --scenario FILE [--construction NAME] [--alpha CNF]
+                      [--stages N] [--seed INT] [--trace FILE] [--report FILE]
+       injury-lab campaign --scenario FILE --seeds INT [--seed INT]
+                           [--stages N]
+       injury-lab verify-trace --trace FILE
+       injury-lab cnf eval CNF [OP OPERAND]...    (OP: + CNF, * INT, cmp CNF)
 
-    r = sub.add_parser("run", help="execute one scenario")
-    r.add_argument("--scenario", required=True)
-    r.add_argument("--construction", choices=tuple(CONSTRUCTIONS))
-    r.add_argument("--alpha")
-    r.add_argument("--stages", type=int)
-    r.add_argument("--seed", type=int)
-    r.add_argument("--trace")
-    r.add_argument("--report")
-    r.set_defaults(fn=cmd_run)
+A flag takes its value as the next argument or after '=' (--seed=3); the
+last repeat of a flag wins, and a flag is never abbreviated.  A usage
+error is one 'error ...' line on standard output, with exit 2.
+"""
 
-    c = sub.add_parser("campaign", help="replay a scenario over many seeds")
-    c.add_argument("--scenario", required=True)
-    c.add_argument("--seeds", type=int, required=True)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--stages", type=int)
-    c.set_defaults(fn=cmd_campaign)
+NATURAL = "natural"  # the kind of an int that must not be negative
 
-    v = sub.add_parser("verify-trace", help="recheck a written trace")
-    v.add_argument("--trace", required=True)
-    v.set_defaults(fn=cmd_verify_trace)
+# verb -> (handler, {flag: (kind, required, default)}).  A kind is str,
+# int, NATURAL or the mapping whose keys are the accepted values.  The
+# handler takes the output stream and each flag's value as the keyword
+# of its name.  "cnf eval" takes no flags: its handler takes the
+# remaining arguments as expr.
+VERBS = {
+    "run": (cmd_run, {"--scenario": (str, True, None),
+                      "--construction": (CONSTRUCTIONS, False, None),
+                      "--alpha": (str, False, None),
+                      "--stages": (NATURAL, False, None),
+                      "--seed": (int, False, None),
+                      "--trace": (str, False, None),
+                      "--report": (str, False, None)}),
+    "campaign": (cmd_campaign, {"--scenario": (str, True, None),
+                                "--seeds": (int, True, None),
+                                "--seed": (int, False, 0),
+                                "--stages": (NATURAL, False, None)}),
+    "verify-trace": (cmd_verify_trace, {"--trace": (str, True, None)}),
+    "cnf eval": (cmd_cnf_eval, None),
+}
 
-    n = sub.add_parser("cnf", help="ordinal notation utilities")
-    nsub = n.add_subparsers(dest="cnf_verb", required=True)
-    ne = nsub.add_parser("eval")
-    ne.add_argument("expr", nargs="+")
-    ne.set_defaults(fn=cmd_cnf_eval)
-    return p
+# what argparse reads as a negative number rather than a flag
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_flag(arg: str) -> bool:
+    """Whether arg reads as a flag, not a value: it starts with '-' and
+    is neither '-' alone nor a negative number."""
+    return arg[:1] == "-" and arg != "-" and not _NEGATIVE.fullmatch(arg)
+
+
+def _value(verb: str, flag: str, kind, arg: str):
+    """arg read as a value of flag's kind."""
+    if kind is str:
+        return arg
+    if kind is int or kind is NATURAL:
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ConfigError(f"{verb}: {flag} wants an int, got {arg!r}") \
+                from None
+        if n < 0 and kind is NATURAL:
+            raise ConfigError(f"{flag} wants a natural, got {n}")
+        return n
+    if arg not in kind:
+        raise ConfigError(f"{verb}: {flag} wants one of "
+                          f"{', '.join(kind)}, got {arg!r}")
+    return arg
+
+
+def read_argv(argv: list) -> tuple:
+    """The handler that argv names and the keyword values to call it
+    with.  Any usage error is a ConfigError naming the verb and the flag
+    or argument at fault."""
+    words = 2 if argv[:1] == ["cnf"] else 1
+    verb = " ".join(argv[:words])
+    if verb not in VERBS:
+        raise ConfigError(f"wants a verb ({', '.join(VERBS)}), got {verb!r}")
+    handler, flags = VERBS[verb]
+    rest = argv[words:]
+    if flags is None:
+        flag = next((arg for arg in rest if _is_flag(arg)), None)
+        if flag is not None:
+            raise ConfigError(f"{verb}: unknown flag {flag!r}")
+        if not rest:
+            raise ConfigError(f"{verb}: wants an expression")
+        return handler, {"expr": rest}
+    values = {flag[2:]: default for flag, (_, _, default) in flags.items()}
+    seen = set()
+    i = 0
+    while i < len(rest):
+        flag, eq, arg = rest[i].partition("=")
+        if flag not in flags:
+            what = "unknown flag" if _is_flag(rest[i]) \
+                else "unexpected argument"
+            raise ConfigError(f"{verb}: {what} {rest[i]!r}")
+        if not eq:
+            i += 1
+            if i == len(rest) or _is_flag(rest[i]):
+                raise ConfigError(f"{verb}: {flag} wants a value")
+            arg = rest[i]
+        values[flag[2:]] = _value(verb, flag, flags[flag][0], arg)
+        seen.add(flag)
+        i += 1
+    missing = [flag for flag, (_, required, _) in flags.items()
+               if required and flag not in seen]
+    if missing:
+        raise ConfigError(f"{verb}: missing {' and '.join(missing)}")
+    return handler, values
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        out.write(USAGE)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
-        return 2 if ex.code else 0
-    try:
-        # run and campaign take --stages; the other verbs have none
-        if (getattr(args, "stages", None) or 0) < 0:
-            raise ConfigError(f"--stages wants a natural, got {args.stages}")
-        return args.fn(args, out)
+        handler, values = read_argv(argv)
+        return handler(out, **values)
     except ConfigError as ex:
         out.write(f"error {ex}\n")
         return 2

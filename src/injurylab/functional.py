@@ -235,13 +235,13 @@ class FunctionalRun:
 
     ``advance(stage)`` must be called once per stage in increasing order,
     after that stage's enumerations are in the set; ``idle`` steps over a
-    run of stages at which nothing can change.  ``large`` optionally
-    supplies fresh uses (a callable returning a number exceeding everything
-    seen); without it the fresh rule is 1 + max(argument, prior uses at the
+    run of stages at which nothing can change.  ``large`` supplies fresh
+    uses (a callable returning a number exceeding everything seen); when
+    it is None the fresh rule is 1 + max(argument, prior uses at the
     argument, elements enumerated so far).
     """
 
-    def __init__(self, fn: UseFunctional, A: EnumerableSet, large=None):
+    def __init__(self, fn: UseFunctional, A: EnumerableSet, large):
         self.fn = fn
         self.A = A
         self.large = large
@@ -322,16 +322,3 @@ class FunctionalRun:
 
     def query(self, x: int):
         return self._conv.get(x)
-
-
-def evaluate(fn: UseFunctional, A: EnumerableSet, x: int, s: int):
-    """Replay the run from stage 0 and report the computation at stage s."""
-    if x not in fn.args:
-        return None
-    one = UseFunctional(fn.e)
-    one.args = {x: fn.args[x]}
-    run = FunctionalRun(one, A)
-    for t in range(s + 1):
-        run.advance(t)
-    return run.query(x)
-

@@ -1,5 +1,4 @@
-"""Ordinals below epsilon_0 in Cantor normal form, plus the order-type
-omega and omega^2 well-orders built from an approximation's changes.
+"""Ordinals below epsilon_0 in Cantor normal form.
 
 An ordinal is represented by its list of CNF terms ``w^exponent * coefficient``
 with strictly decreasing exponents (themselves ordinals) and coefficients >= 1.
@@ -267,87 +266,3 @@ def _random_tail(exp_bound: Cnf, rng) -> Cnf:
     if rng.random() < 0.7 and (not total or total.terms[-1][0]):
         total = total + nat(rng.randrange(1, 6))
     return total
-
-
-def collapse_to_omega(trace) -> "ChangeOrdering":
-    """The order-type-omega well-order whose elements are the trace's changes.
-
-    ``trace`` is anything with a ``changes()`` method yielding the pairs
-    (x, s) where the approximated value at x differs between stages s and
-    s+1, and a positive ``stages`` count.
-    """
-    if getattr(trace, "stages", 0) <= 0:
-        raise ValueError("trace has no recorded window")
-    return ChangeOrdering(trace.changes())
-
-
-class ChangeOrdering:
-    """The order-type-omega well-order built from a trace's change set.
-
-    Elements are the pairs (x, s) at which the recorded approximation
-    changed between stages s and s+1, ordered by: (x, s) < (x', s')  iff
-    x < x'  or  (x = x' and s > s').
-    """
-
-    order_type = OMEGA
-
-    def __init__(self, changes):
-        self.elements = sorted(set(changes), key=lambda p: (p[0], -p[1]))
-        self._rank = {p: i for i, p in enumerate(self.elements)}
-
-    def less(self, a, b) -> bool:
-        return self._rank[a] < self._rank[b]
-
-    def rank(self, z) -> int:
-        """Position of z in the order."""
-        return self._rank[z]
-
-    def normal_form(self, z) -> Cnf:
-        """Position of z as a finite ordinal (the normal form below omega)."""
-        return nat(self._rank[z])
-
-    def omega_variant(self) -> "OmegaScaledOrdering":
-        return OmegaScaledOrdering(self)
-
-
-class OmegaScaledOrdering:
-    """omega * R for a ChangeOrdering R: order type omega^2.
-
-    Elements are pairs (n, z) with n a natural and z an element of R,
-    denoting omega * |z| + n.  The limit-point set and the successor
-    function are computable.
-    """
-
-    order_type = omega_power(nat(2))
-
-    def __init__(self, base: ChangeOrdering):
-        self.base = base
-
-    def less(self, a, b) -> bool:
-        (n, z), (m, w) = a, b
-        if z != w:
-            return self.base.less(z, w)
-        return n < m
-
-    def is_limit(self, elem) -> bool:
-        """True when elem = (0, z) with z not the least base element.
-
-        Such pairs denote omega * |z| for |z| >= 1, the limit points of
-        omega^2; every other pair has an immediate predecessor (or is the
-        least element overall).
-        """
-        n, z = elem
-        if not self.base.elements:
-            raise ValueError("empty base ordering")
-        return n == 0 and z != self.base.elements[0]
-
-    def successor(self, elem):
-        n, z = elem
-        return (n + 1, z)
-
-    def value(self, elem) -> Cnf:
-        n, z = elem
-        rank = self.base.rank(z)
-        if rank == 0:
-            return nat(n)
-        return OMEGA.times_nat(rank) + nat(n)

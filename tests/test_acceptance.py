@@ -20,10 +20,10 @@ from injurylab.budgeted import descent_witness
 from injurylab.cli import digest, main
 from injurylab.functional import UseFunctional
 from injurylab.nonlow_low2 import injury_bound
-from injurylab.ordinal import (OMEGA, Cnf, collapse_to_omega, nat,
-                               omega_power, random_cnf_below)
+from injurylab.ordinal import OMEGA, Cnf, nat, omega_power, random_cnf_below
 from injurylab.trace import RunTrace
 
+from orderings import collapse_to_omega
 from stage_maps import stage_lengths
 
 # The whole file is the slow gate: `pytest -m "not slow"` leaves it out.

@@ -16,12 +16,13 @@ from injurylab.ordinal import (
     OMEGA,
     ONE,
     ZERO,
-    collapse_to_omega,
     nat,
     omega_power,
     parse_cnf,
     random_cnf_below,
 )
+
+from orderings import changes, collapse_to_omega
 
 
 def scan_oracle(trace, bound):
@@ -133,7 +134,7 @@ def test_trace_changes_feed_collapse():
     t.record(0, 2, 1, nat(2))
     t.record(1, 0, 5, nat(3))
     t.record(1, 4, 6, nat(1))
-    assert t.changes() == [(0, 1), (1, 3)]
+    assert changes(t) == [(0, 1), (1, 3)]
     r = collapse_to_omega(t)
     assert r.less((0, 1), (1, 3))
 

@@ -11,8 +11,9 @@ from injurylab.functional import (
     EnumerableSet,
     FunctionalRun,
     UseFunctional,
-    evaluate,
 )
+
+from orderings import evaluate
 
 
 def oracle_replay(fn, A, x, s):
@@ -153,7 +154,7 @@ def test_incremental_run_matches_evaluate():
     A = EnumerableSet()
     pool = list(range(1, 100))
     rng.shuffle(pool)
-    run = FunctionalRun(fn, A)
+    run = FunctionalRun(fn, A, None)
     for s in range(40):
         if rng.random() < 0.4:
             A.add(pool.pop(), s)
@@ -166,7 +167,7 @@ def test_injury_log_matches_sub_use_enumerations():
     fn = UseFunctional(0)
     fn.configure(0, first=0, policy="low", offset=3)
     A = EnumerableSet()
-    run = FunctionalRun(fn, A)
+    run = FunctionalRun(fn, A, None)
     rng = random.Random(23)
     pool = list(range(1, 200))
     rng.shuffle(pool)
@@ -238,7 +239,7 @@ def test_idle_matches_stepping_until_next_change():
         A = EnumerableSet()
         pool = list(range(1, 400))
         rng.shuffle(pool)
-        stepped, idled = FunctionalRun(fn, A), FunctionalRun(fn, A)
+        stepped, idled = FunctionalRun(fn, A, None), FunctionalRun(fn, A, None)
         s, due = 0, False
         while s < 200:
             grows = rng.random() < 0.3

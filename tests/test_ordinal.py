@@ -9,20 +9,21 @@ import random
 
 import pytest
 
+from injurylab.approximation import ApproxTrace
 from injurylab.ordinal import (
     OMEGA,
     ONE,
     ZERO,
-    ChangeOrdering,
     Cnf,
     CnfParseError,
-    collapse_to_omega,
     format_cnf,
     nat,
     omega_power,
     parse_cnf,
     random_cnf_below,
 )
+
+from orderings import ChangeOrdering, collapse_to_omega
 
 W2 = omega_power(nat(2))
 W_OMEGA = omega_power(OMEGA)
@@ -273,27 +274,29 @@ def test_random_cnf_below_stays_below():
             assert validate(a)
 
 
-class FakeTrace:
-    def __init__(self, stages, changes):
-        self.stages = stages
-        self._changes = changes
-
-    def changes(self):
-        return list(self._changes)
+def flips(stages, changes):
+    """An ApproxTrace of the given stages whose value at x flips between
+    s and s + 1 for each (x, s) in changes, and nowhere else."""
+    t = ApproxTrace(stages)
+    for x, s in sorted(changes):
+        if x not in t.records:
+            t.record(x, 0, 0, ZERO)
+        t.record(x, s + 1, 1 - t.records[x][-1][1], ZERO)
+    return t
 
 
 def test_collapse_to_omega_examples():
-    r = collapse_to_omega(FakeTrace(5, []))
+    r = collapse_to_omega(flips(5, []))
     assert r.elements == []
 
-    r = collapse_to_omega(FakeTrace(5, [(0, 1), (1, 0)]))
+    r = collapse_to_omega(flips(5, [(0, 1), (1, 0)]))
     assert r.less((0, 1), (1, 0))
 
-    r = collapse_to_omega(FakeTrace(5, [(0, 1), (0, 3)]))
+    r = collapse_to_omega(flips(5, [(0, 1), (0, 3)]))
     assert r.less((0, 3), (0, 1))
 
     with pytest.raises(ValueError):
-        collapse_to_omega(FakeTrace(0, []))
+        collapse_to_omega(flips(0, []))
 
 
 def test_change_ordering_ranks():

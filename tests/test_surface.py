@@ -25,17 +25,10 @@ import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "injurylab")
 
-# Kept for the tests alone: functional.evaluate is the reference that
-# FunctionalRun is compared against, and the change orderings are the
-# subject of acceptance criterion 9.
-ALLOWED = {
-    "functional.evaluate",
-    "ordinal.collapse_to_omega",
-    "ordinal.ChangeOrdering.normal_form",
-    "ordinal.ChangeOrdering.omega_variant",
-    "ordinal.OmegaScaledOrdering.is_limit",
-    "ordinal.OmegaScaledOrdering.successor",
-}
+# Definitions kept for the tests alone.  None: test-only code lives in
+# tests/, as the change orderings and the functional's reference run do
+# in tests/orderings.py.
+ALLOWED = set()
 
 
 # Parameters kept for callers outside the package: the benchmark's
