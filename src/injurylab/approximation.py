@@ -12,34 +12,17 @@ from __future__ import annotations
 
 import bisect
 import random
+from typing import NamedTuple
 
 from .ordinal import Cnf, random_cnf_below
 
 
-class Violation:
+class Violation(NamedTuple):
     """Where an approximation trace breaks its marker rules, and how."""
 
-    __slots__ = ("stage", "argument", "reason")
-
-    def __init__(self, stage: int, argument: int, reason: str):
-        self.stage = stage
-        self.argument = argument
-        self.reason = reason
-
-    def _fields(self):
-        return self.stage, self.argument, self.reason
-
-    def __eq__(self, other):
-        if type(other) is not Violation:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "Violation(stage={!r}, argument={!r}, reason={!r})".format(
-            *self._fields())
+    stage: int
+    argument: int
+    reason: str
 
     def __str__(self):
         return f"stage {self.stage} arg {self.argument}: {self.reason}"

@@ -10,7 +10,9 @@ injury an observable mind change.
 
 from __future__ import annotations
 
+import bisect
 import math
+from typing import NamedTuple
 
 from .trace import RunTrace
 
@@ -52,54 +54,20 @@ class EnumerableSet:
         return out
 
 
-class Converged:
+class Converged(NamedTuple):
     """A converged computation's use and value."""
 
-    __slots__ = ("use", "value")
-
-    def __init__(self, use: int, value: int):
-        self.use = use
-        self.value = value
-
-    def _fields(self):
-        return self.use, self.value
-
-    def __eq__(self, other):
-        if type(other) is not Converged:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return "Converged(use={!r}, value={!r})".format(*self._fields())
+    use: int
+    value: int
 
 
-class ArgSchedule:
+class ArgSchedule(NamedTuple):
     """One argument's convergence schedule."""
 
-    __slots__ = ("first", "delay", "policy", "offset")
-
-    def __init__(self, first: int, delay: int, policy: str, offset: int):
-        self.first = first    # stage of first convergence
-        self.delay = delay    # uninjured stages to wait before reconverging
-        self.policy = policy  # "fresh" or "low"
-        self.offset = offset  # use = max(A) + offset under the "low" policy
-
-    def _fields(self):
-        return self.first, self.delay, self.policy, self.offset
-
-    def __eq__(self, other):
-        if type(other) is not ArgSchedule:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    __hash__ = None  # its fields may change
-
-    def __repr__(self):
-        return ("ArgSchedule(first={!r}, delay={!r}, policy={!r}, "
-                "offset={!r})".format(*self._fields()))
+    first: int   # stage of first convergence
+    delay: int   # uninjured stages to wait before reconverging
+    policy: str  # "fresh" or "low"
+    offset: int  # use = max(A) + offset under the "low" policy
 
 
 class UseFunctional:
@@ -142,11 +110,13 @@ class Engine:
     quiet payloads (``RunTrace.quiet``, the one place the rule for what a
     run may copy is applied).  Every input of the next stage is then the
     same as the quiet stage's, except the opponents' answers and the
-    functional runs' own waits: so up to the first stage at which one of
-    those can change (``_quiet_until``), every stage would emit the same
-    payloads, and the loop records them as one run of the quiet stage
-    (``RunTrace.repeat``) instead of walking, and keeps no other state.
-    The stage where the change can land is walked.  The opponents answer
+    functional runs' due stages: so up to the first stage at which one of
+    those can change (``_quiet_until``; a run names its least due stage),
+    every stage would emit the same payloads, and the loop records them
+    as one run of the quiet stage (``RunTrace.repeat``) instead of
+    walking, and keeps no other state.  The stage where the change can
+    land is walked, and its functional step jumps each run over the
+    copied stages, at which nothing is enumerated.  The opponents answer
     from their argument and stage alone, so skipping a walk changes no
     draw."""
 
@@ -168,7 +138,6 @@ class Engine:
 
     def execute(self) -> RunTrace:
         trace = self.trace
-        runs = self.runs.values()
         s = 0
         while s < self.stages:
             self._asked = asked = []
@@ -179,8 +148,6 @@ class Engine:
                 t = self._quiet_until(asked, s)
                 if t > s:  # stages s..t-1 repeat the quiet stage
                     trace.repeat(t)
-                    for run in runs:
-                        run.idle(t - 1)
                     s = t
         elems = sorted(e for _, e in self.A.events)
         summary = {"A": ",".join(str(x) for x in elems) or "-"}
@@ -233,12 +200,14 @@ class Engine:
 class FunctionalRun:
     """Incremental evaluation of a functional against a growing set.
 
-    ``advance(stage)`` must be called once per stage in increasing order,
-    after that stage's enumerations are in the set; ``idle`` steps over a
-    run of stages at which nothing can change.  ``large`` supplies fresh
-    uses (a callable returning a number exceeding everything seen); when
-    it is None the fresh rule is 1 + max(argument, prior uses at the
-    argument, elements enumerated so far).
+    Each argument is either up, with its ``Converged`` in ``_conv``, or
+    down, with its due stage and its injuries so far in ``_due``.  The
+    due stage is ``first`` at the start and the injury stage plus
+    ``delay`` after an injury.  ``advance(stage)`` is called after that
+    stage's enumerations are in the set, one stage on from the last or
+    over stages that enumerate nothing and come before ``next_change()``.
+    ``large`` supplies fresh uses: a callable returning a number that
+    exceeds everything seen.
     """
 
     def __init__(self, fn: UseFunctional, A: EnumerableSet, large):
@@ -246,79 +215,51 @@ class FunctionalRun:
         self.A = A
         self.large = large
         self.stage = -1
-        # x -> [status, use, injuries, wait, uses handed out]
-        self.state = {x: ["before", None, 0, 0, []] for x in fn.args}
-        self._conv: dict = {}  # x -> Converged while status is "up"
-        self._pending = set(fn.args)  # args not currently converged
-
-    def _fresh_use(self, x, sched, used_before):
-        if sched.policy == "low":
-            return self.A.max_at(self.stage) + sched.offset
-        if self.large is not None:
-            return self.large()
-        top = max([x] + used_before + list(self.A.members_at(self.stage)))
-        return top + 1
+        self._conv: dict = {}  # x -> Converged while up
+        self._due = {x: (sched.first, 0) for x, sched in fn.args.items()}
 
     def advance(self, stage: int) -> list:
-        """Step one stage; returns the args whose computation changed as
-        (x, use before or None, Converged after or None) tuples."""
+        """Step to stage; returns the args whose Converged changed as
+        (x, use before or None, Converged after or None) tuples, in the
+        order of ``fn.args``.  ValueError on a step back, or on a jump
+        past next_change() or over a stage that enumerates something."""
         if stage != self.stage + 1:
-            raise ValueError("stages must be advanced in order")
+            events = self.A.events
+            i = bisect.bisect_left(events, (stage,))  # the first at stage
+            if not self.stage < stage <= self.next_change() or (
+                    i and events[i - 1][0] > self.stage):
+                raise ValueError("stages must be advanced in order, or "
+                                 "over stages at which nothing can change")
         self.stage = stage
-        new = self.A.events_at(stage)
+        low = min(self.A.events_at(stage), default=math.inf)
+        conv, due = self._conv, self._due
         changed = []
         for x, sched in self.fn.args.items():
-            st = self.state[x]
-            status, use, injuries, wait, used = st
-            before = use if status == "up" else None
-            if status == "up" and any(e < use for e in new):
-                st[0], st[1], st[2] = "down", None, injuries + 1
-                st[3] = sched.delay
-                status, wait = "down", sched.delay
-                del self._conv[x]
-                self._pending.add(x)
-            if status == "before" and stage >= sched.first:
-                status = "down"
-                st[0], st[3] = "down", 0
-                wait = 0
-            if status == "down":
-                if wait == 0:
-                    u = self._fresh_use(x, sched, used)
-                    used.append(u)
-                    st[0], st[1] = "up", u
-                    self._conv[x] = Converged(u, st[2])
-                    self._pending.discard(x)
-                else:
-                    st[3] = wait - 1
-            after = st[1] if st[0] == "up" else None
-            if before != after:
-                changed.append((x, before, self._conv.get(x)))
+            before = conv.get(x)
+            if before is not None:
+                if low >= before.use:
+                    continue
+                del conv[x]
+                due[x] = (stage + sched.delay, before.value + 1)
+            at, injuries = due[x]
+            after = None
+            if at <= stage:
+                del due[x]
+                use = (self.A.max_at(stage) + sched.offset
+                       if sched.policy == "low" else self.large())
+                conv[x] = after = Converged(use, injuries)
+            if before is not after:
+                changed.append(
+                    (x, None if before is None else before.use, after))
         return changed
 
     def next_change(self) -> int:
-        """The first stage after this one at which a computation can
-        change while the set does not grow: an argument reaches its first
-        stage, or a diverged one's wait runs out; math.inf when every
-        computation is up.  The change comes in that stage's ``advance``,
-        after the stage is played, so only the stage after it sees it."""
-        t = math.inf
-        for x in self._pending:
-            status, wait = self.state[x][0], self.state[x][3]
-            if status == "before":
-                t = min(t, self.fn.args[x].first)
-            else:
-                t = min(t, self.stage + 1 + wait)
-        return t
-
-    def idle(self, stage: int):
-        """Step to stage in one go, over stages that enumerate nothing and
-        come before next_change(): each wait just runs down.  The stage
-        of the change itself is stepped with ``advance``."""
-        for x in self._pending:
-            st = self.state[x]
-            if st[0] == "down":
-                st[3] -= stage - self.stage
-        self.stage = stage
+        """The least due stage: the first stage after this one at which a
+        computation can change while the set does not grow; math.inf when
+        every computation is up.  The change comes in that stage's
+        ``advance``, after the stage is played, so only the stage after
+        it sees it."""
+        return min((at for at, _ in self._due.values()), default=math.inf)
 
     def query(self, x: int):
         return self._conv.get(x)

@@ -4,8 +4,8 @@ reference run of a functional.
 ``collapse_to_omega`` turns an approximation trace's changes into an
 order-type-omega well-order, ``ChangeOrdering``, and ``omega_variant``
 scales it to omega^2.  ``evaluate`` replays a functional from stage 0,
-the reference that ``FunctionalRun`` is compared against.  No library
-code calls any of them.
+the reference that ``FunctionalRun`` is compared against, with the
+fresh uses of ``first_fresh_rule``.  No library code calls any of them.
 """
 
 from injurylab.functional import FunctionalRun, UseFunctional
@@ -103,13 +103,34 @@ class OmegaScaledOrdering:
         return OMEGA.times_nat(rank) + nat(n)
 
 
-def evaluate(fn: UseFunctional, A, x: int, s: int):
-    """Replay the run from stage 0 and report the computation at stage s."""
+def first_fresh_rule(A, x: int, stage):
+    """A ``large`` for a run at argument x: 1 + max(x, the uses it has
+    handed out, the elements of A enumerated by stage()), the fresh rule
+    that ``oracle_replay`` in tests/test_functional.py applies."""
+    top = x
+
+    def large():
+        nonlocal top
+        top = max(top, A.max_at(stage())) + 1
+        return top
+    return large
+
+
+def evaluate(fn: UseFunctional, A, x: int, s: int, stage_use=None):
+    """Replay the run from stage 0 and report the computation at stage s.
+    Fresh uses follow ``first_fresh_rule``, or are stage_use(stage) when
+    stage_use is given, so that a run of several arguments with the same
+    rule can agree with the replay of each."""
     if x not in fn.args:
         return None
     one = UseFunctional(fn.e)
     one.args = {x: fn.args[x]}
-    run = FunctionalRun(one, A, None)
+    if stage_use is None:
+        large = first_fresh_rule(A, x, lambda: run.stage)
+    else:
+        def large():
+            return stage_use(run.stage)
+    run = FunctionalRun(one, A, large)
     for t in range(s + 1):
         run.advance(t)
     return run.query(x)

@@ -82,7 +82,6 @@ def test_verifier_examples():
 def test_violations_compare_by_value():
     v = Violation(4, 1, "marker-increase")
     assert v == Violation(4, 1, "marker-increase") != Violation(4, 2, "x")
-    assert v != (4, 1, "marker-increase")
     assert hash(v) == hash(Violation(4, 1, "marker-increase"))
     assert repr(v) == ("Violation(stage=4, argument=1, "
                        "reason='marker-increase')")

@@ -1,19 +1,29 @@
 """Tests for the use-based functional model against a replay oracle."""
 
+import collections
+import glob
+import io
+import itertools
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injurylab.cli import main
 from injurylab.functional import (
     ArgSchedule,
     Converged,
+    Engine,
     EnumerableSet,
     FunctionalRun,
     UseFunctional,
 )
+from injurylab.scenario import load_scenario
 
 from orderings import evaluate
+
+SCEN = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def oracle_replay(fn, A, x, s):
@@ -147,6 +157,8 @@ def test_matches_replay_oracle_randomized():
 
 
 def test_incremental_run_matches_evaluate():
+    # a fresh use here is 100 + its stage, a rule that needs no argument,
+    # so the run of three arguments and the replay of each agree on it
     rng = random.Random(17)
     fn = UseFunctional(1)
     for x in range(3):
@@ -154,24 +166,26 @@ def test_incremental_run_matches_evaluate():
     A = EnumerableSet()
     pool = list(range(1, 100))
     rng.shuffle(pool)
-    run = FunctionalRun(fn, A, None)
+
+    def stage_use(t):
+        return 100 + t
+    run = FunctionalRun(fn, A, lambda: stage_use(run.stage))
     for s in range(40):
         if rng.random() < 0.4:
             A.add(pool.pop(), s)
         run.advance(s)
         for x in range(3):
-            assert run.query(x) == evaluate(fn, A, x, s), (x, s)
+            assert run.query(x) == evaluate(fn, A, x, s, stage_use), (x, s)
 
 
 def test_injury_log_matches_sub_use_enumerations():
     fn = UseFunctional(0)
     fn.configure(0, first=0, policy="low", offset=3)
     A = EnumerableSet()
-    run = FunctionalRun(fn, A, None)
+    run = FunctionalRun(fn, A, itertools.count(200).__next__)
     rng = random.Random(23)
     pool = list(range(1, 200))
     rng.shuffle(pool)
-    last_use = {}
     for s in range(60):
         if rng.random() < 0.5:
             A.add(pool.pop(), s)
@@ -180,6 +194,22 @@ def test_injury_log_matches_sub_use_enumerations():
             if old_use is not None:
                 assert before is not None and before.use == old_use
                 assert any(e < old_use for e in A.events_at(s))
+
+
+def test_same_use_injury_is_a_change():
+    # under low:5 with no delay, element 3 injures the computation at use
+    # 15 and it is rebuilt at once at max(A) + 5, the same use: its value
+    # rises, so advance reports the injury
+    fn = UseFunctional(0)
+    fn.configure(0, first=0, policy="low", offset=5)
+    A = EnumerableSet()
+    run = FunctionalRun(fn, A, itertools.count(100).__next__)
+    A.add(10, 0)
+    assert run.advance(0) == [(0, None, Converged(15, 0))]
+    assert run.advance(1) == []
+    A.add(3, 2)
+    assert run.advance(2) == [(0, 15, Converged(15, 1))]
+    assert run.query(0) == Converged(15, 1)
 
 
 def test_enumerable_set_invariants():
@@ -226,10 +256,12 @@ def test_events_at_matches_full_filter(adds):
         assert A.events_at(s) == [e for t, e in A.events if t == s]
 
 
-def test_idle_matches_stepping_until_next_change():
-    # with no enumerations, a run idled over the stages before
-    # next_change() is in the state of one stepped through them, and no
-    # step in between changes a computation
+def test_jumping_to_next_change_matches_stepping():
+    # one run jumps from each stage straight to next_change(), the other
+    # steps through every stage: after each step both hold the same
+    # computations and name the same next change, no step in between
+    # changes a computation, and with no enumeration the named stage
+    # brings a change
     rng = random.Random(29)
     for trial in range(40):
         fn = UseFunctional(0)
@@ -239,36 +271,98 @@ def test_idle_matches_stepping_until_next_change():
         A = EnumerableSet()
         pool = list(range(1, 400))
         rng.shuffle(pool)
-        stepped, idled = FunctionalRun(fn, A, None), FunctionalRun(fn, A, None)
+        stepped = FunctionalRun(fn, A, itertools.count(400).__next__)
+        jumped = FunctionalRun(fn, A, itertools.count(400).__next__)
+
+        def agree():
+            assert stepped.next_change() == jumped.next_change()
+            for x in fn.args:
+                assert stepped.query(x) == jumped.query(x), (trial, x)
         s, due = 0, False
         while s < 200:
             grows = rng.random() < 0.3
             if grows:
                 A.add(pool.pop(), s)
             changed = stepped.advance(s)
-            assert idled.advance(s) == changed
-            # next_change() names a stage at which a computation changes
+            assert jumped.advance(s) == changed
             assert changed or grows or not due
+            agree()
             t = stepped.next_change()
             due = t < 200
             t = min(t, 200)
             assert t > s
             for u in range(s + 1, t):
                 assert stepped.advance(u) == []
-            if t > s + 1:
-                idled.idle(t - 1)
-            assert idled.stage == stepped.stage == t - 1
-            assert idled.state == stepped.state, (trial, s)
+                agree()
             s = t
+
+
+def test_advance_refuses_a_jump_over_a_change():
+    fn = UseFunctional(0)
+    fn.configure(0, first=5)
+    A = EnumerableSet()
+    run = FunctionalRun(fn, A, itertools.count(1).__next__)
+    with pytest.raises(ValueError):
+        run.advance(6)  # past next_change(), 5
+    A.add(9, 2)
+    with pytest.raises(ValueError):
+        run.advance(4)  # over stage 2, which enumerates 9
+    assert run.advance(2) == []
+    assert run.advance(5) == [(0, None, Converged(1, 0))]
+    with pytest.raises(ValueError):
+        run.advance(5)  # not a step on
 
 
 def test_value_classes_compare_by_value():
     c = Converged(3, 1)
     assert c == Converged(3, 1) != Converged(3, 2)
-    assert c != (3, 1) and hash(c) == hash(Converged(3, 1))
+    assert hash(c) == hash(Converged(3, 1))
     assert repr(c) == "Converged(use=3, value=1)"
     a = ArgSchedule(5, 1, "low", 5)
     assert a == ArgSchedule(5, 1, "low", 5) != ArgSchedule(5, 1, "low", 6)
     assert repr(a) == "ArgSchedule(first=5, delay=1, policy='low', offset=5)"
-    with pytest.raises(TypeError):
-        hash(a)  # a schedule may change, so it has no hash
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(SCEN,
+                                                               "*.txt"))),
+                         ids=os.path.basename)
+def test_every_injury_reaches_the_trace(monkeypatch, path, seed):
+    # the injuries each functional run counts at (e, x) are the trace's
+    # inject-diverge events for the pair
+    engines = []
+    execute = Engine.execute
+
+    def keep(engine):
+        engines.append(engine)
+        return execute(engine)
+    monkeypatch.setattr(Engine, "execute", keep)
+    with open(path) as fh:
+        trace = load_scenario(fh.read()).execute(seed=seed)[0]
+    diverges = collections.Counter((p["e"], p["x"]) for p in trace.events
+                                   if p.kind == "inject-diverge")
+    [engine] = engines
+    for e, run in engine.runs.items():
+        for x in run.fn.args:
+            conv = run.query(x)
+            injuries = run._due[x][1] if conv is None else conv.value
+            assert diverges[str(e), str(x)] == injuries, (e, x)
+
+
+# the run report of the scenario in which delay-0 low computations are
+# rebuilt at the same use after an injury
+SAME_USE_REPORT = (
+    "check quota-soundness pass witness ?\n"
+    "check exhaustion-gate pass witness ?\n"
+    "check trigger-structure pass witness ?\n"
+    "check recursion-bound pass witness ?\n"
+    "check global-bound pass witness ?\n"
+    "check diagonalization pass witness ?\n"
+    "check uniformity pass witness ?\n")
+
+
+def test_same_use_scenario_reports_as_pinned():
+    out = io.StringIO()
+    assert main(["run", "--scenario",
+                 os.path.join(SCEN, "stress-low2-same-use.txt")], out) == 0
+    assert out.getvalue() == SAME_USE_REPORT

@@ -6,7 +6,10 @@ before it reads its arguments.  ``dataclasses`` alone pulls in
 package uses none of them.  Reading argv loads nothing either:
 ``argparse`` imports ``gettext``, and its messages import ``locale``.
 Each probe runs in a fresh, isolated interpreter, so that what the test
-suite has loaded does not count.
+suite has loaded does not count.  The probe writes no bytecode (``-B``;
+``-I`` ignores ``PYTHONDONTWRITEBYTECODE``): a ``__pycache__`` left under
+``src/`` would make every later fresh import of the package, the
+benchmark's included, faster than in a clean checkout.
 """
 
 import os
@@ -15,6 +18,8 @@ import sys
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")
+
+PYCACHE = os.path.join(SRC, "injurylab", "__pycache__")
 
 HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 PARSING = ("argparse", "gettext", "locale")
@@ -25,8 +30,10 @@ def loaded(code, names):
     interpreter with the package on its path."""
     probe = (f"import sys; sys.path.insert(0, {SRC!r}); {code}; "
              f"print(' '.join(m for m in {names!r} if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-I", "-c", probe],
+    cached = os.path.exists(PYCACHE)
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", probe],
                          capture_output=True, text=True, check=True)
+    assert cached or not os.path.exists(PYCACHE), "the probe wrote bytecode"
     return out.stdout.split()
 
 
