@@ -3,14 +3,15 @@
 A trace records, per argument, a stage-sorted list of (stage, value, marker)
 samples.  Validity means markers never increase and strictly decrease
 whenever the value changes, all below a declared order-type bound.  The
-module also provides the scripted opponents the constructions run against:
-0/1-valued limit-guessing adversaries and marker-budgeted adversaries that
-freeze once their budget at an argument is spent.
+module also provides the opponents the constructions run against: 0/1
+limit guessers and marker-budgeted adversaries that freeze once their
+budget at an argument is spent.  Each is scripted or drawn, never both.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from typing import NamedTuple
 
@@ -72,16 +73,79 @@ def verify_r_approximation(trace: ApproxTrace, bound) -> Violation | None:
     return min(found, key=lambda v: (v.stage, v.argument))
 
 
-class DeltaTwoAdversary:
-    """A 0/1 limit-guessing opponent given by a deterministic flip schedule.
+class _RowStore:
+    """One row store per argument, shared by both opponent kinds.
 
-    Modes: ``stabilizing`` and ``random`` run one rule: flip with
-    probability ``flip`` each stage, constant from ``stab`` on (a ``stab``
-    of None never settles).  ``alternating`` flips forever every
-    ``period`` stages, in closed form: its value at t is ``(t // period)
-    % 2`` and it changes at the multiples of ``period``, so it draws
-    nothing and keeps no cache.  ``scripted`` follows explicit steps.
-    Any other mode, or a period below 1, is a ValueError.
+    An argument's rows are (value, marker) pairs, held with their stages
+    in stage order at the stages where the value may change, after a
+    start row ``_start`` at stage -1.  A scripted opponent's rows are its
+    steps, whose stages must rise.  A drawn opponent takes no steps: it
+    draws its rows lazily, one stage at a time, by the class's ``_draw``
+    until the argument freezes.  Every query is a bisect over the stages.
+    """
+
+    def _entry(self, x: int, s: int, to_row: bool = False) -> list:
+        """x's [last stage drawn, row stages, rows], drawn out to stage
+        s, or with to_row to the first new row; a script, or a frozen
+        argument, is drawn out to infinity."""
+        entry = self._args.get(x)
+        if entry is None:
+            entry = self._args[x] = [math.inf if self._scripted else 0,
+                                     [-1], [self._start]]
+        t, stages, rows = entry
+        while t < s:
+            t += 1
+            row = self._draw(x, t, rows[-1])
+            if row is None:
+                t = math.inf  # frozen: nothing more is drawn
+            elif row is not rows[-1]:
+                stages.append(t)
+                rows.append(row)
+                if to_row:
+                    break
+        entry[0] = t
+        return entry
+
+    def _row(self, x: int, s: int) -> tuple:
+        """The (value, marker) in force at stage s."""
+        _, stages, rows = self._entry(x, s)
+        return rows[bisect.bisect_right(stages, s) - 1]
+
+    def _add_row(self, x: int, stage: int, row: tuple):
+        """Append a script step once the class's ``_check_step`` passes
+        it against the row before (the start row for a first step)."""
+        if not self._scripted:
+            raise ValueError(f"opponent {self.aid!r} is not scripted: it "
+                             f"takes no steps")
+        _, stages, rows = self._entry(x, 0)
+        if stage <= stages[-1]:
+            raise ValueError(f"stages must increase at arg {x}")
+        self._check_step(x, rows[-1], row)
+        stages.append(stage)
+        rows.append(row)
+
+    def next_change(self, x: int, s: int, horizon: int) -> int:
+        """The first stage t, s < t < horizon, at which value(x, t) may
+        differ from value(x, s), horizon when there is none: the stage of
+        the first row past s.  Drawing goes only as far as that row."""
+        stages = self._entry(x, s)[1]
+        i = bisect.bisect_right(stages, s)
+        if i == len(stages):
+            self._entry(x, horizon - 1, to_row=True)
+        return stages[i] if i < len(stages) and stages[i] < horizon \
+            else horizon
+
+
+class DeltaTwoAdversary(_RowStore):
+    """A 0/1 limit-guessing opponent, starting at 0.
+
+    Modes: ``scripted`` follows explicit steps, each flipping the value.
+    ``stabilizing`` and ``random`` draw by one rule: flip with
+    probability ``flip`` each stage, constant from ``stab`` on (a
+    ``stab`` of None never settles).  ``alternating`` flips forever
+    every ``period`` stages, in closed form, so it keeps no rows.  Any
+    other mode, a period below 1, or a step on a mode other than
+    ``scripted`` is a ValueError.
     """
 
     def __init__(self, aid: str, mode: str = "stabilizing", seed: int = 0,
@@ -96,165 +160,96 @@ class DeltaTwoAdversary:
         self.flip = flip
         self.stab = stab if mode in ("stabilizing", "random") else None
         self.period = period
-        self.script: dict = {}  # x -> list of (stage, value), scripted mode
-        self._cache: dict = {}  # x -> (values by stage, change stages)
+        self._scripted = mode == "scripted"
+        self._start = (0, None)  # a guess carries no marker
+        self._args: dict = {}
 
     def add_step(self, x: int, stage: int, value: int):
-        self.script.setdefault(x, []).append((stage, value))
-        self.script[x].sort()
-        self._cache.pop(x, None)
+        self._add_row(x, stage, (value, None))
 
-    def _at(self, x: int, t: int, prev: int) -> int:
-        """The value at stage t, before stab, given prev, the value at
-        t - 1.  In scripted mode the last step at or before t decides."""
-        if self.mode == "scripted":
-            steps = self.script.get(x, ())
-            i = bisect.bisect_left(steps, (t + 1,))
-            return steps[i - 1][1] if i else 0
-        if t == 0:
-            return prev
-        return prev ^ (random.Random(f"{self.seed}:{x}:{t}").random()
-                       < self.flip)
+    def _check_step(self, x: int, prev: tuple, row: tuple):
+        if row[0] != 1 - prev[0]:  # each step flips the 0/1 value
+            raise ValueError(f"step at arg {x} wants value {1 - prev[0]}, "
+                             f"got {row[0]}")
 
-    def _grow(self, x: int, s: int, to_change: bool = False) -> tuple:
-        """x's cache entry (values by stage, change stages), grown to
-        stage s or to stab, whichever comes first; with to_change, the
-        growth also stops at the first change it meets."""
-        entry = self._cache.get(x)
-        if entry is None:
-            entry = self._cache[x] = ([self._at(x, 0, 0)], [])
-        vals, changes = entry
-        while len(vals) <= s:
-            t = len(vals)
-            if self.stab is not None and t >= self.stab:
-                break  # settled: the cache ends at stab
-            v = self._at(x, t, vals[-1])
-            vals.append(v)
-            if v != vals[-2]:
-                changes.append(t)
-                if to_change:
-                    break
-        return entry
+    def _draw(self, x: int, t: int, row: tuple):
+        """The row in force at stage t after row: the value flipped with
+        probability flip, else row itself; None from stab on."""
+        if self.stab is not None and t >= self.stab:
+            return None
+        if random.Random(f"{self.seed}:{x}:{t}").random() < self.flip:
+            return 1 - row[0], None
+        return row
 
     def value(self, x: int, s: int) -> int:
         if self.mode == "alternating":
             return s // self.period % 2
-        vals = self._grow(x, s)[0]
-        return vals[s] if s < len(vals) else vals[-1]
+        return self._row(x, s)[0]
 
     def change_stages(self, x: int, horizon: int) -> list:
         """Stages t with value(x, t) != value(x, t - 1), t in 1..horizon."""
         if self.mode == "alternating":
             return list(range(self.period, horizon + 1, self.period))
-        changes = self._grow(x, horizon)[1]
-        return changes[:bisect.bisect_right(changes, horizon)]
+        stages = self._entry(x, horizon)[1]
+        return stages[bisect.bisect_left(stages, 1):
+                      bisect.bisect_right(stages, horizon)]
 
     def next_change(self, x: int, s: int, horizon: int) -> int:
-        """The first stage t, s < t < horizon, with value(x, t) !=
-        value(x, s); horizon when there is none.  The cache grows only
-        as far as that stage."""
+        """Exact here, since every row changes the value."""
         if self.mode == "alternating":
             return min((s // self.period + 1) * self.period, horizon)
-        changes = self._grow(x, s)[1]
-        i = bisect.bisect_right(changes, s)
-        if i == len(changes):
-            self._grow(x, horizon - 1, to_change=True)
-        return changes[i] if i < len(changes) and changes[i] < horizon \
-            else horizon
+        return super().next_change(x, s, horizon)
 
 
-class BoundedCaAdversary:
-    """An opponent whose mind changes are budgeted by an ordinal ``g``.
+class BoundedCaAdversary(_RowStore):
+    """A drawn opponent whose mind changes are budgeted by an ordinal
+    ``g``; ``ScriptedCaAdversary`` is its scripted kind.
 
-    Each argument carries a value schedule and a strictly descending marker
-    schedule starting at g; once the marker hits 0 the value at that
-    argument is frozen for good.
+    Each argument starts at value 0 and marker g.  A drawn argument moves
+    its value one up with probability ``change_prob`` each stage, with a
+    marker drawn below the last; once the marker hits 0 the value is
+    frozen for good.  A script's markers must start at most g, never
+    rise, and fall wherever the value changes.
     """
+
+    _scripted = False
 
     def __init__(self, aid: str, g: Cnf, seed: int = 0, change_prob: float = 0.25):
         self.aid = aid
         self.g = g
         self.seed = seed
         self.change_prob = change_prob
-        self.script: dict = {}  # x -> list of (stage, value, marker)
-        self._done: dict = {}  # x -> stage the seeded schedule covers
-        self._tops: dict = {}  # x -> latest row stage so far, per row
+        self._start = (0, g)
+        self._args: dict = {}
 
     def add_step(self, x: int, stage: int, value: int, marker: Cnf):
-        rows = self.script.setdefault(x, [])
-        if rows:
-            _, pv, pm = rows[-1]
-            if pm < marker or (value != pv and not marker < pm):
-                raise ValueError(f"marker schedule must descend at arg {x}")
-        elif marker > self.g:
-            raise ValueError("initial marker exceeds the bound")
-        rows.append((stage, value, marker))
+        self._add_row(x, stage, (value, marker))
 
-    _scripted = False
+    def _check_step(self, x: int, prev: tuple, row: tuple):
+        (pv, pm), (value, marker) = prev, row
+        if prev is self._start:  # a first step is held to g alone
+            if marker > self.g:
+                raise ValueError("initial marker exceeds the bound")
+        elif pm < marker or (value != pv and not marker < pm):
+            raise ValueError(f"marker schedule must descend at arg {x}")
 
-    def _generate(self, x: int, horizon: int, to_row: bool = False):
-        """Extend the seeded schedule for x out to the horizon; with
-        to_row, stop early at the first row it adds."""
-        rows = self.script.get(x)
-        if rows is None:
-            rows = self.script[x] = [(0, 0, self.g)]
-        done = self._done.get(x, 0)
-        if done >= horizon or not rows[-1][2]:
-            return  # covered, or frozen for good
-        for s in range(done + 1, horizon + 1):
-            _, value, marker = rows[-1]
-            if not marker:
-                break  # budget spent: frozen
-            rng = random.Random(f"{self.seed}:{x}:{s}")
-            if rng.random() < self.change_prob:
-                rows.append((s, value + 1, random_cnf_below(marker, rng)))
-                if to_row:
-                    horizon = s
-                    break
-        self._done[x] = horizon
+    def _draw(self, x: int, t: int, row: tuple):
+        """The row in force at stage t after row: the value one up and a
+        marker drawn below row's with probability change_prob, else row
+        itself; None once the marker is 0."""
+        value, marker = row
+        if not marker:
+            return None
+        rng = random.Random(f"{self.seed}:{x}:{t}")
+        if rng.random() < self.change_prob:
+            return value + 1, random_cnf_below(marker, rng)
+        return row
 
     def value(self, x: int, s: int) -> int:
-        return self._sample(x, s)[0]
+        return self._row(x, s)[0]
 
     def marker(self, x: int, s: int) -> Cnf:
-        return self._sample(x, s)[1]
-
-    def _rows(self, x: int) -> tuple:
-        """x's rows and their tops: tops[i] is the latest stage among
-        rows 0..i, so the first row past stage s is the first i with
-        tops[i] > s, even where a script lists its steps out of stage
-        order."""
-        rows = self.script.get(x, ())
-        tops = self._tops.setdefault(x, [])
-        if len(tops) < len(rows):
-            for stage, _, _ in rows[len(tops):]:
-                tops.append(max(tops[-1], stage) if tops else stage)
-        return rows, tops
-
-    def _sample(self, x: int, s: int):
-        """The last row before the first row past stage s, in row order;
-        (0, g) when the first row is already past s."""
-        if not self._scripted:
-            self._generate(x, s)
-        rows, tops = self._rows(x)
-        i = bisect.bisect_right(tops, s)
-        if not i:
-            return 0, self.g
-        _, val, mark = rows[i - 1]
-        return val, mark
-
-    def next_change(self, x: int, s: int, horizon: int) -> int:
-        """The first stage t, s < t < horizon, at which value(x, t) may
-        differ from value(x, s), horizon when there is none: the stage of
-        the first row past s, which a script may give the same value.
-        The seeded schedule grows only as far as that row."""
-        if not self._scripted:
-            self._generate(x, s)
-            if self.script[x][-1][0] <= s:
-                self._generate(x, horizon - 1, to_row=True)
-        tops = self._rows(x)[1]
-        i = bisect.bisect_right(tops, s)
-        return tops[i] if i < len(tops) and tops[i] < horizon else horizon
+        return self._row(x, s)[1]
 
 
 class ScriptedCaAdversary(BoundedCaAdversary):

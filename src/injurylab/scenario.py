@@ -158,7 +158,7 @@ OPPONENTS = {
 
 def _check_build(decl, lineno, steps=()):
     """Build decl's class with steps: the class rejects what it cannot
-    run (a mode, a period, a marker schedule) with a ValueError."""
+    run (a mode, a period, a step schedule) with a ValueError."""
     try:
         adv = decl.cls(decl.aid, **decl.kw)
         for step in steps:
@@ -247,9 +247,11 @@ def _parse_fun(sc, parts, lineno):
     elif policy:
         kw["policy"] = policy
     fn = sc.funs.setdefault(e, UseFunctional(e))
+    x = _nat_field(lineno, "arg", row["arg"])
+    if x in fn.args:
+        raise ScenarioError(lineno, f"fun {e} arg {x} declared twice")
     try:  # the functional knows its use policies
-        fn.configure(_nat_field(lineno, "arg", row["arg"]),
-                     _nat_field(lineno, "first", row["first"]), **kw)
+        fn.configure(x, _nat_field(lineno, "first", row["first"]), **kw)
     except ValueError as ex:
         raise ScenarioError(lineno, str(ex))
 

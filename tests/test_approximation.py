@@ -176,16 +176,49 @@ def test_delta2_scripted():
     assert adv.value(4, 25) == 0
 
 
+def test_delta2_script_steps_flip_in_rising_stages():
+    adv = DeltaTwoAdversary("p0", mode="scripted")
+    adv.add_step(0, 0, 1)  # a step at stage 0 sets the start
+    assert adv.change_stages(0, 9) == [] and adv.value(0, 0) == 1
+    for stage, value, why in ((0, 0, "stages must increase at arg 0"),
+                              (4, 1, "step at arg 0 wants value 0, got 1"),
+                              (4, 2, "step at arg 0 wants value 0, got 2")):
+        with pytest.raises(ValueError, match=why):
+            adv.add_step(0, stage, value)
+    with pytest.raises(ValueError, match="wants value 1, got 0"):
+        adv.add_step(1, 3, 0)  # every argument starts at 0
+    adv.add_step(0, 4, 0)
+    assert adv.change_stages(0, 9) == [4]
+
+
+@pytest.mark.parametrize("adv", [
+    DeltaTwoAdversary("p0"),
+    DeltaTwoAdversary("p0", "random", stab=None),
+    DeltaTwoAdversary("p0", "alternating", period=2),
+    BoundedCaAdversary("f0", OMEGA),
+], ids=["stabilizing", "random", "alternating", "budgeted"])
+def test_drawn_opponents_take_no_steps(adv):
+    before = [adv.value(x, s) for x in range(3) for s in range(60)]
+    step = (0, 5, 1) if isinstance(adv, DeltaTwoAdversary) \
+        else (0, 5, 1, nat(3))
+    with pytest.raises(ValueError, match=f"opponent '{adv.aid}' is not "
+                                         f"scripted: it takes no steps"):
+        adv.add_step(*step)
+    assert [adv.value(x, s) for x in range(3) for s in range(60)] == before
+
+
 def test_bca_generated_traces_verify():
-    # the seeded schedule each argument follows out to stage 60
+    # the seeded schedule each argument follows out to stage 60, read at
+    # stage 0 and at each stage next_change names
     g = parse_cnf("w*2")
     for seed in range(1000):
         adv = BoundedCaAdversary("q0", g=g, seed=seed)
         trace = ApproxTrace(61)
         for x in range(3):
-            adv.value(x, 60)
-            for stage, v, m in adv.script[x]:
-                trace.record(x, stage, v, m)
+            s = 0
+            while s < 61:
+                trace.record(x, s, adv.value(x, s), adv.marker(x, s))
+                s = adv.next_change(x, s, 61)
         assert verify_r_approximation(trace, g + ONE) is None
 
 
@@ -293,8 +326,9 @@ def test_delta2_matches_naive_reference(mode, stab):
                                 period=1 + seed % 3)
         if mode == "scripted":
             for x in range(4):
+                t, v = -1, 0
                 for _ in range(rng.randrange(5)):
-                    t, v = rng.randrange(300), rng.randrange(2)
+                    t, v = t + 1 + rng.randrange(80), 1 - v
                     adv.add_step(x, t, v)
                     script.setdefault(x, []).append((t, v))
         refs = {x: naive_delta2(mode, seed, 0.3, stab, 1 + seed % 3,
@@ -311,17 +345,18 @@ def test_delta2_matches_naive_reference(mode, stab):
 
 
 def scripted_rows(rng, g):
-    """Legal step rows for one argument, stages in any order."""
-    rows, value, marker = [], 0, g
+    """Legal step rows for one argument, in rising stages; a step may
+    keep the value, with the marker held or lowered."""
+    rows, stage, value, marker = [], -1, 0, g
     for _ in range(rng.randrange(5)):
         if rng.random() < 0.5 and marker:
             value, marker = value + 1, random_cnf_below(marker, rng)
-        rows.append((rng.randrange(200), value, marker))
+        stage += 1 + rng.randrange(50)
+        rows.append((stage, value, marker))
     return rows
 
 
-@pytest.mark.parametrize("kind", ["budgeted", "budgeted-with-steps",
-                                  "scripted"])
+@pytest.mark.parametrize("kind", ["budgeted", "scripted"])
 def test_bca_matches_naive_reference(kind):
     g = parse_cnf("w*2")
     for seed in range(8):
@@ -331,7 +366,7 @@ def test_bca_matches_naive_reference(kind):
         adv = cls("f0", g) if scripted else cls("f0", g, seed=seed,
                                                 change_prob=0.3)
         script = {}
-        if kind != "budgeted":
+        if scripted:
             for x in range(3):
                 for t, v, m in scripted_rows(rng, g):
                     adv.add_step(x, t, v, m)
@@ -363,8 +398,7 @@ def naive_bca_values(g, seed, change, script, scripted, x, horizon):
     return vals
 
 
-@pytest.mark.parametrize("kind", ["budgeted", "budgeted-with-steps",
-                                  "scripted"])
+@pytest.mark.parametrize("kind", ["budgeted", "scripted"])
 def test_bca_next_change_holds_the_value(kind):
     # the value holds from s up to the stage next_change names; a seeded
     # schedule changes its value at every row, so there it is exact
@@ -376,7 +410,7 @@ def test_bca_next_change_holds_the_value(kind):
         adv = cls("f0", g) if scripted else cls("f0", g, seed=seed,
                                                 change_prob=0.3)
         script = {}
-        if kind != "budgeted":
+        if scripted:
             for x in range(3):
                 for t, v, m in scripted_rows(rng, g):
                     adv.add_step(x, t, v, m)

@@ -86,6 +86,32 @@ fun 0 arg 3 first 14
 """
 
 
+# Scripts and their opponents: an opponent is scripted or drawn, never
+# both; a script's steps rise in stage at each argument, and a psi step
+# flips the 0/1 value.  A fun line configures an argument once.
+NARROWED = [
+    *[(f"adv p0 psi{mode}\nadv p0 step arg 0 stage 2 value 1\n",
+       "line 3: opponent 'p0' is not scripted: it takes no steps")
+      for mode in ("", " mode random", " mode alternating")],
+    ("adv f0 f g w mode random\nadv f0 step arg 0 stage 1 value 1\n",
+     "line 3: opponent 'f0' is not scripted: it takes no steps"),
+    ("adv p0 psi mode scripted\nadv p0 step arg 0 stage 4 value 1\n"
+     "adv p0 step arg 0 stage 4 value 0\n",
+     "line 4: stages must increase at arg 0"),
+    ("adv f0 f g w\nadv f0 step arg 1 stage 5 value 1 marker 3\n"
+     "adv f0 step arg 0 stage 2 value 1 marker 3\n"
+     "adv f0 step arg 1 stage 2 value 2 marker 2\n",
+     "line 5: stages must increase at arg 1"),
+    ("adv p0 psi mode scripted\nadv p0 step arg 0 stage 3 value 2\n",
+     "line 3: step at arg 0 wants value 1, got 2"),
+    ("adv p0 psi mode scripted\nadv p0 step arg 0 stage 3 value 1\n"
+     "adv p0 step arg 0 stage 5 value 1\n",
+     "line 4: step at arg 0 wants value 0, got 1"),
+    ("fun 0 arg 0 first 3\nfun 0 arg 0 first 80 delay 4\n",
+     "line 3: fun 0 arg 0 declared twice"),
+]
+
+
 class TestGrammar:
     def test_round_trip_fields(self):
         sc = load_scenario(LOW2_TEXT)
@@ -103,7 +129,9 @@ class TestGrammar:
         assert sc.advs["f0"].build(0).g == omega_power(nat(1))
         f1 = sc.advs["f1"].build(0)
         assert f1.g == nat(4)
-        assert f1.script == {0: [(5, 1, nat(3)), (9, 0, nat(2))]}
+        assert [(f1.value(0, s), f1.marker(0, s)) for s in (4, 5, 9)] == [
+            (0, nat(4)), (1, nat(3)), (0, nat(2))]
+        assert [f1.next_change(0, s, 40) for s in (0, 5, 9)] == [5, 9, 40]
 
     def test_table_fields_are_class_keywords(self):
         # each field a mode reads sets a keyword of what the mode builds,
@@ -122,7 +150,7 @@ class TestGrammar:
         sc = load_scenario(LOWA_TEXT +
                            "adv f1 step arg 1 stage 3 value 1\n")
         adv = sc.advs["f1"].build(0)
-        assert adv.script[1][-1] == (3, 1, nat(4))
+        assert (adv.value(1, 3), adv.marker(1, 3)) == (1, nat(4))
 
     def test_verify_toggle(self):
         sc = load_scenario(LOWA_TEXT + "verify budget-formula off\n")
@@ -189,7 +217,8 @@ class TestGrammar:
         ("adv f0 f level 0 g w flip 0.3\n", "opponent field 'flip'"),
         ("adv f0 f level 0 g w stab 40\n", "opponent field 'stab'"),
         ("adv f0 f level 0 g w period 2\n", "opponent field 'period'"),
-        ("adv p0 psi level 0\nadv p0 step arg 0 stage 1 value 1 marker 3\n",
+        ("adv p0 psi level 0 mode scripted\n"
+         "adv p0 step arg 0 stage 1 value 1 marker 3\n",
          "step field 'marker'"),
     ])
     def test_field_no_class_of_the_kind_reads(self, body, field):
@@ -405,9 +434,10 @@ class TestCli:
 
     @pytest.mark.parametrize("body, where", [
         ("adv p0\n", "line 2: adv wants an id and a kind"),
-        ("adv p0 psi\nadv p0 step arg 0 stage 1 value 0 when 3\n",
+        ("adv p0 psi mode scripted\n"
+         "adv p0 step when 3 arg 0 stage 1 value 0\n",
          "line 3: unknown step field 'when'"),
-        ("adv p0 psi\nadv p0 step arg 0 stage 1\n",
+        ("adv p0 psi mode scripted\nadv p0 step stage 1 arg 0\n",
          "line 3: step misses value"),
         ("adv f0 f g w\nadv f0 step arg 0 stage 1 value 1 marker w^^\n",
          "line 3: marker: bad exponent '^'"),
@@ -445,12 +475,20 @@ class TestCli:
         ("alpha w w\n", "line 2: alpha wants one CNF value"),
         ("stages 10 20\n", "line 2: stages wants one natural"),
         ("seed\n", "line 2: seed wants one natural"),
+        *NARROWED,
     ])
     def test_run_rejects_scenario_lines(self, tmp_path, body, where):
         path = self.scenario_path(tmp_path,
                                   "construction nonlow-low2\n" + body)
         assert self.run_cli(["run", "--scenario", path]) == \
             (2, f"error {where}\n")
+
+    @pytest.mark.parametrize("body, where", NARROWED)
+    def test_campaign_rejects_narrowed_scripts(self, tmp_path, body, where):
+        path = self.scenario_path(tmp_path,
+                                  "construction nonlow-low2\n" + body)
+        assert self.run_cli(["campaign", "--scenario", path, "--seeds",
+                             "2"]) == (2, f"error {where}\n")
 
     def test_run_rejects_scenario_without_construction(self, tmp_path):
         path = self.scenario_path(tmp_path, "stages 10\n")
