@@ -208,8 +208,8 @@ class BoundedCaAdversary(_RowStore):
     Each argument starts at value 0 and marker g.  A drawn argument moves
     its value one up with probability ``change_prob`` each stage, with a
     marker drawn below the last; once the marker hits 0 the value is
-    frozen for good.  A script's markers must start at most g, never
-    rise, and fall wherever the value changes.
+    frozen for good.  A script's markers, from the start row (0, g) on,
+    must never rise, and fall wherever the value changes.
     """
 
     _scripted = False
@@ -227,10 +227,7 @@ class BoundedCaAdversary(_RowStore):
 
     def _check_step(self, x: int, prev: tuple, row: tuple):
         (pv, pm), (value, marker) = prev, row
-        if prev is self._start:  # a first step is held to g alone
-            if marker > self.g:
-                raise ValueError("initial marker exceeds the bound")
-        elif pm < marker or (value != pv and not marker < pm):
+        if pm < marker or (value != pv and not marker < pm):
             raise ValueError(f"marker schedule must descend at arg {x}")
 
     def _draw(self, x: int, t: int, row: tuple):

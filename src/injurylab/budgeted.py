@@ -210,8 +210,10 @@ class QuotaLists:
     """The bound alpha and per head the list generations in trace order,
     read from LIST_KINDS events.  head and key give the payload fields,
     each with its parser, that name a list and a removed member.  ``bad``
-    holds the ids of removes of no current member, and of sets of a listed
-    head whose owner, its first field, was not initialized since."""
+    holds the ids of removes of no current member, of sets of a listed
+    head whose owner, its first field, was not initialized since, of a
+    second bound, and of phi-sets whose list's last generation is missing
+    or already has its value."""
 
     def __init__(self, head: tuple, key: tuple):
         self.head = head
@@ -225,15 +227,20 @@ class QuotaLists:
         if p.kind == "phi-set":
             value = parse_cnf(p["value"])
             if p["e"] == "alpha":
-                self.alpha = value
+                if self.alpha is None:
+                    self.alpha = value
+                else:
+                    self.bad.append(eid)
                 return
             texts = p["e"].split(".")
             if len(texts) != len(self.head):
                 raise ValueError(f"{p['e']!r} names no quota list")
             gens = self.lists.get(tuple(
                 parse(t) for (_, parse), t in zip(self.head, texts)))
-            if gens:
+            if gens and gens[-1].value is None:
                 gens[-1].value = value
+            else:
+                self.bad.append(eid)
             return
         head = tuple(parse(p[field]) for field, parse in self.head)
         if p.kind == "qlist-set":

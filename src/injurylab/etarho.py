@@ -136,8 +136,6 @@ class EtaRhoRun(Engine):
         self.followers = {}  # node -> live follower
         self.uses = {}  # node -> live use
         self.acted = {}  # node -> enumerations since run start
-        self.wants = {}  # node -> "pick" | "enum" | None, this stage
-        self.guesses = {}  # node -> the opponent's guess, this stage
         self.eta_maxl = {}  # node -> best prior length at its stages
         self.cur_l = {}  # eta node -> length this stage
 
@@ -147,11 +145,9 @@ class EtaRhoRun(Engine):
         """Least live use held on the way to observer; math.inf when none.
         A computation is correct as seen from observer iff its use is
         below it."""
-        least = math.inf
-        for u in map(self.uses.get, self.levels.holders(observer)):
-            if u is not None and u < least:
-                least = u
-        return least
+        uses = self.uses
+        return min((uses[n] for n in self.levels.holders(observer)
+                    if n in uses), default=math.inf)
 
     def _length(self, eta, s) -> int:
         run = self.runs.get(len(eta) // self.levels.period)
@@ -181,10 +177,10 @@ class EtaRhoRun(Engine):
             self._visit_xi(node, s)
 
     def _play_fin(self, rho, s):
-        """Refresh the marker declaration while the opponent still guesses
-        zero."""
+        """Refresh the marker declaration of a held use: a rho at FIN that
+        holds one has an opponent still guessing zero."""
         use = self.uses.get(rho)
-        if use is not None and self.guesses[rho] == 0:
+        if use is not None:
             self.trace.emit(s, "declare", node=self.render(rho),
                             what="gamma", y=self.followers[rho], u=use,
                             act="fin")
@@ -205,69 +201,53 @@ class EtaRhoRun(Engine):
             y = self.followers[node] = self._fresh()
             self.trace.emit(s, "declare", node=self.render(node),
                             what="follower", y=y)
-        psi = self.guesses[node] = self._ask(
-            self.psis[len(node) // self.levels.period], y, s)
-        held = node in self.uses
-        if psi == 0 and not held:
-            wants = "pick"
-        elif psi == 1 and held:
-            wants = "enum"
-        else:
-            wants = None
-        self.wants[node] = wants
-        return INF if wants else FIN
+        # a guess (0 or 1) equal to holding a use wants a pick or an enum
+        psi = self._ask(self.psis[len(node) // self.levels.period], y, s)
+        return INF if psi == (node in self.uses) else FIN
 
     def _on_init(self, node, s):
         self.trace.emit(s, "init", node=self.render(node))
         self.followers.pop(node, None)
         self.uses.pop(node, None)
-        self.wants.pop(node, None)
-        self.guesses.pop(node, None)
 
     # -- rho permission and action ------------------------------------
 
+    def _protected(self, node):
+        """(eta, x, use) per computation the etas above node protect this
+        stage: each x below an eta's length converges, by _length."""
+        for eta in self.levels.etas_above(node):
+            run = self.runs.get(len(eta) // self.levels.period)
+            for x in range(self.cur_l[eta]):
+                yield eta, x, run.query(x).use
+
     def _allows_pick(self, rho) -> bool:
-        lv = self.levels
+        """The least held use is below each x whose quota rho has spent."""
         acted = self.acted.get(rho, 0)
         least = self._least_held(rho)
-        for eta in lv.etas_above(rho):
-            run = self.runs.get(len(eta) // lv.period)
-            for x in range(self.cur_l[eta]):
-                if acted < lv.quota_for(rho, x):
-                    continue  # quota not exhausted from x
-                if least <= run.query(x).use:
-                    return False
-        return True
+        return all(least > use for _, x, use in self._protected(rho)
+                   if acted >= self.levels.quota_for(rho, x))
 
     def _allows_enum(self, rho) -> bool:
-        lv = self.levels
-        use = self.uses[rho]
-        for eta in lv.etas_above(rho):
-            run = self.runs.get(len(eta) // lv.period)
-            for x in range(self.cur_l[eta]):
-                if lv.in_quota(rho, x):
-                    continue
-                if use <= run.query(x).use:
-                    return False
-        return True
+        """Each computation outside rho's quota lies below rho's use."""
+        return all(self.uses[rho] > use for _, x, use in self._protected(rho)
+                   if not self.levels.in_quota(rho, x))
 
     def _act_rho(self, rho, s):
-        wants = self.wants[rho]
+        """Pick a use when rho holds none; enumerate it otherwise."""
         self.trace.emit(s, "select", node=self.render(rho))
-        if wants == "pick":
+        if rho not in self.uses:
             self.uses[rho] = use = self._fresh()
             self.trace.emit(s, "declare", node=self.render(rho),
                             what="gamma", y=self.followers[rho], u=use,
                             act="pick")
-        elif wants == "enum":
-            if self._allows_enum(rho):
-                elem = self.uses.pop(rho)
-                self.trace.emit(s, "enumerate", node=self.render(rho),
-                                element=elem)
-                self.A.add(elem, s)
-                self.acted[rho] = self.acted.get(rho, 0) + 1
-            else:
-                self.tree.initialize_at_or_right(rho, s, self._on_init)
+        elif self._allows_enum(rho):
+            elem = self.uses.pop(rho)
+            self.trace.emit(s, "enumerate", node=self.render(rho),
+                            element=elem)
+            self.A.add(elem, s)
+            self.acted[rho] = self.acted.get(rho, 0) + 1
+        else:
+            self.tree.initialize_at_or_right(rho, s, self._on_init)
 
     # -- xi hooks: no xi levels in the eta/rho tree -------------------
 
@@ -292,15 +272,10 @@ class EtaRhoRun(Engine):
         length = min(s, self.depth)
         path = self.tree.run_stage(self._outcome, s, length, self._on_init,
                                    self._on_visit)
-        theta = []
-        for i in range(1, len(path), period):
-            if path[i] != INF:
-                continue
-            rho = path[:i]
-            wants = self.wants[rho]
-            if wants == "enum" or (wants == "pick"
-                                   and self._allows_pick(rho)):
-                theta.append(rho)
+        rhos = (path[:i] for i in range(1, len(path), period)
+                if path[i] == INF)
+        theta = [rho for rho in rhos
+                 if rho in self.uses or self._allows_pick(rho)]
         actor = self.tree.select_actor(theta + self._xi_candidates(path, s))
         if actor is not None:
             act = self._act_rho if self.levels.is_rho(actor) \

@@ -159,18 +159,11 @@ class NonlowAlphaRun(EtaRhoRun):
 
     def _denier(self, xi_node, use):
         """The select fields naming the first (eta, x) refusing, if any."""
-        for eta in etas_above(xi_node):
-            run = self.runs.get(level_index(eta))
-            if run is None:
+        for eta, x, conv_use in self._protected(xi_node):
+            if use > conv_use:
                 continue
-            table = self.qlists.get(eta, {})
-            for x in range(self.cur_l[eta]):
-                conv = run.query(x)
-                if conv is None or use > conv.use:
-                    continue
-                entry = table.get(x)
-                if entry is not None and xi_node in entry.members:
-                    continue
+            entry = self.qlists.get(eta, {}).get(x)
+            if entry is None or xi_node not in entry.members:
                 return {"by": render(eta), "x": x}
         return None
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from functools import total_ordering
+from itertools import accumulate
 
 
 @total_ordering
@@ -145,6 +146,10 @@ OMEGA = omega_power(ONE)
 
 _TOKEN = re.compile(r"\s*(\d+|[w^*+()])")
 
+# Deepest exponent nesting parse_cnf accepts, far above the w^(w^w) a
+# construction writes: parsing, formatting and comparing recurse per level.
+MAX_NESTING = 100
+
 
 class CnfParseError(ValueError):
     pass
@@ -166,6 +171,9 @@ def parse_cnf(text: str) -> Cnf:
     toks = _tokenize(text)
     if not toks:
         raise CnfParseError("empty ordinal expression")
+    if max(accumulate((t == "(") - (t == ")") for t in toks)) > MAX_NESTING:
+        raise CnfParseError(f"exponents nested deeper than {MAX_NESTING} "
+                            f"levels")
     val, rest = _parse_expr(toks)
     if rest:
         raise CnfParseError(f"trailing tokens {rest!r} in {text!r}")

@@ -124,7 +124,7 @@ class Kind(NamedTuple):
     # no mode
     modes: dict
     fields: dict  # field -> (class keyword, parser)
-    budget: str   # the keyword a line must set and a step marker's default
+    budget: str   # the keyword a line must set; its steps carry a marker
 
 
 def _psi(mode):
@@ -178,13 +178,11 @@ def _parse_step(sc, aid, parts, lineno):
             raise ScenarioError(lineno, f"unknown step field {key!r}")
         row[key] = val
     step = []
-    for key in ("arg", "stage", "value"):
-        if row[key] is None:
+    for key, val in row.items():
+        if val is None:
             raise ScenarioError(lineno, f"step misses {key}")
-        step.append(_nat_field(lineno, key, row[key]))
-    if budget:
-        step.append(decl.kw[budget] if row["marker"] is None
-                    else _cnf_field(lineno, "marker", row["marker"]))
+        parse = _cnf_field if key == "marker" else _nat_field
+        step.append(parse(lineno, key, val))
     decl.steps.append(step)
     # a script holds or fails argument by argument
     _check_build(decl, lineno, [st for st in decl.steps if st[0] == step[0]])

@@ -15,7 +15,7 @@ from injurylab import cli, nonlow_low2
 from injurylab.cli import (checks_for, digest, main, reduce_summary,
                            replay_of)
 from injurylab.functional import ArgSchedule
-from injurylab.ordinal import nat, omega_power
+from injurylab.ordinal import MAX_NESTING, nat, omega_power
 from injurylab.scenario import OPPONENTS, ScenarioError, load_scenario
 from injurylab.trace import CheckResult, RunTrace
 
@@ -93,7 +93,8 @@ NARROWED = [
     *[(f"adv p0 psi{mode}\nadv p0 step arg 0 stage 2 value 1\n",
        "line 3: opponent 'p0' is not scripted: it takes no steps")
       for mode in ("", " mode random", " mode alternating")],
-    ("adv f0 f g w mode random\nadv f0 step arg 0 stage 1 value 1\n",
+    ("adv f0 f g w mode random\nadv f0 step arg 0 stage 1 value 1 "
+     "marker 3\n",
      "line 3: opponent 'f0' is not scripted: it takes no steps"),
     ("adv p0 psi mode scripted\nadv p0 step arg 0 stage 4 value 1\n"
      "adv p0 step arg 0 stage 4 value 0\n",
@@ -145,12 +146,6 @@ class TestGrammar:
                 assert not spec.budget or spec.budget in reads
                 read |= set(reads)
             assert read == set(spec.fields)
-
-    def test_step_without_marker_defaults_to_budget(self):
-        sc = load_scenario(LOWA_TEXT +
-                           "adv f1 step arg 1 stage 3 value 1\n")
-        adv = sc.advs["f1"].build(0)
-        assert (adv.value(1, 3), adv.marker(1, 3)) == (1, nat(4))
 
     def test_verify_toggle(self):
         sc = load_scenario(LOWA_TEXT + "verify budget-formula off\n")
@@ -758,12 +753,42 @@ class TestCli:
         assert (code, out) == (2, f"error event {lineno - 2}: bad qlist-set "
                                   f"payload: {why}\n")
 
+    # A phi-set that names no list generation, a second value for one, or
+    # a second bound, appended at the last stage, fails the list check at
+    # its own event id.
+    @pytest.mark.parametrize("name, payload, check", [
+        ("golden-low-alpha", "phi-set e=7 value=3", "quota-list-structure"),
+        ("golden-nonlow-alpha", "phi-set e=-.9 value=3", "qlist-structure"),
+        ("golden-low-alpha", "phi-set e=0 value=w*2", "quota-list-structure"),
+        ("golden-nonlow-alpha", "phi-set e=-.5 value=w*2", "qlist-structure"),
+        ("golden-low-alpha", "phi-set e=alpha value=w^2",
+         "quota-list-structure"),
+        ("golden-nonlow-alpha", "phi-set e=alpha value=w^w",
+         "qlist-structure"),
+    ])
+    def test_verify_trace_rejects_stray_phi_set(self, tmp_path, name,
+                                                payload, check):
+        lines = list(GOLDEN[name])
+        last = max(i for i, line in enumerate(lines) if line[:1].isdigit())
+        eid, stage = map(int, lines[last].split()[:2])
+        lines.insert(last + 1, f"{eid + 1} {stage} {payload}")
+        tr = tmp_path / "t.trace"
+        tr.write_text("\n".join(lines) + "\n")
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert code == 1
+        assert [l for l in out.splitlines() if " fail " in l] == [
+            f"check {check} fail witness {eid + 1}"]
+
     @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
     @pytest.mark.parametrize("old, new, where", [
         ("stage 9 value 0 marker 2", "stage 9 value 0 marker 5",
          "line 9: marker schedule must descend at arg 0"),
+        # a first step is held to the start row (0, g) like any other
         ("stage 0 value 0 marker w\n", "stage 0 value 0 marker w^2\n",
-         "line 7: initial marker exceeds the bound"),
+         "line 7: marker schedule must descend at arg 0"),
+        ("stage 0 value 0 marker w\nadv f0 step arg 0 stage 5 value 1 "
+         "marker 3\n", "stage 5 value 1 marker w\n",
+         "line 7: marker schedule must descend at arg 0"),
     ])
     def test_bad_marker_schedule_exits_2(self, tmp_path, verb, old, new,
                                          where):
@@ -773,6 +798,31 @@ class TestCli:
         path = self.scenario_path(tmp_path, text.replace(old, new))
         code, out = self.run_cli(verb[:1] + ["--scenario", path] + verb[1:])
         assert (code, out) == (2, f"error {where}\n")
+
+    # 1000 levels of exponent nesting overflowed the recursion of the CNF
+    # parser, formatter and comparison
+    @pytest.mark.parametrize("entry", ["cnf eval", "run", "verify-trace"])
+    def test_deeply_nested_ordinal_exits_2(self, tmp_path, entry):
+        deep = "w^(" * 1000 + "1" + ")" * 1000
+        why = f"exponents nested deeper than {MAX_NESTING} levels"
+        tr = tmp_path / "t.trace"
+        tr.write_text(edited("golden-low-alpha", 2, value=deep))
+        argv, where = {
+            "cnf eval": (["cnf", "eval", deep], ""),
+            "run": (["run", "--scenario", self.scenario_path(
+                tmp_path, LOWA_TEXT.replace("alpha w^2", "alpha " + deep))],
+                "line 2: alpha: "),
+            "verify-trace": (["verify-trace", "--trace", str(tr)],
+                             "event 0: bad phi-set payload: "),
+        }[entry]
+        assert self.run_cli(argv) == (2, f"error {where}{why}\n")
+
+    @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
+    def test_f_step_without_marker_exits_2(self, tmp_path, verb):
+        path = self.scenario_path(tmp_path, LOWA_TEXT +
+                                  "adv f1 step arg 1 stage 3 value 1\n")
+        code, out = self.run_cli(verb[:1] + ["--scenario", path] + verb[1:])
+        assert (code, out) == (2, "error line 10: step misses marker\n")
 
     @pytest.mark.parametrize("name, eid", [("golden-nonlow-low2", 0),
                                            ("golden-nonlow-alpha", 1)])

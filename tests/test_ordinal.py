@@ -11,6 +11,7 @@ import pytest
 
 from injurylab.approximation import ApproxTrace
 from injurylab.ordinal import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -260,6 +261,21 @@ def test_parse_errors():
     for bad in ["", "w^", "w*", "1+", "w^()", "w)", "x", "w^*2"]:
         with pytest.raises(CnfParseError):
             parse_cnf(bad)
+
+
+def nested(depth):
+    """w^(w^(...w^(2)...)) with depth parenthesized exponents."""
+    return "w^(" * depth + "2" + ")" * depth
+
+
+def test_nesting_limit():
+    deepest = parse_cnf(nested(MAX_NESTING))
+    # formatting and comparing recurse per level, and stay within the limit
+    assert parse_cnf(format_cnf(deepest)) == deepest
+    assert parse_cnf(nested(MAX_NESTING - 1)) < deepest
+    with pytest.raises(CnfParseError,
+                       match=f"nested deeper than {MAX_NESTING} levels"):
+        parse_cnf(nested(MAX_NESTING + 1))
 
 
 # -- random generation helpers -----------------------------------------

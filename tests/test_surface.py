@@ -18,6 +18,10 @@ the package never calls by name is not judged, nor are ``*args`` and
 A third scan keeps the quota-list protocol in one module: the kinds of
 its events are named only in budgeted.py and in trace.py's table of
 event kinds.
+
+A fourth scan finds write-only attributes: every attribute the package
+stores on an object (``obj.name = ...``) must be loaded somewhere in
+the package, again matched by name.
 """
 
 import ast
@@ -232,3 +236,45 @@ def test_parameter_allowlist_names_only_findings():
     pkg = Package()
     found = set(pkg.unread() + pkg.always_supplied())
     assert set(ALLOWED_PARAMETERS) <= found
+
+
+# Attributes kept although the package never loads them.
+ALLOWED_ATTRIBUTES = {
+    "trace.CheckResult.detail": "a check's detail line, which the "
+                                "reports are to print (ROADMAP item 8)",
+    "scenario.ScenarioError.lineno": "the line a scenario error names; "
+                                     "the tests read it",
+    "functional.UseFunctional.e": "the functional's index, which "
+                                  "tests/orderings.py reads; the bench "
+                                  "shapes build UseFunctional(e)",
+}
+
+
+def write_only_attributes():
+    """Attributes stored on an object whose name no load in the package
+    names, qualified by module and top-level class."""
+    stored, loaded = {}, set()
+    for module, tree in parse_package().items():
+        for top in tree.body:
+            owner = f"{module}.{top.name}" \
+                if isinstance(top, ast.ClassDef) else module
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.attr, set()).add(
+                        f"{owner}.{node.attr}")
+                else:
+                    loaded.add(node.attr)
+    assert len(stored) > 50
+    return sorted(qual for name, quals in stored.items()
+                  if name not in loaded for qual in quals)
+
+
+def test_every_stored_attribute_is_loaded():
+    assert [q for q in write_only_attributes()
+            if q not in ALLOWED_ATTRIBUTES] == []
+
+
+def test_attribute_allowlist_names_only_findings():
+    assert set(ALLOWED_ATTRIBUTES) <= set(write_only_attributes())
