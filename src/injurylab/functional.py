@@ -32,9 +32,6 @@ class EnumerableSet:
         self.events.append((stage, element))
         self._members.add(element)
 
-    def __contains__(self, element):
-        return element in self._members
-
     def members_at(self, s: int) -> set:
         return {e for t, e in self.events if t <= s}
 

@@ -13,6 +13,8 @@ trace alone.
 
 from __future__ import annotations
 
+import math
+import sys
 from bisect import bisect_left
 
 from .approximation import verify_r_approximation
@@ -21,7 +23,7 @@ from .budgeted import (LIST_KINDS, QuotaList, QuotaLists, Requirement,
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
                      check_triggers, injury_bound)
 from .ordinal import Cnf, format_cnf, nat, parse_cnf
-from .trace import CheckResult, RunTrace
+from .trace import CheckResult, ConfigError, RunTrace
 from .tree import FIN, INF, is_prefix, left_of
 
 LEVELS = Levels(3)
@@ -42,6 +44,27 @@ def k_prime(xi: tuple, lengths: dict) -> int:
         for x in range(lengths[eta]):
             total += injury_bound(x)
     return total
+
+
+def check_ceilings(funs: dict, fadvs: dict):
+    """Refuse functionals whose injury ceilings a trace could not print
+    under the interpreter's limit on int digits.  A k' is at most the
+    ceilings of all arguments summed; a budget coefficient is at most
+    k' + 1 times the largest budget coefficients of the xi nodes summed,
+    4^(e+1) of them at level e."""
+    limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
+    width = sum(4 ** (e + 1) * max((c for _, c in adv.g), default=1)
+                for e, adv in fadvs.items())
+    total = 0
+    for e, fun in sorted(funs.items()):
+        x = 0
+        while x in fun.args:  # lengths stop at the first missing argument
+            total += injury_bound(x)
+            bits = ((total + 1) * width).bit_length()
+            if int(bits * math.log10(2)) + 1 > limit:  # digits below 2^bits
+                raise ConfigError(f"functional {e} argument {x}: injury "
+                                  f"ceilings exceed {limit} digits")
+            x += 1
 
 
 def k_budget(kps) -> int:
@@ -85,6 +108,7 @@ class NonlowAlphaRun(EtaRhoRun):
     def __init__(self, psis: dict, fadvs: dict, funs: dict, alpha: Cnf,
                  stages: int):
         check_bound(alpha, fadvs.values())
+        check_ceilings(funs, fadvs)
         super().__init__(psis, funs, stages, fadvs)
         self.xi = {}  # node -> Requirement
         self.qlists = {}  # eta node -> {x: QuotaList}

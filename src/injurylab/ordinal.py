@@ -1,24 +1,23 @@
 """Ordinals below epsilon_0 in Cantor normal form.
 
-An ordinal is represented by its list of CNF terms ``w^exponent * coefficient``
-with strictly decreasing exponents (themselves ordinals) and coefficients >= 1.
-The empty term list is 0.  Values are immutable and totally ordered.
+An ordinal is the tuple of its CNF terms ``(exponent, coefficient)``, read
+``w^exponent * coefficient``, with strictly decreasing exponents (themselves
+ordinals) and coefficients >= 1.  The empty tuple is 0.  Tuple order is
+ordinal order: the first term that differs decides, by exponent and then by
+coefficient, and a proper prefix is the smaller ordinal.
 """
 
 from __future__ import annotations
 
 import re
-from functools import total_ordering
-from itertools import accumulate
 
 
-@total_ordering
-class Cnf:
+class Cnf(tuple):
     """An ordinal below epsilon_0 in Cantor normal form, immutable."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: tuple):
+    def __new__(cls, terms: tuple):
         """terms is a tuple of (Cnf exponent, int coefficient)."""
         prev = None
         for exp, coeff in terms:
@@ -29,59 +28,18 @@ class Cnf:
             if prev is not None and not exp < prev:
                 raise ValueError("exponents must be strictly decreasing")
             prev = exp
-        object.__setattr__(self, "terms", terms)
+        return tuple.__new__(cls, terms)
 
-    def _refuse(self, *args):
-        raise AttributeError("Cnf values are immutable")
-
-    __setattr__ = __delattr__ = _refuse
-
-    # -- ordering ------------------------------------------------------
-
-    def _cmp(self, other: "Cnf") -> int:
-        for (ea, ca), (eb, cb) in zip(self.terms, other.terms):
-            c = ea._cmp(eb)
-            if c != 0:
-                return c
-            if ca != cb:
-                return -1 if ca < cb else 1
-        if len(self.terms) == len(other.terms):
-            return 0
-        return -1 if len(self.terms) < len(other.terms) else 1
-
-    def __lt__(self, other):
-        if not isinstance(other, Cnf):
-            return NotImplemented
-        return self._cmp(other) < 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Cnf):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    # -- arithmetic ----------------------------------------------------
+    # tuple repetition is no ordinal product; times_nat is the only one
+    __mul__ = __rmul__ = None
 
     def __add__(self, other: "Cnf") -> "Cnf":
         """Ordinal sum.  Terms of self below other's leading exponent vanish."""
         if not isinstance(other, Cnf):
             return NotImplemented
-        if not other:
-            return self
-        if not self:
-            return other
-        lead = other.terms[0][0]
-        kept = [t for t in self.terms if t[0] > lead]
-        merged = list(other.terms)
-        n = len(kept)
-        if n < len(self.terms) and self.terms[n][0] == lead:
-            merged[0] = (lead, self.terms[n][1] + merged[0][1])
-        return Cnf(tuple(kept) + tuple(merged))
+        if not (self and other):
+            return self or other
+        return _sum((*self, *other))
 
     def times_nat(self, n: int) -> "Cnf":
         """Product with a natural number (the only multiplication needed)."""
@@ -89,7 +47,7 @@ class Cnf:
             raise ValueError("n must be >= 0")
         if n == 0 or not self:
             return ZERO
-        (exp, coeff), rest = self.terms[0], self.terms[1:]
+        (exp, coeff), rest = self[0], self[1:]
         return Cnf(((exp, coeff * n),) + rest)
 
     def is_additively_closed(self) -> bool:
@@ -98,12 +56,10 @@ class Cnf:
         Holds exactly for 0 and the powers of omega (single term,
         coefficient 1); 1 = w^0 counts as a power.
         """
-        if not self:
-            return True
-        return len(self.terms) == 1 and self.terms[0][1] == 1
+        return not self or (len(self) == 1 and self[0][1] == 1)
 
     def is_finite(self) -> bool:
-        return not self or (len(self.terms) == 1 and not self.terms[0][0])
+        return not self or (len(self) == 1 and not self[0][0])
 
     def nat_value(self) -> int:
         """The value of a finite ordinal as an int."""
@@ -111,7 +67,7 @@ class Cnf:
             return 0
         if not self.is_finite():
             raise ValueError(f"{self} is not finite")
-        return self.terms[0][1]
+        return self[0][1]
 
     def __str__(self):
         return format_cnf(self)
@@ -122,6 +78,19 @@ class Cnf:
 
 ZERO = Cnf(())
 ONE = Cnf(((ZERO, 1),))
+
+
+def _sum(terms) -> Cnf:
+    """The ordinal sum of a sequence of terms in one pass: a term absorbs
+    the smaller ones before it and merges with an equal one."""
+    out = []
+    for exp, coeff in terms:
+        while out and out[-1][0] < exp:
+            out.pop()
+        if out and out[-1][0] == exp:
+            coeff += out.pop()[1]
+        out.append((exp, coeff))
+    return Cnf(tuple(out))
 
 
 def nat(n: int) -> Cnf:
@@ -171,57 +140,58 @@ def parse_cnf(text: str) -> Cnf:
     toks = _tokenize(text)
     if not toks:
         raise CnfParseError("empty ordinal expression")
-    if max(accumulate((t == "(") - (t == ")") for t in toks)) > MAX_NESTING:
-        raise CnfParseError(f"exponents nested deeper than {MAX_NESTING} "
-                            f"levels")
-    val, rest = _parse_expr(toks)
-    if rest:
-        raise CnfParseError(f"trailing tokens {rest!r} in {text!r}")
+    toks.append("")  # the end sentinel, matched by no rule
+    val, i = _parse_expr(toks, 0, 0)
+    if toks[i]:
+        raise CnfParseError(f"trailing tokens {toks[i:-1]!r} in {text!r}")
     return val
 
 
-def _parse_expr(toks):
-    total = ZERO
+def _parse_expr(toks, i, depth):
+    """The sum starting at token i, and the index after it."""
+    terms = []
     while True:
-        term, toks = _parse_term(toks)
-        total = total + term
-        if toks and toks[0] == "+":
-            toks = toks[1:]
-        else:
-            return total, toks
+        term, i = _parse_term(toks, i, depth)
+        terms += term  # none for a 0
+        if toks[i] != "+":
+            return _sum(terms), i
+        i += 1
 
 
-def _parse_term(toks):
-    if not toks:
-        raise CnfParseError("expected a term")
-    tok = toks[0]
+def _parse_term(toks, i, depth):
+    tok = toks[i]
     if tok.isdigit():
-        return nat(int(tok)), toks[1:]
+        return nat(int(tok)), i + 1
     if tok != "w":
-        raise CnfParseError(f"expected term, got {tok!r}")
-    toks = toks[1:]
+        raise CnfParseError(f"expected term, got {tok!r}" if tok
+                            else "expected a term")
+    i += 1
     exp = ONE
-    if toks and toks[0] == "^":
-        toks = toks[1:]
-        if not toks:
-            raise CnfParseError("dangling '^'")
-        if toks[0].isdigit():
-            exp, toks = nat(int(toks[0])), toks[1:]
-        elif toks[0] == "w":
-            exp, toks = OMEGA, toks[1:]
-        elif toks[0] == "(":
-            exp, toks = _parse_expr(toks[1:])
-            if not toks or toks[0] != ")":
+    if toks[i] == "^":
+        i += 1
+        tok = toks[i]
+        if tok.isdigit():
+            exp = nat(int(tok))
+        elif tok == "w":
+            exp = OMEGA
+        elif tok == "(":
+            if depth == MAX_NESTING:
+                raise CnfParseError(f"exponents nested deeper than "
+                                    f"{MAX_NESTING} levels")
+            exp, i = _parse_expr(toks, i + 1, depth + 1)
+            if toks[i] != ")":
                 raise CnfParseError("missing ')'")
-            toks = toks[1:]
+        elif not tok:
+            raise CnfParseError("dangling '^'")
         else:
-            raise CnfParseError(f"bad exponent {toks[0]!r}")
+            raise CnfParseError(f"bad exponent {tok!r}")
+        i += 1
     coeff = 1
-    if toks and toks[0] == "*":
-        if len(toks) < 2 or not toks[1].isdigit():
+    if toks[i] == "*":
+        if not toks[i + 1].isdigit():
             raise CnfParseError("'*' must be followed by a natural")
-        coeff, toks = int(toks[1]), toks[2:]
-    return omega_power(exp, coeff), toks
+        coeff, i = int(toks[i + 1]), i + 2
+    return omega_power(exp, coeff), i
 
 
 def format_cnf(a: Cnf) -> str:
@@ -229,7 +199,7 @@ def format_cnf(a: Cnf) -> str:
     if not a:
         return "0"
     parts = []
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         if not exp:
             parts.append(str(coeff))
             continue
@@ -249,15 +219,14 @@ def random_cnf_below(bound: Cnf, rng) -> Cnf:
     """A pseudo-random ordinal strictly below ``bound`` (which must be > 0)."""
     if not bound:
         raise ValueError("no ordinal below 0")
-    i = rng.randrange(len(bound.terms))
-    exp, coeff = bound.terms[i]
-    kept = list(bound.terms[:i])
+    i = rng.randrange(len(bound))
+    exp, coeff = bound[i]
+    kept = list(bound[:i])
     new_coeff = rng.randrange(coeff)
     if new_coeff:
         kept.append((exp, new_coeff))
-    tail_room = exp  # anything with exponents strictly below exp may follow
-    out = Cnf(tuple(kept))
-    return out + _random_tail(tail_room, rng)
+    # anything with exponents strictly below exp may follow
+    return Cnf(tuple(kept)) + _random_tail(exp, rng)
 
 
 def _random_tail(exp_bound: Cnf, rng) -> Cnf:
@@ -271,6 +240,6 @@ def _random_tail(exp_bound: Cnf, rng) -> Cnf:
             break
         e = random_cnf_below(e, rng)
         total = total + omega_power(e, rng.randrange(1, 4))
-    if rng.random() < 0.7 and (not total or total.terms[-1][0]):
+    if rng.random() < 0.7 and (not total or total[-1][0]):
         total = total + nat(rng.randrange(1, 6))
     return total

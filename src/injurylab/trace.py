@@ -26,21 +26,21 @@ from __future__ import annotations
 
 import hashlib
 from operator import eq
+from typing import NamedTuple
 
 
 class ConfigError(ValueError):
     """Bad scenario or run configuration; maps to exit code 2."""
 
 
-class CheckResult:
+class CheckResult(NamedTuple):
     """One named verifier check: its verdict, the event id (or other
     index) that witnesses a failure, and a detail line."""
 
-    def __init__(self, name: str, passed: bool, witness=None, detail: str = ""):
-        self.name = name
-        self.passed = passed
-        self.witness = witness
-        self.detail = detail
+    name: str
+    passed: bool
+    witness: object = None
+    detail: str = ""
 
     def line(self) -> str:
         w = self.witness if self.witness is not None else "?"

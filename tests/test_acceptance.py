@@ -45,7 +45,7 @@ def report(num, name, passed, detail=""):
 def _triple(a: Cnf):
     """(c2, c1, c0) for a = w^2*c2 + w*c1 + c0; requires a < w^3."""
     out = [0, 0, 0]
-    for exp, coeff in a.terms:
+    for exp, coeff in a:
         out[2 - exp.nat_value()] = coeff
     return tuple(out)
 
@@ -345,7 +345,7 @@ def test_criterion_9_hierarchy_collapse():
             elem = (n, z)
             value = scaled.value(elem)
             ok &= scaled.value(scaled.successor(elem)) == value + nat(1)
-            limit = bool(value) and not value.terms[-1][0] == nat(0)
+            limit = bool(value) and not value[-1][0] == nat(0)
             ok &= scaled.is_limit(elem) == limit
             for other in ((n + 1, z), (n, z)):
                 ok &= scaled.less(elem, other) \

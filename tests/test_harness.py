@@ -6,6 +6,7 @@ import inspect
 import io
 import os
 import re
+import sys
 import weakref
 
 import pytest
@@ -816,6 +817,33 @@ class TestCli:
                              "event 0: bad phi-set payload: "),
         }[entry]
         assert self.run_cli(argv) == (2, f"error {where}{why}\n")
+
+    # k' sums injury_bound(x) = (x+1)^2 * 4^((x+1)^2) over the arguments,
+    # and past 84 of them it has more digits than the interpreter prints
+    # by default (4300); 0 lifts the limit
+    @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "1"]])
+    @pytest.mark.parametrize("args, limit, code", [(84, 4300, 0),
+                                                   (85, 4300, 2),
+                                                   (85, 0, 0)])
+    def test_ceiling_past_int_digit_limit_exits_2(self, tmp_path, verb,
+                                                 args, limit, code):
+        text = NALPHA_TEXT.split("fun ")[0].replace("stages 34",
+                                                    "stages 120")
+        text += "".join(f"fun 0 arg {x} first 2\n" for x in range(args))
+        path = self.scenario_path(tmp_path, text)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(limit)
+        try:
+            got, out = self.run_cli(verb[:1] + ["--scenario", path]
+                                    + verb[1:])
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert got == code
+        if code:
+            seed = "seed 0 " if verb[0] == "campaign" else ""
+            assert out.splitlines()[0] == (
+                f"{seed}error functional 0 argument 84: injury ceilings "
+                f"exceed 4300 digits")
 
     @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
     def test_f_step_without_marker_exits_2(self, tmp_path, verb):

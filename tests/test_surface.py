@@ -240,8 +240,6 @@ def test_parameter_allowlist_names_only_findings():
 
 # Attributes kept although the package never loads them.
 ALLOWED_ATTRIBUTES = {
-    "trace.CheckResult.detail": "a check's detail line, which the "
-                                "reports are to print (ROADMAP item 8)",
     "scenario.ScenarioError.lineno": "the line a scenario error names; "
                                      "the tests read it",
     "functional.UseFunctional.e": "the functional's index, which "
