@@ -9,8 +9,10 @@ descending marker chain.
 
 from __future__ import annotations
 
+import sys
+
 from .approximation import ApproxTrace
-from .ordinal import Cnf, format_cnf, nat, parse_cnf
+from .ordinal import Cnf, format_cnf, nat, parse_cnf, printable
 from .trace import ConfigError
 
 LIST_KINDS = frozenset({"phi-set", "qlist-set", "qlist-remove"})
@@ -24,14 +26,19 @@ def phi(bounds, k: int) -> Cnf:
     return total
 
 
-def check_bound(alpha: Cnf, advs):
-    """Reject a bound not a power of w, or an opponent budget not below."""
+def check_bound(alpha: Cnf, advs, k: int = 0):
+    """Reject a bound not a power of w, an opponent budget not below, or
+    budgets whose phi at a tolerance up to k could have a coefficient a
+    trace cannot print: k + 1 times their coefficients summed."""
     if not alpha.is_additively_closed():
         raise ConfigError(f"bound {format_cnf(alpha)} is not a power of w")
     for adv in advs:
         if not adv.g < alpha:
             raise ConfigError(
                 f"opponent budget {format_cnf(adv.g)} not below the bound")
+    if not printable((k + 1) * sum(c for adv in advs for _, c in adv.g)):
+        raise ConfigError(f"budgets at k={k} exceed "
+                          f"{sys.get_int_max_str_digits()} digits")
 
 
 def set_bound(engine, alpha: Cnf):

@@ -201,9 +201,9 @@ def cmd_cnf_eval(out, expr) -> int:
             else:
                 raise ConfigError(f"unknown operator {op!r}")
             i += 2
+        out.write(format_cnf(acc) + "\n")
     except (ValueError, IndexError) as ex:
         raise ConfigError(str(ex))
-    out.write(format_cnf(acc) + "\n")
     return 0
 
 

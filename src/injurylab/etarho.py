@@ -19,8 +19,7 @@ from functools import lru_cache
 from .functional import Engine
 from .trace import (CheckResult, ConfigError, RunTrace, Summary, blocks,
                     payload_error)
-from .tree import (FIN, INF, ROOT, StrategyTree, is_prefix, parse_node,
-                   render_node)
+from .tree import FIN, INF, ROOT, StrategyTree, is_prefix
 
 
 def injury_bound(x: int) -> int:
@@ -33,21 +32,27 @@ ETA, RHO, XI = 0, 1, 2  # level kinds, by node length modulo the period
 
 class Levels:
     """Level kinds by length modulo the period: eta at 0, rho at 1, xi at
-    2.  Xi levels have the single outcome INF; the others INF and FIN."""
+    2.  Xi levels have the single outcome INF; the others INF and FIN.
+    A node's name is '-' for the root, else one letter per level: q at a
+    xi level, otherwise i for INF and f for FIN."""
 
     def __init__(self, period: int):
         self.period = period
-        self.render = lru_cache(maxsize=None)(
-            lambda node: render_node(node, self.alphabet))
+        self.render = lru_cache(maxsize=None)(self._render)
         # bounded: replays also ask about nodes read from trace files
         self.holders = lru_cache(maxsize=1024)(self._holders)
         self.parse = lru_cache(maxsize=1024)(self._parse)
 
+    def _render(self, node: tuple) -> str:
+        return "".join("q" if level % self.period == XI else "if"[o]
+                       for level, o in enumerate(node)) or "-"
+
     def _parse(self, text: str) -> tuple:
         """The node that text names; ValueError unless text is that node's
-        rendering under this pattern."""
-        node = parse_node(text)
-        if render_node(node, self.alphabet) != text:
+        name under this pattern."""
+        node = ROOT if text == "-" else tuple(FIN if c == "f" else INF
+                                              for c in text)
+        if self._render(node) != text:
             raise ValueError(f"{text!r} is not a node name")
         return node
 
@@ -59,9 +64,6 @@ class Levels:
 
     def is_xi(self, node: tuple) -> bool:
         return len(node) % self.period == XI
-
-    def alphabet(self, level: int):
-        return (INF,) if level % self.period == 2 else (INF, FIN)
 
     def level_index(self, node: tuple) -> int:
         return len(node) // self.period
@@ -131,7 +133,7 @@ class EtaRhoRun(Engine):
         self.psis = psis
         self.fadvs = fadvs
         self.render = self.levels.render
-        self.tree = StrategyTree(self.levels.alphabet)
+        self.tree = StrategyTree()
         # rho state by node, shaped as in the replay; inits keep only acted
         self.followers = {}  # node -> live follower
         self.uses = {}  # node -> live use

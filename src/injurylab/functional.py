@@ -155,22 +155,21 @@ class Engine:
     def _quiet_until(self, asked, s: int) -> int:
         """The first stage from s on whose walk or functional step can
         differ from the quiet stage s - 1's: one at which a query
-        (opponent, x, answer) of the quiet stage gets another answer, or
+        (opponent, x) of the quiet stage gets another answer, or
         a functional run's next change; the stage budget when there is
         none."""
         t = self.stages
         for run in self.runs.values():
             t = min(t, run.next_change())
-        for adv, x, _ in asked:
+        for adv, x in asked:
             t = adv.next_change(x, s - 1, t)
         return t
 
     def _ask(self, adv, x: int, s: int) -> int:
         """The opponent's answer at x in stage s, kept as an input of the
         stage."""
-        v = adv.value(x, s)
-        self._asked.append((adv, x, v))
-        return v
+        self._asked.append((adv, x))
+        return adv.value(x, s)
 
     def _walk(self, s: int) -> bool:
         """Play stage s; True when it was played in full."""

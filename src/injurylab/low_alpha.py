@@ -36,7 +36,7 @@ class LowAlphaRun(Engine):
     construction = "low-alpha"
 
     def __init__(self, advs, funs, alpha: Cnf, stages: int):
-        check_bound(alpha, advs)
+        check_bound(alpha, advs, len(funs))  # k counts lists, at most this
         super().__init__(stages, dict(enumerate(funs)))
         self.q = [Requirement(adv, f"q{e}") for e, adv in enumerate(advs)]
         self.lists = [None] * len(funs)  # a watcher's QuotaList once active

@@ -13,7 +13,6 @@ trace alone.
 
 from __future__ import annotations
 
-import math
 import sys
 from bisect import bisect_left
 
@@ -22,7 +21,7 @@ from .budgeted import (LIST_KINDS, QuotaList, QuotaLists, Requirement,
                        check_bound, descent_witness, set_bound)
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
                      check_triggers, injury_bound)
-from .ordinal import Cnf, format_cnf, nat, parse_cnf
+from .ordinal import Cnf, format_cnf, nat, parse_cnf, printable
 from .trace import CheckResult, ConfigError, RunTrace
 from .tree import FIN, INF, is_prefix, left_of
 
@@ -52,7 +51,6 @@ def check_ceilings(funs: dict, fadvs: dict):
     ceilings of all arguments summed; a budget coefficient is at most
     k' + 1 times the largest budget coefficients of the xi nodes summed,
     4^(e+1) of them at level e."""
-    limit = sys.get_int_max_str_digits() or math.inf  # 0: no limit
     width = sum(4 ** (e + 1) * max((c for _, c in adv.g), default=1)
                 for e, adv in fadvs.items())
     total = 0
@@ -60,10 +58,10 @@ def check_ceilings(funs: dict, fadvs: dict):
         x = 0
         while x in fun.args:  # lengths stop at the first missing argument
             total += injury_bound(x)
-            bits = ((total + 1) * width).bit_length()
-            if int(bits * math.log10(2)) + 1 > limit:  # digits below 2^bits
+            if not printable((total + 1) * width):
                 raise ConfigError(f"functional {e} argument {x}: injury "
-                                  f"ceilings exceed {limit} digits")
+                                  f"ceilings exceed "
+                                  f"{sys.get_int_max_str_digits()} digits")
             x += 1
 
 

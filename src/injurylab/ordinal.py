@@ -10,6 +10,7 @@ coefficient, and a proper prefix is the smaller ordinal.
 from __future__ import annotations
 
 import re
+import sys
 
 
 class Cnf(tuple):
@@ -154,7 +155,11 @@ def _parse_expr(toks, i, depth):
         term, i = _parse_term(toks, i, depth)
         terms += term  # none for a 0
         if toks[i] != "+":
-            return _sum(terms), i
+            total = _sum(terms)  # only merged coefficients can grow
+            if len(total) == len(terms) or all(printable(c) for _, c in total):
+                return total, i
+            raise CnfParseError(f"sum has a coefficient past "
+                                f"{sys.get_int_max_str_digits()} digits")
         i += 1
 
 
@@ -192,6 +197,13 @@ def _parse_term(toks, i, depth):
             raise CnfParseError("'*' must be followed by a natural")
         coeff, i = int(toks[i + 1]), i + 2
     return omega_power(exp, coeff), i
+
+
+def printable(n: int) -> bool:
+    """Whether str(n) keeps within the interpreter's limit on int digits;
+    every n below 2^(3 limit) < 10^limit does."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    return not limit or n.bit_length() <= 3 * limit or n < 10 ** limit
 
 
 def format_cnf(a: Cnf) -> str:

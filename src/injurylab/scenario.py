@@ -27,7 +27,9 @@ class ScenarioError(ConfigError):
 class AdvDecl:
     """One opponent: its id, kind, level and class (or the class bound to
     its mode), the class keywords its line set, and its script steps
-    (add_step arguments)."""
+    (add_step arguments).  ``checker``, built from the line, takes each
+    step as it is read: the class rejects what it cannot run (a mode, a
+    period, a step schedule) with a ValueError."""
 
     def __init__(self, aid, kind, level, cls, kw):
         self.aid = aid
@@ -36,6 +38,7 @@ class AdvDecl:
         self.cls = cls
         self.kw = kw  # class keyword -> value, for the fields the line gave
         self.steps = []
+        self.checker = cls(aid, **kw)
 
     def build(self, seed_shift):
         """A fresh opponent, its seed shifted by seed_shift."""
@@ -156,17 +159,6 @@ OPPONENTS = {
 }
 
 
-def _check_build(decl, lineno, steps=()):
-    """Build decl's class with steps: the class rejects what it cannot
-    run (a mode, a period, a step schedule) with a ValueError."""
-    try:
-        adv = decl.cls(decl.aid, **decl.kw)
-        for step in steps:
-            adv.add_step(*step)
-    except ValueError as ex:
-        raise ScenarioError(lineno, str(ex))
-
-
 def _parse_step(sc, aid, parts, lineno):
     decl = sc.advs.get(aid)
     if decl is None:
@@ -183,9 +175,11 @@ def _parse_step(sc, aid, parts, lineno):
             raise ScenarioError(lineno, f"step misses {key}")
         parse = _cnf_field if key == "marker" else _nat_field
         step.append(parse(lineno, key, val))
+    try:
+        decl.checker.add_step(*step)
+    except ValueError as ex:
+        raise ScenarioError(lineno, str(ex))
     decl.steps.append(step)
-    # a script holds or fails argument by argument
-    _check_build(decl, lineno, [st for st in decl.steps if st[0] == step[0]])
 
 
 def _parse_adv(sc, parts, lineno):
@@ -221,8 +215,10 @@ def _parse_adv(sc, parts, lineno):
     if spec.budget and spec.budget not in kw:
         raise ScenarioError(lineno, f"opponent {aid!r} wants a budget "
                                     f"{spec.budget}")
-    sc.advs[aid] = decl = AdvDecl(aid, kind, level, cls, kw)
-    _check_build(decl, lineno)
+    try:
+        sc.advs[aid] = AdvDecl(aid, kind, level, cls, kw)
+    except ValueError as ex:
+        raise ScenarioError(lineno, str(ex))
 
 
 def _parse_fun(sc, parts, lineno):

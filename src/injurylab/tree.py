@@ -1,7 +1,8 @@
 """Tree-of-strategies machinery: nodes, accessibility, initialization.
 
-Nodes are tuples of outcomes, each outcome an index into its level's
-alphabet (listed best-to-worst, so smaller = further left).  The engine
+Nodes are tuples of outcomes, each outcome an int (smaller = further
+left).  The tree holds structure only: which outcomes a level plays, and
+how a node is named, belong to the hosting construction.  The engine
 walks one path per stage, hands initialization to everything right of the
 path, keeps each walked stage's path, and offers fair actor selection.
 """
@@ -26,42 +27,15 @@ def is_prefix(a: tuple, b: tuple) -> bool:
     return b[:len(a)] == a
 
 
-def render_node(node: tuple, alphabet_fn) -> str:
-    """String over {i, f, q}: infinity, finite, single-outcome levels."""
-    out = []
-    for level, o in enumerate(node):
-        alpha = alphabet_fn(level)
-        if len(alpha) == 1:
-            out.append("q")
-        else:
-            out.append("i" if o == INF else "f")
-    return "".join(out) or "-"
-
-
-def parse_node(text: str) -> tuple:
-    """Inverse of render_node: '-' is the root, i->0, f->1, q->0.  Any
-    other letter reads as f; a replay that must reject misspelt names
-    checks the result against render_node."""
-    if text == "-":
-        return ROOT
-    return tuple(0 if c in "iq" else 1 for c in text)
-
-
 def cantor_pair(x: int, y: int) -> int:
     return (x + y) * (x + y + 1) // 2 + y
 
 
 class StrategyTree:
-    """Node registry and per-stage path construction.
+    """Node registry and per-stage path construction.  Outcome and
+    initialization callbacks belong to the hosting construction."""
 
-    ``alphabet_fn(level)`` lists the outcome indices available at a level,
-    in left-to-right order.  Outcome and initialization callbacks belong to
-    the hosting construction.
-    """
-
-    def __init__(self, alphabet_fn):
-        self.alphabet_fn = alphabet_fn
-        self._alphabets = []  # level -> alphabet_fn(level), asked once
+    def __init__(self):
         self.birth = {ROOT: 0}  # node -> creation order
         self.children = {ROOT: {}}  # node -> outcome -> child node
         self.paths = []  # (stage, path) per walk; holds up to the next walk
@@ -83,17 +57,11 @@ class StrategyTree:
         after ``visit_cb(node, s)`` saw it; the registered subtrees right
         of each new prefix are initialized via ``init_cb(node, s)``.
         """
-        alphabets = self._alphabets
-        while len(alphabets) < length:
-            alphabets.append(self.alphabet_fn(len(alphabets)))
         children = self.children
         node = ROOT
         visit_cb(node, s)
-        for level in range(length):
+        for _ in range(length):
             o = outcome_cb(node, s)
-            if o not in alphabets[level]:
-                raise ValueError(
-                    f"outcome {o!r} outside alphabet at level {level}")
             kids = children[node]
             child = kids.get(o)
             if child is None:

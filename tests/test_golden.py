@@ -14,7 +14,6 @@ import pytest
 from injurylab.approximation import DeltaTwoAdversary
 from injurylab.cli import checks_for, main, reduce_summary, replay_of
 from injurylab.scenario import load_scenario
-from injurylab.tree import StrategyTree
 
 from stage_maps import stage_of
 
@@ -120,8 +119,8 @@ class TestGoldenTraces:
 
 class TestCallCounts:
     """The stage loop derives each fact once: one guess per opponent,
-    argument and stage, and one alphabet per tree level.  Calls are
-    counted, not timed, so the guard is deterministic."""
+    argument and stage.  Calls are counted, not timed, so the guard is
+    deterministic."""
 
     @pytest.mark.parametrize("name", ("golden-nonlow-low2",
                                       "golden-nonlow-alpha"))
@@ -133,22 +132,6 @@ class TestCallCounts:
             guesses[(adv, y, s)] += 1
             return value(adv, y, s)
 
-        trees = []  # per tree: level -> alphabet_fn calls
-        init = StrategyTree.__init__
-
-        def counted_init(tree, alphabet_fn):
-            levels = collections.Counter()
-            trees.append(levels)
-
-            def counted(level):
-                levels[level] += 1
-                return alphabet_fn(level)
-
-            init(tree, counted)
-
         monkeypatch.setattr(DeltaTwoAdversary, "value", counted_value)
-        monkeypatch.setattr(StrategyTree, "__init__", counted_init)
         run_golden(name)
         assert guesses and max(guesses.values()) == 1
-        assert len(trees) == 1 and trees[0]
-        assert max(trees[0].values()) == 1

@@ -7,6 +7,7 @@ import io
 import os
 import re
 import sys
+import time
 import weakref
 
 import pytest
@@ -23,6 +24,7 @@ from injurylab.trace import CheckResult, RunTrace
 from test_golden import REPORTS
 
 HERE = os.path.dirname(__file__)
+NINES = "9" * 4300
 SCEN = os.path.join(HERE, os.pardir, "scenarios")
 
 
@@ -238,6 +240,18 @@ class TestGrammar:
         err = self.errors(f"construction nonlow-low2\n"
                           f"adv a0 {kind} level 0 {field}\n")
         assert err.lineno == 2 and field.split()[0] in str(err)
+
+    def test_script_steps_load_in_linear_time(self):
+        # each step is checked as it is read; replaying every earlier step
+        # at its argument took 5.7 s of CPU for these 4,000
+        text = "construction nonlow-low2\nadv p0 psi mode scripted\n" + \
+            "".join(f"adv p0 step arg 0 stage {t} value {t % 2}\n"
+                    for t in range(1, 4001))
+        start = time.process_time()
+        sc = load_scenario(text)
+        assert time.process_time() - start < 1.0
+        assert len(sc.advs["p0"].steps) == 4000
+        assert sc.advs["p0"].build(0).value(0, 4000) == 0
 
 
 class TestExecute:
@@ -844,6 +858,41 @@ class TestCli:
             assert out.splitlines()[0] == (
                 f"{seed}error functional 0 argument 84: injury ceilings "
                 f"exceed 4300 digits")
+
+    # Literals within the interpreter's limit on int digits (4300) whose
+    # sum, product or budget passes it: NINES has 4300 digits
+    @pytest.mark.parametrize("entry, where", [
+        (["cnf", "eval", f"w*{NINES}+w"], "sum has a coefficient past 4300 "
+                                          "digits"),
+        (["cnf", "eval", f"w*{NINES}", "+", "w"], "Exceeds the limit (4300 "
+                                                  "digits)"),
+        (["cnf", "eval", f"w*{NINES}", "*", "2"], "Exceeds the limit (4300 "
+                                                  "digits)"),
+        (["run", f"g w*{NINES}+w "],
+         "line 4: g: sum has a coefficient past 4300 digits"),
+        # the budget phi-set of a watcher, at k up to 2, multiplies g
+        (["run", f"g w*{NINES} "], "budgets at k=2 exceed 4300 digits"),
+        (["verify-trace", f"w^2*{NINES}+w^2"],
+         "event 0: bad phi-set payload: sum has a coefficient past 4300 "
+         "digits"),
+    ])
+    def test_ordinal_past_int_digit_limit_exits_2(self, tmp_path, entry,
+                                                  where):
+        if entry[0] == "run":
+            entry = ["run", "--scenario", self.scenario_path(
+                tmp_path, LOWA_TEXT.replace("g w ", entry[1]))]
+        elif entry[0] == "verify-trace":
+            tr = tmp_path / "t.trace"
+            tr.write_text(edited("golden-low-alpha", 2, value=entry[1]))
+            entry = ["verify-trace", "--trace", str(tr)]
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out = self.run_cli(entry)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert code == 2 and out.count("\n") == 1, out[:200]
+        assert out.startswith(f"error {where}"), out[:200]
 
     @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
     def test_f_step_without_marker_exits_2(self, tmp_path, verb):

@@ -23,7 +23,6 @@ from injurylab.trace import ConfigError, RunTrace
 
 from stage_maps import stage_of
 from test_golden import by_kind
-from injurylab.tree import parse_node
 from stage_maps import stage_lengths
 
 W = omega_power(nat(1))
@@ -268,7 +267,7 @@ class TestFrozenOpponents:
         events = tr.events
         for kind in ("select", "enumerate"):
             for eid in by_kind(tr, kind):
-                assert not na.is_xi(parse_node(events[eid]["node"]))
+                assert not na.is_xi(na.parse(events[eid]["node"]))
 
     def test_lists_seed_and_stay(self):
         psi = DeltaTwoAdversary("p0", "scripted")

@@ -13,8 +13,8 @@ from injurylab.tree import (
     cantor_pair,
     is_prefix,
     left_of,
-    render_node,
 )
+from injurylab.etarho import Levels
 
 from stage_maps import tree_paths
 
@@ -27,18 +27,14 @@ def left_of_oracle(a, b):
     return False
 
 
-def two(level):
-    return (INF, FIN)
-
-
 def ignore(node, s):
     pass
 
 
-def all_nodes(max_len, alphabet=(INF, FIN)):
+def all_nodes(max_len):
     out = [()]
     for n in range(1, max_len + 1):
-        out.extend(itertools.product(alphabet, repeat=n))
+        out.extend(itertools.product((INF, FIN), repeat=n))
     return out
 
 
@@ -68,7 +64,7 @@ def test_left_of_is_strict_partial_order():
 
 
 def test_run_stage_zero_is_root():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     inits = []
     node = tree.run_stage(lambda n, s: FIN, 0, 0,
                           lambda n, s: inits.append(n), ignore)
@@ -78,7 +74,7 @@ def test_run_stage_zero_is_root():
 
 
 def test_run_stage_constant_fin():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     inits = []
     for s in range(4):
         tree.run_stage(lambda n, s: FIN, s, s,
@@ -90,7 +86,7 @@ def test_run_stage_constant_fin():
 
 
 def test_flip_to_left_initializes_right_subtree():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     inits = []
 
     def outcome(node, s):
@@ -108,7 +104,7 @@ def test_flip_to_left_initializes_right_subtree():
 
 
 def test_no_node_left_of_path_initialized():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     inits = []
 
     def outcome(node, s):
@@ -122,14 +118,8 @@ def test_no_node_left_of_path_initialized():
                 assert not left_of(n, path) and not is_prefix(n, path)
 
 
-def test_outcome_outside_alphabet_aborts():
-    tree = StrategyTree(two)
-    with pytest.raises(ValueError):
-        tree.run_stage(lambda n, s: 5, 2, 2, ignore, ignore)
-
-
 def test_select_actor_basics():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     assert tree.select_actor([]) is None
     a = (INF,)
     tree.register(a)
@@ -137,7 +127,7 @@ def test_select_actor_basics():
 
 
 def test_select_actor_pairing_favors_unserved():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     a, b = (INF,), (FIN,)
     tree.register(a)
     tree.register(b)
@@ -147,7 +137,7 @@ def test_select_actor_pairing_favors_unserved():
 
 
 def test_select_actor_fairness_over_long_run():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     nodes = [(o,) for o in (INF, FIN)] + [(INF, o) for o in (INF, FIN)]
     for n in nodes:
         tree.register(n)
@@ -158,7 +148,7 @@ def test_select_actor_fairness_over_long_run():
 
 def test_run_is_deterministic():
     def run():
-        tree = StrategyTree(two)
+        tree = StrategyTree()
         def outcome(n, s):
             return INF if (s * 7 + len(n)) % 4 == 0 else FIN
 
@@ -170,7 +160,7 @@ def test_run_is_deterministic():
 
 
 def test_initialize_at_or_right_scope():
-    tree = StrategyTree(two)
+    tree = StrategyTree()
     for node in all_nodes(2):
         tree.register(node)
     hit = []
@@ -179,29 +169,51 @@ def test_initialize_at_or_right_scope():
     assert (INF,) not in hit and (INF, FIN) not in hit and ROOT not in hit
 
 
-def test_render_node():
-    two = lambda level: (INF, FIN)
-    assert render_node((INF, FIN), two) == "if"
-    assert render_node(ROOT, two) == "-"
-    mixed = lambda level: (0,) if level % 3 == 2 else (INF, FIN)
-    assert render_node((INF, FIN, 0), mixed) == "ifq"
+def old_render_node(node, alphabet_fn):
+    """How node names were once rendered from per-level alphabets: q at
+    a level with a single outcome, else i for INF and f for FIN."""
+    out = []
+    for level, o in enumerate(node):
+        if len(alphabet_fn(level)) == 1:
+            out.append("q")
+        else:
+            out.append("i" if o == INF else "f")
+    return "".join(out) or "-"
+
+
+@pytest.mark.parametrize("period", (2, 3))
+def test_node_names_round_trip(period):
+    """Every node up to length 6 whose xi levels play INF keeps its old
+    name and parses back; misspelt names raise."""
+    levels = Levels(period)
+
+    def alphabet(level):
+        return (INF,) if level % period == 2 else (INF, FIN)
+
+    for node in all_nodes(6):
+        if any(o != INF for i, o in enumerate(node) if i % period == 2):
+            continue
+        name = levels.render(node)
+        assert name == old_render_node(node, alphabet)
+        assert levels.parse(name) == node
+    bad = ["", "x", "-f", "i-", "I", "ifx"] \
+        + (["iq"] if period == 2 else ["iff", "ifi"])
+    for text in bad:
+        with pytest.raises(ValueError, match="is not a node name"):
+            levels.parse(text)
 
 
 # -- the walk against its longhand form --------------------------------
 
 
 def oracle_run_stage(tree, outcome_cb, s, length, init_cb, visit_cb):
-    """The walk written out longhand: ask the alphabet and register the
-    node at every level, and scan the siblings of every new prefix."""
+    """The walk written out longhand: register the node at every level,
+    and scan the siblings of every new prefix."""
     node = ROOT
     tree.register(node)
     visit_cb(node, s)
-    for level in range(length):
-        alphabet = tree.alphabet_fn(level)
+    for _ in range(length):
         o = outcome_cb(node, s)
-        if o not in alphabet:
-            raise ValueError(
-                f"outcome {o!r} outside alphabet at level {level}")
         node = node + (o,)
         tree.register(node)
         for o2, sib in tree.children.get(node[:-1], {}).items():
@@ -216,16 +228,10 @@ def walk(run_stage, period, registered, stages):
     """Run the stages on a fresh tree and log every callback in order.
 
     Level kinds cycle with period; a level of kind 2 has the single
-    outcome INF.  Each stage lists one choice per level: 0 to 3 pick from
-    the level's alphabet, 4 plays FIN even where it is outside it.
+    outcome INF.  Each stage lists one choice per level, 0 to 3, taken
+    modulo the number of the level's outcomes.
     """
-    asked = []
-
-    def alphabet_fn(level):
-        asked.append(level)
-        return (INF,) if level % period == 2 else (INF, FIN)
-
-    tree = StrategyTree(alphabet_fn)
+    tree = StrategyTree()
     for node in registered:  # each after its prefixes, as a walk does
         for i in range(1, len(node) + 1):
             tree.register(node[:i])
@@ -233,9 +239,9 @@ def walk(run_stage, period, registered, stages):
 
     def outcome(node, s):
         c = stages[s][len(node)]
-        alphabet = (INF,) if len(node) % period == 2 else (INF, FIN)
+        outcomes = (INF,) if len(node) % period == 2 else (INF, FIN)
         log.append(("outcome", node, s))
-        return FIN if c == 4 else alphabet[c % len(alphabet)]
+        return outcomes[c % len(outcomes)]
 
     def init(node, s):
         log.append(("init", node, s))
@@ -243,22 +249,15 @@ def walk(run_stage, period, registered, stages):
     def visit(node, s):
         log.append(("visit", node, s))
 
-    ends = []
-    for s, choices in enumerate(stages):
-        try:
-            ends.append(run_stage(tree, outcome, s, len(choices), init,
-                                  visit))
-        except ValueError as ex:
-            ends.append(str(ex))
-            break
+    ends = [run_stage(tree, outcome, s, len(choices), init, visit)
+            for s, choices in enumerate(stages)]
     children = [(n, list(kids.items())) for n, kids in tree.children.items()]
-    state = (ends, log, list(tree.birth.items()), children, tree.paths)
-    return state, asked
+    return ends, log, list(tree.birth.items()), children, tree.paths
 
 
 node_lists = st.lists(st.lists(st.sampled_from((INF, FIN)), max_size=5)
                       .map(tuple), max_size=8)
-stage_lists = st.lists(st.lists(st.integers(0, 4), max_size=6), max_size=12)
+stage_lists = st.lists(st.lists(st.integers(0, 3), max_size=6), max_size=12)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -266,9 +265,6 @@ stage_lists = st.lists(st.lists(st.integers(0, 4), max_size=6), max_size=12)
        stages=stage_lists)
 def test_run_stage_matches_longhand_walk(period, registered, stages):
     """Same paths, the same callbacks in the same order, and the same
-    birth, children and paths, on pre-registered subtrees too; and the
-    tree asks the alphabet of a level once."""
-    state, asked = walk(StrategyTree.run_stage, period, registered, stages)
-    expected, _ = walk(oracle_run_stage, period, registered, stages)
-    assert state == expected
-    assert len(asked) == len(set(asked))
+    birth, children and paths, on pre-registered subtrees too."""
+    assert walk(StrategyTree.run_stage, period, registered, stages) \
+        == walk(oracle_run_stage, period, registered, stages)
