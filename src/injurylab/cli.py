@@ -16,11 +16,12 @@ errors.  A usage error, like any other exit 2 before a run, is one
 """
 
 import hashlib
+import mmap
 import re
 import sys
 
 from .constructions import CONSTRUCTIONS, construction
-from .ordinal import format_cnf, parse_cnf
+from .ordinal import format_cnf, parse_cnf, printable
 from .scenario import load_scenario
 from .trace import ConfigError, RunTrace
 
@@ -68,18 +69,41 @@ def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
     return [c for c in checks if sc.verify.get(c.name, True)]
 
 
+def _unreadable(path: str, ex: Exception) -> ConfigError:
+    """The ConfigError for an OSError or UnicodeDecodeError met reading
+    the file at path."""
+    if isinstance(ex, UnicodeDecodeError):
+        return ConfigError(f"cannot read {path}: not UTF-8 ({ex.reason} "
+                           f"at byte {ex.start})")
+    return ConfigError(f"cannot read {path}: {ex.strerror or ex}")
+
+
 def _read(path: str) -> str:
     """The text of the file at path.  A file that cannot be read, or is
     not UTF-8, is a ConfigError naming the path."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as ex:
-        raise ConfigError(f"cannot read {path}: {ex.strerror or ex}") \
-            from None
-    except UnicodeDecodeError as ex:
-        raise ConfigError(f"cannot read {path}: not UTF-8 ({ex.reason} "
-                          f"at byte {ex.start})") from None
+    except (OSError, UnicodeDecodeError) as ex:
+        raise _unreadable(path, ex) from None
+
+
+def _read_trace(path: str) -> RunTrace:
+    """The trace in the file at path, parsed in place from a read-only
+    map of the file, which is closed before this returns.  A file that
+    cannot be mapped, an empty file or a pipe, is read whole into bytes
+    for the same parser.  A file that cannot be read, or is not UTF-8, is
+    a ConfigError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            try:
+                text = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                return RunTrace.from_text(fh.read())
+            with text:
+                return RunTrace.from_text(text)
+    except (OSError, UnicodeDecodeError) as ex:
+        raise _unreadable(path, ex) from None
 
 
 def _write(path: str, text: str) -> None:
@@ -168,7 +192,7 @@ def cmd_campaign(out, scenario, seeds, seed, stages) -> int:
 
 
 def cmd_verify_trace(out, trace) -> int:
-    tr = RunTrace.from_text(_read(trace))
+    tr = _read_trace(trace)
     replay = replay_of(tr)
     if tr.summary != reduce_summary(replay):
         out.write("check self-consistency fail witness ?\n")
@@ -201,6 +225,10 @@ def cmd_cnf_eval(out, expr) -> int:
             else:
                 raise ConfigError(f"unknown operator {op!r}")
             i += 2
+        # a sum or product of literals within the limit can pass it
+        if not all(printable(c) for _, c in acc):
+            raise ConfigError(f"result has a coefficient past "
+                              f"{sys.get_int_max_str_digits()} digits")
         out.write(format_cnf(acc) + "\n")
     except (ValueError, IndexError) as ex:
         raise ConfigError(str(ex))

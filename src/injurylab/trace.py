@@ -14,7 +14,11 @@ own.  No table outlives its trace.  The text form is line-oriented and
 canonical, so a cryptographic digest of it is a stable fingerprint of a
 run; the digest hashes the chunks as they are rendered, never the whole
 text, and the parser reads the text by offset, matching each run's
-rendered chunks in place, never through a list of its lines.  A run's
+rendered chunks in place, never through a list of its lines.  The text
+it reads is a ``str`` or bytes-like, a read-only map of a file
+included: it touches the text only through ``find``, ``rfind``, slices
+and ``len``, decodes a byte text a line at a time as it reads it, and
+matches a run's rendered bytes against a byte text undecoded.  A run's
 chunk is rendered as bytes by digit columns: one stage's text repeated,
 with each digit of the ids and stage numbers that varies written in
 column by column, so no number is formatted line by line.  A replay
@@ -175,7 +179,7 @@ class RunTrace:
                                for k in sorted(self.summary)]).encode()
 
     @classmethod
-    def from_text(cls, text: str) -> "RunTrace":
+    def from_text(cls, text) -> "RunTrace":
         """Parse the text form.  A malformed line, a negative stage count
         in the header and a summary line of other than three tokens
         included, an unknown event kind, an event id out of sequence, a
@@ -204,9 +208,30 @@ class RunTrace:
         the run.  A stage that differs in any character, a blank or
         summary line in it included, goes through the per-line path, so
         errors keep their text and line number.  The stage after a run is
-        not tried again: the stage before it is copied, not stored."""
-        if "\r" in text:
-            text = text.replace("\r\n", "\n")
+        not tried again: the stage before it is copied, not stored.
+
+        The text is a ``str`` or bytes-like, such as a read-only map of a
+        trace file.  A text that holds "\\r" is copied once, with its
+        "\\r\\n" rewritten.  A byte text is decoded a piece at a time as
+        it is read.  A byte that is not UTF-8 raises UnicodeDecodeError
+        where the parse reaches it, so a fault on a piece before it is
+        reported first, with the reason and start, the byte's offset in
+        text, that decoding the whole text gives."""
+        cr, crlf, nl = ("\r", "\r\n", "\n") if isinstance(text, str) \
+            else (b"\r", b"\r\n", b"\n")
+        if text.find(cr) < 0:
+            return cls._parse(text)
+        try:
+            return cls._parse(text[:].replace(crlf, nl))
+        except UnicodeDecodeError:
+            # the rewrite moved the offsets: the parse reached the text's
+            # first bad byte, so decoding the text whole reports it
+            text[:].decode()
+            raise
+
+    @classmethod
+    def _parse(cls, text) -> "RunTrace":
+        """from_text on a text whose "\\r\\n" are rewritten."""
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
         texts = {}  # id of a payload -> the text it was parsed from
@@ -378,20 +403,32 @@ def _run_bytes(tails, eid: int, stage: int, count: int) -> bytearray:
     return out
 
 
-def _piece(text: str, pos: int):
+def _piece(text, pos: int):
     """The lines of text from offset pos, a line's start, up to its next
     "\\n" or its end, as ``text.splitlines()`` gives them there, and the
     offset past that "\\n".  A "\\n" ends a line of its own: the text
-    read holds no "\\r\\n"."""
-    end = text.find("\n", pos)
+    read holds no "\\r\\n".  A byte text's piece is decoded with its
+    "\\n", so a byte that is not UTF-8 fails as it does in the whole
+    text, and the UnicodeDecodeError's offsets are offsets in text."""
+    is_str = isinstance(text, str)
+    end = text.find("\n" if is_str else b"\n", pos)
     if end < 0:
         end = len(text)
+    if is_str:
+        line = text[pos:end]
+    else:
+        try:
+            line = text[pos:end + 1].decode().removesuffix("\n")
+        except UnicodeDecodeError as ex:
+            ex.start += pos
+            ex.end += pos
+            raise
     # "\r" ends the last line as the "\n" cut off did, never joins a "\r"
     # before it, and makes a line of an empty piece
-    return (text[pos:end] + "\r").splitlines(), end + 1
+    return (line + "\r").splitlines(), end + 1
 
 
-def _repeated_stages(text: str, pos: int, eid: int, template, texts,
+def _repeated_stages(text, pos: int, eid: int, template, texts,
                      stage: int, most: int):
     """How many of the stages that text opens with at offset pos, at most
     most, repeat the last stage whole, whose payloads are template, and
@@ -402,28 +439,35 @@ def _repeated_stages(text: str, pos: int, eid: int, template, texts,
     last line, so that line is matched first, before anything is
     rendered.  Then chunks of 1, 2, 4, ... stages (at most _RUN_LINES
     lines) are rendered and matched against the text in place, each with
-    the "\\n" after it; only a chunk that differs is sliced out, and the
+    the "\\n" after it: a byte text against the rendered bytes, a str
+    against their decoding.  Only a chunk that differs is split, and the
     run ends at the stage of its first line that differs.  The run's last
     stage leaves it where the next line that is not blank goes on at
     that stage."""
+    is_str = isinstance(text, str)
+    nl = "\n" if is_str else b"\n"
     size = len(template)
     last = pos
     for _ in range(size - 1):
-        last = text.find("\n", last) + 1 or len(text)
-    if not text.startswith(
-            f"{eid + size - 1} {stage} {texts[id(template[-1])]}", last):
+        last = text.find(nl, last) + 1 or len(text)
+    head = f"{eid + size - 1} {stage} {texts[id(template[-1])]}"
+    if not is_str:
+        head = head.encode()
+    if text[last:last + len(head)] != head:
         return 0, pos
     tails = [texts[id(p)].encode() for p in template]
     done, count = 0, 1
     while done < most:
         count = min(count, most - done)
-        want = _run_bytes(tails, eid + done * size, stage + done,
-                          count).decode()
-        if not text.startswith(want, pos):
+        want = _run_bytes(tails, eid + done * size, stage + done, count)
+        if is_str:
+            want = want.decode()
+        got = text[pos:pos + len(want)]
+        if got != want:
             # the whole stages before the first line that differs, or
             # before the text's end
-            got = text[pos:pos + len(want)].split("\n")
-            same = [*map(eq, got, want.split("\n")), False].index(False)
+            got = got.split(nl)
+            same = [*map(eq, got, want.split(nl)), False].index(False)
             whole = same // size
             done += whole
             pos += sum(map(len, got[:whole * size])) + whole * size
@@ -440,7 +484,7 @@ def _repeated_stages(text: str, pos: int, eid: int, template, texts,
             if len(toks) > 2 and toks[0] != "summary" and \
                     int(toks[1]) == stage + done - 1:
                 for _ in range(size):  # back to the last stage's start
-                    pos = text.rfind("\n", 0, pos - 1) + 1
+                    pos = text.rfind(nl, 0, pos - 1) + 1
                 return done - 1, pos
         except ValueError:  # no stage number
             pass

@@ -864,10 +864,10 @@ class TestCli:
     @pytest.mark.parametrize("entry, where", [
         (["cnf", "eval", f"w*{NINES}+w"], "sum has a coefficient past 4300 "
                                           "digits"),
-        (["cnf", "eval", f"w*{NINES}", "+", "w"], "Exceeds the limit (4300 "
-                                                  "digits)"),
-        (["cnf", "eval", f"w*{NINES}", "*", "2"], "Exceeds the limit (4300 "
-                                                  "digits)"),
+        (["cnf", "eval", f"w*{NINES}", "+", "w"], "result has a coefficient "
+                                                  "past 4300 digits"),
+        (["cnf", "eval", f"w*{NINES}", "*", "2"], "result has a coefficient "
+                                                  "past 4300 digits"),
         (["run", f"g w*{NINES}+w "],
          "line 4: g: sum has a coefficient past 4300 digits"),
         # the budget phi-set of a watcher, at k up to 2, multiplies g

@@ -3,8 +3,9 @@ stored stage kept once as its entry with no object per event and a run
 of copied stages as the entry's copies, which only a quiet stage may
 have, the text round trip, the parser against the per-line parser
 it replaced, on the goldens and on traces with long runs of repeated
-stages, the writer against the per-line renderer it replaced, and the
-run renderer against one f-string per line."""
+stages, the writer against the per-line renderer it replaced, the
+run renderer against one f-string per line, and the one parser on a
+str, on its bytes and on the file verify-trace maps."""
 
 import functools
 import gc
@@ -536,12 +537,14 @@ def edited_low2(which, edit):
     return "\n".join(lines) + ending
 
 
-@pytest.mark.parametrize("edit", [
-    "malformed after", "malformed inside",
-    "blank, then the last stage goes on", "cut after a line",
-    "cut inside a line"] + [f"{mark} {where}" for mark in ("\r", "\x0b",
-                                                            "\u2028")
-                            for where in ("mid", "end")])
+LOW2_EDITS = ["malformed after", "malformed inside",
+              "blank, then the last stage goes on", "cut after a line",
+              "cut inside a line"] + [
+    f"{mark} {where}" for mark in ("\r", "\x0b", "\u2028")
+    for where in ("mid", "end")]
+
+
+@pytest.mark.parametrize("edit", LOW2_EDITS)
 @pytest.mark.parametrize("which", (0, -1), ids=("first run", "last run"))
 def test_parser_numbers_lines_as_the_reference(which, edit):
     text = edited_low2(which, edit)
@@ -826,3 +829,172 @@ def test_valid_scenario_edits_run_and_write_as_reference(run_files, text):
     trace = load_scenario(text).execute()[0]
     assert hashlib.sha256(written.read_bytes()).hexdigest() == \
         trace.digest() == sha256(oracle_to_text(trace))
+
+
+# -- byte texts and the files verify-trace maps ------------------------
+
+
+@pytest.fixture(scope="module")
+def trace_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("sources") / "t.trace"
+
+
+def header_and_entries(t):
+    """The header, summary and stored stages of a trace."""
+    return t.construction, t.stages, t.summary, entries(t)
+
+
+def parsed_entries(text):
+    """header_and_entries of what from_text makes of text, or the error
+    text."""
+    try:
+        return header_and_entries(RunTrace.from_text(text))
+    except ConfigError as ex:
+        return f"error {ex}"
+
+
+def verified_entries(path):
+    """What verify-trace's one parse makes of the file at path, as
+    parsed_entries gives it."""
+    read = []
+    real = RunTrace.from_text.__func__
+
+    def recorded(cls, text):
+        read.append(real(cls, text))
+        return read[-1]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RunTrace, "from_text", classmethod(recorded))
+        code = main(["verify-trace", "--trace", str(path)], out)
+    if not read:
+        assert code == 2 and out.getvalue().count("\n") == 1
+        return out.getvalue()[:-1]
+    assert len(read) == 1
+    return header_and_entries(read[0])
+
+
+def assert_one_parser(text, path):
+    # the text as a str, as bytes, and as the file verify-trace maps
+    path.write_bytes(text.encode())
+    want = parsed_entries(text)
+    assert parsed_entries(text.encode()) == want
+    assert verified_entries(path) == want
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=("lf", "crlf"))
+@pytest.mark.parametrize("name", ("bench low2",) + NAMES)
+def test_one_parser_for_every_source(name, ending, trace_file):
+    text = bench_low2().to_text() if name == "bench low2" else \
+        "\n".join(GOLDEN[name]) + "\n"
+    assert_one_parser(text.replace("\n", ending), trace_file)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(text=mutated_goldens())
+def test_one_parser_for_every_source_on_mutated_goldens(text, trace_file):
+    assert_one_parser(text, trace_file)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(text=edited_runs())
+def test_one_parser_for_every_source_on_edited_runs(text, trace_file):
+    assert_one_parser(text, trace_file)
+
+
+@pytest.mark.parametrize("edit", LOW2_EDITS)
+@pytest.mark.parametrize("which", (0, -1), ids=("first run", "last run"))
+def test_one_parser_for_every_source_on_edited_low2(which, edit,
+                                                    trace_file):
+    assert_one_parser(edited_low2(which, edit), trace_file)
+
+
+def verify(path):
+    out = io.StringIO()
+    return main(["verify-trace", "--trace", str(path)], out), out.getvalue()
+
+
+def test_verify_trace_of_an_empty_file_exits_2(tmp_path):
+    # a map of no bytes cannot be made, so the file is read whole
+    path = tmp_path / "empty.trace"
+    path.write_bytes(b"")
+    assert verify(path) == (2, "error missing trace header\n")
+
+
+def test_verify_trace_reads_a_pipe_as_a_file(tmp_path):
+    # a pipe cannot be mapped, so it is read whole
+    text = ("\n".join(GOLDEN["golden-nonlow-alpha"]) + "\n").encode()
+    path = tmp_path / "t.trace"
+    path.write_bytes(text)
+    r, w = os.pipe()
+    try:
+        if not os.path.exists(f"/dev/fd/{r}"):
+            pytest.skip("no /dev/fd")
+        with os.fdopen(w, "wb") as fh:  # the golden fits a pipe's buffer
+            fh.write(text)
+        w = None
+        assert verify(f"/dev/fd/{r}") == verify(path)
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+
+
+def test_verify_trace_never_copies_the_text(tmp_path):
+    # the file is parsed in place from a map, so at its peak verify-trace
+    # holds a small part of the file's size: one copy of the text would
+    # take all of it
+    path = tmp_path / "low2.trace"
+    path.write_text(scenario_trace(os.path.join(
+        BENCH_SHAPES, "campaign-low2.txt"), 0).to_text())
+    tracemalloc.start()
+    try:
+        code, out = verify(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, out
+    assert peak < path.stat().st_size // 4
+
+
+def with_bad_byte(text: str, where: str, ending: str, bad: bytes):
+    """text with ending for its line breaks, as bytes, the last character
+    of the line that where names made bad, and the offset of bad."""
+    lines = text.splitlines()
+    if where == "summary":
+        i = len(lines) - 1
+    else:  # a line in the middle of the first copied run
+        eid, first, stop, payloads = runs(bench_low2())[0]
+        i = 1 + eid + (stop - first) * len(payloads) // 2
+        if where == "after a malformed line":
+            lines[i - 1] = "x" + lines[i - 1]
+    data = ending.join(lines).encode() + ending.encode()
+    at = len(ending.join(lines[:i]).encode() + ending.encode()) + \
+        len(lines[i]) - 1
+    return data[:at] + bad + data[at + 1:], at
+
+
+# a lead byte at a line's end is cut short by the line break, as in the
+# whole text, not by the end of its line
+@pytest.mark.parametrize("bad, reason", [
+    (b"\xff", "invalid start byte"), (b"\xe2", "invalid continuation byte")])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=("lf", "crlf"))
+@pytest.mark.parametrize("where", ["copied run", "summary"])
+def test_bad_utf8_past_the_header_keeps_its_offset(where, ending, bad,
+                                                   reason, tmp_path):
+    path = tmp_path / "t.trace"
+    data, at = with_bad_byte(bench_low2().to_text(), where, ending, bad)
+    path.write_bytes(data)
+    assert verify(path) == \
+        (2, f"error cannot read {path}: not UTF-8 ({reason} at byte "
+            f"{at})\n")
+
+
+def test_faults_are_reported_in_file_order(tmp_path):
+    # the malformed line comes before the bad byte, so it is the fault
+    path = tmp_path / "t.trace"
+    text = bench_low2().to_text()
+    data, _ = with_bad_byte(text, "after a malformed line", "\n", b"\xff")
+    path.write_bytes(data)
+    code, out = verify(path)
+    assert code == 2 and out.startswith("error line ") and \
+        "malformed trace line" in out, out
