@@ -860,14 +860,17 @@ class TestCli:
                 f"exceed 4300 digits")
 
     # Literals within the interpreter's limit on int digits (4300) whose
-    # sum, product or budget passes it: NINES has 4300 digits
+    # sum, product or budget passes it: NINES has 4300 digits. The two
+    # `cnf eval` results keep the case ids they have always had
     @pytest.mark.parametrize("entry, where", [
         (["cnf", "eval", f"w*{NINES}+w"], "sum has a coefficient past 4300 "
                                           "digits"),
-        (["cnf", "eval", f"w*{NINES}", "+", "w"], "result has a coefficient "
-                                                  "past 4300 digits"),
-        (["cnf", "eval", f"w*{NINES}", "*", "2"], "result has a coefficient "
-                                                  "past 4300 digits"),
+        pytest.param(["cnf", "eval", f"w*{NINES}", "+", "w"],
+                     "result has a coefficient past 4300 digits",
+                     id="entry1-Exceeds the limit (4300 digits)"),
+        pytest.param(["cnf", "eval", f"w*{NINES}", "*", "2"],
+                     "result has a coefficient past 4300 digits",
+                     id="entry2-Exceeds the limit (4300 digits)"),
         (["run", f"g w*{NINES}+w "],
          "line 4: g: sum has a coefficient past 4300 digits"),
         # the budget phi-set of a watcher, at k up to 2, multiplies g
