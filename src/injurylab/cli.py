@@ -21,7 +21,7 @@ import re
 import sys
 
 from .constructions import CONSTRUCTIONS, construction
-from .ordinal import format_cnf, parse_cnf, printable
+from .ordinal import format_cnf, parse_cnf, printable, read_nat
 from .scenario import load_scenario
 from .trace import ConfigError, RunTrace
 
@@ -215,7 +215,7 @@ def cmd_cnf_eval(out, expr) -> int:
             if op == "+":
                 acc = acc + parse_cnf(val)
             elif op == "*":
-                acc = acc.times_nat(int(val))
+                acc = acc.times_nat(read_nat(val, "'*' operand"))
             elif op == "cmp":
                 other = parse_cnf(val)
                 rel = "lt" if acc < other else (

@@ -163,10 +163,19 @@ def _parse_expr(toks, i, depth):
         i += 1
 
 
+def read_nat(tok: str, what: str) -> int:
+    """int(tok), refusing a literal of more digits than the interpreter's
+    limit on int digits in parse_cnf's wording, with what naming it."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and len(tok) > limit and sum(map(str.isdecimal, tok)) > limit:
+        raise CnfParseError(f"{what} past {limit} digits")
+    return int(tok)
+
+
 def _parse_term(toks, i, depth):
     tok = toks[i]
     if tok.isdigit():
-        return nat(int(tok)), i + 1
+        return nat(read_nat(tok, "coefficient")), i + 1
     if tok != "w":
         raise CnfParseError(f"expected term, got {tok!r}" if tok
                             else "expected a term")
@@ -176,7 +185,7 @@ def _parse_term(toks, i, depth):
         i += 1
         tok = toks[i]
         if tok.isdigit():
-            exp = nat(int(tok))
+            exp = nat(read_nat(tok, "exponent"))
         elif tok == "w":
             exp = OMEGA
         elif tok == "(":
@@ -195,7 +204,7 @@ def _parse_term(toks, i, depth):
     if toks[i] == "*":
         if not toks[i + 1].isdigit():
             raise CnfParseError("'*' must be followed by a natural")
-        coeff, i = int(toks[i + 1]), i + 2
+        coeff, i = read_nat(toks[i + 1], "coefficient"), i + 2
     return omega_power(exp, coeff), i
 
 

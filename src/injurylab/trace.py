@@ -14,14 +14,17 @@ own.  No table outlives its trace.  The text form is line-oriented and
 canonical, so a cryptographic digest of it is a stable fingerprint of a
 run; the digest hashes the chunks as they are rendered, never the whole
 text, and the parser reads the text by offset, matching each run's
-rendered chunks in place, never through a list of its lines.  The text
-it reads is a ``str`` or bytes-like, a read-only map of a file
-included: it touches the text only through ``find``, ``rfind``, slices
-and ``len``, decodes a byte text a line at a time as it reads it, and
-matches a run's rendered bytes against a byte text undecoded.  A run's
-chunk is rendered as bytes by digit columns: one stage's text repeated,
-with each digit of the ids and stage numbers that varies written in
-column by column, so no number is formatted line by line.  A replay
+rendered chunks in place, never through a list of all its lines.  The
+text it reads is a ``str`` or bytes-like, a read-only map of a file
+included: it touches the text only through ``find``, ``rfind``,
+``startswith`` (not on a map), slices and ``len``.  It splits up to 4 KB
+of ASCII lines at a time, decodes any other byte text a line at a time
+as it reads it, and matches a run's rendered bytes against a byte text
+undecoded.  A run's chunk is rendered as bytes by digit columns: one
+stage's text repeated, with each digit of the ids and stage numbers
+that varies written in column by column, so no number of a long run is
+formatted line by line; the matcher rewrites one block of stages in
+place from chunk to chunk, in the columns that change.  A replay
 re-derives the terminal summary in its one pass over the events, which
 gives the self-consistency check.
 """
@@ -29,7 +32,6 @@ gives the self-consistency check.
 from __future__ import annotations
 
 import hashlib
-from operator import eq
 from typing import NamedTuple
 
 
@@ -191,9 +193,9 @@ class RunTrace:
         the events of one stage, however its number is spelled, go into
         one entry.
 
-        The text is read by offset, one piece up to the next "\\n" at a
-        time, and never split whole: a piece gives the lines
-        ``text.splitlines()`` gives there, so line numbers are the same.
+        The text is read by offset, up to 4 KB of lines at a time, and
+        never split whole: a piece gives the lines ``text.splitlines()``
+        gives there, so line numbers are the same (``_lines``).
         A "\\r\\n" ending is read as "\\n", so a CRLF text records the
         same runs.  Where a line opens the next stage with the payload
         that opened the last one, and the last stage is stored and quiet
@@ -240,8 +242,12 @@ class RunTrace:
         last_stage, last_tok = 0, None
         count = 0  # the events read, copies included
         pos = lineno = 0  # the offset of the next piece, the lines read
+        plain = 0  # the text up to here is read one _piece at a time
         while pos < len(text):
-            lines, after = _piece(text, pos)
+            lines, after, plain = _lines(text, pos, plain)
+            split = after > plain  # each line starts past the one before
+            # the lines read before these, and the index of pos's line
+            first, seen = lineno, 0
             for ln in lines:
                 lineno += 1
                 toks = ln.split(None, 2)
@@ -288,8 +294,13 @@ class RunTrace:
                 if tok != last_tok:
                     if stage == last_stage + 1 and \
                             trace.quiet(last_stage) and payload is current[0]:
-                        # a line that shares its piece never matches: the
-                        # run's text has a "\n" where the piece breaks
+                        # a line that shares a piece of _piece's with the
+                        # line before never matches from the piece's start:
+                        # the run's text has a "\n" where the piece breaks
+                        if split:  # pos on to this line's start
+                            k = lineno - first - 1
+                            pos += sum(map(len, lines[seen:k])) + k - seen
+                            seen = k
                         copies, at = _repeated_stages(
                             text, pos, eid, current, texts, stage,
                             bound - stage)
@@ -327,13 +338,20 @@ class RunTrace:
         return h.hexdigest()
 
 
-# the most lines _repeated_stages renders and compares, and the writer
-# renders of a run, in one step
+# the most lines the writer renders of a run in one step
 _RUN_LINES = 2048
+# the most lines of a block of stages that _run_chunks rewrites in place
+_BLOCK_LINES = 4096
+# the most bytes of whole lines _lines splits in one step
+_PIECE_BYTES = 4096
+# the most lines _run_bytes formats line by line in one segment
+_FEW_LINES = 32
+# the ASCII line breaks of str.splitlines but "\n"
+_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 # digit k of the ints 0, 1, 2, ...: one cycle of 10 ** (k + 1) of them,
-# for each digit that cycles within a chunk of _RUN_LINES ids; a higher
+# for each digit that cycles within a chunk of _BLOCK_LINES ids; a higher
 # digit is a few runs of one digit there
 _CYCLES = [b"".join(bytes([d]) * 10 ** k for d in b"0123456789")
            for k in range(4)]
@@ -357,50 +375,115 @@ def _digits(first: int, count: int, k: int):
     return out
 
 
+def _write_columns(seg, tails, widths, eid: int, stage: int, count: int,
+                   held: tuple, low: int) -> None:
+    """Write into seg, the text of count stages whose event ids and stage
+    numbers all have the given digit counts (widths), the digit columns
+    from column low up of the ids from eid and the stage numbers from
+    stage on, with one extended-slice assignment per line of a stage.
+    Each line of seg holds the right digits below column low, and an id
+    from held[0] and a stage number from held[1] up to the last written
+    in it, so a column in which those ranges agree is left as it is."""
+    size, (id_w, stage_w) = len(tails), widths
+    width = len(seg) // count
+    starts, at = [], 0  # where each line of a stage starts
+    for tail in tails:
+        starts.append(at)
+        at += id_w + stage_w + 3 + len(tail)
+    # the ids of line i are every size-th one of the chunk's ids
+    k, last = low, eid + count * size - 1
+    while held[0] // 10 ** k != last // 10 ** k:
+        column = _digits(eid, count * size, k)
+        for i, at in enumerate(starts):
+            seg[at + id_w - 1 - k::width] = column[i::size]
+        k += 1
+    k, last = low, stage + count - 1
+    while held[1] // 10 ** k != last // 10 ** k:
+        column = _digits(stage, count, k)
+        for at in starts:
+            seg[at + id_w + stage_w - k::width] = column
+        k += 1
+
+
 def _run_bytes(tails, eid: int, stage: int, count: int) -> bytearray:
-    """The text of count stages from the given stage on, each line with
-    its "\\n", with events numbered on from eid: one stage's payload texts
-    are tails, as UTF-8 bytes.  No number is formatted line by line.  The
-    stages are cut into segments in which every event id and every stage
-    number keeps its digit count; a segment is its first stage's text
-    repeated, and each digit column that varies in it is written in with
-    one extended-slice assignment per line.  A stage whose ids cross a
-    power of ten is a segment of its own, rendered line by line."""
+    """The text of count stages, at least one, from the given stage on,
+    each line with its "\\n", with events numbered on from eid: one
+    stage's payload texts are tails, as UTF-8 bytes.  The stages are cut
+    into segments in which every event id and every stage number keeps
+    its digit count, and a stage whose ids cross a power of ten is a
+    segment of its own.  A segment of up to _FEW_LINES lines is
+    formatted line by line.  A longer one is its first stage's text
+    repeated, with each digit column that varies in it written in
+    (``_write_columns``), so none of its numbers is formatted.  The first
+    segment is the text returned, and the others are appended to it."""
     size = len(tails)
-    out = bytearray()
+    out = None
     done = 0
     while done < count:
         t, e = stage + done, eid + done * size
-        first = b"".join([b"%d %d %s\n" % (i, t, tail)
-                          for i, tail in enumerate(tails, e)])
         id_w, stage_w = len(str(e)), len(str(t))
         n = 1 if len(str(e + size - 1)) > id_w else min(
             count - done, 10 ** stage_w - t, (10 ** id_w - e) // size)
+        # a segment of a few lines costs less formatted line by line
+        few = n if n * size <= _FEW_LINES else 1
+        seg = bytearray(b"".join([
+            b"%d %d %s\n" % (i, s, tail) for s in range(t, t + few)
+            for i, tail in enumerate(tails, e + (s - t) * size)]))
+        if few < n:
+            seg *= n
+            _write_columns(seg, tails, (id_w, stage_w), e, t, n, (e, t), 0)
         done += n
-        if n == 1:
-            out += first
-            continue
-        width = len(first)
-        seg = bytearray(first * n)
-        starts, at = [], 0  # where each line of a stage starts
-        for tail in tails:
-            starts.append(at)
-            at += id_w + stage_w + 3 + len(tail)
-        # the ids of line i are every size-th one of the segment's ids
-        k, last = 0, e + n * size - 1
-        while e // 10 ** k != last // 10 ** k:
-            column = _digits(e, n * size, k)
-            for i, at in enumerate(starts):
-                seg[at + id_w - 1 - k::width] = column[i::size]
-            k += 1
-        k, last = 0, t + n - 1
-        while t // 10 ** k != last // 10 ** k:
-            column = _digits(t, n, k)
-            for at in starts:
-                seg[at + id_w + stage_w - k::width] = column
-            k += 1
-        out += seg
+        if out is None:
+            out = seg
+        else:
+            out += seg
     return out
+
+
+def _run_chunks(tails, eid: int, stage: int, count: int):
+    """The text of count stages as _run_bytes renders it, in chunks of
+    whole stages for the run matcher to compare one at a time, each as
+    (its stages, its text).  A chunk holds at most one stage more than
+    the chunks before it together, so a matcher that stops at a chunk
+    has compared at most about twice the lines it matched, and at most
+    a block: the most stages that fit in _BLOCK_LINES lines and are a
+    multiple of 10 ** m, or one stage.  m is the largest up to 2 for
+    which 10 ** m stages fit in _BLOCK_LINES lines.  Chunks are rendered
+    fresh up to a stage that is a multiple of 10 ** m.  From there each
+    chunk but the last is a multiple of 10 ** m stages, so the digit
+    columns below m of every line's id and stage number are the same
+    from one chunk to the next.  A chunk no longer than the one before,
+    with the same digit counts throughout, is the one before, cut short
+    or not, with only its higher columns that change rewritten in
+    place.  So a chunk may change once the next one is asked for."""
+    size = len(tails)
+    m = 2
+    while m and 10 ** m * size > _BLOCK_LINES:
+        m -= 1
+    unit = 10 ** m
+    block = max(unit, _BLOCK_LINES // size // unit * unit)
+    buf = None  # the last chunk, while the next may rewrite it
+    done = 0
+    while done < count:
+        t, e = stage + done, eid + done * size
+        n = min(done + 1, block)
+        if n >= unit:  # end at a multiple of unit
+            n = (t + n) // unit * unit - t
+        n = min(n, count - done)
+        widths = len(str(e)), len(str(t))
+        ends = len(str(e + n * size - 1)), len(str(t + n - 1))
+        if buf is not None and n <= held_n and widths == held_widths == ends:
+            del buf[n * (len(buf) // held_n):]
+            _write_columns(buf, tails, widths, e, t, n, held, m)
+        else:
+            buf = _run_bytes(tails, e, t, n)
+        held, held_n, held_widths = (e, t), n, widths
+        yield n, buf
+        # only a chunk of a multiple of unit stages from a multiple of unit
+        # on, at one digit count, is rewritten by the next
+        if t % unit or n % unit or widths != ends:
+            buf = None
+        done += n
 
 
 def _piece(text, pos: int):
@@ -428,6 +511,42 @@ def _piece(text, pos: int):
     return (line + "\r").splitlines(), end + 1
 
 
+def _lines(text, pos: int, plain: int):
+    """The lines of text from offset pos, a line's start, as
+    ``text.splitlines()`` gives them there, the offset past them, and the
+    offset up to which text is read one piece of ``_piece`` at a time,
+    plain or past it: the lines were split on "\\n" alone, each starting
+    one past the "\\n" before it, exactly where their end is past it.
+    From plain on, the whole lines in up to _PIECE_BYTES from pos are
+    split at once where they are ASCII and hold no line break but
+    "\\n".  Else one piece is read by ``_piece``, which keeps every
+    decoding error where it is, and so is each up to the last "\\n" of
+    those bytes."""
+    if pos >= plain:
+        nl = "\n" if isinstance(text, str) else b"\n"
+        end = text.rfind(nl, pos, pos + _PIECE_BYTES)
+        if end >= pos:
+            piece = text[pos:end]
+            if piece.isascii():
+                if not isinstance(piece, str):
+                    piece = piece.decode("ascii")
+                if not any(c in piece for c in _BREAKS):
+                    return piece.split("\n"), end + 1, plain
+            plain = end + 1
+    lines, after = _piece(text, pos)
+    return lines, after, max(plain, after)
+
+
+def _holds(text, pos: int, want) -> bool:
+    """Whether text holds want at offset pos: a str text a str, a byte
+    text bytes, compared in place.  A map has no ``startswith``, and its
+    ``find`` in a window of want's length tries that one offset, where
+    the ``find`` of ``bytes`` first spends time linear in want on it."""
+    if hasattr(text, "startswith"):
+        return text.startswith(want, pos)
+    return text.find(want, pos, pos + len(want)) == pos
+
+
 def _repeated_stages(text, pos: int, eid: int, template, texts,
                      stage: int, most: int):
     """How many of the stages that text opens with at offset pos, at most
@@ -437,13 +556,12 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
     stage + 1, ..., with the event ids going on from eid, and nothing
     else.  A stage that differs from the one before mostly differs in its
     last line, so that line is matched first, before anything is
-    rendered.  Then chunks of 1, 2, 4, ... stages (at most _RUN_LINES
-    lines) are rendered and matched against the text in place, each with
-    the "\\n" after it: a byte text against the rendered bytes, a str
-    against their decoding.  Only a chunk that differs is split, and the
-    run ends at the stage of its first line that differs.  The run's last
-    stage leaves it where the next line that is not blank goes on at
-    that stage."""
+    rendered.  Then the chunks of ``_run_chunks`` are matched against
+    the text in place, each with the "\\n" after it: a byte text against
+    the rendered bytes, a str against their decoding.  Where a chunk
+    differs, the run ends at the stage of the first line that differs,
+    found by halving the chunk's length.  The run's last stage leaves it
+    where the next line that is not blank goes on at that stage."""
     is_str = isinstance(text, str)
     nl = "\n" if is_str else b"\n"
     size = len(template)
@@ -453,28 +571,32 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
     head = f"{eid + size - 1} {stage} {texts[id(template[-1])]}"
     if not is_str:
         head = head.encode()
-    if text[last:last + len(head)] != head:
+    if not _holds(text, last, head):
         return 0, pos
     tails = [texts[id(p)].encode() for p in template]
-    done, count = 0, 1
-    while done < most:
-        count = min(count, most - done)
-        want = _run_bytes(tails, eid + done * size, stage + done, count)
+    done = 0
+    for n, want in _run_chunks(tails, eid, stage, most):
         if is_str:
             want = want.decode()
-        got = text[pos:pos + len(want)]
-        if got != want:
-            # the whole stages before the first line that differs, or
-            # before the text's end
-            got = got.split(nl)
-            same = [*map(eq, got, want.split(nl)), False].index(False)
-            whole = same // size
-            done += whole
-            pos += sum(map(len, got[:whole * size])) + whole * size
+        if not _holds(text, pos, want):
+            # the longest prefix of the chunk that the text holds
+            lo, hi = 0, len(want)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _holds(text, pos, want[:mid]):
+                    lo = mid
+                else:
+                    hi = mid
+            # back to the start of its last whole stage
+            lines = want.count(nl, 0, lo)
+            at = lo
+            for _ in range(lines % size + 1):
+                at = want.rfind(nl, 0, at)
+            done += lines // size
+            pos += at + 1
             break
         pos += len(want)
-        done += count
-        count = min(2 * count, max(1, _RUN_LINES // size))
+        done += n
     if done:
         at, toks = pos, []  # the next line that is not blank
         while not toks and at < len(text):

@@ -171,13 +171,15 @@ def test_criterion_4_diagonalization(low2_campaign):
 
 
 def test_parser_keeps_pace_with_the_digest():
-    # the parse and the digest both render every run through
-    # trace._run_bytes, the parse to match it against the text and the
-    # digest to hash it, so they are timed against each other (CPU time,
-    # interleaved, best of 9).  The digest's extra is its sha256, whose
-    # share varies by host: on a shared 2-core x86 VM the parse reads 0.94
-    # to 1.04 of the digest, and a parse that splits the whole text into
-    # lines 1.59 to 1.67, so the bound sits between them.
+    # the parse and the digest both render every run by digit columns,
+    # the parse in the chunks of trace._run_chunks, most of them one block
+    # rewritten in place, to match against the text, and the digest
+    # through trace._run_bytes to hash it, so they are timed against each
+    # other (CPU time, interleaved, best of 9).  The digest's extra is its
+    # sha256, whose share varies by host: on a shared 2-core x86 VM the
+    # parse reads 0.68 to 0.70 of the digest, one that renders every
+    # chunk fresh 0.94 to 1.04, and a parse that splits the whole text
+    # into lines 1.59 to 1.67, so the bound sits between the last two.
     trace = _low2_seed(0)[0]
     text = trace.to_text()
     parse = write = float("inf")

@@ -860,8 +860,9 @@ class TestCli:
                 f"exceed 4300 digits")
 
     # Literals within the interpreter's limit on int digits (4300) whose
-    # sum, product or budget passes it: NINES has 4300 digits. The two
-    # `cnf eval` results keep the case ids they have always had
+    # sum, product or budget passes it, NINES having 4300 digits, and
+    # literals past it. The two `cnf eval` results keep the case ids they
+    # have always had
     @pytest.mark.parametrize("entry, where", [
         (["cnf", "eval", f"w*{NINES}+w"], "sum has a coefficient past 4300 "
                                           "digits"),
@@ -878,6 +879,15 @@ class TestCli:
         (["verify-trace", f"w^2*{NINES}+w^2"],
          "event 0: bad phi-set payload: sum has a coefficient past 4300 "
          "digits"),
+        # a literal past the limit itself: NINES + "9" has 4301 digits
+        (["cnf", "eval", f"w*{NINES}9"], "coefficient past 4300 digits"),
+        (["cnf", "eval", f"w^{NINES}9"], "exponent past 4300 digits"),
+        (["cnf", "eval", "w", "*", f"{NINES}9"],
+         "'*' operand past 4300 digits"),
+        (["run", f"g w*{NINES}9 "], "line 4: g: coefficient past 4300 "
+                                    "digits"),
+        (["verify-trace", f"w^2*{NINES}9"],
+         "event 0: bad phi-set payload: coefficient past 4300 digits"),
     ])
     def test_ordinal_past_int_digit_limit_exits_2(self, tmp_path, entry,
                                                   where):
@@ -972,11 +982,12 @@ KEYS = sorted({key for lines in GOLDEN.values() for ln in lines
 @st.composite
 def mutated_goldens(draw):
     """A golden trace after one to three line edits: a line dropped,
-    duplicated or swapped with the next; one payload value set to -5, x
-    or the empty string, or its key repeated with such a value; one
-    k=v pair dropped, or its key renamed; a space doubled or turned
-    into a tab; a blank put before or after a line; or a token without
-    = put at its end."""
+    duplicated or swapped with the next; one payload value set to -5, x,
+    the empty string, a non-ASCII letter or a line break other than
+    "\\n" (a lone "\\r", "\\x0b", "\\x85", "\\u2028"), or its key
+    repeated with such a value; one k=v pair dropped, or its key
+    renamed; a space doubled or turned into a tab; a blank put before or
+    after a line; or a token without = put at its end."""
     lines = list(GOLDEN[draw(st.sampled_from(sorted(GOLDEN)))])
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "duplicate", "swap", "set",
@@ -994,7 +1005,9 @@ def mutated_goldens(draw):
                                   draw(st.sampled_from(KEYS)), lines[i],
                                   count=1)
             else:
-                value = draw(st.sampled_from(("-5", "x", "")))
+                value = draw(st.sampled_from(("-5", "x", "", "\u00fc",
+                                              "\r", "\x0b", "\x85",
+                                              "\u2028")))
                 if op == "set":
                     lines[i] = set_payload(lines[i], **{key: value})
                 else:
@@ -1037,7 +1050,7 @@ def trace_file(tmp_path_factory):
 @example(text=edited("golden-nonlow-alpha", 41, kps="1028;7"))
 def test_verify_trace_survives_mutated_goldens(trace_file, text):
     # a verdict, a failed check or a located error; never a traceback
-    trace_file.write_text(text)
+    trace_file.write_text(text, encoding="utf-8")
     code = main(["verify-trace", "--trace", str(trace_file)], io.StringIO())
     assert code in (0, 1, 2)
 

@@ -4,8 +4,9 @@ of copied stages as the entry's copies, which only a quiet stage may
 have, the text round trip, the parser against the per-line parser
 it replaced, on the goldens and on traces with long runs of repeated
 stages, the writer against the per-line renderer it replaced, the
-run renderer against one f-string per line, and the one parser on a
-str, on its bytes and on the file verify-trace maps."""
+run renderer and the run matcher's chunks against one f-string per
+line, and the one parser on a str, on its bytes and on the file
+verify-trace maps."""
 
 import functools
 import gc
@@ -311,10 +312,11 @@ def edited_runs(draw):
     or on the line after one that does; a header whose
     stage count ends in the run; a blank line put in; a space doubled or
     turned into a tab, or a blank put at a line's end; a payload value
-    given a %, %d or {} on every line that holds it; a payload made a
-    select, which acts, on every line that holds it; or the text cut
-    after a line, summary included.  The text may then get \\r\\n line
-    endings."""
+    given a %, %d or {}, a non-ASCII letter or a line break other than
+    "\\n" on every line that holds it, in the run and out of it; a
+    payload made a select, which acts, on every line that holds it; or
+    the text cut after a line, summary included.  The text may then get
+    \\r\\n line endings."""
     trace = run_trace(draw(st.sampled_from(RUN_SCENARIOS)))
     lines = trace.to_text().splitlines()
     first, stop = longest_run(trace)
@@ -362,7 +364,9 @@ def edited_runs(draw):
                 lines[i] = lines[i][:j] + blank + lines[i][j + 1:]
         elif op == "value":
             pair = draw(st.sampled_from(lines[i].split()[3:] or ["-"]))
-            mark = draw(st.sampled_from(("%", "%d", "{}", "%%s", "%(x)s")))
+            mark = draw(st.sampled_from(("%", "%d", "{}", "%%s", "%(x)s",
+                                         "\u00fc", "\r", "\x0b", "\x85",
+                                         "\u2028")))
             lines = [re.sub(rf"(?<= ){re.escape(pair)}(?= |$)",
                             pair + mark, ln) for ln in lines]
         elif op == "acts":
@@ -446,21 +450,35 @@ def stages_apart(n):
     return "\n".join(lines) + "\n"
 
 
+def short_runs(n):
+    """A trace of n runs of two copies of a two-event stage, each run
+    followed by a stage that opens like it and differs in its last line,
+    so that every run ends soon after it starts."""
+    lines = [f"trace nonlow-low2 stages={4 * n}"]
+    for s in range(4 * n):
+        last = "visit node=fi" if s % 4 == 3 else "visit node=f"
+        lines += [f"{2 * s} {s} visit node=- l=0", f"{2 * s + 1} {s} {last}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", ["bench low2", "one stage of 20,000",
-                                  "20,000 stages apart"])
+                                  "20,000 stages apart",
+                                  "5,000 runs of 2 stages"])
 def test_parser_renders_at_most_twice_the_lines(name, low2_trace,
                                                 monkeypatch):
     text = {"bench low2": low2_trace.to_text,
             "one stage of 20,000": lambda: one_stage_of(20_000),
-            "20,000 stages apart": lambda: stages_apart(20_000)}[name]()
+            "20,000 stages apart": lambda: stages_apart(20_000),
+            "5,000 runs of 2 stages": lambda: short_runs(5_000)}[name]()
+    # the lines of the chunks the run matcher compares with the text
     rendered = []
-    real = trace_module._run_bytes
+    real = trace_module._run_chunks
 
     def counted(*args):
-        out = real(*args)
-        rendered.append(out.count(b"\n"))
-        return out
-    monkeypatch.setattr(trace_module, "_run_bytes", counted)
+        for n, chunk in real(*args):
+            rendered.append(chunk.count(b"\n"))
+            yield n, chunk
+    monkeypatch.setattr(trace_module, "_run_chunks", counted)
     back = RunTrace.from_text(text)
     lines = len(text.splitlines())
     assert sum(rendered) <= 2 * lines
@@ -746,15 +764,21 @@ def below_a_power(most):
            st.text(st.characters(blacklist_categories=("Cs",)),
                    max_size=6)),
            min_size=1, max_size=12),
-       eid=below_a_power(40), stage=below_a_power(40),
+       eid=st.one_of(below_a_power(40), below_a_power(9000)),
+       stage=st.one_of(below_a_power(40), below_a_power(9000)),
        count=st.one_of(st.integers(1, 12),
-                       st.integers(1, 3 * trace_module._RUN_LINES)))
+                       st.integers(1, 3 * trace_module._RUN_LINES),
+                       st.integers(1, 3 * trace_module._BLOCK_LINES)))
 def test_run_bytes_renders_as_the_reference(tails, eid, stage, count):
     # ids that cross a power of ten inside a stage, stages that cross one,
-    # and counts past _RUN_LINES
-    got = trace_module._run_bytes([t.encode() for t in tails], eid, stage,
-                                  count)
-    assert got == reference_run(tails, eid, stage, count)
+    # and counts past _RUN_LINES; the run matcher's chunks, each copied as
+    # it comes since a chunk may be rewritten in place for the next, over
+    # blocks whose ids and stages cross a power of ten
+    encoded = [t.encode() for t in tails]
+    want = reference_run(tails, eid, stage, count)
+    assert trace_module._run_bytes(encoded, eid, stage, count) == want
+    chunks = trace_module._run_chunks(encoded, eid, stage, count)
+    assert b"".join(bytes(chunk) for _, chunk in chunks) == want
 
 
 def set_field(line: str, key: str, value: str, at: int) -> str:
