@@ -32,6 +32,7 @@ gives the self-consistency check.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from typing import NamedTuple
 
 
@@ -344,8 +345,6 @@ _RUN_LINES = 2048
 _BLOCK_LINES = 4096
 # the most bytes of whole lines _lines splits in one step
 _PIECE_BYTES = 4096
-# the most lines _run_bytes formats line by line in one segment
-_FEW_LINES = 32
 # the ASCII line breaks of str.splitlines but "\n"
 _BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
@@ -410,26 +409,22 @@ def _run_bytes(tails, eid: int, stage: int, count: int) -> bytearray:
     each line with its "\\n", with events numbered on from eid: one
     stage's payload texts are tails, as UTF-8 bytes.  The stages are cut
     into segments in which every event id and every stage number keeps
-    its digit count, and a stage whose ids cross a power of ten is a
-    segment of its own.  A segment of up to _FEW_LINES lines is
-    formatted line by line.  A longer one is its first stage's text
-    repeated, with each digit column that varies in it written in
-    (``_write_columns``), so none of its numbers is formatted.  The first
-    segment is the text returned, and the others are appended to it."""
+    its digit count; a segment is its first stage's text repeated, with
+    each digit column that varies in it written in (``_write_columns``).
+    A stage whose ids cross a power of ten is a segment of its own.  The
+    first segment is the text returned, and the others are appended to
+    it."""
     size = len(tails)
     out = None
     done = 0
     while done < count:
         t, e = stage + done, eid + done * size
+        seg = bytearray(b"".join([b"%d %d %s\n" % (i, t, tail)
+                                  for i, tail in enumerate(tails, e)]))
         id_w, stage_w = len(str(e)), len(str(t))
         n = 1 if len(str(e + size - 1)) > id_w else min(
             count - done, 10 ** stage_w - t, (10 ** id_w - e) // size)
-        # a segment of a few lines costs less formatted line by line
-        few = n if n * size <= _FEW_LINES else 1
-        seg = bytearray(b"".join([
-            b"%d %d %s\n" % (i, s, tail) for s in range(t, t + few)
-            for i, tail in enumerate(tails, e + (s - t) * size)]))
-        if few < n:
+        if n > 1:
             seg *= n
             _write_columns(seg, tails, (id_w, stage_w), e, t, n, (e, t), 0)
         done += n
@@ -447,41 +442,33 @@ def _run_chunks(tails, eid: int, stage: int, count: int):
     the chunks before it together, so a matcher that stops at a chunk
     has compared at most about twice the lines it matched, and at most
     a block: the most stages that fit in _BLOCK_LINES lines and are a
-    multiple of 10 ** m, or one stage.  m is the largest up to 2 for
-    which 10 ** m stages fit in _BLOCK_LINES lines.  Chunks are rendered
-    fresh up to a stage that is a multiple of 10 ** m.  From there each
-    chunk but the last is a multiple of 10 ** m stages, so the digit
-    columns below m of every line's id and stage number are the same
-    from one chunk to the next.  A chunk no longer than the one before,
-    with the same digit counts throughout, is the one before, cut short
-    or not, with only its higher columns that change rewritten in
+    multiple of 10 ** low, or one stage, where low is the largest up to
+    2 for which 10 ** low stages fit.  Consecutive blocks differ by a
+    multiple of 10 ** low in every line's id and stage number, so their
+    digit columns below low are the same.  A chunk after a block, with
+    the same digit counts as that block, is that block cut short or
+    not, with only its columns from low up that change rewritten in
     place.  So a chunk may change once the next one is asked for."""
     size = len(tails)
-    m = 2
-    while m and 10 ** m * size > _BLOCK_LINES:
-        m -= 1
-    unit = 10 ** m
-    block = max(unit, _BLOCK_LINES // size // unit * unit)
-    buf = None  # the last chunk, while the next may rewrite it
+    block = _BLOCK_LINES // size
+    low = min(2, len(str(block)) - 1)
+    block = max(1, block - block % 10 ** low)
+    buf = None  # the last chunk while it is a block
     done = 0
     while done < count:
         t, e = stage + done, eid + done * size
-        n = min(done + 1, block)
-        if n >= unit:  # end at a multiple of unit
-            n = (t + n) // unit * unit - t
-        n = min(n, count - done)
-        widths = len(str(e)), len(str(t))
-        ends = len(str(e + n * size - 1)), len(str(t + n - 1))
-        if buf is not None and n <= held_n and widths == held_widths == ends:
-            del buf[n * (len(buf) // held_n):]
-            _write_columns(buf, tails, widths, e, t, n, held, m)
+        n = min(done + 1, block, count - done)
+        # the digit counts of the chunk's last line: where the block's first
+        # line has them, the two chunks have them throughout
+        widths = len(str(e + n * size - 1)), len(str(t + n - 1))
+        if buf is not None and widths == held[2]:
+            del buf[n * len(buf) // block:]
+            _write_columns(buf, tails, widths, e, t, n, held, low)
         else:
             buf = _run_bytes(tails, e, t, n)
-        held, held_n, held_widths = (e, t), n, widths
+        held = e, t, (len(str(e)), len(str(t)))
         yield n, buf
-        # only a chunk of a multiple of unit stages from a multiple of unit
-        # on, at one digit count, is rewritten by the next
-        if t % unit or n % unit or widths != ends:
+        if n < block:
             buf = None
         done += n
 
@@ -560,8 +547,9 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
     the text in place, each with the "\\n" after it: a byte text against
     the rendered bytes, a str against their decoding.  Where a chunk
     differs, the run ends at the stage of the first line that differs,
-    found by halving the chunk's length.  The run's last stage leaves it
-    where the next line that is not blank goes on at that stage."""
+    found by a binary search over the chunk's prefixes.  The run's last
+    stage leaves it where the next line that is not blank goes on at
+    that stage."""
     is_str = isinstance(text, str)
     nl = "\n" if is_str else b"\n"
     size = len(template)
@@ -580,13 +568,8 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
             want = want.decode()
         if not _holds(text, pos, want):
             # the longest prefix of the chunk that the text holds
-            lo, hi = 0, len(want)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _holds(text, pos, want[:mid]):
-                    lo = mid
-                else:
-                    hi = mid
+            lo = bisect_left(range(1, len(want)), True,
+                             key=lambda k: not _holds(text, pos, want[:k]))
             # back to the start of its last whole stage
             lines = want.count(nl, 0, lo)
             at = lo

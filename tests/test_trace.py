@@ -109,6 +109,54 @@ def entries(t):
             for s, payloads, copies in t.stored]
 
 
+def stored_shape(t):
+    """Each stored stage of a trace as (stage, events, copies)."""
+    return [(s, len(payloads), copies) for s, payloads, copies in t.stored]
+
+
+def reference_stored_shape(text):
+    """stored_shape of the parse of a valid text, line by line.  A stage
+    is a copy where its lines are exactly ``eid stage text`` of the
+    texts of the stored stage's lines, each a line of its own ended by
+    "\\n" alone, at the next stage, and either that stored stage is
+    quiet and read just before it or the copy before it ends on the line
+    before it."""
+    stages = []  # [stage, [(tail, exact, raw line index, quiet)]]
+    raw = text.replace("\r\n", "\n").split("\n")
+    for r, line in enumerate(raw[:-1] if raw[-1] == "" else raw):
+        for ln in line.splitlines():
+            toks = ln.split(None, 2)
+            if len(toks) < 3 or toks[0] in ("trace", "summary"):
+                continue
+            eid, stage, tail = int(toks[0]), int(toks[1]), toks[2]
+            kind, *pairs = tail.split()
+            event = (tail, line == ln == f"{eid} {stage} {tail}"
+                     and r < len(raw) - 1, r,
+                     Payload(kind, [t.split("=", 1) for t in pairs]).quiet)
+            if stages and stages[-1][0] == stage:
+                stages[-1][1].append(event)
+            else:
+                stages.append([stage, [event]])
+    shape, last = [], None  # the stored stages, and the stage before
+    for stage, events in stages:
+        if shape:
+            s, n, copies = shape[-1]
+            tails = [e[0] for e in stored]
+            lines = [e[2] for e in events]
+            if stage == s + copies + 1 and \
+                    [e[0] for e in events] == tails and \
+                    all(e[1] for e in events) and \
+                    lines == list(range(lines[0], lines[0] + n)) and \
+                    all(e[3] for e in stored) and \
+                    (copies == 0 or last[-1][2] == lines[0] - 1):
+                shape[-1] = (s, n, copies + 1)
+                last = events
+                continue
+        shape.append((stage, len(events), 0))
+        stored = last = events
+    return shape
+
+
 def parsed(parse, text):
     """The contents of what parse makes of text, or the error text."""
     try:
@@ -405,6 +453,7 @@ def test_parser_matches_the_reference_on_long_runs(text):
         assert_shared_by_text(back, text)
         assert_whole_stages(back)
         assert_quiet_runs(back)
+        assert stored_shape(back) == reference_stored_shape(text)
 
 
 @pytest.fixture(scope="module")
@@ -569,7 +618,9 @@ def test_parser_numbers_lines_as_the_reference(which, edit):
     expected = parsed(oracle_from_text, text)
     assert parsed(RunTrace.from_text, text) == expected
     if not isinstance(expected, str):
-        assert_whole_stages(RunTrace.from_text(text))
+        back = RunTrace.from_text(text)
+        assert_whole_stages(back)
+        assert stored_shape(back) == reference_stored_shape(text)
 
 
 # -- the run-aware writer ----------------------------------------------
