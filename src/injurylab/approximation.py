@@ -32,8 +32,7 @@ class Violation(NamedTuple):
 class ApproxTrace:
     """Per-argument samples of an approximated function with markers."""
 
-    def __init__(self, stages: int = 0):
-        self.stages = stages
+    def __init__(self):
         self.records: dict = {}  # x -> list of (stage, value, marker)
 
     def record(self, x: int, stage: int, value: int, marker: Cnf):
@@ -41,8 +40,6 @@ class ApproxTrace:
         if rows and stage <= rows[-1][0]:
             raise ValueError(f"stages must increase at arg {x}")
         rows.append((stage, value, marker))
-        if stage + 1 > self.stages:
-            self.stages = stage + 1
 
 
 def verify_r_approximation(trace: ApproxTrace, bound) -> Violation | None:

@@ -56,7 +56,7 @@ class Scenario:
         self.stages = 0
         self.seed = 0
         self.advs = {}  # id -> AdvDecl
-        self.funs = {}  # e -> UseFunctional, which no run changes
+        self.funs = {}  # e -> UseFunctional, in e order; no run changes one
         self.verify = {}  # check name -> bool
         self.verify_lines = {}  # check name -> line of its last verify line
 
@@ -292,4 +292,9 @@ def load_scenario(text: str) -> Scenario:
             + [("fun", sc.funs)]:
         if levels and sorted(levels) != list(range(len(levels))):
             raise ScenarioError(0, f"{label} levels not contiguous from 0")
+    # the engines step the functionals and their arguments in dict order,
+    # so the order of the fun lines must not reach the trace
+    sc.funs = dict(sorted(sc.funs.items()))
+    for fn in sc.funs.values():
+        fn.args = dict(sorted(fn.args.items()))
     return sc

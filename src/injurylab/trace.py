@@ -15,18 +15,19 @@ canonical, so a cryptographic digest of it is a stable fingerprint of a
 run; the digest hashes the chunks as they are rendered, never the whole
 text, and the parser reads the text by offset, matching each run's
 rendered chunks in place, never through a list of all its lines.  The
-text it reads is a ``str`` or bytes-like, a read-only map of a file
-included: it touches the text only through ``find``, ``rfind``,
-``startswith`` (not on a map), slices and ``len``.  It splits up to 4 KB
-of ASCII lines at a time, decodes any other byte text a line at a time
-as it reads it, and matches a run's rendered bytes against a byte text
-undecoded.  A run's chunk is rendered as bytes by digit columns: one
-stage's text repeated, with each digit of the ids and stage numbers
-that varies written in column by column, so no number of a long run is
-formatted line by line; the matcher rewrites one block of stages in
-place from chunk to chunk, in the columns that change.  A replay
-re-derives the terminal summary in its one pass over the events, which
-gives the self-consistency check.
+text it reads is bytes-like, a read-only map of a file included: it
+touches the text only through ``find``, ``rfind``, ``startswith`` (not
+on a map), slices and ``len``.  It splits up to 4 KB of ASCII lines at
+a time, decodes any other text a line at a time as it reads it, and
+matches a run's rendered bytes against the text undecoded.  The writer
+and the matcher take a run's text from one generator of chunks
+(``_run_chunks``), each rendered as bytes by digit columns: one stage's
+text repeated, with each digit of the ids and stage numbers that varies
+written in column by column, so no number of a long run is formatted
+line by line, and one block of stages rewritten in place from chunk to
+chunk, in the columns that change.  A replay re-derives the terminal
+summary in its one pass over the events, which gives the
+self-consistency check.
 """
 
 from __future__ import annotations
@@ -151,14 +152,15 @@ class RunTrace:
     # -- text form -----------------------------------------------------
 
     def to_text(self) -> str:
-        return b"".join(self._chunks()).decode()
+        return b"".join(map(bytes, self._chunks())).decode()
 
     def _chunks(self):
         """The text form as UTF-8, in pieces of whole lines, read through
         ``blocks``: a stage without copies line by line, yielded once
-        _RUN_LINES lines gather, and a stage with its copies with
-        _run_bytes, at most _RUN_LINES lines a piece, so no copy is ever
-        built."""
+        _BLOCK_LINES lines gather, and a stage with its copies in the
+        chunks of _run_chunks, whole blocks from the first, so no copy is
+        ever built.  A chunk may be rewritten in place for the next, so
+        each is read before the next is asked for."""
         yield f"trace {self.construction} stages={self.stages}\n".encode()
         lines = []  # the lines of the stored stages not yet yielded
         for s, eid, block, copies in blocks(self):
@@ -166,18 +168,16 @@ class RunTrace:
                 tok = f" {s} "
                 lines += [f"{i}{tok}{p.tail}\n"
                           for i, p in enumerate(block, eid)]
-                if len(lines) >= _RUN_LINES:
+                if len(lines) >= _BLOCK_LINES:
                     yield "".join(lines).encode()
                     lines = []
                 continue
             yield "".join(lines).encode()
             lines = []
-            size, stop = len(block), s + copies + 1
             tails = [p.tail.encode() for p in block]
-            per = max(1, _RUN_LINES // size)
-            for t in range(s, stop, per):
-                yield _run_bytes(tails, eid + (t - s) * size, t,
-                                 min(per, stop - t))
+            for _, chunk in _run_chunks(tails, eid, s, copies + 1,
+                                        grow=False):
+                yield chunk
         yield "".join(lines + [f"summary {k} {self.summary[k]}\n"
                                for k in sorted(self.summary)]).encode()
 
@@ -213,19 +213,17 @@ class RunTrace:
         errors keep their text and line number.  The stage after a run is
         not tried again: the stage before it is copied, not stored.
 
-        The text is a ``str`` or bytes-like, such as a read-only map of a
-        trace file.  A text that holds "\\r" is copied once, with its
-        "\\r\\n" rewritten.  A byte text is decoded a piece at a time as
-        it is read.  A byte that is not UTF-8 raises UnicodeDecodeError
-        where the parse reaches it, so a fault on a piece before it is
-        reported first, with the reason and start, the byte's offset in
-        text, that decoding the whole text gives."""
-        cr, crlf, nl = ("\r", "\r\n", "\n") if isinstance(text, str) \
-            else (b"\r", b"\r\n", b"\n")
-        if text.find(cr) < 0:
+        The text is bytes-like, such as a read-only map of a trace file.
+        A text that holds "\\r" is copied once, with its "\\r\\n"
+        rewritten.  The text is decoded a piece at a time as it is read.
+        A byte that is not UTF-8 raises UnicodeDecodeError where the parse
+        reaches it, so a fault on a piece before it is reported first,
+        with the reason and start, the byte's offset in text, that
+        decoding the whole text gives."""
+        if text.find(b"\r") < 0:
             return cls._parse(text)
         try:
-            return cls._parse(text[:].replace(crlf, nl))
+            return cls._parse(text[:].replace(b"\r\n", b"\n"))
         except UnicodeDecodeError:
             # the rewrite moved the offsets: the parse reached the text's
             # first bad byte, so decoding the text whole reports it
@@ -339,14 +337,13 @@ class RunTrace:
         return h.hexdigest()
 
 
-# the most lines the writer renders of a run in one step
-_RUN_LINES = 2048
-# the most lines of a block of stages that _run_chunks rewrites in place
+# the most lines of a block of stages that _run_chunks rewrites in place,
+# and of the stored stages the writer gathers into one piece
 _BLOCK_LINES = 4096
 # the most bytes of whole lines _lines splits in one step
 _PIECE_BYTES = 4096
 # the ASCII line breaks of str.splitlines but "\n"
-_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 
 
 # digit k of the ints 0, 1, 2, ...: one cycle of 10 ** (k + 1) of them,
@@ -374,16 +371,17 @@ def _digits(first: int, count: int, k: int):
     return out
 
 
-def _write_columns(seg, tails, widths, eid: int, stage: int, count: int,
+def _write_columns(seg, tails, eid: int, stage: int, count: int,
                    held: tuple, low: int) -> None:
-    """Write into seg, the text of count stages whose event ids and stage
-    numbers all have the given digit counts (widths), the digit columns
-    from column low up of the ids from eid and the stage numbers from
-    stage on, with one extended-slice assignment per line of a stage.
-    Each line of seg holds the right digits below column low, and an id
-    from held[0] and a stage number from held[1] up to the last written
-    in it, so a column in which those ranges agree is left as it is."""
-    size, (id_w, stage_w) = len(tails), widths
+    """Write into seg, the text of count stages whose event ids all have
+    eid's digit count and whose stage numbers all have stage's, the
+    digit columns from column low up of the ids from eid and the stage
+    numbers from stage on, with one extended-slice assignment per line
+    of a stage.  Each line of seg holds the right digits below column
+    low, and an id from held[0] and a stage number from held[1] up to
+    the last written in it, so a column in which those ranges agree is
+    left as it is."""
+    size, id_w, stage_w = len(tails), len(str(eid)), len(str(stage))
     width = len(seg) // count
     starts, at = [], 0  # where each line of a stage starts
     for tail in tails:
@@ -407,48 +405,36 @@ def _write_columns(seg, tails, widths, eid: int, stage: int, count: int,
 def _run_bytes(tails, eid: int, stage: int, count: int) -> bytearray:
     """The text of count stages, at least one, from the given stage on,
     each line with its "\\n", with events numbered on from eid: one
-    stage's payload texts are tails, as UTF-8 bytes.  The stages are cut
-    into segments in which every event id and every stage number keeps
-    its digit count; a segment is its first stage's text repeated, with
-    each digit column that varies in it written in (``_write_columns``).
-    A stage whose ids cross a power of ten is a segment of its own.  The
-    first segment is the text returned, and the others are appended to
-    it."""
-    size = len(tails)
-    out = None
-    done = 0
-    while done < count:
-        t, e = stage + done, eid + done * size
-        seg = bytearray(b"".join([b"%d %d %s\n" % (i, t, tail)
-                                  for i, tail in enumerate(tails, e)]))
-        id_w, stage_w = len(str(e)), len(str(t))
-        n = 1 if len(str(e + size - 1)) > id_w else min(
-            count - done, 10 ** stage_w - t, (10 ** id_w - e) // size)
-        if n > 1:
-            seg *= n
-            _write_columns(seg, tails, (id_w, stage_w), e, t, n, (e, t), 0)
-        done += n
-        if out is None:
-            out = seg
-        else:
-            out += seg
-    return out
+    stage's payload texts are tails, as UTF-8 bytes.  It is the first
+    stage's text repeated, with each digit column that varies written in
+    (``_write_columns``), so count is 1 or every event id and every stage
+    number has the digit count of the first stage's first line."""
+    seg = bytearray(b"".join([b"%d %d %s\n" % (i, stage, tail)
+                              for i, tail in enumerate(tails, eid)]))
+    if count > 1:
+        seg *= count
+        _write_columns(seg, tails, eid, stage, count, (eid, stage), 0)
+    return seg
 
 
-def _run_chunks(tails, eid: int, stage: int, count: int):
+def _run_chunks(tails, eid: int, stage: int, count: int, grow=True):
     """The text of count stages as _run_bytes renders it, in chunks of
-    whole stages for the run matcher to compare one at a time, each as
-    (its stages, its text).  A chunk holds at most one stage more than
-    the chunks before it together, so a matcher that stops at a chunk
-    has compared at most about twice the lines it matched, and at most
-    a block: the most stages that fit in _BLOCK_LINES lines and are a
-    multiple of 10 ** low, or one stage, where low is the largest up to
-    2 for which 10 ** low stages fit.  Consecutive blocks differ by a
-    multiple of 10 ** low in every line's id and stage number, so their
-    digit columns below low are the same.  A chunk after a block, with
-    the same digit counts as that block, is that block cut short or
-    not, with only its columns from low up that change rewritten in
-    place.  So a chunk may change once the next one is asked for."""
+    whole stages, each as (its stages, its text).  A chunk ends before a
+    stage whose event ids or stage number gain a digit, so a stage whose
+    own ids cross a power of ten is a chunk of itself, and a chunk holds
+    at most a block: the most stages that fit in _BLOCK_LINES lines and
+    are a multiple of 10 ** low, or one stage, where low is the largest
+    up to 2 for which 10 ** low stages fit.  The writer (grow false) asks for whole blocks
+    from the first chunk.  For the run matcher (grow), which compares
+    one chunk at a time, a chunk holds at most one stage more than the
+    chunks before it together, so a matcher that stops at a chunk has
+    compared at most about twice the lines it matched.  Consecutive
+    blocks differ by a multiple of 10 ** low in every line's id and
+    stage number, so their digit columns below low are the same.  A
+    chunk after a block, with the same digit counts as that block, is
+    that block cut short or not, with only its columns from low up that
+    change rewritten in place.  So a chunk may change once the next one
+    is asked for."""
     size = len(tails)
     block = _BLOCK_LINES // size
     low = min(2, len(str(block)) - 1)
@@ -457,16 +443,18 @@ def _run_chunks(tails, eid: int, stage: int, count: int):
     done = 0
     while done < count:
         t, e = stage + done, eid + done * size
-        n = min(done + 1, block, count - done)
+        widths = len(str(e)), len(str(t))
+        n = max(1, min(done + 1 if grow else block, block, count - done,
+                       10 ** widths[1] - t, (10 ** widths[0] - e) // size))
         # the digit counts of the chunk's last line: where the block's first
         # line has them, the two chunks have them throughout
-        widths = len(str(e + n * size - 1)), len(str(t + n - 1))
-        if buf is not None and widths == held[2]:
+        if buf is not None and held[2] == (len(str(e + n * size - 1)),
+                                           len(str(t + n - 1))):
             del buf[n * len(buf) // block:]
-            _write_columns(buf, tails, widths, e, t, n, held, low)
+            _write_columns(buf, tails, e, t, n, held, low)
         else:
             buf = _run_bytes(tails, e, t, n)
-        held = e, t, (len(str(e)), len(str(t)))
+        held = e, t, widths
         yield n, buf
         if n < block:
             buf = None
@@ -477,22 +465,18 @@ def _piece(text, pos: int):
     """The lines of text from offset pos, a line's start, up to its next
     "\\n" or its end, as ``text.splitlines()`` gives them there, and the
     offset past that "\\n".  A "\\n" ends a line of its own: the text
-    read holds no "\\r\\n".  A byte text's piece is decoded with its
-    "\\n", so a byte that is not UTF-8 fails as it does in the whole
-    text, and the UnicodeDecodeError's offsets are offsets in text."""
-    is_str = isinstance(text, str)
-    end = text.find("\n" if is_str else b"\n", pos)
+    read holds no "\\r\\n".  The piece is decoded with its "\\n", so a
+    byte that is not UTF-8 fails as it does in the whole text, and the
+    UnicodeDecodeError's offsets are offsets in text."""
+    end = text.find(b"\n", pos)
     if end < 0:
         end = len(text)
-    if is_str:
-        line = text[pos:end]
-    else:
-        try:
-            line = text[pos:end + 1].decode().removesuffix("\n")
-        except UnicodeDecodeError as ex:
-            ex.start += pos
-            ex.end += pos
-            raise
+    try:
+        line = text[pos:end + 1].decode().removesuffix("\n")
+    except UnicodeDecodeError as ex:
+        ex.start += pos
+        ex.end += pos
+        raise
     # "\r" ends the last line as the "\n" cut off did, never joins a "\r"
     # before it, and makes a line of an empty piece
     return (line + "\r").splitlines(), end + 1
@@ -510,25 +494,21 @@ def _lines(text, pos: int, plain: int):
     decoding error where it is, and so is each up to the last "\\n" of
     those bytes."""
     if pos >= plain:
-        nl = "\n" if isinstance(text, str) else b"\n"
-        end = text.rfind(nl, pos, pos + _PIECE_BYTES)
+        end = text.rfind(b"\n", pos, pos + _PIECE_BYTES)
         if end >= pos:
             piece = text[pos:end]
-            if piece.isascii():
-                if not isinstance(piece, str):
-                    piece = piece.decode("ascii")
-                if not any(c in piece for c in _BREAKS):
-                    return piece.split("\n"), end + 1, plain
+            if piece.isascii() and not any(c in piece for c in _BREAKS):
+                return piece.decode("ascii").split("\n"), end + 1, plain
             plain = end + 1
     lines, after = _piece(text, pos)
     return lines, after, max(plain, after)
 
 
 def _holds(text, pos: int, want) -> bool:
-    """Whether text holds want at offset pos: a str text a str, a byte
-    text bytes, compared in place.  A map has no ``startswith``, and its
-    ``find`` in a window of want's length tries that one offset, where
-    the ``find`` of ``bytes`` first spends time linear in want on it."""
+    """Whether text holds the bytes want at offset pos, compared in
+    place.  A map has no ``startswith``, and its ``find`` in a window of
+    want's length tries that one offset, where the ``find`` of ``bytes``
+    first spends time linear in want on it."""
     if hasattr(text, "startswith"):
         return text.startswith(want, pos)
     return text.find(want, pos, pos + len(want)) == pos
@@ -544,37 +524,30 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
     else.  A stage that differs from the one before mostly differs in its
     last line, so that line is matched first, before anything is
     rendered.  Then the chunks of ``_run_chunks`` are matched against
-    the text in place, each with the "\\n" after it: a byte text against
-    the rendered bytes, a str against their decoding.  Where a chunk
+    the text in place, each with the "\\n" after it.  Where a chunk
     differs, the run ends at the stage of the first line that differs,
     found by a binary search over the chunk's prefixes.  The run's last
     stage leaves it where the next line that is not blank goes on at
     that stage."""
-    is_str = isinstance(text, str)
-    nl = "\n" if is_str else b"\n"
     size = len(template)
     last = pos
     for _ in range(size - 1):
-        last = text.find(nl, last) + 1 or len(text)
-    head = f"{eid + size - 1} {stage} {texts[id(template[-1])]}"
-    if not is_str:
-        head = head.encode()
+        last = text.find(b"\n", last) + 1 or len(text)
+    head = f"{eid + size - 1} {stage} {texts[id(template[-1])]}".encode()
     if not _holds(text, last, head):
         return 0, pos
     tails = [texts[id(p)].encode() for p in template]
     done = 0
     for n, want in _run_chunks(tails, eid, stage, most):
-        if is_str:
-            want = want.decode()
         if not _holds(text, pos, want):
             # the longest prefix of the chunk that the text holds
             lo = bisect_left(range(1, len(want)), True,
                              key=lambda k: not _holds(text, pos, want[:k]))
             # back to the start of its last whole stage
-            lines = want.count(nl, 0, lo)
+            lines = want.count(b"\n", 0, lo)
             at = lo
             for _ in range(lines % size + 1):
-                at = want.rfind(nl, 0, at)
+                at = want.rfind(b"\n", 0, at)
             done += lines // size
             pos += at + 1
             break
@@ -589,7 +562,7 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
             if len(toks) > 2 and toks[0] != "summary" and \
                     int(toks[1]) == stage + done - 1:
                 for _ in range(size):  # back to the last stage's start
-                    pos = text.rfind(nl, 0, pos - 1) + 1
+                    pos = text.rfind(b"\n", 0, pos - 1) + 1
                 return done - 1, pos
         except ValueError:  # no stage number
             pass

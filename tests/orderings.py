@@ -25,9 +25,7 @@ def changes(trace) -> list:
 
 def collapse_to_omega(trace) -> "ChangeOrdering":
     """The order-type-omega well-order whose elements are the changes of
-    the ApproxTrace trace, which must have a positive ``stages`` count."""
-    if trace.stages <= 0:
-        raise ValueError("trace has no recorded window")
+    the ApproxTrace trace."""
     return ChangeOrdering(changes(trace))
 
 

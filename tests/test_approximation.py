@@ -213,7 +213,7 @@ def test_bca_generated_traces_verify():
     g = parse_cnf("w*2")
     for seed in range(1000):
         adv = BoundedCaAdversary("q0", g=g, seed=seed)
-        trace = ApproxTrace(61)
+        trace = ApproxTrace()
         for x in range(3):
             s = 0
             while s < 61:

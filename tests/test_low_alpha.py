@@ -118,7 +118,7 @@ class TestRunBasics:
         fun2.configure(0, first=1)
         two = la.run([adv2], [fun2], omega_power(W), 12)
         assert one == two.to_text()
-        back = RunTrace.from_text(one)
+        back = RunTrace.from_text(one.encode())
         assert back.to_text() == one
         assert two.summary == reduce_summary(replay_of(two))
 
@@ -371,7 +371,7 @@ FIX = os.path.join(os.path.dirname(__file__), "fixtures")
 
 def golden_trace():
     with open(os.path.join(FIX, "golden-low-alpha.trace")) as fh:
-        return RunTrace.from_text(fh.read())
+        return RunTrace.from_text(fh.read().encode())
 
 
 def mutated(trace, edit):

@@ -364,7 +364,7 @@ class TestMixedScenario:
         assert tr.summary == reduce_summary(replay_of(tr))
         assert tr.summary["A"] == "6,20"
         text = tr.to_text()
-        assert RunTrace.from_text(text).to_text() == text
+        assert RunTrace.from_text(text.encode()).to_text() == text
         assert mixed_scenario().to_text() == text
 
     def test_near_stabilization(self):
@@ -728,7 +728,7 @@ class TestFaultInjection:
         the rows of (stage, kind, payload) that replace each event."""
         with open(os.path.join(os.path.dirname(__file__), "fixtures",
                                "golden-nonlow-alpha.trace")) as fh:
-            golden = RunTrace.from_text(fh.read())
+            golden = RunTrace.from_text(fh.read().encode())
         tr = RunTrace(golden.construction, golden.stages)
         for eid, (s, p) in enumerate(zip(stage_of(golden), golden.events)):
             for stage, kind, payload in edit(eid, s, p):
@@ -815,7 +815,7 @@ class TestFaultInjection:
         line = {16: "16 3 visit node=i\n",
                 18: "18 3 visit node=if x=1 f=0\n"}[eid]
         assert line in text
-        tr = RunTrace.from_text(text.replace(line,
-                                             f"{line[:-1]} {field}\n"))
+        tr = RunTrace.from_text(text.replace(
+            line, f"{line[:-1]} {field}\n").encode())
         bad = check_named(tr, "level-discipline")
         assert (bad.passed, bad.witness, bad.detail) == (False, eid, detail)

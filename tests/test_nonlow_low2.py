@@ -244,7 +244,7 @@ class TestRunBasics:
             return nl.run({0: psi}, {0: fn}, 60)
         a, b = make(), make()
         assert a.digest() == b.digest()
-        assert RunTrace.from_text(a.to_text()).digest() == a.digest()
+        assert RunTrace.from_text(a.to_text().encode()).digest() == a.digest()
 
 
 def stress(seed, stages=300):

@@ -300,7 +300,7 @@ def golden(name, edit=None):
         lines = fh.read().splitlines()
     if edit is not None:
         edit(lines)
-    return RunTrace.from_text("\n".join(lines) + "\n")
+    return RunTrace.from_text(("\n".join(lines) + "\n").encode())
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -98,7 +98,7 @@ def assert_matches_reference(trace, sc=None, psis=None):
 def assert_matches_reference_as_text(trace, sc=None, psis=None):
     """As assert_matches_reference, for trace and for its parsed text,
     whose runs the parser finds on its own; the replay of trace."""
-    back = RunTrace.from_text(trace.to_text())
+    back = RunTrace.from_text(trace.to_text().encode())
     assert_whole_stages(back)
     assert_quiet_runs(back)
     assert_matches_reference(back, sc, psis)
@@ -108,7 +108,7 @@ def assert_matches_reference_as_text(trace, sc=None, psis=None):
 @pytest.mark.parametrize("name", NAMES)
 def test_golden_fixture_matches_reference(name):
     with open(os.path.join(FIX, name + ".trace")) as fh:
-        trace = RunTrace.from_text(fh.read())
+        trace = RunTrace.from_text(fh.read().encode())
     assert_matches_reference(trace)
 
 
@@ -139,7 +139,7 @@ def test_an_init_in_a_repeated_stage_is_read():
     # becomes an init of the same node: the parser ends the run there
     with open(os.path.join(FIX, "golden-nonlow-low2.trace")) as fh:
         text = fh.read()
-    trace = RunTrace.from_text(text)
+    trace = RunTrace.from_text(text.encode())
     eid, first, stop, payloads = next(
         run for run in runs(trace)
         if "visit node=f" in [p.tail for p in run[3]])
@@ -147,7 +147,7 @@ def test_an_init_in_a_repeated_stage_is_read():
     at = 1 + eid + [p.tail for p in payloads].index("visit node=f")
     assert lines[at] == f"{at - 1} {first} visit node=f"
     lines[at] = f"{at - 1} {first} init node=f"
-    trace = RunTrace.from_text("\n".join(lines) + "\n")
+    trace = RunTrace.from_text(("\n".join(lines) + "\n").encode())
     assert not any(a <= first < b for _, a, b, _ in runs(trace))
     replay = assert_matches_reference(trace)
     assert replay.last_init[(1,)] == first
@@ -173,7 +173,7 @@ def test_a_repeat_of_a_stage_that_acts_is_read(construction):
             trace.emit(s, kind, **payload)
     # the repeated stage acts, so the parser records no run of it and
     # stores stages 2 and 3 line by line
-    back = RunTrace.from_text(trace.to_text())
+    back = RunTrace.from_text(trace.to_text().encode())
     assert not runs(trace) and not runs(back)
     assert entries(back) == entries(trace)
     for replay in (assert_matches_reference(trace),
@@ -192,7 +192,7 @@ def test_a_repeated_fin_declaration_of_a_watcher_is_read():
         trace.emit(s, "visit", node="q0", x=0, f=0)
         trace.emit(s, "declare", node="q0", what="delta", x=0, u=3,
                    value=1, act="fin")
-    back = RunTrace.from_text(trace.to_text())
+    back = RunTrace.from_text(trace.to_text().encode())
     assert not runs(back)
     replay = assert_matches_reference(back)
     assert [stage for _, stage, _, _ in replay.declares[0]] == [1, 2, 3]
@@ -208,7 +208,7 @@ def test_a_run_of_a_visit_and_a_gamma_fin_declaration_is_read():
         trace.emit(s, "declare", node="q0", what="gamma", y=0, u=3,
                    act="fin")
     trace.emit(5, "visit", node="q1", x=2, f=0)
-    back = RunTrace.from_text(trace.to_text())
+    back = RunTrace.from_text(trace.to_text().encode())
     assert_whole_stages(back)
     assert_quiet_runs(back)
     assert [run[1:3] for run in runs(back)] == [(2, 5)]
@@ -251,7 +251,7 @@ def test_a_run_that_ends_with_injects_matches_reference(name):
     # and in the parser, so it is stored whole
     sc = load_scenario(RUN_ENDS[name])
     trace, psis = sc.execute()
-    for t in (trace, RunTrace.from_text(trace.to_text())):
+    for t in (trace, RunTrace.from_text(trace.to_text().encode())):
         assert stops_at_injects(t)
         assert_whole_stages(t)
         assert_quiet_runs(t)
@@ -283,7 +283,7 @@ def test_a_stage_that_goes_on_is_read_line_by_line(edge):
     # the run the parser records stops before stage 5, which it reads line
     # by line, so no stored event shares a stage with a copy
     text = goes_on_text(edge)
-    trace = RunTrace.from_text(text)
+    trace = RunTrace.from_text(text.encode())
     assert contents(trace) == contents(oracle_from_text(text))
     assert_whole_stages(trace)
     assert_quiet_runs(trace)
@@ -305,7 +305,7 @@ RESPELLED_TEXT = """trace nonlow-low2 stages=10
 def test_a_respelled_stage_is_read_whole():
     # the events of stage 5 are one stored stage, however its token is
     # spelled, so stage 6 starts no run and stays as read
-    trace = RunTrace.from_text(RESPELLED_TEXT)
+    trace = RunTrace.from_text(RESPELLED_TEXT.encode())
     reference = oracle_from_text(RESPELLED_TEXT)
     assert contents(trace) == contents(reference)
     assert not runs(trace)
@@ -337,7 +337,7 @@ def earlier_stage_text() -> str:
 
 def test_a_run_on_an_earlier_template_matches_reference():
     text = earlier_stage_text()
-    trace = RunTrace.from_text(text)
+    trace = RunTrace.from_text(text.encode())
     assert contents(trace) == contents(oracle_from_text(text))
     assert_whole_stages(trace)
     assert_quiet_runs(trace)
@@ -373,7 +373,8 @@ summary A -
 def test_a_run_at_the_last_stage_of_the_one_before(ending):
     # stage 3 leaves the run of stage 1 and is read line by line; stage 5
     # is a run of stage 4
-    trace = RunTrace.from_text(LAST_STAGE_TEXT.replace("\n", ending))
+    trace = RunTrace.from_text(
+        LAST_STAGE_TEXT.replace("\n", ending).encode())
     reference = oracle_from_text(LAST_STAGE_TEXT)
     assert contents(trace) == contents(reference)
     assert_whole_stages(trace)
@@ -400,7 +401,7 @@ def test_replay_cost_does_not_grow_with_the_stage_budget():
     seen = []
     for stages in (2_000, 20_000):
         _, trace, _ = run(path, 0, stages)
-        parsed = RunTrace.from_text(trace.to_text())
+        parsed = RunTrace.from_text(trace.to_text().encode())
         count_reads(trace)
         replay = replay_of(trace)
         assert read_once(trace)
