@@ -205,6 +205,10 @@ def _parse_adv(sc, parts, lineno):
             mode = val
         else:
             raise ScenarioError(lineno, f"unknown opponent field {key!r}")
+    for d in sc.advs.values():  # levels() keeps one opponent per level
+        if d.kind == kind and d.level == level:
+            raise ScenarioError(lineno, f"{kind} level {level} declared "
+                                        f"twice: {d.aid!r} holds it")
     if mode not in spec.modes:
         raise ScenarioError(lineno, f"unknown {kind} mode {mode!r}")
     cls, reads = spec.modes[mode]

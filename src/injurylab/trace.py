@@ -19,7 +19,9 @@ text it reads is bytes-like, a read-only map of a file included: it
 touches the text only through ``find``, ``rfind``, ``startswith`` (not
 on a map), slices and ``len``.  It splits up to 4 KB of ASCII lines at
 a time, decodes any other text a line at a time as it reads it, and
-matches a run's rendered bytes against the text undecoded.  The writer
+matches a run's rendered bytes against the text undecoded; it reads
+each line that is not a run's in one place, which also ends a run
+whose last stage goes on.  The writer
 and the matcher take a run's text from one generator of chunks
 (``_run_chunks``), each rendered as bytes by digit columns: one stage's
 text repeated, with each digit of the ids and stage numbers that varies
@@ -206,12 +208,13 @@ class RunTrace:
         them.  Such a stage holds the last stage's payload texts as read,
         in order, at the next stage number and event ids, each line
         exactly ``eid stage text``: a line the per-line path accepts with
-        the same payload.  A run holds whole stages: where the next line
-        that is not blank goes on at its last stage, that stage leaves
-        the run.  A stage that differs in any character, a blank or
-        summary line in it included, goes through the per-line path, so
-        errors keep their text and line number.  The stage after a run is
-        not tried again: the stage before it is copied, not stored.
+        the same payload.  A stage that differs in any character, a blank
+        or summary line in it included, goes through the per-line path,
+        so errors keep their text and line number.  A run holds whole
+        stages: where the per-line path reads an event at the run's last
+        stage, that stage leaves the run, stored with the payloads it
+        copied, and the event goes on it.  The stage after a run is not
+        tried again: the stage before it is copied, not stored.
 
         The text is bytes-like, such as a read-only map of a trace file.
         A text that holds "\\r" is copied once, with its "\\r\\n"
@@ -235,9 +238,9 @@ class RunTrace:
         """from_text on a text whose "\\r\\n" are rewritten."""
         trace = None
         payloads = {}  # "kind k=v ..." text -> its parsed payload
-        texts = {}  # id of a payload -> the text it was parsed from
+        texts = {}  # id of a payload -> the UTF-8 text it was parsed from
         # the last stage and its token: a stage is parsed and checked only
-        # where its token changes
+        # where its token changes, and on the line after a run
         last_stage, last_tok = 0, None
         count = 0  # the events read, copies included
         pos = lineno = 0  # the offset of the next piece, the lines read
@@ -277,7 +280,7 @@ class RunTrace:
                                           [t.split("=", 1) for t in pairs])
                         if kind in EVENT_KINDS:
                             payloads[tail] = payload
-                            texts[id(payload)] = tail
+                            texts[id(payload)] = tail.encode()
                         else:
                             payload = None
                 except (ValueError, IndexError):
@@ -309,7 +312,7 @@ class RunTrace:
                             count += size
                             lineno += size - 1
                             last_stage += copies
-                            last_tok = str(last_stage)
+                            last_tok = None
                             after = at
                             break
                     if stage < last_stage:
@@ -319,7 +322,12 @@ class RunTrace:
                         raise ConfigError(f"line {lineno}: stage {stage} "
                                           f"past stages={trace.stages}")
                     if not stored or stored[-1][0] != stage:
-                        current = []
+                        if stored and stored[-1][2] and stage == last_stage:
+                            # the run's last stage goes on: it leaves the run
+                            stored[-1][2] -= 1
+                            current = list(current)
+                        else:
+                            current = []
                         stored.append([stage, current, 0])
                     last_stage, last_tok = stage, tok
                 current.append(payload)
@@ -519,53 +527,25 @@ def _repeated_stages(text, pos: int, eid: int, template, texts,
     """How many of the stages that text opens with at offset pos, at most
     most, repeat the last stage whole, whose payloads are template, and
     the offset past them: each holds the texts those payloads were read
-    from (texts maps a payload's id to its text), in order, at stage,
-    stage + 1, ..., with the event ids going on from eid, and nothing
-    else.  A stage that differs from the one before mostly differs in its
-    last line, so that line is matched first, before anything is
-    rendered.  Then the chunks of ``_run_chunks`` are matched against
-    the text in place, each with the "\\n" after it.  Where a chunk
-    differs, the run ends at the stage of the first line that differs,
-    found by a binary search over the chunk's prefixes.  The run's last
-    stage leaves it where the next line that is not blank goes on at
-    that stage."""
-    size = len(template)
-    last = pos
-    for _ in range(size - 1):
-        last = text.find(b"\n", last) + 1 or len(text)
-    head = f"{eid + size - 1} {stage} {texts[id(template[-1])]}".encode()
-    if not _holds(text, last, head):
-        return 0, pos
-    tails = [texts[id(p)].encode() for p in template]
+    from (texts maps a payload's id to its UTF-8 text), in order, at
+    stage, stage + 1, ..., with the event ids going on from eid, each
+    line with its "\\n".  The chunks of ``_run_chunks`` are matched
+    against the text in place.  Where a chunk differs, the run ends at
+    the stage of the first line that differs, found by a binary search
+    over the chunk's whole stages.  Whether the run's last stage goes on
+    past it is left to the caller."""
+    tails = [texts[id(p)] for p in template]
     done = 0
     for n, want in _run_chunks(tails, eid, stage, most):
         if not _holds(text, pos, want):
-            # the longest prefix of the chunk that the text holds
-            lo = bisect_left(range(1, len(want)), True,
-                             key=lambda k: not _holds(text, pos, want[:k]))
-            # back to the start of its last whole stage
-            lines = want.count(b"\n", 0, lo)
-            at = lo
-            for _ in range(lines % size + 1):
-                at = want.rfind(b"\n", 0, at)
-            done += lines // size
-            pos += at + 1
-            break
+            # the most stages of the chunk that the text holds; no id or
+            # stage number in a chunk gains a digit, so they are one length
+            step = len(want) // n
+            k = bisect_left(range(1, n), True, key=lambda k: not _holds(
+                text, pos, want[:k * step]))
+            return done + k, pos + k * step
         pos += len(want)
         done += n
-    if done:
-        at, toks = pos, []  # the next line that is not blank
-        while not toks and at < len(text):
-            lines, at = _piece(text, at)
-            toks = next(filter(None, map(str.split, lines)), [])
-        try:
-            if len(toks) > 2 and toks[0] != "summary" and \
-                    int(toks[1]) == stage + done - 1:
-                for _ in range(size):  # back to the last stage's start
-                    pos = text.rfind(b"\n", 0, pos - 1) + 1
-                return done - 1, pos
-        except ValueError:  # no stage number
-            pass
     return done, pos
 
 

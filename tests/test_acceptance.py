@@ -177,9 +177,9 @@ def test_parser_keeps_pace_with_the_digest():
     # digest to hash them, so they are timed against each other (CPU
     # time, interleaved, best of 9).  The digest's extra is its sha256,
     # whose share varies by host: on a shared 2-core x86 VM the parse
-    # reads 0.78 to 0.85 of the digest, and 1.03 to 1.10 in the 5 of 25
-    # processes in which both ran slower (the parse about 1.7 times, the
-    # digest 1.3 times).  The bound was set when the digest rendered
+    # reads 0.79 to 0.84 of the digest, and 1.04 in the 1 of 12 processes
+    # in which both ran slower (the parse about 1.5 times, the digest 1.2
+    # times).  The bound was set when the digest rendered
     # every chunk fresh, between a parse that did so too (0.94 to 1.04 of
     # that digest) and one that split the whole text into lines (1.59 to
     # 1.67).

@@ -91,7 +91,8 @@ fun 0 arg 3 first 14
 
 # Scripts and their opponents: an opponent is scripted or drawn, never
 # both; a script's steps rise in stage at each argument, and a psi step
-# flips the 0/1 value.  A fun line configures an argument once.
+# flips the 0/1 value.  A fun line configures an argument once, and an
+# adv line takes a level no opponent of its kind holds.
 NARROWED = [
     *[(f"adv p0 psi{mode}\nadv p0 step arg 0 stage 2 value 1\n",
        "line 3: opponent 'p0' is not scripted: it takes no steps")
@@ -113,6 +114,8 @@ NARROWED = [
      "line 4: step at arg 0 wants value 0, got 1"),
     ("fun 0 arg 0 first 3\nfun 0 arg 0 first 80 delay 4\n",
      "line 3: fun 0 arg 0 declared twice"),
+    ("adv p0 psi level 0\nadv p1 psi level 0 mode random\n",
+     "line 3: psi level 0 declared twice: 'p0' holds it"),
 ]
 
 

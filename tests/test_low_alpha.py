@@ -218,6 +218,10 @@ adv f0 f level 0 g 4 mode random seed 3 change 0.3
 fun 0 arg 0 first 2
 """
 
+# the alpha ladder's w cell: two watchers, both with finite budgets
+LADDER_W = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
+                        "ladder-low-alpha-w.txt")
+
 
 class TestVerifier:
     def test_empty_trace_vacuous(self):
@@ -280,6 +284,22 @@ class TestVerifier:
         own, budget = len(r.own_injuries(0)), r.budgets[0].value.nat_value()
         assert own > 0 and budget > 0
         assert printed == f"{own / budget:.3g}"
+
+    def test_ladder_cell_w_examines_both_budgets(self):
+        # mind-change-cap examines both finite budgets at seeds 0-3, and
+        # seeds 0-2 injure a computation under its budget
+        with open(LADDER_W) as fh:
+            sc = load_scenario(fh.read())
+        for seed in range(4):
+            checks = {c.name: c for c in la.verify_lowness_budget(
+                replay_of(sc.execute(seed=seed)[0]))}
+            assert checks["mind-change-cap"].passed
+            assert checks["mind-change-cap"].detail == "2 finite budgets"
+        out = io.StringIO()
+        assert main(["campaign", "--scenario", LADDER_W, "--seeds", "4"],
+                    out) == 0
+        assert re.findall(r"^seed \d+ .* worst-ratio=(\S+)$", out.getvalue(),
+                          re.M) == ["0.1", "0.1", "0.1", "0"]
 
     def test_corrupt_budget_fails(self):
         adv = flip_adversary("f0", W, [4], [nat(1)])

@@ -280,8 +280,9 @@ def goes_on_text(edge: str) -> str:
 @pytest.mark.parametrize("edge", ["mid-text", "summary", "blank", "05",
                                   "crlf"])
 def test_a_stage_that_goes_on_is_read_line_by_line(edge):
-    # the run the parser records stops before stage 5, which it reads line
-    # by line, so no stored event shares a stage with a copy
+    # the run the parser records stops before stage 5, which it stores
+    # with stage 0's payloads and the inject, so no stored event shares a
+    # stage with a copy
     text = goes_on_text(edge)
     trace = RunTrace.from_text(text.encode())
     assert contents(trace) == contents(oracle_from_text(text))
@@ -371,8 +372,8 @@ summary A -
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["text", "crlf"])
 def test_a_run_at_the_last_stage_of_the_one_before(ending):
-    # stage 3 leaves the run of stage 1 and is read line by line; stage 5
-    # is a run of stage 4
+    # stage 3 leaves the run of stage 1 where its third line goes on at
+    # it; stage 5 is a run of stage 4
     trace = RunTrace.from_text(
         LAST_STAGE_TEXT.replace("\n", ending).encode())
     reference = oracle_from_text(LAST_STAGE_TEXT)

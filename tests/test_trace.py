@@ -444,7 +444,31 @@ def assert_shared_by_text(trace, text):
     assert len(pairs) == len(set(texts)) == len(set(map(id, events)))
 
 
+def run_end(case):
+    """The text of a run_trace cut inside its longest run, after the
+    third copied stage, or the first for "one copy", and ended one way:
+    "inject" goes on at the run's last stage with an inject-converge
+    line, "blank" does so after a blank line, "one copy" goes on there
+    with a visit, and "summary" ends with the summary lines alone.  Each
+    but "summary" takes the run's last stage out of the run."""
+    trace = run_trace("nonlow-low2-random")
+    lines = trace.to_text().splitlines()
+    first, _ = longest_run(trace)
+    size = len(max(runs(trace), key=lambda run: run[2] - run[1])[3])
+    end = first + (1 if case == "one copy" else 3) * size
+    at = f"{end - 1} {stage_token(lines[end - 1])}"  # the next id, its stage
+    inject = f"{at} inject-converge e=0 x=0 use=3 value=0"
+    more = {"inject": [inject], "blank": ["", inject],
+            "one copy": [f"{at} visit node=f"], "summary": []}[case]
+    return "\n".join(lines[:end] + more + [
+        ln for ln in lines if ln.startswith("summary")]) + "\n"
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@example(text=run_end("inject"))
+@example(text=run_end("blank"))
+@example(text=run_end("one copy"))
+@example(text=run_end("summary"))
 @given(text=edited_runs())
 def test_parser_matches_the_reference_on_long_runs(text):
     expected = parsed(oracle_from_text, text)
