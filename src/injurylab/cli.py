@@ -8,11 +8,14 @@ repeat of a flag wins, and flags are never abbreviated.  ``cnf eval``
 takes the remaining arguments as its expression.  ``-h`` or ``--help``
 anywhere prints USAGE and exits 0.
 
-Exit codes: 0 when every enabled check passes, 1 when a violation is
-found, 2 on configuration or usage errors, malformed traces and a
-negative --stages included, and for a campaign in which any seed
-errors.  A usage error, like any other exit 2 before a run, is one
-``error ...`` line on the output stream.
+A run is fixed by its scenario file, --seed and --stages, and reports
+every check of its construction.
+
+Exit codes: 0 when every check passes, 1 when a violation is found, 2
+on configuration or usage errors, malformed traces and a negative
+--stages included, and for a campaign in which any seed errors.  A
+usage error, like any other exit 2 before a run, is one ``error ...``
+line on the output stream.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ import mmap
 import re
 import sys
 
-from .constructions import CONSTRUCTIONS, construction
+from .constructions import construction
 from .ordinal import format_cnf, parse_cnf, printable, read_nat
 from .scenario import load_scenario
 from .trace import ConfigError, RunTrace
@@ -60,13 +63,9 @@ def report_lines(trace: RunTrace, checks, replay) -> list:
         construction(trace.construction).extras(replay)
 
 
-def checks_for(trace: RunTrace, replay, sc=None, psis=None) -> list:
-    """The construction's checks on the trace's replay, less those the
-    scenario sc turns off."""
-    checks = construction(trace.construction).verify(psis, replay)
-    if sc is None:
-        return checks
-    return [c for c in checks if sc.verify.get(c.name, True)]
+def checks_for(trace: RunTrace, replay, psis=None) -> list:
+    """The construction's checks on the trace's replay."""
+    return construction(trace.construction).verifier(psis, replay)
 
 
 def _unreadable(path: str, ex: Exception) -> ConfigError:
@@ -117,22 +116,13 @@ def _write(path: str, text: str) -> None:
             from None
 
 
-def cmd_run(out, scenario, construction, alpha, stages, seed, trace,
-            report) -> int:
+def cmd_run(out, scenario, stages, seed, trace, report) -> int:
     sc = load_scenario(_read(scenario))
-    if construction:
-        sc.construction = construction
-    if alpha:
-        try:
-            sc.alpha = parse_cnf(alpha)
-        except ValueError as ex:
-            raise ConfigError(f"--alpha: {ex}") from None
-    sc.validate()
     tr, psis = sc.execute(seed=seed, stages=stages)
     replay = run_replay(tr)
     if trace:
         _write(trace, tr.to_text())
-    checks = checks_for(tr, replay, sc, psis)
+    checks = checks_for(tr, replay, psis)
     lines = report_lines(tr, checks, replay)
     text = "\n".join(lines) + "\n"
     if report:
@@ -148,7 +138,7 @@ def _campaign_seed(sc, seed: int, stages, out):
     try:
         trace, psis = sc.execute(seed=seed, stages=stages)
         replay = run_replay(trace)
-        checks = checks_for(trace, replay, sc, psis)
+        checks = checks_for(trace, replay, psis)
     except ConfigError as ex:
         out.write(f"seed {seed} error {ex}\n")
         return None
@@ -236,29 +226,27 @@ def cmd_cnf_eval(out, expr) -> int:
 
 
 USAGE = """\
-usage: injury-lab run --scenario FILE [--construction NAME] [--alpha CNF]
-                      [--stages N] [--seed INT] [--trace FILE] [--report FILE]
+usage: injury-lab run --scenario FILE [--stages N] [--seed INT]
+                      [--trace FILE] [--report FILE]
        injury-lab campaign --scenario FILE --seeds INT [--seed INT]
                            [--stages N]
        injury-lab verify-trace --trace FILE
        injury-lab cnf eval CNF [OP OPERAND]...    (OP: + CNF, * INT, cmp CNF)
 
-A flag takes its value as the next argument or after '=' (--seed=3); the
-last repeat of a flag wins, and a flag is never abbreviated.  A usage
-error is one 'error ...' line on standard output, with exit 2.
+A run is fixed by its scenario file, --seed and --stages.  A flag takes
+its value as the next argument or after '=' (--seed=3); the last repeat
+of a flag wins, and a flag is never abbreviated.  A usage error is one
+'error ...' line on standard output, with exit 2.
 """
 
 NATURAL = "natural"  # the kind of an int that must not be negative
 
 # verb -> (handler, {flag: (kind, required, default)}).  A kind is str,
-# int, NATURAL or the mapping whose keys are the accepted values.  The
-# handler takes the output stream and each flag's value as the keyword
-# of its name.  "cnf eval" takes no flags: its handler takes the
-# remaining arguments as expr.
+# int or NATURAL.  The handler takes the output stream and each flag's
+# value as the keyword of its name.  "cnf eval" takes no flags: its
+# handler takes the remaining arguments as expr.
 VERBS = {
     "run": (cmd_run, {"--scenario": (str, True, None),
-                      "--construction": (CONSTRUCTIONS, False, None),
-                      "--alpha": (str, False, None),
                       "--stages": (NATURAL, False, None),
                       "--seed": (int, False, None),
                       "--trace": (str, False, None),
@@ -285,19 +273,14 @@ def _value(verb: str, flag: str, kind, arg: str):
     """arg read as a value of flag's kind."""
     if kind is str:
         return arg
-    if kind is int or kind is NATURAL:
-        try:
-            n = int(arg)
-        except ValueError:
-            raise ConfigError(f"{verb}: {flag} wants an int, got {arg!r}") \
-                from None
-        if n < 0 and kind is NATURAL:
-            raise ConfigError(f"{flag} wants a natural, got {n}")
-        return n
-    if arg not in kind:
-        raise ConfigError(f"{verb}: {flag} wants one of "
-                          f"{', '.join(kind)}, got {arg!r}")
-    return arg
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ConfigError(f"{verb}: {flag} wants an int, got {arg!r}") \
+            from None
+    if n < 0 and kind is NATURAL:
+        raise ConfigError(f"{flag} wants a natural, got {n}")
+    return n
 
 
 def read_argv(argv: list) -> tuple:

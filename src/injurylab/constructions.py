@@ -10,8 +10,8 @@ from .trace import ConfigError
 class Construction(NamedTuple):
     run: Callable          # (psis, fs, funs, alpha, stages) -> RunTrace
     replay: type           # built once per trace, shared by every consumer
-    verify: Callable       # (psis, replay) -> [CheckResult]
-    checks: tuple          # names of the checks verify returns, in order
+    verifier: Callable     # (psis, replay) -> [CheckResult]
+    checks: tuple          # names of the checks verifier returns, in order
     needs_alpha: bool      # whether a scenario must name the bound alpha
     worst_ratio: Callable  # replay -> largest injuries / ceiling
     extras: Callable       # replay -> report lines after the checks

@@ -168,10 +168,11 @@ class NonlowAlphaRun(EtaRhoRun):
             entry.checked = s
 
     def _k_prime(self, xi_node, s) -> int:
-        for eta in etas_above(xi_node):  # the lengths its visit would set
-            if eta not in self.cur_l:
-                self.cur_l[eta] = self._length(eta, s)
-        return k_prime(xi_node, self.cur_l)
+        # an eta the walk has not reached: the length its visit would set,
+        # kept out of cur_l, which holds the visits' lengths alone
+        return k_prime(xi_node, {
+            eta: self.cur_l[eta] if eta in self.cur_l
+            else self._length(eta, s) for eta in etas_above(xi_node)})
 
     # -- xi permission and action -------------------------------------
 

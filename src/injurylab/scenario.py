@@ -1,8 +1,8 @@
 """Line-oriented scenario files: declarations of one construction run.
 
 A scenario names the construction, the ordinal bound, the stage budget,
-the opponents and the functionals, plus optional verifier toggles.  The
-same scenario can be replayed under different seeds for campaigns.
+the opponents and the functionals.  The same scenario can be replayed
+under different seeds for campaigns.
 """
 
 from functools import partial
@@ -57,8 +57,6 @@ class Scenario:
         self.seed = 0
         self.advs = {}  # id -> AdvDecl
         self.funs = {}  # e -> UseFunctional, in e order; no run changes one
-        self.verify = {}  # check name -> bool
-        self.verify_lines = {}  # check name -> line of its last verify line
 
     def levels(self, kind):
         """level -> declaration, for the opponents of kind."""
@@ -74,17 +72,6 @@ class Scenario:
         trace = construction(self.construction).run(
             psis, fs, self.funs, self.alpha, stages)
         return trace, psis
-
-    def validate(self):
-        """Check the alpha requirement and the verify lines against the
-        named construction; rerun after the construction is overridden."""
-        entry = construction(self.construction)
-        if entry.needs_alpha and self.alpha is None:
-            raise ScenarioError(0, f"{self.construction} wants an alpha")
-        for name, lineno in self.verify_lines.items():
-            if name not in entry.checks:
-                raise ScenarioError(lineno, f"{self.construction} has no "
-                                            f"check {name!r}")
 
 
 def _fields(parts, lineno):
@@ -282,16 +269,12 @@ def load_scenario(text: str) -> Scenario:
             _parse_adv(sc, parts, lineno)
         elif word == "fun":
             _parse_fun(sc, parts, lineno)
-        elif word == "verify":
-            if len(parts) != 2 or parts[1] not in ("on", "off"):
-                raise ScenarioError(lineno, "verify wants <name> on|off")
-            sc.verify[parts[0]] = parts[1] == "on"
-            sc.verify_lines[parts[0]] = lineno
         else:
             raise ScenarioError(lineno, f"unknown directive {word!r}")
     if sc.construction is None:
         raise ScenarioError(0, "no construction named")
-    sc.validate()
+    if CONSTRUCTIONS[sc.construction].needs_alpha and sc.alpha is None:
+        raise ScenarioError(0, f"{sc.construction} wants an alpha")
     for label, levels in [(kind, sc.levels(kind)) for kind in OPPONENTS] \
             + [("fun", sc.funs)]:
         if levels and sorted(levels) != list(range(len(levels))):

@@ -32,6 +32,14 @@ def stage_lengths(replay) -> dict:
             for s in range(first, stop) for node, l in lengths.items()}
 
 
+def last_visit_length(lengths, eta, stage) -> int:
+    """The length of eta's last visit at or before stage in lengths (as
+    stage_lengths gives them); 0 if none."""
+    seen = [(s, l) for (s, node), l in lengths.items()
+            if node == eta and s <= stage]
+    return max(seen)[1] if seen else 0
+
+
 def tree_paths(tree, stages: int) -> list:
     """The path of each stage 0..stages-1, from the tree's records of its
     walked stages."""

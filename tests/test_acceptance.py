@@ -24,7 +24,7 @@ from injurylab.ordinal import OMEGA, Cnf, nat, omega_power, random_cnf_below
 from injurylab.trace import RunTrace
 
 from orderings import collapse_to_omega
-from stage_maps import stage_lengths
+from stage_maps import last_visit_length, stage_lengths
 
 # The whole file is the slow gate: `pytest -m "not slow"` leaves it out.
 pytestmark = pytest.mark.slow
@@ -235,14 +235,6 @@ def test_criterion_5_phi_budget():
 
 # -- criterion 6: combined construction under w^w ----------------------
 
-def _length_lookup(lengths, eta, stage):
-    best = None
-    for (s, node), l in lengths.items():
-        if node == eta and s <= stage and (best is None or s > best[0]):
-            best = (s, l)
-    return 0 if best is None else best[1]
-
-
 def test_criterion_6_combined_bounds():
     t0 = time.monotonic()
     ok = True
@@ -269,7 +261,8 @@ def test_criterion_6_combined_bounds():
             for entry in gen:
                 lists += 1
                 for i, member in enumerate(entry.members):
-                    lengths = {h: _length_lookup(recorded, h, entry.s_def)
+                    lengths = {h: last_visit_length(recorded, h,
+                                                    entry.s_def)
                                for h in nonlow_alpha.etas_above(member)}
                     ok &= (entry.kps[i]
                            == nonlow_alpha.k_prime(member, lengths))

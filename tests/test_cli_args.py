@@ -18,19 +18,18 @@ from hypothesis import given, settings, strategies as st
 
 from injurylab import cli
 from injurylab.cli import USAGE, VERBS, main, read_argv
-from injurylab.constructions import CONSTRUCTIONS
 from injurylab.trace import ConfigError
 
 
 def reference_parser() -> argparse.ArgumentParser:
-    """The parser that cli.main built on every call before the table."""
+    """The parser that cli.main built on every call before the table,
+    less its run flags --construction and --alpha, which the command no
+    longer takes."""
     p = argparse.ArgumentParser(prog="injury-lab")
     sub = p.add_subparsers(dest="verb", required=True)
 
     r = sub.add_parser("run", help="execute one scenario")
     r.add_argument("--scenario", required=True)
-    r.add_argument("--construction", choices=tuple(CONSTRUCTIONS))
-    r.add_argument("--alpha")
     r.add_argument("--stages", type=int)
     r.add_argument("--seed", type=int)
     r.add_argument("--trace")
@@ -89,14 +88,12 @@ def run_cli(argv):
 
 VALID = [
     ["run", "--scenario", "s.txt"],
-    ["run", "--scenario=s.txt", "--construction", "low-alpha", "--alpha",
-     "w^2", "--stages", "40", "--seed", "-2", "--trace", "t.trace",
-     "--report", "r.txt"],
-    ["run", "--construction=nonlow-alpha", "--scenario", "a",
-     "--scenario", "b", "--alpha=-1.5"],
+    ["run", "--scenario=s.txt", "--stages", "40", "--seed", "-2", "--trace",
+     "t.trace", "--report", "r.txt"],
+    ["run", "--trace=-1.5", "--scenario", "a", "--scenario", "b"],
     ["run", "--stages", "0", "--scenario", "-", "--stages=7", "--seed=-0"],
     ["run", "--scenario", "", "--report=x=y", "--trace", "-3"],
-    ["run", "--scenario", "s", "--alpha", "-1.5", "--report", "-.5"],
+    ["run", "--scenario", "s", "--trace", "-1.5", "--report", "-.5"],
     ["campaign", "--scenario", "s.txt", "--seeds", "3"],
     ["campaign", "--seeds=2", "--seed", "-5", "--stages", "10",
      "--scenario", "x"],
@@ -128,12 +125,15 @@ def test_corpus_covers_every_verb_and_flag():
             assert (verb, flag) in used
 
 
-FLAGS = ["--scenario", "--construction", "--alpha", "--stages", "--seed",
-         "--seeds", "--trace", "--report"]
+FLAGS = ["--scenario", "--stages", "--seed", "--seeds", "--trace",
+         "--report"]
+# flags that no verb takes: a run is fixed by its scenario file, --seed
+# and --stages
+GONE = ["--construction", "--alpha"]
 VALUES = ["0", "3", "12", "-", "-3", "w", "junk", "s.txt", "low-alpha",
           "nonlow-low2"]
 TOKENS = ["run", "campaign", "verify-trace", "cnf", "eval", "+", "*",
-          "cmp", "--bogus"] + FLAGS + VALUES
+          "cmp", "--bogus"] + FLAGS + GONE + VALUES
 PREFIXES = [[], ["run"], ["campaign"], ["verify-trace"], ["cnf"],
             ["cnf", "eval"]]
 
@@ -143,8 +143,10 @@ argvs = st.tuples(
     st.sampled_from(PREFIXES),
     st.lists(st.one_of(
         st.sampled_from(TOKENS).map(lambda t: [t]),
-        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(list),
-        st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)).map(
+        st.tuples(st.sampled_from(FLAGS + GONE),
+                  st.sampled_from(VALUES)).map(list),
+        st.tuples(st.sampled_from(FLAGS + GONE),
+                  st.sampled_from(VALUES)).map(
             lambda fv: ["=".join(fv)])), max_size=8),
 ).map(lambda t: t[0] + [tok for part in t[1] for tok in part])
 
@@ -188,14 +190,17 @@ VERB_LIST = "(run, campaign, verify-trace, cnf eval)"
      "error run: --stages wants an int, got '1.5'"),
     (["run", "--scenario", "s", "--stages", "-3"],
      "error --stages wants a natural, got -3"),
-    (["run", "--scenario", "s", "--construction", "low3"],
-     "error run: --construction wants one of nonlow-low2, low-alpha, "
-     "nonlow-alpha, got 'low3'"),
+    (["run", "--scenario", "s", "--construction", "low-alpha"],
+     "error run: unknown flag '--construction'"),
     (["cnf"], f"error wants a verb {VERB_LIST}, got 'cnf'"),
     (["cnf", "evil", "w"], f"error wants a verb {VERB_LIST}, got 'cnf evil'"),
     (["cnf", "eval"], "error cnf eval: wants an expression"),
     (["cnf", "eval", "w", "--seed", "3"],
      "error cnf eval: unknown flag '--seed'"),
+    (["run", "--scenario", "s", "--alpha=w"],
+     "error run: unknown flag '--alpha=w'"),
+    (["run", "--scenario", "s", "--alpha", "w^^"],
+     "error run: unknown flag '--alpha'"),
 ])
 def test_usage_error_is_one_located_error_line(argv, line):
     assert reference(argv) is None

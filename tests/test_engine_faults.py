@@ -78,7 +78,7 @@ def failures(sc, seed):
     """The trace of seed and its failing checks, name -> witness."""
     trace, psis = sc.execute(seed=seed)
     return trace, {c.name: c.witness
-                   for c in checks_for(trace, replay_of(trace), sc, psis)
+                   for c in checks_for(trace, replay_of(trace), psis)
                    if not c.passed}
 
 

@@ -88,7 +88,7 @@ class TestGoldenTraces:
     @pytest.mark.parametrize("name", NAMES)
     def test_checks_pass(self, name):
         sc, trace, psis = run_golden(name)
-        checks = checks_for(trace, replay_of(trace), sc, psis)
+        checks = checks_for(trace, replay_of(trace), psis)
         assert checks and all(c.passed for c in checks)
         assert trace.summary == reduce_summary(replay_of(trace))
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from injurylab import cli, nonlow_low2
 from injurylab.cli import (checks_for, digest, main, reduce_summary,
                            replay_of)
+from injurylab.constructions import CONSTRUCTIONS
 from injurylab.functional import ArgSchedule
 from injurylab.ordinal import MAX_NESTING, nat, omega_power
 from injurylab.scenario import OPPONENTS, ScenarioError, load_scenario
@@ -49,6 +50,16 @@ def edited(name, lineno, **values):
     lines = list(GOLDEN[name])
     lines[lineno - 1] = set_payload(lines[lineno - 1], **values)
     return "\n".join(lines) + "\n"
+
+
+def appended(name, payload):
+    """The text of a golden trace with an event of payload appended at
+    its last stage, and that event's id."""
+    lines = list(GOLDEN[name])
+    last = max(i for i, line in enumerate(lines) if line[:1].isdigit())
+    eid, stage = map(int, lines[last].split()[:2])
+    lines.insert(last + 1, f"{eid + 1} {stage} {payload}")
+    return "\n".join(lines) + "\n", eid + 1
 
 
 LOW2_TEXT = """\
@@ -153,10 +164,6 @@ class TestGrammar:
                 read |= set(reads)
             assert read == set(spec.fields)
 
-    def test_verify_toggle(self):
-        sc = load_scenario(LOWA_TEXT + "verify budget-formula off\n")
-        assert sc.verify == {"budget-formula": False}
-
     def errors(self, text):
         with pytest.raises(ScenarioError) as ex:
             load_scenario(text)
@@ -227,14 +234,13 @@ class TestGrammar:
         assert err.lineno == body.count("\n") + 2
         assert str(err) == f"line {err.lineno}: unknown {field}"
 
-    def test_verify_wants_on_off(self):
-        err = self.errors("construction nonlow-low2\nverify budget maybe\n")
-        assert err.lineno == 2
-
-    @pytest.mark.parametrize("name", ["no-such-check", "budget-formula"])
-    def test_verify_unknown_check(self, name):
-        err = self.errors(f"construction nonlow-low2\nverify {name} off\n")
-        assert err.lineno == 2 and name in str(err)
+    @pytest.mark.parametrize("line", ["verify uniformity off",
+                                      "verify budget-formula off",
+                                      "verify no-such-check off",
+                                      "verify budget maybe"])
+    def test_verify_line_is_an_unknown_directive(self, line):
+        err = self.errors(f"construction nonlow-low2\n{line}\n")
+        assert str(err) == "line 2: unknown directive 'verify'"
 
     @pytest.mark.parametrize("field", ["flip 0.3x", "flip 1.5",
                                        "change lots", "change nan"])
@@ -263,8 +269,11 @@ class TestExecute:
         sc = load_scenario(text)
         trace, psis = sc.execute()
         assert trace.summary == reduce_summary(replay_of(trace))
-        checks = checks_for(trace, replay_of(trace), sc, psis)
+        checks = checks_for(trace, replay_of(trace), psis)
         assert checks and all(c.passed for c in checks)
+        # every check of the construction reports: no line turns one off
+        assert [c.name for c in checks] == \
+            list(CONSTRUCTIONS[sc.construction].checks)
 
     def test_seed_shifts_opponents(self):
         sc = load_scenario(LOW2_TEXT)
@@ -277,12 +286,6 @@ class TestExecute:
         t0, _ = sc.execute()
         t1, _ = sc.execute()
         assert t0.to_text() == t1.to_text()
-
-    def test_toggle_filters_checks(self):
-        sc = load_scenario(LOWA_TEXT + "verify budget-formula off\n")
-        trace, _ = sc.execute()
-        names = {c.name for c in checks_for(trace, replay_of(trace), sc)}
-        assert "budget-formula" not in names and "diagonalization" in names
 
 
 CONSTRUCTION_IDS = ("nonlow-low2", "low-alpha", "nonlow-alpha")
@@ -690,27 +693,13 @@ class TestCli:
         code, text = self.run_cli(["verify-trace", "--trace", str(tr)])
         assert (code, text) == (2, "error unknown construction 'bogus'\n")
 
-    @pytest.mark.parametrize("construction", ["nonlow-alpha", "low-alpha"])
-    def test_run_construction_override_wants_alpha(self, construction):
-        code, text = self.run_cli(
-            ["run", "--scenario", os.path.join(SCEN, "golden-nonlow-low2.txt"),
-             "--construction", construction])
-        assert (code, text) == (
-            2, f"error line 0: {construction} wants an alpha\n")
-
-    def test_run_construction_override_rechecks_verify_lines(self, tmp_path):
+    @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
+    def test_verify_line_exits_2(self, tmp_path, verb):
         path = self.scenario_path(tmp_path,
                                   LOWA_TEXT + "verify budget-formula off\n")
-        code, text = self.run_cli(["run", "--scenario", path,
-                                   "--construction", "nonlow-alpha"])
-        assert (code, text) == (
-            2, "error line 10: nonlow-alpha has no check 'budget-formula'\n")
-
-    def test_run_rejects_bad_alpha_option(self, tmp_path):
-        path = self.scenario_path(tmp_path, LOWA_TEXT)
-        code, text = self.run_cli(["run", "--scenario", path,
-                                   "--alpha", "w^^"])
-        assert code == 2 and text.startswith("error --alpha: "), text
+        code, text = self.run_cli(verb[:1] + ["--scenario", path] + verb[1:])
+        assert (code, text) == (2, "error line 10: unknown directive "
+                                   "'verify'\n")
 
     @pytest.mark.parametrize("name, renames, eid", [
         ("golden-nonlow-low2", {"f": "z", "if": "iz"}, 2),
@@ -786,16 +775,30 @@ class TestCli:
     ])
     def test_verify_trace_rejects_stray_phi_set(self, tmp_path, name,
                                                 payload, check):
-        lines = list(GOLDEN[name])
-        last = max(i for i, line in enumerate(lines) if line[:1].isdigit())
-        eid, stage = map(int, lines[last].split()[:2])
-        lines.insert(last + 1, f"{eid + 1} {stage} {payload}")
         tr = tmp_path / "t.trace"
-        tr.write_text("\n".join(lines) + "\n")
+        text, eid = appended(name, payload)
+        tr.write_text(text)
         code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
         assert code == 1
         assert [l for l in out.splitlines() if " fail " in l] == [
-            f"check {check} fail witness {eid + 1}"]
+            f"check {check} fail witness {eid}"]
+
+    # A phi-set tag with another number of fields than a list's head
+    # names no list at all: a malformed payload, not a failed check.
+    @pytest.mark.parametrize("name, tag", [
+        ("golden-low-alpha", "0.1"),
+        ("golden-low-alpha", "-.0"),
+        ("golden-nonlow-alpha", "0"),
+        ("golden-nonlow-alpha", "-.0.1"),
+    ])
+    def test_verify_trace_rejects_phi_set_tag_of_wrong_arity(self, tmp_path,
+                                                             name, tag):
+        tr = tmp_path / "t.trace"
+        text, eid = appended(name, f"phi-set e={tag} value=3")
+        tr.write_text(text)
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, out) == (2, f"error event {eid}: bad phi-set "
+                                  f"payload: {tag!r} names no quota list\n")
 
     @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
     @pytest.mark.parametrize("old, new, where", [

@@ -85,24 +85,24 @@ def results(checks):
     return [(c.name, c.passed, c.witness, c.detail) for c in checks]
 
 
-def assert_matches_reference(trace, sc=None, psis=None):
+def assert_matches_reference(trace, psis=None):
     """The shipped replay of trace derives what the per-event one does."""
     reference = per_event(trace)
     shipped, full = replay_of(trace), replay_of(reference)
     assert fields(shipped) == fields(full)
-    assert results(checks_for(trace, shipped, sc, psis)) \
-        == results(checks_for(reference, full, sc, psis))
+    assert results(checks_for(trace, shipped, psis)) \
+        == results(checks_for(reference, full, psis))
     return shipped
 
 
-def assert_matches_reference_as_text(trace, sc=None, psis=None):
+def assert_matches_reference_as_text(trace, psis=None):
     """As assert_matches_reference, for trace and for its parsed text,
     whose runs the parser finds on its own; the replay of trace."""
     back = RunTrace.from_text(trace.to_text().encode())
     assert_whole_stages(back)
     assert_quiet_runs(back)
-    assert_matches_reference(back, sc, psis)
-    return assert_matches_reference(trace, sc, psis)
+    assert_matches_reference(back, psis)
+    return assert_matches_reference(trace, psis)
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -115,23 +115,22 @@ def test_golden_fixture_matches_reference(name):
 def run(path, seed, stages=None):
     with open(path) as fh:
         sc = load_scenario(fh.read())
-    trace, psis = sc.execute(seed=seed, stages=stages)
-    return sc, trace, psis
+    return sc.execute(seed=seed, stages=stages)
 
 
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("path", SCENARIOS, ids=os.path.basename)
 def test_scenario_matches_reference(path, seed):
-    sc, trace, psis = run(path, seed)
-    assert_matches_reference_as_text(trace, sc, psis)
+    trace, psis = run(path, seed)
+    assert_matches_reference_as_text(trace, psis)
 
 
 @pytest.mark.parametrize("seed", range(2))
 @pytest.mark.parametrize("path", SHAPES, ids=os.path.basename)
 def test_cut_bench_shape_matches_reference(path, seed):
-    sc, trace, psis = run(path, seed, 2000)
+    trace, psis = run(path, seed, 2000)
     assert copied(trace) > 1000
-    assert_matches_reference(trace, sc, psis)
+    assert_matches_reference(trace, psis)
 
 
 def test_an_init_in_a_repeated_stage_is_read():
@@ -255,7 +254,7 @@ def test_a_run_that_ends_with_injects_matches_reference(name):
         assert stops_at_injects(t)
         assert_whole_stages(t)
         assert_quiet_runs(t)
-    assert_matches_reference_as_text(trace, sc, psis)
+    assert_matches_reference_as_text(trace, psis)
 
 
 def goes_on_text(edge: str) -> str:
@@ -401,7 +400,7 @@ def test_replay_cost_does_not_grow_with_the_stage_budget():
     path = os.path.join(ROOT, "bench", "scenarios", "campaign-low2.txt")
     seen = []
     for stages in (2_000, 20_000):
-        _, trace, _ = run(path, 0, stages)
+        trace, _ = run(path, 0, stages)
         parsed = RunTrace.from_text(trace.to_text().encode())
         count_reads(trace)
         replay = replay_of(trace)

@@ -21,9 +21,12 @@ event kinds.
 
 A fourth scan finds write-only attributes: every attribute the package
 stores on an object (``obj.name = ...``) must be loaded somewhere in
-the package, again matched by name.  A load that only feeds a store of
-its own name does not count: one in the value of an assignment to that
-attribute, or in the test of an ``if`` whose body only assigns it.
+the package, again matched by name.  A load through ``self`` counts only
+within its class's hierarchy, so a class's own attribute is not kept by
+another class's attribute of the same name.  A load that only feeds a
+store of its own name does not count: one in the value of an assignment
+to that attribute, or in the test of an ``if`` whose body only assigns
+it.
 """
 
 import ast
@@ -285,23 +288,55 @@ def write_only_attributes(trees):
     """The attribute names stored on an object in trees (module -> its
     AST), and those stores, qualified by module and top-level class,
     whose name no load in trees names.  A load that only feeds a store
-    of its own name (``feeding_loads``) names nothing."""
-    stored, loaded = {}, set()
+    of its own name (``feeding_loads``) names nothing.  A load or store
+    through ``self`` in a top-level class is the class's own: such a
+    load names the attribute for that class, its bases and its
+    subclasses (a method runs on instances of those), and such a store
+    is named only by those loads and by loads through other objects."""
+    classes = {top.name: top for tree in trees.values() for top in tree.body
+               if isinstance(top, ast.ClassDef)}
+
+    def bases(name):
+        return {b.id for b in classes[name].bases
+                if isinstance(b, ast.Name) and b.id in classes}
+
+    def lineage(name):
+        """name and its bases, transitively."""
+        out, todo = set(), [name]
+        while todo:
+            cls = todo.pop()
+            out.add(cls)
+            todo += bases(cls) - out
+        return out
+
+    stored, loaded = {}, set()  # loaded: (class or None, name)
+    stores = []  # (qualified name, class or None, name)
     for module, tree in trees.items():
         feeding = feeding_loads(tree)
         for top in tree.body:
-            owner = f"{module}.{top.name}" \
-                if isinstance(top, ast.ClassDef) else module
+            cls = top.name if isinstance(top, ast.ClassDef) else None
+            owner = f"{module}.{cls}" if cls else module
             for node in ast.walk(top):
                 if not isinstance(node, ast.Attribute):
                     continue
+                on_self = isinstance(node.value, ast.Name) \
+                    and node.value.id == "self"
+                key = (cls if on_self else None, node.attr)
                 if isinstance(node.ctx, ast.Store):
                     stored.setdefault(node.attr, set()).add(
                         f"{owner}.{node.attr}")
+                    stores.append((f"{owner}.{node.attr}",) + key)
                 elif id(node) not in feeding:
-                    loaded.add(node.attr)
-    return stored, sorted(qual for name, quals in stored.items()
-                          if name not in loaded for qual in quals)
+                    loaded.add(key)
+    # the (class, name) pairs the self loads name: one in C names those of
+    # C's lineage and of every class whose lineage holds C
+    named = {(c, name) for c_load, name in loaded if c_load is not None
+             for c in classes if c in lineage(c_load) or c_load in lineage(c)}
+    any_load = {name for _, name in loaded}
+    return stored, sorted({qual for qual, cls, name in stores
+                           if (None, name) not in loaded
+                           and (cls, name) not in named
+                           and (cls is not None or name not in any_load)})
 
 
 def test_every_stored_attribute_is_loaded():
@@ -336,3 +371,48 @@ class Trace:
 def test_a_load_that_feeds_its_own_store_reads_nothing():
     _, found = write_only_attributes({"grown": ast.parse(GROWN_ONLY)})
     assert found == ["grown.Trace.stages", "grown.Trace.total"]
+
+
+# Shaped like ApproxTrace.stages when RunTrace and Scenario still loaded
+# a .stages of their own: Grown stores stages and reads it only to grow
+# it, while Run loads its own stages.  Base reads a step that only its
+# subclass Steps stores, and Steps reads the base's start.
+SHARED_NAME = """
+class Grown:
+    def __init__(self):
+        self.stages = 0
+
+    def record(self, stage):
+        if stage + 1 > self.stages:
+            self.stages = stage + 1
+
+
+class Run:
+    def __init__(self, stages):
+        self.stages = stages
+
+    def each(self):
+        return range(self.stages)
+
+
+class Base:
+    def __init__(self):
+        self.start = 0
+
+    def next(self):
+        return self.start + self.step
+
+
+class Steps(Base):
+    def __init__(self):
+        super().__init__()
+        self.step = 2
+
+    def first(self):
+        return self.start
+"""
+
+
+def test_a_load_through_self_names_its_own_class_only():
+    _, found = write_only_attributes({"shared": ast.parse(SHARED_NAME)})
+    assert found == ["shared.Grown.stages"]
