@@ -271,9 +271,16 @@ class TestExecute:
         assert trace.summary == reduce_summary(replay_of(trace))
         checks = checks_for(trace, replay_of(trace), psis)
         assert checks and all(c.passed for c in checks)
-        # every check of the construction reports: no line turns one off
-        assert [c.name for c in checks] == \
-            list(CONSTRUCTIONS[sc.construction].checks)
+
+    def test_reports_every_check(self):
+        # no scenario line turns a check off: a run reports every check
+        # of its construction, in registry order
+        for text in (LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT):
+            sc = load_scenario(text)
+            trace, psis = sc.execute()
+            names = [c.name for c in checks_for(trace, replay_of(trace),
+                                                psis)]
+            assert names == list(CONSTRUCTIONS[sc.construction].checks)
 
     def test_seed_shifts_opponents(self):
         sc = load_scenario(LOW2_TEXT)
@@ -692,6 +699,14 @@ class TestCli:
         tr.write_text("trace bogus stages=1\n0 0 visit node=-\n")
         code, text = self.run_cli(["verify-trace", "--trace", str(tr)])
         assert (code, text) == (2, "error unknown construction 'bogus'\n")
+
+    @pytest.mark.parametrize("construction", ["nonlow-alpha", "low-alpha"])
+    def test_run_construction_flag_exits_2(self, construction):
+        # the scenario file alone names the construction
+        code, text = self.run_cli(
+            ["run", "--scenario", os.path.join(SCEN, "golden-nonlow-low2.txt"),
+             "--construction", construction])
+        assert (code, text) == (2, "error run: unknown flag '--construction'\n")
 
     @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
     def test_verify_line_exits_2(self, tmp_path, verb):
