@@ -137,17 +137,16 @@ class DeltaTwoAdversary(_RowStore):
     """A 0/1 limit-guessing opponent, starting at 0.
 
     Modes: ``scripted`` follows explicit steps, each flipping the value.
-    ``stabilizing`` and ``random`` draw by one rule: flip with
-    probability ``flip`` each stage, constant from ``stab`` on (a
-    ``stab`` of None never settles).  ``alternating`` flips forever
-    every ``period`` stages, in closed form, so it keeps no rows.  Any
-    other mode, a period below 1, or a step on a mode other than
-    ``scripted`` is a ValueError.
+    ``random``, the default, flips with probability ``flip`` each stage,
+    constant from ``stab`` on (a ``stab`` of None never settles).
+    ``alternating`` flips forever every ``period`` stages, in closed
+    form, so it keeps no rows.  Any other mode, a period below 1, or a
+    step on a mode other than ``scripted`` is a ValueError.
     """
 
-    def __init__(self, aid: str, mode: str = "stabilizing", seed: int = 0,
+    def __init__(self, aid: str, mode: str = "random", seed: int = 0,
                  flip: float = 0.3, stab: int | None = 40, period: int = 1):
-        if mode not in ("stabilizing", "random", "alternating", "scripted"):
+        if mode not in ("random", "alternating", "scripted"):
             raise ValueError(f"unknown psi mode {mode!r}")
         if period < 1:
             raise ValueError(f"period wants at least 1, got {period}")
@@ -155,7 +154,7 @@ class DeltaTwoAdversary(_RowStore):
         self.mode = mode
         self.seed = seed
         self.flip = flip
-        self.stab = stab if mode in ("stabilizing", "random") else None
+        self.stab = stab if mode == "random" else None
         self.period = period
         self._scripted = mode == "scripted"
         self._start = (0, None)  # a guess carries no marker

@@ -306,8 +306,9 @@ class EtaRhoReplay:
     that defines ``_extra(eid, stage, payload)`` sees every event but the
     visits before the shared handling.  Node names are parsed through
     ``levels.parse``.  An event without a payload key the replay reads,
-    the length ``l`` of an eta visit included, or with a value it cannot
-    parse, a misspelt node name included, raises ConfigError naming the
+    the length ``l`` of an eta visit included, with a value it cannot
+    parse, a misspelt node name included, or of a kind in ``refused``,
+    which the construction never writes, raises ConfigError naming the
     event.  The replay is the one pass over the events: the checks and
     the terminal summary read only what it derives.  A stage that a
     recorded run copies is read once with its copies (see
@@ -315,6 +316,7 @@ class EtaRhoReplay:
 
     levels: Levels
     _extra = None
+    refused = frozenset()
 
     def _read(self, trace: RunTrace):
         self.stages = trace.stages
@@ -332,7 +334,7 @@ class EtaRhoReplay:
         self.summary = summary = Summary()
         holders, parse = self.levels.holders, self.levels.parse
         period = self.levels.period
-        extra = self._extra
+        extra, refused = self._extra, self.refused
         acted = {}
         visits = 0
         # (eid, node) of the first rho or xi visit that carries a field of
@@ -362,6 +364,8 @@ class EtaRhoReplay:
                             foreign = (eid, node)
                         visits += 1
                         continue
+                    if kind in refused:
+                        raise ValueError(f"not a {trace.construction} event")
                     summary.read(kind, p)
                     if extra is not None:
                         extra(eid, s, p)

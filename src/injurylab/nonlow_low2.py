@@ -11,6 +11,7 @@ claim from the emitted trace alone.
 
 from __future__ import annotations
 
+from .budgeted import LIST_KINDS
 from .etarho import (EtaRhoReplay, EtaRhoRun, Levels, check_recursion,
                      check_triggers, injury_bound, worst_ratio)
 from .trace import CheckResult, RunTrace
@@ -40,6 +41,7 @@ class _Replay(EtaRhoReplay):
     """Verifier view of a two-level trace, from the event stream alone."""
 
     levels = LEVELS
+    refused = LIST_KINDS  # only the alpha constructions keep quota lists
 
     def __init__(self, trace: RunTrace):
         # Each replay class has its own __init__, so that per-layer timing

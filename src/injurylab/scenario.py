@@ -129,7 +129,6 @@ _FLIPS = ("seed", "flip", "stab")  # what a psi that draws its flips reads
 # signatures alone.
 OPPONENTS = {
     "psi": Kind({None: (DeltaTwoAdversary, _FLIPS),
-                 "stabilizing": (_psi("stabilizing"), _FLIPS),
                  "random": (_psi("random"), _FLIPS),
                  "alternating": (_psi("alternating"), ("period",)),
                  "scripted": (_psi("scripted"), ())},

@@ -139,7 +139,7 @@ def test_trace_changes_feed_collapse():
 
 
 def test_delta2_stabilizing_settles():
-    adv = DeltaTwoAdversary("p0", mode="stabilizing", seed=7, stab=40)
+    adv = DeltaTwoAdversary("p0", mode="random", seed=7, stab=40)
     for x in range(3):
         assert all(t < 40 for t in adv.change_stages(x, 200))
         settled = adv.value(x, 40)
@@ -196,7 +196,7 @@ def test_delta2_script_steps_flip_in_rising_stages():
     DeltaTwoAdversary("p0", "random", stab=None),
     DeltaTwoAdversary("p0", "alternating", period=2),
     BoundedCaAdversary("f0", OMEGA),
-], ids=["stabilizing", "random", "alternating", "budgeted"])
+], ids=["default", "random", "alternating", "budgeted"])
 def test_drawn_opponents_take_no_steps(adv):
     before = [adv.value(x, s) for x in range(3) for s in range(60)]
     step = (0, 5, 1) if isinstance(adv, DeltaTwoAdversary) \
@@ -314,8 +314,7 @@ def queries(rng, n=120):
 
 
 @pytest.mark.parametrize("mode, stab", [("random", 25), ("random", None),
-                                        ("stabilizing", 40),
-                                        ("stabilizing", 0),
+                                        ("random", 40), ("random", 0),
                                         ("alternating", 40),
                                         ("scripted", 40)])
 def test_delta2_matches_naive_reference(mode, stab):

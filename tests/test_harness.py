@@ -429,6 +429,8 @@ class TestCli:
     def test_cnf_eval_bad_expression(self):
         code, text = self.run_cli(["cnf", "eval", "w", "+"])
         assert code == 2 and text.startswith("error ")
+        assert self.run_cli(["cnf", "eval", "w^(w"]) == \
+            (2, "error missing ')'\n")
 
     def test_cnf_eval_unknown_operator(self):
         assert self.run_cli(["cnf", "eval", "w", "-", "1"]) \
@@ -471,6 +473,8 @@ class TestCli:
         ("adv f0 f g w mode stabilizing\n",
          "line 2: unknown f mode 'stabilizing'"),
         ("adv p0 psi mode chaotic\n", "line 2: unknown psi mode 'chaotic'"),
+        ("adv p0 psi mode stabilizing\n",
+         "line 2: unknown psi mode 'stabilizing'"),
         ("adv p0 psi mode alternating period 0\n",
          "line 2: period wants at least 1, got 0"),
         # a field its mode does not read would change nothing
@@ -479,8 +483,7 @@ class TestCli:
           for mode, fields in (("alternating", ("flip", "stab", "seed")),
                                ("scripted", ("flip", "stab", "seed",
                                              "period")),
-                               ("random", ("period",)),
-                               ("stabilizing", ("period",)))
+                               ("random", ("period",)))
           for field in fields],
         ("adv p0 psi flip 0.2 period 2\n",
          "line 2: psi without a mode reads no period"),
@@ -815,6 +818,19 @@ class TestCli:
         assert (code, out) == (2, f"error event {eid}: bad phi-set "
                                   f"payload: {tag!r} names no quota list\n")
 
+    @pytest.mark.parametrize("payload", [
+        "phi-set e=0 value=3", "qlist-set e=0 k=1 members=0 gs=w",
+        "qlist-remove e=0 member=0 cause=init"])
+    def test_verify_trace_rejects_list_events_in_a_low2_trace(self, tmp_path,
+                                                              payload):
+        tr = tmp_path / "t.trace"
+        text, eid = appended("golden-nonlow-low2", payload)
+        tr.write_text(text)
+        code, out = self.run_cli(["verify-trace", "--trace", str(tr)])
+        assert (code, out) == (2, f"error event {eid}: bad "
+                                  f"{payload.split()[0]} payload: not a "
+                                  f"nonlow-low2 event\n")
+
     @pytest.mark.parametrize("verb", [["run"], ["campaign", "--seeds", "2"]])
     @pytest.mark.parametrize("old, new, where", [
         ("stage 9 value 0 marker 2", "stage 9 value 0 marker 5",
@@ -1001,7 +1017,7 @@ KEYS = sorted({key for lines in GOLDEN.values() for ln in lines
 
 
 @st.composite
-def mutated_goldens(draw):
+def golden_mutations(draw):
     """A golden trace after one to three line edits: a line dropped,
     duplicated or swapped with the next; one payload value set to -5, x,
     the empty string, a non-ASCII letter or a line break other than
@@ -1060,7 +1076,7 @@ def trace_file(tmp_path_factory):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(text=mutated_goldens())
+@given(text=golden_mutations())
 @example(text=edited("golden-low-alpha", 9, k=-5))
 @example(text=edited("golden-nonlow-alpha", 41, k=-5, kps=-5))
 @example(text=edited("golden-low-alpha", 9, members="0,0", gs="w;w").replace(
@@ -1086,7 +1102,7 @@ SCENARIO_LINES = {os.path.basename(path): scenario_lines(path)
 
 
 @st.composite
-def mutated_scenarios(draw):
+def scenario_mutations(draw):
     """A shipped scenario with one token of a directive line set to -5,
     x or the empty string, or dropped."""
     lines = list(SCENARIO_LINES[draw(st.sampled_from(sorted(
@@ -1110,7 +1126,7 @@ def scenario_file(tmp_path_factory):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(text=mutated_scenarios())
+@given(text=scenario_mutations())
 def test_run_survives_mutated_scenarios(scenario_file, text):
     # a verdict, a failed check or a located error; never a traceback
     scenario_file.write_text(text)

@@ -301,49 +301,6 @@ class TestVerifier:
         assert re.findall(r"^seed \d+ .* worst-ratio=(\S+)$", out.getvalue(),
                           re.M) == ["0.1", "0.1", "0.1", "0"]
 
-    def test_corrupt_budget_fails(self):
-        adv = flip_adversary("f0", W, [4], [nat(1)])
-        fun = UseFunctional(0)
-        fun.configure(0, first=0)
-        tr = la.run([adv], [fun], omega_power(W), 8)
-
-        def corrupt(eid, stage, payload):
-            p = dict(payload)
-            if payload.kind == "phi-set" and p["e"] == "0":
-                p["value"] = "w*7"
-            return [(stage, payload.kind, p)]
-        bad = mutated(tr, corrupt)
-        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(bad))}
-        assert not checks["budget-formula"].passed
-        assert checks["budget-formula"].witness == 0
-
-    def test_unlisted_injurer_fails_gate(self):
-        tr = RunTrace("low-alpha", 4)
-        tr.emit(0, "phi-set", e="alpha", value="w^w")
-        tr.emit(1, "qlist-set", e=0, k=0, members="-", gs="-", horizon=0)
-        tr.emit(1, "phi-set", e=0, value="0")
-        tr.emit(2, "enumerate", node="q5", element=1, marker="0")
-        tr.emit(2, "inject-diverge", e=0, x=0, use=9)
-        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(tr))}
-        assert not checks["injury-gate"].passed
-        assert checks["injury-gate"].witness == 4
-
-    def test_missing_redeclare_fails(self):
-        adv = flip_adversary("f0", W, [4], [nat(1)])
-        fun = UseFunctional(0)
-        fun.configure(0, first=0)
-        tr = la.run([adv], [fun], omega_power(W), 8)
-        enum = by_kind(tr, "enumerate")[0]
-
-        def drop_redeclare(eid, stage, p):
-            if p.kind == "declare" and eid > enum and p.get("what") == "delta":
-                return []
-            return [(stage, p.kind, p)]
-        bad = mutated(tr, drop_redeclare)
-        checks = {c.name: c for c in la.verify_lowness_budget(replay_of(bad))}
-        assert not checks["redeclare"].passed
-
-
 def descending_chain(start, length, rng):
     """A strictly descending chain of at most length ordinals from start,
     stopping at 0."""
@@ -384,109 +341,3 @@ class TestStress:
         total = sum(len(by_kind(stress(seed), "inject-diverge"))
                     for seed in range(1, 9))
         assert total > 0
-
-
-FIX = os.path.join(os.path.dirname(__file__), "fixtures")
-
-
-def golden_trace():
-    with open(os.path.join(FIX, "golden-low-alpha.trace")) as fh:
-        return RunTrace.from_text(fh.read().encode())
-
-
-def mutated(trace, edit):
-    """A copy of trace in which edit(eid, stage, payload) gives the
-    (stage, kind, payload) rows that replace each event; event ids are
-    renumbered."""
-    out = RunTrace(trace.construction, trace.stages)
-    for eid, (stage, p) in enumerate(zip(stage_of(trace), trace.events)):
-        for row_stage, kind, payload in edit(eid, stage, p):
-            out.emit(row_stage, kind, **payload)
-    out.finalize(trace.summary)
-    return out
-
-
-def insert_after(eid, stage, kind, **payload):
-    """An edit that adds one event right after event eid."""
-    def edit(i, s, p):
-        rows = [(s, p.kind, p)]
-        if i == eid:
-            rows.append((stage, kind, payload))
-        return rows
-    return edit
-
-
-def check_named(trace, name):
-    return next(c for c in la.verify_lowness_budget(replay_of(trace))
-                if c.name == name)
-
-
-class TestFaultInjection:
-    """Each quota-list check fails, with a pinned witness, on a mutation of
-    the golden low-alpha trace (watcher 0 lists q0 at stage 3)."""
-
-    def test_golden_passes(self):
-        for check in la.verify_lowness_budget(replay_of(golden_trace())):
-            assert check.passed, check.line()
-
-    def test_quota_list_structure_catches_non_member_remove(self):
-        tr = mutated(golden_trace(),
-                     insert_after(10, 4, "qlist-remove", e=0, q=5,
-                                  cause="preempted"))
-        bad = check_named(tr, "quota-list-structure")
-        assert not bad.passed
-        assert bad.witness == 11
-
-    def test_quota_list_structure_catches_second_set(self):
-        tr = mutated(golden_trace(),
-                     insert_after(10, 4, "qlist-set", e=0, k=1, members=0,
-                                  gs="w", horizon=1))
-        bad = check_named(tr, "quota-list-structure")
-        assert not bad.passed
-        assert bad.witness == 11
-
-    def test_descent_witness_catches_raised_marker(self):
-        # the stage-9 act would put the chain at w+5, above the w+3 the
-        # stage-5 act left it at; the witness is the stage
-        def edit(eid, stage, payload):
-            p = dict(payload)
-            if eid == 25:
-                p["marker"] = "5"
-            return [(stage, payload.kind, p)]
-        bad = check_named(mutated(golden_trace(), edit), "descent-witness")
-        assert not bad.passed
-        assert bad.witness == 9
-
-    def test_descent_witness_catches_missing_budget(self):
-        # without its phi-set (event 8) watcher 0 has no budget to descend
-        # through; the witness is the watcher
-        bad = check_named(mutated(golden_trace(), lambda eid, s, p: []
-                                  if eid == 8 else [(s, p.kind, p)]),
-                          "descent-witness")
-        assert (bad.passed, bad.witness) == (False, 0)
-
-    def test_mind_change_cap_catches_excess(self):
-        # a budget of g = 1 under k = 0 (phi-set 1) caps watcher 0 at one
-        # own injury; the golden run injures it at stages 5 and 9
-        def edit(eid, stage, payload):
-            p = dict(payload)
-            if eid == 7:
-                p.update(k="0", gs="1")
-            elif eid == 8:
-                p["value"] = "1"
-            return [(stage, payload.kind, p)]
-        bad = check_named(mutated(golden_trace(), edit), "mind-change-cap")
-        assert not bad.passed
-        assert (bad.witness, bad.detail) == (0, "1 finite budgets")
-
-    def test_diagonalization_catches_agreeing_declaration(self):
-        # q0 last declares delta = 1 (event 26) and last sees f = 0; a
-        # declaration of 0 agrees with the guess it must defeat
-        def edit(eid, stage, payload):
-            p = dict(payload)
-            if eid == 26:
-                p["value"] = "0"
-            return [(stage, payload.kind, p)]
-        bad = check_named(mutated(golden_trace(), edit), "diagonalization")
-        assert not bad.passed
-        assert (bad.witness, bad.detail) == (0, "1 live followers")

@@ -2,7 +2,8 @@
 
 Pure combinatorics are checked against brute-force oracles; the engine is
 checked on scripted scenarios with frozen event expectations and on the
-trace verifier, including hand-written and corrupted traces.
+trace verifier, including a hand-written trace; tests/test_mutations.py
+corrupts traces until each check fails.
 """
 
 import itertools
@@ -495,77 +496,6 @@ class TestSyntheticDescent:
         assert vals[2] == parse_cnf("w*4+2")
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_corrupt_budget_caught(self):
-        tr = synthetic_descent_trace()
-        bad = RunTrace("nonlow-alpha", 7)
-        for s, payload in zip(stage_of(tr), tr.events):
-            p = dict(payload)
-            if payload.kind == "qlist-set":
-                p["k"] = "5"
-            bad.emit(s, payload.kind, **p)
-        report = {c.name: c.passed
-                  for c in na.verify_combined_bounds(replay_of(bad))}
-        assert not report["qlist-structure"]
-
-    def test_unlisted_injurer_caught(self):
-        tr = synthetic_descent_trace()
-        bad = RunTrace("nonlow-alpha", 7)
-        for s, payload in zip(stage_of(tr), tr.events):
-            p = dict(payload)
-            if payload.kind == "qlist-set":
-                p["members"] = "-"
-                p["gs"] = "-"
-                p["kps"] = "-"
-                p["k"] = "0"
-            elif payload.kind == "phi-set" and p.get("e") == "-.0":
-                p["value"] = "0"
-            bad.emit(s, payload.kind, **p)
-        report = {c.name: c.passed
-                  for c in na.verify_combined_bounds(replay_of(bad))}
-        assert not report["xi-injury-gate"]
-
-    @staticmethod
-    def denied(node, by):
-        """xi-permission-scope on the synthetic trace with a denial of node
-        by by after its first select, and the denial's event id."""
-        tr = synthetic_descent_trace()
-        bad = RunTrace("nonlow-alpha", 7)
-        denial = None
-        for s, p in zip(stage_of(tr), tr.events):
-            bad.emit(s, p.kind, **p)
-            if p.kind == "select" and denial is None:
-                denial = len(bad.events)
-                bad.emit(s, "select", node=node, act="denied", by=by, x=0)
-        report = {c.name: c
-                  for c in na.verify_combined_bounds(replay_of(bad))}
-        check = report["xi-permission-scope"]
-        return (check.passed, check.witness, check.detail), denial
-
-    def test_out_of_scope_denial_caught(self):
-        # a denial of a xi by a node that is not an eta
-        got, denial = self.denied("ii", "f")
-        assert got == (False, denial,
-                       "denier f not an eta-infinity prefix of ii")
-
-    def test_denial_by_an_eta_not_above_the_xi_caught(self):
-        # a denial of a xi by an eta whose infinite outcome is not on its
-        # path
-        got, denial = self.denied("fi", "-")
-        assert got == (False, denial,
-                       "denier - not an eta-infinity prefix of fi")
-
-    def test_rho_visit_with_length_caught(self):
-        tr = synthetic_descent_trace()
-        bad = RunTrace("nonlow-alpha", 7)
-        for s, payload in zip(stage_of(tr), tr.events):
-            p = dict(payload)
-            if payload.kind == "visit" and p["node"] == "i":
-                p["l"] = "1"
-            bad.emit(s, payload.kind, **p)
-        report = {c.name: c.passed
-                  for c in na.verify_combined_bounds(replay_of(bad))}
-        assert not report["level-discipline"]
-
 
 class TestDeniedPermission:
     """Refusal requires a held use at most a protected use with no list
@@ -643,183 +573,6 @@ class TestStress:
             r = na._CombReplay(tr)
             counted += sum(len(r.counted_injuries(eta)) for eta in r.etas())
         assert counted >= 10
-
-
-def hit_stage(tr, s, injurer, x, l, element=3, use=5):
-    """One stage of a hand-written combined trace: the root visit with its
-    length, the rho node "i", then injurer enumerating element and
-    destroying the computation at x.  Returns the id of that injury."""
-    tr.emit(s, "visit", node="-", l=l)
-    tr.emit(s, "visit", node="i")
-    tr.emit(s, "enumerate", node=injurer, element=element)
-    tr.emit(s, "inject-diverge", e=0, x=x, use=use)
-    return len(tr.events) - 1
-
-
-def check_named(trace, name):
-    return next(c for c in na.verify_combined_bounds(replay_of(trace))
-                if c.name == name)
-
-
-class TestFaultInjection:
-    """Each named check fails, with a pinned witness, on a trace built to
-    break exactly the claim it re-derives."""
-
-    def test_rho_recursion_catches_excess(self):
-        # quota node "i" owes one act against x = 2, no xi hit adds to
-        # its allowance, and it injures twice
-        tr = RunTrace("nonlow-alpha", 4)
-        tr.emit(0, "phi-set", e="alpha", value="w^w")
-        first = hit_stage(tr, 1, "i", x=2, l=3)
-        hit_stage(tr, 2, "i", x=2, l=3, element=4)
-        tr.finalize({"A": "3,4"})
-        bad = check_named(tr, "rho-recursion")
-        assert not bad.passed
-        assert bad.witness == first == 4
-
-    def pick_then_hit(self, trigger_node, listed):
-        """'i' picks use 3 at stage 1; trigger_node hits x = 0 at stage 2
-        (listed for (-, 0) when asked); 'i' hits x = 0 at stage 3."""
-        tr = RunTrace("nonlow-alpha", 4)
-        tr.emit(0, "phi-set", e="alpha", value="w^w")
-        tr.emit(1, "visit", node="-", l=1)
-        tr.emit(1, "visit", node="i")
-        tr.emit(1, "declare", node="i", what="gamma", y=1, u=3, act="pick")
-        if listed:
-            tr.emit(1, "qlist-set", eta="-", x=0, k=0, members=trigger_node,
-                    gs="w", kps="0", horizon=0)
-            tr.emit(1, "phi-set", e="-.0", value="w")
-        trigger = hit_stage(tr, 2, trigger_node, x=0, l=1, element=2)
-        hit_stage(tr, 3, "i", x=0, l=1, element=3)
-        tr.finalize({"A": "2,3", "node.i": "1"})
-        return tr, trigger
-
-    def test_trigger_structure_catches_foreign_trigger(self):
-        tr, trigger = self.pick_then_hit("f", listed=False)
-        bad = check_named(tr, "trigger-structure")
-        assert not bad.passed
-        assert bad.witness == trigger == 7
-
-    def test_trigger_structure_catches_unlisted_xi_trigger(self):
-        tr, trigger = self.pick_then_hit("fi", listed=False)
-        bad = check_named(tr, "trigger-structure")
-        assert not bad.passed
-        assert bad.witness == trigger == 7
-
-    def test_trigger_structure_accepts_listed_xi_trigger(self):
-        tr, _ = self.pick_then_hit("fi", listed=True)
-        assert check_named(tr, "trigger-structure").passed
-
-    def test_mind_change_cap_catches_excess(self):
-        # at x = 0 with a finite budget of 0 the closed-form cap is
-        # (0 + 0) * 1 * 4 = 0, so a single counted hit exceeds it
-        tr = RunTrace("nonlow-alpha", 2)
-        tr.emit(0, "phi-set", e="alpha", value="w^w")
-        tr.emit(0, "qlist-set", eta="-", x=0, k=0, members="-", gs="-",
-                kps="-", horizon=0)
-        tr.emit(0, "phi-set", e="-.0", value="0")
-        hit = hit_stage(tr, 1, "i", x=0, l=1)
-        tr.finalize({"A": "3"})
-        bad = check_named(tr, "mind-change-cap")
-        assert not bad.passed
-        assert bad.witness == hit == 6
-
-    def edited_golden(self, edit):
-        """The golden combined trace with edit(eid, stage, payload) giving
-        the rows of (stage, kind, payload) that replace each event."""
-        with open(os.path.join(os.path.dirname(__file__), "fixtures",
-                               "golden-nonlow-alpha.trace")) as fh:
-            golden = RunTrace.from_text(fh.read().encode())
-        tr = RunTrace(golden.construction, golden.stages)
-        for eid, (s, p) in enumerate(zip(stage_of(golden), golden.events)):
-            for stage, kind, payload in edit(eid, s, p):
-                tr.emit(stage, kind, **payload)
-        tr.finalize(golden.summary)
-        return tr
-
-    def test_qlist_structure_catches_illegal_remove(self):
-        # the x = 0 list of the golden trace is empty from stage 3 on, so
-        # no member can leave it
-        def edit(eid, s, p):
-            rows = [(s, p.kind, p)]
-            if eid == 13:
-                rows.append((3, "qlist-remove", dict(eta="-", x=0, xi="ii",
-                                                     cause="exhausted")))
-            return rows
-        assert check_named(self.edited_golden(lambda eid, s, p: [
-            (s, p.kind, p)]), "qlist-structure").passed
-        bad = check_named(self.edited_golden(edit), "qlist-structure")
-        assert not bad.passed
-        assert bad.witness == 14
-
-    def test_descent_witness_catches_raised_marker(self):
-        # the stage-6 hit would put the chain at w*4+4, above the w*4+3
-        # of the stage-4 hit; the witness is the stage
-        tr = RunTrace("nonlow-alpha", 7)
-        synthetic = synthetic_descent_trace()
-        for s, payload in zip(stage_of(synthetic), synthetic.events):
-            p = dict(payload)
-            if payload.kind == "enumerate" and s == 6:
-                p["marker"] = "4"
-            tr.emit(s, payload.kind, **p)
-        bad = check_named(tr, "descent-witness")
-        assert not bad.passed
-        assert bad.witness == 6
-
-    def test_qlist_structure_catches_second_set(self):
-        # the root eta is never initialized, so a second list for x = 0
-        # at stage 7 is illegal; the witness is that qlist-set
-        def edit(eid, s, p):
-            rows = [(s, p.kind, p)]
-            if eid == 40:
-                rows += [(7, "qlist-set", dict(eta="-", x=0, k=0, members="-",
-                                              gs="-", kps="-", horizon=3)),
-                         (7, "phi-set", {"e": "-.0", "value": "0"})]
-            return rows
-        bad = check_named(self.edited_golden(edit), "qlist-structure")
-        assert (bad.passed, bad.witness, bad.detail) == (
-            False, 41, "illegal quota list event")
-
-    def test_qlist_structure_catches_budget_mismatch(self):
-        # phi over the one member w at k = 1028 is w*1029, not w*1028;
-        # the witness is the list's qlist-set
-        def edit(eid, s, payload):
-            p = dict(payload)
-            if eid == 40:
-                p["value"] = "w*1028"
-            return [(s, payload.kind, p)]
-        bad = check_named(self.edited_golden(edit), "qlist-structure")
-        assert (bad.passed, bad.witness, bad.detail) == (
-            False, 39, "budget mismatch at - x=1")
-
-    def test_descent_witness_catches_missing_budget(self):
-        # without its phi-set the x = 0 list has no budget to descend
-        # through; the witness is its qlist-set
-        def edit(eid, s, p):
-            return [] if eid == 13 else [(s, p.kind, p)]
-        bad = check_named(self.edited_golden(edit), "descent-witness")
-        assert (bad.passed, bad.witness, bad.detail) == (
-            False, 12, "missing budget value")
-
-    @pytest.mark.parametrize("eid, field, detail", [
-        (16, "l=1", "rho visit i carries foreign fields"),
-        (16, "x=0", "rho visit i carries foreign fields"),
-        (18, "l=0", "xi visit if carries a length"),
-    ])
-    def test_level_discipline_catches_foreign_field(self, eid, field,
-                                                    detail):
-        # events 16 and 18 are the first visits of the rho node "i" and
-        # of the xi node "if"; the witness is the edited visit
-        with open(os.path.join(os.path.dirname(__file__), "fixtures",
-                               "golden-nonlow-alpha.trace")) as fh:
-            text = fh.read()
-        line = {16: "16 3 visit node=i\n",
-                18: "18 3 visit node=if x=1 f=0\n"}[eid]
-        assert line in text
-        tr = RunTrace.from_text(text.replace(
-            line, f"{line[:-1]} {field}\n").encode())
-        bad = check_named(tr, "level-discipline")
-        assert (bad.passed, bad.witness, bad.detail) == (False, eid, detail)
 
 
 # -- two levels --------------------------------------------------------

@@ -173,7 +173,7 @@ def test_length_at_its_cap_is_walked():
     # forty arguments converge at once, so the eta's length is held back
     # only by the stage number for a while
     sc = load_scenario("construction nonlow-low2\nstages 200\n"
-                       "adv p0 psi level 0 mode stabilizing seed 1 stab 20\n"
+                       "adv p0 psi level 0 mode random seed 1 stab 20\n"
                        + "".join(f"fun 0 arg {x} first 1\n"
                                  for x in range(40)))
     trace, copied = assert_matches_plain(sc)

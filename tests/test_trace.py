@@ -29,7 +29,7 @@ from stage_maps import (assert_quiet_runs, assert_whole_stages, runs,
 from test_acceptance import _low2_seed
 from test_golden import NAMES, run_golden
 from test_harness import (GOLDEN, LOW2_TEXT, LOWA_TEXT, NALPHA_TEXT, SCEN,
-                          SCENARIO_LINES, mutated_goldens)
+                          SCENARIO_LINES, golden_mutations)
 
 
 def oracle_from_text(text: str) -> RunTrace:
@@ -165,7 +165,7 @@ def parsed(parse, text):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(text=mutated_goldens())
+@given(text=golden_mutations())
 def test_parser_matches_the_reference(text):
     expected = parsed(oracle_from_text, text)
     assert parsed(RunTrace.from_text, text.encode()) == expected
@@ -993,7 +993,7 @@ def test_one_parser_for_every_source(name, ending, trace_file):
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(text=mutated_goldens())
+@given(text=golden_mutations())
 def test_one_parser_for_every_source_on_mutated_goldens(text, trace_file):
     assert_one_parser(text, trace_file)
 
