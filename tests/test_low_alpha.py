@@ -341,3 +341,17 @@ class TestStress:
         total = sum(len(by_kind(stress(seed), "inject-diverge"))
                     for seed in range(1, 9))
         assert total > 0
+
+
+FIX = os.path.join(os.path.dirname(__file__), "fixtures")
+
+
+class TestFaultInjection:
+    """The golden low-alpha trace, the base of the low-alpha rows of the
+    mutation table in test_mutations.py, passes every check unmutated."""
+
+    def test_golden_passes(self):
+        with open(os.path.join(FIX, "golden-low-alpha.trace")) as fh:
+            trace = RunTrace.from_text(fh.read().encode())
+        for check in la.verify_lowness_budget(replay_of(trace)):
+            assert check.passed, check.line()
